@@ -11,6 +11,17 @@ use bench::report::Table;
 use bench::systems::CLSM;
 use clsm_workloads::{RunConfig, WorkloadSpec};
 
+/// `(storage.wal_sync_ns sample count, db.puts)` so far.
+fn sync_waits_and_writes(store: &dyn clsm_baselines::KvStore) -> (u64, u64) {
+    let snap = store.stats();
+    (
+        snap.histograms
+            .get("storage.wal_sync_ns")
+            .map_or(0, |h| h.count),
+        snap.counters.get("db.puts").copied().unwrap_or(0),
+    )
+}
+
 fn main() {
     let args = bench::parse_args();
     let spec = WorkloadSpec::write_only(args.key_space());
@@ -29,7 +40,8 @@ fn main() {
     .expect("async run failed");
     emit(&args, &async_tables).expect("emit");
 
-    // Sync mode: same sweep with fsync-per-write (group-committed).
+    // Sync mode: same sweep with an fsync wait per write (the WAL's
+    // logging queue group-commits the physical fsyncs).
     let columns: Vec<String> = args.threads.iter().map(|t| t.to_string()).collect();
     let mut table = Table::new(
         "Ablation sync-logging (sync) — cLSM write throughput, fsync per write (Kops/s)",
@@ -46,11 +58,20 @@ fn main() {
             duration: args.cell(),
             seed: args.seed,
         };
+        let before = sync_waits_and_writes(store.as_ref());
         let r = bench::driver::run_one(&store, &spec, &cfg).expect("run");
+        let after = sync_waits_and_writes(store.as_ref());
+        // Hardware-independent: how many `Store::sync_wal` waits the
+        // cell issued per acknowledged write (`storage.wal_sync_ns`
+        // samples ÷ `db.puts`). Each wait may share its physical fsync
+        // with other writers in the WAL's logging queue.
+        let (waits, writes) = (after.0 - before.0, after.1 - before.1);
         eprintln!(
-            "[ablate-sync] sync  threads={threads:<3} {:>10.1} ops/s  p90={:.1}us",
+            "[ablate-sync] sync  threads={threads:<3} {:>10.1} ops/s  p90={:.1}us  \
+             sync_waits={waits} writes={writes} waits/write={:.3}",
             r.ops_per_sec(),
-            r.p90_latency_us()
+            r.p90_latency_us(),
+            waits as f64 / writes.max(1) as f64
         );
         table.set("cLSM sync", col, Metric::KopsPerSec.extract(&r));
     }

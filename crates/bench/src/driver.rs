@@ -34,9 +34,6 @@ pub struct BenchArgs {
     /// When set, the flight recorder runs for the whole sweep and a
     /// Chrome-trace-format JSON (Perfetto-loadable) lands here.
     pub trace: Option<PathBuf>,
-    /// Group-commit write pipeline on cLSM systems (`--group-commit
-    /// on|off`). On by default; `off` is the per-writer ablation.
-    pub group_commit: bool,
     /// Repetitions per measured cell (`--repeat N`); binaries that
     /// honor it report the median rep, which tames scheduler noise on
     /// small machines.
@@ -54,7 +51,6 @@ impl Default for BenchArgs {
             seed: 0xc15a,
             shards: 1,
             trace: None,
-            group_commit: true,
             repeat: 1,
         }
     }
@@ -108,13 +104,6 @@ pub fn parse_args() -> BenchArgs {
                     iter.next().unwrap_or_else(|| usage("--trace needs a path")),
                 ));
             }
-            "--group-commit" => {
-                args.group_commit = match iter.next().as_deref() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => usage("--group-commit needs on|off"),
-                };
-            }
             "--repeat" => {
                 args.repeat = iter
                     .next()
@@ -135,7 +124,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: fig* [--quick|--full] [--seconds N] [--threads 1,2,4,...] [--out DIR] [--seed N] \
-         [--shards N] [--trace FILE.json] [--group-commit on|off] [--repeat N]"
+         [--shards N] [--trace FILE.json] [--repeat N]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -177,7 +166,6 @@ impl BenchArgs {
             opts.store.block_cache_bytes = 512 * 1024 * 1024;
         }
         opts.shards = self.shards;
-        opts.group_commit = self.group_commit;
         opts
     }
 

@@ -29,8 +29,10 @@ use crate::stability::StabilityResult;
 ///
 /// History: 1 = the original matrix-only schema; 2 added the
 /// `stability` section (per-window time series + variance summary);
-/// 3 added the `net` section (client-observed loopback TCP cells).
-pub const SCHEMA_VERSION: u32 = 3;
+/// 3 added the `net` section (client-observed loopback TCP cells);
+/// 4 dropped the commit-pipeline axis (`gc-on`/`gc-off` in cell ids,
+/// the per-cell pipeline flag and the `commit` mode counters).
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// One cell of the canonical matrix: a workload at a fixed
 /// configuration.
@@ -42,45 +44,32 @@ pub struct CellSpec {
     pub threads: usize,
     /// Range shards (1 = a single `Db`).
     pub shards: usize,
-    /// Group-commit pipeline on or off.
-    pub group_commit: bool,
 }
 
 impl CellSpec {
     /// Stable cell identifier; [`compare`] matches cells by this.
     pub fn id(&self) -> String {
-        format!(
-            "{}.t{}.gc-{}.s{}",
-            self.workload,
-            self.threads,
-            if self.group_commit { "on" } else { "off" },
-            self.shards
-        )
+        format!("{}.t{}.s{}", self.workload, self.threads, self.shards)
     }
 }
 
 /// The canonical matrix. `smoke` is the CI-sized subset: write-only at
-/// 1–2 threads across {group commit on, off} × {1, 4 shards}, plus one
-/// mixed cell. The full matrix sweeps 1→8 threads and runs the mixed
+/// 1–2 threads across {1, 4 shards}, plus one mixed cell. The full matrix sweeps 1→8 threads and runs the mixed
 /// workload on both shard counts.
 pub fn canonical_matrix(smoke: bool) -> Vec<CellSpec> {
     let write_threads: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let mixed_threads: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8] };
     let mut cells = Vec::new();
     for &shards in &[1usize, 4] {
-        for &group_commit in &[true, false] {
-            for &threads in write_threads {
-                cells.push(CellSpec {
-                    workload: "write-100",
-                    threads,
-                    shards,
-                    group_commit,
-                });
-            }
+        for &threads in write_threads {
+            cells.push(CellSpec {
+                workload: "write-100",
+                threads,
+                shards,
+            });
         }
     }
-    // Mixed 50/50 runs under the default configuration (group commit
-    // on); smoke keeps a single mixed cell.
+    // Smoke keeps a single mixed cell.
     for &shards in &[1usize, 4] {
         if smoke && shards != 1 {
             continue;
@@ -90,7 +79,6 @@ pub fn canonical_matrix(smoke: bool) -> Vec<CellSpec> {
                 workload: "mixed-50-50",
                 threads,
                 shards,
-                group_commit: true,
             });
         }
     }
@@ -133,7 +121,7 @@ impl SuiteConfig {
     }
 }
 
-/// The write-scaling cells: write-only, group commit on, one shard,
+/// The write-scaling cells: write-only, one shard,
 /// 1→8 threads. `--scaling` appends whichever of these the matrix is
 /// missing and the summary gate reads the resulting curve.
 pub fn scaling_cells() -> Vec<CellSpec> {
@@ -143,7 +131,6 @@ pub fn scaling_cells() -> Vec<CellSpec> {
             workload: "write-100",
             threads,
             shards: 1,
-            group_commit: true,
         })
         .collect()
 }
@@ -198,7 +185,7 @@ impl ScalingSummary {
     /// reported but never gated — a genuine 8-way speedup needs more
     /// cores than CI guarantees.
     pub fn text(&self) -> String {
-        let mut out = String::from("write scaling (write-100.gc-on.s1):\n");
+        let mut out = String::from("write scaling (write-100.s1):\n");
         let base = self.points.first().map_or(0.0, |&(_, k)| k);
         for &(threads, kops) in &self.points {
             let _ = writeln!(
@@ -310,7 +297,7 @@ impl NetCellResult {
 /// One write-path stage's summary inside a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageRow {
-    /// Stage name (`queue_wait` … `wake`, plus `total`).
+    /// Stage name (`admission` … `durable`, plus `total`).
     pub name: String,
     /// Samples recorded during the cell.
     pub count: u64,
@@ -324,23 +311,6 @@ pub struct StageRow {
     pub p99_ns: u64,
 }
 
-/// Commit-mode counters for a cell (see `db.commit.*`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CommitModes {
-    /// Solo fast-path commits.
-    pub solo: u64,
-    /// Requests whose submitter led a group.
-    pub leader: u64,
-    /// Requests committed by another thread's leader.
-    pub follower: u64,
-    /// Requests withdrawn from the pipeline.
-    pub withdrawn: u64,
-    /// Groups committed.
-    pub groups: u64,
-    /// Requests committed as group members.
-    pub grouped: u64,
-}
-
 /// One measured cell's results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
@@ -352,8 +322,6 @@ pub struct CellResult {
     pub threads: usize,
     /// Range shards.
     pub shards: usize,
-    /// Group-commit pipeline state.
-    pub group_commit: bool,
     /// Completed operations.
     pub ops: u64,
     /// Measured wall-clock seconds.
@@ -368,8 +336,6 @@ pub struct CellResult {
     pub p999_us: f64,
     /// Per-stage write-path breakdown (empty when attribution is off).
     pub stages: Vec<StageRow>,
-    /// Commit-mode distribution.
-    pub commit: CommitModes,
 }
 
 impl CellResult {
@@ -408,7 +374,6 @@ impl CellResult {
             workload: spec.workload.to_string(),
             threads: spec.threads,
             shards: spec.shards,
-            group_commit: spec.group_commit,
             ops: run.ops,
             elapsed_s: run.elapsed.as_secs_f64(),
             kops_per_sec: run.ops_per_sec() / 1000.0,
@@ -416,14 +381,6 @@ impl CellResult {
             p99_us: run.latency.percentile(99.0) as f64 / 1000.0,
             p999_us: run.latency.percentile(99.9) as f64 / 1000.0,
             stages,
-            commit: CommitModes {
-                solo: wp.solo,
-                leader: wp.leader_requests,
-                follower: wp.follower_requests,
-                withdrawn: wp.withdrawn,
-                groups: wp.groups,
-                grouped: wp.group_requests,
-            },
         }
     }
 }
@@ -486,7 +443,6 @@ pub fn run_cell(spec: &CellSpec, cfg: &SuiteConfig, data_dir: &Path) -> Result<C
     std::fs::create_dir_all(&dir)?;
     let mut opts = suite_store_options();
     opts.shards = spec.shards;
-    opts.group_commit = spec.group_commit;
     let store: Arc<dyn KvStore> = if spec.shards > 1 {
         Arc::new(clsm::ShardedDb::open(&dir, opts)?)
     } else {
@@ -653,7 +609,6 @@ impl SuiteReport {
             let _ = writeln!(out, "      \"workload\": {},", json_str(&c.workload));
             let _ = writeln!(out, "      \"threads\": {},", c.threads);
             let _ = writeln!(out, "      \"shards\": {},", c.shards);
-            let _ = writeln!(out, "      \"group_commit\": {},", c.group_commit);
             let _ = writeln!(out, "      \"ops\": {},", c.ops);
             let _ = writeln!(out, "      \"elapsed_s\": {},", json_f64(c.elapsed_s));
             let _ = writeln!(out, "      \"kops_per_sec\": {},", json_f64(c.kops_per_sec));
@@ -675,18 +630,7 @@ impl SuiteReport {
                 );
                 out.push_str(if j + 1 < c.stages.len() { ",\n" } else { "\n" });
             }
-            out.push_str("      ],\n");
-            let _ = writeln!(
-                out,
-                "      \"commit\": {{\"solo\": {}, \"leader\": {}, \"follower\": {}, \
-                 \"withdrawn\": {}, \"groups\": {}, \"grouped\": {}}}",
-                c.commit.solo,
-                c.commit.leader,
-                c.commit.follower,
-                c.commit.withdrawn,
-                c.commit.groups,
-                c.commit.grouped
-            );
+            out.push_str("      ]\n");
             out.push_str("    }");
             out.push_str(if i + 1 < self.cells.len() {
                 ",\n"
@@ -814,15 +758,11 @@ impl SuiteReport {
                     p99_ns: num_of(s, "p99_ns")? as u64,
                 });
             }
-            let commit = cell
-                .get("commit")
-                .ok_or_else(|| Error::invalid_argument("missing commit"))?;
             cells.push(CellResult {
                 id: str_of(cell, "id")?,
                 workload: str_of(cell, "workload")?,
                 threads: num_of(cell, "threads")? as usize,
                 shards: num_of(cell, "shards")? as usize,
-                group_commit: cell.get("group_commit").and_then(Json::as_bool) == Some(true),
                 ops: num_of(cell, "ops")? as u64,
                 elapsed_s: num_of(cell, "elapsed_s")?,
                 kops_per_sec: num_of(cell, "kops_per_sec")?,
@@ -830,14 +770,6 @@ impl SuiteReport {
                 p99_us: num_of(cell, "p99_us")?,
                 p999_us: num_of(cell, "p999_us")?,
                 stages,
-                commit: CommitModes {
-                    solo: num_of(commit, "solo")? as u64,
-                    leader: num_of(commit, "leader")? as u64,
-                    follower: num_of(commit, "follower")? as u64,
-                    withdrawn: num_of(commit, "withdrawn")? as u64,
-                    groups: num_of(commit, "groups")? as u64,
-                    grouped: num_of(commit, "grouped")? as u64,
-                },
             });
         }
         let mut net = Vec::new();
@@ -1420,11 +1352,10 @@ mod tests {
                 debug: false,
             },
             cells: vec![CellResult {
-                id: "write-100.t1.gc-on.s1".to_string(),
+                id: "write-100.t1.s1".to_string(),
                 workload: "write-100".to_string(),
                 threads: 1,
                 shards: 1,
-                group_commit: true,
                 ops: 100_000,
                 elapsed_s: 0.2,
                 kops_per_sec: 500.0,
@@ -1439,10 +1370,6 @@ mod tests {
                     p50_ns: 48,
                     p99_ns: 90,
                 }],
-                commit: CommitModes {
-                    solo: 100_000,
-                    ..CommitModes::default()
-                },
             }],
             net: vec![NetCellResult {
                 id: "net.mixed-50-50.t4.c2.d32".to_string(),
@@ -1479,11 +1406,10 @@ mod tests {
 
     fn scaling_cell(threads: usize, kops: f64) -> CellResult {
         CellResult {
-            id: format!("write-100.t{threads}.gc-on.s1"),
+            id: format!("write-100.t{threads}.s1"),
             workload: "write-100".to_string(),
             threads,
             shards: 1,
-            group_commit: true,
             ops: (kops * 1000.0 * 0.2) as u64,
             elapsed_s: 0.2,
             kops_per_sec: kops,
@@ -1491,7 +1417,6 @@ mod tests {
             p99_us: 10.0,
             p999_us: 40.0,
             stages: Vec::new(),
-            commit: CommitModes::default(),
         }
     }
 
@@ -1559,7 +1484,7 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), total);
         for t in [1, 2, 4, 8] {
-            assert!(ids.contains(&format!("write-100.t{t}.gc-on.s1")));
+            assert!(ids.contains(&format!("write-100.t{t}.s1")));
         }
     }
 
@@ -1572,19 +1497,16 @@ mod tests {
 
     #[test]
     fn from_json_rejects_other_schema_versions() {
-        let text = sample_report()
-            .to_json()
-            .replace("\"schema_version\": 3", "\"schema_version\": 999");
-        let err = SuiteReport::from_json(&text).unwrap_err();
-        assert!(err.to_string().contains("schema_version"));
-        // Older artifacts (pre-stability, pre-net) are rejected the
-        // same way: re-baseline, never silently compare across schemas.
-        for old in ["1", "2"] {
-            let v = sample_report().to_json().replace(
-                "\"schema_version\": 3",
-                &format!("\"schema_version\": {old}"),
-            );
-            assert!(SuiteReport::from_json(&v).is_err());
+        let current = format!("\"schema_version\": {SCHEMA_VERSION}");
+        // Older artifacts (pre-stability, pre-net, with the gc axis)
+        // are rejected like unknown future ones: re-baseline, never
+        // silently compare across schemas.
+        for other in ["1", "2", "3", "999"] {
+            let text = sample_report()
+                .to_json()
+                .replace(&current, &format!("\"schema_version\": {other}"));
+            let err = SuiteReport::from_json(&text).unwrap_err();
+            assert!(err.to_string().contains("schema_version"));
         }
     }
 
@@ -1703,7 +1625,7 @@ mod tests {
     fn compare_reports_unmatched_cells() {
         let old = sample_report();
         let mut new = old.clone();
-        new.cells[0].id = "write-100.t2.gc-on.s1".to_string();
+        new.cells[0].id = "write-100.t2.s1".to_string();
         let outcome = compare(&old, &new, 1.0);
         assert_eq!(outcome.unmatched, 2); // one missing + one new
         assert!(outcome.text.contains("missing from new report"));
@@ -1713,14 +1635,12 @@ mod tests {
     fn smoke_matrix_covers_acceptance_grid() {
         let matrix = canonical_matrix(true);
         for shards in [1, 4] {
-            for gc in [true, false] {
-                assert!(
-                    matrix.iter().any(|c| c.workload == "write-100"
-                        && c.shards == shards
-                        && c.group_commit == gc),
-                    "smoke matrix missing write cell gc={gc} shards={shards}"
-                );
-            }
+            assert!(
+                matrix
+                    .iter()
+                    .any(|c| c.workload == "write-100" && c.shards == shards),
+                "smoke matrix missing write cell shards={shards}"
+            );
         }
         assert!(matrix.iter().any(|c| c.workload == "mixed-50-50"));
         // Ids are unique — compare() matches on them.

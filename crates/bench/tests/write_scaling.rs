@@ -1,6 +1,5 @@
 //! The write-scaling lock-in test: a write-only 1→8 thread sweep over
-//! the suite configuration (memtable-resident store, group commit on,
-//! striped WAL) must not lose throughput as writer threads are added.
+//! the suite configuration (memtable-resident store, striped WAL) must not lose throughput as writer threads are added.
 //!
 //! On a small CI box extra writers cannot make the store faster, so
 //! the assertion is the suite's scaling gate: 4-thread throughput must

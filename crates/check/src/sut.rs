@@ -30,7 +30,6 @@ pub struct Sut {
 /// Every system name [`open_sut`] accepts.
 pub const SYSTEMS: &[&str] = &[
     "clsm",
-    "clsm-nogc",
     "clsm-tiered",
     "clsm-hybrid",
     "clsm-walstripe-4",
@@ -51,7 +50,6 @@ pub const SYSTEMS: &[&str] = &[
 /// [`FaultEnv`] plumbs through their `Options`).
 pub const CRASH_SYSTEMS: &[&str] = &[
     "clsm",
-    "clsm-nogc",
     "clsm-tiered",
     "clsm-hybrid",
     "clsm-walstripe-4",
@@ -82,18 +80,14 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
 
     if matches!(
         name,
-        "clsm" | "clsm-nogc" | "clsm-tiered" | "clsm-hybrid" | "clsm-walstripe-4"
+        "clsm" | "clsm-tiered" | "clsm-hybrid" | "clsm-walstripe-4"
     ) {
-        // `clsm-nogc`: the group-commit-off ablation — same store, the
-        // per-writer commit paths instead of the leader pipeline. Kept
-        // in the matrix so both sides of the ablation stay correct.
         // `clsm-tiered` / `clsm-hybrid`: the alternative compaction
         // scheduling policies — history checking must hold whatever
         // shape the background merges take.
         // `clsm-walstripe-4`: four WAL stripes — appends land in
         // different files by writing thread; recovery must still merge
         // them into one timestamp-ordered history.
-        opts.group_commit = name != "clsm-nogc";
         if name == "clsm-walstripe-4" {
             opts.store.wal_stripes = 4;
         }

@@ -74,9 +74,6 @@ pub(crate) struct DbInner {
     /// Stall-event sink fed by the watchdog sampler (see
     /// [`crate::watchdog`]).
     pub(crate) watchdog: Watchdog,
-    /// The group-commit write pipeline (see [`crate::write`]); used
-    /// when `Options::group_commit` is on, bypassed otherwise.
-    pub(crate) pipeline: crate::write::CommitPipeline,
 
     pub(crate) shutdown: AtomicBool,
     /// Set while a flush is scheduled or running.
@@ -172,7 +169,6 @@ impl Db {
             pm_prev: RcuCell::new(None),
             metrics,
             watchdog,
-            pipeline: crate::write::CommitPipeline::new(),
             shutdown: AtomicBool::new(false),
             flush_pending: AtomicBool::new(false),
             work_mutex: Mutex::new(()),
@@ -248,14 +244,12 @@ impl Db {
     /// Applies a [`WriteBatch`] under the given [`WriteOptions`] — the
     /// single mutation entry point every other write API desugars to.
     ///
-    /// With `Options::group_commit` on (the default) the batch rides
-    /// the leader/follower commit pipeline (the `write` module): it
-    /// is queued on a lock-free combining queue and one writer commits
-    /// the whole pending group with a single timestamp-block
-    /// acquisition, one coalesced WAL append, and one publish pass.
-    /// With group commit off, single-op batches run the paper's
-    /// per-writer put path and multi-op batches take the exclusive
-    /// lock, exactly as before — the ablation baseline.
+    /// A single op runs Algorithm 2's `put` (shared lock → `getTS` →
+    /// insert-as-newest → log → publish), concurrently with every
+    /// other writer. A multi-op batch takes the lock in exclusive mode
+    /// (§4) and stamps all entries from one timestamp block. Fsync
+    /// batching for `sync` writes lives below this layer, in the WAL's
+    /// logging queue.
     ///
     /// An empty batch is a no-op. Multi-op batches are atomic: no
     /// snapshot ever observes a strict subset, and recovery replays
@@ -274,68 +268,26 @@ impl Db {
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
         let began = Instant::now();
-        // `None` = multi-op batch; `Some(is_put)` = single op.
-        let single_kind = if batch.len() == 1 {
-            Some(batch.ops()[0].1.is_some())
-        } else {
-            None
-        };
         let sync = opts.sync || (inner.opts.sync_writes && !opts.disable_wal);
-        let ops = batch.into_ops();
-        // Pipeline dispatch. The solo fast path: a writer that wins the
-        // leader election against an empty queue has nobody to combine
-        // with, so it commits through the per-writer path directly —
-        // no request allocation, no queue traffic, no wakeup — and
-        // then serves whoever queued behind the held flag. Writers
-        // that lose the election enqueue for the leader; the pipeline
-        // may hand the ops back (`Submit::Withdrawn`) when no leader
-        // serviced the request promptly. The per-writer paths are safe
-        // to run concurrently with a committing leader — they follow
-        // the same lock/oracle protocol as any individual writer — so
-        // both the fast path and withdrawn requests commit solo
-        // instead of idling.
-        let ops = if inner.opts.group_commit {
-            if inner.pipeline.try_lead_solo() {
-                inner.metrics.write_path.solo.inc();
-                let result = self.write_ops_direct(&ops, sync, opts.disable_wal);
-                crate::write::drain_as_leader(inner);
-                result?;
-                None
+        let (count, latency) = if let [(key, value)] = batch.ops() {
+            self.write_one(key, value.as_deref(), sync, opts.disable_wal)?;
+            if value.is_some() {
+                (&inner.metrics.puts, &inner.metrics.put_latency)
             } else {
-                match crate::write::submit(inner, ops, sync, opts.disable_wal) {
-                    crate::write::Submit::Done(result) => {
-                        result?;
-                        None
-                    }
-                    crate::write::Submit::Withdrawn(ops) => Some(ops),
-                }
+                (&inner.metrics.deletes, &inner.metrics.delete_latency)
             }
         } else {
-            Some(ops)
+            self.write_batch_exclusive(batch.into_ops(), sync, opts.disable_wal)?;
+            // One bump per batch, matching the historical counter
+            // semantics.
+            (&inner.metrics.puts, &inner.metrics.write_batch_latency)
         };
-        if let Some(ops) = ops {
-            self.write_ops_direct(&ops, sync, opts.disable_wal)?;
-        }
         let elapsed = began.elapsed();
         if let Some(wp) = inner.write_path() {
             wp.rec_total(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         }
-        match single_kind {
-            Some(true) => {
-                inner.metrics.puts.inc();
-                inner.metrics.put_latency.record_duration(elapsed);
-            }
-            Some(false) => {
-                inner.metrics.deletes.inc();
-                inner.metrics.delete_latency.record_duration(elapsed);
-            }
-            None => {
-                // One bump per batch, matching the historical counter
-                // semantics.
-                inner.metrics.puts.inc();
-                inner.metrics.write_batch_latency.record_duration(elapsed);
-            }
-        }
+        count.inc();
+        latency.record_duration(elapsed);
         Ok(())
     }
 
@@ -349,25 +301,7 @@ impl Db {
         self.write(WriteBatch::single_delete(key), &WriteOptions::new())
     }
 
-    /// Commits `ops` through the per-writer paths: the shared-lock
-    /// single-op path or the exclusive-lock batch path. Used when the
-    /// pipeline is off, by the solo fast path, and for withdrawn
-    /// requests.
-    fn write_ops_direct(
-        &self,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
-        sync: bool,
-        disable_wal: bool,
-    ) -> Result<()> {
-        if let Some((key, value)) = ops.first().filter(|_| ops.len() == 1) {
-            self.write_one(key, value.as_deref(), sync, disable_wal)
-        } else {
-            self.write_batch_exclusive(ops, sync, disable_wal)
-        }
-    }
-
-    /// The per-writer put path (the group-commit-off ablation), and the
-    /// fallback for single-op writes when the pipeline is disabled.
+    /// Algorithm 2's `put`, for one put or delete.
     fn write_one(
         &self,
         key: &[u8],
@@ -442,27 +376,21 @@ impl Db {
             logged?;
         }
         if sync {
-            // Group-committed durability wait happens outside the
-            // critical section so it never blocks the merge hooks.
-            if let Some(wp) = wp {
-                let sync_start = now_ns();
-                let durable_ns = inner.store.sync_wal_timed()?;
-                wp.rec_durable(durable_ns.saturating_sub(sync_start));
-            } else {
-                inner.store.sync_wal()?;
-            }
+            inner.wait_durable()?;
         }
         inner.maybe_schedule_flush();
         Ok(())
     }
 
     /// The coarse-grained batch path (§4): the shared-exclusive lock in
-    /// *exclusive* mode. Used for multi-op batches when group commit is
-    /// off (the pipeline leader uses the same lock mode for groups
-    /// carrying a multi-op batch).
+    /// *exclusive* mode, which excludes every other writer and RMW, so
+    /// plain inserts suffice and no entry ever restamps. The whole
+    /// batch draws one timestamp block — one `Active` slot however many
+    /// entries it has — and becomes visible to snapshots at the single
+    /// block publish.
     fn write_batch_exclusive(
         &self,
-        batch: &[(Vec<u8>, Option<Vec<u8>>)],
+        batch: Vec<(Vec<u8>, Option<Vec<u8>>)>,
         sync: bool,
         disable_wal: bool,
     ) -> Result<()> {
@@ -474,70 +402,55 @@ impl Db {
             let _span = T_WRITE_BATCH.span_with(batch.len() as u64);
             let _excl = inner.lock.lock_exclusive();
             let stamp_start = if wp.is_some() { now_ns() } else { 0 };
-            let mut records = Vec::with_capacity(batch.len());
-            let mut stamps = Vec::with_capacity(batch.len());
-            for (key, value) in batch {
-                let stamp = inner.oracle.get_ts();
-                records.push(match value {
-                    Some(v) => WriteRecord::put(stamp.ts, key.clone(), v.clone()),
-                    None => WriteRecord::delete(stamp.ts, key.clone()),
-                });
-                stamps.push(stamp);
+            let block = inner.oracle.get_ts_block(batch.len() as u64);
+            let mem_start = if let Some(wp) = wp {
+                let t = now_ns();
+                wp.rec_stamp(t.saturating_sub(stamp_start));
+                t
+            } else {
+                0
+            };
+            let pm = inner.pm.load();
+            for (ts, (key, value)) in (block.base..).zip(&batch) {
+                pm.insert(key, ts, value.as_deref());
             }
             if let Some(wp) = wp {
-                wp.rec_stamp(now_ns().saturating_sub(stamp_start));
+                wp.rec_memtable(now_ns().saturating_sub(mem_start));
             }
+            // One log payload for the whole batch, so a torn WAL tail
+            // drops it atomically.
             logged = if disable_wal {
                 Ok(())
             } else {
                 let wal_start = if wp.is_some() { now_ns() } else { 0 };
+                let records: Vec<WriteRecord> = (block.base..)
+                    .zip(batch)
+                    .map(|(ts, (key, value))| match value {
+                        Some(v) => WriteRecord::put(ts, key, v),
+                        None => WriteRecord::delete(ts, key),
+                    })
+                    .collect();
                 let r = inner.store.log(&records, SyncMode::Async);
                 if let Some(wp) = wp {
                     wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
                 }
                 r
             };
-            // Insert and publish even when the log append failed: an
-            // unpublished stamp would wedge snapshot creation forever,
-            // and recovery never depends on an unlogged record.
-            // Attribution: inserts and publishes interleave per entry
-            // here, so the publish stage is folded into the memtable
-            // stage (see `WritePathMetrics`).
-            let mem_start = if wp.is_some() { now_ns() } else { 0 };
-            let pm = inner.pm.load();
-            for (record, stamp) in records.iter().zip(stamps) {
-                let value = match record.kind {
-                    ValueKind::Put => Some(record.value.as_slice()),
-                    ValueKind::Delete => None,
-                };
-                pm.insert(&record.key, record.ts, value);
-                inner.oracle.publish(stamp);
-            }
+            // Publish even when the log append failed: an unpublished
+            // stamp would wedge snapshot creation forever, and recovery
+            // never depends on an unlogged record.
+            let publish_start = if wp.is_some() { now_ns() } else { 0 };
+            inner.oracle.publish_block(block);
             if let Some(wp) = wp {
-                wp.rec_memtable(now_ns().saturating_sub(mem_start));
+                wp.rec_publish(now_ns().saturating_sub(publish_start));
             }
         }
         logged?;
         if sync {
-            if let Some(wp) = wp {
-                let sync_start = now_ns();
-                let durable_ns = inner.store.sync_wal_timed()?;
-                wp.rec_durable(durable_ns.saturating_sub(sync_start));
-            } else {
-                inner.store.sync_wal()?;
-            }
+            inner.wait_durable()?;
         }
         inner.maybe_schedule_flush();
         Ok(())
-    }
-
-    /// Atomically applies a batch of puts/deletes.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `WriteBatch` and call `write(batch, &WriteOptions::new())` instead"
-    )]
-    pub fn write_batch(&self, batch: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<()> {
-        self.write(WriteBatch::from(batch), &WriteOptions::new())
     }
 
     /// Returns the latest value of `key`, or `None` if absent/deleted.
@@ -642,10 +555,8 @@ impl Db {
     }
 
     /// Write-path latency attribution: the per-stage histograms
-    /// (enqueue → claim → stamp → memtable → WAL-enqueue → publish →
-    /// durable → wake) plus the group-size and
-    /// leader/follower/withdraw distributions, extracted from
-    /// [`Db::metrics`]. Stage histograms are empty unless
+    /// (admission → stamp → memtable → WAL-enqueue → publish →
+    /// durable), extracted from [`Db::metrics`]. Empty unless
     /// [`Options::write_path_attribution`] is on.
     pub fn write_path_report(&self) -> crate::WritePathReport {
         crate::WritePathReport::from_snapshot(&self.metrics())
@@ -776,6 +687,23 @@ impl std::fmt::Debug for Db {
 }
 
 impl DbInner {
+    /// Waits for the WAL's group-committed fsync covering everything
+    /// this thread has logged. Called outside the critical section so
+    /// it never blocks the merge hooks.
+    fn wait_durable(&self) -> Result<()> {
+        if let Some(wp) = self.write_path() {
+            // The durable-ack timestamp is taken on the logger thread
+            // right after the fsync, so the stage excludes the time it
+            // took to wake this writer back up.
+            let sync_start = now_ns();
+            let durable_ns = self.store.sync_wal_timed()?;
+            wp.rec_durable(durable_ns.saturating_sub(sync_start));
+            Ok(())
+        } else {
+            self.store.sync_wal()
+        }
+    }
+
     /// The write-path attribution handles, or `None` when
     /// `Options::write_path_attribution` is off — this single branch is
     /// all a disabled stage-recording site costs.

@@ -65,9 +65,6 @@ pub struct DoctorReport {
     pub wal_queue_depth: usize,
     /// Recent watchdog verdicts, oldest first.
     pub stall_events: Vec<StallEvent>,
-    /// Whether the group-commit pipeline is enabled
-    /// ([`crate::Options::group_commit`]).
-    pub group_commit: bool,
     /// Stable name of the compaction scheduling policy
     /// ([`crate::CompactionPolicyKind::name`]).
     pub compaction_policy: &'static str,
@@ -76,9 +73,9 @@ pub struct DoctorReport {
     pub io_rate_limit: Option<(u64, u64, IoRateLimiterStats)>,
     /// The graduated admission ladder's position and lifetime counters.
     pub admission: AdmissionState,
-    /// Commit-mode distribution, group-size stats, and (when
-    /// [`crate::Options::write_path_attribution`] is on) per-stage
-    /// write latency, extracted from the metrics snapshot.
+    /// Per-stage write latency (when
+    /// [`crate::Options::write_path_attribution`] is on), extracted
+    /// from the metrics snapshot.
     pub write_path: WritePathReport,
 }
 
@@ -114,7 +111,6 @@ impl Db {
             wal_number: inner.store.current_wal_number(),
             wal_queue_depth: inner.store.wal_queue_depth(),
             stall_events: self.stall_events(),
-            group_commit: inner.opts.group_commit,
             compaction_policy: inner.store.compaction_policy().name(),
             io_rate_limit: inner
                 .store
@@ -193,11 +189,6 @@ impl DoctorReport {
                 "block cache: {hits} hits / {misses} misses ({rate:.1}% hit rate)"
             );
         }
-        let _ = writeln!(
-            out,
-            "group commit: {}",
-            if self.group_commit { "on" } else { "off" }
-        );
         let _ = writeln!(out, "compaction policy: {}", self.compaction_policy);
         match &self.io_rate_limit {
             Some((bps, burst, stats)) => {
@@ -263,12 +254,9 @@ impl DoctorReport {
 /// (pairs with [`watch_dashboard_line`]).
 pub fn watch_dashboard_header() -> String {
     format!(
-        "{:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>9} {:>12} {:>11} {:>6} {:>8}",
+        "{:>10} {:>10} {:>9} {:>9} {:>12} {:>11} {:>6} {:>8}",
         "puts/s",
         "gets/s",
-        "groups/s",
-        "avg-grp",
-        "wdraw/s",
         "delayed/s",
         "hstalls/s",
         "p99-wr(us)",
@@ -281,10 +269,9 @@ pub fn watch_dashboard_header() -> String {
 /// One `--watch` dashboard line from two metric snapshots taken
 /// `interval` apart.
 ///
-/// Counter columns (`puts/s`, `gets/s`, `groups/s`, `wdraw/s`,
+/// Counter columns (`puts/s`, `gets/s`, `delayed/s`, `hstalls/s`,
 /// `flush`, `compact`) are deltas between the snapshots — per-second
 /// rates except the last two, which are raw per-interval counts.
-/// `avg-grp` is the mean committed group size over the interval.
 /// The p99 columns (`write_path.total_ns` / `op.get.latency_ns`) are
 /// cumulative since open: snapshots carry histogram *summaries*,
 /// which cannot be subtracted.
@@ -298,13 +285,6 @@ pub fn watch_dashboard_line(
         |snap: &MetricsSnapshot, name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let delta = |name: &str| counter(cur, name).saturating_sub(counter(prev, name));
     let rate = |name: &str| delta(name) as f64 / secs;
-    let groups = delta("db.commit.groups");
-    let grouped = delta("db.commit.group_requests");
-    let avg_grp = if groups == 0 {
-        0.0
-    } else {
-        grouped as f64 / groups as f64
-    };
     let p99_us = |name: &str| {
         cur.histograms
             .get(name)
@@ -312,12 +292,9 @@ pub fn watch_dashboard_line(
             .unwrap_or(0.0)
     };
     format!(
-        "{:>10.0} {:>10.0} {:>9.0} {:>8.1} {:>8.0} {:>9.0} {:>9.0} {:>12.1} {:>11.1} {:>6} {:>8}",
+        "{:>10.0} {:>10.0} {:>9.0} {:>9.0} {:>12.1} {:>11.1} {:>6} {:>8}",
         rate("db.puts"),
         rate("db.gets"),
-        groups as f64 / secs,
-        avg_grp,
-        rate("db.commit.withdrawn"),
         rate("admission.delayed_writes"),
         rate("admission.hard_stalls"),
         p99_us("write_path.total_ns"),
@@ -331,13 +308,12 @@ pub fn watch_dashboard_line(
 mod tests {
     use super::*;
 
-    fn snap(puts: u64, gets: u64, groups: u64, grouped: u64) -> MetricsSnapshot {
+    fn snap(puts: u64, gets: u64, delayed: u64) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("db.puts".into(), puts);
         s.counters.insert("db.gets".into(), gets);
-        s.counters.insert("db.commit.groups".into(), groups);
         s.counters
-            .insert("db.commit.group_requests".into(), grouped);
+            .insert("admission.delayed_writes".into(), delayed);
         s
     }
 
@@ -349,8 +325,8 @@ mod tests {
 
     #[test]
     fn watch_line_rates_divide_by_the_interval_actually_covered() {
-        let prev = snap(1_000, 500, 10, 40);
-        let cur = snap(3_000, 1_500, 30, 120);
+        let prev = snap(1_000, 500, 10);
+        let cur = snap(3_000, 1_500, 30);
         // The same deltas over a 2 s window must show half the rate of
         // a 1 s window: a caller passing the nominal tick instead of
         // the measured elapsed time inflates every rate column.
@@ -360,39 +336,28 @@ mod tests {
         assert_eq!(two_sec[0], 1000.0, "puts/s over 2s");
         assert_eq!(one_sec[1], 1000.0, "gets/s over 1s");
         assert_eq!(two_sec[1], 500.0, "gets/s over 2s");
-        assert_eq!(one_sec[2], 20.0, "groups/s over 1s");
-        assert_eq!(two_sec[2], 10.0, "groups/s over 2s");
-        // Mean group size is a ratio of deltas — interval-independent.
-        assert_eq!(one_sec[3], 4.0);
-        assert_eq!(two_sec[3], 4.0);
+        assert_eq!(one_sec[2], 20.0, "delayed/s over 1s");
+        assert_eq!(two_sec[2], 10.0, "delayed/s over 2s");
+        assert_eq!(
+            watch_dashboard_header().split_whitespace().count(),
+            one_sec.len(),
+            "one header per column"
+        );
     }
 
     #[test]
     fn watch_line_deltas_ignore_absolute_counter_levels() {
         // Same window shifted by a large base: identical line.
-        let a = watch_dashboard_line(
-            &snap(0, 0, 0, 0),
-            &snap(100, 200, 4, 8),
-            Duration::from_secs(1),
-        );
+        let a = watch_dashboard_line(&snap(0, 0, 0), &snap(100, 200, 4), Duration::from_secs(1));
         let b = watch_dashboard_line(
-            &snap(1 << 40, 1 << 41, 1 << 20, 1 << 21),
-            &snap(
-                (1 << 40) + 100,
-                (1 << 41) + 200,
-                (1 << 20) + 4,
-                (1 << 21) + 8,
-            ),
+            &snap(1 << 40, 1 << 41, 1 << 20),
+            &snap((1 << 40) + 100, (1 << 41) + 200, (1 << 20) + 4),
             Duration::from_secs(1),
         );
         assert_eq!(a, b);
         // A counter that went backwards (reopened store) clamps to 0
         // instead of underflowing.
-        let line = watch_dashboard_line(
-            &snap(500, 0, 0, 0),
-            &snap(100, 0, 0, 0),
-            Duration::from_secs(1),
-        );
+        let line = watch_dashboard_line(&snap(500, 0, 0), &snap(100, 0, 0), Duration::from_secs(1));
         assert_eq!(columns(&line)[0], 0.0);
     }
 }

@@ -18,11 +18,10 @@
 //!   every snapshot a time below every in-flight write.
 //! - **Non-blocking read-modify-write** ([`Db::read_modify_write`]):
 //!   Algorithm 3's optimistic conflict detection in the skip list.
-//! - **Group-committed writes** ([`Db::write`]): every mutation is a
-//!   [`WriteBatch`] applied under [`WriteOptions`]; a leader/follower
-//!   pipeline (the `write` module) commits whole groups of queued
-//!   writes with one timestamp-block acquisition, one coalesced WAL
-//!   append, and one publish pass.
+//! - **One write entry point** ([`Db::write`]): every mutation is a
+//!   [`WriteBatch`] applied under [`WriteOptions`]; a single op runs
+//!   Algorithm 2's `put` under the shared lock, a multi-op batch commits
+//!   atomically under the exclusive lock with one timestamp block.
 //!
 //! # Examples
 //!
@@ -58,7 +57,6 @@ mod sharded;
 mod snapshot;
 mod stats;
 mod watchdog;
-mod write;
 mod write_report;
 
 pub use admission::{AdmissionOptions, AdmissionState};

@@ -61,20 +61,13 @@ pub struct Options {
     /// `true` → snapshots are linearizable (never "read in the past");
     /// `false` (default) → serializable, as in the paper's Algorithm 2.
     pub linearizable_snapshots: bool,
-    /// `true` (default) → writes ride the leader/follower group-commit
-    /// pipeline: concurrent writers are drained into one group that
-    /// pays a single timestamp-block acquisition, one coalesced WAL
-    /// record, and one publish pass. `false` → every writer runs the
-    /// paper's per-writer commit path (the ablation baseline).
-    pub group_commit: bool,
     /// `true` (default) → each write records per-stage latencies
-    /// (queue wait, stamp, memtable, WAL enqueue, publish, durable,
-    /// wake) into the `write_path.*` histograms behind
+    /// (admission, stamp, memtable, WAL enqueue, publish, durable)
+    /// into the `write_path.*` histograms behind
     /// `Db::write_path_report()`. The cost is a handful of monotonic
     /// clock reads plus thread-striped histogram updates per write — no
     /// locks. `false` → the stage recording sites reduce to a single
-    /// branch (commit-mode counters stay on; they are plain relaxed
-    /// atomics).
+    /// branch.
     pub write_path_attribution: bool,
     /// Number of background compaction threads. The paper's cLSM uses a
     /// single compaction thread (§5); the RocksDB comparison (§5.3)
@@ -110,7 +103,6 @@ impl Default for Options {
             memtable_bytes: 128 * 1024 * 1024,
             sync_writes: false,
             linearizable_snapshots: false,
-            group_commit: true,
             write_path_attribution: true,
             compaction_threads: 1,
             active_slots: 256,
@@ -299,13 +291,6 @@ impl OptionsBuilder {
         self
     }
 
-    /// Whether writes ride the group-commit pipeline (default) or the
-    /// per-writer commit path (the ablation baseline).
-    pub fn group_commit(mut self, enabled: bool) -> Self {
-        self.opts.group_commit = enabled;
-        self
-    }
-
     /// Whether writes record per-stage latency attribution (see
     /// [`Options::write_path_attribution`]).
     pub fn write_path_attribution(mut self, enabled: bool) -> Self {
@@ -418,7 +403,7 @@ mod tests {
             .memtable_bytes(1 << 20)
             .sync_writes(true)
             .linearizable_snapshots(true)
-            .group_commit(false)
+            .write_path_attribution(false)
             .compaction_threads(3)
             .active_slots(64)
             .memtable_kind(MemtableKind::LockFreeSkipList)
@@ -431,7 +416,7 @@ mod tests {
         assert_eq!(opts.memtable_bytes, 1 << 20);
         assert!(opts.sync_writes);
         assert!(opts.linearizable_snapshots);
-        assert!(!opts.group_commit);
+        assert!(!opts.write_path_attribution);
         assert_eq!(opts.compaction_threads, 3);
         assert_eq!(opts.active_slots, 64);
         assert_eq!(opts.store.block_size, 1024);

@@ -36,7 +36,7 @@
 //!   ascending — see [`ShardedDb::write`] for why exclusive) → `getTS`
 //!   (one stamp) → log + insert on each shard → `publish` → unlock.
 //!   A batch whose keys all land on one shard instead delegates to
-//!   that shard's [`Db::write`], riding its group-commit pipeline.
+//!   that shard's [`Db::write`].
 //! - `snapshot`: lock all shards (shared, ascending) →
 //!   [`TimestampOracle::get_snap_publish`] (non-blocking half) →
 //!   register → unlock → [`TimestampOracle::wait_snap_visible`].
@@ -359,9 +359,9 @@ impl ShardedDb {
     /// single mutation entry point, batch-atomic even across shards.
     ///
     /// A batch whose keys all land on one shard (including every
-    /// single-op batch) delegates to that shard's [`Db::write`] and
-    /// rides its group-commit pipeline. Only genuinely cross-shard
-    /// batches take the coarse-grained path below.
+    /// single-op batch) delegates to that shard's [`Db::write`]. Only
+    /// genuinely cross-shard batches take the coarse-grained path
+    /// below.
     ///
     /// Every cross-shard entry is written at **one** shared timestamp, acquired
     /// while holding the touched shards' locks (**exclusive** mode,
@@ -394,7 +394,7 @@ impl ShardedDb {
             // The empty key is reserved for batch-commit markers.
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
-        // Single-shard fast path: route to the owning shard's pipeline.
+        // Single-shard fast path: route to the owning shard.
         // Within-batch duplicates resolve by insertion order there (the
         // shard stamps entries with ascending timestamps), matching the
         // last-occurrence-wins dedup below.
@@ -543,15 +543,6 @@ impl ShardedDb {
         Ok(())
     }
 
-    /// Atomically applies a batch that may span shards.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `WriteBatch` and call `write(batch, &WriteOptions::new())` instead"
-    )]
-    pub fn write_batch(&self, batch: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<()> {
-        self.write(WriteBatch::from(batch), &WriteOptions::new())
-    }
-
     /// Creates one serializable snapshot spanning every shard
     /// (Algorithm 2's `getSnap` against the shared oracle).
     pub fn snapshot(&self) -> Result<ShardedSnapshot> {
@@ -638,8 +629,8 @@ impl ShardedDb {
 
     /// Write-path latency attribution across all shards, extracted
     /// from the bucket-merged [`ShardedDb::metrics`] snapshot: stage
-    /// histograms are merged at bucket level and commit-mode counters
-    /// summed, so the report reads as one system-wide write path.
+    /// histograms are merged at bucket level, so the report reads as
+    /// one system-wide write path.
     pub fn write_path_report(&self) -> crate::WritePathReport {
         crate::WritePathReport::from_snapshot(&self.metrics())
     }

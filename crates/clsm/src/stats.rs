@@ -21,13 +21,11 @@ mod stage_trace {
     use super::TraceId;
 
     pub static ADMISSION: TraceId = TraceId::new("clsm.write.admission");
-    pub static QUEUE_WAIT: TraceId = TraceId::new("clsm.write.queue_wait");
     pub static STAMP: TraceId = TraceId::new("clsm.write.stamp");
     pub static MEMTABLE: TraceId = TraceId::new("clsm.write.memtable");
     pub static WAL_ENQUEUE: TraceId = TraceId::new("clsm.write.wal_enqueue");
     pub static PUBLISH: TraceId = TraceId::new("clsm.write.publish");
     pub static DURABLE: TraceId = TraceId::new("clsm.write.durable");
-    pub static WAKE: TraceId = TraceId::new("clsm.write.wake");
     pub static TOTAL: TraceId = TraceId::new("clsm.write.total");
 }
 
@@ -74,8 +72,7 @@ pub(crate) struct DbMetrics {
     /// flush in flight). Zero under a healthy ramp.
     pub admission_hard_stalls: Arc<Counter>,
 
-    /// Write-path latency attribution (stage histograms and
-    /// commit-mode distribution counters).
+    /// Write-path latency attribution (stage histograms).
     pub write_path: WritePathMetrics,
 }
 
@@ -83,82 +80,46 @@ pub(crate) struct DbMetrics {
 ///
 /// The stage histograms (`write_path.*_ns`) are recorded only when
 /// `Options::write_path_attribution` is on — the disabled path is a
-/// single branch with no clock reads. The commit-mode counters and the
-/// group-size histogram are always on: they cost one relaxed atomic op
-/// per write (or per group) and feed the doctor's group-commit section
-/// regardless of the attribution flag.
+/// single branch with no clock reads.
 ///
-/// Stage boundaries, in pipeline order (a write visits a subset):
-/// enqueue → leader-claim (`queue_wait`) → stamped (`stamp`) →
+/// Stage boundaries, in commit order (a write visits a subset):
+/// admitted (`admission`, delayed writes only) → stamped (`stamp`) →
 /// memtable-done (`memtable`) → WAL-enqueued (`wal_enqueue`) →
-/// published (`publish`) → durable fsync (`durable`, sync writes only)
-/// → requester woken (`wake`). `total` spans `Db::write` entry to
-/// return. Counts differ per stage by design: `queue_wait`/`wake` are
-/// per pipelined request, group stages are once per committed group,
-/// `durable` only for sync writes.
+/// published (`publish`) → durable fsync (`durable`, sync writes only).
+/// `total` spans `Db::write` entry to return.
 #[derive(Debug)]
 pub(crate) struct WritePathMetrics {
     /// Admission-controller hold (ramp delay + any hard stall) before
-    /// the write enters the pipeline. Zero-delay admissions are not
+    /// the write takes the lock. Zero-delay admissions are not
     /// recorded, so the count doubles as "writes touched by admission".
     pub admission: Arc<ConcurrentHistogram>,
-    /// Request push → leader claim (per pipelined request).
-    pub queue_wait: Arc<ConcurrentHistogram>,
-    /// Timestamp-block / per-op timestamp acquisition.
+    /// Timestamp acquisition (`getTS`, or one block per batch).
     pub stamp: Arc<ConcurrentHistogram>,
-    /// Memtable insert pass (includes restamp retries in shared mode;
-    /// the exclusive batch path folds publish into this stage).
+    /// Memtable insert pass (includes restamp retries on the
+    /// single-op path).
     pub memtable: Arc<ConcurrentHistogram>,
     /// WAL record encode + logging-queue enqueue (`Store::log`).
     pub wal_enqueue: Arc<ConcurrentHistogram>,
-    /// Oracle publish pass (makes stamped writes visible to readers).
+    /// Oracle publish (makes stamped writes visible to snapshots).
     pub publish: Arc<ConcurrentHistogram>,
     /// Sync-wait start → logger-thread fsync completion (sync writes
     /// only; uses the WAL durable-ack timestamp, so cross-thread wake
     /// latency is excluded).
     pub durable: Arc<ConcurrentHistogram>,
-    /// Leader marked the request done → requester observed it.
-    pub wake: Arc<ConcurrentHistogram>,
-    /// `Db::write` entry → return (every write, any path).
+    /// `Db::write` entry → return (every write).
     pub total: Arc<ConcurrentHistogram>,
-
-    /// Operations per leader-committed group (always on).
-    pub group_size: Arc<ConcurrentHistogram>,
-    /// Requests committed on the solo fast path (empty queue, CAS won).
-    pub solo: Arc<Counter>,
-    /// Pipelined requests whose submitter became the leader.
-    pub leader_requests: Arc<Counter>,
-    /// Pipelined requests committed by another thread's leader.
-    pub follower_requests: Arc<Counter>,
-    /// Pipelined requests withdrawn and committed by their own writer.
-    pub withdrawn: Arc<Counter>,
-    /// Groups committed by leaders.
-    pub groups: Arc<Counter>,
-    /// Requests committed as members of a group (leader's own plus
-    /// followers); equals `leader_requests + follower_requests` at
-    /// quiescence.
-    pub group_requests: Arc<Counter>,
 }
 
 impl WritePathMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
         WritePathMetrics {
             admission: registry.histogram("write_path.admission_ns"),
-            queue_wait: registry.histogram("write_path.queue_wait_ns"),
             stamp: registry.histogram("write_path.stamp_ns"),
             memtable: registry.histogram("write_path.memtable_ns"),
             wal_enqueue: registry.histogram("write_path.wal_enqueue_ns"),
             publish: registry.histogram("write_path.publish_ns"),
             durable: registry.histogram("write_path.durable_ns"),
-            wake: registry.histogram("write_path.wake_ns"),
             total: registry.histogram("write_path.total_ns"),
-            group_size: registry.histogram("write_path.group_size"),
-            solo: registry.counter("db.commit.solo"),
-            leader_requests: registry.counter("db.commit.leader_requests"),
-            follower_requests: registry.counter("db.commit.follower_requests"),
-            withdrawn: registry.counter("db.commit.withdrawn"),
-            groups: registry.counter("db.commit.groups"),
-            group_requests: registry.counter("db.commit.group_requests"),
         }
     }
 
@@ -169,48 +130,36 @@ impl WritePathMetrics {
     }
 
     /// See [`rec_admission`](Self::rec_admission).
-    pub fn rec_queue_wait(&self, ns: u64) {
-        self.queue_wait.record(ns);
-        stage_trace::QUEUE_WAIT.instant(ns);
-    }
-
-    /// See [`rec_queue_wait`](Self::rec_queue_wait).
     pub fn rec_stamp(&self, ns: u64) {
         self.stamp.record(ns);
         stage_trace::STAMP.instant(ns);
     }
 
-    /// See [`rec_queue_wait`](Self::rec_queue_wait).
+    /// See [`rec_admission`](Self::rec_admission).
     pub fn rec_memtable(&self, ns: u64) {
         self.memtable.record(ns);
         stage_trace::MEMTABLE.instant(ns);
     }
 
-    /// See [`rec_queue_wait`](Self::rec_queue_wait).
+    /// See [`rec_admission`](Self::rec_admission).
     pub fn rec_wal_enqueue(&self, ns: u64) {
         self.wal_enqueue.record(ns);
         stage_trace::WAL_ENQUEUE.instant(ns);
     }
 
-    /// See [`rec_queue_wait`](Self::rec_queue_wait).
+    /// See [`rec_admission`](Self::rec_admission).
     pub fn rec_publish(&self, ns: u64) {
         self.publish.record(ns);
         stage_trace::PUBLISH.instant(ns);
     }
 
-    /// See [`rec_queue_wait`](Self::rec_queue_wait).
+    /// See [`rec_admission`](Self::rec_admission).
     pub fn rec_durable(&self, ns: u64) {
         self.durable.record(ns);
         stage_trace::DURABLE.instant(ns);
     }
 
-    /// See [`rec_queue_wait`](Self::rec_queue_wait).
-    pub fn rec_wake(&self, ns: u64) {
-        self.wake.record(ns);
-        stage_trace::WAKE.instant(ns);
-    }
-
-    /// See [`rec_queue_wait`](Self::rec_queue_wait).
+    /// See [`rec_admission`](Self::rec_admission).
     pub fn rec_total(&self, ns: u64) {
         self.total.record(ns);
         stage_trace::TOTAL.instant(ns);

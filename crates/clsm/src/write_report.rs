@@ -1,5 +1,5 @@
 //! Write-path latency attribution report: a typed view over the
-//! `write_path.*` histograms and `db.commit.*` counters.
+//! `write_path.*` histograms.
 //!
 //! The report is extracted from a [`MetricsSnapshot`] rather than read
 //! from live handles, so one code path serves both a standalone
@@ -9,21 +9,17 @@
 
 use clsm_util::metrics::{HistogramSummary, MetricsSnapshot};
 
-/// The write-path stages in pipeline order: `(short name, metric
-/// name)`. A given write visits a subset — `admission` exists only for
-/// writes the admission ramp delayed (or hard-stalled),
-/// `queue_wait`/`wake` only for pipelined requests, `durable` only for
-/// sync writes, and group stages are recorded once per committed
-/// group — so per-stage counts legitimately differ.
+/// The write-path stages in commit order: `(short name, metric name)`.
+/// A given write visits a subset — `admission` exists only for writes
+/// the admission ramp delayed (or hard-stalled), `durable` only for
+/// sync writes — so per-stage counts legitimately differ.
 pub const WRITE_PATH_STAGES: &[(&str, &str)] = &[
     ("admission", "write_path.admission_ns"),
-    ("queue_wait", "write_path.queue_wait_ns"),
     ("stamp", "write_path.stamp_ns"),
     ("memtable", "write_path.memtable_ns"),
     ("wal_enqueue", "write_path.wal_enqueue_ns"),
     ("publish", "write_path.publish_ns"),
     ("durable", "write_path.durable_ns"),
-    ("wake", "write_path.wake_ns"),
 ];
 
 /// One stage's latency summary.
@@ -35,38 +31,22 @@ pub struct WriteStage {
     pub summary: HistogramSummary,
 }
 
-/// Per-stage write-path latency breakdown plus the commit-mode
-/// distribution, built by [`WritePathReport::from_snapshot`].
+/// Per-stage write-path latency breakdown, built by
+/// [`WritePathReport::from_snapshot`].
 #[derive(Debug, Clone)]
 pub struct WritePathReport {
-    /// Stages present in the snapshot, in pipeline order. Empty for
+    /// Stages present in the snapshot, in commit order. Empty for
     /// snapshots of systems that don't register the attribution
     /// histograms (e.g. baseline stores).
     pub stages: Vec<WriteStage>,
     /// End-to-end `Db::write` latency (`write_path.total_ns`).
     pub total: Option<HistogramSummary>,
-    /// Operations per leader-committed group (`write_path.group_size`).
-    pub group_size: Option<HistogramSummary>,
-    /// Requests committed on the solo fast path.
-    pub solo: u64,
-    /// Pipelined requests whose submitter became the leader.
-    pub leader_requests: u64,
-    /// Pipelined requests committed by another thread's leader.
-    pub follower_requests: u64,
-    /// Pipelined requests withdrawn and committed by their own writer.
-    pub withdrawn: u64,
-    /// Groups committed by leaders.
-    pub groups: u64,
-    /// Requests committed as group members (= leader + follower at
-    /// quiescence).
-    pub group_requests: u64,
 }
 
 impl WritePathReport {
     /// Extracts the report from any metrics snapshot (a `Db`'s own, a
     /// `ShardedDb`'s merged one, or a deserialized `*.metrics.json`).
     pub fn from_snapshot(snap: &MetricsSnapshot) -> WritePathReport {
-        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         WritePathReport {
             stages: WRITE_PATH_STAGES
                 .iter()
@@ -78,33 +58,14 @@ impl WritePathReport {
                 })
                 .collect(),
             total: snap.histograms.get("write_path.total_ns").cloned(),
-            group_size: snap.histograms.get("write_path.group_size").cloned(),
-            solo: counter("db.commit.solo"),
-            leader_requests: counter("db.commit.leader_requests"),
-            follower_requests: counter("db.commit.follower_requests"),
-            withdrawn: counter("db.commit.withdrawn"),
-            groups: counter("db.commit.groups"),
-            group_requests: counter("db.commit.group_requests"),
         }
     }
 
-    /// Whether the snapshot carried any write-path data at all (stage
-    /// samples, an end-to-end sample, or any commit-mode activity).
+    /// Whether the snapshot carried any write-path samples (stage or
+    /// end-to-end).
     pub fn has_samples(&self) -> bool {
         self.stages.iter().any(|s| s.summary.count > 0)
             || self.total.as_ref().is_some_and(|t| t.count > 0)
-            || self.solo + self.leader_requests + self.follower_requests + self.withdrawn > 0
-    }
-
-    /// Fraction of committed requests that withdrew from the pipeline
-    /// and fell back to the per-writer path (0 when nothing committed).
-    pub fn withdraw_rate(&self) -> f64 {
-        let committed = self.solo + self.leader_requests + self.follower_requests + self.withdrawn;
-        if committed == 0 {
-            0.0
-        } else {
-            self.withdrawn as f64 / committed as f64
-        }
     }
 
     /// Renders stable, greppable text lines (the format `clsm-doctor`
@@ -123,23 +84,6 @@ impl WritePathReport {
         if let Some(total) = &self.total {
             out.push_str(&line("total", total));
         }
-        out.push_str(&format!(
-            "commit modes: solo={} leader={} follower={} withdrawn={} \
-             groups={} grouped={} (withdraw rate {:.2}%)\n",
-            self.solo,
-            self.leader_requests,
-            self.follower_requests,
-            self.withdrawn,
-            self.groups,
-            self.group_requests,
-            self.withdraw_rate() * 100.0
-        ));
-        if let Some(gs) = &self.group_size {
-            out.push_str(&format!(
-                "group size (ops): count={} mean={:.1} p50={} p90={} max={}\n",
-                gs.count, gs.mean, gs.p50, gs.p90, gs.max
-            ));
-        }
         out
     }
 }
@@ -150,31 +94,22 @@ mod tests {
     use clsm_util::metrics::MetricsRegistry;
 
     #[test]
-    fn report_extracts_stages_and_counters() {
+    fn report_extracts_stages() {
         let reg = MetricsRegistry::new();
         reg.histogram("write_path.stamp_ns").record(100);
         reg.histogram("write_path.memtable_ns").record(200);
         reg.histogram("write_path.total_ns").record(400);
-        reg.histogram("write_path.group_size").record(3);
-        reg.counter("db.commit.solo").add(5);
-        reg.counter("db.commit.withdrawn").add(1);
-        reg.counter("db.commit.leader_requests").add(2);
 
         let report = WritePathReport::from_snapshot(&reg.snapshot());
         assert!(report.has_samples());
-        assert_eq!(report.solo, 5);
-        assert_eq!(report.withdrawn, 1);
-        // Only registered stages appear, in pipeline order.
+        // Only registered stages appear, in commit order.
         let names: Vec<_> = report.stages.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["stamp", "memtable"]);
         assert_eq!(report.total.as_ref().unwrap().count, 1);
-        // withdraw rate = 1 / (5 + 2 + 0 + 1)
-        assert!((report.withdraw_rate() - 0.125).abs() < 1e-9);
 
         let text = report.render();
         assert!(text.contains("stamp"));
-        assert!(text.contains("commit modes: solo=5"));
-        assert!(text.contains("group size (ops): count=1"));
+        assert!(text.contains("total"));
     }
 
     #[test]
@@ -182,6 +117,5 @@ mod tests {
         let report = WritePathReport::from_snapshot(&MetricsRegistry::new().snapshot());
         assert!(!report.has_samples());
         assert!(report.stages.is_empty());
-        assert_eq!(report.withdraw_rate(), 0.0);
     }
 }

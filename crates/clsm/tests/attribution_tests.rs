@@ -1,7 +1,8 @@
-//! Write-path latency attribution invariants: stage sums stay inside
-//! the measured end-to-end latency, commit-mode counters reconcile
-//! under a multi-threaded hammer, merged snapshots bucket-merge the
-//! stage histograms, and the disabled path records nothing.
+//! Write-path latency attribution invariants: end-to-end latency
+//! reconciles with `admission + stamp + memtable + wal_enqueue +
+//! publish + durable`, every write visits every mandatory stage exactly
+//! once under a multi-threaded hammer, merged snapshots bucket-merge
+//! the stage histograms, and the disabled path records nothing.
 
 use std::sync::Arc;
 
@@ -70,14 +71,13 @@ fn stage_sums_bounded_by_end_to_end_latency() {
             .summary
             .clone()
     };
-    // stamp and memtable are recorded at the same sites on every path.
-    let stamp = by_name("stamp");
-    let memtable = by_name("memtable");
-    assert!(stamp.count > 0);
-    assert_eq!(stamp.count, memtable.count);
-    assert!(by_name("wal_enqueue").count > 0);
-    assert!(by_name("publish").count > 0);
-    assert!(by_name("durable").count >= u64::from(sync_writes));
+    // Every write is stamped, inserted, logged and published exactly
+    // once; only sync writes wait for the fsync.
+    for stage in ["stamp", "memtable", "wal_enqueue", "publish"] {
+        assert_eq!(by_name(stage).count, total.count, "stage {stage}");
+    }
+    assert_eq!(by_name("durable").count, u64::from(sync_writes));
+    assert!(by_name("admission").count <= total.count);
 
     // Every stage interval lies inside some request's measured
     // end-to-end interval, so the aggregate can never exceed it; and
@@ -96,16 +96,14 @@ fn stage_sums_bounded_by_end_to_end_latency() {
 
     // The doctor report carries the same data.
     let rendered = db.doctor().render();
-    assert!(rendered.contains("group commit: on"));
     assert!(rendered.contains("write path stages (ns):"));
-    assert!(rendered.contains("commit modes: "));
 }
 
-/// 8-thread hammer with the group-commit pipeline on: every request
-/// commits exactly once, and the per-mode counters reconcile with the
-/// request and group counts.
+/// 8-thread hammer mixing single puts and multi-op batches: every
+/// request records its end-to-end latency and each mandatory stage
+/// exactly once, and the stage sum stays inside the end-to-end sum.
 #[test]
-fn commit_mode_counters_reconcile_under_hammer() {
+fn stage_counts_reconcile_under_hammer() {
     let dir = TempDir::new("hammer");
     let db = Arc::new(Db::open(&dir.0, Options::small_for_tests()).unwrap());
     let threads = 8u64;
@@ -116,7 +114,14 @@ fn commit_mode_counters_reconcile_under_hammer() {
             let db = Arc::clone(&db);
             std::thread::spawn(move || {
                 for i in 0..per_thread {
-                    db.put(format!("t{t}-{i:06}").as_bytes(), b"v").unwrap();
+                    let key = format!("t{t}-{i:06}");
+                    if i % 8 == 0 {
+                        let mut batch = WriteBatch::new();
+                        batch.put(key.clone(), "v").put(format!("{key}-b"), "v");
+                        db.write(batch, &WriteOptions::new()).unwrap();
+                    } else {
+                        db.put(key.as_bytes(), b"v").unwrap();
+                    }
                 }
             })
         })
@@ -126,46 +131,19 @@ fn commit_mode_counters_reconcile_under_hammer() {
     }
 
     let report = db.write_path_report();
-    let committed =
-        report.solo + report.leader_requests + report.follower_requests + report.withdrawn;
-    assert_eq!(
-        committed,
-        threads * per_thread,
-        "every request commits exactly once: solo={} leader={} follower={} withdrawn={}",
-        report.solo,
-        report.leader_requests,
-        report.follower_requests,
-        report.withdrawn
-    );
-    // Group membership is exactly the leader+follower population.
-    assert_eq!(
-        report.group_requests,
-        report.leader_requests + report.follower_requests
-    );
-    assert!(report.groups <= report.group_requests);
-    assert!(report.withdraw_rate() <= 1.0);
-
-    let snap = db.metrics();
-    // One group-size sample per committed group.
-    assert_eq!(
-        snap.histograms["write_path.group_size"].count,
-        report.groups
-    );
-    // queue_wait and wake fire once per claimed (leader or follower)
-    // request and never for solo or withdrawn ones.
-    assert_eq!(
-        snap.histograms["write_path.queue_wait_ns"].count,
-        report.group_requests
-    );
-    assert_eq!(
-        snap.histograms["write_path.wake_ns"].count,
-        report.group_requests
-    );
-    // End-to-end latency is recorded for every request.
-    assert_eq!(
-        snap.histograms["write_path.total_ns"].count,
-        threads * per_thread
-    );
+    let total = report.total.as_ref().expect("total histogram");
+    assert_eq!(total.count, threads * per_thread);
+    for stage in &report.stages {
+        match stage.name {
+            "stamp" | "memtable" | "wal_enqueue" | "publish" => {
+                assert_eq!(stage.summary.count, total.count, "stage {}", stage.name)
+            }
+            "admission" => assert!(stage.summary.count <= total.count),
+            "durable" => assert_eq!(stage.summary.count, 0),
+            other => panic!("unexpected stage {other}"),
+        }
+    }
+    assert!(stage_sum(&report) <= total.sum);
 }
 
 /// Cross-shard batches attribute their stages into the merged
@@ -209,8 +187,8 @@ fn merged_snapshot_merges_stage_histograms() {
         ShardedDb::open_with_boundaries(&dir.0, Options::small_for_tests(), vec![b"m".to_vec()])
             .unwrap();
 
-    // Single-shard writes delegate to each shard's own pipeline, so
-    // both shard registries record independently.
+    // Single-shard writes delegate to the owning shard's `Db::write`,
+    // so both shard registries record independently.
     for i in 0..40 {
         db.put(format!("a{i:04}").as_bytes(), b"v").unwrap();
     }
@@ -236,8 +214,7 @@ fn merged_snapshot_merges_stage_histograms() {
 }
 
 /// With `write_path_attribution` off, no stage histogram records a
-/// single sample — while the always-on commit-mode counters still
-/// work (they cost no clock reads).
+/// single sample.
 #[test]
 fn disabled_attribution_records_no_stage_samples() {
     let dir = TempDir::new("disabled");
@@ -264,10 +241,6 @@ fn disabled_attribution_records_no_stage_samples() {
     }
     assert_eq!(snap.histograms["write_path.total_ns"].count, 0);
 
-    let report = db.write_path_report();
-    assert_eq!(
-        report.solo + report.leader_requests + report.follower_requests + report.withdrawn,
-        101,
-        "commit-mode counters stay on when attribution is off"
-    );
+    assert!(!db.write_path_report().has_samples());
+    assert_eq!(db.stats().puts, 101);
 }

@@ -294,15 +294,14 @@ fn crash_sweep_async_striped_wal() {
     sweep(false, 4, 2);
 }
 
-/// Failpoints across coalesced commit groups: several threads push
-/// multi-op batches through the group-commit pipeline at once, so one
-/// leader stamps, logs, and publishes many logical batches as a single
-/// WAL append. A crash at any point must keep every *logical* batch
-/// all-or-nothing (never torn at the coalescing boundary), and every
+/// Failpoints across concurrent batches: several threads push
+/// multi-op batches at once, so their WAL payloads queue back to back
+/// in the logging queue and share group-committed fsyncs. A crash at
+/// any point must keep every *logical* batch all-or-nothing, and every
 /// batch acked under synchronous logging must survive.
 #[test]
-fn crash_sweep_coalesced_groups() {
-    let dir = Path::new("/gcdb");
+fn crash_sweep_concurrent_batches() {
+    let dir = Path::new("/batchdb");
     let seed = 0x6C5A;
     let threads = 3u8;
     let batches_per_thread = 8u8;
@@ -357,7 +356,7 @@ fn crash_sweep_coalesced_groups() {
     assert!(total_ops > 0);
 
     for crash_at in 1..=total_ops {
-        let ctx = format!("coalesced failpoint={crash_at}/{total_ops}");
+        let ctx = format!("batches failpoint={crash_at}/{total_ops}");
         let fault = FaultEnv::new(seed);
         let db = Arc::new(open(&fault).unwrap());
         fault.crash_after(crash_at);

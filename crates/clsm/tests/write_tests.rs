@@ -1,8 +1,6 @@
-//! Group-commit pipeline tests: the guarantees `Db::write` provides
-//! when concurrent writers coalesce behind an elected leader — no lost
-//! updates under contention, batch atomicity against snapshots,
-//! per-call durability options, and equivalence with the per-writer
-//! (`group_commit = false`) ablation.
+//! Write-path tests: the guarantees `Db::write` provides under
+//! concurrency — no lost updates under contention, batch atomicity
+//! against snapshots, and per-call durability options.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -15,7 +13,7 @@ struct TempDir(std::path::PathBuf);
 impl TempDir {
     fn new(name: &str) -> TempDir {
         let p = std::env::temp_dir().join(format!(
-            "clsm-gc-{}-{}-{}",
+            "clsm-write-{}-{}-{}",
             std::process::id(),
             name,
             std::time::SystemTime::now()
@@ -34,22 +32,19 @@ impl Drop for TempDir {
     }
 }
 
-fn open(dir: &std::path::Path, group_commit: bool) -> Db {
-    let mut opts = Options::small_for_tests();
-    opts.group_commit = group_commit;
-    Db::open(dir, opts).unwrap()
+fn open(dir: &std::path::Path) -> Db {
+    Db::open(dir, Options::small_for_tests()).unwrap()
 }
 
 /// Nine threads hammer the store at once: six RMW incrementers share
-/// one contended counter key while three batch writers push group
-/// commits through the pipeline. Every RMW increment must survive (the
-/// pipeline's restamping of racing single-put groups must not step
-/// over Algorithm 3's conflict check), and every batch write must be
-/// readable afterwards.
+/// one contended counter key while three writers alternate single puts
+/// and multi-op batches. Every RMW increment must survive (a put's
+/// restamp-on-conflict must not step over Algorithm 3's conflict
+/// check), and every write must be readable afterwards.
 #[test]
 fn contended_key_hammer_loses_no_updates() {
     let dir = TempDir::new("hammer");
-    let db = Arc::new(open(&dir.0, true));
+    let db = Arc::new(open(&dir.0));
     let rmw_threads = 6u64;
     let increments = 400u64;
     let writer_threads = 3u64;
@@ -74,9 +69,9 @@ fn contended_key_hammer_loses_no_updates() {
         let db = Arc::clone(&db);
         handles.push(std::thread::spawn(move || {
             for i in 0..writes {
-                // Alternate single puts (shared-mode groups) and
-                // multi-op batches (exclusive-mode groups) so the
-                // leader exercises both lock modes while RMW runs.
+                // Alternate single puts (shared lock) and multi-op
+                // batches (exclusive lock) so both lock modes run
+                // against the RMW threads.
                 let key = format!("w{t}-{i:05}");
                 if i % 2 == 0 {
                     db.write(
@@ -109,7 +104,7 @@ fn contended_key_hammer_loses_no_updates() {
             assert_eq!(
                 db.get(key.as_bytes()).unwrap(),
                 Some(key.clone().into_bytes()),
-                "pipeline write {key} lost"
+                "write {key} lost"
             );
             if i % 2 == 1 {
                 assert_eq!(
@@ -123,12 +118,12 @@ fn contended_key_hammer_loses_no_updates() {
 
 /// Multi-op batches commit under the exclusive lock with one timestamp
 /// block, so a snapshot taken at any moment sees either all of a
-/// batch's entries or none of them — even while other writers keep the
-/// pipeline busy coalescing.
+/// batch's entries or none of them — even while another writer keeps
+/// single puts flowing under the shared lock.
 #[test]
 fn batches_are_atomic_under_concurrent_snapshots() {
     let dir = TempDir::new("atomic");
-    let db = Arc::new(open(&dir.0, true));
+    let db = Arc::new(open(&dir.0));
     db.write(
         WriteBatch::from(
             &[
@@ -155,8 +150,8 @@ fn batches_are_atomic_under_concurrent_snapshots() {
             }
         }));
     }
-    // A noise writer keeps unrelated single puts flowing through the
-    // same pipeline, so batches share leader groups with other work.
+    // A noise writer keeps unrelated single puts contending for the
+    // lock the batches take exclusively.
     {
         let db = Arc::clone(&db);
         let stop = Arc::clone(&stop);
@@ -188,7 +183,7 @@ fn batches_are_atomic_under_concurrent_snapshots() {
 /// survives.
 #[test]
 fn disable_wal_skips_the_log_and_sync_survives() {
-    let dir = std::path::Path::new("/gc-wal");
+    let dir = std::path::Path::new("/write-wal");
     let fault = FaultEnv::new(0x6C06);
     let mut opts = Options::small_for_tests();
     opts.watchdog.enabled = false;
@@ -227,63 +222,12 @@ fn disable_wal_skips_the_log_and_sync_survives() {
     );
 }
 
-/// The per-writer ablation (`group_commit = false`) produces exactly
-/// the same observable state as the pipeline for a deterministic
-/// workload, including multi-op batches and deletes.
-#[test]
-fn group_commit_off_is_observationally_equivalent() {
-    let run = |group_commit: bool| -> Vec<(String, Option<Vec<u8>>)> {
-        let dir = TempDir::new(if group_commit { "eq-on" } else { "eq-off" });
-        let db = open(&dir.0, group_commit);
-        for i in 0..200u32 {
-            db.write(
-                WriteBatch::single_put(format!("k{i:04}").as_bytes(), &i.to_le_bytes()),
-                &WriteOptions::new(),
-            )
-            .unwrap();
-        }
-        let mut batch = WriteBatch::new();
-        for i in 0..200u32 {
-            if i % 3 == 0 {
-                batch.delete(format!("k{i:04}").into_bytes());
-            } else if i % 3 == 1 {
-                batch.put(format!("k{i:04}").into_bytes(), b"rewritten".to_vec());
-            }
-        }
-        db.write(batch, &WriteOptions::new()).unwrap();
-        (0..200u32)
-            .map(|i| {
-                let key = format!("k{i:04}");
-                let v = db.get(key.as_bytes()).unwrap();
-                (key, v)
-            })
-            .collect()
-    };
-    assert_eq!(run(true), run(false));
-}
-
-/// The deprecated `write_batch` shims still apply their batch through
-/// the new path.
-#[test]
-#[allow(deprecated)]
-fn deprecated_write_batch_shim_still_works() {
-    let dir = TempDir::new("shim");
-    let db = open(&dir.0, true);
-    db.write_batch(&[
-        (b"s1".to_vec(), Some(b"v1".to_vec())),
-        (b"s2".to_vec(), None),
-    ])
-    .unwrap();
-    assert_eq!(db.get(b"s1").unwrap(), Some(b"v1".to_vec()));
-    assert_eq!(db.get(b"s2").unwrap(), None);
-}
-
 /// Validation errors surface before any work: contradictory options
 /// are rejected and the store is untouched.
 #[test]
 fn contradictory_write_options_are_rejected_by_write() {
     let dir = TempDir::new("opts");
-    let db = open(&dir.0, true);
+    let db = open(&dir.0);
     let err = db
         .write(
             WriteBatch::single_put(b"k", b"v"),

@@ -51,7 +51,7 @@ pub enum Request {
         /// Durability options for this write.
         opts: WriteOptions,
     },
-    /// Apply a multi-entry batch through the group-commit path.
+    /// Apply a multi-entry batch.
     Write {
         /// Puts (`Some`) and deletes (`None`) to apply.
         batch: WriteBatch,

@@ -13,11 +13,9 @@
 //!   [`WriteBatch`] (one or many puts/deletes) plus per-call
 //!   [`WriteOptions`]. `put`/`delete` are provided shims over it, so
 //!   workloads written against the point API automatically route
-//!   through each system's batch path (for cLSM, the group-commit
-//!   pipeline). Whether a multi-entry batch applies *atomically* is a
-//!   per-system capability, not a trait guarantee.
-//! - [`KvStore::write_batch`] is a deprecated shim retained for one
-//!   release; migrate to [`KvStore::write`].
+//!   through each system's one write path. Whether a multi-entry
+//!   batch applies *atomically* is a per-system capability, not a
+//!   trait guarantee.
 //! - [`KvStore::snapshot`] returns a boxed [`KvSnapshot`] — a
 //!   consistent read-only view. For cLSM this is a real multi-version
 //!   snapshot; baselines capture their visible sequence number, which
@@ -243,8 +241,8 @@ pub trait KvSnapshot: Send + Sync {
 pub trait KvStore: Send + Sync {
     /// Applies `batch` — the **single real mutation entry point**.
     ///
-    /// Every other mutator (`put`, `delete`, the deprecated
-    /// `write_batch`) is a thin shim over this method. Whether a
+    /// Every other mutator (`put`, `delete`) is a thin shim over this
+    /// method. Whether a
     /// multi-entry batch applies atomically is a per-system capability:
     /// cLSM batches are atomic (one stamp block, one WAL record);
     /// baselines apply entries one at a time under their own writer
@@ -262,15 +260,6 @@ pub trait KvStore: Send + Sync {
     /// Deletes `key` (shim over [`KvStore::write`]).
     fn delete(&self, key: &[u8]) -> Result<()> {
         self.write(WriteBatch::single_delete(key), &WriteOptions::new())
-    }
-
-    /// Applies a batch of puts (`Some`) and deletes (`None`).
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `WriteBatch` and call `write(batch, &WriteOptions::new())` instead"
-    )]
-    fn write_batch(&self, batch: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<()> {
-        self.write(WriteBatch::from(batch), &WriteOptions::new())
     }
 
     /// Creates a consistent read-only view of the store.

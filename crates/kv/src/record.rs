@@ -82,7 +82,7 @@ pub enum KvOp {
         /// What the final attempt did.
         applied: RmwApplied,
     },
-    /// `write_batch(entries)`. Entries with `None` are deletes. The
+    /// `write(batch)`. Entries with `None` are deletes. The
     /// batch id ties multi-key atomicity observations together.
     WriteBatch {
         /// Session-unique batch identifier.
@@ -348,16 +348,6 @@ impl Recorder {
         let r = self.session.store.write(batch, opts);
         self.record(invoke, r.is_ok(), KvOp::WriteBatch { batch: id, entries });
         r.map(|()| id)
-    }
-
-    /// Recorded `write_batch`. Returns the session-unique batch id the
-    /// event was tagged with.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `WriteBatch` and call `write(batch, &WriteOptions::new())` instead"
-    )]
-    pub fn write_batch(&mut self, entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<u64> {
-        self.write(WriteBatch::from(entries), &WriteOptions::new())
     }
 
     /// Recorded store-level `scan` (implicit snapshot: the scan's own

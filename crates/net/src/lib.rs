@@ -15,8 +15,8 @@
 //!   nonblocking sockets. Each worker tick drains every readable
 //!   connection, then coalesces the decoded write requests from *all*
 //!   of its connections into merged [`clsm_kv::WriteBatch`]es feeding
-//!   the `Db::write` group-commit path — the serving layer extends the
-//!   paper's write-path batching across connections.
+//!   `Db::write` — the serving layer batches writes across
+//!   connections.
 //! - **Client** ([`client`]): a pipelined connection pool and a
 //!   [`client::RemoteStore`] that implements [`clsm_kv::KvStore`], so
 //!   the workload driver, the history recorder, and `clsm-check` run

@@ -1,5 +1,5 @@
 //! The `clsm-server` event loop: poll(2) workers over nonblocking
-//! sockets, feeding the group-commit write path.
+//! sockets, feeding `KvStore::write`.
 //!
 //! ## Architecture
 //!
@@ -21,9 +21,10 @@
 //! write requests (put/delete/batch) decoded in one tick — from *any*
 //! of the worker's connections — that share identical [`WriteOptions`]
 //! are merged into a single [`WriteBatch`] and applied with one
-//! `KvStore::write` call, which in cLSM enters the group-commit
-//! pipeline as one unit (and may group further with other workers'
-//! batches). Each member request still gets its own response. Any
+//! `KvStore::write` call, which in cLSM commits as one atomic batch
+//! (one timestamp block, one WAL payload; a lone write stays on
+//! Algorithm 2's shared-lock `put`). Each member request still gets
+//! its own response. Any
 //! non-write request first flushes the pending group, so one
 //! connection's operations always execute in the order it sent them —
 //! read-your-writes is preserved per connection. Merging is safe for

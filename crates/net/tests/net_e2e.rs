@@ -52,7 +52,7 @@ fn every_operation_works_over_tcp() {
         store.delete(b"a").unwrap();
         assert_eq!(store.get(b"a").unwrap(), None);
 
-        // Atomic batch through the group-commit path.
+        // Atomic batch.
         let mut batch = WriteBatch::new();
         batch.put(b"k1", b"v1");
         batch.put(b"k2", b"v2");

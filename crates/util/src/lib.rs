@@ -21,8 +21,6 @@
 //!   (readers pin, writers defer destruction).
 //! - [`channel`] — the MPMC queue feeding the WAL logger thread (the
 //!   paper's non-blocking logging queue, §4).
-//! - [`combine`] — the lock-free combining queue behind the group-commit
-//!   write pipeline (writers push, the commit leader drains in one swap).
 //! - [`mod@env`] — the injectable storage environment ([`env::RealEnv`] for
 //!   production, [`env::FaultEnv`] for deterministic crash injection).
 //! - [`bloom`], [`coding`], [`crc`] — encoding substrates for the disk
@@ -42,7 +40,6 @@ pub mod arena;
 pub mod bloom;
 pub mod channel;
 pub mod coding;
-pub mod combine;
 pub mod crc;
 pub mod env;
 pub mod epoch;

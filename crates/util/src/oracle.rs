@@ -66,18 +66,9 @@ impl Stripe {
 /// touch disjoint cache lines instead of contending on one CAS line.
 /// `find_min` scans all stripes. Timestamps are unique and nonzero, so
 /// zero marks an empty slot.
-///
-/// [`ActiveSet::new_unstriped`] keeps the pre-striping probe policy
-/// (flat timestamp-hash start, no thread affinity) behind the same
-/// API: the two are semantically identical — the probe start only
-/// affects cache behavior — and the stress tests run against both to
-/// prove it.
 #[derive(Debug)]
 pub struct ActiveSet {
     stripes: Box<[Stripe]>,
-    /// `true` → thread-striped probe starts; `false` → the legacy
-    /// flat hash-probe shim (kill-test / ablation baseline).
-    striped: bool,
 }
 
 /// Handle returned by [`ActiveSet::add`]; pass it back to
@@ -90,23 +81,9 @@ impl ActiveSet {
     /// Creates a set with at least `slots` capacity (rounded up to
     /// whole cache-line stripes).
     pub fn new(slots: usize) -> Self {
-        Self::with_policy(slots, true)
-    }
-
-    /// The single-set shim: identical slot array and claim/scan
-    /// semantics, but probes start from a flat hash of the timestamp
-    /// (the pre-striping policy) instead of the caller's home stripe.
-    /// Exists so the stripe-invariant stress tests can demonstrate
-    /// semantic equivalence of the two layouts.
-    pub fn new_unstriped(slots: usize) -> Self {
-        Self::with_policy(slots, false)
-    }
-
-    fn with_policy(slots: usize, striped: bool) -> Self {
         let stripes = slots.max(1).div_ceil(STRIPE_SLOTS);
         ActiveSet {
             stripes: (0..stripes).map(|_| Stripe::new()).collect(),
-            striped,
         }
     }
 
@@ -126,14 +103,10 @@ impl ActiveSet {
     pub fn add(&self, ts: u64) -> ActiveTicket {
         debug_assert_ne!(ts, 0, "timestamp 0 is reserved for empty slots");
         let capacity = self.capacity();
-        let start = if self.striped {
-            // Home stripe by thread: repeated adds from one thread stay
-            // on one cache line, and different threads (up to the
-            // stripe count) claim on different lines.
-            (crate::tid::thread_index() % self.stripes.len()) * STRIPE_SLOTS
-        } else {
-            (ts as usize).wrapping_mul(0x9e37_79b9) % capacity
-        };
+        // Home stripe by thread: repeated adds from one thread stay on
+        // one cache line, and different threads (up to the stripe
+        // count) claim on different lines.
+        let start = (crate::tid::thread_index() % self.stripes.len()) * STRIPE_SLOTS;
         let mut i = start;
         loop {
             // SeqCst: `add` must be globally ordered against `getSnap`'s
@@ -200,15 +173,15 @@ pub struct WriteStamp {
 }
 
 /// A contiguous block of write timestamps `[base, base + len)` acquired
-/// with one `fetch_add` (the group-commit amortization: one counter
-/// round-trip and one `Active`-set registration cover N writes).
+/// with one `fetch_add`: one counter round-trip and one `Active`-set
+/// registration cover all N entries of an atomic write batch.
 ///
 /// Only `base` is registered in the `Active` set: `getSnap` picks a
 /// time strictly below the minimum active stamp, so holding the block's
 /// minimum active shields every stamp in the block. The holder must
 /// call [`TimestampOracle::publish_block`] once *all* writes carrying
 /// stamps from the block are visible — publishing early would let a
-/// snapshot observe a partially applied group.
+/// snapshot observe a partially applied batch.
 #[derive(Debug)]
 pub struct BlockStamp {
     /// First (smallest) timestamp in the block.
@@ -250,18 +223,6 @@ impl TimestampOracle {
             time_counter: AtomicU64::new(0),
             snap_time: AtomicU64::new(0),
             active: ActiveSet::new(active_slots),
-        }
-    }
-
-    /// Creates an oracle over the single-set `Active` shim
-    /// ([`ActiveSet::new_unstriped`]) — the pre-striping probe policy,
-    /// kept so the stripe-invariant stress tests can run against both
-    /// layouts and demonstrate semantic equivalence.
-    pub fn new_unstriped(active_slots: usize) -> Self {
-        TimestampOracle {
-            time_counter: AtomicU64::new(0),
-            snap_time: AtomicU64::new(0),
-            active: ActiveSet::new_unstriped(active_slots),
         }
     }
 
@@ -308,7 +269,7 @@ impl TimestampOracle {
         self.active.remove(stamp.ticket);
     }
 
-    /// Group-commit variant of `getTS`: acquires `n` contiguous
+    /// Batch variant of `getTS`: acquires `n` contiguous
     /// timestamps with one `fetch_add`, registering only the block base
     /// in the `Active` set (the base is the block's minimum, so holding
     /// it active shields every stamp in the block from `getSnap`).
@@ -807,7 +768,9 @@ mod tests {
     /// never exceed that stamp. Eight writer threads mix single stamps
     /// and blocks with constant add/remove churn; two snapshot threads
     /// hammer `find_min` through `get_snap` at the same time.
-    fn hammer_min_active_invariant(oracle: &TimestampOracle) {
+    #[test]
+    fn striped_active_set_stress() {
+        let oracle = &TimestampOracle::new(64);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 scope.spawn(move || {
@@ -846,28 +809,11 @@ mod tests {
     }
 
     #[test]
-    fn striped_active_set_stress() {
-        hammer_min_active_invariant(&TimestampOracle::new(64));
-    }
-
-    /// Kill-test: the same invariant suite against the single-set shim
-    /// (flat hash probing, no thread affinity). Passing here proves the
-    /// striping changed only cache behavior, never semantics.
-    #[test]
-    fn unstriped_shim_passes_the_same_stress() {
-        hammer_min_active_invariant(&TimestampOracle::new_unstriped(64));
-    }
-
-    #[test]
     fn capacity_rounds_up_to_whole_stripes() {
         for requested in [1usize, 7, 8, 9, 64, 100] {
-            for set in [
-                ActiveSet::new(requested),
-                ActiveSet::new_unstriped(requested),
-            ] {
-                assert!(set.capacity() >= requested);
-                assert_eq!(set.capacity() % 8, 0, "stripes are 8 slots wide");
-            }
+            let set = ActiveSet::new(requested);
+            assert!(set.capacity() >= requested);
+            assert_eq!(set.capacity() % 8, 0, "stripes are 8 slots wide");
         }
     }
 
