@@ -569,9 +569,7 @@ pub fn run_suite(cfg: &SuiteConfig, data_dir: &Path) -> Result<SuiteReport> {
 }
 
 /// Store options for suite cells: the quick-mode bench sizes, so a
-/// smoke cell stays memtable-resident instead of flush-bound, with the
-/// striped WAL on so the suite measures the scaling configuration the
-/// write-path work targets.
+/// smoke cell stays memtable-resident instead of flush-bound.
 fn suite_store_options() -> Options {
     let mut opts = Options {
         memtable_bytes: 16 * 1024 * 1024,
@@ -580,7 +578,6 @@ fn suite_store_options() -> Options {
     opts.store.table_file_size = 2 * 1024 * 1024;
     opts.store.base_level_bytes = 16 * 1024 * 1024;
     opts.store.block_cache_bytes = 64 * 1024 * 1024;
-    opts.store.wal_stripes = 4;
     opts
 }
 

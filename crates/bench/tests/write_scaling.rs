@@ -1,13 +1,14 @@
 //! The write-scaling lock-in test: a write-only 1→8 thread sweep over
-//! the suite configuration (memtable-resident store, striped WAL) must not lose throughput as writer threads are added.
+//! the suite configuration (memtable-resident store) must not lose
+//! throughput as writer threads are added.
 //!
 //! On a small CI box extra writers cannot make the store faster, so
 //! the assertion is the suite's scaling gate: 4-thread throughput must
 //! keep at least 0.9x of single-thread. The serialization bugs this
 //! test exists to catch — a hot Active-set lock, a shared memtable
-//! arena mutex, one global WAL queue — cost far more than 10% and fail
-//! every attempt, so a best-of-3 retry absorbs scheduler noise without
-//! masking a real collapse. The 8-thread point is measured and printed
+//! arena mutex — cost far more than 10% and fail every attempt, so a
+//! best-of-3 retry absorbs scheduler noise without masking a real
+//! collapse. The 8-thread point is measured and printed
 //! for the record but never asserted.
 
 use std::path::{Path, PathBuf};

@@ -32,11 +32,9 @@ pub const SYSTEMS: &[&str] = &[
     "clsm",
     "clsm-tiered",
     "clsm-hybrid",
-    "clsm-walstripe-4",
     "clsm-sharded-2",
     "clsm-sharded-4",
     "clsm-sharded-8",
-    "clsm-sharded-wal-4",
     "clsm-net",
     "leveldb",
     "rocksdb",
@@ -52,10 +50,8 @@ pub const CRASH_SYSTEMS: &[&str] = &[
     "clsm",
     "clsm-tiered",
     "clsm-hybrid",
-    "clsm-walstripe-4",
     "clsm-sharded-2",
     "clsm-sharded-4",
-    "clsm-sharded-wal-4",
 ];
 
 fn test_options() -> Options {
@@ -78,19 +74,10 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
     }
     opts.sync_writes = sync;
 
-    if matches!(
-        name,
-        "clsm" | "clsm-tiered" | "clsm-hybrid" | "clsm-walstripe-4"
-    ) {
+    if matches!(name, "clsm" | "clsm-tiered" | "clsm-hybrid") {
         // `clsm-tiered` / `clsm-hybrid`: the alternative compaction
         // scheduling policies — history checking must hold whatever
         // shape the background merges take.
-        // `clsm-walstripe-4`: four WAL stripes — appends land in
-        // different files by writing thread; recovery must still merge
-        // them into one timestamp-ordered history.
-        if name == "clsm-walstripe-4" {
-            opts.store.wal_stripes = 4;
-        }
         opts.store.compaction_policy = match name {
             "clsm-tiered" => clsm::CompactionPolicyKind::Tiered,
             "clsm-hybrid" => clsm::CompactionPolicyKind::HybridPartial,
@@ -138,17 +125,6 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
         });
     }
     if let Some(shards) = name.strip_prefix("clsm-sharded-") {
-        // `clsm-sharded-wal-N`: N shards, each shard's store running 2
-        // WAL stripes — the full per-shard-WAL fan-out, where a
-        // cross-shard batch lands in several files per shard and the
-        // torn-batch audit must still hold.
-        let shards = match shards.strip_prefix("wal-") {
-            Some(rest) => {
-                opts.store.wal_stripes = 2;
-                rest
-            }
-            None => shards,
-        };
         let shards: usize = shards
             .parse()
             .map_err(|_| Error::invalid_argument(format!("bad shard count in {name:?}")))?;

@@ -21,7 +21,7 @@ use lsm_storage::store::{Recovered, RecoveryReport};
 use lsm_storage::wal::SyncMode;
 use lsm_storage::{Store, StoreOptions};
 
-use crate::mem_component::MemComponent;
+use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
 use crate::stats::{DbMetrics, StatsSnapshot};
@@ -66,9 +66,9 @@ pub(crate) struct DbInner {
     /// state N times. A standalone `Db` is always primary.
     pub(crate) oracle_primary: bool,
     /// `Pm`: the mutable memory component.
-    pub(crate) pm: RcuCell<Arc<dyn MemComponent>>,
+    pub(crate) pm: RcuCell<Arc<Memtable>>,
     /// `P'm`: the immutable memory component being merged, if any.
-    pub(crate) pm_prev: RcuCell<Option<Arc<dyn MemComponent>>>,
+    pub(crate) pm_prev: RcuCell<Option<Arc<Memtable>>>,
     /// Counters and latency histograms (see [`crate::stats`]).
     pub(crate) metrics: DbMetrics,
     /// Stall-event sink fed by the watchdog sampler (see
@@ -130,7 +130,7 @@ impl Db {
         opts: Options,
         shared: Option<(Arc<TimestampOracle>, Arc<SnapshotRegistry>, bool)>,
     ) -> Result<Db> {
-        let pm = opts.memtable_kind.create();
+        let pm = Arc::new(Memtable::new());
         for rec in &recovered.records {
             let value = match rec.kind {
                 ValueKind::Put => Some(rec.value.as_slice()),
@@ -577,6 +577,9 @@ impl Db {
                 return Err(e);
             }
             if !inner.is_busy() {
+                // A compaction stops counting as busy when it publishes
+                // its version, before it deletes its inputs.
+                inner.store.wait_for_obsolete_deletion();
                 return Ok(());
             }
             let mut guard = inner.work_mutex.lock();
@@ -720,11 +723,11 @@ impl DbInner {
     pub(crate) fn get_at(&self, key: &[u8], max_ts: u64) -> Result<Option<Vec<u8>>> {
         let pm = self.pm.load();
         if let Some((_, value)) = pm.get_latest(key, max_ts) {
-            return Ok(value);
+            return Ok(value.map(<[u8]>::to_vec));
         }
         if let Some(prev) = self.pm_prev.load() {
             if let Some((_, value)) = prev.get_latest(key, max_ts) {
-                return Ok(value);
+                return Ok(value.map(<[u8]>::to_vec));
             }
         }
         match self.store.get(key, max_ts)? {
@@ -740,11 +743,11 @@ impl DbInner {
         let max_ts = lsm_storage::format::MAX_TS;
         let pm = self.pm.load();
         if let Some((ts, value)) = pm.get_latest(key, max_ts) {
-            return Ok((Some((ts, value)), true));
+            return Ok((Some((ts, value.map(<[u8]>::to_vec))), true));
         }
         if let Some(prev) = self.pm_prev.load() {
             if let Some((ts, value)) = prev.get_latest(key, max_ts) {
-                return Ok((Some((ts, value)), false));
+                return Ok((Some((ts, value.map(<[u8]>::to_vec))), false));
             }
         }
         match self.store.get(key, max_ts)? {
@@ -908,7 +911,7 @@ impl DbInner {
             }
             let _rotate = T_MEMTABLE_ROTATE.span_with(old.memory_usage() as u64);
             self.pm_prev.store(Some(Arc::clone(&old)));
-            self.pm.store(self.opts.memtable_kind.create());
+            self.pm.store(Arc::new(Memtable::new()));
             // New WAL: records of the immutable memtable live only in
             // older logs, which die when the flush commits.
             let new_wal = self.store.rotate_wal()?;
@@ -918,7 +921,7 @@ impl DbInner {
         };
 
         // --- merge (no locks held): stream C'm into L0.
-        let mut iter = Arc::clone(&imm).internal_iter();
+        let mut iter = imm.internal_iter();
         let max_ts = imm.max_ts();
         self.store
             .flush_memtable(&mut iter, watermark, max_ts, new_wal)?;

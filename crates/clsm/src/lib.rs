@@ -49,7 +49,6 @@ mod batch;
 mod db;
 mod doctor;
 mod kv_impl;
-mod mem_component;
 mod memtable;
 mod options;
 mod rmw;
@@ -63,7 +62,6 @@ pub use admission::{AdmissionOptions, AdmissionState};
 pub use batch::{WriteBatch, WriteOptions};
 pub use db::Db;
 pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport, LevelGeometry};
-pub use mem_component::{LockedMemtable, MemComponent, MemtableKind, VersionedValue};
 pub use memtable::Memtable;
 pub use options::{Options, OptionsBuilder};
 pub use rmw::{RmwDecision, RmwResult};

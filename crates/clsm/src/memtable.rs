@@ -164,16 +164,22 @@ impl InternalIterator for MemtableIter {
 mod tests {
     use super::*;
 
+    /// The §3 memory-component contract: a sorted multi-version map
+    /// with ordered iteration.
     #[test]
-    fn memtable_roundtrip_and_iter() {
+    fn skiplist_component_contract() {
         let mt = Arc::new(Memtable::new());
+        assert!(mt.is_empty());
         mt.insert(b"b", 2, Some(b"vb"));
         mt.insert(b"a", 1, Some(b"va"));
         mt.insert(b"a", 3, None); // delete
+        assert!(!mt.is_empty());
         assert_eq!(mt.len(), 3);
         assert_eq!(mt.max_ts(), 3);
+        assert!(mt.memory_usage() > 0);
         assert_eq!(mt.get_latest(b"a", 10), Some((3, None)));
         assert_eq!(mt.get_latest(b"a", 2), Some((1, Some(&b"va"[..]))));
+        assert_eq!(mt.get_latest(b"zz", 10), None);
 
         let mut it = mt.internal_iter();
         it.seek_to_first();
@@ -190,6 +196,32 @@ mod tests {
                 (b"b".to_vec(), 2, ValueKind::Put),
             ]
         );
+    }
+
+    #[test]
+    fn insert_as_newest_rejects_older_stamps() {
+        let mt = Memtable::new();
+        mt.insert_as_newest(b"k", 5, Some(b"v5")).unwrap();
+        assert_eq!(mt.insert_as_newest(b"k", 3, Some(b"x")), Err(Conflict));
+        mt.insert_as_newest(b"k", 7, None).unwrap();
+        mt.insert_as_newest(b"other", 1, Some(b"vo")).unwrap();
+        assert_eq!(mt.get_latest(b"k", u64::MAX >> 1), Some((7, None)));
+        assert_eq!(mt.get_latest(b"k", 6), Some((5, Some(&b"v5"[..]))));
+        assert_eq!(mt.max_ts(), 7);
+    }
+
+    /// §3.3: the skip list supports Algorithm 3's conditional insert.
+    #[test]
+    fn insert_if_latest_detects_a_newer_version() {
+        let mt = Memtable::new();
+        mt.insert_if_latest(b"k", 1, Some(b"v"), None).unwrap();
+        assert_eq!(
+            mt.insert_if_latest(b"k", 3, Some(b"x"), None),
+            Err(Conflict),
+            "a version appeared since the read"
+        );
+        mt.insert_if_latest(b"k", 3, Some(b"w"), Some(1)).unwrap();
+        assert_eq!(mt.max_ts(), 3);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use lsm_storage::compaction::CompactionPolicyKind;
 use lsm_storage::StoreOptions;
 
 use crate::admission::AdmissionOptions;
-use crate::mem_component::MemtableKind;
 use crate::watchdog::WatchdogOptions;
 
 /// Configuration of a [`crate::Db`].
@@ -82,10 +81,6 @@ pub struct Options {
     /// timestamp oracle. On reopen of an existing sharded directory
     /// the persisted shard layout is authoritative.
     pub shards: usize,
-    /// Which in-memory component implementation to use (§3's generic
-    /// algorithm: any thread-safe sorted map works for puts/gets/scans;
-    /// RMW requires the skip list).
-    pub memtable_kind: MemtableKind,
     /// Stall-watchdog configuration (sampling thread flagging write
     /// stalls, long exclusive-lock holds, and Active-set pressure).
     pub watchdog: WatchdogOptions,
@@ -107,7 +102,6 @@ impl Default for Options {
             compaction_threads: 1,
             active_slots: 256,
             shards: 1,
-            memtable_kind: MemtableKind::default(),
             watchdog: WatchdogOptions::default(),
             admission: AdmissionOptions::default(),
             store: StoreOptions::default(),
@@ -151,9 +145,22 @@ impl Options {
                 "block_size must be at least 64 bytes",
             ));
         }
-        if self.store.wal_stripes == 0 || self.store.wal_stripes > 16 {
+        // A zero trigger or budget divides `level_score` by zero, so the
+        // compaction thread never rests; a zero table size closes one
+        // table per entry.
+        if self.store.l0_compaction_trigger == 0 {
             return Err(Error::invalid_argument(
-                "store.wal_stripes must be within 1..=16",
+                "store.l0_compaction_trigger must be at least 1",
+            ));
+        }
+        if self.store.base_level_bytes == 0 {
+            return Err(Error::invalid_argument(
+                "store.base_level_bytes must be nonzero",
+            ));
+        }
+        if self.store.table_file_size == 0 {
+            return Err(Error::invalid_argument(
+                "store.table_file_size must be nonzero",
             ));
         }
         if self.watchdog.enabled && self.watchdog.interval.is_zero() {
@@ -316,12 +323,6 @@ impl OptionsBuilder {
         self
     }
 
-    /// In-memory component implementation.
-    pub fn memtable_kind(mut self, kind: MemtableKind) -> Self {
-        self.opts.memtable_kind = kind;
-        self
-    }
-
     /// Stall-watchdog configuration.
     pub fn watchdog(mut self, watchdog: WatchdogOptions) -> Self {
         self.opts.watchdog = watchdog;
@@ -338,15 +339,6 @@ impl OptionsBuilder {
     /// Disk substrate tuning.
     pub fn store(mut self, store: StoreOptions) -> Self {
         self.opts.store = store;
-        self
-    }
-
-    /// Number of independent WAL stripes (files + logger threads) per
-    /// store; each writing thread appends to its own stripe and a sync
-    /// covers all of them. `1` (the default) is the classic single
-    /// logging queue. Valid range `1..=16`.
-    pub fn wal_stripes(mut self, stripes: usize) -> Self {
-        self.opts.store.wal_stripes = stripes;
         self
     }
 
@@ -406,7 +398,6 @@ mod tests {
             .write_path_attribution(false)
             .compaction_threads(3)
             .active_slots(64)
-            .memtable_kind(MemtableKind::LockFreeSkipList)
             .store(StoreOptions {
                 block_size: 1024,
                 ..StoreOptions::default()
@@ -427,9 +418,22 @@ mod tests {
         assert!(Options::builder().memtable_bytes(16).build().is_err());
         assert!(Options::builder().active_slots(0).build().is_err());
         assert!(Options::builder().compaction_threads(0).build().is_err());
-        assert!(Options::builder().wal_stripes(0).build().is_err());
-        assert!(Options::builder().wal_stripes(17).build().is_err());
-        assert!(Options::builder().wal_stripes(4).build().is_ok());
+        for zeroed in [
+            StoreOptions {
+                l0_compaction_trigger: 0,
+                ..StoreOptions::default()
+            },
+            StoreOptions {
+                base_level_bytes: 0,
+                ..StoreOptions::default()
+            },
+            StoreOptions {
+                table_file_size: 0,
+                ..StoreOptions::default()
+            },
+        ] {
+            assert!(Options::builder().store(zeroed).build().is_err());
+        }
         assert!(Options::builder()
             .admission(AdmissionOptions {
                 low_watermark: 0.9,

@@ -106,17 +106,7 @@ impl Db {
             // locating the read point.
             let stamp = inner.oracle.get_ts();
             let pm = inner.pm.load();
-            let attempt = match pm.insert_if_latest(key, stamp.ts, value, expected) {
-                Some(r) => r,
-                None => {
-                    // §3.3: RMW requires the skip-list memory component.
-                    inner.oracle.publish(stamp);
-                    return Err(Error::invalid_argument(
-                        "read-modify-write requires MemtableKind::LockFreeSkipList",
-                    ));
-                }
-            };
-            match attempt {
+            match pm.insert_if_latest(key, stamp.ts, value, expected) {
                 Ok(()) => {
                     let record = match value {
                         Some(v) => WriteRecord::put(stamp.ts, key, v),

@@ -510,8 +510,7 @@ impl ShardedDb {
         // Two-phase durability: start every touched shard's fsync
         // before waiting on any, so the cross-shard sync costs one
         // (slowest) fsync instead of their sum. Each shard's WAL is a
-        // separate logger thread (and possibly several stripes), so the
-        // disk work genuinely overlaps.
+        // separate logger thread, so the disk work genuinely overlaps.
         let sync_start = if wp.is_some() { now_ns() } else { 0 };
         let mut tickets = Vec::new();
         for &s in per_shard.keys() {

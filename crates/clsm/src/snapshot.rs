@@ -107,9 +107,9 @@ impl Snapshot {
         // memtables, the pinned `Version` for the files) — the paper's
         // per-component reference counts.
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(self.inner.pm.load().internal_iter());
+        children.push(Box::new(self.inner.pm.load().internal_iter()));
         if let Some(prev) = self.inner.pm_prev.load() {
-            children.push(prev.internal_iter());
+            children.push(Box::new(prev.internal_iter()));
         }
         let (version, disk_iters) = self.inner.store.version_iterators()?;
         children.extend(disk_iters);

@@ -77,18 +77,11 @@ enum Sys {
 }
 
 impl Sys {
-    fn open(
-        path: &Path,
-        env: Arc<dyn Env>,
-        sync: bool,
-        shards: usize,
-        wal_stripes: usize,
-    ) -> clsm_util::Result<Sys> {
+    fn open(path: &Path, env: Arc<dyn Env>, sync: bool, shards: usize) -> clsm_util::Result<Sys> {
         let mut opts = Options::small_for_tests();
         opts.sync_writes = sync;
         opts.watchdog.enabled = false;
         opts.store.env = env;
-        opts.store.wal_stripes = wal_stripes;
         if shards == 1 {
             Ok(Sys::Mono(opts.open(path)?))
         } else {
@@ -210,29 +203,26 @@ fn verify(sys: &Sys, ops: &[Op], acked: usize, issued: usize, ctx: &str) {
     }
 }
 
-fn sweep(sync: bool, shards: usize, wal_stripes: usize) {
+fn sweep(sync: bool, shards: usize) {
     let dir = Path::new("/db");
     let ops = workload();
-    let seed = 0xBEEF ^ (shards as u64) << 8 ^ (wal_stripes as u64) << 16 ^ sync as u64;
+    let seed = 0xBEEF ^ (shards as u64) << 8 ^ sync as u64;
 
     // Clean run: everything lands, and we learn the op budget.
     let clean = FaultEnv::new(seed);
-    let sys = Sys::open(dir, Arc::new(clean.clone()), sync, shards, wal_stripes).unwrap();
+    let sys = Sys::open(dir, Arc::new(clean.clone()), sync, shards).unwrap();
     assert_eq!(issue(&sys, &ops, &clean), (ops.len(), ops.len()));
     drop(sys);
-    let reopened = Sys::open(dir, Arc::new(clean.clone()), sync, shards, wal_stripes).unwrap();
+    let reopened = Sys::open(dir, Arc::new(clean.clone()), sync, shards).unwrap();
     verify(&reopened, &ops, ops.len(), ops.len(), "clean");
     drop(reopened);
     let total_ops = clean.op_count();
     assert!(total_ops > 0);
 
     for crash_at in 1..=total_ops {
-        let ctx = format!(
-            "sync={sync} shards={shards} wal_stripes={wal_stripes} \
-             failpoint={crash_at}/{total_ops}"
-        );
+        let ctx = format!("sync={sync} shards={shards} failpoint={crash_at}/{total_ops}");
         let fault = FaultEnv::new(seed);
-        let sys = Sys::open(dir, Arc::new(fault.clone()), sync, shards, wal_stripes).unwrap();
+        let sys = Sys::open(dir, Arc::new(fault.clone()), sync, shards).unwrap();
         fault.crash_after(crash_at);
         let (completed, attempted) = issue(&sys, &ops, &fault);
         // Under synchronous logging every completed op was fsync-acked;
@@ -243,7 +233,7 @@ fn sweep(sync: bool, shards: usize, wal_stripes: usize) {
         drop(sys);
 
         fault.power_loss();
-        let reopened = Sys::open(dir, Arc::new(fault.clone()), sync, shards, wal_stripes)
+        let reopened = Sys::open(dir, Arc::new(fault.clone()), sync, shards)
             .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         verify(&reopened, &ops, acked, attempted, &ctx);
         drop(reopened);
@@ -252,46 +242,22 @@ fn sweep(sync: bool, shards: usize, wal_stripes: usize) {
 
 #[test]
 fn crash_sweep_sync_1shard() {
-    sweep(true, 1, 1);
+    sweep(true, 1);
 }
 
 #[test]
 fn crash_sweep_sync_4shards() {
-    sweep(true, 4, 1);
+    sweep(true, 4);
 }
 
 #[test]
 fn crash_sweep_async_1shard() {
-    sweep(false, 1, 1);
+    sweep(false, 1);
 }
 
 #[test]
 fn crash_sweep_async_4shards() {
-    sweep(false, 4, 1);
-}
-
-/// Striped WAL (4 files, appends spread by writing thread): every
-/// failpoint in file creation, append, fsync, and rotation of *any*
-/// stripe must recover to a consistent timestamp-merged history, and
-/// synchronously acked ops must survive whichever stripe the crash hit.
-#[test]
-fn crash_sweep_sync_1shard_striped_wal() {
-    sweep(true, 1, 4);
-}
-
-/// The full per-shard-WAL fan-out: 4 shards × 2 WAL stripes each. The
-/// workload's cross-shard batches put their entries + batch marker into
-/// one stripe per shard while other stripes churn, so the torn-batch
-/// audit (count entries at the marked timestamp across all shards'
-/// WALs) is exercised mid-batch at every failpoint.
-#[test]
-fn crash_sweep_sync_4shards_striped_wal() {
-    sweep(true, 4, 2);
-}
-
-#[test]
-fn crash_sweep_async_striped_wal() {
-    sweep(false, 4, 2);
+    sweep(false, 4);
 }
 
 /// Failpoints across concurrent batches: several threads push

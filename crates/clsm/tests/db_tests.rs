@@ -505,64 +505,30 @@ fn corruption_is_detected_not_silently_returned() {
     assert!(sweep.is_err(), "corruption not detected: {sweep:?}");
 }
 
+/// After `compact_to_quiescence` the directory is settled: no file a
+/// caller lists is deleted under it. (A compaction publishes its
+/// version before it deletes its inputs; quiescence used to return in
+/// between, about once in a hundred rounds of this loop.)
 #[test]
-fn generic_memtable_locked_btreemap_works_for_everything_but_rmw() {
-    // The paper's genericity claim (§3): puts, gets, snapshot scans and
-    // range queries work over ANY thread-safe sorted map; only RMW
-    // needs the skip list.
-    let dir = TempDir::new("generic-mem");
-    let mut opts = Options::small_for_tests();
-    opts.memtable_kind = clsm::MemtableKind::LockedBTreeMap;
-    let db = Db::open(dir.path(), opts.clone()).unwrap();
-
-    for i in 0..2000u32 {
-        db.put(format!("key{i:05}").as_bytes(), format!("v{i}").as_bytes())
-            .unwrap();
-    }
-    db.delete(b"key00100").unwrap();
-    db.compact_to_quiescence().unwrap(); // flush works through the trait
-    assert_eq!(db.get(b"key00042").unwrap(), Some(b"v42".to_vec()));
-    assert_eq!(db.get(b"key00100").unwrap(), None);
-
-    // Snapshot scans stay consistent.
-    let snap = db.snapshot().unwrap();
-    db.put(b"key00042", b"mutated").unwrap();
-    assert_eq!(snap.get(b"key00042").unwrap(), Some(b"v42".to_vec()));
-    let n = snap.range(b"key00000", Some(b"key00200")).unwrap().count();
-    assert_eq!(n, 199); // 200 keys minus the deleted one
-
-    // RMW is rejected, exactly as §3.3 predicts for non-skip-list maps.
-    let err = db
-        .read_modify_write(b"ctr", |_| RmwDecision::Update(vec![1]))
-        .unwrap_err();
-    assert!(err.to_string().contains("LockFreeSkipList"), "{err}");
-
-    // Recovery replays into the locked component too.
-    drop(db);
-    let db = Db::open(dir.path(), opts).unwrap();
-    assert_eq!(db.get(b"key00042").unwrap(), Some(b"mutated".to_vec()));
-}
-
-#[test]
-fn generic_memtable_concurrent_smoke() {
-    let dir = TempDir::new("generic-conc");
-    let mut opts = Options::small_for_tests();
-    opts.memtable_kind = clsm::MemtableKind::LockedBTreeMap;
-    let db = std::sync::Arc::new(Db::open(dir.path(), opts).unwrap());
-    std::thread::scope(|scope| {
-        for t in 0..3u32 {
-            let db = std::sync::Arc::clone(&db);
-            scope.spawn(move || {
-                for i in 0..800u32 {
-                    let key = format!("t{t}-{i:05}");
-                    db.put(key.as_bytes(), key.as_bytes()).unwrap();
-                    assert_eq!(db.get(key.as_bytes()).unwrap(), Some(key.into_bytes()));
-                }
-            });
+fn quiescence_leaves_no_deletion_in_flight() {
+    let dir = TempDir::new("settled");
+    let db = Db::open(dir.path(), Options::small_for_tests()).unwrap();
+    let value = vec![7u8; 512];
+    for round in 0..40u32 {
+        for i in 0..400u32 {
+            let key = format!("k{:06}", (i * 7919 + round) % 5000);
+            db.put(key.as_bytes(), &value).unwrap();
         }
-    });
-    db.compact_to_quiescence().unwrap();
-    assert_eq!(db.iter().unwrap().count(), 2400);
+        db.compact_to_quiescence().unwrap();
+        for entry in std::fs::read_dir(dir.path()).unwrap() {
+            let entry = entry.unwrap();
+            assert!(
+                entry.metadata().is_ok(),
+                "round {round}: {:?} vanished after quiescence",
+                entry.file_name()
+            );
+        }
+    }
 }
 
 #[test]

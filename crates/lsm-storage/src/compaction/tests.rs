@@ -320,6 +320,30 @@ fn synth_version(dir: &Path, files: Vec<crate::version::NewFile>) -> Arc<Version
 }
 
 #[test]
+fn over_budget_level_picks_its_single_largest_file() {
+    let dir = tmpdir("largest");
+    let opts = small_opts(); // L1 budget = 4096 bytes
+    let v = synth_version(
+        &dir,
+        vec![
+            synth_file(1, 10, 2000, "a", "c"),
+            synth_file(1, 11, 3000, "d", "f"),
+            synth_file(1, 12, 1000, "g", "i"),
+            synth_file(2, 20, 100, "b", "e"),
+            synth_file(2, 21, 100, "h", "j"),
+        ],
+    );
+    assert!(level_score(&v, &opts, 1) >= 1.0);
+    let task = pick(&v, &opts).expect("L1 is over budget");
+    assert_eq!(task.level, 1);
+    assert_eq!(task.base.len(), 1, "one file, not the whole level");
+    assert_eq!(task.base[0].number, 11);
+    assert_eq!(task.parent.len(), 1, "only the overlapping L2 file");
+    assert_eq!(task.parent[0].number, 20);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn tiered_triggers_on_file_count_and_merges_whole_level() {
     use super::policy::{CompactionPolicy, Tiered};
     let dir = tmpdir("tiered");

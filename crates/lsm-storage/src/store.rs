@@ -80,14 +80,6 @@ pub struct StoreOptions {
     /// default) means unlimited. Clone one `Arc` into several stores
     /// (e.g. shards) to make them share a single device budget.
     pub io_rate_limiter: Option<Arc<IoRateLimiter>>,
-    /// Number of independent WAL stripes (files + logger threads).
-    /// Each append goes to the stripe picked by the writing thread's
-    /// index, so concurrent writers on different stripes never share a
-    /// logging queue or an fsync. Durability is unchanged — a sync
-    /// waits on every stripe — and recovery needs no changes because
-    /// replay already merges all live WALs by timestamp (§4's
-    /// out-of-order logging rule). Clamped to `1..=16`; default 1.
-    pub wal_stripes: usize,
 }
 
 impl StoreOptions {
@@ -115,7 +107,6 @@ impl Default for StoreOptions {
             env: Arc::new(RealEnv),
             compaction_policy: CompactionPolicyKind::default(),
             io_rate_limiter: None,
-            wal_stripes: 1,
         }
     }
 }
@@ -164,13 +155,11 @@ pub struct Store {
     versions: Mutex<VersionSet>,
     /// Lock-free snapshot of the current version (the `Pd` pointer).
     current: RcuCell<Arc<Version>>,
-    /// The WAL stripes: one file + logger thread each. A writing
-    /// thread appends to `wals[thread_index() % wals.len()]`; syncs
-    /// cover every stripe. Length is `StoreOptions::wal_stripes`.
-    wals: Box<[LogQueue]>,
-    /// Lowest file number among the WALs currently receiving appends —
-    /// the retire/replay boundary. Every record in the live memtable
-    /// sits in a WAL numbered at or above this.
+    /// The logging queue (§4): one file, one logger thread.
+    wal: LogQueue,
+    /// Number of the WAL currently receiving appends — the
+    /// retire/replay boundary. Every record in the live memtable sits
+    /// in a WAL numbered at or above this.
     wal_number: AtomicU64,
     /// Output files of in-flight flushes/compactions: written to disk
     /// but not yet committed to a version. Obsolete-file GC must spare
@@ -211,33 +200,21 @@ struct StoreMetrics {
     bytes_compacted: Arc<Counter>,
 }
 
-/// An in-flight WAL sync started by [`Store::sync_wal_begin`]: every
-/// stripe's fsync is already running; [`wait`](WalSyncTicket::wait)
-/// collects the acknowledgements.
+/// An in-flight WAL sync started by [`Store::sync_wal_begin`]: the
+/// logger thread's fsync is already requested;
+/// [`wait`](WalSyncTicket::wait) collects the acknowledgement.
 #[must_use = "the sync only completes once the ticket is waited on"]
 #[derive(Debug)]
 pub struct WalSyncTicket {
-    acks: Vec<Receiver<Result<u64>>>,
+    ack: Receiver<Result<u64>>,
 }
 
 impl WalSyncTicket {
-    /// Blocks until every stripe's fsync finished. Returns the latest
-    /// durability instant (`trace::now_ns` on the logger threads) —
-    /// the moment the whole sync's data was actually safe. The first
-    /// stripe error wins, but every ack is still drained.
+    /// Blocks until the fsync finished. Returns the durability instant
+    /// (`trace::now_ns` on the logger thread) — the moment the sync's
+    /// data was actually safe.
     pub fn wait(self) -> Result<u64> {
-        let mut durable_ns = 0;
-        let mut first_err = None;
-        for ack in self.acks {
-            match ack.recv().map_err(|_| Error::ShuttingDown).and_then(|r| r) {
-                Ok(ns) => durable_ns = durable_ns.max(ns),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            None => Ok(durable_ns),
-            Some(e) => Err(e),
-        }
+        self.ack.recv().map_err(|_| Error::ShuttingDown)?
     }
 }
 
@@ -321,6 +298,10 @@ impl Store {
             }
         }
         wal_numbers.sort_unstable();
+        // The fresh WAL below must not reuse (and truncate) a live one.
+        if let Some(&newest) = wal_numbers.last() {
+            versions.mark_file_number_used(newest);
+        }
         let mut records: Vec<WriteRecord> = Vec::new();
         for n in &wal_numbers {
             let path = filenames::wal_path(dir, *n);
@@ -378,21 +359,12 @@ impl Store {
             opts.max_open_tables,
         ));
 
-        // Fresh WAL stripes for the new incarnation. The recovered
-        // records stay covered by the old WALs (numbers ≥ log_number),
-        // which are retired only after the next flush. File numbers are
-        // monotone, so the first (lowest) new number bounds them all.
-        let stripes = opts.wal_stripes.clamp(1, 16);
-        let mut wals = Vec::with_capacity(stripes);
-        let mut wal_number = 0;
-        for i in 0..stripes {
-            let n = versions.new_file_number();
-            if i == 0 {
-                wal_number = n;
-            }
-            let wal_file = env.open_write(&filenames::wal_path(dir, n))?;
-            wals.push(LogQueue::start(LogWriter::new(wal_file)));
-        }
+        // Fresh WAL for the new incarnation. The recovered records stay
+        // covered by the old WALs (numbers ≥ log_number), which are
+        // retired only after the next flush.
+        let wal_number = versions.new_file_number();
+        let wal_file = env.open_write(&filenames::wal_path(dir, wal_number))?;
+        let wal = LogQueue::start(LogWriter::new(wal_file));
 
         let current = RcuCell::new(versions.current());
         let opts_policy = opts.compaction_policy;
@@ -402,7 +374,7 @@ impl Store {
             cache,
             versions: Mutex::new(versions),
             current,
-            wals: wals.into_boxed_slice(),
+            wal,
             wal_number: AtomicU64::new(wal_number),
             pending_outputs: Mutex::new(HashSet::new()),
             bytes_flushed: AtomicU64::new(0),
@@ -449,14 +421,8 @@ impl Store {
         &self.cache
     }
 
-    /// Appends a batch of writes to the WAL.
-    ///
-    /// With several WAL stripes the batch goes — whole — to the stripe
-    /// owned by the calling thread, so concurrent writers on different
-    /// stripes never contend on a logging queue. A batch never splits
-    /// across stripes: one append is one record in one file, which is
-    /// what keeps torn-batch detection (whole records vanish, never
-    /// fractions) intact under striping.
+    /// Appends a batch of writes to the WAL as one record, so a crash
+    /// tears whole batches, never fractions of one.
     pub fn log(&self, batch: &[WriteRecord], mode: SyncMode) -> Result<()> {
         let mut payload =
             Vec::with_capacity(batch.iter().map(|r| r.key.len() + r.value.len() + 16).sum());
@@ -464,8 +430,7 @@ impl Store {
             r.encode_to(&mut payload);
         }
         let _span = T_WAL_APPEND.span_with(payload.len() as u64);
-        let stripe = clsm_util::tid::thread_index() % self.wals.len();
-        self.wals[stripe].append(payload, mode)
+        self.wal.append(payload, mode)
     }
 
     /// Registers the store's metrics (WAL sync latency, flush and
@@ -496,27 +461,23 @@ impl Store {
     pub fn sync_wal_timed(&self) -> Result<u64> {
         let _span = T_WAL_SYNC.span();
         let start = self.metrics.get().map(|_| Instant::now());
-        let result = self.sync_wal_begin().and_then(WalSyncTicket::wait);
+        let result = self.wal.sync_timed();
         if let (Some(m), Some(start)) = (self.metrics.get(), start) {
             m.wal_sync_ns.record_duration(start.elapsed());
         }
         result
     }
 
-    /// First half of a split WAL sync: asks every stripe's logger
-    /// thread to flush+fsync and returns a ticket without waiting.
+    /// First half of a split WAL sync: asks the logger thread to
+    /// flush+fsync and returns a ticket without waiting.
     ///
-    /// All stripes start their fsyncs immediately and run them in
-    /// parallel; [`WalSyncTicket::wait`] then collects the
-    /// acknowledgements. Callers syncing several independent WALs
-    /// (e.g. a cross-shard batch) begin them all before waiting on any,
-    /// so total latency is the slowest fsync, not the sum.
+    /// Callers syncing several independent stores (a cross-shard
+    /// batch) begin them all before waiting on any, so total latency
+    /// is the slowest fsync, not the sum.
     pub fn sync_wal_begin(&self) -> Result<WalSyncTicket> {
-        let mut acks = Vec::with_capacity(self.wals.len());
-        for wal in &self.wals {
-            acks.push(wal.sync_begin()?);
-        }
-        Ok(WalSyncTicket { acks })
+        Ok(WalSyncTicket {
+            ack: self.wal.sync_begin()?,
+        })
     }
 
     /// Lock-free snapshot of the current disk component.
@@ -546,61 +507,36 @@ impl Store {
 
     /// Starts a new WAL file; subsequent appends go to it. Returns the
     /// new WAL's number. Called by `beforeMerge` when the memtable is
-    /// swapped, so each memtable maps to a WAL prefix.
-    /// Rotates **every** stripe and returns the lowest of the new file
-    /// numbers. File numbers are monotone, so every pre-rotation WAL is
-    /// numbered strictly below the return value: it is the exact
-    /// retire/replay boundary for the memtable being flushed. The
-    /// caller (`beforeMerge`) holds the exclusive lock, so no append
-    /// can land between two stripes' rotations.
+    /// swapped, so each memtable maps to a WAL prefix: every
+    /// pre-rotation WAL is numbered strictly below the return value,
+    /// the retire/replay boundary for the memtable being flushed.
     pub fn rotate_wal(&self) -> Result<u64> {
-        // Allocate all numbers first, under one versions-lock pass.
-        let numbers: Vec<u64> = {
-            let mut versions = self.versions.lock();
-            self.wals
-                .iter()
-                .map(|_| versions.new_file_number())
-                .collect()
-        };
-        // Charge the new logs' pre-allocation against the shared I/O
+        let number = self.versions.lock().new_file_number();
+        // Charge the new log's pre-allocation against the shared I/O
         // budget at high priority: the rotation sits on the flush
         // path, so it must outrank compaction traffic, never wait
         // behind it.
         if let Some(limiter) = &self.opts.io_rate_limiter {
-            limiter.acquire(
-                WAL_PREALLOC_CHARGE * self.wals.len() as u64,
-                IoPriority::High,
-            );
+            limiter.acquire(WAL_PREALLOC_CHARGE, IoPriority::High);
         }
-        for (wal, &number) in self.wals.iter().zip(&numbers) {
-            let file = self
-                .opts
-                .env
-                .open_write(&filenames::wal_path(&self.dir, number))?;
-            wal.rotate(LogWriter::new(file))?;
-        }
-        let boundary = numbers[0];
-        self.wal_number.store(boundary, Ordering::SeqCst);
-        Ok(boundary)
+        let file = self
+            .opts
+            .env
+            .open_write(&filenames::wal_path(&self.dir, number))?;
+        self.wal.rotate(LogWriter::new(file))?;
+        self.wal_number.store(number, Ordering::SeqCst);
+        Ok(number)
     }
 
-    /// The lowest WAL number currently receiving appends (with one
-    /// stripe, *the* current WAL number).
+    /// The WAL number currently receiving appends.
     pub fn current_wal_number(&self) -> u64 {
         self.wal_number.load(Ordering::SeqCst)
     }
 
-    /// Backlog of the logging queues (records enqueued, not yet handed
-    /// to a logger thread), summed over stripes. Racy diagnostic
-    /// sample.
+    /// Backlog of the logging queue (records enqueued, not yet handed
+    /// to the logger thread). Racy diagnostic sample.
     pub fn wal_queue_depth(&self) -> usize {
-        self.wals.iter().map(LogQueue::depth).sum()
-    }
-
-    /// Number of WAL stripes this store runs
-    /// ([`StoreOptions::wal_stripes`], after clamping).
-    pub fn wal_stripes(&self) -> usize {
-        self.wals.len()
+        self.wal.depth()
     }
 
     /// Flushes a sorted memtable stream into level-0 tables.
@@ -706,6 +642,15 @@ impl Store {
         Ok(true)
     }
 
+    /// Blocks until every flush or compaction that has published its
+    /// version has also deleted the files it made obsolete. Both steps
+    /// happen under the version-set lock, so passing through the lock
+    /// is the wait; afterwards the directory is as settled as the
+    /// current version.
+    pub fn wait_for_obsolete_deletion(&self) {
+        drop(self.versions.lock());
+    }
+
     /// Runs obsolete-file deletion, sparing in-flight pending outputs.
     fn delete_obsolete_locked(&self, versions: &mut VersionSet) -> Result<()> {
         let pending: HashSet<u64> = self.pending_outputs.lock().clone();
@@ -727,9 +672,9 @@ impl Store {
             .collect()
     }
 
-    /// First WAL I/O error, if any stripe's logger thread hit one.
+    /// First WAL I/O error, if the logger thread hit one.
     pub fn wal_poisoned(&self) -> Option<clsm_util::error::Error> {
-        self.wals.iter().find_map(LogQueue::poisoned)
+        self.wal.poisoned()
     }
 
     /// Manually compacts every file overlapping `[start, end]` (user

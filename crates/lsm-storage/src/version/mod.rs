@@ -301,6 +301,15 @@ impl VersionSet {
         n
     }
 
+    /// Keeps [`new_file_number`](Self::new_file_number) above `number`.
+    /// The manifest persists the counter only at commits, so a file
+    /// created after the last commit — a WAL rotated in just before a
+    /// crash — can carry a number the recovered counter would hand out
+    /// again (LevelDB's `MarkFileNumberUsed`).
+    pub fn mark_file_number_used(&mut self, number: u64) {
+        self.next_file_number = self.next_file_number.max(number + 1);
+    }
+
     /// The WAL number boundary recorded in the manifest.
     pub fn log_number(&self) -> u64 {
         self.log_number

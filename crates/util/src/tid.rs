@@ -1,11 +1,10 @@
 //! Cheap, dense per-thread indices for striped data structures.
 //!
-//! Several hot-path structures (the oracle's striped `Active` set, the
-//! arena's thread-local chunks, the striped WAL) want to spread threads
-//! across independent cache lines or queues. `std::thread::ThreadId`
-//! is neither dense nor cheap to hash, so this module hands every
-//! thread a small integer on first use, assigned from a global
-//! counter. Indices are never reused, but consumers only ever take
+//! Two hot-path structures (the oracle's striped `Active` set and the
+//! arena's byte counters) want to spread threads across independent
+//! cache lines. `std::thread::ThreadId` is neither dense nor cheap to
+//! hash, so this module hands every thread a small integer on first
+//! use, assigned from a global counter. Indices are never reused, but consumers only ever take
 //! them modulo a stripe count, so monotone growth is harmless.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -185,3 +185,110 @@ fn repeated_crash_reopen_cycles_accumulate_data() {
         }
     }
 }
+
+/// Several live WALs whose records interleave in timestamp order —
+/// what a crash leaves when a rotation (or, before PR 20, a striped
+/// WAL) spread unflushed writes over more than one file. Recovery must
+/// merge them into one `(ts, key)`-sorted, deduplicated history, keep
+/// every batch marker, and never hand a live WAL's number to the new
+/// incarnation's log.
+#[test]
+fn several_live_wals_recover_as_one_timestamp_ordered_history() {
+    use clsm_repro::storage::format::WriteRecord;
+    use clsm_repro::storage::wal::LogWriter;
+    use clsm_repro::storage::{Store, StoreOptions};
+    use clsm_repro::util::env::{Env, FaultEnv};
+    use std::sync::Arc;
+
+    let env = FaultEnv::new(0x5712);
+    let dir = std::path::Path::new("/several-wals");
+    let store_opts = || StoreOptions {
+        env: Arc::new(env.clone()),
+        ..StoreOptions::default()
+    };
+
+    // First incarnation: manifest plus one (empty) WAL.
+    let (store, _) = Store::open(dir, store_opts()).unwrap();
+    let first = store.current_wal_number();
+    drop(store);
+
+    // Its sibling logs, numbered as the counter handed them out but —
+    // no flush having committed — never recorded in the manifest. One
+    // WAL record per batch, synced, so power loss keeps all of it.
+    let write_wal = |number: u64, batches: &[&[WriteRecord]]| {
+        let file = env.open_write(&filenames::wal_path(dir, number)).unwrap();
+        let mut wal = LogWriter::new(file);
+        for batch in batches {
+            let mut payload = Vec::new();
+            for record in *batch {
+                record.encode_to(&mut payload);
+            }
+            wal.add_record(&payload).unwrap();
+        }
+        wal.sync().unwrap();
+    };
+    write_wal(
+        first + 1,
+        &[
+            &[WriteRecord::put(6, "a", "a6")],
+            &[
+                WriteRecord::put(4, "b", "b4"),
+                WriteRecord::put(4, "c", "c4"),
+                WriteRecord::batch_marker(4, 3),
+            ],
+            &[WriteRecord::put(1, "a", "a1")],
+        ],
+    );
+    write_wal(
+        first + 2,
+        &[
+            &[WriteRecord::put(2, "b", "b2")],
+            &[
+                WriteRecord::put(4, "d", "d4"),
+                WriteRecord::batch_marker(4, 3),
+            ],
+            &[WriteRecord::delete(5, "a")],
+            &[WriteRecord::put(6, "a", "a6")], // also in the other log
+            &[WriteRecord::put(3, "c", "c3")],
+        ],
+    );
+    env.power_loss();
+
+    let (store, recovered) = Store::open(dir, store_opts()).unwrap();
+    assert_eq!(
+        recovered.report.wals_replayed,
+        vec![first, first + 1, first + 2]
+    );
+    assert!(recovered.report.torn_tails.is_empty());
+    assert_eq!(
+        recovered.records,
+        vec![
+            WriteRecord::put(1, "a", "a1"),
+            WriteRecord::put(2, "b", "b2"),
+            WriteRecord::put(3, "c", "c3"),
+            WriteRecord::put(4, "b", "b4"),
+            WriteRecord::put(4, "c", "c4"),
+            WriteRecord::put(4, "d", "d4"),
+            WriteRecord::delete(5, "a"),
+            WriteRecord::put(6, "a", "a6"),
+        ]
+    );
+    assert_eq!(recovered.batch_markers, vec![(4, 3)]);
+    assert_eq!(recovered.last_ts, 6);
+    assert!(
+        store.current_wal_number() > first + 2,
+        "the new WAL reused the number of a live one"
+    );
+    drop(store);
+
+    // A second crash before any flush: the old logs are still whole, so
+    // the database serves the same history.
+    env.power_loss();
+    let mut opts = Options::small_for_tests();
+    opts.store.env = Arc::new(env.clone());
+    let db = Db::open(dir, opts).unwrap();
+    assert_eq!(db.get(b"a").unwrap(), Some(b"a6".to_vec()));
+    assert_eq!(db.get(b"b").unwrap(), Some(b"b4".to_vec()));
+    assert_eq!(db.get(b"c").unwrap(), Some(b"c4".to_vec()));
+    assert_eq!(db.get(b"d").unwrap(), Some(b"d4".to_vec()));
+}
