@@ -319,15 +319,6 @@ fn clsm_conforms_to_the_same_contract() {
 }
 
 #[test]
-fn clsm_with_tiered_compaction_conforms() {
-    let dir = TempDir::new("clsm-tiered");
-    let mut opts = Options::small_for_tests();
-    opts.store.compaction_policy = clsm::CompactionPolicyKind::Tiered;
-    let store = clsm::Db::open(&dir.0, opts).unwrap();
-    exercise(&store);
-}
-
-#[test]
 fn clsm_with_hybrid_partial_compaction_conforms() {
     let dir = TempDir::new("clsm-hybrid");
     let mut opts = Options::small_for_tests();

@@ -207,7 +207,7 @@ impl ScalingSummary {
 /// One networked cell: the same store behind `clsm-server` on
 /// loopback, driven through the pipelined client, so every latency in
 /// the histogram is **client-observed** (client queueing + wire +
-/// server coalescing + store).
+/// server dispatch + store).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetCellSpec {
     /// Workload name (`write-100` or `mixed-50-50`).

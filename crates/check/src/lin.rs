@@ -82,11 +82,18 @@ pub const DEFAULT_BUDGET: u64 = 20_000_000;
 /// before collecting histories, so they only appear in hand-edited
 /// replay files where their effects are unknowable black-box.
 pub fn check_linearizable(events: &[KvEvent]) -> LinOutcome {
-    check_linearizable_budget(events, DEFAULT_BUDGET)
+    check_linearizable_budget(events, &HashMap::new(), DEFAULT_BUDGET)
 }
 
-/// [`check_linearizable`] with an explicit per-key step budget.
-pub fn check_linearizable_budget(events: &[KvEvent], budget: u64) -> LinOutcome {
+/// [`check_linearizable`] with an explicit per-key step budget, and
+/// for a *slice* of a longer history: a key named in `initial` starts
+/// holding that value instead of absent (the state the dropped prefix
+/// left behind).
+pub fn check_linearizable_budget(
+    events: &[KvEvent],
+    initial: &HashMap<Vec<u8>, Option<Vec<u8>>>,
+    budget: u64,
+) -> LinOutcome {
     let mut per_key: HashMap<Vec<u8>, Vec<PerKeyOp>> = HashMap::new();
     for (idx, e) in events.iter().enumerate() {
         if !e.ok {
@@ -138,7 +145,7 @@ pub fn check_linearizable_budget(events: &[KvEvent], budget: u64) -> LinOutcome 
 
     for (key, mut ops) in per_key {
         ops.sort_by_key(|o| o.invoke);
-        match check_key(&ops, budget) {
+        match check_key(&ops, initial.get(&key).and_then(|v| v.as_deref()), budget) {
             KeyOutcome::Ok => {}
             KeyOutcome::Violation => {
                 return LinOutcome::Violation(LinViolation {
@@ -230,17 +237,17 @@ impl BitSet {
 }
 
 /// Wing–Gong DFS over one key's subhistory (iterative, memoized).
-fn check_key(ops: &[PerKeyOp], budget: u64) -> KeyOutcome {
+fn check_key(ops: &[PerKeyOp], initial: Option<&[u8]>, budget: u64) -> KeyOutcome {
     let n = ops.len();
     if n == 0 {
         return KeyOutcome::Ok;
     }
 
     let mut states = States::new();
-    let initial = states.intern(None);
+    let mut values: Vec<Option<Vec<u8>>> = vec![initial.map(|v| v.to_vec())];
+    let initial = states.intern(initial);
     // `values[id]` is the concrete value behind interned state `id`.
     // Rebuilt lazily because `States::intern` may add entries mid-step.
-    let mut values: Vec<Option<Vec<u8>>> = vec![None];
     let refresh = |states: &States, values: &mut Vec<Option<Vec<u8>>>| {
         values.resize(states.ids.len(), None);
         for (v, id) in &states.ids {
@@ -329,30 +336,37 @@ fn check_key(ops: &[PerKeyOp], budget: u64) -> KeyOutcome {
     KeyOutcome::Violation
 }
 
-/// Greedily shrinks a failing history: repeatedly drops events whose
-/// removal keeps `still_fails` true. Quadratic, so meant for the small
-/// per-violation slices the checkers hand back, not whole histories.
+/// Shrinks a failing history by delta debugging: drops every run of
+/// `chunk` consecutive events whose removal keeps `still_fails` true,
+/// halving `chunk` from half the history down to single events, then
+/// repeats single-event passes until one removes nothing. Whole runs
+/// go first because a history whose operations each observe their
+/// predecessor's write (an RMW chain) cannot lose one link at a time.
 pub fn minimize<F>(events: &[KvEvent], mut still_fails: F) -> Vec<KvEvent>
 where
     F: FnMut(&[KvEvent]) -> bool,
 {
     let mut current: Vec<KvEvent> = events.to_vec();
-    let mut shrunk = true;
-    while shrunk {
-        shrunk = false;
+    let mut chunk = (current.len() / 2).max(1);
+    loop {
+        let mut shrunk = false;
         let mut i = 0;
         while i < current.len() {
-            let mut candidate = current.clone();
-            candidate.remove(i);
+            let end = (i + chunk).min(current.len());
+            let candidate = [&current[..i], &current[end..]].concat();
             if still_fails(&candidate) {
                 current = candidate;
                 shrunk = true;
             } else {
-                i += 1;
+                i = end;
             }
         }
+        if chunk > 1 {
+            chunk /= 2;
+        } else if !shrunk {
+            return current;
+        }
     }
-    current
 }
 
 #[cfg(test)]

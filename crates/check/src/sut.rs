@@ -30,7 +30,6 @@ pub struct Sut {
 /// Every system name [`open_sut`] accepts.
 pub const SYSTEMS: &[&str] = &[
     "clsm",
-    "clsm-tiered",
     "clsm-hybrid",
     "clsm-sharded-2",
     "clsm-sharded-4",
@@ -46,13 +45,7 @@ pub const SYSTEMS: &[&str] = &[
 
 /// Systems that support crash-reopen checking (the fault-injecting
 /// [`FaultEnv`] plumbs through their `Options`).
-pub const CRASH_SYSTEMS: &[&str] = &[
-    "clsm",
-    "clsm-tiered",
-    "clsm-hybrid",
-    "clsm-sharded-2",
-    "clsm-sharded-4",
-];
+pub const CRASH_SYSTEMS: &[&str] = &["clsm", "clsm-hybrid", "clsm-sharded-2", "clsm-sharded-4"];
 
 fn test_options() -> Options {
     let mut opts = Options::small_for_tests();
@@ -74,15 +67,13 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
     }
     opts.sync_writes = sync;
 
-    if matches!(name, "clsm" | "clsm-tiered" | "clsm-hybrid") {
-        // `clsm-tiered` / `clsm-hybrid`: the alternative compaction
-        // scheduling policies — history checking must hold whatever
-        // shape the background merges take.
-        opts.store.compaction_policy = match name {
-            "clsm-tiered" => clsm::CompactionPolicyKind::Tiered,
-            "clsm-hybrid" => clsm::CompactionPolicyKind::HybridPartial,
-            _ => clsm::CompactionPolicyKind::Leveled,
-        };
+    if matches!(name, "clsm" | "clsm-hybrid") {
+        // `clsm-hybrid`: the alternative compaction scheduling policy —
+        // history checking must hold whatever shape the background
+        // merges take.
+        if name == "clsm-hybrid" {
+            opts.store.compaction_policy = clsm::CompactionPolicyKind::HybridPartial;
+        }
         let db = Arc::new(opts.open(dir)?);
         let chaos_db = Arc::clone(&db);
         let tick = std::sync::atomic::AtomicU64::new(0);
@@ -104,7 +95,7 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
         // The cLSM store behind an embedded loopback server, checked
         // through the pipelined TCP client: the histories the driver
         // records are client-observed over the wire, so the checker
-        // audits the whole protocol/coalescing/dispatch stack, not
+        // audits the whole protocol/dispatch stack, not
         // just the store. The RemoteStore owns the server handle —
         // dropping the store shuts the server down. RMW needs a
         // closure and cannot cross the wire; everything else can.

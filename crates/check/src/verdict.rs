@@ -6,7 +6,7 @@
 //! carries the minimized counterexample inline; the full history file
 //! is written separately for `clsm-check --replay`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use clsm_kv::record::{KvEvent, KvOp, RmwApplied};
 
@@ -31,7 +31,9 @@ pub struct Verdict {
     pub pass: bool,
     /// Failure descriptions (empty on pass).
     pub failures: Vec<String>,
-    /// Minimized counterexample, when a failure admitted one.
+    /// Minimized counterexample, when a failure admitted one. A value
+    /// it observes first on a key without writing it is the state the
+    /// cut-away part of the history left that key in.
     pub counterexample: Vec<KvEvent>,
 }
 
@@ -126,19 +128,75 @@ fn write_set(events: &[KvEvent]) -> HashSet<(Vec<u8>, Option<Vec<u8>>)> {
     set
 }
 
+/// The register states `slice` must start from to stand for the full
+/// history: per key, the one value `slice` observes whose writer it
+/// dropped. `None` when no single initial state explains the slice —
+/// a key has two such values (or one plus an observed initial
+/// absence), or every observer of the value follows a completed
+/// operation on the key, which the dropped writer may have followed
+/// too.
+///
+/// This is what lets a chain be cut: in a history where each operation
+/// observes its predecessor's write (concurrent RMWs on one key) no
+/// writer can be dropped and every observation keep its own, but a
+/// whole prefix can, leaving its last write as the initial state.
+fn initial_states(
+    slice: &[KvEvent],
+    full_writes: &HashSet<(Vec<u8>, Option<Vec<u8>>)>,
+) -> Option<HashMap<Vec<u8>, Option<Vec<u8>>>> {
+    let mut slice_writes = HashSet::new();
+    // Per key, the earliest response of any operation touching it.
+    let mut first_response: HashMap<Vec<u8>, u64> = HashMap::new();
+    let mut obs = Vec::new();
+    for e in slice {
+        let mut writes = HashSet::new();
+        written(e, &mut writes);
+        obs.clear();
+        observed(e, &mut obs);
+        for (k, _) in writes.iter().chain(&obs) {
+            let r = first_response.entry(k.clone()).or_insert(e.response);
+            *r = e.response.min(*r);
+        }
+        slice_writes.extend(writes);
+    }
+    // key -> (value, some observer of it can linearize first).
+    let mut initial: HashMap<Vec<u8>, (Option<Vec<u8>>, bool)> = HashMap::new();
+    for e in slice {
+        obs.clear();
+        observed(e, &mut obs);
+        for kv in obs.drain(..) {
+            if slice_writes.contains(&kv) {
+                continue;
+            }
+            let dropped = full_writes.contains(&kv);
+            if !dropped && kv.1.is_some() {
+                // Written nowhere: the violation itself, not a cut.
+                continue;
+            }
+            // An absence nobody deleted into is the true initial state
+            // and needs no justification.
+            let first = !dropped || e.invoke < first_response[&kv.0];
+            let (key, value) = kv;
+            let slot = initial.entry(key).or_insert_with(|| (value.clone(), false));
+            if slot.0 != value {
+                return None;
+            }
+            slot.1 |= first;
+        }
+    }
+    initial.values().all(|(_, first)| *first).then(|| {
+        initial
+            .into_iter()
+            .map(|(key, (value, _))| (key, value))
+            .filter(|kv| full_writes.contains(kv))
+            .collect()
+    })
+}
+
 /// `true` when every value `slice` observes that the full history
 /// wrote still has a writer in `slice`.
 fn is_closed(slice: &[KvEvent], full_writes: &HashSet<(Vec<u8>, Option<Vec<u8>>)>) -> bool {
-    let mut slice_writes = HashSet::new();
-    for e in slice {
-        written(e, &mut slice_writes);
-    }
-    let mut obs = Vec::new();
-    for e in slice {
-        observed(e, &mut obs);
-    }
-    obs.iter()
-        .all(|kv| !full_writes.contains(kv) || slice_writes.contains(kv))
+    initial_states(slice, full_writes).is_some_and(|initial| initial.is_empty())
 }
 
 /// Runs both checkers over `events` (and the recovered state, for
@@ -163,8 +221,12 @@ pub fn check_history(
             // keys cannot matter (the register spec is per-key).
             let slice: Vec<KvEvent> = v.events.iter().map(|&i| events[i].clone()).collect();
             counterexample = lin::minimize(&slice, |ev| {
-                is_closed(ev, &full_writes)
-                    && matches!(lin::check_linearizable(ev), LinOutcome::Violation(_))
+                initial_states(ev, &full_writes).is_some_and(|initial| {
+                    matches!(
+                        lin::check_linearizable_budget(ev, &initial, lin::DEFAULT_BUDGET),
+                        LinOutcome::Violation(_)
+                    )
+                })
             });
         }
         LinOutcome::Inconclusive { key } => {
@@ -246,5 +308,94 @@ fn push_snap_failures<F>(
                 *counterexample = lin::minimize(&slice, still_fails);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ev(thread: u32, invoke: u64, response: u64, op: KvOp) -> KvEvent {
+        KvEvent {
+            thread,
+            invoke,
+            response,
+            ok: true,
+            op,
+        }
+    }
+
+    fn rmw(thread: u32, invoke: u64, response: u64, prev: Option<u64>, next: u64) -> KvEvent {
+        ev(
+            thread,
+            invoke,
+            response,
+            KvOp::Rmw {
+                key: b"k".to_vec(),
+                prev: prev.map(|v| v.to_le_bytes().to_vec()),
+                applied: RmwApplied::Update(next.to_le_bytes().to_vec()),
+            },
+        )
+    }
+
+    /// Every RMW observes its predecessor's write, so no single event
+    /// can go while each observation keeps its writer; the race (two
+    /// RMWs that both saw value 39) sits at the end of the chain.
+    #[test]
+    fn rmw_chain_minimizes_to_the_racing_pair() {
+        let mut events: Vec<KvEvent> = (0..40u64)
+            .map(|i| rmw(0, 10 * i, 10 * i + 5, i.checked_sub(1), i))
+            .collect();
+        events.push(rmw(1, 400, 409, Some(39), 100));
+        events.push(rmw(2, 401, 408, Some(39), 101));
+        let verdict = check_history("t", "clean", 0, &events, None, CheckMode::Serializable);
+        assert!(!verdict.pass);
+        assert!(
+            verdict.counterexample.len() <= 3,
+            "{:?}",
+            verdict.counterexample
+        );
+        assert!(verdict.counterexample.contains(&events[40]));
+        assert!(verdict.counterexample.contains(&events[41]));
+    }
+
+    /// A dropped writer's value may stand in as the initial state only
+    /// if an observer of it can linearize first: here the writer could
+    /// have run between the kept put and the kept get.
+    #[test]
+    fn a_cut_never_reorders_a_dropped_writer_before_a_kept_one() {
+        let key = b"k".to_vec();
+        let put = |i, r, v: &[u8]| {
+            ev(
+                0,
+                i,
+                r,
+                KvOp::Put {
+                    key: b"k".to_vec(),
+                    value: v.to_vec(),
+                },
+            )
+        };
+        let get = ev(
+            1,
+            7,
+            8,
+            KvOp::Get {
+                key: key.clone(),
+                result: Some(b"v0".to_vec()),
+            },
+        );
+        let full = vec![put(1, 2, b"z"), put(3, 4, b"v0"), get.clone()];
+        let writes = write_set(&full);
+        assert_eq!(
+            initial_states(&[full[0].clone(), get.clone()], &writes),
+            None
+        );
+        // With nothing completed before it, the get may come first.
+        assert_eq!(
+            initial_states(&[get], &writes),
+            Some(HashMap::from([(key, Some(b"v0".to_vec()))]))
+        );
+        assert!(is_closed(&full, &writes));
     }
 }

@@ -64,11 +64,10 @@ fn clean_sharded_passes_seeded_schedules() {
 }
 
 #[test]
-fn clean_tiered_and_hybrid_policies_pass_seeded_schedules() {
-    // The alternative compaction scheduling policies must preserve the
+fn clean_hybrid_policy_passes_seeded_schedules() {
+    // The alternative compaction scheduling policy must preserve the
     // same observable history — backgrounds merges of any shape are
     // invisible to clients.
-    check_clean("clsm-tiered", 20..22);
     check_clean("clsm-hybrid", 22..24);
 }
 

@@ -168,11 +168,6 @@ impl Options {
                 "watchdog.interval must be nonzero when the watchdog is enabled",
             ));
         }
-        if self.watchdog.enabled && self.watchdog.history == 0 {
-            return Err(Error::invalid_argument(
-                "watchdog.history must be nonzero when the watchdog is enabled",
-            ));
-        }
         if self.admission.enabled {
             let a = &self.admission;
             if !a.low_watermark.is_finite()
@@ -342,8 +337,8 @@ impl OptionsBuilder {
         self
     }
 
-    /// Compaction scheduling policy of the disk substrate (leveled,
-    /// tiered, or hybrid-partial; see
+    /// Compaction scheduling policy of the disk substrate (leveled or
+    /// hybrid-partial; see
     /// [`lsm_storage::compaction::CompactionPolicyKind`]).
     pub fn compaction_policy(mut self, kind: CompactionPolicyKind) -> Self {
         self.opts.store.compaction_policy = kind;
@@ -454,7 +449,7 @@ mod tests {
     #[test]
     fn builder_selects_policy_admission_and_rate_limit() {
         let opts = Options::builder()
-            .compaction_policy(CompactionPolicyKind::Tiered)
+            .compaction_policy(CompactionPolicyKind::HybridPartial)
             .io_rate_limit(8 << 20, 1 << 20)
             .admission(AdmissionOptions {
                 low_watermark: 0.5,
@@ -463,7 +458,10 @@ mod tests {
             })
             .build()
             .unwrap();
-        assert_eq!(opts.store.compaction_policy, CompactionPolicyKind::Tiered);
+        assert_eq!(
+            opts.store.compaction_policy,
+            CompactionPolicyKind::HybridPartial
+        );
         let limiter = opts.store.io_rate_limiter.as_ref().unwrap();
         assert_eq!(limiter.bytes_per_sec(), 8 << 20);
         assert_eq!(opts.admission.low_watermark, 0.5);

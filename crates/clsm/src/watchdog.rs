@@ -59,8 +59,8 @@ pub enum StallKind {
     /// The shared-exclusive lock was held exclusively for longer than
     /// [`WatchdogOptions::exclusive_hold_threshold`].
     ExclusiveHold,
-    /// The oracle's `Active` set reached
-    /// [`WatchdogOptions::active_set_threshold`] entries.
+    /// The oracle's `Active` set reached ¾ of
+    /// [`crate::Options::active_slots`].
     ActiveSetPressure,
 }
 
@@ -104,17 +104,10 @@ pub struct WatchdogOptions {
     /// Exclusive holds at least this long become
     /// [`StallKind::ExclusiveHold`] events.
     pub exclusive_hold_threshold: Duration,
-    /// `Active` set sizes at least this become
-    /// [`StallKind::ActiveSetPressure`] events. Sized against
-    /// [`crate::Options::active_slots`] (default 256), ¾ full is the
-    /// default alarm line.
-    pub active_set_threshold: usize,
     /// How many consecutive samples with ramp-delay growth make a
     /// [`StallKind::SustainedSlowdown`] episode. At the default 10 ms
     /// interval, 3 means "admission has been throttling for ≥ 30 ms".
     pub slowdown_windows: usize,
-    /// How many recent events [`Db::stall_events`] retains.
-    pub history: usize,
 }
 
 impl Default for WatchdogOptions {
@@ -123,12 +116,13 @@ impl Default for WatchdogOptions {
             enabled: true,
             interval: Duration::from_millis(10),
             exclusive_hold_threshold: Duration::from_millis(5),
-            active_set_threshold: 192,
             slowdown_windows: 3,
-            history: 64,
         }
     }
 }
+
+/// How many recent events [`Db::stall_events`] retains.
+const HISTORY: usize = 64;
 
 /// Shared sink the sampler reports into; owned by `DbInner`.
 #[derive(Debug)]
@@ -147,7 +141,7 @@ impl Watchdog {
     /// Registers the watchdog counters and builds the event sink.
     pub(crate) fn new(opts: WatchdogOptions, registry: &MetricsRegistry) -> Watchdog {
         Watchdog {
-            recent: Mutex::new(VecDeque::with_capacity(opts.history.min(1024))),
+            recent: Mutex::new(VecDeque::with_capacity(HISTORY)),
             total: registry.counter("watchdog.stall_events"),
             write_stalls: registry.counter("watchdog.write_stall_events"),
             sustained_slowdowns: registry.counter("watchdog.sustained_slowdown_events"),
@@ -185,7 +179,7 @@ impl Watchdog {
             detail,
         };
         let mut recent = self.recent.lock();
-        if recent.len() >= self.opts.history.max(1) {
+        if recent.len() >= HISTORY {
             recent.pop_front();
         }
         recent.push_back(event);
@@ -339,15 +333,17 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
     if !inner.oracle_primary {
         return;
     }
+    // ¾ of the slots (rounded up, so never 0) is the alarm line.
     let active_len = inner.oracle.active().len();
-    let pressure = active_len >= opts.active_set_threshold;
+    let threshold = (inner.opts.active_slots * 3).div_ceil(4);
+    let pressure = active_len >= threshold;
     if pressure && !state.active_pressure_active {
         wd.report(
             StallKind::ActiveSetPressure,
             active_len as u64,
             format!(
-                "oracle Active set at {active_len} entries (threshold {}, slots {})",
-                opts.active_set_threshold, inner.opts.active_slots
+                "oracle Active set at {active_len} entries (threshold {threshold}, slots {})",
+                inner.opts.active_slots
             ),
         );
     }
@@ -358,8 +354,7 @@ impl Db {
     /// Recent stall episodes flagged by the watchdog, oldest first.
     ///
     /// Empty when the watchdog is disabled or nothing pathological has
-    /// happened. The ring keeps the last
-    /// [`WatchdogOptions::history`] events.
+    /// happened. The ring keeps the last 64 events.
     pub fn stall_events(&self) -> Vec<StallEvent> {
         self.inner.watchdog.recent()
     }

@@ -116,15 +116,6 @@ impl Request {
             Request::Stats => "stats",
         }
     }
-
-    /// Whether this request mutates the store (and so is eligible for
-    /// cross-connection write coalescing on the server).
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Request::Put { .. } | Request::Delete { .. } | Request::Write { .. }
-        )
-    }
 }
 
 /// The result of one [`Request`], as plain data.
@@ -618,11 +609,6 @@ mod tests {
         ];
         for (req, want) in &cases {
             assert_eq!(req.name(), *want);
-            assert_eq!(
-                req.is_write(),
-                matches!(*want, "put" | "delete" | "write"),
-                "{want}"
-            );
         }
     }
 }

@@ -111,12 +111,6 @@ impl FromIterator<(Vec<u8>, Option<Vec<u8>>)> for WriteBatch {
     }
 }
 
-impl Extend<(Vec<u8>, Option<Vec<u8>>)> for WriteBatch {
-    fn extend<I: IntoIterator<Item = (Vec<u8>, Option<Vec<u8>>)>>(&mut self, iter: I) {
-        self.ops.extend(iter);
-    }
-}
-
 impl IntoIterator for WriteBatch {
     type Item = (Vec<u8>, Option<Vec<u8>>);
     type IntoIter = std::vec::IntoIter<Self::Item>;
@@ -207,10 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_extend_and_from_slice() {
-        let mut batch = WriteBatch::new();
-        batch.extend(vec![(b"k".to_vec(), Some(b"v".to_vec()))]);
-        assert_eq!(batch.len(), 1);
+    fn batch_from_slice() {
+        let batch = WriteBatch::single_put(b"k", b"v");
         let from_slice: WriteBatch = batch.ops().into();
         assert_eq!(from_slice, batch);
     }

@@ -11,7 +11,7 @@
 
 pub mod policy;
 
-pub use policy::{CompactionPolicy, CompactionPolicyKind, HybridPartial, Leveled, Tiered};
+pub use policy::{CompactionPolicy, CompactionPolicyKind, HybridPartial, Leveled};
 
 use std::path::Path;
 use std::sync::Arc;

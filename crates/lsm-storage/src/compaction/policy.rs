@@ -2,21 +2,13 @@
 //!
 //! *Who decides when background work runs* used to be hardwired: the
 //! store called the leveled `pick()` and nothing else. This module
-//! extracts that decision behind [`CompactionPolicy`], with three
+//! extracts that decision behind [`CompactionPolicy`], with two
 //! shipped implementations selected by [`CompactionPolicyKind`] in
 //! `StoreOptions`:
 //!
 //! - [`Leveled`] — the previous (and default) behavior: score levels
 //!   against byte budgets, compact the single largest file of the most
 //!   pressured level (all of L0 at once, since L0 files overlap).
-//! - [`Tiered`] — size-tiered scheduling: a level compacts when it
-//!   accumulates `l0_compaction_trigger` files, and then the *whole*
-//!   level merges down in one task. Each file is rewritten fewer times
-//!   (lower write amplification) at the cost of levels that run wider
-//!   before merging (higher read amplification). Levels ≥ 1 must stay
-//!   non-overlapping sorted runs — the merge keeps that invariant, so
-//!   this is tiering's scheduling shape (count triggers, whole-run
-//!   merges), not a literal overlapping-run layout.
 //! - [`HybridPartial`] — leveled scores, but each L1+ task takes a
 //!   *bounded key subrange* of the level starting at a rotating
 //!   per-level cursor (LevelDB's `compact_pointer` idiom). No single
@@ -46,8 +38,6 @@ pub enum CompactionPolicyKind {
     /// Byte-budget scores, largest-file picks (the default).
     #[default]
     Leveled,
-    /// File-count triggers, whole-level merges.
-    Tiered,
     /// Byte-budget scores, bounded cursor-rotating partial picks.
     HybridPartial,
 }
@@ -57,7 +47,6 @@ impl CompactionPolicyKind {
     pub fn name(&self) -> &'static str {
         match self {
             CompactionPolicyKind::Leveled => "leveled",
-            CompactionPolicyKind::Tiered => "tiered",
             CompactionPolicyKind::HybridPartial => "hybrid-partial",
         }
     }
@@ -66,7 +55,6 @@ impl CompactionPolicyKind {
     pub fn parse(name: &str) -> Option<CompactionPolicyKind> {
         match name {
             "leveled" => Some(CompactionPolicyKind::Leveled),
-            "tiered" => Some(CompactionPolicyKind::Tiered),
             "hybrid-partial" | "hybrid" => Some(CompactionPolicyKind::HybridPartial),
             _ => None,
         }
@@ -76,7 +64,6 @@ impl CompactionPolicyKind {
     pub fn build(self) -> Box<dyn CompactionPolicy> {
         match self {
             CompactionPolicyKind::Leveled => Box::new(Leveled),
-            CompactionPolicyKind::Tiered => Box::new(Tiered),
             CompactionPolicyKind::HybridPartial => Box::new(HybridPartial::new()),
         }
     }
@@ -172,35 +159,6 @@ impl CompactionPolicy for Leveled {
     }
 }
 
-/// Size-tiered scheduling: every level triggers on *file count*
-/// (`l0_compaction_trigger` files), and a triggered level merges down
-/// whole. Fewer rewrites per file, wider levels before each merge.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Tiered;
-
-impl CompactionPolicy for Tiered {
-    fn kind(&self) -> CompactionPolicyKind {
-        CompactionPolicyKind::Tiered
-    }
-
-    fn level_score(&self, version: &Version, opts: &StoreOptions, level: usize) -> f64 {
-        if level + 1 >= opts.num_levels {
-            0.0 // the last level never compacts further down
-        } else {
-            version.num_files(level) as f64 / opts.l0_compaction_trigger as f64
-        }
-    }
-
-    fn pick(&self, version: &Version, opts: &StoreOptions) -> Option<CompactionTask> {
-        let level = most_pressured(opts, |l| self.level_score(version, opts, l))?;
-        let base = version.levels[level].clone();
-        if base.is_empty() {
-            return None;
-        }
-        claim_task(version, level, base)
-    }
-}
-
 /// Upper bound on base-input bytes of one [`HybridPartial`] task, in
 /// units of `table_file_size`. Keeps every claim's hold time bounded.
 const PARTIAL_INPUT_TABLES: u64 = 2;
@@ -293,7 +251,6 @@ mod tests {
     fn kind_names_roundtrip() {
         for kind in [
             CompactionPolicyKind::Leveled,
-            CompactionPolicyKind::Tiered,
             CompactionPolicyKind::HybridPartial,
         ] {
             assert_eq!(CompactionPolicyKind::parse(kind.name()), Some(kind));

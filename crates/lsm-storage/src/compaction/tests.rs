@@ -344,35 +344,6 @@ fn over_budget_level_picks_its_single_largest_file() {
 }
 
 #[test]
-fn tiered_triggers_on_file_count_and_merges_whole_level() {
-    use super::policy::{CompactionPolicy, Tiered};
-    let dir = tmpdir("tiered");
-    let opts = small_opts(); // trigger = 2
-                             // L1 holds three small files — far under its byte budget (so the
-                             // leveled policy would not touch it) but past the count trigger.
-    let v = synth_version(
-        &dir,
-        vec![
-            synth_file(1, 10, 100, "a", "c"),
-            synth_file(1, 11, 100, "d", "f"),
-            synth_file(1, 12, 100, "g", "i"),
-            synth_file(2, 20, 100, "b", "e"),
-        ],
-    );
-    assert!(
-        super::level_score(&v, &opts, 1) < 1.0,
-        "leveled would skip L1"
-    );
-    let policy = Tiered;
-    assert!(policy.level_score(&v, &opts, 1) >= 1.0);
-    let task = policy.pick(&v, &opts).expect("tiered compacts L1");
-    assert_eq!(task.level, 1);
-    assert_eq!(task.base.len(), 3, "whole level merges down");
-    assert_eq!(task.parent.len(), 1);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn hybrid_partial_rotates_a_bounded_cursor_through_the_level() {
     use super::policy::{CompactionPolicy, HybridPartial};
     let dir = tmpdir("hybrid");

@@ -1,4 +1,4 @@
-//! `clsm-load`: open-loop load generator over the clsm-net protocol.
+//! `clsm-load`: closed-loop load generator over the clsm-net protocol.
 //!
 //! ```text
 //! clsm-load --addr HOST:PORT [--threads N] [--seconds S] [--seed N]
@@ -7,11 +7,14 @@
 //! ```
 //!
 //! Reuses the `crates/workloads` heavy-tail key traces (§5.2's
-//! production popularity shape) and the multi-threaded driver, so
-//! every recorded latency is **client-observed**: queueing in the
-//! client pipeline, the wire, server coalescing, and the store itself
-//! all land in the histogram. Prints a human summary to stderr and,
-//! with `--json`, a machine-readable result object to stdout.
+//! production popularity shape) and the multi-threaded driver: each
+//! of `--threads` workers issues its next request only after the
+//! previous blocking `Client::call` returns, so load falls when the
+//! server slows. Every recorded latency is **client-observed**:
+//! queueing in the client pipeline, the wire, server dispatch, and the
+//! store itself all land in the histogram. Prints a human summary to
+//! stderr and, with `--json`, a machine-readable result object to
+//! stdout.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -29,7 +32,7 @@ fn usage() -> ! {
          \x20               [--key-space N] [--read-pct P] [--theta F] [--prefill N]\n\
          \x20               [--connections N] [--pipeline-depth N] [--json]\n\
          \n\
-         Open-loop load generator; latencies are client-observed over TCP."
+         Closed-loop load generator; latencies are client-observed over TCP."
     );
     std::process::exit(2);
 }

@@ -13,10 +13,10 @@
 //! - **Server** ([`server`]): a poll(2)-based event loop
 //!   (vendored-deps-only, so no `mio`) of N worker threads over
 //!   nonblocking sockets. Each worker tick drains every readable
-//!   connection, then coalesces the decoded write requests from *all*
-//!   of its connections into merged [`clsm_kv::WriteBatch`]es feeding
-//!   `Db::write` — the serving layer batches writes across
-//!   connections.
+//!   connection and dispatches the decoded requests one at a time, in
+//!   per-connection order, so a wire put is the store's own put; only
+//!   the responses are batched, one socket write per connection per
+//!   tick.
 //! - **Client** ([`client`]): a pipelined connection pool and a
 //!   [`client::RemoteStore`] that implements [`clsm_kv::KvStore`], so
 //!   the workload driver, the history recorder, and `clsm-check` run

@@ -28,15 +28,13 @@ pub struct NetOptions {
     pub pipeline_depth: usize,
     /// Per-connection read buffer chunk, in bytes.
     pub read_buffer_bytes: usize,
-    /// Server: soft cap on a connection's queued response bytes before
-    /// the worker forces a flush to the socket.
+    /// Server: once a connection's already-sent response prefix passes
+    /// this many bytes its output buffer is compacted, and a peer that
+    /// lets 16x this much queue up unread is closed as a slow consumer.
     pub write_buffer_bytes: usize,
     /// Largest acceptable frame (length prefix value); larger frames
     /// are a protocol error and fail the connection closed.
     pub max_frame_bytes: usize,
-    /// Server: cap on operations merged into one coalesced
-    /// [`clsm_kv::WriteBatch`] per worker tick.
-    pub coalesce_ops: usize,
 }
 
 impl Default for NetOptions {
@@ -50,7 +48,6 @@ impl Default for NetOptions {
             read_buffer_bytes: 64 * 1024,
             write_buffer_bytes: 256 * 1024,
             max_frame_bytes: 16 * 1024 * 1024,
-            coalesce_ops: 4096,
         }
     }
 }
@@ -84,7 +81,6 @@ impl NetOptions {
         nonzero("pipeline_depth", self.pipeline_depth)?;
         nonzero("read_buffer_bytes", self.read_buffer_bytes)?;
         nonzero("write_buffer_bytes", self.write_buffer_bytes)?;
-        nonzero("coalesce_ops", self.coalesce_ops)?;
         // A frame must at least hold the request id + opcode, and the
         // u32 length prefix bounds it from above.
         if self.max_frame_bytes < crate::frame::MIN_FRAME_BYTES {
@@ -150,7 +146,7 @@ impl NetOptionsBuilder {
         self
     }
 
-    /// Queued-response soft cap before a forced socket flush, in bytes.
+    /// Output-buffer compaction / slow-consumer threshold, in bytes.
     pub fn write_buffer_bytes(mut self, n: usize) -> Self {
         self.opts.write_buffer_bytes = n;
         self
@@ -159,12 +155,6 @@ impl NetOptionsBuilder {
     /// Largest acceptable frame, in bytes.
     pub fn max_frame_bytes(mut self, n: usize) -> Self {
         self.opts.max_frame_bytes = n;
-        self
-    }
-
-    /// Cap on operations merged into one coalesced batch per tick.
-    pub fn coalesce_ops(mut self, n: usize) -> Self {
-        self.opts.coalesce_ops = n;
         self
     }
 

@@ -1,5 +1,5 @@
 //! The `clsm-server` event loop: poll(2) workers over nonblocking
-//! sockets, feeding `KvStore::write`.
+//! sockets, dispatching each request to the store.
 //!
 //! ## Architecture
 //!
@@ -15,22 +15,18 @@
 //! 4. flush response bytes, keeping `WouldBlock` remainders for the
 //!    next tick.
 //!
-//! ## Write coalescing
+//! ## Dispatch discipline
 //!
-//! Step 3 is where the serving layer meets the paper: consecutive
-//! write requests (put/delete/batch) decoded in one tick — from *any*
-//! of the worker's connections — that share identical [`WriteOptions`]
-//! are merged into a single [`WriteBatch`] and applied with one
-//! `KvStore::write` call, which in cLSM commits as one atomic batch
-//! (one timestamp block, one WAL payload; a lone write stays on
-//! Algorithm 2's shared-lock `put`). Each member request still gets
-//! its own response. Any
-//! non-write request first flushes the pending group, so one
-//! connection's operations always execute in the order it sent them —
-//! read-your-writes is preserved per connection. Merging is safe for
-//! linearizability: member operations are all in flight simultaneously
-//! (their invocation→response intervals overlap), so a single commit
-//! point inside all of them is a legal linearization.
+//! Step 3 executes every request — reads and writes alike — on its
+//! own, in the order its connection sent it, through
+//! [`clsm_kv::api::dispatch`]. A wire `Put`/`Delete` is therefore
+//! Algorithm 2's shared-lock `put`, concurrent with every other writer
+//! on the store; only a wire `Write` batch, whose atomicity the client
+//! asked for, takes the store's exclusive batch route. Requests are
+//! never merged across (or within) connections, so read-your-writes
+//! holds per connection by construction. What *is* batched per tick is
+//! the response side: every answer produced in step 3 is queued, and
+//! step 4 hands each connection's whole queue to one `write` call.
 //!
 //! ## Failure containment
 //!
@@ -39,7 +35,8 @@
 //! socket, and counts `net.protocol_errors`. Neighboring connections
 //! on the same worker are untouched. Store-level errors cross the wire
 //! as structured codes (see [`clsm_kv::api::WireError`]) and fail only
-//! their own request.
+//! their own request: a rejected put never fails the put decoded next
+//! to it.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -50,8 +47,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use clsm_kv::api::{dispatch, Request, Response, SnapshotSessions, WireError};
-use clsm_kv::{KvStore, WriteBatch, WriteOptions};
+use clsm_kv::api::{dispatch, Request, Response, SnapshotSessions};
+use clsm_kv::KvStore;
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, Counter, Gauge, MetricsRegistry};
 
@@ -263,15 +260,6 @@ impl Conn {
     }
 }
 
-/// One decoded-but-not-yet-executed write, waiting in the coalescing
-/// group. `conn` indexes the worker's connection table.
-struct PendingWrite {
-    conn: usize,
-    id: u64,
-    op: &'static str,
-    began: Instant,
-}
-
 // ---------------------------------------------------------------------
 // Worker.
 // ---------------------------------------------------------------------
@@ -285,19 +273,12 @@ struct Worker {
     incoming: Receiver<TcpStream>,
     conns: Vec<Conn>,
 
-    // Pending coalesced write group.
-    group: WriteBatch,
-    group_opts: WriteOptions,
-    group_members: Vec<PendingWrite>,
-
     // Metrics (registered once, recorded lock-free).
     requests: Arc<Counter>,
     responses: Arc<Counter>,
     protocol_errors: Arc<Counter>,
     bytes_read: Arc<Counter>,
     bytes_written: Arc<Counter>,
-    coalesced_batches: Arc<Counter>,
-    coalesced_ops: Arc<Counter>,
     connections: Arc<Gauge>,
     op_latency: HashMap<&'static str, Arc<ConcurrentHistogram>>,
 }
@@ -316,8 +297,6 @@ impl Worker {
         let protocol_errors = registry.counter("net.protocol_errors");
         let bytes_read = registry.counter("net.bytes_read");
         let bytes_written = registry.counter("net.bytes_written");
-        let coalesced_batches = registry.counter("net.coalesced_batches");
-        let coalesced_ops = registry.counter("net.coalesced_ops");
         let connections = registry.gauge("net.connections");
         Worker {
             store,
@@ -327,16 +306,11 @@ impl Worker {
             live_conns,
             incoming,
             conns: Vec::new(),
-            group: WriteBatch::new(),
-            group_opts: WriteOptions::new(),
-            group_members: Vec::new(),
             requests,
             responses,
             protocol_errors,
             bytes_read,
             bytes_written,
-            coalesced_batches,
-            coalesced_ops,
             connections,
             op_latency: HashMap::new(),
         }
@@ -437,7 +411,7 @@ impl Worker {
         }
     }
 
-    /// Decodes and executes all complete frames, coalescing writes.
+    /// Decodes and executes all complete frames, one request at a time.
     fn process_frames(&mut self) {
         for i in 0..self.conns.len() {
             loop {
@@ -459,12 +433,10 @@ impl Worker {
                 self.requests.inc();
                 match req {
                     WireRequest::Shutdown => {
-                        self.flush_group();
                         self.respond(i, id, &Response::Done);
                         self.shutdown.store(true, Ordering::Relaxed);
                     }
                     WireRequest::Op(Request::Stats) => {
-                        self.flush_group();
                         let began = Instant::now();
                         let text = format!(
                             "{}{}",
@@ -474,13 +446,7 @@ impl Worker {
                         self.respond(i, id, &Response::Stats(text));
                         self.record_latency("stats", began);
                     }
-                    WireRequest::Op(req) if req.is_write() => {
-                        self.enqueue_write(i, id, req);
-                    }
                     WireRequest::Op(req) => {
-                        // Reads and snapshot ops see every write this
-                        // connection already sent: flush first.
-                        self.flush_group();
                         let name = req.name();
                         let began = Instant::now();
                         let resp = dispatch(self.store.as_ref(), &mut self.conns[i].sessions, req);
@@ -489,60 +455,6 @@ impl Worker {
                     }
                 }
             }
-        }
-        self.flush_group();
-    }
-
-    /// Adds one write request to the coalescing group, flushing first
-    /// if the options differ or the group is full.
-    fn enqueue_write(&mut self, conn: usize, id: u64, req: Request) {
-        let (batch, opts, op) = match req {
-            Request::Put { key, value, opts } => {
-                (WriteBatch::single_put(&key, &value), opts, "put")
-            }
-            Request::Delete { key, opts } => (WriteBatch::single_delete(&key), opts, "delete"),
-            Request::Write { batch, opts } => (batch, opts, "write"),
-            other => unreachable!("enqueue_write on non-write {}", other.name()),
-        };
-        if let Err(e) = opts.validate() {
-            self.respond(conn, id, &Response::Error(WireError::from_error(&e)));
-            return;
-        }
-        if !self.group_members.is_empty()
-            && (opts != self.group_opts || self.group.len() + batch.len() > self.opts.coalesce_ops)
-        {
-            self.flush_group();
-        }
-        if self.group_members.is_empty() {
-            self.group_opts = opts;
-        }
-        self.group.extend(batch);
-        self.group_members.push(PendingWrite {
-            conn,
-            id,
-            op,
-            began: Instant::now(),
-        });
-    }
-
-    /// Applies the pending coalesced group as one `KvStore::write` and
-    /// answers every member request.
-    fn flush_group(&mut self) {
-        if self.group_members.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.group);
-        let members = std::mem::take(&mut self.group_members);
-        self.coalesced_batches.inc();
-        self.coalesced_ops.add(batch.len() as u64);
-        let result = self.store.write(batch, &self.group_opts);
-        let resp = match &result {
-            Ok(()) => Response::Done,
-            Err(e) => Response::Error(WireError::from_error(e)),
-        };
-        for m in members {
-            self.respond(m.conn, m.id, &resp);
-            self.record_latency(m.op, m.began);
         }
     }
 
