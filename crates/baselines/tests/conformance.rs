@@ -342,30 +342,6 @@ fn clsm_with_io_rate_limit_conforms() {
 }
 
 #[test]
-fn sharded_clsm_single_shard_conforms() {
-    let dir = TempDir::new("sharded1");
-    let store = clsm::ShardedDb::open(&dir.0, Options::small_for_tests()).unwrap();
-    assert_eq!(store.num_shards(), 1);
-    exercise(&store);
-}
-
-#[test]
-fn sharded_clsm_four_shards_conforms() {
-    // Letter boundaries scatter the suite's key families across all
-    // four shards: "batch-"/"bulk" → 0, "conc-"/"k" → 1, "pia" → 2,
-    // and the suite's scans cross the bulk/conc boundary.
-    let dir = TempDir::new("sharded4");
-    let store = clsm::ShardedDb::open_with_boundaries(
-        &dir.0,
-        Options::small_for_tests(),
-        vec![b"c".to_vec(), b"m".to_vec(), b"t".to_vec()],
-    )
-    .unwrap();
-    assert_eq!(store.num_shards(), 4);
-    exercise(&store);
-}
-
-#[test]
 fn partitioned_composition_conforms() {
     // The full checklist against the Figure-1 partitioned composition;
     // boundaries split the bulk range itself so stitched scans cross a

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! A run measures every cell of the canonical matrix (write-only
-//! thread sweep and mixed 50/50, each across 1 vs 4 shards;
-//! `--smoke` is the CI-sized subset) and writes
+//! thread sweep and mixed 50/50; `--smoke` is the CI-sized subset)
+//! and writes
 //! `BENCH_<label>.json` into `--out`: throughput, latency percentiles,
 //! the per-stage write-path breakdown, and an environment
 //! fingerprint, under a versioned schema.
@@ -21,9 +21,9 @@
 //! client, so the reported throughput and latency percentiles are
 //! client-observed over TCP.
 //!
-//! `--scaling` ensures the write-scaling cells (write-only, one
-//! shard, 1→8 threads) are measured, prints the
-//! throughput curve, and folds the scaling gate — each step through
+//! `--scaling` ensures the write-scaling cells (write-only, 1→8
+//! threads) are measured, prints the throughput curve, and folds the
+//! scaling gate — each step through
 //! 4 threads must keep ≥0.9x of the previous point — into the exit
 //! code. The 8-thread ratio is reported but not gated.
 //!

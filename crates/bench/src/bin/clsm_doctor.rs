@@ -2,21 +2,15 @@
 //!
 //! Two modes:
 //!
-//! - `clsm-doctor <db-dir> [--populate N] [--shards N]` opens (or
+//! - `clsm-doctor <db-dir> [--populate N]` opens (or
 //!   creates) a database and prints a [`clsm::DoctorReport`]: memtable
 //!   fill, immutable-queue state, level geometry, live snapshots,
 //!   oracle timestamps, and stall-watchdog verdicts. `--populate`
 //!   writes N keys first (through the normal put path, so flushes and
 //!   compactions run), which makes the tool usable as a smoke test on
-//!   an empty directory. Range-sharded directories (those containing a
-//!   `SHARDS` manifest) are detected automatically and reported as a
-//!   [`clsm::ShardedDoctorReport`] — shared-oracle state up top, one
-//!   full per-shard report below; `--shards N` creates a fresh sharded
-//!   database when the directory is empty. `--crash-audit` prints the
-//!   durability forensics of the open instead: which WALs recovery
-//!   replayed, how many records came back, torn WAL tails, manifest
-//!   damage, and (for sharded directories) cross-shard batches the
-//!   recovery audit found torn and dropped.
+//!   an empty directory. `--crash-audit` prints the durability
+//!   forensics of the open instead: which WALs recovery replayed, how
+//!   many records came back, torn WAL tails and manifest damage.
 //! - `clsm-doctor --replay <trace.json>` parses a flight-recorder
 //!   artifact (the Chrome trace-format JSON written by the bench
 //!   binaries' `--trace` flag) and prints per-span duration
@@ -31,7 +25,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use clsm::{Db, Options, ShardedDb};
+use clsm::{Db, Options};
 use clsm_util::error::Result;
 
 fn main() {
@@ -49,7 +43,6 @@ fn main() {
 fn run(argv: &[String]) -> Result<()> {
     let mut dir: Option<PathBuf> = None;
     let mut populate: u64 = 0;
-    let mut shards: usize = 1;
     let mut replay: Option<PathBuf> = None;
     let mut crash_audit = false;
     let mut watch_ms: Option<u64> = None;
@@ -80,13 +73,6 @@ fn run(argv: &[String]) -> Result<()> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--populate needs a count"));
-            }
-            "--shards" => {
-                shards = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--shards needs a count >= 1"));
             }
             "--crash-audit" => crash_audit = true,
             "--watch" => {
@@ -126,10 +112,10 @@ fn run(argv: &[String]) -> Result<()> {
     }
     match (dir, replay) {
         (None, Some(trace)) => replay_trace(&trace),
-        (Some(dir), None) if crash_audit => audit_db(&dir, shards),
+        (Some(dir), None) if crash_audit => audit_db(&dir),
         (Some(dir), None) => match watch_ms {
-            Some(ms) => watch_db(&dir, populate, shards, ms, watch_count),
-            None => examine_db(&dir, populate, shards),
+            Some(ms) => watch_db(&dir, populate, ms, watch_count),
+            None => examine_db(&dir, populate),
         },
         _ => usage("pass exactly one of <db-dir>, --replay FILE, or --connect ADDR"),
     }
@@ -162,7 +148,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: clsm-doctor <db-dir> [--populate N] [--shards N] [--crash-audit] \
+        "usage: clsm-doctor <db-dir> [--populate N] [--crash-audit] \
          [--watch MS [--watch-count N]]"
     );
     eprintln!("       clsm-doctor --replay <trace.json>");
@@ -172,22 +158,8 @@ fn usage(msg: &str) -> ! {
 
 /// Opens the database and prints the doctor report. Small tables and
 /// memtable so `--populate` on an empty directory exercises flushes
-/// and compactions rather than parking everything in memory. A
-/// directory holding a `SHARDS` manifest (or a `--shards N` request on
-/// a fresh one) is opened as a [`ShardedDb`] instead; the manifest is
-/// authoritative on reopen, so no flag is needed to inspect an
-/// existing sharded database.
-fn examine_db(dir: &std::path::Path, populate: u64, shards: usize) -> Result<()> {
-    if shards > 1 || dir.join("SHARDS").exists() {
-        let mut opts = Options::small_for_tests();
-        opts.shards = shards;
-        let db = ShardedDb::open(dir, opts)?;
-        populate_keys(populate, |k, v| db.put(k, v))?;
-        if populate > 0 {
-            db.compact_to_quiescence()?;
-        }
-        return print_all(&db.doctor().render());
-    }
+/// and compactions rather than parking everything in memory.
+fn examine_db(dir: &std::path::Path, populate: u64) -> Result<()> {
     let db = Db::open(dir, Options::small_for_tests())?;
     populate_keys(populate, |k, v| db.put(k, v))?;
     if populate > 0 {
@@ -206,20 +178,13 @@ fn examine_db(dir: &std::path::Path, populate: u64, shards: usize) -> Result<()>
 fn watch_db(
     dir: &std::path::Path,
     populate: u64,
-    shards: usize,
     interval_ms: u64,
     watch_count: Option<u64>,
 ) -> Result<()> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let store: Arc<dyn clsm::KvStore> = if shards > 1 || dir.join("SHARDS").exists() {
-        let mut opts = Options::small_for_tests();
-        opts.shards = shards;
-        Arc::new(ShardedDb::open(dir, opts)?)
-    } else {
-        Arc::new(Db::open(dir, Options::small_for_tests())?)
-    };
+    let store: Arc<dyn clsm::KvStore> = Arc::new(Db::open(dir, Options::small_for_tests())?);
 
     let done = Arc::new(AtomicBool::new(false));
     let writer = (populate > 0).then(|| {
@@ -266,31 +231,13 @@ fn watch_db(
 }
 
 /// Opens the database and prints what recovery found: WALs replayed,
-/// records recovered, torn tails, manifest damage, and (sharded) the
-/// cross-shard batches dropped as torn. Exit is nonzero only when the
-/// open itself fails — torn tails are a report, not an error.
-fn audit_db(dir: &std::path::Path, shards: usize) -> Result<()> {
+/// records recovered, torn tails and manifest damage. Exit is nonzero
+/// only when the open itself fails — torn tails are a report, not an
+/// error.
+fn audit_db(dir: &std::path::Path) -> Result<()> {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "== clsm-doctor crash audit: {} ==", dir.display());
-    if shards > 1 || dir.join("SHARDS").exists() {
-        let mut opts = Options::small_for_tests();
-        opts.shards = shards;
-        let db = ShardedDb::open(dir, opts)?;
-        for (i, report) in db.recovery_reports().iter().enumerate() {
-            render_recovery(&mut out, &format!("shard {i}"), report);
-        }
-        if db.torn_batches().is_empty() {
-            let _ = writeln!(out, "cross-shard batches: none torn");
-        } else {
-            let _ = writeln!(
-                out,
-                "cross-shard batches TORN and dropped at ts: {:?}",
-                db.torn_batches()
-            );
-        }
-        return print_all(&out);
-    }
     let db = Db::open(dir, Options::small_for_tests())?;
     render_recovery(&mut out, "db", db.recovery_report());
     print_all(&out)

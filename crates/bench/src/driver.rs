@@ -28,9 +28,6 @@ pub struct BenchArgs {
     pub data_dir: PathBuf,
     /// RNG seed.
     pub seed: u64,
-    /// Shard count for range-sharded systems (`cLSM-sharded`); other
-    /// systems ignore it.
-    pub shards: usize,
     /// When set, the flight recorder runs for the whole sweep and a
     /// Chrome-trace-format JSON (Perfetto-loadable) lands here.
     pub trace: Option<PathBuf>,
@@ -49,7 +46,6 @@ impl Default for BenchArgs {
             out_dir: PathBuf::from("bench-results"),
             data_dir: std::env::temp_dir().join(format!("clsm-bench-{}", std::process::id())),
             seed: 0xc15a,
-            shards: 1,
             trace: None,
             repeat: 1,
         }
@@ -92,13 +88,6 @@ pub fn parse_args() -> BenchArgs {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs a number"));
             }
-            "--shards" => {
-                args.shards = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--shards needs a count >= 1"));
-            }
             "--trace" => {
                 args.trace = Some(PathBuf::from(
                     iter.next().unwrap_or_else(|| usage("--trace needs a path")),
@@ -124,7 +113,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: fig* [--quick|--full] [--seconds N] [--threads 1,2,4,...] [--out DIR] [--seed N] \
-         [--shards N] [--trace FILE.json] [--repeat N]"
+         [--trace FILE.json] [--repeat N]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -165,7 +154,6 @@ impl BenchArgs {
             opts.memtable_bytes = 128 * 1024 * 1024;
             opts.store.block_cache_bytes = 512 * 1024 * 1024;
         }
-        opts.shards = self.shards;
         opts
     }
 
@@ -296,8 +284,6 @@ pub fn emit_metrics(args: &BenchArgs, figure: &str, store: &dyn KvStore) -> Resu
         store.name(),
         snapshot.to_text()
     );
-    // For sharded systems `stats()` is the bucket-merged snapshot, so
-    // this breakdown reads as one system-wide write path.
     if let Some(wp) = crate::report::render_write_path(&snapshot) {
         eprintln!("[{}] {} write path:\n{}", figure, store.name(), wp);
     }
@@ -308,21 +294,6 @@ pub fn emit_metrics(args: &BenchArgs, figure: &str, store: &dyn KvStore) -> Resu
     )?;
     println!("{} metrics: {}", store.name(), snapshot.to_json());
     eprintln!("wrote {}", path.display());
-    // Composite systems additionally persist one snapshot per shard so
-    // load imbalance across the ranges is visible in the artifacts.
-    for (label, shard_snap) in store.shard_stats() {
-        let path = crate::report::write_metrics_json(
-            &args.out_dir,
-            &format!(
-                "{}-{}-{}",
-                figure_slug(figure),
-                figure_slug(store.name()),
-                figure_slug(&label)
-            ),
-            &shard_snap,
-        )?;
-        eprintln!("wrote {}", path.display());
-    }
     Ok(())
 }
 

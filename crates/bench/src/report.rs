@@ -140,10 +140,9 @@ pub fn write_metrics_json(
     Ok(path)
 }
 
-/// Renders the write-path attribution section for a metrics snapshot
-/// (a `Db`'s own or a `ShardedDb`'s bucket-merged one), or `None` when
-/// the snapshot carries no write-path data — baseline systems, or a
-/// store that never wrote.
+/// Renders the write-path attribution section for a metrics snapshot,
+/// or `None` when the snapshot carries no write-path data — baseline
+/// systems, or a store that never wrote.
 pub fn render_write_path(snapshot: &clsm_util::metrics::MetricsSnapshot) -> Option<String> {
     let report = clsm::WritePathReport::from_snapshot(snapshot);
     report.has_samples().then(|| report.render())

@@ -31,8 +31,10 @@ use crate::stability::StabilityResult;
 /// `stability` section (per-window time series + variance summary);
 /// 3 added the `net` section (client-observed loopback TCP cells);
 /// 4 dropped the commit-pipeline axis (`gc-on`/`gc-off` in cell ids,
-/// the per-cell pipeline flag and the `commit` mode counters).
-pub const SCHEMA_VERSION: u32 = 4;
+/// the per-cell pipeline flag and the `commit` mode counters);
+/// 5 dropped the shard axis (`.sN` in cell ids, the per-cell `shards`
+/// field).
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// One cell of the canonical matrix: a workload at a fixed
 /// configuration.
@@ -42,45 +44,28 @@ pub struct CellSpec {
     pub workload: &'static str,
     /// Worker threads driving the store.
     pub threads: usize,
-    /// Range shards (1 = a single `Db`).
-    pub shards: usize,
 }
 
 impl CellSpec {
     /// Stable cell identifier; [`compare`] matches cells by this.
     pub fn id(&self) -> String {
-        format!("{}.t{}.s{}", self.workload, self.threads, self.shards)
+        format!("{}.t{}", self.workload, self.threads)
     }
 }
 
 /// The canonical matrix. `smoke` is the CI-sized subset: write-only at
-/// 1–2 threads across {1, 4 shards}, plus one mixed cell. The full matrix sweeps 1→8 threads and runs the mixed
-/// workload on both shard counts.
+/// 1–2 threads plus one mixed cell. The full matrix sweeps both
+/// workloads 1→8 threads.
 pub fn canonical_matrix(smoke: bool) -> Vec<CellSpec> {
     let write_threads: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let mixed_threads: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8] };
     let mut cells = Vec::new();
-    for &shards in &[1usize, 4] {
-        for &threads in write_threads {
-            cells.push(CellSpec {
-                workload: "write-100",
-                threads,
-                shards,
-            });
-        }
-    }
-    // Smoke keeps a single mixed cell.
-    for &shards in &[1usize, 4] {
-        if smoke && shards != 1 {
-            continue;
-        }
-        for &threads in mixed_threads {
-            cells.push(CellSpec {
-                workload: "mixed-50-50",
-                threads,
-                shards,
-            });
-        }
+    for (workload, threads) in [("write-100", write_threads), ("mixed-50-50", mixed_threads)] {
+        cells.extend(
+            threads
+                .iter()
+                .map(|&threads| CellSpec { workload, threads }),
+        );
     }
     cells
 }
@@ -121,8 +106,8 @@ impl SuiteConfig {
     }
 }
 
-/// The write-scaling cells: write-only, one shard,
-/// 1→8 threads. `--scaling` appends whichever of these the matrix is
+/// The write-scaling cells: write-only, 1→8 threads. `--scaling`
+/// appends whichever of these the matrix is
 /// missing and the summary gate reads the resulting curve.
 pub fn scaling_cells() -> Vec<CellSpec> {
     [1usize, 2, 4, 8]
@@ -130,7 +115,6 @@ pub fn scaling_cells() -> Vec<CellSpec> {
         .map(|&threads| CellSpec {
             workload: "write-100",
             threads,
-            shards: 1,
         })
         .collect()
 }
@@ -185,7 +169,7 @@ impl ScalingSummary {
     /// reported but never gated — a genuine 8-way speedup needs more
     /// cores than CI guarantees.
     pub fn text(&self) -> String {
-        let mut out = String::from("write scaling (write-100.s1):\n");
+        let mut out = String::from("write scaling (write-100):\n");
         let base = self.points.first().map_or(0.0, |&(_, k)| k);
         for &(threads, kops) in &self.points {
             let _ = writeln!(
@@ -320,8 +304,6 @@ pub struct CellResult {
     pub workload: String,
     /// Worker threads.
     pub threads: usize,
-    /// Range shards.
-    pub shards: usize,
     /// Completed operations.
     pub ops: u64,
     /// Measured wall-clock seconds.
@@ -339,8 +321,8 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// Builds a cell result from the run and the store's (merged)
-    /// metrics snapshot taken right after it.
+    /// Builds a cell result from the run and the store's metrics
+    /// snapshot taken right after it.
     pub fn new(
         spec: &CellSpec,
         run: &RunResult,
@@ -373,7 +355,6 @@ impl CellResult {
             id: spec.id(),
             workload: spec.workload.to_string(),
             threads: spec.threads,
-            shards: spec.shards,
             ops: run.ops,
             elapsed_s: run.elapsed.as_secs_f64(),
             kops_per_sec: run.ops_per_sec() / 1000.0,
@@ -441,13 +422,7 @@ pub fn run_cell(spec: &CellSpec, cfg: &SuiteConfig, data_dir: &Path) -> Result<C
         std::fs::remove_dir_all(&dir)?;
     }
     std::fs::create_dir_all(&dir)?;
-    let mut opts = suite_store_options();
-    opts.shards = spec.shards;
-    let store: Arc<dyn KvStore> = if spec.shards > 1 {
-        Arc::new(clsm::ShardedDb::open(&dir, opts)?)
-    } else {
-        Arc::new(clsm::Db::open(&dir, opts)?)
-    };
+    let store: Arc<dyn KvStore> = Arc::new(clsm::Db::open(&dir, suite_store_options())?);
     let workload = match spec.workload {
         "mixed-50-50" => WorkloadSpec::mixed(cfg.key_space),
         _ => WorkloadSpec::write_only(cfg.key_space),
@@ -463,9 +438,8 @@ pub fn run_cell(spec: &CellSpec, cfg: &SuiteConfig, data_dir: &Path) -> Result<C
         },
         Prefill::Skip,
     )?;
-    // `stats()` is the merged snapshot for sharded stores, so stage
-    // histograms cover every shard. A fresh store per cell keeps the
-    // cumulative counters scoped to this cell (plus its prefill).
+    // A fresh store per cell keeps the cumulative counters scoped to
+    // this cell (plus its prefill).
     let snapshot = store.stats();
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
@@ -605,7 +579,6 @@ impl SuiteReport {
             let _ = writeln!(out, "      \"id\": {},", json_str(&c.id));
             let _ = writeln!(out, "      \"workload\": {},", json_str(&c.workload));
             let _ = writeln!(out, "      \"threads\": {},", c.threads);
-            let _ = writeln!(out, "      \"shards\": {},", c.shards);
             let _ = writeln!(out, "      \"ops\": {},", c.ops);
             let _ = writeln!(out, "      \"elapsed_s\": {},", json_f64(c.elapsed_s));
             let _ = writeln!(out, "      \"kops_per_sec\": {},", json_f64(c.kops_per_sec));
@@ -759,7 +732,6 @@ impl SuiteReport {
                 id: str_of(cell, "id")?,
                 workload: str_of(cell, "workload")?,
                 threads: num_of(cell, "threads")? as usize,
-                shards: num_of(cell, "shards")? as usize,
                 ops: num_of(cell, "ops")? as u64,
                 elapsed_s: num_of(cell, "elapsed_s")?,
                 kops_per_sec: num_of(cell, "kops_per_sec")?,
@@ -1349,10 +1321,9 @@ mod tests {
                 debug: false,
             },
             cells: vec![CellResult {
-                id: "write-100.t1.s1".to_string(),
+                id: "write-100.t1".to_string(),
                 workload: "write-100".to_string(),
                 threads: 1,
-                shards: 1,
                 ops: 100_000,
                 elapsed_s: 0.2,
                 kops_per_sec: 500.0,
@@ -1403,10 +1374,9 @@ mod tests {
 
     fn scaling_cell(threads: usize, kops: f64) -> CellResult {
         CellResult {
-            id: format!("write-100.t{threads}.s1"),
+            id: format!("write-100.t{threads}"),
             workload: "write-100".to_string(),
             threads,
-            shards: 1,
             ops: (kops * 1000.0 * 0.2) as u64,
             elapsed_s: 0.2,
             kops_per_sec: kops,
@@ -1481,7 +1451,7 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), total);
         for t in [1, 2, 4, 8] {
-            assert!(ids.contains(&format!("write-100.t{t}.s1")));
+            assert!(ids.contains(&format!("write-100.t{t}")));
         }
     }
 
@@ -1622,7 +1592,7 @@ mod tests {
     fn compare_reports_unmatched_cells() {
         let old = sample_report();
         let mut new = old.clone();
-        new.cells[0].id = "write-100.t2.s1".to_string();
+        new.cells[0].id = "write-100.t2".to_string();
         let outcome = compare(&old, &new, 1.0);
         assert_eq!(outcome.unmatched, 2); // one missing + one new
         assert!(outcome.text.contains("missing from new report"));
@@ -1631,14 +1601,7 @@ mod tests {
     #[test]
     fn smoke_matrix_covers_acceptance_grid() {
         let matrix = canonical_matrix(true);
-        for shards in [1, 4] {
-            assert!(
-                matrix
-                    .iter()
-                    .any(|c| c.workload == "write-100" && c.shards == shards),
-                "smoke matrix missing write cell shards={shards}"
-            );
-        }
+        assert!(matrix.iter().any(|c| c.workload == "write-100"));
         assert!(matrix.iter().any(|c| c.workload == "mixed-50-50"));
         // Ids are unique — compare() matches on them.
         let ids: std::collections::BTreeSet<String> = matrix.iter().map(CellSpec::id).collect();

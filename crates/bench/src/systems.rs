@@ -9,7 +9,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use clsm::{Db, Options, ShardedDb};
+use clsm::{Db, Options};
 use clsm_baselines::{BlsmLike, HyperLike, KvStore, LevelDbLike, RocksLike, StripedRmw};
 use clsm_util::error::Result;
 
@@ -42,7 +42,6 @@ macro_rules! declare_system {
 }
 
 declare_system!(ClsmSystem, CLSM, "cLSM", Db);
-declare_system!(ClsmShardedSystem, CLSM_SHARDED, "cLSM-sharded", ShardedDb);
 
 /// The cLSM store behind an embedded loopback `clsm-server`, accessed
 /// through the pipelined TCP client: every measurement through this
@@ -97,13 +96,12 @@ pub fn no_blsm_systems() -> &'static [&'static dyn System] {
 /// Every registered system, including ones outside the standard
 /// comparison sets.
 pub fn registry() -> &'static [&'static dyn System] {
-    static ALL: [&dyn System; 8] = [
+    static ALL: [&dyn System; 7] = [
         &RocksSystem,
         &BlsmSystem,
         &LevelDbSystem,
         &HyperSystem,
         &ClsmSystem,
-        &ClsmShardedSystem,
         &ClsmNetSystem,
         &StripedSystem,
     ];

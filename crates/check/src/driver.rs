@@ -38,7 +38,7 @@ pub struct SutCaps {
 }
 
 impl SutCaps {
-    /// Everything supported (cLSM's `Db` and `ShardedDb`).
+    /// Everything supported (cLSM's `Db`).
     pub fn full() -> SutCaps {
         SutCaps {
             rmw: true,

@@ -31,9 +31,6 @@ pub struct Sut {
 pub const SYSTEMS: &[&str] = &[
     "clsm",
     "clsm-hybrid",
-    "clsm-sharded-2",
-    "clsm-sharded-4",
-    "clsm-sharded-8",
     "clsm-net",
     "leveldb",
     "rocksdb",
@@ -45,7 +42,7 @@ pub const SYSTEMS: &[&str] = &[
 
 /// Systems that support crash-reopen checking (the fault-injecting
 /// [`FaultEnv`] plumbs through their `Options`).
-pub const CRASH_SYSTEMS: &[&str] = &["clsm", "clsm-hybrid", "clsm-sharded-2", "clsm-sharded-4"];
+pub const CRASH_SYSTEMS: &[&str] = &["clsm", "clsm-hybrid"];
 
 fn test_options() -> Options {
     let mut opts = Options::small_for_tests();
@@ -115,28 +112,6 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
             chaos: None,
         });
     }
-    if let Some(shards) = name.strip_prefix("clsm-sharded-") {
-        let shards: usize = shards
-            .parse()
-            .map_err(|_| Error::invalid_argument(format!("bad shard count in {name:?}")))?;
-        let db = Arc::new(opts.open_sharded(dir, shards)?);
-        let chaos_db = Arc::clone(&db);
-        let tick = std::sync::atomic::AtomicU64::new(0);
-        return Ok(Sut {
-            store: db.clone(),
-            caps: SutCaps::full(),
-            chaos: Some(Arc::new(move || {
-                let t = tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let shard = (t as usize) % chaos_db.num_shards();
-                if t.is_multiple_of(3) {
-                    chaos_db
-                        .shard(shard)
-                        .inject_exclusive_hold(Duration::from_micros(100));
-                }
-            })),
-        });
-    }
-
     // Baselines: no fault-env plumbing needed for the clean matrix,
     // and their capability gaps are part of what the suite documents.
     let base_caps = SutCaps {

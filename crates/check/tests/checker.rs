@@ -59,11 +59,6 @@ fn clean_clsm_passes_seeded_schedules() {
 }
 
 #[test]
-fn clean_sharded_passes_seeded_schedules() {
-    check_clean("clsm-sharded-4", 10..14);
-}
-
-#[test]
 fn clean_hybrid_policy_passes_seeded_schedules() {
     // The alternative compaction scheduling policy must preserve the
     // same observable history — backgrounds merges of any shape are
@@ -351,11 +346,6 @@ fn check_crash(system: &str, seed: u64) {
 #[test]
 fn crash_reopen_clsm_recovers_durable_prefix() {
     check_crash("clsm", 42);
-}
-
-#[test]
-fn crash_reopen_sharded_recovers_durable_prefix() {
-    check_crash("clsm-sharded-4", 43);
 }
 
 #[test]

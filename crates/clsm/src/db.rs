@@ -8,6 +8,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
+use clsm_util::env::Env;
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::MetricsSnapshot;
 use clsm_util::oracle::{SnapshotRegistry, TimestampOracle};
@@ -17,9 +18,9 @@ use clsm_util::trace::{now_ns, TraceId};
 
 use clsm_kv::{WriteBatch, WriteOptions};
 use lsm_storage::format::{ValueKind, WriteRecord};
-use lsm_storage::store::{Recovered, RecoveryReport};
+use lsm_storage::store::RecoveryReport;
 use lsm_storage::wal::SyncMode;
-use lsm_storage::{Store, StoreOptions};
+use lsm_storage::Store;
 
 use crate::memtable::Memtable;
 use crate::options::Options;
@@ -51,20 +52,10 @@ pub(crate) struct DbInner {
     /// Algorithm 1's shared-exclusive lock: shared by puts/RMW/getSnap,
     /// exclusive in the merge hooks and for atomic write batches.
     pub(crate) lock: SharedExclusiveLock,
-    /// Algorithm 2's timestamp oracle. `Arc` so a sharded composition
-    /// can hand the *same* oracle to every shard (see
-    /// [`crate::sharded`]); a standalone [`Db`] owns its own.
-    pub(crate) oracle: Arc<TimestampOracle>,
-    /// Live snapshot handles (version-GC watermark). Shared alongside
-    /// the oracle: a cross-shard snapshot registers once and every
-    /// shard's merge consults the same watermark.
-    pub(crate) snapshots: Arc<SnapshotRegistry>,
-    /// Whether this instance is responsible for oracle-wide reporting.
-    /// Exactly one store per oracle is primary: it registers the
-    /// `oracle.*` gauges and runs the watchdog's Active-set-pressure
-    /// detector, so N shards sharing an oracle don't report the same
-    /// state N times. A standalone `Db` is always primary.
-    pub(crate) oracle_primary: bool,
+    /// Algorithm 2's timestamp oracle.
+    pub(crate) oracle: TimestampOracle,
+    /// Live snapshot handles (version-GC watermark).
+    pub(crate) snapshots: SnapshotRegistry,
     /// `Pm`: the mutable memory component.
     pub(crate) pm: RcuCell<Arc<Memtable>>,
     /// `P'm`: the immutable memory component being merged, if any.
@@ -101,35 +92,18 @@ impl Db {
     /// Accepts anything convertible into [`Options`] — a finished
     /// `Options` value or an [`crate::OptionsBuilder`] directly; the
     /// configuration is validated either way.
+    ///
+    /// A directory holding a `SHARDS` manifest is the root of a
+    /// range-sharded layout earlier versions wrote; it is refused with
+    /// [`Error::InvalidArgument`] rather than given a fresh empty store
+    /// beside its data. Each `shard-NNN/` under it is a complete store
+    /// and opens on its own.
     pub fn open(path: &Path, opts: impl Into<Options>) -> Result<Db> {
-        Self::open_inner(path, opts.into(), None)
-    }
-
-    fn open_inner(
-        path: &Path,
-        opts: Options,
-        shared: Option<(Arc<TimestampOracle>, Arc<SnapshotRegistry>, bool)>,
-    ) -> Result<Db> {
+        let opts: Options = opts.into();
         opts.validate()?;
-        let store_opts = StoreOptions {
-            ..opts.store.clone()
-        };
-        let (store, recovered) = Store::open(path, store_opts)?;
-        Self::from_parts(store, recovered, opts, shared)
-    }
+        refuse_sharded_root(opts.store.env.as_ref(), path)?;
+        let (store, recovered) = Store::open(path, opts.store.clone())?;
 
-    /// Assembles a database from an already-opened store and its
-    /// recovered state. [`crate::ShardedDb`] opens every shard's store
-    /// first, audits cross-shard batch markers across them (dropping
-    /// torn batches from the recovered records), and only then builds
-    /// the `Db`s — so the memtables are filled from the *audited*
-    /// record set.
-    pub(crate) fn from_parts(
-        store: Store,
-        recovered: Recovered,
-        opts: Options,
-        shared: Option<(Arc<TimestampOracle>, Arc<SnapshotRegistry>, bool)>,
-    ) -> Result<Db> {
         let pm = Arc::new(Memtable::new());
         for rec in &recovered.records {
             let value = match rec.kind {
@@ -139,32 +113,14 @@ impl Db {
             pm.insert(&rec.key, rec.ts, value);
         }
 
-        let (oracle, snapshots, oracle_primary) = match shared {
-            Some((oracle, snapshots, primary)) => {
-                // Shards recover in arbitrary order; `fetch_max` puts
-                // the shared counter above every shard's last stamp.
-                oracle.advance_to(recovered.last_ts);
-                (oracle, snapshots, primary)
-            }
-            None => (
-                Arc::new(TimestampOracle::recovered_at(
-                    recovered.last_ts,
-                    opts.active_slots,
-                )),
-                Arc::new(SnapshotRegistry::new()),
-                true,
-            ),
-        };
-
         let metrics = DbMetrics::new();
         let watchdog = Watchdog::new(opts.watchdog.clone(), &metrics.registry);
         let inner = Arc::new(DbInner {
-            oracle,
+            oracle: TimestampOracle::recovered_at(recovered.last_ts, opts.active_slots),
             opts,
             store,
             lock: SharedExclusiveLock::new(),
-            snapshots,
-            oracle_primary,
+            snapshots: SnapshotRegistry::new(),
             pm: RcuCell::new(pm),
             pm_prev: RcuCell::new(None),
             metrics,
@@ -182,23 +138,18 @@ impl Db {
         // registry is owned by `DbInner`.
         inner.store.attach_metrics(&inner.metrics.registry);
         let weak = Arc::downgrade(&inner);
-        // The oracle gauges describe *shared* state when the oracle is
-        // injected; only the primary registers them, so a merged
-        // snapshot over N shard registries reports each value once.
-        if inner.oracle_primary {
-            inner.metrics.registry.gauge_fn("oracle.live_snapshots", {
-                let weak = weak.clone();
-                move || weak.upgrade().map_or(0, |i| i.snapshots.len() as i64)
-            });
-            inner.metrics.registry.gauge_fn("oracle.active_writes", {
-                let weak = weak.clone();
-                move || weak.upgrade().map_or(0, |i| i.oracle.active().len() as i64)
-            });
-            inner.metrics.registry.gauge_fn("oracle.snap_time", {
-                let weak = weak.clone();
-                move || weak.upgrade().map_or(0, |i| i.oracle.snap_time() as i64)
-            });
-        }
+        inner.metrics.registry.gauge_fn("oracle.live_snapshots", {
+            let weak = weak.clone();
+            move || weak.upgrade().map_or(0, |i| i.snapshots.len() as i64)
+        });
+        inner.metrics.registry.gauge_fn("oracle.active_writes", {
+            let weak = weak.clone();
+            move || weak.upgrade().map_or(0, |i| i.oracle.active().len() as i64)
+        });
+        inner.metrics.registry.gauge_fn("oracle.snap_time", {
+            let weak = weak.clone();
+            move || weak.upgrade().map_or(0, |i| i.oracle.snap_time() as i64)
+        });
         inner.metrics.registry.gauge_fn("db.memtable_bytes", {
             let weak = weak.clone();
             move || {
@@ -264,7 +215,9 @@ impl Db {
             return Ok(());
         }
         if batch.iter().any(|(key, _)| key.is_empty()) {
-            // The empty key is reserved for batch-commit markers.
+            // WAL replay drops empty-key records (a legacy `shard-NNN/`
+            // directory carries batch-commit markers under that key),
+            // so an acked write to it would vanish at the next recovery.
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
         let began = Instant::now();
@@ -937,6 +890,26 @@ impl DbInner {
         self.metrics.flushes.inc();
         Ok(true)
     }
+}
+
+/// Fails when `path` is the root of a sharded layout (see [`Db::open`]).
+fn refuse_sharded_root(env: &dyn Env, path: &Path) -> Result<()> {
+    if !env.exists(&path.join("SHARDS")) {
+        return Ok(());
+    }
+    let mut shards: Vec<String> = env
+        .list(path)?
+        .into_iter()
+        .filter(|name| name.starts_with("shard-"))
+        .map(|name| name + "/")
+        .collect();
+    shards.sort();
+    Err(Error::invalid_argument(format!(
+        "{} holds a SHARDS manifest: it is the root of a range-sharded layout, not a store; \
+         each subdirectory is a complete standalone store, open one of: {}",
+        path.display(),
+        shards.join(", "),
+    )))
 }
 
 /// Background flush worker: waits for a scheduled flush, runs the

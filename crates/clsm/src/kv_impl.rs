@@ -6,7 +6,6 @@ use clsm_util::error::Result;
 use clsm_util::metrics::MetricsSnapshot;
 
 use crate::db::Db;
-use crate::sharded::{ShardedDb, ShardedSnapshot};
 use crate::snapshot::Snapshot;
 
 impl KvStore for Db {
@@ -62,66 +61,5 @@ impl KvSnapshot for Snapshot {
 
     fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         Snapshot::scan(self, range, limit)
-    }
-}
-
-impl KvStore for ShardedDb {
-    fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        // Atomic even across shards: one shared write timestamp.
-        ShardedDb::write(self, batch, opts)
-    }
-
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        ShardedDb::get(self, key)
-    }
-
-    fn snapshot(&self) -> Result<Box<dyn KvSnapshot>> {
-        Ok(Box::new(ShardedDb::snapshot(self)?))
-    }
-
-    fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        ShardedDb::snapshot(self)?.scan(range, limit)
-    }
-
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        ShardedDb::put_if_absent(self, key, value)
-    }
-
-    fn read_modify_write(
-        &self,
-        key: &[u8],
-        f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
-    ) -> Result<RmwResult> {
-        ShardedDb::read_modify_write(self, key, f)
-    }
-
-    fn quiesce(&self) -> Result<()> {
-        self.compact_to_quiescence()
-    }
-
-    fn name(&self) -> &'static str {
-        "cLSM-sharded"
-    }
-
-    fn stats(&self) -> MetricsSnapshot {
-        self.metrics()
-    }
-
-    fn shard_stats(&self) -> Vec<(String, MetricsSnapshot)> {
-        self.shard_metrics()
-    }
-
-    fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
-        Some(ShardedDb::write_amp(self))
-    }
-}
-
-impl KvSnapshot for ShardedSnapshot {
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        ShardedSnapshot::get(self, key)
-    }
-
-    fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        ShardedSnapshot::scan(self, range, limit)
     }
 }

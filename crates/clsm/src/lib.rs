@@ -52,7 +52,6 @@ mod kv_impl;
 mod memtable;
 mod options;
 mod rmw;
-mod sharded;
 mod snapshot;
 mod stats;
 mod watchdog;
@@ -65,7 +64,6 @@ pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport, Lev
 pub use memtable::Memtable;
 pub use options::{Options, OptionsBuilder};
 pub use rmw::{RmwDecision, RmwResult};
-pub use sharded::{partition_of, ShardedDb, ShardedDoctorReport, ShardedIter, ShardedSnapshot};
 pub use snapshot::{Snapshot, SnapshotIter};
 pub use stats::StatsSnapshot;
 pub use watchdog::{StallEvent, StallKind, WatchdogOptions};

@@ -15,10 +15,7 @@ use crate::watchdog::WatchdogOptions;
 ///
 /// # Opening a database
 ///
-/// `Options` is the single entry point for constructing stores:
-/// [`Options::open`] yields a monolithic [`crate::Db`] and
-/// [`Options::open_sharded`] a range-sharded [`crate::ShardedDb`].
-/// (`Db::open` / `ShardedDb::open` remain as thin forwarders.)
+/// [`Options::open`] and [`crate::Db::open`] are the same call.
 ///
 /// ```no_run
 /// use clsm::Options;
@@ -40,13 +37,6 @@ use crate::watchdog::WatchdogOptions;
 ///   crash failpoints and torn-tail simulation for the
 ///   crash-consistency harness. Set it with
 ///   [`OptionsBuilder::env`].
-/// - **Timestamp oracle & snapshot registry** — a [`crate::ShardedDb`]
-///   opens its shards through an internal constructor that shares one
-///   oracle and one snapshot registry across all shards; a standalone
-///   [`crate::Db`] builds its own. These are wired automatically and
-///   are not user-replaceable, but all flow through the same
-///   `Db::from_parts` seam, so crash tests observe exactly the
-///   production wiring.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Memtable size that triggers a flush (the paper's default,
@@ -75,12 +65,6 @@ pub struct Options {
     /// Slot count of the oracle's `Active` set; must exceed the number
     /// of concurrent writer threads.
     pub active_slots: usize,
-    /// Number of range shards for [`crate::ShardedDb`] (1..=256). A
-    /// plain [`crate::Db`] ignores this; the sharded composition splits
-    /// the keyspace into this many cLSM instances sharing one
-    /// timestamp oracle. On reopen of an existing sharded directory
-    /// the persisted shard layout is authoritative.
-    pub shards: usize,
     /// Stall-watchdog configuration (sampling thread flagging write
     /// stalls, long exclusive-lock holds, and Active-set pressure).
     pub watchdog: WatchdogOptions,
@@ -101,7 +85,6 @@ impl Default for Options {
             write_path_attribution: true,
             compaction_threads: 1,
             active_slots: 256,
-            shards: 1,
             watchdog: WatchdogOptions::default(),
             admission: AdmissionOptions::default(),
             store: StoreOptions::default(),
@@ -125,9 +108,6 @@ impl Options {
             return Err(Error::invalid_argument(
                 "compaction_threads must be at least 1 (the paper's maintenance thread)",
             ));
-        }
-        if self.shards == 0 || self.shards > 256 {
-            return Err(Error::invalid_argument("shards must be within 1..=256"));
         }
         if self.store.num_levels < 2 || self.store.num_levels > lsm_storage::NUM_LEVELS {
             return Err(Error::invalid_argument(format!(
@@ -236,24 +216,10 @@ impl Options {
         }
     }
 
-    /// Opens (or creates) a monolithic [`crate::Db`] at `path` with
-    /// this configuration.
+    /// Opens (or creates) a [`crate::Db`] at `path` with this
+    /// configuration.
     pub fn open(self, path: &Path) -> clsm_util::error::Result<crate::Db> {
         crate::Db::open(path, self)
-    }
-
-    /// Opens (or creates) a range-sharded [`crate::ShardedDb`] at
-    /// `path` with `shards` shards sharing one timestamp oracle.
-    ///
-    /// `shards` overrides [`Options::shards`]; on reopen of an
-    /// existing directory the persisted shard layout is authoritative.
-    pub fn open_sharded(
-        mut self,
-        path: &Path,
-        shards: usize,
-    ) -> clsm_util::error::Result<crate::ShardedDb> {
-        self.shards = shards;
-        crate::ShardedDb::open(path, self)
     }
 }
 
@@ -309,12 +275,6 @@ impl OptionsBuilder {
     /// Slot count of the oracle's `Active` set.
     pub fn active_slots(mut self, slots: usize) -> Self {
         self.opts.active_slots = slots;
-        self
-    }
-
-    /// Number of range shards for [`crate::ShardedDb`].
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.opts.shards = shards;
         self
     }
 
@@ -476,7 +436,7 @@ mod tests {
     }
 
     #[test]
-    fn options_open_and_open_sharded() {
+    fn options_open_is_db_open() {
         let dir = std::env::temp_dir().join(format!(
             "options-open-{}-{}",
             std::process::id(),
@@ -485,18 +445,10 @@ mod tests {
                 .unwrap()
                 .as_nanos()
         ));
-        let db = Options::small_for_tests().open(&dir.join("mono")).unwrap();
+        let db = Options::small_for_tests().open(&dir).unwrap();
         db.put(b"k", b"v").unwrap();
         assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
         drop(db);
-
-        let sharded = Options::small_for_tests()
-            .open_sharded(&dir.join("sharded"), 3)
-            .unwrap();
-        sharded.put(b"k", b"v").unwrap();
-        assert_eq!(sharded.get(b"k").unwrap(), Some(b"v".to_vec()));
-        assert_eq!(sharded.num_shards(), 3);
-        drop(sharded);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,31 +20,11 @@ use crate::db::DbInner;
 pub struct Snapshot {
     inner: Arc<DbInner>,
     ts: u64,
-    /// Whether dropping this handle unregisters `ts` from the snapshot
-    /// registry. `false` for per-shard *views* of one cross-shard
-    /// snapshot: the registration belongs to the sharded handle, which
-    /// unregisters exactly once for all shards.
-    owns_registration: bool,
 }
 
 impl Snapshot {
     pub(crate) fn new(inner: Arc<DbInner>, ts: u64) -> Snapshot {
-        Snapshot {
-            inner,
-            ts,
-            owns_registration: true,
-        }
-    }
-
-    /// A read-only view at `ts` that does *not* own a registry entry —
-    /// the caller guarantees `ts` stays registered (and thus GC-safe)
-    /// for this view's lifetime.
-    pub(crate) fn new_view(inner: Arc<DbInner>, ts: u64) -> Snapshot {
-        Snapshot {
-            inner,
-            ts,
-            owns_registration: false,
-        }
+        Snapshot { inner, ts }
     }
 
     /// The snapshot's timestamp.
@@ -155,7 +135,7 @@ impl Snapshot {
 /// `(inclusive start, exclusive end)` pair. Byte strings have an exact
 /// immediate successor under lexicographic order — `key ++ 0x00` — so
 /// excluded starts and included ends are representable without loss.
-pub(crate) fn bounds_to_keys<R>(range: &R) -> (Option<Vec<u8>>, Option<Vec<u8>>)
+fn bounds_to_keys<R>(range: &R) -> (Option<Vec<u8>>, Option<Vec<u8>>)
 where
     R: std::ops::RangeBounds<Vec<u8>>,
 {
@@ -181,9 +161,7 @@ where
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        if self.owns_registration {
-            self.inner.snapshots.unregister(self.ts);
-        }
+        self.inner.snapshots.unregister(self.ts);
     }
 }
 

@@ -326,13 +326,7 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
     }
 
     // Detector 4: Active-set growth (stuck or very slow writers make
-    // `getSnap` wait on an old minimum, §3.2). When the oracle is
-    // shared across shards this is oracle-wide state, so only the
-    // primary shard's watchdog reports it — otherwise one episode
-    // would produce N identical events.
-    if !inner.oracle_primary {
-        return;
-    }
+    // `getSnap` wait on an old minimum, §3.2).
     // ¾ of the slots (rounded up, so never 0) is the alarm line.
     let active_len = inner.oracle.active().len();
     let threshold = (inner.opts.active_slots * 3).div_ceil(4);

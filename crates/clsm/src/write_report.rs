@@ -2,10 +2,9 @@
 //! `write_path.*` histograms.
 //!
 //! The report is extracted from a [`MetricsSnapshot`] rather than read
-//! from live handles, so one code path serves both a standalone
-//! [`crate::Db`] (its own snapshot) and a [`crate::ShardedDb`] (the
-//! bucket-merged snapshot across all shards) — and any snapshot that
-//! was serialized to `*.metrics.json` and read back elsewhere.
+//! from live handles, so one code path serves a live [`crate::Db`] and
+//! any snapshot that was serialized to `*.metrics.json` and read back
+//! elsewhere.
 
 use clsm_util::metrics::{HistogramSummary, MetricsSnapshot};
 
@@ -44,8 +43,8 @@ pub struct WritePathReport {
 }
 
 impl WritePathReport {
-    /// Extracts the report from any metrics snapshot (a `Db`'s own, a
-    /// `ShardedDb`'s merged one, or a deserialized `*.metrics.json`).
+    /// Extracts the report from any metrics snapshot (a `Db`'s own or
+    /// a deserialized `*.metrics.json`).
     pub fn from_snapshot(snap: &MetricsSnapshot) -> WritePathReport {
         WritePathReport {
             stages: WRITE_PATH_STAGES

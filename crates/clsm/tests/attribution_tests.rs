@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use clsm::{Db, Options, ShardedDb, WriteBatch, WriteOptions, WritePathReport, WRITE_PATH_STAGES};
+use clsm::{Db, Options, WriteBatch, WriteOptions, WritePathReport, WRITE_PATH_STAGES};
 
 struct TempDir(std::path::PathBuf);
 
@@ -144,73 +144,6 @@ fn stage_counts_reconcile_under_hammer() {
         }
     }
     assert!(stage_sum(&report) <= total.sum);
-}
-
-/// Cross-shard batches attribute their stages into the merged
-/// snapshot, and the bound against end-to-end latency holds there too.
-#[test]
-fn sharded_cross_shard_writes_are_attributed() {
-    let dir = TempDir::new("xshard");
-    let db =
-        ShardedDb::open_with_boundaries(&dir.0, Options::small_for_tests(), vec![b"m".to_vec()])
-            .unwrap();
-
-    let batches = 50u64;
-    for i in 0..batches {
-        let mut batch = WriteBatch::new();
-        batch.put(format!("a{i:06}"), "left");
-        batch.put(format!("z{i:06}"), "right");
-        db.write(batch, &WriteOptions::new()).unwrap();
-    }
-
-    let report = db.write_path_report();
-    assert!(report.has_samples());
-    let total = report.total.as_ref().expect("total histogram");
-    assert_eq!(total.count, batches);
-    let stamp = report
-        .stages
-        .iter()
-        .find(|s| s.name == "stamp")
-        .expect("stamp stage");
-    assert_eq!(stamp.summary.count, batches);
-    let stages = stage_sum(&report);
-    assert!(stages <= total.sum);
-    assert!(stages > 0);
-}
-
-/// `ShardedDb::metrics` bucket-merges the new stage histograms: the
-/// merged count equals the sum of the per-shard counts.
-#[test]
-fn merged_snapshot_merges_stage_histograms() {
-    let dir = TempDir::new("merge");
-    let db =
-        ShardedDb::open_with_boundaries(&dir.0, Options::small_for_tests(), vec![b"m".to_vec()])
-            .unwrap();
-
-    // Single-shard writes delegate to the owning shard's `Db::write`,
-    // so both shard registries record independently.
-    for i in 0..40 {
-        db.put(format!("a{i:04}").as_bytes(), b"v").unwrap();
-    }
-    for i in 0..25 {
-        db.put(format!("z{i:04}").as_bytes(), b"v").unwrap();
-    }
-
-    let per_shard: Vec<u64> = db
-        .shard_metrics()
-        .iter()
-        .map(|(_, snap)| snap.histograms["write_path.total_ns"].count)
-        .collect();
-    assert_eq!(per_shard, vec![40, 25]);
-    let merged = db.metrics();
-    assert_eq!(merged.histograms["write_path.total_ns"].count, 40 + 25);
-    // Aggregate time merges too (sums are exact, not averaged).
-    let sum_of_sums: u64 = db
-        .shard_metrics()
-        .iter()
-        .map(|(_, snap)| snap.histograms["write_path.total_ns"].sum)
-        .sum();
-    assert_eq!(merged.histograms["write_path.total_ns"].sum, sum_of_sums);
 }
 
 /// With `write_path_attribution` off, no stage histogram records a

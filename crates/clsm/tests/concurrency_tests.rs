@@ -121,21 +121,13 @@ fn rmw_increments_are_never_lost() {
 
 /// N threads each increment every one of K counters M times through
 /// `read_modify_write`; every counter must land on exactly `N * M`.
-/// Runs through the `KvStore` trait so the identical workload hits
-/// both store shapes.
-fn rmw_contended_counters_are_exact(store: Arc<dyn clsm_kv::KvStore>) {
+#[test]
+fn rmw_contended_counters_are_exact_on_db() {
+    let dir = TempDir::new("rmw-multi-db");
+    let store = Arc::new(Db::open(&dir.0, Options::small_for_tests()).unwrap());
     let threads = 4usize;
     let per_key = 200u64;
-    let key_count = 8usize;
-    // First bytes spread evenly over 0x00..=0xFF so the keys straddle
-    // every shard of a default-boundary ShardedDb.
-    let keys: Vec<Vec<u8>> = (0..key_count)
-        .map(|k| {
-            let mut key = vec![(k * 256 / key_count) as u8];
-            key.extend_from_slice(format!("ctr{k:02}").as_bytes());
-            key
-        })
-        .collect();
+    let keys: Vec<Vec<u8>> = (0..8).map(|k| format!("ctr{k:02}").into_bytes()).collect();
     let mut handles = Vec::new();
     for t in 0..threads {
         let store = Arc::clone(&store);
@@ -147,7 +139,7 @@ fn rmw_contended_counters_are_exact(store: Arc<dyn clsm_kv::KvStore>) {
                 for j in 0..keys.len() {
                     let key = &keys[(t + i as usize + j) % keys.len()];
                     store
-                        .read_modify_write(key, &mut |cur| {
+                        .read_modify_write(key, |cur| {
                             let n = cur.map_or(0u64, |v| u64::from_le_bytes(v.try_into().unwrap()));
                             RmwDecision::Update((n + 1).to_le_bytes().to_vec())
                         })
@@ -167,20 +159,6 @@ fn rmw_contended_counters_are_exact(store: Arc<dyn clsm_kv::KvStore>) {
             "counter {k} lost increments"
         );
     }
-}
-
-#[test]
-fn rmw_contended_counters_are_exact_on_db() {
-    let dir = TempDir::new("rmw-multi-db");
-    let db = Db::open(&dir.0, Options::small_for_tests()).unwrap();
-    rmw_contended_counters_are_exact(Arc::new(db));
-}
-
-#[test]
-fn rmw_contended_counters_are_exact_on_sharded_db() {
-    let dir = TempDir::new("rmw-multi-sharded");
-    let db = Options::small_for_tests().open_sharded(&dir.0, 4).unwrap();
-    rmw_contended_counters_are_exact(Arc::new(db));
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Crash-consistency sweep at the database layer.
 //!
-//! Each configuration of the matrix — {synchronous, asynchronous}
-//! logging × {1 shard, 4 shards} — runs a deterministic workload of
-//! puts, deletes, and cross-shard atomic batches against a seeded
+//! Under synchronous and under asynchronous logging, a deterministic
+//! workload of puts, deletes, and atomic batches runs against a seeded
 //! [`FaultEnv`], crashing at every durability-relevant operation the
 //! clean run performs. After each crash the env simulates power loss
 //! and the database is reopened on the surviving bytes.
@@ -11,20 +10,18 @@
 //!
 //! - recovery succeeds (no panic, no error, no garbage records);
 //! - every write acknowledged under synchronous logging survives;
-//! - cross-shard batches are all-or-nothing: either every entry of a
-//!   batch is visible or none is (the recovery audit drops survivors
-//!   of torn batches);
+//! - batches are all-or-nothing: either every entry of a batch is
+//!   visible or none is;
 //! - every recovered value is one that was actually written.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use clsm::{Db, Options, ShardedDb, WriteBatch, WriteOptions};
-use clsm_util::env::{Env, FaultEnv};
+use clsm::{Db, Options, WriteBatch, WriteOptions};
+use clsm_util::env::FaultEnv;
 
-/// First key byte per slot, chosen to land in all four default shards
-/// of a 4-way split (boundaries 0x40/0x80/0xc0).
+/// First key byte per slot: four well-separated key-space regions.
 fn lead(slot: usize) -> u8 {
     [0x30, 0x50, 0x90, 0xd0][slot % 4]
 }
@@ -42,9 +39,9 @@ fn value(tag: &str, i: usize) -> Vec<u8> {
     v
 }
 
-/// The deterministic workload: unique-keyed puts across all shards, a
-/// couple of deletes of earlier keys, and cross-shard batches whose
-/// keys are touched by no other op (so atomicity is checkable from the
+/// The deterministic workload: unique-keyed puts across the key space,
+/// a couple of deletes of earlier keys, and batches whose keys are
+/// touched by no other op (so atomicity is checkable from the
 /// final state alone).
 fn workload() -> Vec<Op> {
     let mut ops = Vec::new();
@@ -71,44 +68,19 @@ fn workload() -> Vec<Op> {
     ops
 }
 
-enum Sys {
-    Mono(Db),
-    Sharded(ShardedDb),
+fn open(path: &Path, fault: &FaultEnv, sync: bool) -> clsm_util::Result<Db> {
+    let mut opts = Options::small_for_tests();
+    opts.sync_writes = sync;
+    opts.watchdog.enabled = false;
+    opts.store.env = Arc::new(fault.clone());
+    opts.open(path)
 }
 
-impl Sys {
-    fn open(path: &Path, env: Arc<dyn Env>, sync: bool, shards: usize) -> clsm_util::Result<Sys> {
-        let mut opts = Options::small_for_tests();
-        opts.sync_writes = sync;
-        opts.watchdog.enabled = false;
-        opts.store.env = env;
-        if shards == 1 {
-            Ok(Sys::Mono(opts.open(path)?))
-        } else {
-            Ok(Sys::Sharded(opts.open_sharded(path, shards)?))
-        }
-    }
-
-    fn apply(&self, op: &Op) -> clsm_util::Result<()> {
-        match (self, op) {
-            (Sys::Mono(db), Op::Put(k, v)) => db.put(k, v),
-            (Sys::Mono(db), Op::Del(k)) => db.delete(k),
-            (Sys::Mono(db), Op::Batch(b)) => {
-                db.write(WriteBatch::from(b.as_slice()), &WriteOptions::new())
-            }
-            (Sys::Sharded(db), Op::Put(k, v)) => db.put(k, v),
-            (Sys::Sharded(db), Op::Del(k)) => db.delete(k),
-            (Sys::Sharded(db), Op::Batch(b)) => {
-                db.write(WriteBatch::from(b.as_slice()), &WriteOptions::new())
-            }
-        }
-    }
-
-    fn get(&self, key: &[u8]) -> clsm_util::Result<Option<Vec<u8>>> {
-        match self {
-            Sys::Mono(db) => db.get(key),
-            Sys::Sharded(db) => db.get(key),
-        }
+fn apply(db: &Db, op: &Op) -> clsm_util::Result<()> {
+    match op {
+        Op::Put(k, v) => db.put(k, v),
+        Op::Del(k) => db.delete(k),
+        Op::Batch(b) => db.write(WriteBatch::from(b.as_slice()), &WriteOptions::new()),
     }
 }
 
@@ -118,13 +90,13 @@ impl Sys {
 /// the WAL append but before the ack, and the appended bytes may
 /// survive power loss — the op's effect is then legitimately visible
 /// on recovery even though it was never acknowledged.
-fn issue(sys: &Sys, ops: &[Op], fault: &FaultEnv) -> (usize, usize) {
+fn issue(db: &Db, ops: &[Op], fault: &FaultEnv) -> (usize, usize) {
     let mut done = 0;
     for op in ops {
         if fault.is_poisoned() {
             break;
         }
-        if sys.apply(op).is_err() {
+        if apply(db, op).is_err() {
             return (done, done + 1);
         }
         done += 1;
@@ -141,7 +113,7 @@ fn issue(sys: &Sys, ops: &[Op], fault: &FaultEnv) -> (usize, usize) {
 /// Per-key effect timeline: (op index, value or tombstone).
 type Timeline = BTreeMap<Vec<u8>, Vec<(usize, Option<Vec<u8>>)>>;
 
-fn verify(sys: &Sys, ops: &[Op], acked: usize, issued: usize, ctx: &str) {
+fn verify(db: &Db, ops: &[Op], acked: usize, issued: usize, ctx: &str) {
     let mut timeline = Timeline::new();
     for (i, op) in ops.iter().enumerate().take(issued) {
         match op {
@@ -159,7 +131,7 @@ fn verify(sys: &Sys, ops: &[Op], acked: usize, issued: usize, ctx: &str) {
     }
 
     for (key, effects) in &timeline {
-        let got = sys
+        let got = db
             .get(key)
             .unwrap_or_else(|e| panic!("{ctx}: get failed: {e}"));
         let base = effects
@@ -189,7 +161,7 @@ fn verify(sys: &Sys, ops: &[Op], acked: usize, issued: usize, ctx: &str) {
         if let Op::Batch(b) = op {
             let present: Vec<bool> = b
                 .iter()
-                .map(|(k, v)| sys.get(k).unwrap().as_ref() == v.as_ref())
+                .map(|(k, v)| db.get(k).unwrap().as_ref() == v.as_ref())
                 .collect();
             let count = present.iter().filter(|p| **p).count();
             assert!(
@@ -203,61 +175,51 @@ fn verify(sys: &Sys, ops: &[Op], acked: usize, issued: usize, ctx: &str) {
     }
 }
 
-fn sweep(sync: bool, shards: usize) {
+fn sweep(sync: bool) {
     let dir = Path::new("/db");
     let ops = workload();
-    let seed = 0xBEEF ^ (shards as u64) << 8 ^ sync as u64;
+    let seed = 0xBEEF ^ sync as u64;
 
     // Clean run: everything lands, and we learn the op budget.
     let clean = FaultEnv::new(seed);
-    let sys = Sys::open(dir, Arc::new(clean.clone()), sync, shards).unwrap();
-    assert_eq!(issue(&sys, &ops, &clean), (ops.len(), ops.len()));
-    drop(sys);
-    let reopened = Sys::open(dir, Arc::new(clean.clone()), sync, shards).unwrap();
+    let db = open(dir, &clean, sync).unwrap();
+    assert_eq!(issue(&db, &ops, &clean), (ops.len(), ops.len()));
+    drop(db);
+    let reopened = open(dir, &clean, sync).unwrap();
     verify(&reopened, &ops, ops.len(), ops.len(), "clean");
     drop(reopened);
     let total_ops = clean.op_count();
     assert!(total_ops > 0);
 
     for crash_at in 1..=total_ops {
-        let ctx = format!("sync={sync} shards={shards} failpoint={crash_at}/{total_ops}");
+        let ctx = format!("sync={sync} failpoint={crash_at}/{total_ops}");
         let fault = FaultEnv::new(seed);
-        let sys = Sys::open(dir, Arc::new(fault.clone()), sync, shards).unwrap();
+        let db = open(dir, &fault, sync).unwrap();
         fault.crash_after(crash_at);
-        let (completed, attempted) = issue(&sys, &ops, &fault);
+        let (completed, attempted) = issue(&db, &ops, &fault);
         // Under synchronous logging every completed op was fsync-acked;
         // under asynchronous logging completion promises nothing. An
         // attempted-but-failed op is never acked, but its effect may
         // still surface (`issue` docs).
         let acked = if sync { completed } else { 0 };
-        drop(sys);
+        drop(db);
 
         fault.power_loss();
-        let reopened = Sys::open(dir, Arc::new(fault.clone()), sync, shards)
-            .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let reopened =
+            open(dir, &fault, sync).unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         verify(&reopened, &ops, acked, attempted, &ctx);
         drop(reopened);
     }
 }
 
 #[test]
-fn crash_sweep_sync_1shard() {
-    sweep(true, 1);
+fn crash_sweep_sync() {
+    sweep(true);
 }
 
 #[test]
-fn crash_sweep_sync_4shards() {
-    sweep(true, 4);
-}
-
-#[test]
-fn crash_sweep_async_1shard() {
-    sweep(false, 1);
-}
-
-#[test]
-fn crash_sweep_async_4shards() {
-    sweep(false, 4);
+fn crash_sweep_async() {
+    sweep(false);
 }
 
 /// Failpoints across concurrent batches: several threads push
@@ -274,13 +236,6 @@ fn crash_sweep_concurrent_batches() {
     let entries = 3u8;
 
     let key = |t: u8, b: u8, j: u8| vec![b'g', t, b, j];
-    let open = |fault: &FaultEnv| -> clsm_util::Result<Db> {
-        let mut opts = Options::small_for_tests();
-        opts.sync_writes = true;
-        opts.watchdog.enabled = false;
-        opts.store.env = Arc::new(fault.clone());
-        opts.open(dir)
-    };
     // Runs the concurrent workload; returns the set of (thread, batch)
     // pairs whose write was acked before the crash.
     let run = |db: &Arc<Db>| -> Vec<(u8, u8)> {
@@ -315,7 +270,7 @@ fn crash_sweep_concurrent_batches() {
     };
 
     let clean = FaultEnv::new(seed);
-    let db = Arc::new(open(&clean).unwrap());
+    let db = Arc::new(open(dir, &clean, true).unwrap());
     assert_eq!(run(&db).len(), (threads * batches_per_thread) as usize);
     drop(db);
     let total_ops = clean.op_count();
@@ -324,13 +279,13 @@ fn crash_sweep_concurrent_batches() {
     for crash_at in 1..=total_ops {
         let ctx = format!("batches failpoint={crash_at}/{total_ops}");
         let fault = FaultEnv::new(seed);
-        let db = Arc::new(open(&fault).unwrap());
+        let db = Arc::new(open(dir, &fault, true).unwrap());
         fault.crash_after(crash_at);
         let acked = run(&db);
         drop(db);
 
         fault.power_loss();
-        let db = open(&fault).unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+        let db = open(dir, &fault, true).unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
         for t in 0..threads {
             for b in 0..batches_per_thread {
                 let present = (0..entries)

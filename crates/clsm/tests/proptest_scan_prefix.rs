@@ -1,5 +1,5 @@
 //! Property: while a writer applies an arbitrary sequence of puts and
-//! deletes to a `ShardedDb`, every concurrent snapshot scan equals the
+//! deletes to a `Db`, every concurrent snapshot scan equals the
 //! state produced by *some prefix* of the applied-write log — scans
 //! are serializable (§3.2), never torn across the write order.
 //!
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use clsm::{Options, ShardedDb};
+use clsm::{Db, Options};
 use proptest::prelude::*;
 
 /// Materializes the state after applying the first `p` ops. Put values
@@ -62,13 +62,7 @@ proptest! {
         ));
         std::fs::create_dir_all(&dir).unwrap();
 
-        // Boundaries inside the key alphabet, so the log straddles all
-        // four shards and scans exercise the cross-shard merge.
-        let db = Arc::new(ShardedDb::open_with_boundaries(
-            &dir,
-            Options::small_for_tests(),
-            vec![vec![1], vec![2], vec![3]],
-        ).unwrap());
+        let db = Arc::new(Db::open(&dir, Options::small_for_tests()).unwrap());
         let applied = Arc::new(AtomicUsize::new(0));
         let total = ops.len();
 

@@ -319,14 +319,6 @@ pub trait KvStore: Send + Sync {
         MetricsSnapshot::default()
     }
 
-    /// Per-component metric snapshots for composite systems (e.g. one
-    /// per shard of a sharded store), as `(label, snapshot)` pairs.
-    /// Monolithic systems return an empty list; [`KvStore::stats`]
-    /// remains the aggregate view either way.
-    fn shard_stats(&self) -> Vec<(String, MetricsSnapshot)> {
-        Vec::new()
-    }
-
     /// Write-amplification counters, when the system tracks them.
     fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
         None

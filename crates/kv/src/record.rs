@@ -5,7 +5,7 @@
 //! *invoke/response interval* on a shared logical clock, with the
 //! arguments the caller passed and the results the store returned.
 //! This module provides that capture layer, black-box: it wraps any
-//! `Arc<dyn KvStore>` — cLSM's `Db`, `ShardedDb`, and every baseline —
+//! `Arc<dyn KvStore>` — cLSM's `Db` and every baseline —
 //! without touching the store's own hot paths.
 //!
 //! Recording is arranged so it cannot perturb the schedules it

@@ -161,39 +161,6 @@ impl WriteRecord {
         }
     }
 
-    /// Creates a cross-shard batch-commit marker.
-    ///
-    /// A multi-shard atomic batch stamps all of its entries with one
-    /// shared timestamp and appends this marker — carrying the batch's
-    /// total entry count — to every participating shard's WAL. On
-    /// recovery, a marked timestamp whose recovered entry count falls
-    /// short of `total` identifies a batch torn by a crash (some
-    /// shards' WAL tails were lost), and its surviving entries are
-    /// dropped to preserve batch atomicity.
-    ///
-    /// The empty user key is reserved for markers: the public write
-    /// APIs reject empty keys, so a marker can never collide with user
-    /// data.
-    pub fn batch_marker(ts: u64, total: u64) -> Self {
-        let mut value = Vec::with_capacity(10);
-        put_varint64(&mut value, total);
-        WriteRecord {
-            ts,
-            kind: ValueKind::Put,
-            key: Vec::new(),
-            value,
-        }
-    }
-
-    /// If this record is a batch-commit marker, its expected total
-    /// entry count.
-    pub fn batch_marker_total(&self) -> Option<u64> {
-        if !self.key.is_empty() {
-            return None;
-        }
-        get_varint64(&self.value).ok().map(|(total, _)| total)
-    }
-
     /// Appends the serialized record to `dst`.
     pub fn encode_to(&self, dst: &mut Vec<u8>) {
         put_varint64(dst, self.ts);

@@ -32,7 +32,7 @@ pub mod wal;
 
 pub use format::{InternalKey, ValueKind, WriteRecord};
 pub use iter::{InternalIterator, MergingIterator};
-pub use store::{Store, StoreOptions, WalSyncTicket};
+pub use store::{Store, StoreOptions};
 
 /// Number of on-disk levels (L0 .. L6), as in LevelDB.
 pub const NUM_LEVELS: usize = 7;

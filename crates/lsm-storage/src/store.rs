@@ -16,7 +16,6 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use clsm_util::channel::Receiver;
 use clsm_util::env::{Env, RealEnv};
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
@@ -77,8 +76,9 @@ pub struct StoreOptions {
     pub compaction_policy: CompactionPolicyKind,
     /// Shared background-I/O budget charged by flushes, compactions,
     /// and WAL pre-allocation at the [`Env`] write seam. `None` (the
-    /// default) means unlimited. Clone one `Arc` into several stores
-    /// (e.g. shards) to make them share a single device budget.
+    /// default) means unlimited. An `Arc` because every flush and
+    /// compaction output file (`RateLimitedFile`) holds a handle to the
+    /// same bucket the store charges WAL rotations to.
     pub io_rate_limiter: Option<Arc<IoRateLimiter>>,
 }
 
@@ -116,19 +116,10 @@ impl Default for StoreOptions {
 pub struct Recovered {
     /// Unflushed writes from live WALs, sorted by `(timestamp, key)`
     /// and deduplicated (the cLSM out-of-order-logging recovery rule,
-    /// §4). Entries of one cross-shard batch share a timestamp, so
-    /// deduplication keys on the pair, never on the timestamp alone.
+    /// §4).
     pub records: Vec<WriteRecord>,
-    /// Cross-shard batch-commit markers found in the WALs, as
-    /// `(timestamp, expected total entries)` pairs. A sharded open
-    /// audits these across shards and drops torn batches.
-    pub batch_markers: Vec<(u64, u64)>,
     /// Highest timestamp ever issued (resume the oracle above this).
     pub last_ts: u64,
-    /// Highest timestamp durably flushed into tables (the manifest's
-    /// watermark). Used by the sharded batch audit: a flush at or above
-    /// a marked timestamp proves that batch's appends completed.
-    pub flushed_ts: u64,
     /// What recovery saw: WALs replayed, torn tails tolerated.
     pub report: RecoveryReport,
 }
@@ -198,24 +189,6 @@ struct StoreMetrics {
     bytes_flushed: Arc<Counter>,
     /// Bytes written by compactions.
     bytes_compacted: Arc<Counter>,
-}
-
-/// An in-flight WAL sync started by [`Store::sync_wal_begin`]: the
-/// logger thread's fsync is already requested;
-/// [`wait`](WalSyncTicket::wait) collects the acknowledgement.
-#[must_use = "the sync only completes once the ticket is waited on"]
-#[derive(Debug)]
-pub struct WalSyncTicket {
-    ack: Receiver<Result<u64>>,
-}
-
-impl WalSyncTicket {
-    /// Blocks until the fsync finished. Returns the durability instant
-    /// (`trace::now_ns` on the logger thread) — the moment the sync's
-    /// data was actually safe.
-    pub fn wait(self) -> Result<u64> {
-        self.ack.recv().map_err(|_| Error::ShuttingDown)?
-    }
 }
 
 /// Write-amplification accounting: bytes written by flushes vs. bytes
@@ -324,23 +297,17 @@ impl Store {
         }
         report.wals_replayed = wal_numbers;
 
-        // Separate batch-commit markers from real writes; markers never
-        // enter the memtable.
-        let mut batch_markers: Vec<(u64, u64)> = Vec::new();
-        records.retain(|r| match r.batch_marker_total() {
-            Some(total) => {
-                batch_markers.push((r.ts, total));
-                false
-            }
-            None => true,
-        });
-        batch_markers.sort_unstable();
-        batch_markers.dedup();
+        // An empty-key record is not a user write (`Db::write` rejects
+        // the empty key): it is a batch-commit marker left in a
+        // `shard-NNN/` directory by the removed sharded composition. It
+        // shares its timestamp with the entries logged beside it, so
+        // dropping it loses nothing `last_ts` needs.
+        records.retain(|r| !r.key.is_empty());
         // cLSM WALs are written out of timestamp order; restore order
         // and drop duplicates (a record may coexist with its flushed
-        // copy, or appear twice across a rotation race). Entries of one
-        // cross-shard batch share a timestamp, so the dedup key is the
-        // (ts, key) pair — never the timestamp alone.
+        // copy, or appear twice across a rotation race). Entries such a
+        // legacy cross-shard batch wrote share one timestamp, so the
+        // dedup key is the (ts, key) pair — never the timestamp alone.
         records.sort_by(|a, b| a.ts.cmp(&b.ts).then_with(|| a.key.cmp(&b.key)));
         records.dedup_by(|a, b| a.ts == b.ts && a.key == b.key);
         report.records_recovered = records.len();
@@ -348,7 +315,6 @@ impl Store {
             .last()
             .map(|r| r.ts)
             .unwrap_or(0)
-            .max(batch_markers.last().map(|&(ts, _)| ts).unwrap_or(0))
             .max(manifest_state.last_ts);
 
         let cache = Arc::new(TableCache::new(
@@ -388,9 +354,7 @@ impl Store {
             store,
             Recovered {
                 records,
-                batch_markers,
                 last_ts,
-                flushed_ts: manifest_state.last_ts,
                 report,
             },
         ))
@@ -466,18 +430,6 @@ impl Store {
             m.wal_sync_ns.record_duration(start.elapsed());
         }
         result
-    }
-
-    /// First half of a split WAL sync: asks the logger thread to
-    /// flush+fsync and returns a ticket without waiting.
-    ///
-    /// Callers syncing several independent stores (a cross-shard
-    /// batch) begin them all before waiting on any, so total latency
-    /// is the slowest fsync, not the sum.
-    pub fn sync_wal_begin(&self) -> Result<WalSyncTicket> {
-        Ok(WalSyncTicket {
-            ack: self.wal.sync_begin()?,
-        })
     }
 
     /// Lock-free snapshot of the current disk component.

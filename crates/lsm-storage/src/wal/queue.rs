@@ -149,23 +149,11 @@ impl LogQueue {
     /// instant durability was reached, excluding the time it took to
     /// wake this caller.
     pub fn sync_timed(&self) -> Result<u64> {
-        self.sync_begin()?.recv().map_err(|_| Error::ShuttingDown)?
-    }
-
-    /// First half of a split sync: enqueues the flush request and
-    /// returns the acknowledgement channel without waiting on it.
-    ///
-    /// Receiving on the returned channel completes the sync (the value
-    /// carries the durability instant, as in
-    /// [`sync_timed`](Self::sync_timed)). This lets a caller start
-    /// fsyncs on several independent logger threads and only then wait
-    /// for all of them, overlapping the disk work.
-    pub fn sync_begin(&self) -> Result<Receiver<Result<u64>>> {
         let (ack_tx, ack_rx) = bounded(1);
         self.tx
             .send(Msg::Flush { ack: ack_tx })
             .map_err(|_| Error::ShuttingDown)?;
-        Ok(ack_rx)
+        ack_rx.recv().map_err(|_| Error::ShuttingDown)?
     }
 
     /// The first I/O error encountered by the logger, if any.

@@ -292,54 +292,6 @@ impl MetricsRegistry {
         )
     }
 
-    /// Folds several registries into one combined snapshot: counters
-    /// and gauges with the same name are summed, histograms are merged
-    /// at bucket level (so percentiles of the combined snapshot are
-    /// exact, not approximations stitched from per-registry summaries).
-    ///
-    /// This is the aggregation path for sharded compositions, where
-    /// each shard keeps its own registry and the umbrella store reports
-    /// one combined view.
-    pub fn merged_snapshot<'a>(
-        registries: impl IntoIterator<Item = &'a MetricsRegistry>,
-    ) -> MetricsSnapshot {
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
-        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-        for reg in registries {
-            let inner = reg.lock();
-            for (k, v) in &inner.counters {
-                *counters.entry(k.clone()).or_default() += v.get();
-            }
-            for (k, v) in &inner.gauges {
-                let level = match v {
-                    GaugeSource::Stored(g) => g.get(),
-                    GaugeSource::Computed(f) => f(),
-                };
-                *gauges.entry(k.clone()).or_default() += level;
-            }
-            for (k, v) in &inner.histograms {
-                let h = v.snapshot();
-                match histograms.entry(k.clone()) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        e.insert(h);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        e.get_mut().merge(&h);
-                    }
-                }
-            }
-        }
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms: histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), HistogramSummary::from_histogram(h)))
-                .collect(),
-        }
-    }
-
     /// Reads every metric into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
@@ -634,46 +586,6 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains(&format!("\"max\":{}", h.max)));
         assert!(json.contains(&format!("\"p999\":{}", h.p999)));
-    }
-
-    #[test]
-    fn merged_snapshot_sums_and_merges() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.counter("db.ops").add(3);
-        b.counter("db.ops").add(4);
-        a.counter("only.a").inc();
-        a.gauge("queue.depth").set(2);
-        b.gauge("queue.depth").set(5);
-        a.gauge_fn("answer", || 42);
-        // Histograms merge at bucket level: percentiles of the combined
-        // snapshot must match recording every sample into one histogram.
-        let ha = a.histogram("op.latency");
-        let hb = b.histogram("op.latency");
-        let mut reference = Histogram::new();
-        for v in 1..=1000u64 {
-            ha.record(v);
-            reference.record(v);
-        }
-        for v in 5000..=6000u64 {
-            hb.record(v);
-            reference.record(v);
-        }
-
-        let merged = MetricsRegistry::merged_snapshot([&a, &b]);
-        assert_eq!(merged.counters["db.ops"], 7);
-        assert_eq!(merged.counters["only.a"], 1);
-        assert_eq!(merged.gauges["queue.depth"], 7);
-        assert_eq!(merged.gauges["answer"], 42);
-        let h = &merged.histograms["op.latency"];
-        assert_eq!(h.count, reference.count());
-        assert_eq!(h.min, reference.min());
-        assert_eq!(h.max, reference.max());
-        assert_eq!(h.p50, reference.percentile(50.0));
-        assert_eq!(h.p99, reference.percentile(99.0));
-
-        // One registry merges to exactly its own snapshot.
-        assert_eq!(MetricsRegistry::merged_snapshot([&a]), a.snapshot());
     }
 
     #[test]

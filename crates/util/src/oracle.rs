@@ -236,16 +236,6 @@ impl TimestampOracle {
         }
     }
 
-    /// Advances `timeCounter` to at least `ts` (idempotent, monotone).
-    ///
-    /// Used when one oracle is shared across several recovered stores:
-    /// each store calls this with its highest recovered timestamp, so
-    /// the shared counter resumes above *all* of them regardless of
-    /// recovery order.
-    pub fn advance_to(&self, ts: u64) {
-        self.time_counter.fetch_max(ts, Ordering::SeqCst);
-    }
-
     /// Algorithm 2, `getTS`: acquires a fresh write timestamp, retrying
     /// while the timestamp does not exceed `snapTime`.
     pub fn get_ts(&self) -> WriteStamp {
@@ -318,74 +308,17 @@ impl TimestampOracle {
     /// ≤ `t` is already visible and no future write will receive a
     /// timestamp ≤ `t`.
     pub fn get_snap(&self) -> u64 {
-        self.get_snap_publish();
-        self.wait_for_stragglers()
-    }
-
-    /// First half of `getSnap`: chooses a snapshot time below every
-    /// active write and publishes it into `snapTime` (so no future
-    /// write can receive a timestamp at or below it), but does **not**
-    /// wait for in-flight writes at or below the chosen time.
-    ///
-    /// Callers that hold locks other writers may need in order to
-    /// publish (the sharded composition's all-shard snapshot protocol)
-    /// use this non-blocking half under their locks, then call
-    /// [`TimestampOracle::wait_snap_visible`] after releasing them.
-    /// The returned timestamp is a valid serializable snapshot time
-    /// once `wait_snap_visible(ts)` has returned.
-    pub fn get_snap_publish(&self) -> u64 {
+        // Choose a time below every active write and publish it into
+        // `snapTime` *before* validating the active set (Figure 4): no
+        // later `getTS` can keep a timestamp at or below it.
         let mut ts = self.time_counter.load(Ordering::SeqCst);
         if let Some(min_active) = self.active.find_min() {
             ts = ts.min(min_active - 1);
         }
         self.snap_time.fetch_max(ts, Ordering::SeqCst);
-        ts
-    }
 
-    /// Second half of `getSnap`: waits until every write with a
-    /// timestamp at or below `ts` has either published or rolled back.
-    /// After this returns, a read at `ts` observes a consistent cut:
-    /// no write ≤ `ts` is still in flight, and (provided `ts` was
-    /// published via [`TimestampOracle::get_snap_publish`]) no future
-    /// write will be granted a timestamp ≤ `ts`.
-    pub fn wait_snap_visible(&self, ts: u64) {
-        let mut spins = 0u32;
-        let mut wait_span = None;
-        loop {
-            match self.active.find_min() {
-                Some(min) if min <= ts => {
-                    if wait_span.is_none() {
-                        wait_span = Some(T_SNAP_WAIT.span_with(min));
-                    }
-                    if spins < 64 {
-                        spins += 1;
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                _ => return,
-            }
-        }
-    }
-
-    /// Linearizable `getSnap` variant (§3.2.1): waits until the snapshot
-    /// time covers everything up to the counter value at call time, so
-    /// the scan never reads "in the past".
-    pub fn get_snap_linearizable(&self) -> u64 {
-        let target = self.time_counter.load(Ordering::SeqCst);
-        loop {
-            let granted = self.get_snap();
-            if granted >= target {
-                return granted;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Waits until every active write timestamp exceeds `snapTime`, then
-    /// returns the validated `snapTime`.
-    fn wait_for_stragglers(&self) -> u64 {
+        // Wait until every active write timestamp exceeds `snapTime`,
+        // then return the validated `snapTime`.
         let mut spins = 0u32;
         // Span only the waiting case: the common no-wait path records
         // nothing.
@@ -409,6 +342,20 @@ impl TimestampOracle {
                 }
                 _ => return snap,
             }
+        }
+    }
+
+    /// Linearizable `getSnap` variant (§3.2.1): waits until the snapshot
+    /// time covers everything up to the counter value at call time, so
+    /// the scan never reads "in the past".
+    pub fn get_snap_linearizable(&self) -> u64 {
+        let target = self.time_counter.load(Ordering::SeqCst);
+        loop {
+            let granted = self.get_snap();
+            if granted >= target {
+                return granted;
+            }
+            std::thread::yield_now();
         }
     }
 
@@ -554,26 +501,36 @@ mod tests {
     }
 
     #[test]
-    fn get_snap_waits_for_publication() {
-        let oracle = Arc::new(TimestampOracle::default());
-        let w = oracle.get_ts();
-        let ts = w.ts;
-        // Force the snapshot to target the in-flight write by advancing
-        // snapTime manually through a racing get_snap: we emulate the
-        // Figure 4 interleaving by publishing from another thread after
-        // a delay; get_snap must block until then.
-        let o2 = Arc::clone(&oracle);
-        let publisher = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            o2.publish(w);
+    fn get_snap_blocks_on_in_flight_write() {
+        // Figure 4's interleaving, frozen: a writer drew timestamp 3
+        // and registered it in `Active`, and before its `snapTime`
+        // re-check another snapshot published time 5. Until that writer
+        // publishes or rolls back, no snapshot may return.
+        let oracle = TimestampOracle::default();
+        oracle.time_counter.store(5, Ordering::SeqCst);
+        let in_flight = oracle.active.add(3);
+        oracle.snap_time.store(5, Ordering::SeqCst);
+
+        let resolved = std::sync::atomic::AtomicBool::new(false);
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let snapshotter = scope.spawn(|| {
+                entered_tx.send(()).unwrap();
+                let snap = oracle.get_snap();
+                assert!(
+                    resolved.load(Ordering::SeqCst),
+                    "getSnap returned {snap} while a write at 3 was in flight"
+                );
+                snap
+            });
+            entered_rx.recv().unwrap();
+            // Not needed for correctness: lets the snapshotter reach
+            // its wait loop so the assertion above is not vacuous.
+            std::thread::sleep(Duration::from_millis(20));
+            resolved.store(true, Ordering::SeqCst);
+            oracle.active.remove(in_flight);
+            assert_eq!(snapshotter.join().unwrap(), 5);
         });
-        let snap = oracle.get_snap();
-        // The snapshot may only cover ts-1 (write still active when the
-        // snapshot chose its time) — never equal ts before publication.
-        assert!(snap <= ts);
-        publisher.join().unwrap();
-        let snap_after = oracle.get_snap();
-        assert_eq!(snap_after, ts);
     }
 
     #[test]
@@ -618,58 +575,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn advance_to_is_monotone_and_idempotent() {
-        let oracle = TimestampOracle::default();
-        oracle.advance_to(17);
-        assert_eq!(oracle.current_time(), 17);
-        oracle.advance_to(5); // lower value must not rewind
-        assert_eq!(oracle.current_time(), 17);
-        oracle.advance_to(17);
-        assert_eq!(oracle.current_time(), 17);
-        let s = oracle.get_ts();
-        assert_eq!(s.ts, 18);
-        oracle.publish(s);
-    }
-
-    #[test]
-    fn split_get_snap_matches_combined_form() {
-        let oracle = TimestampOracle::default();
-        for _ in 0..4 {
-            let s = oracle.get_ts();
-            oracle.publish(s);
-        }
-        // No writes in flight: publish half chooses the counter value
-        // and the wait half returns immediately.
-        let ts = oracle.get_snap_publish();
-        oracle.wait_snap_visible(ts);
-        assert_eq!(ts, 4);
-        // A write granted after the publish half must exceed it.
-        let s = oracle.get_ts();
-        assert!(s.ts > ts);
-        oracle.publish(s);
-    }
-
-    #[test]
-    fn wait_snap_visible_blocks_on_inflight_write() {
-        let oracle = Arc::new(TimestampOracle::default());
-        let w = oracle.get_ts();
-        let wts = w.ts;
-        let ts = oracle.get_snap_publish();
-        assert!(ts < wts, "snapshot time must exclude the active write");
-        // Waiting on a time below the active write returns immediately.
-        oracle.wait_snap_visible(ts);
-        // Waiting on the write's own time blocks until publication.
-        let o2 = Arc::clone(&oracle);
-        let publisher = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            o2.publish(w);
-        });
-        oracle.wait_snap_visible(wts);
-        assert!(oracle.active().is_empty());
-        publisher.join().unwrap();
     }
 
     #[test]

@@ -28,6 +28,14 @@ impl Drop for TempDir {
     }
 }
 
+/// The empty-key commit marker the removed range-sharded composition
+/// appended to each participant's WAL payload of a cross-shard batch:
+/// a `Put` of the varint-encoded total entry count.
+fn legacy_commit_marker(ts: u64, total: u8) -> clsm_repro::storage::format::WriteRecord {
+    assert!(total < 0x80, "one-byte varint");
+    clsm_repro::storage::format::WriteRecord::put(ts, "", [total])
+}
+
 /// Finds the live WAL files in a store directory.
 fn wal_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let mut out = Vec::new();
@@ -189,9 +197,9 @@ fn repeated_crash_reopen_cycles_accumulate_data() {
 /// Several live WALs whose records interleave in timestamp order —
 /// what a crash leaves when a rotation (or, before PR 20, a striped
 /// WAL) spread unflushed writes over more than one file. Recovery must
-/// merge them into one `(ts, key)`-sorted, deduplicated history, keep
-/// every batch marker, and never hand a live WAL's number to the new
-/// incarnation's log.
+/// merge them into one `(ts, key)`-sorted, deduplicated history, drop
+/// legacy commit markers, and never hand a live WAL's number to the
+/// new incarnation's log.
 #[test]
 fn several_live_wals_recover_as_one_timestamp_ordered_history() {
     use clsm_repro::storage::format::WriteRecord;
@@ -234,7 +242,7 @@ fn several_live_wals_recover_as_one_timestamp_ordered_history() {
             &[
                 WriteRecord::put(4, "b", "b4"),
                 WriteRecord::put(4, "c", "c4"),
-                WriteRecord::batch_marker(4, 3),
+                legacy_commit_marker(4, 3),
             ],
             &[WriteRecord::put(1, "a", "a1")],
         ],
@@ -243,10 +251,7 @@ fn several_live_wals_recover_as_one_timestamp_ordered_history() {
         first + 2,
         &[
             &[WriteRecord::put(2, "b", "b2")],
-            &[
-                WriteRecord::put(4, "d", "d4"),
-                WriteRecord::batch_marker(4, 3),
-            ],
+            &[WriteRecord::put(4, "d", "d4"), legacy_commit_marker(4, 3)],
             &[WriteRecord::delete(5, "a")],
             &[WriteRecord::put(6, "a", "a6")], // also in the other log
             &[WriteRecord::put(3, "c", "c3")],
@@ -273,7 +278,6 @@ fn several_live_wals_recover_as_one_timestamp_ordered_history() {
             WriteRecord::put(6, "a", "a6"),
         ]
     );
-    assert_eq!(recovered.batch_markers, vec![(4, 3)]);
     assert_eq!(recovered.last_ts, 6);
     assert!(
         store.current_wal_number() > first + 2,
@@ -291,4 +295,105 @@ fn several_live_wals_recover_as_one_timestamp_ordered_history() {
     assert_eq!(db.get(b"b").unwrap(), Some(b"b4".to_vec()));
     assert_eq!(db.get(b"c").unwrap(), Some(b"c4".to_vec()));
     assert_eq!(db.get(b"d").unwrap(), Some(b"d4".to_vec()));
+}
+
+/// The root of a range-sharded layout (a `SHARDS` manifest beside
+/// `shard-NNN/` stores) is not a store: opening it as one used to
+/// create a fresh empty database next to the data.
+#[test]
+fn sharded_root_is_refused_and_names_its_shard_directories() {
+    use clsm_repro::util::error::Error;
+
+    let dir = TempDir::new("sharded-root");
+    // Only the manifest's presence is checked, never its contents.
+    std::fs::write(dir.0.join("SHARDS"), "shards 2\nboundary 80\n").unwrap();
+    for shard in ["shard-000", "shard-001"] {
+        let db = Db::open(&dir.0.join(shard), Options::small_for_tests()).unwrap();
+        db.put(b"k", shard.as_bytes()).unwrap();
+    }
+    let entries = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir.0)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = entries();
+
+    let err = Db::open(&dir.0, Options::small_for_tests()).unwrap_err();
+    assert!(matches!(err, Error::InvalidArgument(_)), "{err:?}");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("shard-000/") && msg.contains("shard-001/"),
+        "{msg}"
+    );
+
+    // Nothing was created beside the shards, and each of them is still
+    // a complete store.
+    assert_eq!(before, entries());
+    let db = Db::open(&dir.0.join("shard-001"), Options::small_for_tests()).unwrap();
+    assert_eq!(db.get(b"k").unwrap(), Some(b"shard-001".to_vec()));
+}
+
+/// A `shard-NNN/` directory as the removed sharded composition left it
+/// after a crash — single puts, plus its share of two cross-shard
+/// batches (entries at one shared timestamp and the commit marker, in
+/// one WAL payload) — opens as a plain `Db` holding every acked key and
+/// nothing else.
+#[test]
+fn legacy_shard_directory_opens_as_a_db_with_every_acked_key() {
+    use clsm_repro::storage::format::WriteRecord;
+    use clsm_repro::storage::wal::SyncMode;
+    use clsm_repro::storage::{Store, StoreOptions};
+    use clsm_repro::util::env::FaultEnv;
+    use std::sync::Arc;
+
+    let env = FaultEnv::new(0x5a4d);
+    let dir = std::path::Path::new("/root-of-shards/shard-000");
+    let (store, _) = Store::open(
+        dir,
+        StoreOptions {
+            env: Arc::new(env.clone()),
+            ..StoreOptions::default()
+        },
+    )
+    .unwrap();
+    for batch in [
+        vec![WriteRecord::put(1, "apple", "a1")],
+        vec![
+            WriteRecord::put(2, "banana", "b2"),
+            WriteRecord::put(2, "cherry", "c2"),
+            legacy_commit_marker(2, 5),
+        ],
+        vec![WriteRecord::delete(3, "apple")],
+        vec![
+            WriteRecord::put(7, "date", "d7"),
+            legacy_commit_marker(7, 2),
+        ],
+    ] {
+        store.log(&batch, SyncMode::Sync).unwrap();
+    }
+    drop(store);
+    env.power_loss();
+
+    let mut opts = Options::small_for_tests();
+    opts.store.env = Arc::new(env.clone());
+    let db = Db::open(dir, opts).unwrap();
+    assert_eq!(db.recovery_report().records_recovered, 5);
+    let all: Vec<_> = db.iter().unwrap().map(|kv| kv.unwrap()).collect();
+    assert_eq!(
+        all,
+        vec![
+            (b"banana".to_vec(), b"b2".to_vec()),
+            (b"cherry".to_vec(), b"c2".to_vec()),
+            (b"date".to_vec(), b"d7".to_vec()),
+        ]
+    );
+    // The oracle resumed above the last marked batch: a new write
+    // supersedes it rather than sliding underneath.
+    db.put(b"date", b"new").unwrap();
+    assert_eq!(db.get(b"date").unwrap(), Some(b"new".to_vec()));
+    // The marker's key stays unwritable.
+    assert!(db.put(b"", b"x").is_err());
 }

@@ -4,14 +4,13 @@
 //! took its own slot, `ActiveSet::add` spun forever on the full set
 //! while holding the exclusive lock.) The batch must also stay atomic:
 //! a concurrent snapshot sees all of it or none, and so does recovery.
-//! Checked on a `Db` and through `ShardedDb`'s single-shard route.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-use clsm_repro::clsm::{Db, KvStore, Options, ScanRange, ShardedDb, WriteBatch, WriteOptions};
+use clsm_repro::clsm::{Db, KvStore, Options, ScanRange, WriteBatch, WriteOptions};
 use clsm_repro::util::env::FaultEnv;
 use clsm_repro::util::error::Result;
 
@@ -19,27 +18,12 @@ const ENTRIES: usize = 1000;
 /// Generous: the batch takes about a millisecond.
 const BOUND: Duration = Duration::from_secs(30);
 
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    Mono,
-    /// Two shards split at `"zzz"`: every test key lands on shard 0,
-    /// so the batch delegates to that shard's `Db::write`.
-    ShardedSingleRoute,
-}
-
-fn open(kind: Kind, dir: &Path, fault: &FaultEnv) -> Result<Arc<dyn KvStore>> {
+fn open(dir: &Path, fault: &FaultEnv) -> Result<Arc<dyn KvStore>> {
     let mut opts = Options::small_for_tests();
     opts.active_slots = 4;
     opts.watchdog.enabled = false;
     opts.store.env = Arc::new(fault.clone());
-    Ok(match kind {
-        Kind::Mono => Arc::new(Db::open(dir, opts)?),
-        Kind::ShardedSingleRoute => Arc::new(ShardedDb::open_with_boundaries(
-            dir,
-            opts,
-            vec![b"zzz".to_vec()],
-        )?),
-    })
+    Ok(Arc::new(Db::open(dir, opts)?))
 }
 
 fn key(i: usize) -> Vec<u8> {
@@ -73,9 +57,10 @@ fn write_within_bound(
     result
 }
 
-fn returns_and_is_atomic_to_snapshots(kind: Kind) {
+#[test]
+fn oversized_batch_returns_and_is_atomic_to_snapshots() {
     let fault = FaultEnv::new(0xb16);
-    let store = open(kind, Path::new("/oversized"), &fault).unwrap();
+    let store = open(Path::new("/oversized"), &fault).unwrap();
     let versions = 20u8;
 
     let start = Arc::new(Barrier::new(2));
@@ -92,13 +77,13 @@ fn returns_and_is_atomic_to_snapshots(kind: Kind) {
                     .unwrap();
                 assert!(
                     seen.is_empty() || seen.len() == ENTRIES,
-                    "{kind:?}: snapshot saw {} of {ENTRIES} entries",
+                    "snapshot saw {} of {ENTRIES} entries",
                     seen.len()
                 );
                 if let Some((_, first)) = seen.first() {
                     assert!(
                         seen.iter().all(|(_, v)| v == first),
-                        "{kind:?}: snapshot saw two versions of one batch"
+                        "snapshot saw two versions of one batch"
                     );
                 }
             }
@@ -113,11 +98,12 @@ fn returns_and_is_atomic_to_snapshots(kind: Kind) {
     assert_eq!(store.get(&key(ENTRIES - 1)).unwrap(), Some(vec![versions]));
 }
 
-fn recovers_all_or_nothing(kind: Kind) {
+#[test]
+fn oversized_batch_recovers_all_or_nothing() {
     let dir = Path::new("/oversized-crash");
     let seed = 0xb17;
     let clean = FaultEnv::new(seed);
-    let store = open(kind, dir, &clean).unwrap();
+    let store = open(dir, &clean).unwrap();
     let opened_ops = clean.op_count();
     write_within_bound(&store, batch(1), WriteOptions::durable()).unwrap();
     drop(store);
@@ -126,45 +112,25 @@ fn recovers_all_or_nothing(kind: Kind) {
 
     for crash_at in 1..=write_ops {
         let fault = FaultEnv::new(seed);
-        let store = open(kind, dir, &fault).unwrap();
+        let store = open(dir, &fault).unwrap();
         fault.crash_after(crash_at);
         let acked = write_within_bound(&store, batch(1), WriteOptions::durable()).is_ok();
         drop(store);
 
         fault.power_loss();
-        let store = open(kind, dir, &fault).unwrap();
+        let store = open(dir, &fault).unwrap();
         let present = (0..ENTRIES)
             .filter(|&i| store.get(&key(i)).unwrap().is_some())
             .count();
         assert!(
             present == 0 || present == ENTRIES,
-            "{kind:?} failpoint {crash_at}/{write_ops}: recovered {present} of {ENTRIES}"
+            "failpoint {crash_at}/{write_ops}: recovered {present} of {ENTRIES}"
         );
         if acked {
             assert_eq!(
                 present, ENTRIES,
-                "{kind:?} failpoint {crash_at}/{write_ops}: sync-acked batch lost"
+                "failpoint {crash_at}/{write_ops}: sync-acked batch lost"
             );
         }
     }
-}
-
-#[test]
-fn oversized_batch_returns_and_is_atomic_to_snapshots() {
-    returns_and_is_atomic_to_snapshots(Kind::Mono);
-}
-
-#[test]
-fn oversized_batch_returns_and_is_atomic_through_sharded_single_shard_route() {
-    returns_and_is_atomic_to_snapshots(Kind::ShardedSingleRoute);
-}
-
-#[test]
-fn oversized_batch_recovers_all_or_nothing() {
-    recovers_all_or_nothing(Kind::Mono);
-}
-
-#[test]
-fn oversized_batch_recovers_all_or_nothing_through_sharded_single_shard_route() {
-    recovers_all_or_nothing(Kind::ShardedSingleRoute);
 }
