@@ -114,7 +114,7 @@ impl Db {
         }
 
         let metrics = DbMetrics::new();
-        let watchdog = Watchdog::new(opts.watchdog.clone(), &metrics.registry);
+        let watchdog = Watchdog::new(&metrics.registry);
         let inner = Arc::new(DbInner {
             oracle: TimestampOracle::recovered_at(recovered.last_ts, opts.active_slots),
             opts,

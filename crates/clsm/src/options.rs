@@ -143,11 +143,6 @@ impl Options {
                 "store.table_file_size must be nonzero",
             ));
         }
-        if self.watchdog.enabled && self.watchdog.interval.is_zero() {
-            return Err(Error::invalid_argument(
-                "watchdog.interval must be nonzero when the watchdog is enabled",
-            ));
-        }
         if self.admission.enabled {
             let a = &self.admission;
             if !a.low_watermark.is_finite()

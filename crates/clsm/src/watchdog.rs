@@ -53,11 +53,10 @@ pub enum StallKind {
     /// Writes are stalled: memtable full while the previous one is
     /// still being merged (§5.3).
     WriteStall,
-    /// The admission ramp charged writers delays for at least
-    /// [`WatchdogOptions::slowdown_windows`] consecutive samples.
+    /// The admission ramp charged writers delays for three consecutive
+    /// 10 ms samples.
     SustainedSlowdown,
-    /// The shared-exclusive lock was held exclusively for longer than
-    /// [`WatchdogOptions::exclusive_hold_threshold`].
+    /// The shared-exclusive lock was held exclusively for 5 ms or more.
     ExclusiveHold,
     /// The oracle's `Active` set reached ¾ of
     /// [`crate::Options::active_slots`].
@@ -98,36 +97,33 @@ pub struct WatchdogOptions {
     /// Run the sampling thread (default `true`; the thread is idle
     /// ~100% of the time on a healthy database).
     pub enabled: bool,
-    /// Sampling cadence. Must be nonzero; episodes shorter than one
-    /// interval can be missed — that is the deal with sampling.
-    pub interval: Duration,
-    /// Exclusive holds at least this long become
-    /// [`StallKind::ExclusiveHold`] events.
-    pub exclusive_hold_threshold: Duration,
-    /// How many consecutive samples with ramp-delay growth make a
-    /// [`StallKind::SustainedSlowdown`] episode. At the default 10 ms
-    /// interval, 3 means "admission has been throttling for ≥ 30 ms".
-    pub slowdown_windows: usize,
 }
 
 impl Default for WatchdogOptions {
     fn default() -> Self {
-        WatchdogOptions {
-            enabled: true,
-            interval: Duration::from_millis(10),
-            exclusive_hold_threshold: Duration::from_millis(5),
-            slowdown_windows: 3,
-        }
+        WatchdogOptions { enabled: true }
     }
 }
 
 /// How many recent events [`Db::stall_events`] retains.
 const HISTORY: usize = 64;
 
+/// Sampling cadence; episodes shorter than one interval can be missed
+/// — that is the deal with sampling.
+const INTERVAL: Duration = Duration::from_millis(10);
+
+/// Exclusive holds at least this long become
+/// [`StallKind::ExclusiveHold`] events.
+const EXCLUSIVE_HOLD_THRESHOLD: Duration = Duration::from_millis(5);
+
+/// Consecutive samples with ramp-delay growth that make a
+/// [`StallKind::SustainedSlowdown`] episode: admission has been
+/// throttling for at least 30 ms.
+const SLOWDOWN_WINDOWS: usize = 3;
+
 /// Shared sink the sampler reports into; owned by `DbInner`.
 #[derive(Debug)]
 pub(crate) struct Watchdog {
-    opts: WatchdogOptions,
     recent: Mutex<VecDeque<StallEvent>>,
     /// `watchdog.stall_events` — all kinds combined.
     total: Arc<Counter>,
@@ -139,7 +135,7 @@ pub(crate) struct Watchdog {
 
 impl Watchdog {
     /// Registers the watchdog counters and builds the event sink.
-    pub(crate) fn new(opts: WatchdogOptions, registry: &MetricsRegistry) -> Watchdog {
+    pub(crate) fn new(registry: &MetricsRegistry) -> Watchdog {
         Watchdog {
             recent: Mutex::new(VecDeque::with_capacity(HISTORY)),
             total: registry.counter("watchdog.stall_events"),
@@ -147,7 +143,6 @@ impl Watchdog {
             sustained_slowdowns: registry.counter("watchdog.sustained_slowdown_events"),
             exclusive_holds: registry.counter("watchdog.exclusive_hold_events"),
             active_pressure: registry.counter("watchdog.active_set_pressure_events"),
-            opts,
         }
     }
 
@@ -216,29 +211,19 @@ struct DetectorState {
 }
 
 /// The sampling loop; runs on the `clsm-watchdog` thread until
-/// shutdown. Sleeps in short ticks so `Db::drop` never waits more than
-/// ~10 ms for the join.
+/// shutdown. Checks the shutdown flag once per interval, so `Db::drop`
+/// never waits more than ~10 ms for the join.
 pub(crate) fn watchdog_worker(inner: Arc<DbInner>) {
-    let interval = inner.opts.watchdog.interval;
-    let tick = interval
-        .min(Duration::from_millis(10))
-        .max(Duration::from_micros(100));
     let mut state = DetectorState {
         write_stalls_seen: inner.metrics.write_stalls.get(),
         admission_delay_seen: inner.metrics.admission_delay_ns.get(),
         ..DetectorState::default()
     };
-    let mut slept = Duration::ZERO;
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
-        std::thread::sleep(tick);
-        slept += tick;
-        if slept < interval {
-            continue;
-        }
-        slept = Duration::ZERO;
+        std::thread::sleep(INTERVAL);
         sample(&inner, &mut state);
     }
 }
@@ -246,14 +231,13 @@ pub(crate) fn watchdog_worker(inner: Arc<DbInner>) {
 /// One watchdog sample: run all four detectors.
 fn sample(inner: &DbInner, state: &mut DetectorState) {
     let wd = &inner.watchdog;
-    let opts = &wd.opts;
 
     // Detector 1: long exclusive holds. Keyed by the hold's start stamp
     // so one long hold reports once even across many samples, while a
     // fresh hold re-arms the detector.
     if let Some(since) = inner.lock.exclusive_held_since_ns() {
         let held_ns = trace::now_ns().saturating_sub(since);
-        if held_ns >= opts.exclusive_hold_threshold.as_nanos() as u64
+        if held_ns >= EXCLUSIVE_HOLD_THRESHOLD.as_nanos() as u64
             && since != state.reported_excl_since
         {
             state.reported_excl_since = since;
@@ -261,9 +245,8 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
                 StallKind::ExclusiveHold,
                 held_ns,
                 format!(
-                    "exclusive lock held {:.1?} so far (threshold {:.1?})",
+                    "exclusive lock held {:.1?} so far (threshold {EXCLUSIVE_HOLD_THRESHOLD:.1?})",
                     Duration::from_nanos(held_ns),
-                    opts.exclusive_hold_threshold
                 ),
             );
         }
@@ -309,7 +292,7 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
         state.slowdown_active = false;
     }
     state.admission_delay_seen = delay_ns_now;
-    if state.slowdown_samples >= opts.slowdown_windows.max(1) && !state.slowdown_active {
+    if state.slowdown_samples >= SLOWDOWN_WINDOWS && !state.slowdown_active {
         state.slowdown_active = true;
         let charged_ns = delay_ns_now - state.slowdown_episode_base;
         wd.report(

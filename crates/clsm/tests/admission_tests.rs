@@ -1,11 +1,14 @@
 //! Graduated-admission integration tests: the delay ramp, the hard
-//! stall's untimed wakeup, the watchdog's sustained-slowdown detector,
-//! and the doctor lines that report all of it.
+//! stall's untimed wakeup, the ramp against the §5.3 cliff under
+//! sustained I/O-limited pressure, the watchdog's stall and
+//! sustained-slowdown detectors, and the doctor lines that report all
+//! of it.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clsm::{AdmissionOptions, Db, Options, StallKind, WatchdogOptions};
+use clsm::{AdmissionOptions, Db, IoRateLimiter, Options, StallKind};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("clsm-admission-{}-{}", std::process::id(), name));
@@ -68,8 +71,119 @@ fn stalled_writer_wakes_on_flush_completion_not_a_timer() {
     // With the ramp disabled, no write may be charged a slowdown delay.
     assert_eq!(counter(&db, "admission.delayed_writes"), 0);
 
+    // The watchdog saw the cliff: its stall detector counts stalls that
+    // begin and end between two samples, so the event arrives within
+    // one sampling interval of the last stall at the latest.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !db
+        .stall_events()
+        .iter()
+        .any(|e| e.kind == StallKind::WriteStall)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "watchdog never flagged the {stalls} hard stall(s)"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What one run of [`run_cliff_fixture`] left in the counters.
+#[derive(Debug)]
+struct CliffRun {
+    hard_stalls: u64,
+    delayed_writes: u64,
+    write_stall_events: usize,
+}
+
+/// Sustained write pressure the store cannot drain: four writers put
+/// 2 KiB values over 4 096 keys for 2.5 s into a 512 KiB memtable whose
+/// flushes and compactions share a 4 MiB/s I/O budget. The ramp
+/// (debt 0.5 → 0.9, up to 10 ms per write) is tuned so its maximum
+/// delay throttles ingest below the drain rate — the condition under
+/// which graduated admission can replace hard stalls.
+fn run_cliff_fixture(name: &str, ramp: bool) -> CliffRun {
+    let dir = scratch(name);
+    let mut opts = Options {
+        memtable_bytes: 512 * 1024,
+        ..Options::default()
+    };
+    opts.store.table_file_size = 1024 * 1024;
+    opts.store.base_level_bytes = 4 * 1024 * 1024;
+    opts.store.io_rate_limiter = Some(Arc::new(IoRateLimiter::new(4 << 20, 1 << 20)));
+    opts.admission = AdmissionOptions {
+        enabled: ramp,
+        low_watermark: 0.5,
+        high_watermark: 0.9,
+        max_delay: Duration::from_millis(10),
+        ..AdmissionOptions::default()
+    };
+    let db = Arc::new(Db::open(&dir, opts).unwrap());
+
+    let deadline = Instant::now() + Duration::from_millis(2500);
+    let writers: Vec<_> = (0..4u64)
+        .map(|t| {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let value = vec![0xabu8; 2048];
+                // xorshift64: a cheap deterministic key sequence.
+                let mut x = 0x57ab ^ t.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                while Instant::now() < deadline {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    db.put(format!("stab.{:08}", x % 4096).as_bytes(), &value)
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+
+    let run = CliffRun {
+        hard_stalls: counter(&db, "admission.hard_stalls"),
+        delayed_writes: counter(&db, "admission.delayed_writes"),
+        write_stall_events: db
+            .stall_events()
+            .iter()
+            .filter(|e| e.kind == StallKind::WriteStall)
+            .count(),
+    };
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    run
+}
+
+/// The ramp's reason to exist: with it off the fixture drives writers
+/// into the §5.3 cliff and the watchdog flags the episodes; with it on
+/// the same pressure is absorbed as graduated delays and fewer writers
+/// ever hit the hard stall.
+#[test]
+fn ramp_turns_cliff_stalls_into_delays() {
+    let off = run_cliff_fixture("cliff-off", false);
+    let on = run_cliff_fixture("cliff-on", true);
+    eprintln!("[cliff] ramp off: {off:?}\n[cliff] ramp on:  {on:?}");
+
+    assert!(off.hard_stalls > 0, "the fixture never hit the stall cliff");
+    assert!(
+        off.write_stall_events > 0,
+        "watchdog missed the cliff ({} hard stalls)",
+        off.hard_stalls
+    );
+    assert_eq!(off.delayed_writes, 0, "the disabled ramp charged delays");
+
+    assert!(on.delayed_writes > 0, "ramp never engaged");
+    assert!(
+        on.hard_stalls < off.hard_stalls,
+        "ramp did not reduce hard stalls: on={} off={}",
+        on.hard_stalls,
+        off.hard_stalls
+    );
 }
 
 /// With an aggressive ramp the controller charges delays once debt
@@ -87,12 +201,6 @@ fn ramp_delays_are_counted_and_flagged_as_sustained_slowdown() {
         high_watermark: 0.5,
         max_delay: Duration::from_millis(2),
         l0_slowdown_files: 2,
-    };
-    opts.watchdog = WatchdogOptions {
-        enabled: true,
-        interval: Duration::from_millis(1),
-        slowdown_windows: 2,
-        ..WatchdogOptions::default()
     };
     let db = Db::open(&dir, opts).unwrap();
 

@@ -22,8 +22,8 @@
 //!   the workload driver, the history recorder, and `clsm-check` run
 //!   unchanged over TCP and every measured latency is client-observed.
 //!
-//! Configuration for all of it — server, client, load generator,
-//! doctor — is one validated [`NetOptions`] builder.
+//! Configuration for all of it — server, client, doctor — is one
+//! validated [`NetOptions`] builder.
 
 #![warn(missing_docs)]
 

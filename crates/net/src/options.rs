@@ -1,6 +1,6 @@
 //! Unified, validated configuration for every networked component.
 //!
-//! Server, client, load generator, and doctor all construct a
+//! Server, client, and doctor all construct a
 //! [`NetOptions`] through the same builder (mirroring
 //! `clsm::Options::builder()`), so there is exactly one place where
 //! knobs are named, defaulted, and validated — no bare positional
@@ -8,7 +8,8 @@
 
 use clsm_util::error::{Error, Result};
 
-/// Configuration shared by `clsm-server`, the client pool, `clsm-load`,
+/// Configuration shared by `clsm-server`, the client pool (the
+/// `clsm-net` system under test and the benchmark's `net-open` sender)
 /// and `clsm-doctor --connect`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetOptions {

@@ -1,8 +1,16 @@
 //! Crash-recovery integration tests: torn WAL tails, asynchronous-
-//! logging semantics, and the out-of-order log recovery rule (§4).
+//! logging semantics, the out-of-order log recovery rule (§4), and
+//! power loss repeated across reopen cycles.
+
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use clsm_repro::clsm::{Db, Options};
 use clsm_repro::storage::filenames;
+use clsm_repro::util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
+use clsm_repro::util::Result;
 
 struct TempDir(std::path::PathBuf);
 
@@ -37,7 +45,7 @@ fn legacy_commit_marker(ts: u64, total: u8) -> clsm_repro::storage::format::Writ
 }
 
 /// Finds the live WAL files in a store directory.
-fn wal_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+fn wal_files(dir: &Path) -> Vec<std::path::PathBuf> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir).unwrap() {
         let entry = entry.unwrap();
@@ -141,10 +149,10 @@ fn out_of_order_wal_records_recover_in_timestamp_order() {
     let dir = TempDir::new("ooo");
     let final_value;
     {
-        let db = std::sync::Arc::new(Db::open(&dir.0, Options::small_for_tests()).unwrap());
+        let db = Arc::new(Db::open(&dir.0, Options::small_for_tests()).unwrap());
         let mut handles = Vec::new();
         for t in 0..4u32 {
-            let db = std::sync::Arc::clone(&db);
+            let db = Arc::clone(&db);
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u32 {
                     db.put(b"contended", format!("t{t}-i{i}").as_bytes())
@@ -194,6 +202,192 @@ fn repeated_crash_reopen_cycles_accumulate_data() {
     }
 }
 
+/// A failpoint on the manifest commit, layered over a [`FaultEnv`]:
+/// once armed, the next append to a `MANIFEST-*` file parks its thread
+/// until released and then fails as an injected crash. It also counts
+/// WAL creations, so a test can tell when a memtable rotation has
+/// started the flush that will hit the failpoint.
+#[derive(Debug, Clone)]
+struct ManifestFailpoint {
+    fault: FaultEnv,
+    state: Arc<FailpointState>,
+}
+
+#[derive(Debug, Default)]
+struct FailpointState {
+    armed: AtomicBool,
+    parked: AtomicBool,
+    released: AtomicBool,
+    wal_opens: AtomicUsize,
+}
+
+struct FailpointFile {
+    inner: Box<dyn WritableFile>,
+    env: ManifestFailpoint,
+}
+
+impl WritableFile for FailpointFile {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        let state = &self.env.state;
+        if state.armed.swap(false, SeqCst) {
+            state.parked.store(true, SeqCst);
+            while !state.released.load(SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.env.fault.crash_after(1);
+        }
+        self.inner.append(data)
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.inner.flush()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        self.inner.sync()
+    }
+}
+
+impl Env for ManifestFailpoint {
+    fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
+        let inner = self.fault.open_write(path)?;
+        let name = path.file_name().unwrap().to_str().unwrap();
+        Ok(match filenames::parse_file_name(name) {
+            Some(filenames::FileKind::Manifest(_)) => Box::new(FailpointFile {
+                inner,
+                env: self.clone(),
+            }),
+            Some(filenames::FileKind::Wal(_)) => {
+                self.state.wal_opens.fetch_add(1, SeqCst);
+                inner
+            }
+            _ => inner,
+        })
+    }
+
+    fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
+        self.fault.open_read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        self.fault.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        self.fault.remove(path)
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<String>> {
+        self.fault.list(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        self.fault.sync_dir(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> Result<()> {
+        self.fault.create_dir_all(dir)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.fault.exists(path)
+    }
+}
+
+/// Power loss between a flush's WAL rotation and its manifest commit,
+/// cycle after cycle. The manifest persists the file-number counter
+/// only at commits, so every reopen finds a live WAL numbered above
+/// what the manifest recorded; reusing that number for the new WAL
+/// truncates writes that exist nowhere else once the reopened store
+/// crashes again. A clean shutdown between cycles cannot show this:
+/// only repeated crashes do.
+#[test]
+fn repeated_power_loss_cycles_keep_every_acked_write() {
+    const CYCLES: u32 = 4;
+    const MEMTABLE_BYTES: usize = 8 * 1024;
+    let dir = Path::new("/power-loss-cycles");
+    let fault = FaultEnv::new(0xc1c1e5);
+    let key = |cycle: u32, i: u32| format!("c{cycle}-{i:05}").into_bytes();
+    let value = |cycle: u32, i: u32| {
+        let mut v = format!("v{cycle}-{i}-").into_bytes();
+        v.resize(96, b'.');
+        v
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    // Acked puts per finished cycle.
+    let mut acked: Vec<u32> = Vec::new();
+    for cycle in 0..=CYCLES {
+        let failpoint = ManifestFailpoint {
+            fault: fault.clone(),
+            state: Arc::default(),
+        };
+        let mut opts = Options::small_for_tests();
+        opts.memtable_bytes = MEMTABLE_BYTES;
+        opts.sync_writes = true;
+        opts.watchdog.enabled = false;
+        opts.store.env = Arc::new(failpoint.clone());
+        let db = Db::open(dir, opts).unwrap();
+
+        for (earlier, &count) in acked.iter().enumerate() {
+            let earlier = earlier as u32;
+            for i in 0..count {
+                assert_eq!(
+                    db.get(&key(earlier, i)).unwrap(),
+                    Some(value(earlier, i)),
+                    "reopen {cycle}: acked write {i} of cycle {earlier} lost (report: {:?})",
+                    db.recovery_report()
+                );
+            }
+        }
+        if cycle == CYCLES {
+            break;
+        }
+
+        // Synced puts until the memtable is full; the put that fills it
+        // schedules the flush. Stop there (or once the swap is already
+        // done): a put that saw the full memtable beside its immutable
+        // copy mid-swap, or filled the new one, would stall until the
+        // flush finishes, and the flush is about to park on the
+        // failpoint.
+        let state = &failpoint.state;
+        let wals_at_open = state.wal_opens.load(SeqCst);
+        let rotated = || state.wal_opens.load(SeqCst) > wals_at_open;
+        state.armed.store(true, SeqCst);
+        let mut n = 0u32;
+        loop {
+            db.put(&key(cycle, n), &value(cycle, n)).unwrap();
+            n += 1;
+            if db.memtable_bytes() >= MEMTABLE_BYTES || rotated() {
+                break;
+            }
+        }
+        // The rotation puts a new WAL under the writes from here on;
+        // the flush of the old memtable then parks on its manifest
+        // commit.
+        wait_for("the memtable rotation", &rotated);
+        wait_for("the flush to reach its manifest commit", &|| {
+            state.parked.load(SeqCst)
+        });
+        // Acked writes only the rotated-in WAL holds.
+        for _ in 0..8 {
+            db.put(&key(cycle, n), &value(cycle, n)).unwrap();
+            n += 1;
+        }
+        state.released.store(true, SeqCst);
+        wait_for("the injected crash", &|| fault.is_poisoned());
+        drop(db);
+        fault.power_loss();
+        acked.push(n);
+    }
+}
+
 /// Several live WALs whose records interleave in timestamp order —
 /// what a crash leaves when a rotation (or, before PR 20, a striped
 /// WAL) spread unflushed writes over more than one file. Recovery must
@@ -205,11 +399,9 @@ fn several_live_wals_recover_as_one_timestamp_ordered_history() {
     use clsm_repro::storage::format::WriteRecord;
     use clsm_repro::storage::wal::LogWriter;
     use clsm_repro::storage::{Store, StoreOptions};
-    use clsm_repro::util::env::{Env, FaultEnv};
-    use std::sync::Arc;
 
     let env = FaultEnv::new(0x5712);
-    let dir = std::path::Path::new("/several-wals");
+    let dir = Path::new("/several-wals");
     let store_opts = || StoreOptions {
         env: Arc::new(env.clone()),
         ..StoreOptions::default()
@@ -346,8 +538,6 @@ fn legacy_shard_directory_opens_as_a_db_with_every_acked_key() {
     use clsm_repro::storage::format::WriteRecord;
     use clsm_repro::storage::wal::SyncMode;
     use clsm_repro::storage::{Store, StoreOptions};
-    use clsm_repro::util::env::FaultEnv;
-    use std::sync::Arc;
 
     let env = FaultEnv::new(0x5a4d);
     let dir = std::path::Path::new("/root-of-shards/shard-000");
