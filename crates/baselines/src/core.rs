@@ -234,7 +234,14 @@ impl BaselineCore {
     /// Blocks until flush and compaction queues drain (bench hook).
     pub(crate) fn quiesce(&self) -> Result<()> {
         loop {
-            self.schedule_flush();
+            // Only a non-empty memtable needs a flush. Scheduling one
+            // regardless re-raises `flush_pending` just before reading
+            // it, so the loop could exit only if the worker cleared the
+            // flag in between — a livelock that lasted minutes when the
+            // worker ran on the other core.
+            if !self.mem.load().is_empty() {
+                self.schedule_flush();
+            }
             let busy = self.flush_pending.load(Ordering::Acquire)
                 || !self.mem.load().is_empty()
                 || self.imm.load().is_some()

@@ -4,7 +4,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -22,6 +22,7 @@ use lsm_storage::store::RecoveryReport;
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
+use crate::admission::{AdmissionState, FlowControl, FLUSH_BEHIND, L0_BEHIND};
 use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
@@ -65,6 +66,9 @@ pub(crate) struct DbInner {
     /// Stall-event sink fed by the watchdog sampler (see
     /// [`crate::watchdog`]).
     pub(crate) watchdog: Watchdog,
+    /// Write admission: which merge stages are behind, their drain
+    /// rates and the pacing clock (see [`crate::admission`]).
+    pub(crate) flow: FlowControl,
 
     pub(crate) shutdown: AtomicBool,
     /// Set while a flush is scheduled or running.
@@ -125,6 +129,7 @@ impl Db {
             pm_prev: RcuCell::new(None),
             metrics,
             watchdog,
+            flow: FlowControl::default(),
             shutdown: AtomicBool::new(false),
             flush_pending: AtomicBool::new(false),
             work_mutex: Mutex::new(()),
@@ -157,6 +162,9 @@ impl Db {
                     .map_or(0, |i| i.pm.load().memory_usage() as i64)
             }
         });
+
+        // A recovered tree may already be behind.
+        inner.note_version();
 
         let mut workers = Vec::new();
         // Flush worker (the paper's single maintenance thread), plus
@@ -263,7 +271,7 @@ impl Db {
         disable_wal: bool,
     ) -> Result<()> {
         let inner = &self.inner;
-        inner.admit_write();
+        inner.admit_write((key.len() + value.map_or(0, <[u8]>::len)) as u64);
         let wp = inner.write_path();
 
         {
@@ -348,7 +356,11 @@ impl Db {
         disable_wal: bool,
     ) -> Result<()> {
         let inner = &self.inner;
-        inner.admit_write();
+        let bytes = batch
+            .iter()
+            .map(|(key, value)| key.len() + value.as_ref().map_or(0, Vec::len))
+            .sum::<usize>();
+        inner.admit_write(bytes as u64);
         let wp = inner.write_path();
         let logged;
         {
@@ -515,8 +527,19 @@ impl Db {
         crate::WritePathReport::from_snapshot(&self.metrics())
     }
 
-    /// Blocks until the memtable is flushed and no compaction is due
-    /// (test/benchmark hook; not part of the paper's API).
+    /// Blocks until the memtable is flushed, no L0 table overlaps a
+    /// deeper level and no compaction is due (test/benchmark hook; not
+    /// part of the paper's API).
+    ///
+    /// Once L0 has been merged down, its table count cycles between 0
+    /// and the trigger, so how many superseded versions a quiescent
+    /// store would keep there depends on where in that cycle the last
+    /// write landed — and with it the store's size on disk. L0 is
+    /// therefore merged into L1 below its trigger when one of its tables
+    /// overlaps a deeper level. Before the first merge (nothing below
+    /// L0) and for tables that overlap nothing below (a sequential
+    /// load's), L0 stays as it is: its shape follows from the bytes
+    /// written alone, and merging would only rewrite it.
     ///
     /// Waits on the workers' condvar — flush and compaction workers
     /// signal it whenever they finish a unit of work — so the caller
@@ -525,11 +548,31 @@ impl Db {
     pub fn compact_to_quiescence(&self) -> Result<()> {
         let inner = &self.inner;
         loop {
-            inner.maybe_schedule_flush_force();
+            // Only a non-empty `Pm` needs a flush: re-raising
+            // `flush_pending` for an empty one just before `is_busy`
+            // reads it would let the loop exit only when the worker
+            // happened to clear the flag in between.
+            if !inner.pm.load().is_empty() {
+                inner.maybe_schedule_flush_force();
+            }
             if let Some(e) = inner.store.wal_poisoned() {
                 return Err(e);
             }
             if !inner.is_busy() {
+                let version = inner.store.current_version();
+                if l0_shadows_deeper_levels(&version) {
+                    let largest = version.levels[0]
+                        .iter()
+                        .map(|f| f.largest_user_key())
+                        .max()
+                        .unwrap_or_default();
+                    inner
+                        .store
+                        .compact_level_range(0, &[], largest, inner.gc_watermark())?;
+                    inner.note_version();
+                    // L1 may now be over its budget.
+                    continue;
+                }
                 // A compaction stops counting as busy when it publishes
                 // its version, before it deletes its inputs.
                 inner.store.wait_for_obsolete_deletion();
@@ -561,9 +604,12 @@ impl Db {
     /// range participates).
     pub fn compact_range(&self, start: &[u8], end: &[u8]) -> Result<()> {
         self.compact_to_quiescence()?;
-        self.inner
+        let result = self
+            .inner
             .store
-            .compact_range(start, end, self.inner.gc_watermark())
+            .compact_range(start, end, self.inner.gc_watermark());
+        self.inner.note_version();
+        result
     }
 
     /// Walks every on-disk table verifying checksums and key order;
@@ -710,79 +756,130 @@ impl DbInner {
         }
     }
 
-    /// Combined admission debt right now (see
-    /// [`crate::AdmissionOptions::debt`]): memtable fill fraction
-    /// (amplified while a flush is in flight) vs. L0 file count.
-    pub(crate) fn admission_debt(&self) -> f64 {
-        let fill = self.pm.load().memory_usage() as f64 / self.opts.memtable_bytes as f64;
-        let l0_files = self.store.current_version().num_files(0);
-        let flush_pending =
-            self.flush_pending.load(Ordering::Acquire) || self.pm_prev.load().is_some();
-        self.opts.admission.debt(fill, l0_files, flush_pending)
-    }
-
-    /// The admission ladder's current position plus its lifetime
-    /// counters, for `clsm-doctor`.
-    pub(crate) fn admission_state(&self) -> crate::admission::AdmissionState {
-        let debt = self.admission_debt();
-        let a = &self.opts.admission;
-        crate::admission::AdmissionState {
-            enabled: a.enabled,
-            debt,
-            current_delay: a.delay_for(debt),
-            low_watermark: a.low_watermark,
-            high_watermark: a.high_watermark,
+    /// Write admission's current rung plus its lifetime counters, for
+    /// `clsm-doctor` and the watchdog.
+    pub(crate) fn admission_state(&self) -> AdmissionState {
+        let behind = self.flow.behind();
+        let (behind, paced_bytes_per_sec) = self.flow.binding(behind, self.pm_fill(behind));
+        AdmissionState {
+            enabled: self.opts.admission.enabled,
+            behind,
+            paced_bytes_per_sec,
+            stalled: self.write_stalled(),
             delayed_writes: self.metrics.admission_delayed_writes.get(),
             delay_ns: self.metrics.admission_delay_ns.get(),
             hard_stalls: self.metrics.admission_hard_stalls.get(),
         }
     }
 
-    /// Graduated write admission: the entry gate every write path runs
-    /// before touching the memtable.
+    /// Write admission (see [`crate::admission`]): the gate every write
+    /// passes once per call, before it takes the lock, charged `bytes`.
     ///
-    /// Replaces the §5.3 all-or-nothing stall with a two-step ladder:
-    /// first the proportional delay ramp (debt between the watermarks
-    /// charges each write a sub-millisecond sleep, slowing the
-    /// aggregate ingest rate so the flush catches up *before* the
-    /// memtable fills), then — only if the cliff is reached anyway —
-    /// the hard stall. On the open rung (low debt, no full memtable)
-    /// this is three relaxed loads and no clock read.
-    pub(crate) fn admit_write(&self) {
-        let delay = if self.opts.admission.enabled {
-            self.opts.admission.delay_for(self.admission_debt())
-        } else {
-            std::time::Duration::ZERO
-        };
-        if delay.is_zero()
-            && (self.pm.load().memory_usage() < self.opts.memtable_bytes
-                || self.pm_prev.load().is_none())
-        {
-            return;
+    /// With no merge stage behind this is one relaxed load. Otherwise
+    /// the write takes a slot on the pacing clock at the binding stage's
+    /// drain rate and sleeps until it, then — while a flush is behind —
+    /// passes §5.3's hard stall.
+    #[inline]
+    pub(crate) fn admit_write(&self, bytes: u64) {
+        let behind = self.flow.behind();
+        if behind != 0 {
+            self.admit_behind(behind, bytes);
         }
+    }
+
+    #[cold]
+    fn admit_behind(&self, behind: u8, bytes: u64) {
         let began = Instant::now();
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-            self.metrics.admission_delayed_writes.inc();
-            self.metrics
-                .admission_delay_ns
-                .add(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
+        let mut held = false;
+        if self.opts.admission.enabled {
+            let wait = self.flow.reserve(behind, self.pm_fill(behind), bytes);
+            if !wait.is_zero() {
+                self.flow.wait_for_slot(wait);
+                self.metrics.admission_delayed_writes.inc();
+                self.metrics
+                    .admission_delay_ns
+                    .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                held = true;
+            }
         }
-        self.stall_if_needed();
-        if let Some(wp) = self.write_path() {
+        if behind & FLUSH_BEHIND != 0 {
+            held |= self.stall_if_needed();
+        }
+        if let (true, Some(wp)) = (held, self.write_path()) {
             wp.rec_admission(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
     }
 
+    /// Charges the pacing clock for bytes a write learns only once it
+    /// has committed (an RMW's new value). A write's bytes push back
+    /// the slot of the writes after it, never its own, so charging them
+    /// late paces the same.
+    pub(crate) fn charge_committed(&self, bytes: u64) {
+        let behind = self.flow.behind();
+        if behind != 0 && self.opts.admission.enabled {
+            self.flow.reserve(behind, self.pm_fill(behind), bytes);
+        }
+    }
+
+    /// `Pm`'s bytes over its capacity while a flush is behind (the
+    /// flush stage's rate depends on it), else 0 without a load.
+    fn pm_fill(&self, behind: u8) -> f64 {
+        if behind & FLUSH_BEHIND == 0 {
+            return 0.0;
+        }
+        self.pm.load().memory_usage() as f64 / self.opts.memtable_bytes as f64
+    }
+
+    /// Re-evaluates the L0-behind bit from the current version. Called
+    /// after every version install (flush, compaction, manual range
+    /// compaction) and at open. Two installers racing can leave the bit
+    /// one install stale; the next install corrects it.
+    fn note_version(&self) {
+        let l0_files = self.store.current_version().num_files(0);
+        let limit = 2 * self.opts.store.l0_compaction_trigger;
+        self.flow.set(L0_BEHIND, l0_files >= limit);
+    }
+
+    /// Bookkeeping after a background compaction that started from
+    /// `before` and ran for `elapsed`: an L0→L1 merge (one that took L0
+    /// tables out of the tree — flushes only ever add them) stores the
+    /// L0 drain rate, then the L0-behind bit is re-evaluated.
+    fn compaction_retired(&self, before: &lsm_storage::version::Version, elapsed: Duration) {
+        let after = self.store.current_version();
+        let l0_retired: u64 = before.levels[0]
+            .iter()
+            .filter(|f| !after.levels[0].iter().any(|g| g.number == f.number))
+            .map(|f| f.file_size)
+            .sum();
+        if l0_retired > 0 {
+            self.flow.l0_drained(l0_retired, elapsed);
+        }
+        self.note_version();
+    }
+
+    /// §5.3's stall condition: `Pm` is full while `P'm` is still being
+    /// merged. Inside `beforeMerge` both pointers briefly name the same
+    /// memtable (`P'm` is published before `Pm` is replaced); that is a
+    /// rotation under way, not a stall — a writer that waited on it
+    /// would sleep through the whole flush.
+    pub(crate) fn write_stalled(&self) -> bool {
+        let pm = self.pm.load();
+        pm.memory_usage() >= self.opts.memtable_bytes
+            && self
+                .pm_prev
+                .load()
+                .is_some_and(|prev| !Arc::ptr_eq(&prev, &pm))
+    }
+
     /// Write stall (§5.3): when `Cm` is full while `C'm` is still being
     /// merged, client writes wait for the merge to finish. The ladder's
-    /// last rung — with the ramp on, a write should rarely get here.
-    pub(crate) fn stall_if_needed(&self) {
+    /// last rung — with pacing on, a write should rarely get here.
+    /// Returns whether the write stalled.
+    fn stall_if_needed(&self) -> bool {
         let mut stalled_at: Option<Instant> = None;
         let mut stall_span = None;
         loop {
-            let full = self.pm.load().memory_usage() >= self.opts.memtable_bytes;
-            if !full || self.pm_prev.load().is_none() {
+            if !self.write_stalled() {
                 break;
             }
             if stalled_at.is_none() {
@@ -797,10 +894,7 @@ impl DbInner {
             // every flush attempt (success or error), and `Drop` sets
             // `shutdown` before notifying under the same mutex — so a
             // plain wait (no timed backstop) cannot hang.
-            if self.pm.load().memory_usage() >= self.opts.memtable_bytes
-                && self.pm_prev.load().is_some()
-                && !self.shutdown.load(Ordering::Acquire)
-            {
+            if self.write_stalled() && !self.shutdown.load(Ordering::Acquire) {
                 self.work_cv.wait(&mut guard);
             }
             if self.shutdown.load(Ordering::Acquire) {
@@ -813,6 +907,7 @@ impl DbInner {
                 .write_stall_ns
                 .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
+        stalled_at.is_some()
     }
 
     /// Whether any background work is pending or in flight (the
@@ -826,6 +921,13 @@ impl DbInner {
 
     pub(crate) fn maybe_schedule_flush(&self) {
         if self.pm.load().memory_usage() >= self.opts.memtable_bytes {
+            // A full `Pm` is a flush that is due, not one about to be:
+            // behind from here until `afterMerge`. (A writer that read
+            // a `Pm` whose flush has since finished sets the bit late;
+            // the next `afterMerge` clears it.)
+            if self.flow.behind() & FLUSH_BEHIND == 0 {
+                self.flow.set(FLUSH_BEHIND, true);
+            }
             self.maybe_schedule_flush_force();
         }
     }
@@ -864,6 +966,7 @@ impl DbInner {
             }
             let _rotate = T_MEMTABLE_ROTATE.span_with(old.memory_usage() as u64);
             self.pm_prev.store(Some(Arc::clone(&old)));
+            self.flow.flush_started(old.memory_usage() as u64);
             self.pm.store(Arc::new(Memtable::new()));
             // New WAL: records of the immutable memtable live only in
             // older logs, which die when the flush commits.
@@ -876,8 +979,12 @@ impl DbInner {
         // --- merge (no locks held): stream C'm into L0.
         let mut iter = imm.internal_iter();
         let max_ts = imm.max_ts();
+        let began = Instant::now();
         self.store
             .flush_memtable(&mut iter, watermark, max_ts, new_wal)?;
+        self.flow
+            .flush_drained(imm.memory_usage() as u64, began.elapsed());
+        self.note_version();
 
         // --- afterMerge: Pd was already swung inside the store (data
         // is reachable via the disk pointer); dropping P'm last keeps
@@ -886,6 +993,7 @@ impl DbInner {
             let _span = T_AFTER_MERGE.span();
             let _excl = self.lock.lock_exclusive();
             self.pm_prev.store(None);
+            self.flow.set(FLUSH_BEHIND, false);
         }
         self.metrics.flushes.inc();
         Ok(true)
@@ -951,6 +1059,18 @@ fn flush_worker(inner: Arc<DbInner>) {
     }
 }
 
+/// Whether some L0 table's key range overlaps a table in a deeper
+/// level, so that it may hold versions superseding ones merged below.
+fn l0_shadows_deeper_levels(version: &lsm_storage::version::Version) -> bool {
+    version.levels[0].iter().any(|f| {
+        (1..version.levels.len()).any(|level| {
+            !version
+                .overlapping_files(level, f.smallest_user_key(), f.largest_user_key())
+                .is_empty()
+        })
+    })
+}
+
 /// Background compaction worker. Several may run concurrently (the
 /// RocksDB-style configuration of §5.3); disjoint input claims keep
 /// them from colliding.
@@ -960,10 +1080,13 @@ fn compaction_worker(inner: Arc<DbInner>) {
             return;
         }
         let did_work = if inner.store.needs_compaction() {
+            let before = inner.store.current_version();
+            let began = Instant::now();
             match inner.store.maybe_compact(inner.gc_watermark()) {
                 Ok(ran) => {
                     if ran {
                         inner.metrics.compactions.inc();
+                        inner.compaction_retired(&before, began.elapsed());
                     }
                     ran
                 }

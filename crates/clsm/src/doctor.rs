@@ -71,7 +71,8 @@ pub struct DoctorReport {
     /// I/O rate-limiter budget and consumption: `(bytes_per_sec,
     /// burst_bytes, stats)`, or `None` when writes are unthrottled.
     pub io_rate_limit: Option<(u64, u64, IoRateLimiterStats)>,
-    /// The graduated admission ladder's position and lifetime counters.
+    /// Write admission: the stage behind, the paced rate, the rung and
+    /// lifetime counters.
     pub admission: AdmissionState,
     /// Per-stage write latency (when
     /// [`crate::Options::write_path_attribution`] is on), extracted
@@ -209,13 +210,10 @@ impl DoctorReport {
         let a = &self.admission;
         let _ = writeln!(
             out,
-            "admission: {} (debt {:.2}, delay {:.1?}; watermarks {:.2}/{:.2}) \
-             delayed={} delay={:.1?} hard stalls={}",
+            "admission: {} (behind {}, paced {} B/s) delayed={} delay={:.1?} hard stalls={}",
             a.ladder_rung(),
-            a.debt,
-            a.current_delay,
-            a.low_watermark,
-            a.high_watermark,
+            a.behind,
+            a.paced_bytes_per_sec,
             a.delayed_writes,
             Duration::from_nanos(a.delay_ns),
             a.hard_stalls

@@ -57,7 +57,7 @@ mod stats;
 mod watchdog;
 mod write_report;
 
-pub use admission::{AdmissionOptions, AdmissionState};
+pub use admission::{AdmissionOptions, AdmissionState, Stage};
 pub use batch::{WriteBatch, WriteOptions};
 pub use db::Db;
 pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport, LevelGeometry};

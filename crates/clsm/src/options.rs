@@ -68,8 +68,8 @@ pub struct Options {
     /// Stall-watchdog configuration (sampling thread flagging write
     /// stalls, long exclusive-lock holds, and Active-set pressure).
     pub watchdog: WatchdogOptions,
-    /// Graduated write-admission configuration (the delay ramp that
-    /// replaces the §5.3 all-or-nothing stall; see
+    /// Write admission: pacing at the measured drain rate while a merge
+    /// stage is behind, ahead of the §5.3 stall (see
     /// [`crate::AdmissionOptions`]).
     pub admission: AdmissionOptions,
     /// Disk substrate tuning.
@@ -142,23 +142,6 @@ impl Options {
             return Err(Error::invalid_argument(
                 "store.table_file_size must be nonzero",
             ));
-        }
-        if self.admission.enabled {
-            let a = &self.admission;
-            if !a.low_watermark.is_finite()
-                || !a.high_watermark.is_finite()
-                || a.low_watermark < 0.0
-                || a.high_watermark <= a.low_watermark
-            {
-                return Err(Error::invalid_argument(
-                    "admission watermarks must satisfy 0 <= low < high",
-                ));
-            }
-            if a.max_delay.is_zero() {
-                return Err(Error::invalid_argument(
-                    "admission.max_delay must be nonzero when admission is enabled",
-                ));
-            }
         }
         Ok(())
     }
@@ -279,8 +262,8 @@ impl OptionsBuilder {
         self
     }
 
-    /// Graduated write-admission configuration (delay ramp between the
-    /// watermarks instead of the §5.3 cliff).
+    /// Write-admission configuration (pacing while a merge stage is
+    /// behind, ahead of the §5.3 stall).
     pub fn admission(mut self, admission: AdmissionOptions) -> Self {
         self.opts.admission = admission;
         self
@@ -384,21 +367,6 @@ mod tests {
         ] {
             assert!(Options::builder().store(zeroed).build().is_err());
         }
-        assert!(Options::builder()
-            .admission(AdmissionOptions {
-                low_watermark: 0.9,
-                high_watermark: 0.5,
-                ..Default::default()
-            })
-            .build()
-            .is_err());
-        assert!(Options::builder()
-            .admission(AdmissionOptions {
-                max_delay: std::time::Duration::ZERO,
-                ..Default::default()
-            })
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -406,11 +374,7 @@ mod tests {
         let opts = Options::builder()
             .compaction_policy(CompactionPolicyKind::HybridPartial)
             .io_rate_limit(8 << 20, 1 << 20)
-            .admission(AdmissionOptions {
-                low_watermark: 0.5,
-                high_watermark: 0.9,
-                ..Default::default()
-            })
+            .admission(AdmissionOptions { enabled: false })
             .build()
             .unwrap();
         assert_eq!(
@@ -419,7 +383,7 @@ mod tests {
         );
         let limiter = opts.store.io_rate_limiter.as_ref().unwrap();
         assert_eq!(limiter.bytes_per_sec(), 8 << 20);
-        assert_eq!(opts.admission.low_watermark, 0.5);
+        assert!(!opts.admission.enabled);
 
         // Zero bytes/sec removes the limit.
         let opts = Options::builder()

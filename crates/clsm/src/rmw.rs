@@ -69,7 +69,9 @@ impl Db {
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
         let began = Instant::now();
-        inner.admit_write();
+        // The new value is known only once `f` has run, under the lock:
+        // admission charges the key now and the value at commit.
+        inner.admit_write(key.len() as u64);
 
         // Algorithm 3 line 2/16: the whole operation runs under the
         // shared lock, so the component pointers cannot swing between
@@ -120,6 +122,7 @@ impl Db {
                     }
                     inner.metrics.rmw_ops.inc();
                     inner.metrics.rmw_latency.record_duration(began.elapsed());
+                    inner.charge_committed(value.map_or(0, <[u8]>::len) as u64);
                     inner.maybe_schedule_flush();
                     return Ok(RmwResult {
                         committed: true,

@@ -63,13 +63,13 @@ pub(crate) struct DbMetrics {
     /// Total nanoseconds writers spent stalled on a full memtable.
     pub write_stall_ns: Arc<Counter>,
 
-    // -- graduated admission (the delay ramp before the hard stall) --
-    /// Writes charged a nonzero ramp delay.
+    // -- write admission (pacing before the hard stall) --
+    /// Writes that slept for their pacing slot.
     pub admission_delayed_writes: Arc<Counter>,
-    /// Total ramp delay charged, in nanoseconds.
+    /// Total pacing sleep, in nanoseconds.
     pub admission_delay_ns: Arc<Counter>,
     /// Writes that still hit the §5.3 hard stall (memtable full with a
-    /// flush in flight). Zero under a healthy ramp.
+    /// flush in flight). Zero while pacing keeps up.
     pub admission_hard_stalls: Arc<Counter>,
 
     /// Write-path latency attribution (stage histograms).
@@ -89,9 +89,9 @@ pub(crate) struct DbMetrics {
 /// `total` spans `Db::write` entry to return.
 #[derive(Debug)]
 pub(crate) struct WritePathMetrics {
-    /// Admission-controller hold (ramp delay + any hard stall) before
-    /// the write takes the lock. Zero-delay admissions are not
-    /// recorded, so the count doubles as "writes touched by admission".
+    /// Admission hold (pacing sleep + any hard stall) before the write
+    /// takes the lock. Writes that neither slept nor stalled are not
+    /// recorded, so the count doubles as "writes held by admission".
     pub admission: Arc<ConcurrentHistogram>,
     /// Timestamp acquisition (`getTS`, or one block per batch).
     pub stamp: Arc<ConcurrentHistogram>,

@@ -6,12 +6,12 @@
 //!
 //! - **Write stall** (§5.3): `Pm` is full while `P'm` is still being
 //!   merged, so client writes are blocked behind the flush.
-//! - **Sustained slowdown**: the graduated admission ramp (see
-//!   [`crate::AdmissionOptions`]) has been charging writers delays for
-//!   several consecutive samples. Deliberately distinct from the stall
-//!   detector: a slowdown episode means backpressure is *working*
-//!   (writers throttled, no cliff), a stall episode means it wasn't
-//!   enough.
+//! - **Sustained slowdown**: write admission (see
+//!   [`crate::AdmissionOptions`]) has been pacing writers behind a
+//!   merge stage for several consecutive samples. Deliberately distinct
+//!   from the stall detector: a slowdown episode means backpressure is
+//!   *working* (writers paced, no cliff), a stall episode means it
+//!   wasn't enough.
 //! - **Exclusive hold**: the shared-exclusive lock has been held in
 //!   exclusive mode longer than a threshold. `beforeMerge`/`afterMerge`
 //!   are supposed to be "a few pointer swings" (§3.1); a long hold
@@ -53,8 +53,8 @@ pub enum StallKind {
     /// Writes are stalled: memtable full while the previous one is
     /// still being merged (§5.3).
     WriteStall,
-    /// The admission ramp charged writers delays for three consecutive
-    /// 10 ms samples.
+    /// Admission paced writers (slept them for their slots) across
+    /// three consecutive 10 ms samples.
     SustainedSlowdown,
     /// The shared-exclusive lock was held exclusively for 5 ms or more.
     ExclusiveHold,
@@ -116,9 +116,9 @@ const INTERVAL: Duration = Duration::from_millis(10);
 /// [`StallKind::ExclusiveHold`] events.
 const EXCLUSIVE_HOLD_THRESHOLD: Duration = Duration::from_millis(5);
 
-/// Consecutive samples with ramp-delay growth that make a
-/// [`StallKind::SustainedSlowdown`] episode: admission has been
-/// throttling for at least 30 ms.
+/// Consecutive samples with pacing-delay growth that make a
+/// [`StallKind::SustainedSlowdown`] episode: admission has been pacing
+/// writers for at least 30 ms.
 const SLOWDOWN_WINDOWS: usize = 3;
 
 /// Shared sink the sampler reports into; owned by `DbInner`.
@@ -204,7 +204,7 @@ struct DetectorState {
     admission_delay_seen: u64,
     /// `admission.delay_ns` where the current slowdown run began.
     slowdown_episode_base: u64,
-    /// Consecutive samples (so far) with ramp-delay growth.
+    /// Consecutive samples (so far) with pacing-delay growth.
     slowdown_samples: usize,
     /// The current slowdown run was already reported.
     slowdown_active: bool,
@@ -256,7 +256,7 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
     // stall condition itself (memtable full + merge in flight), and the
     // `db.write_stalls` counter for episodes shorter than one interval.
     let memtable_bytes = inner.pm.load().memory_usage();
-    let condition = memtable_bytes >= inner.opts.memtable_bytes && inner.pm_prev.load().is_some();
+    let condition = inner.write_stalled();
     let stalls_now = inner.metrics.write_stalls.get();
     if (condition || stalls_now > state.write_stalls_seen) && !state.write_stall_active {
         let detail = if condition {
@@ -276,11 +276,11 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
     state.write_stall_active = condition;
     state.write_stalls_seen = stalls_now;
 
-    // Detector 3: sustained slowdown — the admission ramp charged
-    // writers delays across several consecutive samples. Fed by the
-    // `admission.delay_ns` counter rather than the instantaneous debt,
-    // so a steady trickle of throttled writes is what triggers it (a
-    // single delayed write between two samples is not an episode).
+    // Detector 3: sustained slowdown — admission paced writers across
+    // several consecutive samples. Fed by the `admission.delay_ns`
+    // counter rather than the instantaneous stage, so a steady trickle
+    // of paced writes is what triggers it (a single delayed write
+    // between two samples is not an episode).
     let delay_ns_now = inner.metrics.admission_delay_ns.get();
     if delay_ns_now > state.admission_delay_seen {
         if state.slowdown_samples == 0 {
@@ -295,15 +295,17 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
     if state.slowdown_samples >= SLOWDOWN_WINDOWS && !state.slowdown_active {
         state.slowdown_active = true;
         let charged_ns = delay_ns_now - state.slowdown_episode_base;
+        let admission = inner.admission_state();
         wd.report(
             StallKind::SustainedSlowdown,
             charged_ns,
             format!(
-                "admission ramp throttling writers for {} consecutive samples \
-                 ({:.1?} of delay charged; debt {:.2})",
+                "admission pacing writers behind {} at {} B/s for {} consecutive samples \
+                 ({:.1?} of delay charged)",
+                admission.behind,
+                admission.paced_bytes_per_sec,
                 state.slowdown_samples,
                 Duration::from_nanos(charged_ns),
-                inner.admission_debt()
             ),
         );
     }

@@ -10,7 +10,7 @@ use clsm_util::metrics::{HistogramSummary, MetricsSnapshot};
 
 /// The write-path stages in commit order: `(short name, metric name)`.
 /// A given write visits a subset — `admission` exists only for writes
-/// the admission ramp delayed (or hard-stalled), `durable` only for
+/// that slept for a pacing slot (or hard-stalled), `durable` only for
 /// sync writes — so per-stage counts legitimately differ.
 pub const WRITE_PATH_STAGES: &[(&str, &str)] = &[
     ("admission", "write_path.admission_ns"),

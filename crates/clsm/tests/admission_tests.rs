@@ -1,6 +1,6 @@
-//! Graduated-admission integration tests: the delay ramp, the hard
-//! stall's untimed wakeup, the ramp against the §5.3 cliff under
-//! sustained I/O-limited pressure, the watchdog's stall and
+//! Write-admission integration tests: pacing at the measured drain
+//! rate, the hard stall's untimed wakeup, pacing against the §5.3
+//! cliff under sustained I/O-limited pressure, the watchdog's stall and
 //! sustained-slowdown detectors, and the doctor lines that report all
 //! of it.
 
@@ -20,7 +20,7 @@ fn counter(db: &Db, name: &str) -> u64 {
     db.metrics().counters.get(name).copied().unwrap_or(0)
 }
 
-/// The §5.3 hard stall with the ramp disabled (the ablation shim):
+/// The §5.3 hard stall with pacing disabled (the ablation shim):
 /// writers must stall — and every stalled writer must wake again off
 /// the flush's notification, not a timer. The stall wait has no timed
 /// backstop anymore, so a missed wakeup would turn this test into a
@@ -29,10 +29,7 @@ fn counter(db: &Db, name: &str) -> u64 {
 fn stalled_writer_wakes_on_flush_completion_not_a_timer() {
     let dir = scratch("hard-stall-wake");
     let mut opts = Options::small_for_tests();
-    opts.admission = AdmissionOptions {
-        enabled: false,
-        ..AdmissionOptions::default()
-    };
+    opts.admission = AdmissionOptions { enabled: false };
     let db = std::sync::Arc::new(Db::open(&dir, opts).unwrap());
 
     let writer = {
@@ -68,7 +65,7 @@ fn stalled_writer_wakes_on_flush_completion_not_a_timer() {
         "average stall {}ns looks timer-paced, not flush-paced",
         stall_ns / stalls
     );
-    // With the ramp disabled, no write may be charged a slowdown delay.
+    // With pacing disabled, no write may sleep for a slot.
     assert_eq!(counter(&db, "admission.delayed_writes"), 0);
 
     // The watchdog saw the cliff: its stall detector counts stalls that
@@ -101,11 +98,10 @@ struct CliffRun {
 
 /// Sustained write pressure the store cannot drain: four writers put
 /// 2 KiB values over 4 096 keys for 2.5 s into a 512 KiB memtable whose
-/// flushes and compactions share a 4 MiB/s I/O budget. The ramp
-/// (debt 0.5 → 0.9, up to 10 ms per write) is tuned so its maximum
-/// delay throttles ingest below the drain rate — the condition under
-/// which graduated admission can replace hard stalls.
-fn run_cliff_fixture(name: &str, ramp: bool) -> CliffRun {
+/// flushes and compactions share a 4 MiB/s I/O budget. Unpaced, the
+/// writers fill `Pm` long before the flush of `P'm` ends; paced, they
+/// fill it at the rate the last flush drained.
+fn run_cliff_fixture(name: &str, pacing: bool) -> CliffRun {
     let dir = scratch(name);
     let mut opts = Options {
         memtable_bytes: 512 * 1024,
@@ -114,13 +110,7 @@ fn run_cliff_fixture(name: &str, ramp: bool) -> CliffRun {
     opts.store.table_file_size = 1024 * 1024;
     opts.store.base_level_bytes = 4 * 1024 * 1024;
     opts.store.io_rate_limiter = Some(Arc::new(IoRateLimiter::new(4 << 20, 1 << 20)));
-    opts.admission = AdmissionOptions {
-        enabled: ramp,
-        low_watermark: 0.5,
-        high_watermark: 0.9,
-        max_delay: Duration::from_millis(10),
-        ..AdmissionOptions::default()
-    };
+    opts.admission = AdmissionOptions { enabled: pacing };
     let db = Arc::new(Db::open(&dir, opts).unwrap());
 
     let deadline = Instant::now() + Duration::from_millis(2500);
@@ -159,15 +149,15 @@ fn run_cliff_fixture(name: &str, ramp: bool) -> CliffRun {
     run
 }
 
-/// The ramp's reason to exist: with it off the fixture drives writers
+/// Pacing's reason to exist: with it off the fixture drives writers
 /// into the §5.3 cliff and the watchdog flags the episodes; with it on
-/// the same pressure is absorbed as graduated delays and fewer writers
+/// the same pressure is absorbed as pacing delays and fewer writers
 /// ever hit the hard stall.
 #[test]
-fn ramp_turns_cliff_stalls_into_delays() {
+fn flow_control_turns_cliff_stalls_into_delays() {
     let off = run_cliff_fixture("cliff-off", false);
     let on = run_cliff_fixture("cliff-on", true);
-    eprintln!("[cliff] ramp off: {off:?}\n[cliff] ramp on:  {on:?}");
+    eprintln!("[cliff] pacing off: {off:?}\n[cliff] pacing on:  {on:?}");
 
     assert!(off.hard_stalls > 0, "the fixture never hit the stall cliff");
     assert!(
@@ -175,43 +165,50 @@ fn ramp_turns_cliff_stalls_into_delays() {
         "watchdog missed the cliff ({} hard stalls)",
         off.hard_stalls
     );
-    assert_eq!(off.delayed_writes, 0, "the disabled ramp charged delays");
+    assert_eq!(off.delayed_writes, 0, "disabled pacing charged delays");
 
-    assert!(on.delayed_writes > 0, "ramp never engaged");
+    assert!(on.delayed_writes > 0, "pacing never engaged");
     assert!(
         on.hard_stalls < off.hard_stalls,
-        "ramp did not reduce hard stalls: on={} off={}",
+        "pacing did not reduce hard stalls: on={} off={}",
         on.hard_stalls,
         off.hard_stalls
     );
 }
 
-/// With an aggressive ramp the controller charges delays once debt
-/// crosses the low watermark, records them in the `admission.*`
-/// counters and the `write_path.admission_ns` stage, and the watchdog
-/// flags the episode as a sustained slowdown (not a stall).
+/// Behind an I/O-limited flush the controller paces writes at the
+/// flush's measured drain rate, records the sleeps in the
+/// `admission.*` counters and the `write_path.admission_ns` stage, and
+/// the watchdog flags the episode as a sustained slowdown (not a
+/// stall).
 #[test]
-fn ramp_delays_are_counted_and_flagged_as_sustained_slowdown() {
-    let dir = scratch("ramp");
+fn paced_delays_are_counted_and_flagged_as_sustained_slowdown() {
+    let dir = scratch("paced");
     let mut opts = Options::small_for_tests();
-    // Low watermarks so the ramp engages early and often.
-    opts.admission = AdmissionOptions {
-        enabled: true,
-        low_watermark: 0.05,
-        high_watermark: 0.5,
-        max_delay: Duration::from_millis(2),
-        l0_slowdown_files: 2,
-    };
+    // A 64 KiB memtable flushed at 1 MiB/s: every flush is behind for
+    // tens of milliseconds.
+    opts.store.io_rate_limiter = Some(Arc::new(IoRateLimiter::new(1 << 20, 64 << 10)));
     let db = Db::open(&dir, opts).unwrap();
 
+    // Pacing needs a measured flush rate. With other tests busy on the
+    // host the flush worker can be starved of CPU for the first few
+    // hundred puts, so write until two flushes have finished, then
+    // 2 048 more.
     let value = vec![0u8; 512];
-    for i in 0..2048u32 {
-        db.put(format!("ramp.{i:08}").as_bytes(), &value).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut i = 0u32;
+    while db.stats().flushes < 2 {
+        assert!(Instant::now() < deadline, "no flush finished");
+        db.put(format!("paced.{i:08}").as_bytes(), &value).unwrap();
+        i += 1;
+    }
+    for i in i..i + 2048 {
+        db.put(format!("paced.{i:08}").as_bytes(), &value).unwrap();
     }
 
     let delayed = counter(&db, "admission.delayed_writes");
     let delay_ns = counter(&db, "admission.delay_ns");
-    assert!(delayed > 0, "ramp never engaged");
+    assert!(delayed > 0, "pacing never engaged");
     assert!(delay_ns > 0);
     let snap = db.metrics();
     let admission_stage = snap
@@ -236,8 +233,8 @@ fn ramp_delays_are_counted_and_flagged_as_sustained_slowdown() {
             Instant::now() < deadline,
             "watchdog never flagged the sustained slowdown"
         );
-        // Keep the ramp charging so the detector sees growth.
-        db.put(b"ramp.more", &value).unwrap();
+        // Keep pacing charging so the detector sees growth.
+        db.put(b"paced.more", &value).unwrap();
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(counter(&db, "watchdog.sustained_slowdown_events") > 0);
@@ -250,8 +247,8 @@ fn ramp_delays_are_counted_and_flagged_as_sustained_slowdown() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The doctor report carries the policy, limiter, and admission-ladder
-/// lines in greppable form.
+/// The doctor report carries the policy, limiter, and admission lines
+/// in greppable form.
 #[test]
 fn doctor_reports_policy_limiter_and_admission_ladder() {
     let dir = scratch("doctor");
@@ -279,7 +276,8 @@ fn doctor_reports_policy_limiter_and_admission_ladder() {
     let text = report.render();
     assert!(text.contains("compaction policy: hybrid-partial"), "{text}");
     assert!(text.contains("io rate limit:"), "{text}");
-    assert!(text.contains("admission:"), "{text}");
+    // Quiesced: no flush in flight and L0 under its limit.
+    assert!(text.contains("admission: open (behind none"), "{text}");
     assert!(text.contains("hard stalls="), "{text}");
 
     // An unlimited database renders the unlimited line.

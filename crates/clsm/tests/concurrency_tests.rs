@@ -386,9 +386,9 @@ fn linearizable_snapshots_always_see_own_writes_under_concurrency() {
 }
 
 /// Puts per second from `threads` writers hammering a fresh store for
-/// 0.4 s. The default 128 MiB memtable stays below the admission ramp's
-/// low watermark for the whole window, so the number is the write path
-/// alone: stamp, skip-list insert, WAL enqueue — no flush, no delay.
+/// 0.4 s. The default 128 MiB memtable never fills in the window, so no
+/// flush is behind and admission never paces: the number is the write
+/// path alone — stamp, skip-list insert, WAL enqueue.
 fn write_throughput(threads: u64) -> f64 {
     let dir = TempDir::new(&format!("write-scaling-t{threads}"));
     let db = Arc::new(Db::open(&dir.0, Options::default()).unwrap());

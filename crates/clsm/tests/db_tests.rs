@@ -413,6 +413,50 @@ fn many_overwrites_of_one_key() {
 }
 
 #[test]
+fn quiescence_merges_l0_tables_that_shadow_deeper_levels() {
+    let dir = TempDir::new("quiesce-l0");
+    let db = open_small(&dir);
+    for i in 0..5000u32 {
+        db.put(format!("key{i:06}").as_bytes(), &[1u8; 100])
+            .unwrap();
+    }
+    db.compact_to_quiescence().unwrap();
+    let counts = db.level_file_counts();
+    assert!(
+        counts[1..].iter().sum::<usize>() > 0,
+        "nothing below L0: {counts:?}"
+    );
+    // A handful of overwrites: one table, far below the L0 trigger,
+    // that supersedes versions merged below it.
+    for i in (0..5000u32).step_by(500) {
+        db.put(format!("key{i:06}").as_bytes(), b"new").unwrap();
+    }
+    db.compact_to_quiescence().unwrap();
+    let counts = db.level_file_counts();
+    assert_eq!(counts[0], 0, "L0 shadows a deeper level: {counts:?}");
+    for i in (0..5000u32).step_by(500) {
+        assert_eq!(
+            db.get(format!("key{i:06}").as_bytes()).unwrap(),
+            Some(b"new".to_vec()),
+            "key {i}"
+        );
+    }
+}
+
+#[test]
+fn quiescence_leaves_l0_with_nothing_below_it() {
+    let dir = TempDir::new("quiesce-l0-alone");
+    let db = open_small(&dir);
+    for i in 0..100u32 {
+        db.put(format!("key{i:06}").as_bytes(), b"v").unwrap();
+    }
+    db.compact_to_quiescence().unwrap();
+    let counts = db.level_file_counts();
+    assert_eq!(counts[0], 1, "the one flushed table was merged: {counts:?}");
+    assert_eq!(counts[1..].iter().sum::<usize>(), 0, "{counts:?}");
+}
+
+#[test]
 fn compact_range_pushes_data_to_bottom() {
     let dir = TempDir::new("compact-range");
     let db = open_small(&dir);

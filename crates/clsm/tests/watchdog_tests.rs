@@ -79,8 +79,8 @@ fn injected_exclusive_hold_is_flagged() {
 fn write_pressure_is_flagged_and_reaches_the_doctor() {
     let dir = scratch("write-stall");
     // A tiny memtable (64 KiB in small_for_tests) and a few MiB of
-    // writes force flush-behind stalls — with the admission ramp off;
-    // on, it absorbs the same pressure as delays.
+    // writes force flush-behind stalls — with admission pacing off; on,
+    // it paces writers at the flush's drain rate instead.
     let mut opts = Options::small_for_tests();
     opts.admission.enabled = false;
     let db = Db::open(&dir, opts).unwrap();

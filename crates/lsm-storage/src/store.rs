@@ -635,73 +635,83 @@ impl Store {
     /// concurrently with background compactions (claims serialize).
     pub fn compact_range(&self, start: &[u8], end: &[u8], watermark: u64) -> Result<()> {
         for level in 0..self.opts.num_levels - 1 {
-            loop {
-                let version = self.current_version();
-                let picked = compaction::pick_level_range(&version, &self.opts, level, start, end);
-                let mut task = match picked {
-                    Some(task) => task,
-                    None => {
-                        // Nothing overlapping at this level, or claimed
-                        // by a background compaction: if the level still
-                        // has overlapping files we must wait and retry,
-                        // else we move on.
-                        if version.overlapping_files(level, start, end).is_empty() {
-                            break;
-                        }
-                        // A background compaction holds the claim. Every
-                        // claim release notifies `claims` under its lock
-                        // (RAII, including error unwinds), so re-check
-                        // under that same lock and then wait untimed —
-                        // a release between our failed pick above and
-                        // the lock acquisition cannot be missed.
-                        let mut guard = self.claims.lock();
-                        let version = self.current_version();
-                        match compaction::pick_level_range(&version, &self.opts, level, start, end)
-                        {
-                            Some(task) => {
-                                drop(guard);
-                                task
-                            }
-                            None => {
-                                if version.overlapping_files(level, start, end).is_empty() {
-                                    break;
-                                }
-                                self.claims.wait(&mut guard);
-                                continue;
-                            }
-                        }
-                    }
-                };
-                task.attach_release_signal(Arc::clone(&self.claims));
-                let _span = T_COMPACTION.span_with(task.level as u64);
-                let start = Instant::now();
-                let guard = PendingGuard::new(self);
-                let edit = {
-                    let mut alloc = guard.allocator();
-                    compaction::run(
-                        &task,
-                        &self.dir,
-                        &self.cache,
-                        &self.opts,
-                        watermark,
-                        &mut alloc,
-                    )?
-                };
-                let written = edit.new_files.iter().map(|f| f.file_size).sum::<u64>();
-                self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
-                let mut versions = self.versions.lock();
-                let new_version = versions.log_and_apply(edit)?;
-                self.current.store(new_version);
-                self.delete_obsolete_locked(&mut versions)?;
-                drop(versions);
-                drop(guard);
-                drop(task); // claim Drop notifies `claims`
-                if let Some(m) = self.metrics.get() {
-                    m.bytes_compacted.add(written);
-                    m.compaction_ns.record_duration(start.elapsed());
-                }
-                break;
+            self.compact_level_range(level, start, end, watermark)?;
+        }
+        Ok(())
+    }
+
+    /// Merges every file of `level` overlapping `[start, end]` (all of
+    /// L0 when any L0 file does) with its overlap one level down, in
+    /// one manual compaction. Blocks until done; a background
+    /// compaction holding one of the inputs is waited out. The last
+    /// level has nowhere to go: a no-op.
+    pub fn compact_level_range(
+        &self,
+        level: usize,
+        start: &[u8],
+        end: &[u8],
+        watermark: u64,
+    ) -> Result<()> {
+        if level + 1 >= self.opts.num_levels {
+            return Ok(());
+        }
+        let mut task = loop {
+            let version = self.current_version();
+            if let Some(task) =
+                compaction::pick_level_range(&version, &self.opts, level, start, end)
+            {
+                break task;
             }
+            // Nothing overlapping at this level, or claimed by a
+            // background compaction: if the level still has overlapping
+            // files we must wait and retry, else there is nothing to do.
+            if version.overlapping_files(level, start, end).is_empty() {
+                return Ok(());
+            }
+            // A background compaction holds the claim. Every claim
+            // release notifies `claims` under its lock (RAII, including
+            // error unwinds), so re-check under that same lock and then
+            // wait untimed — a release between our failed pick above and
+            // the lock acquisition cannot be missed.
+            let mut guard = self.claims.lock();
+            let version = self.current_version();
+            if let Some(task) =
+                compaction::pick_level_range(&version, &self.opts, level, start, end)
+            {
+                break task;
+            }
+            if version.overlapping_files(level, start, end).is_empty() {
+                return Ok(());
+            }
+            self.claims.wait(&mut guard);
+        };
+        task.attach_release_signal(Arc::clone(&self.claims));
+        let _span = T_COMPACTION.span_with(task.level as u64);
+        let start = Instant::now();
+        let guard = PendingGuard::new(self);
+        let edit = {
+            let mut alloc = guard.allocator();
+            compaction::run(
+                &task,
+                &self.dir,
+                &self.cache,
+                &self.opts,
+                watermark,
+                &mut alloc,
+            )?
+        };
+        let written = edit.new_files.iter().map(|f| f.file_size).sum::<u64>();
+        self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
+        let mut versions = self.versions.lock();
+        let new_version = versions.log_and_apply(edit)?;
+        self.current.store(new_version);
+        self.delete_obsolete_locked(&mut versions)?;
+        drop(versions);
+        drop(guard);
+        drop(task); // claim Drop notifies `claims`
+        if let Some(m) = self.metrics.get() {
+            m.bytes_compacted.add(written);
+            m.compaction_ns.record_duration(start.elapsed());
         }
         Ok(())
     }
