@@ -328,20 +328,6 @@ fn clsm_with_hybrid_partial_compaction_conforms() {
 }
 
 #[test]
-fn clsm_with_io_rate_limit_conforms() {
-    // A tight-but-livable budget: the whole checklist's write volume
-    // fits in a few seconds of refill, so correctness is exercised
-    // under real throttle waits.
-    let dir = TempDir::new("clsm-ratelimited");
-    let opts = clsm::OptionsBuilder::from_options(Options::small_for_tests())
-        .io_rate_limit(4 << 20, 1 << 20)
-        .build()
-        .unwrap();
-    let store = clsm::Db::open(&dir.0, opts).unwrap();
-    exercise(&store);
-}
-
-#[test]
 fn partitioned_composition_conforms() {
     // The full checklist against the Figure-1 partitioned composition;
     // boundaries split the bulk range itself so stitched scans cross a

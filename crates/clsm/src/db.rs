@@ -120,7 +120,7 @@ impl Db {
         let metrics = DbMetrics::new();
         let watchdog = Watchdog::new(&metrics.registry);
         let inner = Arc::new(DbInner {
-            oracle: TimestampOracle::recovered_at(recovered.last_ts, opts.active_slots),
+            oracle: TimestampOracle::recovered_at(recovered.last_ts),
             opts,
             store,
             lock: SharedExclusiveLock::new(),
@@ -244,9 +244,10 @@ impl Db {
             (&inner.metrics.puts, &inner.metrics.write_batch_latency)
         };
         let elapsed = began.elapsed();
-        if let Some(wp) = inner.write_path() {
-            wp.rec_total(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-        }
+        inner
+            .metrics
+            .write_path
+            .rec_total(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         count.inc();
         latency.record_duration(elapsed);
         Ok(())
@@ -272,7 +273,7 @@ impl Db {
     ) -> Result<()> {
         let inner = &self.inner;
         inner.admit_write((key.len() + value.map_or(0, <[u8]>::len)) as u64);
-        let wp = inner.write_path();
+        let wp = &inner.metrics.write_path;
 
         {
             // Algorithm 2, put: shared lock → getTS → insert → log →
@@ -297,24 +298,20 @@ impl Db {
             // stage; the rest of the loop (inserts, plus the rare
             // abandoned-stamp publish on conflict) is the memtable
             // stage.
-            let loop_start = if wp.is_some() { now_ns() } else { 0 };
+            let loop_start = now_ns();
             let mut stamp_ns = 0u64;
             let stamp = loop {
-                let t0 = if wp.is_some() { now_ns() } else { 0 };
+                let t0 = now_ns();
                 let stamp = inner.oracle.get_ts();
-                if wp.is_some() {
-                    stamp_ns += now_ns().saturating_sub(t0);
-                }
+                stamp_ns += now_ns().saturating_sub(t0);
                 match inner.pm.load().insert_as_newest(key, stamp.ts, value) {
                     Ok(()) => break stamp,
                     Err(_conflict) => inner.oracle.publish(stamp),
                 }
             };
-            if let Some(wp) = wp {
-                let loop_ns = now_ns().saturating_sub(loop_start);
-                wp.rec_stamp(stamp_ns);
-                wp.rec_memtable(loop_ns.saturating_sub(stamp_ns));
-            }
+            let loop_ns = now_ns().saturating_sub(loop_start);
+            wp.rec_stamp(stamp_ns);
+            wp.rec_memtable(loop_ns.saturating_sub(stamp_ns));
             let logged = if disable_wal {
                 Ok(())
             } else {
@@ -322,18 +319,14 @@ impl Db {
                     Some(v) => WriteRecord::put(stamp.ts, key, v),
                     None => WriteRecord::delete(stamp.ts, key),
                 };
-                let wal_start = if wp.is_some() { now_ns() } else { 0 };
+                let wal_start = now_ns();
                 let r = inner.store.log(&[record], SyncMode::Async);
-                if let Some(wp) = wp {
-                    wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
-                }
+                wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
                 r
             };
-            let publish_start = if wp.is_some() { now_ns() } else { 0 };
+            let publish_start = now_ns();
             inner.oracle.publish(stamp);
-            if let Some(wp) = wp {
-                wp.rec_publish(now_ns().saturating_sub(publish_start));
-            }
+            wp.rec_publish(now_ns().saturating_sub(publish_start));
             logged?;
         }
         if sync {
@@ -361,33 +354,26 @@ impl Db {
             .map(|(key, value)| key.len() + value.as_ref().map_or(0, Vec::len))
             .sum::<usize>();
         inner.admit_write(bytes as u64);
-        let wp = inner.write_path();
+        let wp = &inner.metrics.write_path;
         let logged;
         {
             let _span = T_WRITE_BATCH.span_with(batch.len() as u64);
             let _excl = inner.lock.lock_exclusive();
-            let stamp_start = if wp.is_some() { now_ns() } else { 0 };
+            let stamp_start = now_ns();
             let block = inner.oracle.get_ts_block(batch.len() as u64);
-            let mem_start = if let Some(wp) = wp {
-                let t = now_ns();
-                wp.rec_stamp(t.saturating_sub(stamp_start));
-                t
-            } else {
-                0
-            };
+            let mem_start = now_ns();
+            wp.rec_stamp(mem_start.saturating_sub(stamp_start));
             let pm = inner.pm.load();
             for (ts, (key, value)) in (block.base..).zip(&batch) {
                 pm.insert(key, ts, value.as_deref());
             }
-            if let Some(wp) = wp {
-                wp.rec_memtable(now_ns().saturating_sub(mem_start));
-            }
+            wp.rec_memtable(now_ns().saturating_sub(mem_start));
             // One log payload for the whole batch, so a torn WAL tail
             // drops it atomically.
             logged = if disable_wal {
                 Ok(())
             } else {
-                let wal_start = if wp.is_some() { now_ns() } else { 0 };
+                let wal_start = now_ns();
                 let records: Vec<WriteRecord> = (block.base..)
                     .zip(batch)
                     .map(|(ts, (key, value))| match value {
@@ -396,19 +382,15 @@ impl Db {
                     })
                     .collect();
                 let r = inner.store.log(&records, SyncMode::Async);
-                if let Some(wp) = wp {
-                    wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
-                }
+                wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
                 r
             };
             // Publish even when the log append failed: an unpublished
             // stamp would wedge snapshot creation forever, and recovery
             // never depends on an unlogged record.
-            let publish_start = if wp.is_some() { now_ns() } else { 0 };
+            let publish_start = now_ns();
             inner.oracle.publish_block(block);
-            if let Some(wp) = wp {
-                wp.rec_publish(now_ns().saturating_sub(publish_start));
-            }
+            wp.rec_publish(now_ns().saturating_sub(publish_start));
         }
         logged?;
         if sync {
@@ -521,8 +503,9 @@ impl Db {
 
     /// Write-path latency attribution: the per-stage histograms
     /// (admission → stamp → memtable → WAL-enqueue → publish →
-    /// durable), extracted from [`Db::metrics`]. Empty unless
-    /// [`Options::write_path_attribution`] is on.
+    /// durable), extracted from [`Db::metrics`]. Every write records
+    /// into it; a stage no write has visited (`durable` without sync
+    /// writes, `admission` while no write was held) has no samples.
     pub fn write_path_report(&self) -> crate::WritePathReport {
         crate::WritePathReport::from_snapshot(&self.metrics())
     }
@@ -693,29 +676,15 @@ impl DbInner {
     /// this thread has logged. Called outside the critical section so
     /// it never blocks the merge hooks.
     fn wait_durable(&self) -> Result<()> {
-        if let Some(wp) = self.write_path() {
-            // The durable-ack timestamp is taken on the logger thread
-            // right after the fsync, so the stage excludes the time it
-            // took to wake this writer back up.
-            let sync_start = now_ns();
-            let durable_ns = self.store.sync_wal_timed()?;
-            wp.rec_durable(durable_ns.saturating_sub(sync_start));
-            Ok(())
-        } else {
-            self.store.sync_wal()
-        }
-    }
-
-    /// The write-path attribution handles, or `None` when
-    /// `Options::write_path_attribution` is off — this single branch is
-    /// all a disabled stage-recording site costs.
-    #[inline]
-    pub(crate) fn write_path(&self) -> Option<&crate::stats::WritePathMetrics> {
-        if self.opts.write_path_attribution {
-            Some(&self.metrics.write_path)
-        } else {
-            None
-        }
+        // The durable-ack timestamp is taken on the logger thread right
+        // after the fsync, so the stage excludes the time it took to
+        // wake this writer back up.
+        let sync_start = now_ns();
+        let durable_ns = self.store.sync_wal_timed()?;
+        self.metrics
+            .write_path
+            .rec_durable(durable_ns.saturating_sub(sync_start));
+        Ok(())
     }
 
     /// Read at a snapshot time: `Pm → P'm → Pd` (Algorithm 1's get).
@@ -805,8 +774,10 @@ impl DbInner {
         if behind & FLUSH_BEHIND != 0 {
             held |= self.stall_if_needed();
         }
-        if let (true, Some(wp)) = (held, self.write_path()) {
-            wp.rec_admission(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        if held {
+            self.metrics
+                .write_path
+                .rec_admission(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
     }
 

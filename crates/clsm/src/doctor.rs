@@ -9,7 +9,6 @@
 use std::time::Duration;
 
 use clsm_util::metrics::MetricsSnapshot;
-use clsm_util::ratelimit::IoRateLimiterStats;
 
 use crate::admission::AdmissionState;
 use crate::db::Db;
@@ -52,7 +51,8 @@ pub struct DoctorReport {
     pub snap_time: u64,
     /// In-flight writes currently in the oracle's `Active` set.
     pub active_writes: usize,
-    /// Slot capacity of the `Active` set.
+    /// Slot capacity of the `Active` set (its real size, a whole number
+    /// of cache-line stripes).
     pub active_slots: usize,
     /// Flush vs. compaction byte counters.
     pub write_amp: lsm_storage::store::WriteAmp,
@@ -68,15 +68,10 @@ pub struct DoctorReport {
     /// Stable name of the compaction scheduling policy
     /// ([`crate::CompactionPolicyKind::name`]).
     pub compaction_policy: &'static str,
-    /// I/O rate-limiter budget and consumption: `(bytes_per_sec,
-    /// burst_bytes, stats)`, or `None` when writes are unthrottled.
-    pub io_rate_limit: Option<(u64, u64, IoRateLimiterStats)>,
     /// Write admission: the stage behind, the paced rate, the rung and
     /// lifetime counters.
     pub admission: AdmissionState,
-    /// Per-stage write latency (when
-    /// [`crate::Options::write_path_attribution`] is on), extracted
-    /// from the metrics snapshot.
+    /// Per-stage write latency, extracted from the metrics snapshot.
     pub write_path: WritePathReport,
 }
 
@@ -106,18 +101,13 @@ impl Db {
             time_counter: inner.oracle.current_time(),
             snap_time: inner.oracle.snap_time(),
             active_writes: inner.oracle.active().len(),
-            active_slots: inner.opts.active_slots,
+            active_slots: inner.oracle.active().capacity(),
             write_amp: inner.store.write_amp(),
             cache: inner.store.cache_stats(),
             wal_number: inner.store.current_wal_number(),
             wal_queue_depth: inner.store.wal_queue_depth(),
             stall_events: self.stall_events(),
             compaction_policy: inner.store.compaction_policy().name(),
-            io_rate_limit: inner
-                .store
-                .io_rate_limiter()
-                .filter(|l| !l.is_unlimited())
-                .map(|l| (l.bytes_per_sec(), l.burst_bytes(), l.stats())),
             admission: inner.admission_state(),
             write_path: WritePathReport::from_snapshot(&self.metrics()),
         }
@@ -191,22 +181,6 @@ impl DoctorReport {
             );
         }
         let _ = writeln!(out, "compaction policy: {}", self.compaction_policy);
-        match &self.io_rate_limit {
-            Some((bps, burst, stats)) => {
-                let _ = writeln!(
-                    out,
-                    "io rate limit: {bps} B/s (burst {burst} B); consumed \
-                     high={} low={} throttle waits={} ({:.1?})",
-                    stats.consumed_high,
-                    stats.consumed_low,
-                    stats.throttle_waits,
-                    Duration::from_nanos(stats.throttle_wait_ns)
-                );
-            }
-            None => {
-                let _ = writeln!(out, "io rate limit: unlimited");
-            }
-        }
         let a = &self.admission;
         let _ = writeln!(
             out,

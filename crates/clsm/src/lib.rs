@@ -72,6 +72,5 @@ pub use write_report::{WritePathReport, WriteStage, WRITE_PATH_STAGES};
 pub use clsm_kv::{KvSnapshot, KvStore, ScanRange};
 pub use clsm_util::error::{Error, Result};
 pub use clsm_util::metrics::{HistogramSummary, MetricsSnapshot};
-pub use clsm_util::ratelimit::{IoRateLimiter, IoRateLimiterStats};
 pub use lsm_storage::compaction::CompactionPolicyKind;
 pub use lsm_storage::store::RecoveryReport;

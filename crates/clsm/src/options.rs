@@ -4,7 +4,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use clsm_util::env::Env;
-use clsm_util::ratelimit::IoRateLimiter;
 use lsm_storage::compaction::CompactionPolicyKind;
 use lsm_storage::StoreOptions;
 
@@ -50,21 +49,10 @@ pub struct Options {
     /// `true` → snapshots are linearizable (never "read in the past");
     /// `false` (default) → serializable, as in the paper's Algorithm 2.
     pub linearizable_snapshots: bool,
-    /// `true` (default) → each write records per-stage latencies
-    /// (admission, stamp, memtable, WAL enqueue, publish, durable)
-    /// into the `write_path.*` histograms behind
-    /// `Db::write_path_report()`. The cost is a handful of monotonic
-    /// clock reads plus thread-striped histogram updates per write — no
-    /// locks. `false` → the stage recording sites reduce to a single
-    /// branch.
-    pub write_path_attribution: bool,
     /// Number of background compaction threads. The paper's cLSM uses a
     /// single compaction thread (§5); the RocksDB comparison (§5.3)
     /// raises this.
     pub compaction_threads: usize,
-    /// Slot count of the oracle's `Active` set; must exceed the number
-    /// of concurrent writer threads.
-    pub active_slots: usize,
     /// Stall-watchdog configuration (sampling thread flagging write
     /// stalls, long exclusive-lock holds, and Active-set pressure).
     pub watchdog: WatchdogOptions,
@@ -82,9 +70,7 @@ impl Default for Options {
             memtable_bytes: 128 * 1024 * 1024,
             sync_writes: false,
             linearizable_snapshots: false,
-            write_path_attribution: true,
             compaction_threads: 1,
-            active_slots: 256,
             watchdog: WatchdogOptions::default(),
             admission: AdmissionOptions::default(),
             store: StoreOptions::default(),
@@ -100,9 +86,6 @@ impl Options {
             return Err(Error::invalid_argument(
                 "memtable_bytes must be at least 4 KiB",
             ));
-        }
-        if self.active_slots == 0 {
-            return Err(Error::invalid_argument("active_slots must be nonzero"));
         }
         if self.compaction_threads == 0 {
             return Err(Error::invalid_argument(
@@ -237,22 +220,9 @@ impl OptionsBuilder {
         self
     }
 
-    /// Whether writes record per-stage latency attribution (see
-    /// [`Options::write_path_attribution`]).
-    pub fn write_path_attribution(mut self, enabled: bool) -> Self {
-        self.opts.write_path_attribution = enabled;
-        self
-    }
-
     /// Number of background compaction threads.
     pub fn compaction_threads(mut self, threads: usize) -> Self {
         self.opts.compaction_threads = threads;
-        self
-    }
-
-    /// Slot count of the oracle's `Active` set.
-    pub fn active_slots(mut self, slots: usize) -> Self {
-        self.opts.active_slots = slots;
         self
     }
 
@@ -280,19 +250,6 @@ impl OptionsBuilder {
     /// [`lsm_storage::compaction::CompactionPolicyKind`]).
     pub fn compaction_policy(mut self, kind: CompactionPolicyKind) -> Self {
         self.opts.store.compaction_policy = kind;
-        self
-    }
-
-    /// Caps background + foreground file-write bandwidth with a shared
-    /// token bucket (`bytes_per_sec`, refilled up to `burst_bytes`;
-    /// flush and WAL traffic outranks compaction). `0` bytes/sec
-    /// removes the limit.
-    pub fn io_rate_limit(mut self, bytes_per_sec: u64, burst_bytes: u64) -> Self {
-        self.opts.store.io_rate_limiter = if bytes_per_sec == 0 {
-            None
-        } else {
-            Some(Arc::new(IoRateLimiter::new(bytes_per_sec, burst_bytes)))
-        };
         self
     }
 
@@ -328,9 +285,7 @@ mod tests {
             .memtable_bytes(1 << 20)
             .sync_writes(true)
             .linearizable_snapshots(true)
-            .write_path_attribution(false)
             .compaction_threads(3)
-            .active_slots(64)
             .store(StoreOptions {
                 block_size: 1024,
                 ..StoreOptions::default()
@@ -340,16 +295,13 @@ mod tests {
         assert_eq!(opts.memtable_bytes, 1 << 20);
         assert!(opts.sync_writes);
         assert!(opts.linearizable_snapshots);
-        assert!(!opts.write_path_attribution);
         assert_eq!(opts.compaction_threads, 3);
-        assert_eq!(opts.active_slots, 64);
         assert_eq!(opts.store.block_size, 1024);
     }
 
     #[test]
     fn builder_rejects_invalid_configurations() {
         assert!(Options::builder().memtable_bytes(16).build().is_err());
-        assert!(Options::builder().active_slots(0).build().is_err());
         assert!(Options::builder().compaction_threads(0).build().is_err());
         for zeroed in [
             StoreOptions {
@@ -370,10 +322,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_selects_policy_admission_and_rate_limit() {
+    fn builder_selects_policy_and_admission() {
         let opts = Options::builder()
             .compaction_policy(CompactionPolicyKind::HybridPartial)
-            .io_rate_limit(8 << 20, 1 << 20)
             .admission(AdmissionOptions { enabled: false })
             .build()
             .unwrap();
@@ -381,17 +332,7 @@ mod tests {
             opts.store.compaction_policy,
             CompactionPolicyKind::HybridPartial
         );
-        let limiter = opts.store.io_rate_limiter.as_ref().unwrap();
-        assert_eq!(limiter.bytes_per_sec(), 8 << 20);
         assert!(!opts.admission.enabled);
-
-        // Zero bytes/sec removes the limit.
-        let opts = Options::builder()
-            .io_rate_limit(8 << 20, 0)
-            .io_rate_limit(0, 0)
-            .build()
-            .unwrap();
-        assert!(opts.store.io_rate_limiter.is_none());
     }
 
     #[test]

@@ -78,9 +78,9 @@ pub(crate) struct DbMetrics {
 
 /// Pre-registered write-path attribution handles.
 ///
-/// The stage histograms (`write_path.*_ns`) are recorded only when
-/// `Options::write_path_attribution` is on — the disabled path is a
-/// single branch with no clock reads.
+/// Every write records its stage histograms (`write_path.*_ns`): a
+/// handful of monotonic clock reads plus thread-striped histogram
+/// updates, no locks.
 ///
 /// Stage boundaries, in commit order (a write visits a subset):
 /// admitted (`admission`, delayed writes only) → stamped (`stamp`) →

@@ -58,8 +58,7 @@ pub enum StallKind {
     SustainedSlowdown,
     /// The shared-exclusive lock was held exclusively for 5 ms or more.
     ExclusiveHold,
-    /// The oracle's `Active` set reached ¾ of
-    /// [`crate::Options::active_slots`].
+    /// The oracle's `Active` set reached ¾ of its slot capacity.
     ActiveSetPressure,
 }
 
@@ -313,16 +312,17 @@ fn sample(inner: &DbInner, state: &mut DetectorState) {
     // Detector 4: Active-set growth (stuck or very slow writers make
     // `getSnap` wait on an old minimum, §3.2).
     // ¾ of the slots (rounded up, so never 0) is the alarm line.
-    let active_len = inner.oracle.active().len();
-    let threshold = (inner.opts.active_slots * 3).div_ceil(4);
+    let active = inner.oracle.active();
+    let active_len = active.len();
+    let slots = active.capacity();
+    let threshold = (slots * 3).div_ceil(4);
     let pressure = active_len >= threshold;
     if pressure && !state.active_pressure_active {
         wd.report(
             StallKind::ActiveSetPressure,
             active_len as u64,
             format!(
-                "oracle Active set at {active_len} entries (threshold {threshold}, slots {})",
-                inner.opts.active_slots
+                "oracle Active set at {active_len} entries (threshold {threshold}, slots {slots})"
             ),
         );
     }

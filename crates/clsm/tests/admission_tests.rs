@@ -1,14 +1,16 @@
 //! Write-admission integration tests: pacing at the measured drain
 //! rate, the hard stall's untimed wakeup, pacing against the §5.3
-//! cliff under sustained I/O-limited pressure, the watchdog's stall and
-//! sustained-slowdown detectors, and the doctor lines that report all
-//! of it.
+//! cliff under sustained pressure on a slow device, the watchdog's
+//! stall and sustained-slowdown detectors, and the doctor lines that
+//! report all of it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clsm::{AdmissionOptions, Db, IoRateLimiter, Options, StallKind};
+use clsm::{AdmissionOptions, Db, Options, Result, StallKind};
+use clsm_util::env::{Env, RandomAccessFile, RealEnv, WritableFile};
+use lsm_storage::filenames::{parse_file_name, FileKind};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("clsm-admission-{}-{}", std::process::id(), name));
@@ -18,6 +20,88 @@ fn scratch(name: &str) -> PathBuf {
 
 fn counter(db: &Db, name: &str) -> u64 {
     db.metrics().counters.get(name).copied().unwrap_or(0)
+}
+
+/// The real file system with every table file written at
+/// `bytes_per_sec`: an append to a table sleeps for its share of that
+/// rate first, so flushes and compactions drain slowly while WAL and
+/// manifest writes do not — what makes a store undersized for the
+/// writers in front of it.
+#[derive(Debug)]
+struct SlowTables {
+    bytes_per_sec: f64,
+}
+
+impl SlowTables {
+    fn env(bytes_per_sec: u64) -> Arc<dyn Env> {
+        Arc::new(SlowTables {
+            bytes_per_sec: bytes_per_sec as f64,
+        })
+    }
+}
+
+struct SlowTableFile {
+    inner: Box<dyn WritableFile>,
+    bytes_per_sec: f64,
+}
+
+impl WritableFile for SlowTableFile {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        std::thread::sleep(Duration::from_secs_f64(
+            data.len() as f64 / self.bytes_per_sec,
+        ));
+        self.inner.append(data)
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.inner.flush()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        self.inner.sync()
+    }
+}
+
+impl Env for SlowTables {
+    fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
+        let inner = RealEnv.open_write(path)?;
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        Ok(match parse_file_name(name) {
+            Some(FileKind::Table(_)) => Box::new(SlowTableFile {
+                inner,
+                bytes_per_sec: self.bytes_per_sec,
+            }),
+            _ => inner,
+        })
+    }
+
+    fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
+        RealEnv.open_read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        RealEnv.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        RealEnv.remove(path)
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<String>> {
+        RealEnv.list(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        RealEnv.sync_dir(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> Result<()> {
+        RealEnv.create_dir_all(dir)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        RealEnv.exists(path)
+    }
 }
 
 /// The §5.3 hard stall with pacing disabled (the ablation shim):
@@ -98,7 +182,7 @@ struct CliffRun {
 
 /// Sustained write pressure the store cannot drain: four writers put
 /// 2 KiB values over 4 096 keys for 2.5 s into a 512 KiB memtable whose
-/// flushes and compactions share a 4 MiB/s I/O budget. Unpaced, the
+/// table files are written at 4 MiB/s. Unpaced, the
 /// writers fill `Pm` long before the flush of `P'm` ends; paced, they
 /// fill it at the rate the last flush drained.
 fn run_cliff_fixture(name: &str, pacing: bool) -> CliffRun {
@@ -109,7 +193,7 @@ fn run_cliff_fixture(name: &str, pacing: bool) -> CliffRun {
     };
     opts.store.table_file_size = 1024 * 1024;
     opts.store.base_level_bytes = 4 * 1024 * 1024;
-    opts.store.io_rate_limiter = Some(Arc::new(IoRateLimiter::new(4 << 20, 1 << 20)));
+    opts.store.env = SlowTables::env(4 << 20);
     opts.admission = AdmissionOptions { enabled: pacing };
     let db = Arc::new(Db::open(&dir, opts).unwrap());
 
@@ -176,7 +260,7 @@ fn flow_control_turns_cliff_stalls_into_delays() {
     );
 }
 
-/// Behind an I/O-limited flush the controller paces writes at the
+/// Behind a slow flush the controller paces writes at the
 /// flush's measured drain rate, records the sleeps in the
 /// `admission.*` counters and the `write_path.admission_ns` stage, and
 /// the watchdog flags the episode as a sustained slowdown (not a
@@ -187,7 +271,7 @@ fn paced_delays_are_counted_and_flagged_as_sustained_slowdown() {
     let mut opts = Options::small_for_tests();
     // A 64 KiB memtable flushed at 1 MiB/s: every flush is behind for
     // tens of milliseconds.
-    opts.store.io_rate_limiter = Some(Arc::new(IoRateLimiter::new(1 << 20, 64 << 10)));
+    opts.store.env = SlowTables::env(1 << 20);
     let db = Db::open(&dir, opts).unwrap();
 
     // Pacing needs a measured flush rate. With other tests busy on the
@@ -247,15 +331,14 @@ fn paced_delays_are_counted_and_flagged_as_sustained_slowdown() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The doctor report carries the policy, limiter, and admission lines
-/// in greppable form.
+/// The doctor report carries the policy and admission lines in
+/// greppable form.
 #[test]
-fn doctor_reports_policy_limiter_and_admission_ladder() {
+fn doctor_reports_policy_and_admission_ladder() {
     let dir = scratch("doctor");
     let opts = Options::builder()
         .memtable_bytes(64 * 1024)
         .compaction_policy(clsm::CompactionPolicyKind::HybridPartial)
-        .io_rate_limit(64 << 20, 8 << 20)
         .build()
         .unwrap();
     let db = Db::open(&dir, opts).unwrap();
@@ -267,25 +350,18 @@ fn doctor_reports_policy_limiter_and_admission_ladder() {
 
     let report = db.doctor();
     assert_eq!(report.compaction_policy, "hybrid-partial");
-    let (bps, burst, stats) = report.io_rate_limit.as_ref().expect("limiter missing");
-    assert_eq!(*bps, 64 << 20);
-    assert_eq!(*burst, 8 << 20);
-    // Flushes and WAL preallocation charge the high-priority lane.
-    assert!(stats.consumed_high > 0, "limiter saw no flush traffic");
 
     let text = report.render();
     assert!(text.contains("compaction policy: hybrid-partial"), "{text}");
-    assert!(text.contains("io rate limit:"), "{text}");
     // Quiesced: no flush in flight and L0 under its limit.
     assert!(text.contains("admission: open (behind none"), "{text}");
     assert!(text.contains("hard stalls="), "{text}");
 
-    // An unlimited database renders the unlimited line.
-    let dir2 = scratch("doctor-unlimited");
+    // The default policy renders its own name.
+    let dir2 = scratch("doctor-leveled");
     let db2 = Db::open(&dir2, Options::small_for_tests()).unwrap();
     let text2 = db2.doctor().render();
     assert!(text2.contains("compaction policy: leveled"), "{text2}");
-    assert!(text2.contains("io rate limit: unlimited"), "{text2}");
 
     drop(db);
     drop(db2);

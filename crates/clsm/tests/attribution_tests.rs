@@ -1,12 +1,11 @@
 //! Write-path latency attribution invariants: end-to-end latency
 //! reconciles with `admission + stamp + memtable + wal_enqueue +
 //! publish + durable`, every write visits every mandatory stage exactly
-//! once under a multi-threaded hammer, merged snapshots bucket-merge
-//! the stage histograms, and the disabled path records nothing.
+//! once under a multi-threaded hammer.
 
 use std::sync::Arc;
 
-use clsm::{Db, Options, WriteBatch, WriteOptions, WritePathReport, WRITE_PATH_STAGES};
+use clsm::{Db, Options, WriteBatch, WriteOptions, WritePathReport};
 
 struct TempDir(std::path::PathBuf);
 
@@ -144,36 +143,4 @@ fn stage_counts_reconcile_under_hammer() {
         }
     }
     assert!(stage_sum(&report) <= total.sum);
-}
-
-/// With `write_path_attribution` off, no stage histogram records a
-/// single sample.
-#[test]
-fn disabled_attribution_records_no_stage_samples() {
-    let dir = TempDir::new("disabled");
-    let opts = Options::builder()
-        .write_path_attribution(false)
-        .memtable_bytes(64 * 1024)
-        .build()
-        .unwrap();
-    let db = Db::open(&dir.0, opts).unwrap();
-
-    for i in 0..100 {
-        db.put(format!("k{i:04}").as_bytes(), b"v").unwrap();
-    }
-    let mut batch = WriteBatch::new();
-    batch.put("sync", "v");
-    db.write(batch, &WriteOptions::durable()).unwrap();
-
-    let snap = db.metrics();
-    for &(_, metric) in WRITE_PATH_STAGES {
-        assert_eq!(
-            snap.histograms[metric].count, 0,
-            "{metric} recorded with attribution disabled"
-        );
-    }
-    assert_eq!(snap.histograms["write_path.total_ns"].count, 0);
-
-    assert!(!db.write_path_report().has_samples());
-    assert_eq!(db.stats().puts, 101);
 }

@@ -16,9 +16,7 @@ pub use policy::{CompactionPolicy, CompactionPolicyKind, HybridPartial, Leveled}
 use std::path::Path;
 use std::sync::Arc;
 
-use clsm_util::env::WritableFile;
 use clsm_util::error::Result;
-use clsm_util::ratelimit::{IoPriority, RateLimitedFile};
 
 use crate::cache::TableCache;
 use crate::filenames;
@@ -333,20 +331,7 @@ pub fn write_merged_tables(
             if builder.is_none() {
                 let number = alloc_file_number();
                 let path = filenames::table_path(dir, number);
-                let mut file: Box<dyn WritableFile> = opts.env.open_write(&path)?;
-                // Charge background bytes at the Env write seam: a
-                // flush (output level 0) unblocks foreground writers,
-                // so it outranks compaction rewrites in the bucket.
-                if let Some(limiter) = &opts.io_rate_limiter {
-                    if !limiter.is_unlimited() {
-                        let prio = if output_level == 0 {
-                            IoPriority::High
-                        } else {
-                            IoPriority::Low
-                        };
-                        file = Box::new(RateLimitedFile::new(file, Arc::clone(limiter), prio));
-                    }
-                }
+                let file = opts.env.open_write(&path)?;
                 builder = Some((
                     number,
                     TableBuilder::new(file, opts.block_size, opts.bloom_bits_per_key),

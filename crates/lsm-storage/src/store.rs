@@ -19,7 +19,6 @@ use parking_lot::Mutex;
 use clsm_util::env::{Env, RealEnv};
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
-use clsm_util::ratelimit::{IoPriority, IoRateLimiter};
 use clsm_util::rcu::RcuCell;
 use clsm_util::trace::TraceId;
 
@@ -31,11 +30,6 @@ static T_FLUSH: TraceId = TraceId::new("storage.flush");
 static T_COMPACTION: TraceId = TraceId::new("storage.compaction");
 static T_WAL_APPEND: TraceId = TraceId::new("storage.wal.append");
 static T_WAL_SYNC: TraceId = TraceId::new("storage.wal.sync");
-
-/// Bytes charged (at [`IoPriority::High`]) against the shared I/O
-/// budget when a new WAL file is created — the cost the OS pays
-/// allocating and zeroing the log head before appends can stream.
-const WAL_PREALLOC_CHARGE: u64 = 64 * 1024;
 
 use crate::cache::{BlockCache, TableCache};
 use crate::compaction::{self, CompactionPolicy, CompactionPolicyKind};
@@ -74,22 +68,6 @@ pub struct StoreOptions {
     pub env: Arc<dyn Env>,
     /// Which [`CompactionPolicy`] schedules background merges.
     pub compaction_policy: CompactionPolicyKind,
-    /// Shared background-I/O budget charged by flushes, compactions,
-    /// and WAL pre-allocation at the [`Env`] write seam. `None` (the
-    /// default) means unlimited. An `Arc` because every flush and
-    /// compaction output file (`RateLimitedFile`) holds a handle to the
-    /// same bucket the store charges WAL rotations to.
-    pub io_rate_limiter: Option<Arc<IoRateLimiter>>,
-}
-
-impl StoreOptions {
-    /// Installs a fresh token-bucket limiter (`bytes_per_sec` refill,
-    /// `burst_bytes` capacity; 0 bytes/sec removes the limit).
-    pub fn with_rate_limit(mut self, bytes_per_sec: u64, burst_bytes: u64) -> StoreOptions {
-        self.io_rate_limiter =
-            (bytes_per_sec > 0).then(|| Arc::new(IoRateLimiter::new(bytes_per_sec, burst_bytes)));
-        self
-    }
 }
 
 impl Default for StoreOptions {
@@ -106,7 +84,6 @@ impl Default for StoreOptions {
             max_open_tables: 500,
             env: Arc::new(RealEnv),
             compaction_policy: CompactionPolicyKind::default(),
-            io_rate_limiter: None,
         }
     }
 }
@@ -464,13 +441,6 @@ impl Store {
     /// the retire/replay boundary for the memtable being flushed.
     pub fn rotate_wal(&self) -> Result<u64> {
         let number = self.versions.lock().new_file_number();
-        // Charge the new log's pre-allocation against the shared I/O
-        // budget at high priority: the rotation sits on the flush
-        // path, so it must outrank compaction traffic, never wait
-        // behind it.
-        if let Some(limiter) = &self.opts.io_rate_limiter {
-            limiter.acquire(WAL_PREALLOC_CHARGE, IoPriority::High);
-        }
         let file = self
             .opts
             .env
@@ -545,11 +515,6 @@ impl Store {
     /// The configured compaction scheduling policy.
     pub fn compaction_policy(&self) -> CompactionPolicyKind {
         self.policy.kind()
-    }
-
-    /// The shared background-I/O limiter, when one is configured.
-    pub fn io_rate_limiter(&self) -> Option<&Arc<IoRateLimiter>> {
-        self.opts.io_rate_limiter.as_ref()
     }
 
     /// Picks (via the configured policy) and runs one compaction if

@@ -48,7 +48,6 @@ pub mod eventlog;
 pub mod histogram;
 pub mod metrics;
 pub mod oracle;
-pub mod ratelimit;
 pub mod rcu;
 pub mod shared_lock;
 pub mod tid;

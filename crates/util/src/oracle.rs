@@ -32,8 +32,10 @@ static T_GETTS_ROLLBACK: TraceId = TraceId::new("oracle.getTS.rollback");
 /// below its chosen time (the `Active`-min wait).
 static T_SNAP_WAIT: TraceId = TraceId::new("oracle.getSnap.active_wait");
 
-/// Default number of slots in the active set; must comfortably exceed
-/// the number of concurrently writing threads.
+/// Default number of slots in the active set (the size a database's
+/// oracle has); must comfortably exceed the number of concurrently
+/// writing threads. A write holds one slot from stamp to publish — a
+/// whole batch included — so this bounds writers, not entries.
 const DEFAULT_ACTIVE_SLOTS: usize = 256;
 
 /// Slots per stripe: one 64-byte cache line of `u64` slots.
@@ -226,13 +228,13 @@ impl TimestampOracle {
         }
     }
 
-    /// Creates an oracle whose counter starts at `ts` (used on recovery
-    /// to resume above the highest recovered timestamp).
-    pub fn recovered_at(ts: u64, active_slots: usize) -> Self {
+    /// Creates an oracle with the default `Active` set whose counter
+    /// starts at `ts` (used on recovery to resume above the highest
+    /// recovered timestamp).
+    pub fn recovered_at(ts: u64) -> Self {
         TimestampOracle {
             time_counter: AtomicU64::new(ts),
-            snap_time: AtomicU64::new(0),
-            active: ActiveSet::new(active_slots),
+            ..Self::default()
         }
     }
 

@@ -1,9 +1,10 @@
 //! Liveness regression: a `WriteBatch` with more entries than the
-//! oracle's `active_slots` must commit — one stamp block takes one
-//! `Active` slot however many entries the batch has. (When every entry
-//! took its own slot, `ActiveSet::add` spun forever on the full set
-//! while holding the exclusive lock.) The batch must also stay atomic:
-//! a concurrent snapshot sees all of it or none, and so does recovery.
+//! oracle's `Active` set has slots (1 000 entries against the default
+//! 256) must commit — one stamp block takes one `Active` slot however
+//! many entries the batch has. (When every entry took its own slot,
+//! `ActiveSet::add` spun forever on the full set while holding the
+//! exclusive lock.) The batch must also stay atomic: a concurrent
+//! snapshot sees all of it or none, and so does recovery.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,7 +21,6 @@ const BOUND: Duration = Duration::from_secs(30);
 
 fn open(dir: &Path, fault: &FaultEnv) -> Result<Arc<dyn KvStore>> {
     let mut opts = Options::small_for_tests();
-    opts.active_slots = 4;
     opts.watchdog.enabled = false;
     opts.store.env = Arc::new(fault.clone());
     Ok(Arc::new(Db::open(dir, opts)?))
