@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the disk substrate: WAL append path, block
-//! building/seeking, Bloom filters, and the RCU component-pointer load
-//! ablation (RCU vs mutex-guarded pointer read).
+//! building/seeking, Bloom filters, CRC32C checksums, and the RCU
+//! component-pointer load ablation (RCU vs mutex-guarded pointer read).
 
 use std::sync::Arc;
 
@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use parking_lot::Mutex;
 
 use clsm_util::bloom::BloomFilterPolicy;
+use clsm_util::crc;
 use clsm_util::rcu::RcuCell;
 use lsm_storage::format::{InternalKey, ValueKind, WriteRecord};
 use lsm_storage::sstable::{Block, BlockBuilder};
@@ -99,6 +100,21 @@ fn bench_bloom(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_crc32c(c: &mut Criterion) {
+    // Every WAL record and table block is checksummed on write and
+    // verified on read: the accelerated path against the table loop.
+    let mut group = c.benchmark_group("storage/crc32c");
+    let block: Vec<u8> = (0..4096u32).map(|i| (i * 131 + 7) as u8).collect();
+    group.throughput(Throughput::Bytes(block.len() as u64));
+    group.bench_function(format!("extend_4KiB_{}", crc::implementation()), |b| {
+        b.iter(|| crc::extend(0, std::hint::black_box(&block)))
+    });
+    group.bench_function("extend_portable_4KiB", |b| {
+        b.iter(|| crc::extend_portable(0, std::hint::black_box(&block)))
+    });
+    group.finish();
+}
+
 fn bench_component_pointer(c: &mut Criterion) {
     // Ablation: reading the global component pointers. cLSM's RCU load
     // (lock-free) vs a mutex-guarded Arc clone (what LevelDB does under
@@ -161,6 +177,7 @@ criterion_group!(
     bench_wal_append,
     bench_block,
     bench_bloom,
+    bench_crc32c,
     bench_component_pointer
 );
 criterion_main!(benches);

@@ -353,6 +353,13 @@ fn doctor_reports_policy_and_admission_ladder() {
 
     let text = report.render();
     assert!(text.contains("compaction policy: hybrid-partial"), "{text}");
+    assert!(
+        text.contains(&format!(
+            "checksum: crc32c ({})",
+            clsm_util::crc::implementation()
+        )),
+        "{text}"
+    );
     // Quiesced: no flush in flight and L0 under its limit.
     assert!(text.contains("admission: open (behind none"), "{text}");
     assert!(text.contains("hard stalls="), "{text}");

@@ -484,7 +484,12 @@ impl SkipList {
         // SAFETY: `find_ge` returns null or a live node; the returned
         // slices are bounded by `&self`, which owns the arena.
         let n = unsafe { &*node };
-        (n.key() == key).then(|| (n.ts, unsafe { n.value_slice() }))
+        (n.key() == key).then(|| {
+            // SAFETY: `value_slice` needs the node's arena to outlive the
+            // slice; the return type ties the slice to `&self`, and the
+            // list owns that arena.
+            (n.ts, unsafe { n.value_slice() })
+        })
     }
 
     /// Creates a cursor positioned before the first entry.

@@ -167,6 +167,11 @@ impl Arena {
     fn alloc_thread_local(&self, cache: &mut Vec<TlChunk>, aligned: usize) -> *mut u8 {
         if let Some(entry) = cache.iter_mut().find(|e| e.arena_id == self.id) {
             if entry.pos + aligned <= entry.cap {
+                // SAFETY: `entry.base` points at a chunk of `entry.cap`
+                // bytes that `self.chunks` owns (the entry's id is this
+                // arena's, so the chunk lives as long as `self`), and
+                // `entry.pos + aligned <= entry.cap` here, so the offset
+                // stays within that allocation.
                 let p = unsafe { entry.base.add(entry.pos) };
                 entry.pos += aligned;
                 return p;
