@@ -1,18 +1,24 @@
 //! Micro-benchmarks of the disk substrate: WAL append path, block
-//! building/seeking, Bloom filters, CRC32C checksums, and the RCU
-//! component-pointer load ablation (RCU vs mutex-guarded pointer read).
+//! building/seeking, Bloom filters, CRC32C checksums, the merge path
+//! (table writer and one-pass reader), and the RCU component-pointer
+//! load ablation (RCU vs mutex-guarded pointer read).
 
 use std::sync::Arc;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use parking_lot::Mutex;
 
 use clsm_util::bloom::BloomFilterPolicy;
 use clsm_util::crc;
+use clsm_util::env::RealEnv;
 use clsm_util::rcu::RcuCell;
+use lsm_storage::compaction::write_merged_tables;
+use lsm_storage::filenames::table_path;
 use lsm_storage::format::{InternalKey, ValueKind, WriteRecord};
-use lsm_storage::sstable::{Block, BlockBuilder};
+use lsm_storage::iter::VecIterator;
+use lsm_storage::sstable::{Block, BlockBuilder, Table};
 use lsm_storage::wal::{LogQueue, LogWriter, SyncMode};
+use lsm_storage::{InternalIterator, StoreOptions};
 
 fn bench_wal_append(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage/wal_append");
@@ -115,6 +121,72 @@ fn bench_crc32c(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_compaction(c: &mut Criterion) {
+    // The merge path at the shape `ingest` loads: 1 KiB values written
+    // through the flush/compaction table writer, and a table read back
+    // the way compaction reads its inputs (one pass, chunked, checksummed,
+    // uncached).
+    let mut group = c.benchmark_group("storage/compaction");
+    group.sample_size(10);
+    let dir = std::env::temp_dir().join(format!("bench-compaction-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Large enough that the 2 MiB stream is one table.
+    let opts = StoreOptions {
+        table_file_size: 4 << 20,
+        ..StoreOptions::default()
+    };
+    let n = 2000u64;
+    let entries: Vec<(Vec<u8>, u64, ValueKind, Vec<u8>)> = (0..n)
+        .map(|i| {
+            let key = format!("key.{i:012}").into_bytes();
+            (key, i + 1, ValueKind::Put, vec![(i % 251) as u8; 1024])
+        })
+        .collect();
+    let write = |entries: Vec<(Vec<u8>, u64, ValueKind, Vec<u8>)>| {
+        let mut it = VecIterator::new(entries);
+        it.seek_to_first();
+        let mut number = 0u64;
+        write_merged_tables(&mut it, &dir, &opts, 1, 0, false, &mut || {
+            number += 1;
+            number
+        })
+        .unwrap()
+    };
+    group.throughput(Throughput::Elements(n));
+    group.bench_function("write_merged_tables_2k_x_1KiB", |b| {
+        b.iter_batched(|| entries.clone(), write, BatchSize::LargeInput)
+    });
+
+    let files = write(entries.clone());
+    assert_eq!(files.len(), 1);
+    let table = Arc::new(
+        Table::open(
+            &RealEnv,
+            &table_path(&dir, files[0].number),
+            files[0].number,
+            opts.bloom_bits_per_key,
+            None,
+        )
+        .unwrap(),
+    );
+    group.bench_function("one_pass_read", |b| {
+        b.iter(|| {
+            let mut it = table.one_pass_iter();
+            it.seek_to_first();
+            let mut walked = 0u64;
+            while it.valid() {
+                std::hint::black_box(it.value());
+                walked += 1;
+                it.next();
+            }
+            it.status().unwrap();
+            walked
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_component_pointer(c: &mut Criterion) {
     // Ablation: reading the global component pointers. cLSM's RCU load
     // (lock-free) vs a mutex-guarded Arc clone (what LevelDB does under
@@ -178,6 +250,7 @@ criterion_group!(
     bench_block,
     bench_bloom,
     bench_crc32c,
+    bench_compaction,
     bench_component_pointer
 );
 criterion_main!(benches);

@@ -5,6 +5,18 @@
 //! from this cache. The block cache is a sharded strict-LRU keyed by
 //! `(table number, block offset)`; the table cache keeps open table
 //! readers (file descriptors + parsed index/filter).
+//!
+//! The block cache serves gets and scans only ([`Table::get`],
+//! [`Table::iter`]). One-pass readers — compaction inputs and
+//! `Store::verify_integrity` — bypass it: they read each table front to
+//! back in large checksummed chunks ([`Table::one_pass_iter`]) and
+//! neither look blocks up nor insert them. A compaction's inputs are
+//! deleted when it commits, so caching their blocks would only evict
+//! the blocks gets still need (LevelDB's `fill_cache = false`).
+//!
+//! [`Table::get`]: crate::sstable::Table::get
+//! [`Table::iter`]: crate::sstable::Table::iter
+//! [`Table::one_pass_iter`]: crate::sstable::Table::one_pass_iter
 
 use std::collections::HashMap;
 use std::path::PathBuf;

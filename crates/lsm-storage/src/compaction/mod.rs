@@ -20,7 +20,7 @@ use clsm_util::error::Result;
 
 use crate::cache::TableCache;
 use crate::filenames;
-use crate::format::InternalKey;
+use crate::format::append_internal_key;
 use crate::iter::{InternalIterator, MergingIterator};
 use crate::sstable::TableBuilder;
 use crate::store::StoreOptions;
@@ -219,20 +219,23 @@ pub fn run(
     }
 
     // Build the merged input stream (newest component first: L0 files
-    // are already newest-first in the version).
+    // are already newest-first in the version). Every input is read
+    // once, front to back, in checksummed chunks that bypass the block
+    // cache: these tables are deleted when the merge commits, so caching
+    // their blocks would only evict blocks that gets still need.
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     if task.level == 0 {
         for f in &task.base {
-            children.push(Box::new(cache.table(f.number)?.iter()));
+            children.push(Box::new(cache.table(f.number)?.one_pass_iter()));
         }
     } else {
-        children.push(Box::new(LevelIter::new(
+        children.push(Box::new(LevelIter::one_pass(
             Arc::clone(cache),
             task.base.clone(),
         )));
     }
     if !task.parent.is_empty() {
-        children.push(Box::new(LevelIter::new(
+        children.push(Box::new(LevelIter::one_pass(
             Arc::clone(cache),
             task.parent.clone(),
         )));
@@ -281,6 +284,8 @@ pub fn write_merged_tables(
     let mut builder: Option<(u64, TableBuilder)> = None;
 
     let mut prev_key: Vec<u8> = Vec::new();
+    // Every output entry's internal key is encoded here, in place.
+    let mut ikey: Vec<u8> = Vec::new();
     let mut have_prev = false;
     let mut prev_ts = 0u64;
     let mut prev_shadowed = false;
@@ -337,12 +342,13 @@ pub fn write_merged_tables(
                     TableBuilder::new(file, opts.block_size, opts.bloom_bits_per_key),
                 ));
             }
-            let ikey = InternalKey::new(key, ts, kind);
+            ikey.clear();
+            append_internal_key(&mut ikey, key, ts, kind);
             builder
                 .as_mut()
                 .expect("just created")
                 .1
-                .add(ikey.encoded(), it.value())?;
+                .add(&ikey, it.value())?;
         }
         it.next();
     }

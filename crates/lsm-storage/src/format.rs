@@ -51,8 +51,7 @@ impl InternalKey {
     /// Builds an internal key from parts.
     pub fn new(user_key: &[u8], ts: u64, kind: ValueKind) -> Self {
         let mut buf = Vec::with_capacity(user_key.len() + TAG_SIZE);
-        buf.extend_from_slice(user_key);
-        buf.extend_from_slice(&pack_tag(ts, kind).to_le_bytes());
+        append_internal_key(&mut buf, user_key, ts, kind);
         InternalKey(buf)
     }
 
@@ -89,6 +88,14 @@ impl InternalKey {
             .expect("validated at construction")
             .2
     }
+}
+
+/// Appends the internal-key encoding of `(user_key, ts, kind)` to
+/// `dst` — the allocation-free form of [`InternalKey::new`] for loops
+/// that encode one key after another into a reused buffer.
+pub fn append_internal_key(dst: &mut Vec<u8>, user_key: &[u8], ts: u64, kind: ValueKind) {
+    dst.extend_from_slice(user_key);
+    dst.extend_from_slice(&pack_tag(ts, kind).to_le_bytes());
 }
 
 /// Packs timestamp and kind into the 8-byte tag.

@@ -64,11 +64,33 @@ impl BlockBuilder {
 
     /// Appends the restart trailer and returns the block contents.
     pub fn finish(mut self) -> Vec<u8> {
+        self.take_finished()
+    }
+
+    /// Appends the restart trailer and hands the block contents out,
+    /// leaving the builder empty. Hand the buffer back with
+    /// [`reuse`](Self::reuse) once it is written, so the next block
+    /// fills the same allocation instead of regrowing one from zero.
+    pub fn take_finished(&mut self) -> Vec<u8> {
         for &r in &self.restarts {
             put_fixed32(&mut self.buffer, r);
         }
         put_fixed32(&mut self.buffer, self.restarts.len() as u32);
-        self.buffer
+        self.restarts.clear();
+        self.restarts.push(0);
+        self.counter = 0;
+        self.last_key.clear();
+        self.num_entries = 0;
+        std::mem::take(&mut self.buffer)
+    }
+
+    /// Takes back a buffer handed out by
+    /// [`take_finished`](Self::take_finished), cleared, as the next
+    /// block's storage.
+    pub fn reuse(&mut self, mut buffer: Vec<u8>) {
+        debug_assert!(self.is_empty(), "reuse only between blocks");
+        buffer.clear();
+        self.buffer = buffer;
     }
 
     /// Current size estimate including the trailer.
@@ -126,6 +148,31 @@ mod tests {
             compressed.add(key.as_bytes(), b"v");
         }
         assert!(compressed.finish().len() < plain.finish().len());
+    }
+
+    #[test]
+    fn a_reused_buffer_builds_the_same_blocks() {
+        let fill = |b: &mut BlockBuilder, from: u32| {
+            for i in from..from + 40 {
+                b.add(format!("key{i:05}").as_bytes(), &[i as u8; 9]);
+            }
+        };
+        let mut reused = BlockBuilder::default();
+        fill(&mut reused, 0);
+        let first = reused.take_finished();
+        assert!(reused.is_empty());
+        let mut fresh = BlockBuilder::default();
+        fill(&mut fresh, 0);
+        assert_eq!(first, fresh.finish());
+
+        let capacity = first.capacity();
+        reused.reuse(first);
+        fill(&mut reused, 100);
+        let second = reused.take_finished();
+        assert_eq!(second.capacity(), capacity, "no regrowth");
+        let mut fresh = BlockBuilder::default();
+        fill(&mut fresh, 100);
+        assert_eq!(second, fresh.finish());
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! SSTable construction.
+//!
+//! The builder allocates per block, not per entry: each key contributes
+//! a 32-bit Bloom hash (not an owned copy), a finished data block's
+//! buffer comes back to the block builder cleared, and the last key of
+//! each block is kept in one reused buffer until its index entry is
+//! written.
 
-use clsm_util::bloom::BloomFilterPolicy;
+use clsm_util::bloom::{bloom_hash, BloomFilterPolicy};
 use clsm_util::crc;
 use clsm_util::env::WritableFile;
 use clsm_util::error::Result;
@@ -27,9 +33,15 @@ pub struct TableBuilder {
     offset: u64,
     data_block: BlockBuilder,
     index_block: BlockBuilder,
-    /// Index entry for the block flushed most recently, emitted lazily.
-    pending_index: Option<(Vec<u8>, BlockHandle)>,
-    filter_keys: Vec<Vec<u8>>,
+    /// Handle of the block flushed most recently, whose index entry is
+    /// emitted lazily under the last key in `pending_key`.
+    pending_handle: Option<BlockHandle>,
+    pending_key: Vec<u8>,
+    /// Scratch space for encoding one index entry's handle.
+    handle_buf: Vec<u8>,
+    /// [`bloom_hash`] of every user key added, duplicates included (the
+    /// Bloom policy handles them fine).
+    filter_hashes: Vec<u32>,
     bloom: BloomFilterPolicy,
     block_size: usize,
     num_entries: u64,
@@ -45,8 +57,10 @@ impl TableBuilder {
             offset: 0,
             data_block: BlockBuilder::default(),
             index_block: BlockBuilder::new(1),
-            pending_index: None,
-            filter_keys: Vec::new(),
+            pending_handle: None,
+            pending_key: Vec::new(),
+            handle_buf: Vec::with_capacity(20),
+            filter_hashes: Vec::new(),
             bloom: BloomFilterPolicy::new(bloom_bits_per_key),
             block_size: block_size.max(64),
             num_entries: 0,
@@ -62,16 +76,12 @@ impl TableBuilder {
                 || compare_internal_keys(&self.last_key, internal_key) == std::cmp::Ordering::Less,
             "keys must be added in order"
         );
-        if let Some((key, handle)) = self.pending_index.take() {
-            self.emit_index_entry(&key, handle);
-        }
+        self.emit_pending_index_entry();
         if self.smallest.is_none() {
             self.smallest = Some(internal_key.to_vec());
         }
         let user_key = split_internal_key(internal_key)?.0;
-        // Deduplicated per key would save a little space; the Bloom
-        // policy handles duplicates fine, so keep it simple.
-        self.filter_keys.push(user_key.to_vec());
+        self.filter_hashes.push(bloom_hash(user_key));
         self.data_block.add(internal_key, value);
         self.last_key.clear();
         self.last_key.extend_from_slice(internal_key);
@@ -82,21 +92,25 @@ impl TableBuilder {
         Ok(())
     }
 
-    fn emit_index_entry(&mut self, last_key: &[u8], handle: BlockHandle) {
-        let mut value = Vec::with_capacity(16);
-        handle.encode_to(&mut value);
-        self.index_block.add(last_key, &value);
+    fn emit_pending_index_entry(&mut self) {
+        if let Some(handle) = self.pending_handle.take() {
+            self.handle_buf.clear();
+            handle.encode_to(&mut self.handle_buf);
+            self.index_block.add(&self.pending_key, &self.handle_buf);
+        }
     }
 
     fn flush_data_block(&mut self) -> Result<()> {
         if self.data_block.is_empty() {
             return Ok(());
         }
-        let block = std::mem::take(&mut self.data_block);
-        let last_key = block.last_key().to_vec();
-        let contents = block.finish();
+        self.pending_key.clear();
+        self.pending_key
+            .extend_from_slice(self.data_block.last_key());
+        let contents = self.data_block.take_finished();
         let handle = self.write_raw_block(&contents)?;
-        self.pending_index = Some((last_key, handle));
+        self.data_block.reuse(contents);
+        self.pending_handle = Some(handle);
         Ok(())
     }
 
@@ -106,14 +120,13 @@ impl TableBuilder {
             offset: self.offset,
             size: contents.len() as u64,
         };
-        self.file.append(contents)?;
         // Trailer: compression type (0 = none) + masked CRC of
         // contents + type byte.
-        let ty = [0u8];
-        let mut c = crc::extend(0, contents);
-        c = crc::extend(c, &ty);
-        self.file.append(&ty)?;
-        self.file.append(&crc::mask(c).to_le_bytes())?;
+        let mut trailer = [0u8; BLOCK_TRAILER_SIZE];
+        let c = crc::extend(crc::extend(0, contents), &trailer[..1]);
+        trailer[1..].copy_from_slice(&crc::mask(c).to_le_bytes());
+        self.file.append(contents)?;
+        self.file.append(&trailer)?;
         self.offset += contents.len() as u64 + BLOCK_TRAILER_SIZE as u64;
         Ok(handle)
     }
@@ -121,16 +134,13 @@ impl TableBuilder {
     /// Finishes the table: filter block, index block, footer, fsync.
     pub fn finish(mut self) -> Result<TableSummary> {
         self.flush_data_block()?;
-        if let Some((key, handle)) = self.pending_index.take() {
-            self.emit_index_entry(&key, handle);
-        }
+        self.emit_pending_index_entry();
         // Filter block.
-        let key_refs: Vec<&[u8]> = self.filter_keys.iter().map(|k| k.as_slice()).collect();
-        let filter = self.bloom.create_filter(&key_refs);
+        let filter = self.bloom.create_filter_from_hashes(&self.filter_hashes);
         let filter_handle = self.write_raw_block(&filter)?;
         // Index block.
-        let index = std::mem::take(&mut self.index_block);
-        let index_handle = self.write_raw_block(&index.finish())?;
+        let index = self.index_block.take_finished();
+        let index_handle = self.write_raw_block(&index)?;
         // Footer.
         let footer = Footer {
             filter_handle,

@@ -15,6 +15,12 @@ use crate::version::FileMeta;
 pub struct LevelIter {
     cache: Arc<TableCache>,
     files: Vec<Arc<FileMeta>>,
+    /// Read each table with [`Table::one_pass_iter`] instead of the
+    /// block-cached [`Table::iter`].
+    ///
+    /// [`Table::one_pass_iter`]: crate::sstable::Table::one_pass_iter
+    /// [`Table::iter`]: crate::sstable::Table::iter
+    one_pass: bool,
     /// Index of the file currently being iterated.
     idx: usize,
     table_iter: Option<TableIter>,
@@ -28,9 +34,20 @@ impl LevelIter {
         LevelIter {
             cache,
             files,
+            one_pass: false,
             idx: 0,
             table_iter: None,
             error: None,
+        }
+    }
+
+    /// Like [`LevelIter::new`], for a reader that walks the level once
+    /// front to back (compaction): each table is read in sequential,
+    /// checksummed chunks that bypass the block cache.
+    pub fn one_pass(cache: Arc<TableCache>, files: Vec<Arc<FileMeta>>) -> Self {
+        LevelIter {
+            one_pass: true,
+            ..LevelIter::new(cache, files)
         }
     }
 
@@ -42,7 +59,11 @@ impl LevelIter {
         }
         match self.cache.table(self.files[idx].number) {
             Ok(table) => {
-                self.table_iter = Some(table.iter());
+                self.table_iter = Some(if self.one_pass {
+                    table.one_pass_iter()
+                } else {
+                    table.iter()
+                });
                 true
             }
             Err(e) => {

@@ -31,7 +31,15 @@ impl BloomFilterPolicy {
     /// The final byte records `k` so that readers built with a different
     /// policy can still interpret the filter.
     pub fn create_filter(&self, keys: &[&[u8]]) -> Vec<u8> {
-        let mut bits = keys.len() * self.bits_per_key;
+        let hashes: Vec<u32> = keys.iter().map(|key| bloom_hash(key)).collect();
+        self.create_filter_from_hashes(&hashes)
+    }
+
+    /// Builds the same filter as [`create_filter`](Self::create_filter)
+    /// from each key's [`bloom_hash`], so a table builder can keep one
+    /// `u32` per key instead of the key itself.
+    pub fn create_filter_from_hashes(&self, hashes: &[u32]) -> Vec<u8> {
+        let mut bits = hashes.len() * self.bits_per_key;
         // Tiny filters have huge false-positive rates; enforce a floor.
         bits = bits.max(64);
         let bytes = bits.div_ceil(8);
@@ -39,8 +47,8 @@ impl BloomFilterPolicy {
 
         let mut filter = vec![0u8; bytes + 1];
         filter[bytes] = self.k as u8;
-        for key in keys {
-            let mut h = bloom_hash(key);
+        for &hash in hashes {
+            let mut h = hash;
             let delta = h.rotate_right(17);
             for _ in 0..self.k {
                 let bit_pos = (h as usize) % bits;
@@ -135,6 +143,18 @@ mod tests {
                 assert!(policy.key_may_match(k, &filter), "n={n}");
             }
         }
+    }
+
+    #[test]
+    fn filter_from_hashes_is_bit_identical() {
+        let policy = BloomFilterPolicy::new(10);
+        let keys: Vec<Vec<u8>> = (0..1000u32).map(key).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let hashes: Vec<u32> = keys.iter().map(|k| bloom_hash(k)).collect();
+        assert_eq!(
+            policy.create_filter_from_hashes(&hashes),
+            policy.create_filter(&refs)
+        );
     }
 
     #[test]

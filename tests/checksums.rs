@@ -1,20 +1,103 @@
 //! Every table block is checksummed on read: flipping any single bit of
 //! a data block — its contents, its compression-type byte or its stored
-//! CRC — makes a point lookup fail with a corruption error, never a
-//! wrong answer and never a panic.
+//! CRC — makes a point lookup, and the one-pass reader compaction uses,
+//! fail with a corruption error, never a wrong answer and never a panic.
+//! The footer has no checksum of its own; a flip there either leaves
+//! the table readable and correct or is a corruption error too, and so
+//! is a truncated table. Table bytes match a recorded golden image.
 
 use std::path::Path;
+use std::sync::Arc;
 
+use clsm_repro::storage::compaction::write_merged_tables;
 use clsm_repro::storage::format::InternalKey;
-use clsm_repro::storage::sstable::{Footer, Table, TableBuilder, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
-use clsm_repro::storage::ValueKind;
+use clsm_repro::storage::iter::VecIterator;
+use clsm_repro::storage::sstable::{
+    Block, BlockHandle, Footer, Table, TableBuilder, BLOCK_TRAILER_SIZE, FOOTER_SIZE,
+};
+use clsm_repro::storage::{InternalIterator, StoreOptions, ValueKind};
+use clsm_repro::util::crc;
 use clsm_repro::util::env::{Env, FaultEnv};
 use clsm_repro::util::error::ErrorKind;
 
 const BLOCK_SIZE: usize = 4096;
 
+/// `(file number, length, CRC32C)` of each table the golden stream
+/// writes, recorded from the table writer before its allocation rework.
+const GOLDEN_TABLES: &[(u64, u64, u32)] = &[
+    (1, 266_547, 2_593_713_164),
+    (2, 266_422, 1_142_481_831),
+    (3, 266_518, 2_115_142_955),
+    (4, 85_979, 3_940_968_188),
+];
+
 fn value(i: usize) -> Vec<u8> {
     (0..24).map(|j| (i * 31 + j * 7) as u8).collect()
+}
+
+type Entry = (Vec<u8>, u64, ValueKind, Vec<u8>);
+
+/// Writes a table of `n` entries with `value_len`-byte values and
+/// returns its bytes and entries.
+fn small_table(
+    env: &FaultEnv,
+    path: &Path,
+    n: usize,
+    value_len: usize,
+    block_size: usize,
+) -> (Vec<u8>, Vec<Entry>) {
+    let entries: Vec<Entry> = (0..n)
+        .map(|i| {
+            let v = (0..value_len).map(|j| (i * 31 + j * 7) as u8).collect();
+            (
+                format!("key.{i:04}").into_bytes(),
+                i as u64 + 1,
+                ValueKind::Put,
+                v,
+            )
+        })
+        .collect();
+    let mut builder = TableBuilder::new(env.open_write(path).unwrap(), block_size, 10);
+    for (key, ts, kind, v) in &entries {
+        builder
+            .add(InternalKey::new(key, *ts, *kind).encoded(), v)
+            .unwrap();
+    }
+    builder.finish().unwrap();
+    (env.read(path).unwrap(), entries)
+}
+
+/// Number of data blocks the table's index names.
+fn data_blocks(bytes: &[u8]) -> usize {
+    let footer = Footer::decode(&bytes[bytes.len() - FOOTER_SIZE..]).unwrap();
+    let BlockHandle { offset, size } = footer.index_handle;
+    let index =
+        Arc::new(Block::parse(bytes[offset as usize..(offset + size) as usize].to_vec()).unwrap());
+    let mut it = index.iter();
+    it.to_first();
+    let mut n = 0;
+    while it.is_valid() {
+        n += 1;
+        it.step();
+    }
+    n
+}
+
+/// Every entry of `table`, read by the one-pass reader.
+fn read_one_pass(table: Table) -> (Vec<Entry>, clsm_repro::util::error::Result<()>) {
+    let mut it = Arc::new(table).one_pass_iter();
+    it.seek_to_first();
+    let mut out = Vec::new();
+    while it.valid() {
+        out.push((
+            it.user_key().to_vec(),
+            it.ts(),
+            it.kind(),
+            it.value().to_vec(),
+        ));
+        it.next();
+    }
+    (out, it.status())
 }
 
 #[test]
@@ -66,6 +149,149 @@ fn every_single_bit_flip_in_a_data_block_is_a_corruption_error() {
         match table.get(key, u64::MAX >> 1) {
             Err(e) => assert_eq!(e.kind(), ErrorKind::Corruption, "bit {bit}: {e}"),
             Ok(found) => panic!("bit {bit} flipped, lookup returned Ok({found:?})"),
+        }
+    }
+}
+
+/// The flush and compaction writer, fed a fixed stream, produces tables
+/// whose length and CRC32C were recorded before the builder stopped
+/// allocating per entry: the on-disk format is unchanged, so stores
+/// written earlier open as they are.
+#[test]
+fn tables_are_byte_identical_to_the_recorded_format() {
+    let env = FaultEnv::new(0x901d);
+    let dir = Path::new("/golden");
+    env.create_dir_all(dir).unwrap();
+    let opts = StoreOptions {
+        env: Arc::new(env.clone()),
+        table_file_size: 256 * 1024,
+        ..StoreOptions::default()
+    };
+    let mut entries = Vec::new();
+    for i in 0..3000u64 {
+        let key = format!("golden.{:05}", i * 7 % 3001).into_bytes();
+        let versions = 1 + i % 3;
+        for v in 0..versions {
+            let ts = 10_000 - v * 1000 + i;
+            let kind = if (i + v) % 11 == 0 {
+                ValueKind::Delete
+            } else {
+                ValueKind::Put
+            };
+            let value = match kind {
+                ValueKind::Delete => Vec::new(),
+                ValueKind::Put => (0..(i * 13 + v) % 300).map(|j| (i + j) as u8).collect(),
+            };
+            entries.push((key.clone(), ts, kind, value));
+        }
+    }
+    entries.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    let mut it = VecIterator::new(entries);
+    it.seek_to_first();
+    let mut next_number = 0u64;
+    let files = write_merged_tables(&mut it, dir, &opts, 1, 9_500, true, &mut || {
+        next_number += 1;
+        next_number
+    })
+    .unwrap();
+    let got: Vec<(u64, u64, u32)> = files
+        .iter()
+        .map(|f| {
+            let bytes = env.read(&dir.join(format!("{:06}.sst", f.number))).unwrap();
+            assert_eq!(bytes.len() as u64, f.file_size);
+            (f.number, f.file_size, crc::extend(0, &bytes))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_TABLES);
+}
+
+#[test]
+fn every_single_bit_flip_in_the_data_region_fails_the_one_pass_reader() {
+    let env = FaultEnv::new(0x3b1);
+    let path = Path::new("/checksums/000002.sst");
+    let block_size = 1024;
+    let (pristine, entries) = small_table(&env, path, 24, 80, block_size);
+    assert_eq!(data_blocks(&pristine), 3, "three data blocks");
+    let footer = Footer::decode(&pristine[pristine.len() - FOOTER_SIZE..]).unwrap();
+    let data_end = footer.filter_handle.offset as usize;
+
+    let open = |bytes: &[u8]| {
+        env.write(path, bytes).unwrap();
+        Table::open(&env, path, 2, 10, None).unwrap()
+    };
+    let (read, status) = read_one_pass(open(&pristine));
+    status.unwrap();
+    assert_eq!(read, entries, "unflipped table");
+
+    for bit in 0..data_end * 8 {
+        let mut bytes = pristine.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        match read_one_pass(open(&bytes)).1 {
+            Err(e) => assert_eq!(e.kind(), ErrorKind::Corruption, "bit {bit}: {e}"),
+            Ok(()) => panic!("bit {bit} flipped, the one-pass reader ended Ok"),
+        }
+    }
+}
+
+#[test]
+fn every_single_bit_flip_in_the_footer_reads_correctly_or_is_corruption() {
+    let env = FaultEnv::new(0xf007);
+    let path = Path::new("/checksums/000003.sst");
+    let (pristine, entries) = small_table(&env, path, 24, 80, 1024);
+    let footer_start = pristine.len() - FOOTER_SIZE;
+    let mut intact = 0;
+    for bit in 0..FOOTER_SIZE * 8 {
+        let mut bytes = pristine.clone();
+        bytes[footer_start + bit / 8] ^= 1 << (bit % 8);
+        env.write(path, &bytes).unwrap();
+        let table = match Table::open(&env, path, 3, 10, None) {
+            Err(e) => {
+                assert_eq!(e.kind(), ErrorKind::Corruption, "bit {bit}: {e}");
+                continue;
+            }
+            Ok(table) => table,
+        };
+        for (key, ts, kind, v) in &entries {
+            assert_eq!(
+                table.get(key, u64::MAX >> 1).unwrap(),
+                Some((*ts, *kind, v.clone())),
+                "bit {bit}"
+            );
+        }
+        let (read, status) = read_one_pass(table);
+        status.unwrap();
+        assert_eq!(read, entries, "bit {bit}");
+        intact += 1;
+    }
+    // Flips in the padding between the handles and the magic are
+    // harmless; flips in a handle or the magic are caught.
+    assert!(
+        intact > 0 && intact < FOOTER_SIZE * 8,
+        "{intact} flips read intact"
+    );
+}
+
+#[test]
+fn a_truncated_table_is_corruption() {
+    let env = FaultEnv::new(0x7c);
+    let path = Path::new("/checksums/000004.sst");
+    let (pristine, _) = small_table(&env, path, 24, 80, 1024);
+    let len = pristine.len();
+    for keep in [
+        0,
+        1,
+        FOOTER_SIZE - 1,
+        FOOTER_SIZE,
+        len / 3,
+        len / 2,
+        len - FOOTER_SIZE,
+        len - 8,
+        len - 1,
+    ] {
+        env.write(path, &pristine[..keep]).unwrap();
+        match Table::open(&env, path, 4, 10, None) {
+            Err(e) => assert_eq!(e.kind(), ErrorKind::Corruption, "kept {keep} of {len}: {e}"),
+            Ok(_) => panic!("kept {keep} of {len} bytes, the table opened"),
         }
     }
 }
