@@ -17,7 +17,7 @@ use clsm_util::shared_lock::SharedExclusiveLock;
 use clsm_util::trace::{now_ns, TraceId};
 
 use clsm_kv::{WriteBatch, WriteOptions};
-use lsm_storage::format::{ValueKind, WriteRecord};
+use lsm_storage::format::ValueKind;
 use lsm_storage::store::RecoveryReport;
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
@@ -315,12 +315,10 @@ impl Db {
             let logged = if disable_wal {
                 Ok(())
             } else {
-                let record = match value {
-                    Some(v) => WriteRecord::put(stamp.ts, key, v),
-                    None => WriteRecord::delete(stamp.ts, key),
-                };
                 let wal_start = now_ns();
-                let r = inner.store.log(&[record], SyncMode::Async);
+                let r = inner
+                    .store
+                    .log_writes([(stamp.ts, key, value)], SyncMode::Async);
                 wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
                 r
             };
@@ -374,14 +372,10 @@ impl Db {
                 Ok(())
             } else {
                 let wal_start = now_ns();
-                let records: Vec<WriteRecord> = (block.base..)
-                    .zip(batch)
-                    .map(|(ts, (key, value))| match value {
-                        Some(v) => WriteRecord::put(ts, key, v),
-                        None => WriteRecord::delete(ts, key),
-                    })
-                    .collect();
-                let r = inner.store.log(&records, SyncMode::Async);
+                let writes = (block.base..)
+                    .zip(&batch)
+                    .map(|(ts, (key, value))| (ts, key.as_slice(), value.as_deref()));
+                let r = inner.store.log_writes(writes, SyncMode::Async);
                 wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
                 r
             };

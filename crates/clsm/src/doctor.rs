@@ -8,6 +8,7 @@
 
 use std::time::Duration;
 
+use clsm_util::env::{RealEnv, SyscallCounts};
 use clsm_util::metrics::MetricsSnapshot;
 
 use crate::admission::AdmissionState;
@@ -60,9 +61,11 @@ pub struct DoctorReport {
     pub cache: Option<(u64, u64)>,
     /// Current WAL file number.
     pub wal_number: u64,
-    /// Backlog of the logging queue at sampling time (persistently
-    /// non-zero means writers outpace the log device).
-    pub wal_queue_depth: usize,
+    /// Bytes in the logging queue at sampling time (persistently past
+    /// one batch means writers outpace the log device).
+    pub wal_queue_bytes: usize,
+    /// Process-wide syscalls issued by `RealEnv` file handles.
+    pub syscalls: SyscallCounts,
     /// Recent watchdog verdicts, oldest first.
     pub stall_events: Vec<StallEvent>,
     /// Stable name of the compaction scheduling policy
@@ -109,7 +112,8 @@ impl Db {
             write_amp: inner.store.write_amp(),
             cache: inner.store.cache_stats(),
             wal_number: inner.store.current_wal_number(),
-            wal_queue_depth: inner.store.wal_queue_depth(),
+            wal_queue_bytes: inner.store.wal_queue_bytes(),
+            syscalls: RealEnv::syscall_counts(),
             stall_events: self.stall_events(),
             compaction_policy: inner.store.compaction_policy().name(),
             admission: inner.admission_state(),
@@ -143,8 +147,8 @@ impl DoctorReport {
         );
         let _ = writeln!(
             out,
-            "level geometry (wal #{}, logging-queue depth {}):",
-            self.wal_number, self.wal_queue_depth
+            "level geometry (wal #{}, logging queue {} bytes):",
+            self.wal_number, self.wal_queue_bytes
         );
         for l in &self.levels {
             let _ = writeln!(out, "  L{}: {} files, {} bytes", l.level, l.files, l.bytes);
@@ -187,6 +191,11 @@ impl DoctorReport {
         }
         let _ = writeln!(out, "compaction policy: {}", self.compaction_policy);
         let _ = writeln!(out, "checksum: crc32c ({})", self.checksum);
+        let _ = writeln!(
+            out,
+            "syscalls (env.real): write={} read={} sync={}",
+            self.syscalls.write, self.syscalls.read, self.syscalls.sync
+        );
         let a = &self.admission;
         let _ = writeln!(
             out,

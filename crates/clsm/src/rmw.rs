@@ -12,7 +12,6 @@ use std::time::Instant;
 use clsm_util::error::{Error, Result};
 use clsm_util::trace::TraceId;
 
-use lsm_storage::format::WriteRecord;
 use lsm_storage::wal::SyncMode;
 
 use crate::db::Db;
@@ -110,13 +109,14 @@ impl Db {
             let pm = inner.pm.load();
             match pm.insert_if_latest(key, stamp.ts, value, expected) {
                 Ok(()) => {
-                    let record = match value {
-                        Some(v) => WriteRecord::put(stamp.ts, key, v),
-                        None => WriteRecord::delete(stamp.ts, key),
-                    };
-                    inner.store.log(&[record], SyncMode::Async)?;
+                    let logged = inner
+                        .store
+                        .log_writes([(stamp.ts, key, value)], SyncMode::Async);
+                    // Publish even when the log append failed: an
+                    // unpublished stamp would wedge snapshot creation.
                     inner.oracle.publish(stamp);
                     drop(_shared);
+                    logged?;
                     if inner.opts.sync_writes {
                         inner.store.sync_wal()?;
                     }

@@ -98,7 +98,7 @@ pub(crate) struct WritePathMetrics {
     /// Memtable insert pass (includes restamp retries on the
     /// single-op path).
     pub memtable: Arc<ConcurrentHistogram>,
-    /// WAL record encode + logging-queue enqueue (`Store::log`).
+    /// WAL record encode into the logging queue (`Store::log_writes`).
     pub wal_enqueue: Arc<ConcurrentHistogram>,
     /// Oracle publish (makes stamped writes visible to snapshots).
     pub publish: Arc<ConcurrentHistogram>,

@@ -360,6 +360,14 @@ fn doctor_reports_policy_and_admission_ladder() {
         )),
         "{text}"
     );
+    // The store wrote tables and a WAL through `RealEnv`, which counts
+    // its syscalls for the report and the metrics registry alike.
+    assert!(report.syscalls.write > 0 && report.syscalls.sync > 0);
+    assert!(text.contains("syscalls (env.real): write="), "{text}");
+    let gauges = db.metrics().gauges;
+    assert!(gauges["env.real.write_calls"] >= report.syscalls.write as i64);
+    assert!(gauges.contains_key("env.real.read_calls"));
+    assert!(gauges["env.real.sync_calls"] > 0);
     // Quiesced: no flush in flight and L0 under its limit.
     assert!(text.contains("admission: open (behind none"), "{text}");
     assert!(text.contains("hard stalls="), "{text}");

@@ -130,6 +130,23 @@ pub fn compare_internal_to_target(a: &[u8], key: &[u8], ts: u64) -> std::cmp::Or
     ua.cmp(key).then(ts.cmp(&ta))
 }
 
+/// Appends one write to `dst` in the WAL record format, byte for byte
+/// what [`WriteRecord::encode_to`] emits for the same write, without
+/// building the record. A `None` value encodes a deletion.
+pub fn encode_write(dst: &mut Vec<u8>, ts: u64, key: &[u8], value: Option<&[u8]>) {
+    match value {
+        Some(v) => encode_fields(dst, ts, ValueKind::Put, key, v),
+        None => encode_fields(dst, ts, ValueKind::Delete, key, &[]),
+    }
+}
+
+fn encode_fields(dst: &mut Vec<u8>, ts: u64, kind: ValueKind, key: &[u8], value: &[u8]) {
+    put_varint64(dst, ts);
+    dst.push(kind as u8);
+    put_length_prefixed_slice(dst, key);
+    put_length_prefixed_slice(dst, value);
+}
+
 /// A single logical write, as serialized into the WAL.
 ///
 /// cLSM relaxes LevelDB's single-writer constraint, so WAL records may
@@ -170,10 +187,7 @@ impl WriteRecord {
 
     /// Appends the serialized record to `dst`.
     pub fn encode_to(&self, dst: &mut Vec<u8>) {
-        put_varint64(dst, self.ts);
-        dst.push(self.kind as u8);
-        put_length_prefixed_slice(dst, &self.key);
-        put_length_prefixed_slice(dst, &self.value);
+        encode_fields(dst, self.ts, self.kind, &self.key, &self.value);
     }
 
     /// Decodes one record from the front of `src`, returning it and the

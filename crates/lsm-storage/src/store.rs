@@ -34,7 +34,7 @@ static T_WAL_SYNC: TraceId = TraceId::new("storage.wal.sync");
 use crate::cache::{BlockCache, TableCache};
 use crate::compaction::{self, CompactionPolicy, CompactionPolicyKind};
 use crate::filenames;
-use crate::format::{ValueKind, WriteRecord};
+use crate::format::{self, ValueKind, WriteRecord};
 use crate::iter::{BoxedIterator, InternalIterator};
 use crate::version::ClaimSignal;
 use crate::version::{Version, VersionEdit, VersionSet};
@@ -365,21 +365,53 @@ impl Store {
     /// Appends a batch of writes to the WAL as one record, so a crash
     /// tears whole batches, never fractions of one.
     pub fn log(&self, batch: &[WriteRecord], mode: SyncMode) -> Result<()> {
-        let mut payload =
-            Vec::with_capacity(batch.iter().map(|r| r.key.len() + r.value.len() + 16).sum());
-        for r in batch {
-            r.encode_to(&mut payload);
-        }
-        let _span = T_WAL_APPEND.span_with(payload.len() as u64);
-        self.wal.append(payload, mode)
+        let _span = T_WAL_APPEND.span();
+        self.wal.append_with(
+            |dst| {
+                for r in batch {
+                    r.encode_to(dst);
+                }
+            },
+            mode,
+        )
+    }
+
+    /// Appends writes given as `(ts, key, value)` to the WAL as one
+    /// record, like [`Store::log`], encoding each straight into the
+    /// logging queue's buffer: no [`WriteRecord`] and no payload
+    /// allocation. A `None` value logs a deletion.
+    pub fn log_writes<'a>(
+        &self,
+        writes: impl IntoIterator<Item = (u64, &'a [u8], Option<&'a [u8]>)>,
+        mode: SyncMode,
+    ) -> Result<()> {
+        let _span = T_WAL_APPEND.span();
+        self.wal.append_with(
+            |dst| {
+                for (ts, key, value) in writes {
+                    format::encode_write(dst, ts, key, value);
+                }
+            },
+            mode,
+        )
     }
 
     /// Registers the store's metrics (WAL sync latency, flush and
     /// compaction durations, bytes written) in `registry` under the
-    /// `storage.` prefix. Call at most once, before serving traffic;
-    /// later calls are ignored. Without an attached registry every
-    /// recording site is a no-op.
+    /// `storage.` prefix, and the process-wide [`RealEnv`] syscall
+    /// counts as `env.real.{write,read,sync}_calls` gauges. Call at
+    /// most once, before serving traffic; later calls are ignored.
+    /// Without an attached registry every recording site is a no-op.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
+        registry.gauge_fn("env.real.write_calls", || {
+            RealEnv::syscall_counts().write as i64
+        });
+        registry.gauge_fn("env.real.read_calls", || {
+            RealEnv::syscall_counts().read as i64
+        });
+        registry.gauge_fn("env.real.sync_calls", || {
+            RealEnv::syscall_counts().sync as i64
+        });
         let _ = self.metrics.set(StoreMetrics {
             wal_sync_ns: registry.histogram("storage.wal_sync_ns"),
             flush_ns: registry.histogram("storage.flush_ns"),
@@ -455,9 +487,9 @@ impl Store {
         self.wal_number.load(Ordering::SeqCst)
     }
 
-    /// Backlog of the logging queue (records enqueued, not yet handed
-    /// to the logger thread). Racy diagnostic sample.
-    pub fn wal_queue_depth(&self) -> usize {
+    /// Backlog of the logging queue: bytes enqueued, not yet taken by
+    /// the logger thread. Racy diagnostic sample.
+    pub fn wal_queue_bytes(&self) -> usize {
         self.wal.depth()
     }
 

@@ -6,10 +6,10 @@
 //! `[crc32c: 4][length: 2][type: 1]` and records spanning blocks are
 //! split into FIRST/MIDDLE/LAST fragments.
 //!
-//! cLSM's addition (§4) is the *logging queue*: writers enqueue their
-//! serialized records on a non-blocking queue and a dedicated logger
-//! thread appends them to the file, so a put never waits for file I/O
-//! in asynchronous mode (the LevelDB default the paper assumes).
+//! cLSM's addition (§4) is the *logging queue*: writers encode their
+//! records into a shared buffer and a dedicated logger thread appends
+//! them to the file, so a put never waits for file I/O in asynchronous
+//! mode (the LevelDB default the paper assumes).
 
 mod queue;
 mod reader;

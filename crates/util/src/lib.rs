@@ -19,8 +19,6 @@
 //!   timestamp oracle of Algorithm 2.
 //! - [`epoch`] — the epoch-based reclamation scheme underneath [`rcu`]
 //!   (readers pin, writers defer destruction).
-//! - [`channel`] — the MPMC queue feeding the WAL logger thread (the
-//!   paper's non-blocking logging queue, §4).
 //! - [`mod@env`] — the injectable storage environment ([`env::RealEnv`] for
 //!   production, [`env::FaultEnv`] for deterministic crash injection).
 //! - [`bloom`], [`coding`], [`crc`] — encoding substrates for the disk
@@ -38,7 +36,6 @@
 
 pub mod arena;
 pub mod bloom;
-pub mod channel;
 pub mod coding;
 pub mod crc;
 pub mod env;

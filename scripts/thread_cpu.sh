@@ -1,36 +1,50 @@
 #!/usr/bin/env bash
-# Per-thread CPU time of a command, summed by thread name.
+# Per-thread CPU time and wake-ups of a command, summed by thread name,
+# plus the process's syscall counts.
 #
 #   scripts/thread_cpu.sh CMD [ARGS...]
 #
-# Runs CMD and samples /proc/<pid>/task/*/stat every 0.2 s until it
-# exits, keeping each thread's latest user and system time (a thread
-# that exits early keeps its last sample; the last sample of the rest is
-# taken at most 0.2 s before the process exits). Then prints, on
-# standard error, one line per thread name — `name threads user_s sys_s
-# cpu_s` — sorted by CPU, and a `total` line. CMD's own output passes
-# through untouched and its exit status is returned.
+# Runs CMD and samples /proc/<pid>/task/*/{stat,status} and
+# /proc/<pid>/io every 0.2 s until it exits, keeping each thread's latest
+# user and system time and voluntary context switches, and the process's
+# latest I/O counts (a thread that exits early keeps its last sample;
+# the last sample of the rest is taken at most 0.2 s before the process
+# exits). Then prints, on standard error, one line per thread name —
+# `name threads user_s sys_s cpu_s vol_csw` — sorted by CPU, a `total`
+# line, and one `io` line with `syscw` and `syscr` (write- and read-like
+# syscalls) and `wchar` (bytes written). CMD's own output passes through
+# untouched and its exit status is returned.
 #
 # Example, one benchmark workload (build it first with benchmark/run.sh):
 #
 #   scripts/thread_cpu.sh target/release/clsm-benchmark --workload ingest \
 #       --seed 0xc15a --seconds 20 --trace 0 --repeat 0 --out /tmp/bench-out
+#
+# Per-op counts by window differencing: the totals include set-up,
+# quiescence and reopen, which do not depend on the window length. Run
+# the same seed with --seconds 10 and --seconds 20, subtract the 10 s
+# totals from the 20 s ones (syscw, a thread's vol_csw), and divide by
+# the difference in operations the two runs report: what is left is the
+# cost of 10 s of steady-state load.
 set -euo pipefail
 
 if [ $# -eq 0 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,28p' "$0" >&2
     exit 2
 fi
 
 ticks="$(getconf CLK_TCK)"
-declare -A name user sys
+declare -A name user sys csw
+syscw=0 syscr=0 wchar=0
 
 "$@" &
 pid=$!
 while kill -0 "$pid" 2>/dev/null; do
-    for stat in /proc/"$pid"/task/*/stat; do
+    for task in /proc/"$pid"/task/*; do
         line=""
-        read -r line < "$stat" 2>/dev/null || continue
+        # A thread may exit between the glob and the read: stderr is
+        # redirected first so the failed open stays quiet.
+        read -r line 2>/dev/null < "$task/stat" || continue
         [ -n "$line" ] || continue
         tid="${line%% *}"
         comm="${line#*(}"
@@ -41,20 +55,33 @@ while kill -0 "$pid" 2>/dev/null; do
         name[$tid]="$comm"
         user[$tid]="${rest[11]}"
         sys[$tid]="${rest[12]}"
+        while read -r key value; do
+            if [ "$key" = "voluntary_ctxt_switches:" ]; then
+                csw[$tid]="$value"
+            fi
+        done 2>/dev/null < "$task/status" || true
     done
+    while read -r key value; do
+        case "$key" in
+            syscw:) syscw="$value" ;;
+            syscr:) syscr="$value" ;;
+            wchar:) wchar="$value" ;;
+        esac
+    done 2>/dev/null < /proc/"$pid"/io || true
     sleep 0.2
 done
 status=0
 wait "$pid" || status=$?
 
 for tid in "${!name[@]}"; do
-    printf '%s\t%s\t%s\n' "${name[$tid]}" "${user[$tid]}" "${sys[$tid]}"
+    printf '%s\t%s\t%s\t%s\n' "${name[$tid]}" "${user[$tid]}" "${sys[$tid]}" "${csw[$tid]:-0}"
 done | awk -F'\t' -v hz="$ticks" '
-    { n[$1]++; u[$1] += $2; s[$1] += $3; tu += $2; ts += $3 }
+    { n[$1]++; u[$1] += $2; s[$1] += $3; c[$1] += $4; tu += $2; ts += $3; tc += $4 }
     END {
         sort = "sort -k5,5nr"
-        for (k in n) printf "%-16s %3d %8.2f %8.2f %8.2f\n", k, n[k], u[k] / hz, s[k] / hz, (u[k] + s[k]) / hz | sort
+        for (k in n) printf "%-16s %3d %8.2f %8.2f %8.2f %10d\n", k, n[k], u[k] / hz, s[k] / hz, (u[k] + s[k]) / hz, c[k] | sort
         close(sort)
-        printf "%-16s %3s %8.2f %8.2f %8.2f\n", "total", "", tu / hz, ts / hz, (tu + ts) / hz
+        printf "%-16s %3s %8.2f %8.2f %8.2f %10d\n", "total", "", tu / hz, ts / hz, (tu + ts) / hz, tc
     }' >&2
+printf 'io syscw %s syscr %s wchar %s\n' "$syscw" "$syscr" "$wchar" >&2
 exit "$status"
