@@ -5,7 +5,7 @@
 //! - `clsm-doctor <db-dir> [--populate N]` opens (or
 //!   creates) a database and prints a [`clsm::DoctorReport`]: memtable
 //!   fill, immutable-queue state, level geometry, live snapshots,
-//!   oracle timestamps, and stall-watchdog verdicts. `--populate`
+//!   oracle timestamps, and stall-event verdicts. `--populate`
 //!   writes N keys first (through the normal put path, so flushes and
 //!   compactions run), which makes the tool usable as a smoke test on
 //!   an empty directory. `--crash-audit` prints the durability

@@ -1,9 +1,7 @@
 //! Systems under test: factories the checker binary and CI matrix use.
 //!
 //! Every system opens in a test-sized configuration (small memtables,
-//! so schedules cross memtable rotations and compactions) with the
-//! stall watchdog off (its sampling thread would add noise to the
-//! schedules without adding coverage).
+//! so schedules cross memtable rotations and compactions).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -44,12 +42,6 @@ pub const SYSTEMS: &[&str] = &[
 /// [`FaultEnv`] plumbs through their `Options`).
 pub const CRASH_SYSTEMS: &[&str] = &["clsm", "clsm-hybrid"];
 
-fn test_options() -> Options {
-    let mut opts = Options::small_for_tests();
-    opts.watchdog.enabled = false;
-    opts
-}
-
 /// Opens `name` at `dir`.
 pub fn open_sut(name: &str, dir: &Path) -> Result<Sut> {
     open_sut_with(name, dir, None, false)
@@ -58,7 +50,7 @@ pub fn open_sut(name: &str, dir: &Path) -> Result<Sut> {
 /// Opens `name` at `dir`, optionally routing I/O through `env` and
 /// forcing synchronous logging (the crash matrix needs both).
 pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bool) -> Result<Sut> {
-    let mut opts = test_options();
+    let mut opts = Options::small_for_tests();
     if let Some(env) = env {
         opts.store.env = env;
     }
@@ -159,7 +151,9 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
         "partitioned-4" => {
             let boundaries: Vec<Vec<u8>> = [0x40u8, 0x80, 0xc0].iter().map(|b| vec![*b]).collect();
             let parts = (0..4)
-                .map(|i| LevelDbLike::open(&dir.join(format!("part-{i}")), test_options()))
+                .map(|i| {
+                    LevelDbLike::open(&dir.join(format!("part-{i}")), Options::small_for_tests())
+                })
                 .collect::<Result<Vec<_>>>()?;
             Ok(Sut {
                 store: Arc::new(Partitioned::new(parts, boundaries)),

@@ -53,7 +53,7 @@
 //! still merging cannot take writes. `admission.hard_stalls` counts how
 //! often pacing was not enough.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of write admission (field of [`crate::Options`]).
@@ -128,6 +128,10 @@ const CATCH_UP_NS: u64 = 1_000_000;
 /// re-checking between them whether the stage is still behind.
 const MAX_NAP: Duration = Duration::from_millis(10);
 
+/// Age at which a behind period whose writes were paced becomes a
+/// [`crate::StallKind::SustainedSlowdown`] episode.
+const SLOWDOWN_PERIOD: Duration = Duration::from_millis(30);
+
 /// The shared pacing clock: one word holding the next admission time.
 ///
 /// A write of `b` bytes at `r` B/s takes the slot the word holds (or
@@ -179,6 +183,12 @@ pub(crate) struct FlowControl {
     /// Last L0→L1 compaction's drain rate in bytes/s (0: none yet).
     l0_rate: AtomicU64,
     clock: PacingClock,
+    /// The current behind period — from `behind` leaving 0 to its
+    /// return — in `trace::now_ns` time: when it began, the pacing delay
+    /// charged in it, and whether it was reported as a slowdown.
+    period_began_ns: AtomicU64,
+    period_delay_ns: AtomicU64,
+    period_reported: AtomicBool,
 }
 
 impl FlowControl {
@@ -188,15 +198,35 @@ impl FlowControl {
         self.behind.load(Ordering::Relaxed)
     }
 
-    /// Sets or clears one `behind` bit. Clearing the last one voids the
-    /// slots reserved at the old rate, so the next stage to fall behind
-    /// starts its clock from now.
+    /// Sets or clears one `behind` bit. Setting the first one begins a
+    /// behind period. Clearing the last one ends it and voids the slots
+    /// reserved at the old rate, so the next stage to fall behind starts
+    /// its clock from now.
     pub(crate) fn set(&self, bit: u8, on: bool) {
         if on {
-            self.behind.fetch_or(bit, Ordering::Relaxed);
+            if self.behind.fetch_or(bit, Ordering::Relaxed) == 0 {
+                self.period_began_ns
+                    .store(clsm_util::trace::now_ns(), Ordering::Relaxed);
+                self.period_delay_ns.store(0, Ordering::Relaxed);
+                self.period_reported.store(false, Ordering::Relaxed);
+            }
         } else if self.behind.fetch_and(!bit, Ordering::Relaxed) == bit {
             self.clock.next_ns.store(0, Ordering::Relaxed);
         }
+    }
+
+    /// Charges `delay_ns` of pacing sleep to the current behind period.
+    /// The first charge that finds the period [`SLOWDOWN_PERIOD`] old
+    /// returns its age and the delay charged in it so far: the
+    /// period is a sustained slowdown, to be reported once.
+    pub(crate) fn charge_delay(&self, delay_ns: u64) -> Option<(Duration, u64)> {
+        let charged = self.period_delay_ns.fetch_add(delay_ns, Ordering::Relaxed) + delay_ns;
+        let began = self.period_began_ns.load(Ordering::Relaxed);
+        let age = Duration::from_nanos(clsm_util::trace::now_ns().saturating_sub(began));
+        if age < SLOWDOWN_PERIOD || self.period_reported.swap(true, Ordering::Relaxed) {
+            return None;
+        }
+        Some((age, charged))
     }
 
     /// `beforeMerge` made a `P'm` of `bytes`: the flush is behind until
@@ -475,6 +505,26 @@ mod tests {
         // Nearly full or past it: slowed to the floor, never stopped.
         assert_eq!(rate(1.0), 8 << 20);
         assert_eq!(rate(1.5), 8 << 20);
+    }
+
+    #[test]
+    fn a_behind_period_is_one_slowdown_once_it_is_old_enough() {
+        let flow = FlowControl::default();
+        flow.set(FLUSH_BEHIND, true);
+        assert_eq!(flow.charge_delay(1_000), None, "a young period");
+        std::thread::sleep(SLOWDOWN_PERIOD);
+        flow.set(L0_BEHIND, true); // a second stage: the same period
+        let (age, charged) = flow.charge_delay(2_000).expect("an old period");
+        assert!(age >= SLOWDOWN_PERIOD);
+        assert_eq!(charged, 3_000);
+        assert_eq!(flow.charge_delay(4_000), None, "reported once");
+        // The last bit cleared ends it; the next begins from zero.
+        flow.set(FLUSH_BEHIND, false);
+        flow.set(L0_BEHIND, false);
+        flow.set(L0_BEHIND, true);
+        assert_eq!(flow.charge_delay(5_000), None);
+        std::thread::sleep(SLOWDOWN_PERIOD);
+        assert_eq!(flow.charge_delay(6_000).map(|(_, c)| c), Some(11_000));
     }
 
     #[test]

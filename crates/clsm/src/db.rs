@@ -27,7 +27,7 @@ use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
 use crate::stats::{DbMetrics, StatsSnapshot};
-use crate::watchdog::Watchdog;
+use crate::watchdog::{StallKind, Watchdog};
 
 /// Flight-recorder spans for the layers Algorithm 1/2 say matter: the
 /// put critical section (shared lock → getTS → log → insert →
@@ -63,19 +63,24 @@ pub(crate) struct DbInner {
     pub(crate) pm_prev: RcuCell<Option<Arc<Memtable>>>,
     /// Counters and latency histograms (see [`crate::stats`]).
     pub(crate) metrics: DbMetrics,
-    /// Stall-event sink fed by the watchdog sampler (see
+    /// Stall-event sink the event sites report into (see
     /// [`crate::watchdog`]).
     pub(crate) watchdog: Watchdog,
     /// Write admission: which merge stages are behind, their drain
     /// rates and the pacing clock (see [`crate::admission`]).
     pub(crate) flow: FlowControl,
+    /// Set by the first writer to stall behind the current `P'm`, which
+    /// reports the episode; cleared when `beforeMerge` makes a new one.
+    write_stall_reported: AtomicBool,
 
     pub(crate) shutdown: AtomicBool,
     /// Set while a flush is scheduled or running.
     flush_pending: AtomicBool,
-    /// Wakes background workers; also signalled when a flush finishes
-    /// (unblocking stalled writers).
-    work_mutex: Mutex<()>,
+    /// Counts version installs (see [`DbInner::note_version`]). Its
+    /// condvar wakes the workers and quiescence waiters: signalled on
+    /// every install, when a flush is scheduled or finishes (unblocking
+    /// stalled writers) and at shutdown.
+    work_mutex: Mutex<u64>,
     work_cv: Condvar,
 }
 
@@ -130,9 +135,10 @@ impl Db {
             metrics,
             watchdog,
             flow: FlowControl::default(),
+            write_stall_reported: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             flush_pending: AtomicBool::new(false),
-            work_mutex: Mutex::new(()),
+            work_mutex: Mutex::new(0),
             work_cv: Condvar::new(),
         });
 
@@ -185,15 +191,6 @@ impl Db {
                     .name(format!("clsm-compact-{i}"))
                     .spawn(move || compaction_worker(inner))
                     .expect("spawn compaction worker"),
-            );
-        }
-        if inner.opts.watchdog.enabled {
-            let inner = Arc::clone(&inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name("clsm-watchdog".into())
-                    .spawn(move || crate::watchdog::watchdog_worker(inner))
-                    .expect("spawn watchdog"),
             );
         }
 
@@ -356,7 +353,7 @@ impl Db {
         let logged;
         {
             let _span = T_WRITE_BATCH.span_with(batch.len() as u64);
-            let _excl = inner.lock.lock_exclusive();
+            let _excl = inner.lock_exclusive();
             let stamp_start = now_ns();
             let block = inner.oracle.get_ts_block(batch.len() as u64);
             let mem_start = now_ns();
@@ -543,10 +540,14 @@ impl Db {
                         .map(|f| f.largest_user_key())
                         .max()
                         .unwrap_or_default();
-                    inner
-                        .store
-                        .compact_level_range(0, &[], largest, inner.gc_watermark())?;
+                    let compacted =
+                        inner
+                            .store
+                            .compact_level_range(0, &[], largest, inner.gc_watermark());
+                    // Its claims are released either way: wake workers
+                    // that found the level claimed.
                     inner.note_version();
+                    compacted?;
                     // L1 may now be over its budget.
                     continue;
                 }
@@ -720,7 +721,7 @@ impl DbInner {
     }
 
     /// Write admission's current rung plus its lifetime counters, for
-    /// `clsm-doctor` and the watchdog.
+    /// `clsm-doctor`.
     pub(crate) fn admission_state(&self) -> AdmissionState {
         let behind = self.flow.behind();
         let (behind, paced_bytes_per_sec) = self.flow.binding(behind, self.pm_fill(behind));
@@ -758,10 +759,12 @@ impl DbInner {
             let wait = self.flow.reserve(behind, self.pm_fill(behind), bytes);
             if !wait.is_zero() {
                 self.flow.wait_for_slot(wait);
+                let delay_ns = u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 self.metrics.admission_delayed_writes.inc();
-                self.metrics
-                    .admission_delay_ns
-                    .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                self.metrics.admission_delay_ns.add(delay_ns);
+                if let Some((age, charged_ns)) = self.flow.charge_delay(delay_ns) {
+                    self.report_slowdown(behind, age, charged_ns);
+                }
                 held = true;
             }
         }
@@ -773,6 +776,22 @@ impl DbInner {
                 .write_path
                 .rec_admission(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
+    }
+
+    /// Reports a behind period `age` old, with `charged_ns` of pacing
+    /// delay charged in it, as a sustained slowdown.
+    #[cold]
+    fn report_slowdown(&self, behind: u8, age: Duration, charged_ns: u64) {
+        let (stage, rate) = self.flow.binding(behind, self.pm_fill(behind));
+        self.watchdog.report(
+            StallKind::SustainedSlowdown,
+            charged_ns,
+            format!(
+                "admission pacing writers behind {stage} at {rate} B/s for {age:.1?} \
+                 ({:.1?} of delay charged)",
+                Duration::from_nanos(charged_ns),
+            ),
+        );
     }
 
     /// Charges the pacing clock for bytes a write learns only once it
@@ -795,14 +814,20 @@ impl DbInner {
         self.pm.load().memory_usage() as f64 / self.opts.memtable_bytes as f64
     }
 
-    /// Re-evaluates the L0-behind bit from the current version. Called
-    /// after every version install (flush, compaction, manual range
-    /// compaction) and at open. Two installers racing can leave the bit
-    /// one install stale; the next install corrects it.
+    /// Re-evaluates the L0-behind bit from the current version and
+    /// wakes everyone waiting on the tree to change. Called after every
+    /// version install (flush, compaction, manual range compaction) and
+    /// at open. Two installers racing can leave the bit one install
+    /// stale; the next install corrects it.
     fn note_version(&self) {
         let l0_files = self.store.current_version().num_files(0);
         let limit = 2 * self.opts.store.l0_compaction_trigger;
         self.flow.set(L0_BEHIND, l0_files >= limit);
+        // `needs_compaction` depends only on the version: an idle
+        // compaction worker sleeps until this count moves.
+        let mut installs = self.work_mutex.lock();
+        *installs += 1;
+        self.work_cv.notify_all();
     }
 
     /// Bookkeeping after a background compaction that started from
@@ -852,6 +877,9 @@ impl DbInner {
                 stall_span = Some(T_WRITE_STALL.span());
                 self.metrics.write_stalls.inc();
                 self.metrics.admission_hard_stalls.inc();
+                if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
+                    self.report_write_stall();
+                }
             }
             let mut guard = self.work_mutex.lock();
             // Re-check under the lock to avoid missing the wakeup: the
@@ -873,6 +901,21 @@ impl DbInner {
                 .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         stalled_at.is_some()
+    }
+
+    /// Reports the stall behind the current `P'm`, sized by `Pm`.
+    #[cold]
+    fn report_write_stall(&self) {
+        let memtable_bytes = self.pm.load().memory_usage();
+        self.watchdog.report(
+            StallKind::WriteStall,
+            memtable_bytes as u64,
+            format!(
+                "writes stalled behind flush (memtable {memtable_bytes} / {} bytes, \
+                 immutable memtable still merging)",
+                self.opts.memtable_bytes
+            ),
+        );
     }
 
     /// Whether any background work is pending or in flight (the
@@ -924,12 +967,18 @@ impl DbInner {
             // the hold itself — together they are the merge's write-path
             // interference, the quantity §3.1 argues must stay tiny.
             let _span = T_BEFORE_MERGE.span();
-            let _excl = self.lock.lock_exclusive();
+            let _excl = self.lock_exclusive();
             let old = self.pm.load();
             if old.is_empty() {
                 return Ok(false);
             }
             let _rotate = T_MEMTABLE_ROTATE.span_with(old.memory_usage() as u64);
+            // A new `P'm`, a new stall episode. Cleared before the
+            // (sequentially consistent) store that publishes `P'm`, so a
+            // writer that loads it and stalls sees the flag clear; a
+            // writer late to report the last episode cannot swallow
+            // this one.
+            self.write_stall_reported.store(false, Ordering::Relaxed);
             self.pm_prev.store(Some(Arc::clone(&old)));
             self.flow.flush_started(old.memory_usage() as u64);
             self.pm.store(Arc::new(Memtable::new()));
@@ -956,7 +1005,7 @@ impl DbInner {
         // the read order `Pm → P'm → Pd` gap-free throughout.
         {
             let _span = T_AFTER_MERGE.span();
-            let _excl = self.lock.lock_exclusive();
+            let _excl = self.lock_exclusive();
             self.pm_prev.store(None);
             self.flow.set(FLUSH_BEHIND, false);
         }
@@ -987,6 +1036,10 @@ fn refuse_sharded_root(env: &dyn Env, path: &Path) -> Result<()> {
 
 /// Background flush worker: waits for a scheduled flush, runs the
 /// merge, then wakes stalled writers.
+///
+/// The wait has no timeout: `flush_pending` is raised only by
+/// `maybe_schedule_flush_force`, which notifies under `work_mutex`, and
+/// `Drop` notifies after setting `shutdown`.
 fn flush_worker(inner: Arc<DbInner>) {
     loop {
         {
@@ -994,9 +1047,7 @@ fn flush_worker(inner: Arc<DbInner>) {
             while !inner.flush_pending.load(Ordering::Acquire)
                 && !inner.shutdown.load(Ordering::Acquire)
             {
-                inner
-                    .work_cv
-                    .wait_for(&mut guard, std::time::Duration::from_millis(50));
+                inner.work_cv.wait(&mut guard);
             }
         }
         if inner.shutdown.load(Ordering::Acquire) {
@@ -1039,38 +1090,43 @@ fn l0_shadows_deeper_levels(version: &lsm_storage::version::Version) -> bool {
 /// Background compaction worker. Several may run concurrently (the
 /// RocksDB-style configuration of §5.3); disjoint input claims keep
 /// them from colliding.
+///
+/// A worker with nothing to do sleeps, untimed, until a version install
+/// moves the count in `work_mutex` or `Drop` sets `shutdown`. It reads
+/// the count before it looks at the version, so an install that lands
+/// in between is never slept through.
 fn compaction_worker(inner: Arc<DbInner>) {
     loop {
+        let seen = *inner.work_mutex.lock();
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let did_work = if inner.store.needs_compaction() {
+        let mut failed = false;
+        if inner.store.needs_compaction() {
             let before = inner.store.current_version();
             let began = Instant::now();
             match inner.store.maybe_compact(inner.gc_watermark()) {
-                Ok(ran) => {
-                    if ran {
-                        inner.metrics.compactions.inc();
-                        inner.compaction_retired(&before, began.elapsed());
-                    }
-                    ran
+                Ok(true) => {
+                    inner.metrics.compactions.inc();
+                    // Installs a version, which wakes quiescence waiters.
+                    inner.compaction_retired(&before, began.elapsed());
+                    continue;
                 }
-                Err(_) => false,
+                Ok(false) => {}
+                Err(_) => failed = true,
             }
-        } else {
-            false
-        };
-        if did_work {
-            // Quiescence waiters watch `needs_compaction`; tell them a
-            // compaction just retired.
-            let _g = inner.work_mutex.lock();
-            inner.work_cv.notify_all();
-        } else {
-            let mut guard = inner.work_mutex.lock();
+        }
+        let mut installs = inner.work_mutex.lock();
+        if failed {
+            // Retry after a back-off rather than in a hot error loop.
             if !inner.shutdown.load(Ordering::Acquire) {
                 inner
                     .work_cv
-                    .wait_for(&mut guard, std::time::Duration::from_millis(20));
+                    .wait_for(&mut installs, Duration::from_millis(20));
+            }
+        } else {
+            while *installs == seen && !inner.shutdown.load(Ordering::Acquire) {
+                inner.work_cv.wait(&mut installs);
             }
         }
     }

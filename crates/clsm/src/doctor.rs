@@ -13,7 +13,7 @@ use clsm_util::metrics::MetricsSnapshot;
 
 use crate::admission::AdmissionState;
 use crate::db::Db;
-use crate::watchdog::{StallEvent, StallKind};
+use crate::watchdog::{StallEvent, StallKind, EXCLUSIVE_HOLD_THRESHOLD};
 use crate::write_report::WritePathReport;
 
 /// One level's shape in the report.
@@ -55,6 +55,10 @@ pub struct DoctorReport {
     /// Slot capacity of the `Active` set (its real size, a whole number
     /// of cache-line stripes).
     pub active_slots: usize,
+    /// How long the exclusive hold in progress has lasted, if the lock
+    /// is exclusively held right now. A hold is reported as a stall
+    /// event only when it ends; a hung merge hook shows here.
+    pub exclusive_held_for: Option<Duration>,
     /// Flush vs. compaction byte counters.
     pub write_amp: lsm_storage::store::WriteAmp,
     /// Block-cache `(hits, misses)`, when a cache is configured.
@@ -109,6 +113,7 @@ impl Db {
             snap_time: inner.oracle.snap_time(),
             active_writes: inner.oracle.active().len(),
             active_slots: inner.oracle.active().capacity(),
+            exclusive_held_for: inner.lock.exclusive_held_for(),
             write_amp: inner.store.write_amp(),
             cache: inner.store.cache_stats(),
             wal_number: inner.store.current_wal_number(),
@@ -170,6 +175,21 @@ impl DoctorReport {
             "oracle: timeCounter={} snapTime={} activeWrites={}/{}",
             self.time_counter, self.snap_time, self.active_writes, self.active_slots
         );
+        if self.active_set_pressure() {
+            let _ = writeln!(
+                out,
+                "active-set pressure: {} of {} slots in use (alarm at 3/4): \
+                 getSnap's min-scan is expensive and getTS may soon find no free slot",
+                self.active_writes, self.active_slots
+            );
+        }
+        if let Some(held) = self.long_exclusive_hold() {
+            let _ = writeln!(
+                out,
+                "exclusive-hold in progress: lock held {held:.1?} so far \
+                 (threshold {EXCLUSIVE_HOLD_THRESHOLD:.1?})"
+            );
+        }
         let _ = writeln!(
             out,
             "write amp: flushed={} compacted={} factor={:.2}",
@@ -225,10 +245,27 @@ impl DoctorReport {
         out
     }
 
-    /// `true` when the watchdog flagged anything — the doctor's
+    /// `true` when a stall episode was reported, or an Active-set
+    /// pressure or a long exclusive hold is under way — the doctor's
     /// one-bit verdict.
     pub fn unhealthy(&self) -> bool {
         !self.stall_events.is_empty()
+            || self.active_set_pressure()
+            || self.long_exclusive_hold().is_some()
+    }
+
+    /// The oracle's `Active` set is at ¾ of its slots or more (rounded
+    /// up, so never 0): slow or stuck writers make `getSnap` wait on an
+    /// old minimum (§3.2).
+    fn active_set_pressure(&self) -> bool {
+        self.active_writes >= (self.active_slots * 3).div_ceil(4)
+    }
+
+    /// The exclusive hold in progress, if it has already lasted
+    /// [`EXCLUSIVE_HOLD_THRESHOLD`] or more.
+    fn long_exclusive_hold(&self) -> Option<Duration> {
+        self.exclusive_held_for
+            .filter(|held| *held >= EXCLUSIVE_HOLD_THRESHOLD)
     }
 
     /// Convenience: events of one kind, for tests and tools.
@@ -330,6 +367,37 @@ mod tests {
             one_sec.len(),
             "one header per column"
         );
+    }
+
+    #[test]
+    fn render_flags_active_set_pressure() {
+        let dir = std::env::temp_dir().join(format!("clsm-doctor-pressure-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Db::open(&dir, crate::Options::small_for_tests()).unwrap();
+        let healthy = db.doctor();
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!healthy.unhealthy(), "{}", healthy.render());
+        assert!(!healthy.render().contains("active-set pressure"));
+
+        let pressed = DoctorReport {
+            active_writes: 192,
+            active_slots: 256,
+            ..healthy.clone()
+        };
+        assert!(pressed.unhealthy());
+        assert!(
+            pressed
+                .render()
+                .contains("active-set pressure: 192 of 256 slots in use"),
+            "{}",
+            pressed.render()
+        );
+        let below = DoctorReport {
+            active_writes: 191,
+            ..pressed
+        };
+        assert!(!below.unhealthy());
     }
 
     #[test]

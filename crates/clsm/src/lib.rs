@@ -66,7 +66,7 @@ pub use options::{Options, OptionsBuilder};
 pub use rmw::{RmwDecision, RmwResult};
 pub use snapshot::{Snapshot, SnapshotIter};
 pub use stats::StatsSnapshot;
-pub use watchdog::{StallEvent, StallKind, WatchdogOptions};
+pub use watchdog::{StallEvent, StallKind};
 pub use write_report::{WritePathReport, WriteStage, WRITE_PATH_STAGES};
 
 pub use clsm_kv::{KvSnapshot, KvStore, ScanRange};

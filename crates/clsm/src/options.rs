@@ -8,7 +8,6 @@ use lsm_storage::compaction::CompactionPolicyKind;
 use lsm_storage::StoreOptions;
 
 use crate::admission::AdmissionOptions;
-use crate::watchdog::WatchdogOptions;
 
 /// Configuration of a [`crate::Db`].
 ///
@@ -53,9 +52,6 @@ pub struct Options {
     /// single compaction thread (§5); the RocksDB comparison (§5.3)
     /// raises this.
     pub compaction_threads: usize,
-    /// Stall-watchdog configuration (sampling thread flagging write
-    /// stalls, long exclusive-lock holds, and Active-set pressure).
-    pub watchdog: WatchdogOptions,
     /// Write admission: pacing at the measured drain rate while a merge
     /// stage is behind, ahead of the §5.3 stall (see
     /// [`crate::AdmissionOptions`]).
@@ -71,7 +67,6 @@ impl Default for Options {
             sync_writes: false,
             linearizable_snapshots: false,
             compaction_threads: 1,
-            watchdog: WatchdogOptions::default(),
             admission: AdmissionOptions::default(),
             store: StoreOptions::default(),
         }
@@ -223,12 +218,6 @@ impl OptionsBuilder {
     /// Number of background compaction threads.
     pub fn compaction_threads(mut self, threads: usize) -> Self {
         self.opts.compaction_threads = threads;
-        self
-    }
-
-    /// Stall-watchdog configuration.
-    pub fn watchdog(mut self, watchdog: WatchdogOptions) -> Self {
-        self.opts.watchdog = watchdog;
         self
     }
 

@@ -71,7 +71,6 @@ fn workload() -> Vec<Op> {
 fn open(path: &Path, fault: &FaultEnv, sync: bool) -> clsm_util::Result<Db> {
     let mut opts = Options::small_for_tests();
     opts.sync_writes = sync;
-    opts.watchdog.enabled = false;
     opts.store.env = Arc::new(fault.clone());
     opts.open(path)
 }
@@ -328,7 +327,6 @@ fn crash_sweep_through_flushes() {
     let open = |fault: &FaultEnv| -> clsm_util::Result<Db> {
         let mut opts = Options::small_for_tests();
         opts.sync_writes = true;
-        opts.watchdog.enabled = false;
         opts.memtable_bytes = 8 * 1024;
         opts.store.env = Arc::new(fault.clone());
         opts.open(dir)

@@ -186,7 +186,6 @@ fn disable_wal_skips_the_log_and_sync_survives() {
     let dir = std::path::Path::new("/write-wal");
     let fault = FaultEnv::new(0x6C06);
     let mut opts = Options::small_for_tests();
-    opts.watchdog.enabled = false;
     opts.store.env = Arc::new(fault.clone());
     let db = opts.clone().open(dir).unwrap();
 

@@ -42,9 +42,10 @@ const SPINS_BEFORE_YIELD: u32 = 64;
 pub struct SharedExclusiveLock {
     state: AtomicU64,
     /// Trace-clock nanoseconds at which the current exclusive hold
-    /// began, or 0 while not exclusively held. Read by the stall
-    /// watchdog; written only by exclusive lockers, so two relaxed
-    /// stores per (rare) exclusive acquisition.
+    /// began, or 0 while not exclusively held. Read when a hold ends, to
+    /// report a long one, and on demand by diagnostics; written only by
+    /// exclusive lockers, so two relaxed stores per (rare) exclusive
+    /// acquisition.
     excl_since_ns: AtomicU64,
 }
 
@@ -132,7 +133,7 @@ impl SharedExclusiveLock {
     /// How long the current exclusive hold has lasted, or `None` when
     /// the lock is not exclusively held. Racy by design: a concurrent
     /// release may make the result momentarily stale, which is fine for
-    /// its consumer (the stall watchdog's threshold check).
+    /// its consumer (a diagnostic report of a hold still in progress).
     pub fn exclusive_held_for(&self) -> Option<std::time::Duration> {
         self.exclusive_held_since_ns().map(|since| {
             std::time::Duration::from_nanos(crate::trace::now_ns().saturating_sub(since))
@@ -141,22 +142,13 @@ impl SharedExclusiveLock {
 
     /// Trace-clock nanoseconds at which the current exclusive hold
     /// began, or `None` when not exclusively held. The value is stable
-    /// for the duration of one hold, so a sampling observer can use it
-    /// to tell "same long hold" from "many short holds".
+    /// for the duration of one hold, so its holder can read it just
+    /// before releasing to learn how long the hold lasted.
     pub fn exclusive_held_since_ns(&self) -> Option<u64> {
         match self.excl_since_ns.load(Ordering::Relaxed) {
             0 => None,
             since => Some(since),
         }
-    }
-
-    /// Test-only fault injection: takes the lock exclusively and holds
-    /// it for `hold`, so stall-detection machinery (the watchdog) can be
-    /// exercised deterministically. Never call this on a production
-    /// path.
-    pub fn hold_exclusive_for(&self, hold: std::time::Duration) {
-        let _g = self.lock_exclusive();
-        std::thread::sleep(hold);
     }
 
     /// Returns `true` if any holder (shared or exclusive) is present.

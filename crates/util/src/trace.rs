@@ -103,7 +103,7 @@ impl Phase {
 // ---------------------------------------------------------------------------
 
 /// The process-wide trace epoch, fixed on first use. Shared with the
-/// shared-exclusive lock's hold tracking and the stall watchdog so all
+/// shared-exclusive lock's hold tracking and the stall events so all
 /// observability timestamps live on one axis.
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();

@@ -331,7 +331,6 @@ fn repeated_power_loss_cycles_keep_every_acked_write() {
         let mut opts = Options::small_for_tests();
         opts.memtable_bytes = MEMTABLE_BYTES;
         opts.sync_writes = true;
-        opts.watchdog.enabled = false;
         opts.store.env = Arc::new(failpoint.clone());
         let db = Db::open(dir, opts).unwrap();
 

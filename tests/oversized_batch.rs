@@ -21,7 +21,6 @@ const BOUND: Duration = Duration::from_secs(30);
 
 fn open(dir: &Path, fault: &FaultEnv) -> Result<Arc<dyn KvStore>> {
     let mut opts = Options::small_for_tests();
-    opts.watchdog.enabled = false;
     opts.store.env = Arc::new(fault.clone());
     Ok(Arc::new(Db::open(dir, opts)?))
 }

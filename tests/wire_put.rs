@@ -26,7 +26,6 @@ use clsm_repro::util::error::ErrorKind;
 /// two workers.
 fn serve(dir: &str) -> (Arc<Db>, ServerHandle) {
     let mut opts = Options::small_for_tests();
-    opts.watchdog.enabled = false;
     opts.store.env = Arc::new(FaultEnv::new(0x317e));
     let db = Arc::new(Db::open(Path::new(dir), opts).unwrap());
     let net = NetOptions::builder()
