@@ -319,15 +319,6 @@ fn clsm_conforms_to_the_same_contract() {
 }
 
 #[test]
-fn clsm_with_hybrid_partial_compaction_conforms() {
-    let dir = TempDir::new("clsm-hybrid");
-    let mut opts = Options::small_for_tests();
-    opts.store.compaction_policy = clsm::CompactionPolicyKind::HybridPartial;
-    let store = clsm::Db::open(&dir.0, opts).unwrap();
-    exercise(&store);
-}
-
-#[test]
 fn partitioned_composition_conforms() {
     // The full checklist against the Figure-1 partitioned composition;
     // boundaries split the bulk range itself so stitched scans cross a

@@ -28,7 +28,6 @@ pub struct Sut {
 /// Every system name [`open_sut`] accepts.
 pub const SYSTEMS: &[&str] = &[
     "clsm",
-    "clsm-hybrid",
     "clsm-net",
     "leveldb",
     "rocksdb",
@@ -40,7 +39,7 @@ pub const SYSTEMS: &[&str] = &[
 
 /// Systems that support crash-reopen checking (the fault-injecting
 /// [`FaultEnv`] plumbs through their `Options`).
-pub const CRASH_SYSTEMS: &[&str] = &["clsm", "clsm-hybrid"];
+pub const CRASH_SYSTEMS: &[&str] = &["clsm"];
 
 /// Opens `name` at `dir`.
 pub fn open_sut(name: &str, dir: &Path) -> Result<Sut> {
@@ -56,13 +55,7 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
     }
     opts.sync_writes = sync;
 
-    if matches!(name, "clsm" | "clsm-hybrid") {
-        // `clsm-hybrid`: the alternative compaction scheduling policy —
-        // history checking must hold whatever shape the background
-        // merges take.
-        if name == "clsm-hybrid" {
-            opts.store.compaction_policy = clsm::CompactionPolicyKind::HybridPartial;
-        }
+    if name == "clsm" {
         let db = Arc::new(opts.open(dir)?);
         let chaos_db = Arc::clone(&db);
         let tick = std::sync::atomic::AtomicU64::new(0);

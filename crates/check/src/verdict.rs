@@ -9,6 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 use clsm_kv::record::{KvEvent, KvOp, RmwApplied};
+use clsm_util::json;
 
 use crate::history;
 use crate::lin::{self, LinOutcome};
@@ -43,7 +44,7 @@ impl Verdict {
         let failures: Vec<String> = self
             .failures
             .iter()
-            .map(|f| format!("\"{}\"", escape(f)))
+            .map(|f| format!("\"{}\"", json::escape(f)))
             .collect();
         let cex: Vec<String> = self
             .counterexample
@@ -53,9 +54,9 @@ impl Verdict {
         format!(
             "{{\"system\":\"{}\",\"mode\":\"{}\",\"check\":\"{}\",\"seed\":{},\
              \"events\":{},\"pass\":{},\"failures\":[{}],\"counterexample\":[{}]}}",
-            escape(&self.system),
-            escape(&self.mode),
-            escape(&self.check),
+            json::escape(&self.system),
+            json::escape(&self.mode),
+            json::escape(&self.check),
             self.seed,
             self.events,
             self.pass,
@@ -63,10 +64,6 @@ impl Verdict {
             cex.join(",")
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// (key, observed value) pairs this event observed; `None` = absent.

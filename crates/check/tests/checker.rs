@@ -59,14 +59,6 @@ fn clean_clsm_passes_seeded_schedules() {
 }
 
 #[test]
-fn clean_hybrid_policy_passes_seeded_schedules() {
-    // The alternative compaction scheduling policy must preserve the
-    // same observable history — backgrounds merges of any shape are
-    // invisible to clients.
-    check_clean("clsm-hybrid", 22..24);
-}
-
-#[test]
 fn clean_baselines_pass_a_schedule() {
     // One seed each: the full sweep lives in the clsm-check binary and
     // the CI matrix; this keeps `cargo test` bounded.

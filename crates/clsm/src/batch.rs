@@ -43,7 +43,7 @@ mod tests {
         let dir = tmpdir("empty");
         let db = Db::open(&dir, Options::small_for_tests()).unwrap();
         db.write(WriteBatch::new(), &WriteOptions::new()).unwrap();
-        assert_eq!(db.stats().puts, 0);
+        assert_eq!(db.metrics().counters["db.puts"], 0);
         drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }

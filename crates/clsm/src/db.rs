@@ -26,7 +26,7 @@ use crate::admission::{AdmissionState, FlowControl, FLUSH_BEHIND, L0_BEHIND};
 use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
-use crate::stats::{DbMetrics, StatsSnapshot};
+use crate::stats::DbMetrics;
 use crate::watchdog::{StallKind, Watchdog};
 
 /// Flight-recorder spans for the layers Algorithm 1/2 say matter: the
@@ -478,11 +478,6 @@ impl Db {
         Ok(Snapshot::new(Arc::clone(inner), ts))
     }
 
-    /// Current operation counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.inner.metrics.stats()
-    }
-
     /// A point-in-time view of every registered metric: operation
     /// counters (`db.*`), per-operation latency histograms (`op.*`),
     /// storage-layer flush/compaction/WAL metrics (`storage.*`), and
@@ -533,23 +528,19 @@ impl Db {
                 return Err(e);
             }
             if !inner.is_busy() {
-                let version = inner.store.current_version();
-                if l0_shadows_deeper_levels(&version) {
-                    let largest = version.levels[0]
-                        .iter()
-                        .map(|f| f.largest_user_key())
-                        .max()
-                        .unwrap_or_default();
-                    let compacted =
-                        inner
-                            .store
-                            .compact_level_range(0, &[], largest, inner.gc_watermark());
-                    // Its claims are released either way: wake workers
-                    // that found the level claimed.
-                    inner.note_version();
-                    compacted?;
-                    // L1 may now be over its budget.
-                    continue;
+                match inner
+                    .store
+                    .compact_l0_if_it_shadows_deeper_levels(inner.gc_watermark())
+                {
+                    Ok(false) => {}
+                    compacted => {
+                        // Its claims are released either way: wake
+                        // workers that found the level claimed.
+                        inner.note_version();
+                        compacted?;
+                        // L1 may now be over its budget.
+                        continue;
+                    }
                 }
                 // A compaction stops counting as busy when it publishes
                 // its version, before it deletes its inputs.
@@ -1073,18 +1064,6 @@ fn flush_worker(inner: Arc<DbInner>) {
         let _g = inner.work_mutex.lock();
         inner.work_cv.notify_all();
     }
-}
-
-/// Whether some L0 table's key range overlaps a table in a deeper
-/// level, so that it may hold versions superseding ones merged below.
-fn l0_shadows_deeper_levels(version: &lsm_storage::version::Version) -> bool {
-    version.levels[0].iter().any(|f| {
-        (1..version.levels.len()).any(|level| {
-            !version
-                .overlapping_files(level, f.smallest_user_key(), f.largest_user_key())
-                .is_empty()
-        })
-    })
 }
 
 /// Background compaction worker. Several may run concurrently (the

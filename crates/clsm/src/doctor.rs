@@ -72,9 +72,6 @@ pub struct DoctorReport {
     pub syscalls: SyscallCounts,
     /// Recent watchdog verdicts, oldest first.
     pub stall_events: Vec<StallEvent>,
-    /// Stable name of the compaction scheduling policy
-    /// ([`crate::CompactionPolicyKind::name`]).
-    pub compaction_policy: &'static str,
     /// Write admission: the stage behind, the paced rate, the rung and
     /// lifetime counters.
     pub admission: AdmissionState,
@@ -120,7 +117,6 @@ impl Db {
             wal_queue_bytes: inner.store.wal_queue_bytes(),
             syscalls: RealEnv::syscall_counts(),
             stall_events: self.stall_events(),
-            compaction_policy: inner.store.compaction_policy().name(),
             admission: inner.admission_state(),
             write_path: WritePathReport::from_snapshot(&self.metrics()),
             checksum: clsm_util::crc::implementation(),
@@ -209,7 +205,6 @@ impl DoctorReport {
                 "block cache: {hits} hits / {misses} misses ({rate:.1}% hit rate)"
             );
         }
-        let _ = writeln!(out, "compaction policy: {}", self.compaction_policy);
         let _ = writeln!(out, "checksum: crc32c ({})", self.checksum);
         let _ = writeln!(
             out,

@@ -65,12 +65,10 @@ pub use memtable::Memtable;
 pub use options::{Options, OptionsBuilder};
 pub use rmw::{RmwDecision, RmwResult};
 pub use snapshot::{Snapshot, SnapshotIter};
-pub use stats::StatsSnapshot;
 pub use watchdog::{StallEvent, StallKind};
 pub use write_report::{WritePathReport, WriteStage, WRITE_PATH_STAGES};
 
 pub use clsm_kv::{KvSnapshot, KvStore, ScanRange};
 pub use clsm_util::error::{Error, Result};
 pub use clsm_util::metrics::{HistogramSummary, MetricsSnapshot};
-pub use lsm_storage::compaction::CompactionPolicyKind;
 pub use lsm_storage::store::RecoveryReport;

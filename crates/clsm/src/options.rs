@@ -4,7 +4,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use clsm_util::env::Env;
-use lsm_storage::compaction::CompactionPolicyKind;
 use lsm_storage::StoreOptions;
 
 use crate::admission::AdmissionOptions;
@@ -234,14 +233,6 @@ impl OptionsBuilder {
         self
     }
 
-    /// Compaction scheduling policy of the disk substrate (leveled or
-    /// hybrid-partial; see
-    /// [`lsm_storage::compaction::CompactionPolicyKind`]).
-    pub fn compaction_policy(mut self, kind: CompactionPolicyKind) -> Self {
-        self.opts.store.compaction_policy = kind;
-        self
-    }
-
     /// Storage environment every file operation is routed through
     /// (see the "Injection points" section of [`Options`]).
     pub fn env(mut self, env: Arc<dyn Env>) -> Self {
@@ -275,6 +266,7 @@ mod tests {
             .sync_writes(true)
             .linearizable_snapshots(true)
             .compaction_threads(3)
+            .admission(AdmissionOptions { enabled: false })
             .store(StoreOptions {
                 block_size: 1024,
                 ..StoreOptions::default()
@@ -285,6 +277,7 @@ mod tests {
         assert!(opts.sync_writes);
         assert!(opts.linearizable_snapshots);
         assert_eq!(opts.compaction_threads, 3);
+        assert!(!opts.admission.enabled);
         assert_eq!(opts.store.block_size, 1024);
     }
 
@@ -308,20 +301,6 @@ mod tests {
         ] {
             assert!(Options::builder().store(zeroed).build().is_err());
         }
-    }
-
-    #[test]
-    fn builder_selects_policy_and_admission() {
-        let opts = Options::builder()
-            .compaction_policy(CompactionPolicyKind::HybridPartial)
-            .admission(AdmissionOptions { enabled: false })
-            .build()
-            .unwrap();
-        assert_eq!(
-            opts.store.compaction_policy,
-            CompactionPolicyKind::HybridPartial
-        );
-        assert!(!opts.admission.enabled);
     }
 
     #[test]

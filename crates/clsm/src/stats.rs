@@ -1,6 +1,5 @@
 //! The database's observability layer: counters and latency histograms
-//! registered in a [`MetricsRegistry`], plus the legacy
-//! [`StatsSnapshot`] counter view.
+//! registered in a [`MetricsRegistry`].
 //!
 //! Every handle here is pre-registered at `Db::open` and recorded
 //! through directly on the hot paths — no locks, no registry lookups,
@@ -40,7 +39,7 @@ pub(crate) struct DbMetrics {
     /// The registry behind `Db::metrics()`; shared with the store.
     pub registry: Arc<MetricsRegistry>,
 
-    // -- operation counters (the legacy `StatsSnapshot` view) --
+    // -- operation counters --
     pub puts: Arc<Counter>,
     pub gets: Arc<Counter>,
     pub deletes: Arc<Counter>,
@@ -195,48 +194,10 @@ impl DbMetrics {
             registry,
         }
     }
-
-    /// The legacy counter view (`Db::stats()`).
-    pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            puts: self.puts.get(),
-            gets: self.gets.get(),
-            deletes: self.deletes.get(),
-            rmw_ops: self.rmw_ops.get(),
-            rmw_conflicts: self.rmw_conflicts.get(),
-            snapshots: self.snapshots.get(),
-            flushes: self.flushes.get(),
-            compactions: self.compactions.get(),
-            write_stalls: self.write_stalls.get(),
-        }
-    }
 }
 
 impl Default for DbMetrics {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A point-in-time copy of the operation counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Completed put operations.
-    pub puts: u64,
-    /// Completed get operations.
-    pub gets: u64,
-    /// Completed delete operations.
-    pub deletes: u64,
-    /// Completed read-modify-write operations.
-    pub rmw_ops: u64,
-    /// RMW retries due to conflicts (Algorithm 3).
-    pub rmw_conflicts: u64,
-    /// Snapshots created.
-    pub snapshots: u64,
-    /// Memtable flushes performed.
-    pub flushes: u64,
-    /// Disk compactions performed.
-    pub compactions: u64,
-    /// Puts that stalled waiting for a flush.
-    pub write_stalls: u64,
 }

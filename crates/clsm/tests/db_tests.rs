@@ -96,7 +96,7 @@ fn data_survives_flush_and_compaction() {
             "key {i}"
         );
     }
-    assert!(db.stats().flushes > 0);
+    assert!(db.metrics().counters["db.flushes"] > 0);
 }
 
 #[test]
@@ -393,11 +393,11 @@ fn stats_track_operations() {
     db.get(b"missing").unwrap();
     db.delete(b"a").unwrap();
     let _ = db.snapshot().unwrap();
-    let s = db.stats();
-    assert_eq!(s.puts, 1);
-    assert_eq!(s.gets, 2);
-    assert_eq!(s.deletes, 1);
-    assert_eq!(s.snapshots, 1);
+    let c = db.metrics().counters;
+    assert_eq!(c["db.puts"], 1);
+    assert_eq!(c["db.gets"], 2);
+    assert_eq!(c["db.deletes"], 1);
+    assert_eq!(c["db.snapshots"], 1);
 }
 
 #[test]

@@ -117,7 +117,7 @@ fn write_pressure_is_flagged_and_reaches_the_doctor() {
         db.put(format!("stall.{i:08}").as_bytes(), &value).unwrap();
     }
     db.compact_to_quiescence().unwrap();
-    let stalls = db.stats().write_stalls;
+    let stalls = db.metrics().counters["db.write_stalls"];
     assert!(stalls > 0, "workload never hit the stall");
 
     // The first writer to stall behind each flush reported it.

@@ -238,5 +238,5 @@ fn contradictory_write_options_are_rejected_by_write() {
         .unwrap_err();
     assert!(err.to_string().contains("disable_wal"));
     assert_eq!(db.get(b"k").unwrap(), None);
-    assert_eq!(db.stats().puts, 0);
+    assert_eq!(db.metrics().counters["db.puts"], 0);
 }

@@ -8,10 +8,11 @@
 //! snapshot, the latest version of the key that does not exceed the
 //! snapshot's timestamp is kept" (we use the conservative
 //! oldest-snapshot rule, as LevelDB does).
-
-pub mod policy;
-
-pub use policy::{CompactionPolicy, CompactionPolicyKind, HybridPartial, Leveled};
+//!
+//! This module alone chooses what merges next: [`pick`] for background
+//! work (the most pressured level's single largest file, or all of L0),
+//! [`pick_level_range`] for manual range compactions. Both claim their
+//! inputs exclusively, so concurrent compactions work on disjoint files.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -81,6 +82,11 @@ pub fn level_score(version: &Version, opts: &StoreOptions, level: usize) -> f64 
     }
 }
 
+/// `true` if any level's score is at or past its trigger.
+pub fn needs_compaction(version: &Version, opts: &StoreOptions) -> bool {
+    (0..opts.num_levels.saturating_sub(1)).any(|l| level_score(version, opts, l) >= 1.0)
+}
+
 /// Picks the most pressured level and claims a compaction, or `None`
 /// when nothing needs compaction or all candidates are already claimed.
 pub fn pick(version: &Version, opts: &StoreOptions) -> Option<CompactionTask> {
@@ -92,44 +98,19 @@ pub fn pick(version: &Version, opts: &StoreOptions) -> Option<CompactionTask> {
         }
     }
     let (level, _) = best?;
-
-    // Choose base files.
-    let base: Vec<Arc<FileMeta>> = if level == 0 {
+    let base = if level == 0 {
         // All L0 files: they may overlap each other, so a partial pick
         // could break the "newer level ⇒ newer versions" invariant.
         version.levels[0].clone()
     } else {
-        // One file at a time, largest first, keeps work bounded.
-        let mut candidates = version.levels[level].clone();
-        candidates.sort_by_key(|f| std::cmp::Reverse(f.file_size));
-        vec![Arc::clone(candidates.first()?)]
+        // One file at a time, largest first (the first of equals),
+        // keeps work bounded.
+        let largest = version.levels[level]
+            .iter()
+            .min_by_key(|f| std::cmp::Reverse(f.file_size))?;
+        vec![Arc::clone(largest)]
     };
-    if base.is_empty() {
-        return None;
-    }
-
-    // Key range of the base inputs.
-    let mut smallest = base[0].smallest_user_key().to_vec();
-    let mut largest = base[0].largest_user_key().to_vec();
-    for f in &base[1..] {
-        if f.smallest_user_key() < smallest.as_slice() {
-            smallest = f.smallest_user_key().to_vec();
-        }
-        if f.largest_user_key() > largest.as_slice() {
-            largest = f.largest_user_key().to_vec();
-        }
-    }
-    let parent = version.overlapping_files(level + 1, &smallest, &largest);
-
-    let mut all = base.clone();
-    all.extend(parent.iter().cloned());
-    let claim = CompactionClaim::try_claim(all)?;
-    Some(CompactionTask {
-        level,
-        base,
-        parent,
-        _claim: claim,
-    })
+    claim(version, level, base)
 }
 
 /// Picks a *manual* compaction of every file in `level` overlapping
@@ -146,31 +127,23 @@ pub fn pick_level_range(
     if level + 1 >= opts.num_levels {
         return None;
     }
-    let base: Vec<Arc<FileMeta>> = if level == 0 {
+    let mut base = version.overlapping_files(level, smallest, largest);
+    if level == 0 && !base.is_empty() {
         // L0 files overlap each other: a partial pick would break the
         // newer-files-hold-newer-versions invariant, so take all of L0
         // whenever any L0 file intersects the range.
-        if version.overlapping_files(0, smallest, largest).is_empty() {
-            return None;
-        }
-        version.levels[0].clone()
-    } else {
-        version.overlapping_files(level, smallest, largest)
-    };
-    if base.is_empty() {
-        return None;
+        base = version.levels[0].clone();
     }
-    let mut lo = base[0].smallest_user_key().to_vec();
-    let mut hi = base[0].largest_user_key().to_vec();
-    for f in &base[1..] {
-        if f.smallest_user_key() < lo.as_slice() {
-            lo = f.smallest_user_key().to_vec();
-        }
-        if f.largest_user_key() > hi.as_slice() {
-            hi = f.largest_user_key().to_vec();
-        }
-    }
-    let parent = version.overlapping_files(level + 1, &lo, &hi);
+    claim(version, level, base)
+}
+
+/// Claims `base` (files of `level`) together with every file of
+/// `level + 1` overlapping their user-key range, or `None` when `base`
+/// is empty or one of the inputs is already claimed.
+fn claim(version: &Version, level: usize, base: Vec<Arc<FileMeta>>) -> Option<CompactionTask> {
+    let smallest = base.iter().map(|f| f.smallest_user_key()).min()?;
+    let largest = base.iter().map(|f| f.largest_user_key()).max()?;
+    let parent = version.overlapping_files(level + 1, smallest, largest);
     let mut all = base.clone();
     all.extend(parent.iter().cloned());
     let claim = CompactionClaim::try_claim(all)?;

@@ -286,10 +286,10 @@ fn pick_respects_claims_and_trigger() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ---------------------------------------------------------------- policies
+// ---------------------------------------------------------------- picks
 
 /// Synthetic file metadata for pick-only tests (no table bytes needed:
-/// policies read sizes and key ranges, never file contents).
+/// picks read sizes and key ranges, never file contents).
 fn synth_file(
     level: u32,
     number: u64,
@@ -343,47 +343,84 @@ fn over_budget_level_picks_its_single_largest_file() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+fn numbers(files: &[Arc<FileMeta>]) -> Vec<u64> {
+    files.iter().map(|f| f.number).collect()
+}
+
 #[test]
-fn hybrid_partial_rotates_a_bounded_cursor_through_the_level() {
-    use super::policy::{CompactionPolicy, HybridPartial};
-    let dir = tmpdir("hybrid");
-    let mut opts = small_opts();
-    opts.table_file_size = 1024; // partial budget = 2 tables = 2048 bytes
-                                 // L1 is 4x over its 4096-byte budget, spread over six files.
+fn manual_l0_pick_takes_all_of_l0_when_any_file_overlaps() {
+    let dir = tmpdir("manual-l0");
+    let opts = small_opts();
     let v = synth_version(
         &dir,
-        (0..6u64)
-            .map(|i| {
-                synth_file(
-                    1,
-                    10 + i,
-                    3000,
-                    &format!("k{}", 2 * i),
-                    &format!("k{}", 2 * i + 1),
-                )
-            })
-            .collect(),
+        vec![
+            synth_file(0, 10, 100, "a", "c"),
+            synth_file(0, 11, 100, "m", "p"),
+            synth_file(1, 20, 100, "b", "d"),
+            synth_file(1, 21, 100, "x", "z"),
+        ],
     );
-    let policy = HybridPartial::new();
-    assert!(policy.level_score(&v, &opts, 1) >= 1.0);
-    // Each pick takes a bounded slice (one 3000-byte file exceeds the
-    // 2048 budget alone, so exactly one file per task) and the cursor
-    // advances: consecutive picks claim *different* files.
-    let t1 = policy.pick(&v, &opts).expect("first partial pick");
-    assert_eq!(t1.base.len(), 1);
-    let first = t1.base[0].number;
-    let t2 = policy.pick(&v, &opts).expect("second partial pick");
-    assert_eq!(t2.base.len(), 1);
-    assert_ne!(t2.base[0].number, first, "cursor did not advance");
-    drop(t1);
-    drop(t2);
-    // The cursor wraps: six more picks cycle through the whole level.
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..6 {
-        let t = policy.pick(&v, &opts).expect("pick");
-        seen.insert(t.base[0].number);
-    }
-    assert_eq!(seen.len(), 6, "cursor failed to cover the level");
+    let task = pick_level_range(&v, &opts, 0, b"a", b"b").expect("file 10 overlaps");
+    assert_eq!(task.level, 0);
+    let mut base = numbers(&task.base);
+    base.sort();
+    assert_eq!(
+        base,
+        vec![10, 11],
+        "all of L0, not just the overlapping file"
+    );
+    assert_eq!(numbers(&task.parent), vec![20], "L1 overlap of a..p only");
+    drop(task);
+    assert!(
+        pick_level_range(&v, &opts, 0, b"e", b"l").is_none(),
+        "no L0 file overlaps e..l"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn manual_deeper_pick_takes_only_overlapping_files_and_their_parents() {
+    let dir = tmpdir("manual-l1");
+    let opts = small_opts();
+    let v = synth_version(
+        &dir,
+        vec![
+            synth_file(1, 30, 100, "a", "c"),
+            synth_file(1, 31, 100, "d", "f"),
+            synth_file(1, 32, 100, "g", "i"),
+            synth_file(2, 40, 100, "b", "e"),
+            synth_file(2, 41, 100, "h", "j"),
+        ],
+    );
+    let task = pick_level_range(&v, &opts, 1, b"e", b"e").expect("file 31 overlaps");
+    assert_eq!(numbers(&task.base), vec![31]);
+    assert_eq!(numbers(&task.parent), vec![40]);
+    drop(task);
+    let task = pick_level_range(&v, &opts, 1, b"c", b"d").expect("files 30, 31 overlap");
+    assert_eq!(numbers(&task.base), vec![30, 31]);
+    assert_eq!(numbers(&task.parent), vec![40]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn manual_pick_yields_nothing_for_claimed_inputs_or_the_last_level() {
+    let dir = tmpdir("manual-none");
+    let opts = small_opts();
+    let last = opts.num_levels - 1;
+    let v = synth_version(
+        &dir,
+        vec![
+            synth_file(1, 30, 100, "a", "c"),
+            synth_file(2, 40, 100, "b", "e"),
+            synth_file(last as u32, 50, 100, "a", "z"),
+        ],
+    );
+    // The L2 parent is claimed by a pick from L2's own side.
+    let holder = pick_level_range(&v, &opts, 2, b"b", b"b").expect("file 40");
+    assert!(pick_level_range(&v, &opts, 1, b"a", b"c").is_none());
+    drop(holder);
+    assert!(pick_level_range(&v, &opts, 1, b"a", b"c").is_some());
+    assert!(pick_level_range(&v, &opts, last, b"a", b"z").is_none());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

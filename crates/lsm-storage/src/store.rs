@@ -32,7 +32,7 @@ static T_WAL_APPEND: TraceId = TraceId::new("storage.wal.append");
 static T_WAL_SYNC: TraceId = TraceId::new("storage.wal.sync");
 
 use crate::cache::{BlockCache, TableCache};
-use crate::compaction::{self, CompactionPolicy, CompactionPolicyKind};
+use crate::compaction::{self, CompactionTask};
 use crate::filenames;
 use crate::format::{self, ValueKind, WriteRecord};
 use crate::iter::{BoxedIterator, InternalIterator};
@@ -66,8 +66,6 @@ pub struct StoreOptions {
     /// [`RealEnv`]; tests inject `clsm_util::env::FaultEnv` for
     /// deterministic crash injection.
     pub env: Arc<dyn Env>,
-    /// Which [`CompactionPolicy`] schedules background merges.
-    pub compaction_policy: CompactionPolicyKind,
 }
 
 impl Default for StoreOptions {
@@ -83,7 +81,6 @@ impl Default for StoreOptions {
             num_levels: NUM_LEVELS,
             max_open_tables: 500,
             env: Arc::new(RealEnv),
-            compaction_policy: CompactionPolicyKind::default(),
         }
     }
 }
@@ -146,9 +143,6 @@ pub struct Store {
     /// too); `compact_range` waits here for claimed overlapping files
     /// with a plain `wait` — no timed-poll backstop needed.
     claims: Arc<ClaimSignal>,
-    /// The scheduling policy picking background compactions
-    /// ([`StoreOptions::compaction_policy`], built at open).
-    policy: Box<dyn CompactionPolicy>,
     /// What the opening recovery pass saw (for `--crash-audit`).
     recovery_report: RecoveryReport,
 }
@@ -310,7 +304,6 @@ impl Store {
         let wal = LogQueue::start(LogWriter::new(wal_file));
 
         let current = RcuCell::new(versions.current());
-        let opts_policy = opts.compaction_policy;
         let store = Store {
             dir: dir.to_path_buf(),
             opts,
@@ -324,7 +317,6 @@ impl Store {
             bytes_compacted: AtomicU64::new(0),
             metrics: OnceLock::new(),
             claims: Arc::new(ClaimSignal::default()),
-            policy: opts_policy.build(),
             recovery_report: report.clone(),
         };
         Ok((
@@ -537,29 +529,29 @@ impl Store {
         Ok(())
     }
 
-    /// Returns `true` if some level's score is at or past its budget
-    /// under the configured [`CompactionPolicy`].
+    /// Returns `true` if some level's score is at or past its budget.
     pub fn needs_compaction(&self) -> bool {
-        let v = self.current_version();
-        self.policy.needs_compaction(&v, &self.opts)
+        compaction::needs_compaction(&self.current_version(), &self.opts)
     }
 
-    /// The configured compaction scheduling policy.
-    pub fn compaction_policy(&self) -> CompactionPolicyKind {
-        self.policy.kind()
-    }
-
-    /// Picks (via the configured policy) and runs one compaction if
-    /// any level needs it.
+    /// Picks and runs one compaction if any level needs it.
     ///
     /// Safe to call from several threads: file claims make concurrent
     /// compactions work on disjoint inputs (this is how the RocksDB
     /// baseline's multi-threaded compaction is modeled, §5.3).
     pub fn maybe_compact(&self, watermark: u64) -> Result<bool> {
         let version = self.current_version();
-        let Some(mut task) = self.policy.pick(&version, &self.opts) else {
+        let Some(task) = compaction::pick(&version, &self.opts) else {
             return Ok(false);
         };
+        self.run_task(task, watermark)?;
+        Ok(true)
+    }
+
+    /// Runs a claimed compaction, installs its version, deletes the
+    /// files it made obsolete and accounts its bytes — the one tail of
+    /// background and manual compactions alike.
+    fn run_task(&self, mut task: CompactionTask, watermark: u64) -> Result<()> {
         task.attach_release_signal(Arc::clone(&self.claims));
         let _span = T_COMPACTION.span_with(task.level as u64);
         let start = Instant::now();
@@ -575,8 +567,13 @@ impl Store {
                 &mut alloc,
             )?
         };
+        // Both byte counts move before the version is visible, so a
+        // reader that sees the version sees them agree.
         let written = edit.new_files.iter().map(|f| f.file_size).sum::<u64>();
         self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
+        if let Some(m) = self.metrics.get() {
+            m.bytes_compacted.add(written);
+        }
         let mut versions = self.versions.lock();
         let new_version = versions.log_and_apply(edit)?;
         self.current.store(new_version);
@@ -585,10 +582,9 @@ impl Store {
         drop(guard);
         drop(task); // claim Drop notifies `claims`
         if let Some(m) = self.metrics.get() {
-            m.bytes_compacted.add(written);
             m.compaction_ns.record_duration(start.elapsed());
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Blocks until every flush or compaction that has published its
@@ -652,24 +648,10 @@ impl Store {
         if level + 1 >= self.opts.num_levels {
             return Ok(());
         }
-        let mut task = loop {
-            let version = self.current_version();
-            if let Some(task) =
-                compaction::pick_level_range(&version, &self.opts, level, start, end)
-            {
-                break task;
-            }
-            // Nothing overlapping at this level, or claimed by a
-            // background compaction: if the level still has overlapping
-            // files we must wait and retry, else there is nothing to do.
-            if version.overlapping_files(level, start, end).is_empty() {
-                return Ok(());
-            }
-            // A background compaction holds the claim. Every claim
-            // release notifies `claims` under its lock (RAII, including
-            // error unwinds), so re-check under that same lock and then
-            // wait untimed — a release between our failed pick above and
-            // the lock acquisition cannot be missed.
+        let task = loop {
+            // Every claim release notifies `claims` under its lock
+            // (RAII, including error unwinds), so picking under that
+            // lock and then waiting untimed cannot miss a release.
             let mut guard = self.claims.lock();
             let version = self.current_version();
             if let Some(task) =
@@ -677,40 +659,31 @@ impl Store {
             {
                 break task;
             }
+            // No overlapping files at this level: nothing to do. Else a
+            // background compaction holds one of them: wait it out.
             if version.overlapping_files(level, start, end).is_empty() {
                 return Ok(());
             }
             self.claims.wait(&mut guard);
         };
-        task.attach_release_signal(Arc::clone(&self.claims));
-        let _span = T_COMPACTION.span_with(task.level as u64);
-        let start = Instant::now();
-        let guard = PendingGuard::new(self);
-        let edit = {
-            let mut alloc = guard.allocator();
-            compaction::run(
-                &task,
-                &self.dir,
-                &self.cache,
-                &self.opts,
-                watermark,
-                &mut alloc,
-            )?
-        };
-        let written = edit.new_files.iter().map(|f| f.file_size).sum::<u64>();
-        self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
-        let mut versions = self.versions.lock();
-        let new_version = versions.log_and_apply(edit)?;
-        self.current.store(new_version);
-        self.delete_obsolete_locked(&mut versions)?;
-        drop(versions);
-        drop(guard);
-        drop(task); // claim Drop notifies `claims`
-        if let Some(m) = self.metrics.get() {
-            m.bytes_compacted.add(written);
-            m.compaction_ns.record_duration(start.elapsed());
+        self.run_task(task, watermark)
+    }
+
+    /// Merges all of L0 into L1 when one of its tables overlaps a deeper
+    /// level ([`Version::l0_shadows_deeper_levels`]); returns whether it
+    /// merged. Blocks like [`Store::compact_level_range`].
+    pub fn compact_l0_if_it_shadows_deeper_levels(&self, watermark: u64) -> Result<bool> {
+        let version = self.current_version();
+        if !version.l0_shadows_deeper_levels() {
+            return Ok(false);
         }
-        Ok(())
+        let largest = version.levels[0]
+            .iter()
+            .map(|f| f.largest_user_key())
+            .max()
+            .unwrap_or_default();
+        self.compact_level_range(0, &[], largest, watermark)?;
+        Ok(true)
     }
 
     /// Full integrity scan: walks every table in the current version

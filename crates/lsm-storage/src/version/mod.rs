@@ -143,6 +143,18 @@ impl Version {
             .collect()
     }
 
+    /// Whether some L0 table's key range overlaps a table in a deeper
+    /// level, so that it may hold versions superseding ones merged below.
+    pub fn l0_shadows_deeper_levels(&self) -> bool {
+        self.levels[0].iter().any(|f| {
+            (1..self.levels.len()).any(|level| {
+                !self
+                    .overlapping_files(level, f.smallest_user_key(), f.largest_user_key())
+                    .is_empty()
+            })
+        })
+    }
+
     /// Total bytes in `level`.
     pub fn level_bytes(&self, level: usize) -> u64 {
         self.levels[level].iter().map(|f| f.file_size).sum()

@@ -24,6 +24,7 @@
 //! - [`bloom`], [`coding`], [`crc`] — encoding substrates for the disk
 //!   component (Bloom filters, varints, CRC32C).
 //! - [`histogram`] — latency histograms for the evaluation harness.
+//! - [`json`] — the one JSON string escaper of every hand-rendered report.
 //! - [`metrics`] — lock-free counters, gauges, and thread-striped
 //!   concurrent histograms behind the store's observability layer.
 //! - [`trace`] — the flight recorder: per-thread lock-free event rings
@@ -43,6 +44,7 @@ pub mod epoch;
 pub mod error;
 pub mod eventlog;
 pub mod histogram;
+pub mod json;
 pub mod metrics;
 pub mod oracle;
 pub mod rcu;

@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::histogram::{Histogram, NUM_BUCKETS};
+use crate::json;
 
 /// Number of independent bucket arrays in a [`ConcurrentHistogram`].
 ///
@@ -386,19 +387,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders an `f64` the way JSON expects (no NaN/Inf, which can't
 /// appear here: means of non-negative u64 samples).
 fn json_f64(v: f64) -> String {
@@ -446,13 +434,13 @@ impl MetricsSnapshot {
         let counters = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v))
             .collect::<Vec<_>>()
             .join(",");
         let gauges = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v))
+            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v))
             .collect::<Vec<_>>()
             .join(",");
         let histograms = self
@@ -462,7 +450,7 @@ impl MetricsSnapshot {
                 format!(
                     "\"{}\":{{\"count\":{},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\
                      \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-                    json_escape(k),
+                    json::escape(k),
                     h.count,
                     h.sum,
                     json_f64(h.mean),

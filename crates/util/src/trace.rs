@@ -57,6 +57,8 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::json;
+
 /// Default per-thread ring capacity (events), used by
 /// [`enable_default`]. 64 Ki events × 32 B = 2 MiB per thread.
 pub const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
@@ -488,7 +490,7 @@ impl TraceSnapshot {
             out.push_str(&format!(
                 ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
                 t.thread,
-                json_escape(&t.name)
+                json::escape(&t.name)
             ));
         }
         for e in &self.events {
@@ -496,7 +498,7 @@ impl TraceSnapshot {
             let ph = e.phase.chrome_ph();
             out.push_str(&format!(
                 ",\n{{\"name\":\"{}\",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":{:.3}",
-                json_escape(self.name_of(e)),
+                json::escape(self.name_of(e)),
                 ph,
                 e.thread,
                 ts_us
@@ -562,19 +564,6 @@ pub struct SpanStat {
     pub total: Duration,
     /// Longest single span.
     pub max: Duration,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -129,7 +129,11 @@ fn main() {
                 Ok(())
             }
             ["stats"] => {
-                println!("{:#?}", db.stats());
+                for (name, value) in db.metrics().counters {
+                    if name.starts_with("db.") {
+                        println!("{name} {value}");
+                    }
+                }
                 if let Some((hits, misses)) = db.cache_stats() {
                     println!("block cache: {hits} hits / {misses} misses");
                 }

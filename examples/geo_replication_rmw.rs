@@ -140,7 +140,7 @@ fn main() -> clsm_repro::clsm::Result<()> {
         assert!(!stored.payload.is_empty());
         items += 1;
     }
-    let conflicts = db.stats().rmw_conflicts;
+    let conflicts = db.metrics().counters["db.rmw_conflicts"];
     println!(
         "geo-replication OK: {items} items converged across {SITES} sites \
          ({} reconciles, {conflicts} optimistic-retry conflicts resolved)",

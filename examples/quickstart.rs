@@ -64,7 +64,7 @@ fn main() -> clsm_repro::clsm::Result<()> {
     assert!(db.put_if_absent(b"config:theme", b"dark")?);
     assert!(!db.put_if_absent(b"config:theme", b"light")?);
 
-    println!("stats: {:?}", db.stats());
+    println!("counters: {:?}", db.metrics().counters);
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
     println!("quickstart OK");

@@ -28,10 +28,9 @@ fn a_filling_memtable_with_no_flush_behind_is_never_delayed() {
         "the memtable filled ({} bytes): the premise needs it short of a flush",
         db.memtable_bytes()
     );
-    assert_eq!(db.stats().flushes, 0);
-
     let counters = db.metrics().counters;
     let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("db.flushes"), 0);
     assert_eq!(
         counter("admission.delayed_writes"),
         0,
