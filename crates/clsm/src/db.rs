@@ -23,6 +23,7 @@ use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
 use crate::admission::{AdmissionState, FlowControl, FLUSH_BEHIND, L0_BEHIND};
+use crate::jobs::{spawn_workers, JobState};
 use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
@@ -42,8 +43,9 @@ static T_BEFORE_MERGE: TraceId = TraceId::new("clsm.beforeMerge.exclusive");
 static T_AFTER_MERGE: TraceId = TraceId::new("clsm.afterMerge.exclusive");
 static T_MEMTABLE_ROTATE: TraceId = TraceId::new("clsm.memtable_rotate");
 
-/// Latest version of a key: `(ts, value-or-tombstone)`, plus whether
-/// it was found in the mutable memtable (the RMW conflict scope).
+/// The newest version of a key visible at a read time: `(ts,
+/// value-or-tombstone)`, plus whether it was found in the mutable
+/// memtable (the RMW conflict scope).
 pub(crate) type VersionedRead = (Option<(u64, Option<Vec<u8>>)>, bool);
 
 /// Shared state of an open database.
@@ -73,15 +75,12 @@ pub(crate) struct DbInner {
     /// reports the episode; cleared when `beforeMerge` makes a new one.
     write_stall_reported: AtomicBool,
 
+    /// Rejects writes once `Drop` has begun; set with `jobs.shutdown`.
     pub(crate) shutdown: AtomicBool,
-    /// Set while a flush is scheduled or running.
-    flush_pending: AtomicBool,
-    /// Counts version installs (see [`DbInner::note_version`]). Its
-    /// condvar wakes the workers and quiescence waiters: signalled on
-    /// every install, when a flush is scheduled or finishes (unblocking
-    /// stalled writers) and at shutdown.
-    work_mutex: Mutex<u64>,
-    work_cv: Condvar,
+    /// The background threads' wake state (see [`crate::jobs`]). Its
+    /// condvar also wakes stalled writers and quiescence waiters.
+    pub(crate) jobs: Mutex<JobState>,
+    pub(crate) jobs_cv: Condvar,
 }
 
 /// A concurrent log-structured data store (the paper's cLSM).
@@ -108,6 +107,23 @@ impl Db {
     /// beside its data. Each `shard-NNN/` under it is a complete store
     /// and opens on its own.
     pub fn open(path: &Path, opts: impl Into<Options>) -> Result<Db> {
+        let mut db = Db::open_stepped(path, opts)?;
+        db.workers = spawn_workers(&db.inner);
+        Ok(db)
+    }
+
+    /// Test hook: opens like [`Db::open`] but starts no flush or
+    /// compaction thread; the WAL logger still runs. Nothing flushes or
+    /// compacts until the caller runs the jobs [`Db::due_jobs`] lists
+    /// through [`Db::run_job`], so a test fixes the order of background
+    /// work. Never use this on a production path.
+    ///
+    /// A writer that finds `Pm` full while a `P'm` is merging stalls
+    /// until some thread finishes that flush, and
+    /// [`Db::compact_to_quiescence`] waits for jobs some other thread
+    /// runs.
+    #[doc(hidden)]
+    pub fn open_stepped(path: &Path, opts: impl Into<Options>) -> Result<Db> {
         let opts: Options = opts.into();
         opts.validate()?;
         refuse_sharded_root(opts.store.env.as_ref(), path)?;
@@ -137,9 +153,8 @@ impl Db {
             flow: FlowControl::default(),
             write_stall_reported: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            flush_pending: AtomicBool::new(false),
-            work_mutex: Mutex::new(0),
-            work_cv: Condvar::new(),
+            jobs: Mutex::default(),
+            jobs_cv: Condvar::new(),
         });
 
         // One registry for the whole stack: the storage layer records
@@ -148,53 +163,25 @@ impl Db {
         // read derived state on demand. `Weak` avoids a cycle — the
         // registry is owned by `DbInner`.
         inner.store.attach_metrics(&inner.metrics.registry);
-        let weak = Arc::downgrade(&inner);
-        inner.metrics.registry.gauge_fn("oracle.live_snapshots", {
-            let weak = weak.clone();
-            move || weak.upgrade().map_or(0, |i| i.snapshots.len() as i64)
-        });
-        inner.metrics.registry.gauge_fn("oracle.active_writes", {
-            let weak = weak.clone();
-            move || weak.upgrade().map_or(0, |i| i.oracle.active().len() as i64)
-        });
-        inner.metrics.registry.gauge_fn("oracle.snap_time", {
-            let weak = weak.clone();
-            move || weak.upgrade().map_or(0, |i| i.oracle.snap_time() as i64)
-        });
-        inner.metrics.registry.gauge_fn("db.memtable_bytes", {
-            let weak = weak.clone();
-            move || {
-                weak.upgrade()
-                    .map_or(0, |i| i.pm.load().memory_usage() as i64)
-            }
-        });
+        type Read = fn(&DbInner) -> i64;
+        let gauges: [(&str, Read); 4] = [
+            ("oracle.live_snapshots", |i| i.snapshots.len() as i64),
+            ("oracle.active_writes", |i| i.oracle.active().len() as i64),
+            ("oracle.snap_time", |i| i.oracle.snap_time() as i64),
+            ("db.memtable_bytes", |i| i.pm.load().memory_usage() as i64),
+        ];
+        for (name, read) in gauges {
+            let weak = Arc::downgrade(&inner);
+            let gauge = move || weak.upgrade().map_or(0, |i| read(&i));
+            inner.metrics.registry.gauge_fn(name, gauge);
+        }
 
         // A recovered tree may already be behind.
         inner.note_version();
-
-        let mut workers = Vec::new();
-        // Flush worker (the paper's single maintenance thread), plus
-        // optional extra compaction threads (RocksDB-style, §5.3).
-        {
-            let inner = Arc::clone(&inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name("clsm-flush".into())
-                    .spawn(move || flush_worker(inner))
-                    .expect("spawn flush worker"),
-            );
-        }
-        for i in 0..inner.opts.compaction_threads {
-            let inner = Arc::clone(&inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("clsm-compact-{i}"))
-                    .spawn(move || compaction_worker(inner))
-                    .expect("spawn compaction worker"),
-            );
-        }
-
-        Ok(Db { inner, workers })
+        Ok(Db {
+            inner,
+            workers: Vec::new(),
+        })
     }
 
     /// Applies a [`WriteBatch`] under the given [`WriteOptions`] — the
@@ -212,7 +199,7 @@ impl Db {
     /// them all-or-nothing.
     pub fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
+        if inner.shutdown.load(Ordering::Relaxed) {
             return Err(Error::ShuttingDown);
         }
         opts.validate()?;
@@ -226,20 +213,23 @@ impl Db {
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
         let began = Instant::now();
-        let sync = opts.sync || (inner.opts.sync_writes && !opts.disable_wal);
         let (count, latency) = if let [(key, value)] = batch.ops() {
-            self.write_one(key, value.as_deref(), sync, opts.disable_wal)?;
+            self.write_one(key, value.as_deref(), opts.disable_wal)?;
             if value.is_some() {
                 (&inner.metrics.puts, &inner.metrics.put_latency)
             } else {
                 (&inner.metrics.deletes, &inner.metrics.delete_latency)
             }
         } else {
-            self.write_batch_exclusive(batch.into_ops(), sync, opts.disable_wal)?;
+            self.write_batch_exclusive(batch.into_ops(), opts.disable_wal)?;
             // One bump per batch, matching the historical counter
             // semantics.
             (&inner.metrics.puts, &inner.metrics.write_batch_latency)
         };
+        if opts.sync || (inner.opts.sync_writes && !opts.disable_wal) {
+            inner.wait_durable()?;
+        }
+        inner.maybe_schedule_flush();
         let elapsed = began.elapsed();
         inner
             .metrics
@@ -261,13 +251,7 @@ impl Db {
     }
 
     /// Algorithm 2's `put`, for one put or delete.
-    fn write_one(
-        &self,
-        key: &[u8],
-        value: Option<&[u8]>,
-        sync: bool,
-        disable_wal: bool,
-    ) -> Result<()> {
+    fn write_one(&self, key: &[u8], value: Option<&[u8]>, disable_wal: bool) -> Result<()> {
         let inner = &self.inner;
         inner.admit_write((key.len() + value.map_or(0, <[u8]>::len)) as u64);
         let wp = &inner.metrics.write_path;
@@ -324,10 +308,6 @@ impl Db {
             wp.rec_publish(now_ns().saturating_sub(publish_start));
             logged?;
         }
-        if sync {
-            inner.wait_durable()?;
-        }
-        inner.maybe_schedule_flush();
         Ok(())
     }
 
@@ -340,7 +320,6 @@ impl Db {
     fn write_batch_exclusive(
         &self,
         batch: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-        sync: bool,
         disable_wal: bool,
     ) -> Result<()> {
         let inner = &self.inner;
@@ -383,12 +362,7 @@ impl Db {
             inner.oracle.publish_block(block);
             wp.rec_publish(now_ns().saturating_sub(publish_start));
         }
-        logged?;
-        if sync {
-            inner.wait_durable()?;
-        }
-        inner.maybe_schedule_flush();
-        Ok(())
+        logged
     }
 
     /// Returns the latest value of `key`, or `None` if absent/deleted.
@@ -449,7 +423,7 @@ impl Db {
     /// Creates a consistent snapshot (Algorithm 2's `getSnap`).
     pub fn snapshot(&self) -> Result<Snapshot> {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
+        if inner.shutdown.load(Ordering::Relaxed) {
             return Err(Error::ShuttingDown);
         }
         let began = Instant::now();
@@ -462,11 +436,7 @@ impl Db {
             // sub-span when it actually waits).
             let _span = T_GET_SNAP.span();
             let _shared = inner.lock.lock_shared();
-            let ts = if inner.opts.linearizable_snapshots {
-                inner.oracle.get_snap_linearizable()
-            } else {
-                inner.oracle.get_snap()
-            };
+            let ts = inner.oracle.get_snap();
             inner.snapshots.register(ts);
             ts
         };
@@ -496,9 +466,9 @@ impl Db {
         crate::WritePathReport::from_snapshot(&self.metrics())
     }
 
-    /// Blocks until the memtable is flushed, no L0 table overlaps a
-    /// deeper level and no compaction is due (test/benchmark hook; not
-    /// part of the paper's API).
+    /// Blocks until the memtable found at the call is flushed, no L0
+    /// table overlaps a deeper level and no compaction is due
+    /// (test/benchmark hook; not part of the paper's API).
     ///
     /// Once L0 has been merged down, its table count cycles between 0
     /// and the trigger, so how many superseded versions a quiescent
@@ -510,51 +480,46 @@ impl Db {
     /// load's), L0 stays as it is: its shape follows from the bytes
     /// written alone, and merging would only rewrite it.
     ///
-    /// Waits on the workers' condvar — flush and compaction workers
-    /// signal it whenever they finish a unit of work — so the caller
-    /// wakes as soon as progress happens rather than on a poll tick.
-    /// The timed wait is only a backstop against a missed edge.
+    /// A writer that keeps putting does not hold it up: what it writes
+    /// after the call need not be flushed. The wait is untimed. Every transition that ends "busy" (a job finishing, a
+    /// version install) notifies under the job-state lock, and while
+    /// the store is busy some job is asked for or running, and its end
+    /// notifies.
     pub fn compact_to_quiescence(&self) -> Result<()> {
         let inner = &self.inner;
+        let entry_pm = inner.pm.load();
+        let mut state = inner.jobs.lock();
         loop {
-            // Only a non-empty `Pm` needs a flush: re-raising
-            // `flush_pending` for an empty one just before `is_busy`
-            // reads it would let the loop exit only when the worker
-            // happened to clear the flag in between.
-            if !inner.pm.load().is_empty() {
-                inner.maybe_schedule_flush_force();
-            }
             if let Some(e) = inner.store.wal_poisoned() {
                 return Err(e);
             }
-            if !inner.is_busy() {
-                match inner
-                    .store
-                    .compact_l0_if_it_shadows_deeper_levels(inner.gc_watermark())
-                {
-                    Ok(false) => {}
-                    compacted => {
-                        // Its claims are released either way: wake
-                        // workers that found the level claimed.
-                        inner.note_version();
-                        compacted?;
-                        // L1 may now be over its budget.
-                        continue;
-                    }
+            if !entry_pm.is_empty() && Arc::ptr_eq(&inner.pm.load(), &entry_pm) {
+                inner.request_flush_locked(&mut state);
+            }
+            if inner.is_busy(&state) {
+                inner.jobs_cv.wait(&mut state);
+                continue;
+            }
+            drop(state);
+            match inner
+                .store
+                .compact_l0_if_it_shadows_deeper_levels(inner.gc_watermark())
+            {
+                Ok(false) => {}
+                compacted => {
+                    // Its claims are released either way: wake
+                    // threads that found the level claimed.
+                    inner.note_version();
+                    compacted?;
+                    // L1 may now be over its budget.
+                    state = inner.jobs.lock();
+                    continue;
                 }
-                // A compaction stops counting as busy when it publishes
-                // its version, before it deletes its inputs.
-                inner.store.wait_for_obsolete_deletion();
-                return Ok(());
             }
-            let mut guard = inner.work_mutex.lock();
-            // Re-check under the lock so a completion signalled between
-            // the check above and this wait is not missed.
-            if inner.is_busy() {
-                inner
-                    .work_cv
-                    .wait_for(&mut guard, std::time::Duration::from_millis(25));
-            }
+            // A compaction stops counting as busy when it publishes
+            // its version, before it deletes its inputs.
+            inner.store.wait_for_obsolete_deletion();
+            return Ok(());
         }
     }
 
@@ -626,18 +591,15 @@ impl Db {
     pub fn expire_snapshots(&self, ttl: std::time::Duration) -> usize {
         self.inner.snapshots.expire_older_than(ttl)
     }
-
-    pub(crate) fn inner(&self) -> &Arc<DbInner> {
-        &self.inner
-    }
 }
 
 impl Drop for Db {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
         {
-            let _g = self.inner.work_mutex.lock();
-            self.inner.work_cv.notify_all();
+            let mut state = self.inner.jobs.lock();
+            state.shutdown = true;
+            self.inner.shutdown.store(true, Ordering::Relaxed);
+            self.inner.jobs_cv.notify_all();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -673,28 +635,15 @@ impl DbInner {
         Ok(())
     }
 
-    /// Read at a snapshot time: `Pm → P'm → Pd` (Algorithm 1's get).
+    /// Read at a snapshot time (Algorithm 1's get).
     pub(crate) fn get_at(&self, key: &[u8], max_ts: u64) -> Result<Option<Vec<u8>>> {
-        let pm = self.pm.load();
-        if let Some((_, value)) = pm.get_latest(key, max_ts) {
-            return Ok(value.map(<[u8]>::to_vec));
-        }
-        if let Some(prev) = self.pm_prev.load() {
-            if let Some((_, value)) = prev.get_latest(key, max_ts) {
-                return Ok(value.map(<[u8]>::to_vec));
-            }
-        }
-        match self.store.get(key, max_ts)? {
-            Some((_, ValueKind::Put, value)) => Ok(Some(value)),
-            Some((_, ValueKind::Delete, _)) | None => Ok(None),
-        }
+        Ok(self.lookup(key, max_ts)?.0.and_then(|(_, value)| value))
     }
 
-    /// Latest version's `(ts, value)` of `key` across all components
-    /// (the read step of Algorithm 3). The boolean is `true` when the
-    /// version lives in the *mutable* memtable.
-    pub(crate) fn read_latest_versioned(&self, key: &[u8]) -> Result<VersionedRead> {
-        let max_ts = lsm_storage::format::MAX_TS;
+    /// The newest version of `key` at or below `max_ts`, searched
+    /// `Pm → P'm → Pd`. The boolean is `true` when it lives in the
+    /// *mutable* memtable (Algorithm 3's conflict scope).
+    pub(crate) fn lookup(&self, key: &[u8], max_ts: u64) -> Result<VersionedRead> {
         let pm = self.pm.load();
         if let Some((ts, value)) = pm.get_latest(key, max_ts) {
             return Ok((Some((ts, value.map(<[u8]>::to_vec))), true));
@@ -704,11 +653,11 @@ impl DbInner {
                 return Ok((Some((ts, value.map(<[u8]>::to_vec))), false));
             }
         }
-        match self.store.get(key, max_ts)? {
-            Some((ts, ValueKind::Put, value)) => Ok((Some((ts, Some(value))), false)),
-            Some((ts, ValueKind::Delete, _)) => Ok((Some((ts, None)), false)),
-            None => Ok((None, false)),
-        }
+        let found = self
+            .store
+            .get(key, max_ts)?
+            .map(|(ts, kind, value)| (ts, (kind == ValueKind::Put).then_some(value)));
+        Ok((found, false))
     }
 
     /// Write admission's current rung plus its lifetime counters, for
@@ -810,32 +759,13 @@ impl DbInner {
     /// version install (flush, compaction, manual range compaction) and
     /// at open. Two installers racing can leave the bit one install
     /// stale; the next install corrects it.
-    fn note_version(&self) {
+    pub(crate) fn note_version(&self) {
         let l0_files = self.store.current_version().num_files(0);
         let limit = 2 * self.opts.store.l0_compaction_trigger;
         self.flow.set(L0_BEHIND, l0_files >= limit);
-        // `needs_compaction` depends only on the version: an idle
-        // compaction worker sleeps until this count moves.
-        let mut installs = self.work_mutex.lock();
-        *installs += 1;
-        self.work_cv.notify_all();
-    }
-
-    /// Bookkeeping after a background compaction that started from
-    /// `before` and ran for `elapsed`: an L0→L1 merge (one that took L0
-    /// tables out of the tree — flushes only ever add them) stores the
-    /// L0 drain rate, then the L0-behind bit is re-evaluated.
-    fn compaction_retired(&self, before: &lsm_storage::version::Version, elapsed: Duration) {
-        let after = self.store.current_version();
-        let l0_retired: u64 = before.levels[0]
-            .iter()
-            .filter(|f| !after.levels[0].iter().any(|g| g.number == f.number))
-            .map(|f| f.file_size)
-            .sum();
-        if l0_retired > 0 {
-            self.flow.l0_drained(l0_retired, elapsed);
-        }
-        self.note_version();
+        let mut state = self.jobs.lock();
+        state.installs += 1;
+        self.jobs_cv.notify_all();
     }
 
     /// §5.3's stall condition: `Pm` is full while `P'm` is still being
@@ -857,41 +787,29 @@ impl DbInner {
     /// last rung — with pacing on, a write should rarely get here.
     /// Returns whether the write stalled.
     fn stall_if_needed(&self) -> bool {
-        let mut stalled_at: Option<Instant> = None;
-        let mut stall_span = None;
-        loop {
-            if !self.write_stalled() {
-                break;
-            }
-            if stalled_at.is_none() {
-                stalled_at = Some(Instant::now());
-                stall_span = Some(T_WRITE_STALL.span());
-                self.metrics.write_stalls.inc();
-                self.metrics.admission_hard_stalls.inc();
-                if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
-                    self.report_write_stall();
-                }
-            }
-            let mut guard = self.work_mutex.lock();
-            // Re-check under the lock to avoid missing the wakeup: the
-            // flush worker notifies `work_cv` under `work_mutex` after
-            // every flush attempt (success or error), and `Drop` sets
-            // `shutdown` before notifying under the same mutex — so a
-            // plain wait (no timed backstop) cannot hang.
-            if self.write_stalled() && !self.shutdown.load(Ordering::Acquire) {
-                self.work_cv.wait(&mut guard);
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
+        if !self.write_stalled() {
+            return false;
         }
+        let began = Instant::now();
+        let stall_span = T_WRITE_STALL.span();
+        self.metrics.write_stalls.inc();
+        self.metrics.admission_hard_stalls.inc();
+        if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
+            self.report_write_stall();
+        }
+        // Checked under the lock: every flush attempt ends, and `Drop`
+        // sets `shutdown`, by notifying under it — so a plain wait (no
+        // timed backstop) cannot hang.
+        let mut state = self.jobs.lock();
+        while self.write_stalled() && !state.shutdown {
+            self.jobs_cv.wait(&mut state);
+        }
+        drop(state);
         drop(stall_span);
-        if let Some(began) = stalled_at {
-            self.metrics
-                .write_stall_ns
-                .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        stalled_at.is_some()
+        self.metrics
+            .write_stall_ns
+            .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        true
     }
 
     /// Reports the stall behind the current `P'm`, sized by `Pm`.
@@ -909,11 +827,11 @@ impl DbInner {
         );
     }
 
-    /// Whether any background work is pending or in flight (the
+    /// Whether any background work is asked for or in flight (the
     /// quiescence condition, inverted).
-    fn is_busy(&self) -> bool {
-        self.flush_pending.load(Ordering::Acquire)
-            || !self.pm.load().is_empty()
+    fn is_busy(&self, state: &JobState) -> bool {
+        state.flush_requested
+            || state.running != [0, 0]
             || self.pm_prev.load().is_some()
             || self.store.needs_compaction()
     }
@@ -927,14 +845,7 @@ impl DbInner {
             if self.flow.behind() & FLUSH_BEHIND == 0 {
                 self.flow.set(FLUSH_BEHIND, true);
             }
-            self.maybe_schedule_flush_force();
-        }
-    }
-
-    fn maybe_schedule_flush_force(&self) {
-        if !self.flush_pending.swap(true, Ordering::AcqRel) {
-            let _g = self.work_mutex.lock();
-            self.work_cv.notify_all();
+            self.request_flush_locked(&mut self.jobs.lock());
         }
     }
 
@@ -949,7 +860,7 @@ impl DbInner {
 
     /// The merge of `C'm` into `Cd` with its beforeMerge/afterMerge
     /// hooks (Algorithm 1 lines 8–17).
-    fn flush_once(&self) -> Result<bool> {
+    pub(crate) fn flush_once(&self) -> Result<bool> {
         // --- beforeMerge: swing the memory pointers under the
         // exclusive lock. Order matters for lock-free readers:
         // P'm must point at the old data before Pm stops doing so.
@@ -959,26 +870,32 @@ impl DbInner {
             // interference, the quantity §3.1 argues must stay tiny.
             let _span = T_BEFORE_MERGE.span();
             let _excl = self.lock_exclusive();
-            let old = self.pm.load();
-            if old.is_empty() {
-                return Ok(false);
-            }
-            let _rotate = T_MEMTABLE_ROTATE.span_with(old.memory_usage() as u64);
-            // A new `P'm`, a new stall episode. Cleared before the
-            // (sequentially consistent) store that publishes `P'm`, so a
-            // writer that loads it and stalls sees the flag clear; a
-            // writer late to report the last episode cannot swallow
-            // this one.
-            self.write_stall_reported.store(false, Ordering::Relaxed);
-            self.pm_prev.store(Some(Arc::clone(&old)));
-            self.flow.flush_started(old.memory_usage() as u64);
-            self.pm.store(Arc::new(Memtable::new()));
-            // New WAL: records of the immutable memtable live only in
-            // older logs, which die when the flush commits.
-            let new_wal = self.store.rotate_wal()?;
+            let imm = match self.pm_prev.load() {
+                // A failed flush left `P'm` parked: merge it again.
+                Some(parked) => parked,
+                None => {
+                    let old = self.pm.load();
+                    if old.is_empty() {
+                        return Ok(false);
+                    }
+                    let _rotate = T_MEMTABLE_ROTATE.span_with(old.memory_usage() as u64);
+                    // A new `P'm`, a new stall episode. Cleared before the
+                    // (sequentially consistent) store that publishes `P'm`, so a
+                    // writer that loads it and stalls sees the flag clear; a
+                    // writer late to report the last episode cannot swallow
+                    // this one.
+                    self.write_stall_reported.store(false, Ordering::Relaxed);
+                    self.pm_prev.store(Some(Arc::clone(&old)));
+                    self.flow.flush_started(old.memory_usage() as u64);
+                    self.pm.store(Arc::new(Memtable::new()));
+                    // New WAL: records of the immutable memtable live only in
+                    // older logs, which die when the flush commits.
+                    self.store.rotate_wal()?;
+                    old
+                }
+            };
             // Read the snapshot list under the exclusive lock (§3.2.1).
-            let watermark = self.gc_watermark();
-            (old, new_wal, watermark)
+            (imm, self.store.current_wal_number(), self.gc_watermark())
         };
 
         // --- merge (no locks held): stream C'm into L0.
@@ -1023,90 +940,4 @@ fn refuse_sharded_root(env: &dyn Env, path: &Path) -> Result<()> {
         path.display(),
         shards.join(", "),
     )))
-}
-
-/// Background flush worker: waits for a scheduled flush, runs the
-/// merge, then wakes stalled writers.
-///
-/// The wait has no timeout: `flush_pending` is raised only by
-/// `maybe_schedule_flush_force`, which notifies under `work_mutex`, and
-/// `Drop` notifies after setting `shutdown`.
-fn flush_worker(inner: Arc<DbInner>) {
-    loop {
-        {
-            let mut guard = inner.work_mutex.lock();
-            while !inner.flush_pending.load(Ordering::Acquire)
-                && !inner.shutdown.load(Ordering::Acquire)
-            {
-                inner.work_cv.wait(&mut guard);
-            }
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match inner.flush_once() {
-            Ok(_) => {}
-            Err(_e) => {
-                // The store records WAL poisoning; surface via
-                // `compact_to_quiescence` / next sync. Back off to
-                // avoid a hot error loop.
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                // A mid-flush failure can leave `P'm` parked. Stalled
-                // writers wait (untimed) for that flush to finish, so
-                // keep retrying rather than going back to sleep with
-                // `flush_pending` cleared.
-                if inner.pm_prev.load().is_some() && !inner.shutdown.load(Ordering::Acquire) {
-                    continue;
-                }
-            }
-        }
-        inner.flush_pending.store(false, Ordering::Release);
-        let _g = inner.work_mutex.lock();
-        inner.work_cv.notify_all();
-    }
-}
-
-/// Background compaction worker. Several may run concurrently (the
-/// RocksDB-style configuration of §5.3); disjoint input claims keep
-/// them from colliding.
-///
-/// A worker with nothing to do sleeps, untimed, until a version install
-/// moves the count in `work_mutex` or `Drop` sets `shutdown`. It reads
-/// the count before it looks at the version, so an install that lands
-/// in between is never slept through.
-fn compaction_worker(inner: Arc<DbInner>) {
-    loop {
-        let seen = *inner.work_mutex.lock();
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let mut failed = false;
-        if inner.store.needs_compaction() {
-            let before = inner.store.current_version();
-            let began = Instant::now();
-            match inner.store.maybe_compact(inner.gc_watermark()) {
-                Ok(true) => {
-                    inner.metrics.compactions.inc();
-                    // Installs a version, which wakes quiescence waiters.
-                    inner.compaction_retired(&before, began.elapsed());
-                    continue;
-                }
-                Ok(false) => {}
-                Err(_) => failed = true,
-            }
-        }
-        let mut installs = inner.work_mutex.lock();
-        if failed {
-            // Retry after a back-off rather than in a hot error loop.
-            if !inner.shutdown.load(Ordering::Acquire) {
-                inner
-                    .work_cv
-                    .wait_for(&mut installs, Duration::from_millis(20));
-            }
-        } else {
-            while *installs == seen && !inner.shutdown.load(Ordering::Acquire) {
-                inner.work_cv.wait(&mut installs);
-            }
-        }
-    }
 }

@@ -75,6 +75,9 @@ pub struct DoctorReport {
     /// Write admission: the stage behind, the paced rate, the rung and
     /// lifetime counters.
     pub admission: AdmissionState,
+    /// The error of the last background job (flush or compaction) that
+    /// failed, if any did; `db.background_errors` counts them.
+    pub last_background_error: Option<String>,
     /// Per-stage write latency, extracted from the metrics snapshot.
     pub write_path: WritePathReport,
     /// The CRC32C implementation this CPU runs
@@ -86,7 +89,7 @@ pub struct DoctorReport {
 impl Db {
     /// Gathers a [`DoctorReport`] from the running database.
     pub fn doctor(&self) -> DoctorReport {
-        let inner = self.inner();
+        let inner = &self.inner;
         let files = inner.store.level_file_counts();
         let bytes = inner.store.level_byte_sizes();
         let levels = files
@@ -118,6 +121,7 @@ impl Db {
             syscalls: RealEnv::syscall_counts(),
             stall_events: self.stall_events(),
             admission: inner.admission_state(),
+            last_background_error: inner.jobs.lock().last_error.clone(),
             write_path: WritePathReport::from_snapshot(&self.metrics()),
             checksum: clsm_util::crc::implementation(),
         }
@@ -222,6 +226,9 @@ impl DoctorReport {
             Duration::from_nanos(a.delay_ns),
             a.hard_stalls
         );
+        if let Some(last) = &self.last_background_error {
+            let _ = writeln!(out, "background jobs: last failure: {last}");
+        }
         out.push_str(&self.write_path.render());
         if self.stall_events.is_empty() {
             let _ = writeln!(out, "watchdog: no stall events");

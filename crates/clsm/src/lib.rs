@@ -48,6 +48,7 @@ mod admission;
 mod batch;
 mod db;
 mod doctor;
+mod jobs;
 mod kv_impl;
 mod memtable;
 mod options;
@@ -61,6 +62,8 @@ pub use admission::{AdmissionOptions, AdmissionState, Stage};
 pub use batch::{WriteBatch, WriteOptions};
 pub use db::Db;
 pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport, LevelGeometry};
+#[doc(hidden)]
+pub use jobs::Job;
 pub use memtable::Memtable;
 pub use options::{Options, OptionsBuilder};
 pub use rmw::{RmwDecision, RmwResult};

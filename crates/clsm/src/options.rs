@@ -44,9 +44,6 @@ pub struct Options {
     /// logging). `false` (default, as in LevelDB) → writes only enqueue
     /// the log record on the logging queue.
     pub sync_writes: bool,
-    /// `true` → snapshots are linearizable (never "read in the past");
-    /// `false` (default) → serializable, as in the paper's Algorithm 2.
-    pub linearizable_snapshots: bool,
     /// Number of background compaction threads. The paper's cLSM uses a
     /// single compaction thread (§5); the RocksDB comparison (§5.3)
     /// raises this.
@@ -64,7 +61,6 @@ impl Default for Options {
         Options {
             memtable_bytes: 128 * 1024 * 1024,
             sync_writes: false,
-            linearizable_snapshots: false,
             compaction_threads: 1,
             admission: AdmissionOptions::default(),
             store: StoreOptions::default(),
@@ -208,12 +204,6 @@ impl OptionsBuilder {
         self
     }
 
-    /// Whether snapshots are linearizable rather than serializable.
-    pub fn linearizable_snapshots(mut self, linearizable: bool) -> Self {
-        self.opts.linearizable_snapshots = linearizable;
-        self
-    }
-
     /// Number of background compaction threads.
     pub fn compaction_threads(mut self, threads: usize) -> Self {
         self.opts.compaction_threads = threads;
@@ -264,7 +254,6 @@ mod tests {
         let opts = Options::builder()
             .memtable_bytes(1 << 20)
             .sync_writes(true)
-            .linearizable_snapshots(true)
             .compaction_threads(3)
             .admission(AdmissionOptions { enabled: false })
             .store(StoreOptions {
@@ -275,7 +264,6 @@ mod tests {
             .unwrap();
         assert_eq!(opts.memtable_bytes, 1 << 20);
         assert!(opts.sync_writes);
-        assert!(opts.linearizable_snapshots);
         assert_eq!(opts.compaction_threads, 3);
         assert!(!opts.admission.enabled);
         assert_eq!(opts.store.block_size, 1024);

@@ -60,8 +60,8 @@ impl Db {
     where
         F: FnMut(Option<&[u8]>) -> RmwDecision,
     {
-        let inner = self.inner();
-        if inner.shutdown.load(Ordering::Acquire) {
+        let inner = &self.inner;
+        if inner.shutdown.load(Ordering::Relaxed) {
             return Err(Error::ShuttingDown);
         }
         if key.is_empty() {
@@ -78,7 +78,7 @@ impl Db {
         let _span = T_RMW.span_with(key.len() as u64);
         let _shared = inner.lock.lock_shared();
         loop {
-            let (latest, in_mutable) = inner.read_latest_versioned(key)?;
+            let (latest, in_mutable) = inner.lookup(key, lsm_storage::format::MAX_TS)?;
             let current = latest.as_ref().and_then(|(_, v)| v.as_deref());
 
             let decision = f(current);

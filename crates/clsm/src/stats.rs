@@ -28,6 +28,9 @@ mod stage_trace {
     pub static TOTAL: TraceId = TraceId::new("clsm.write.total");
 }
 
+/// Background jobs that failed (see `DbInner::run_job`).
+pub(crate) const BACKGROUND_ERRORS: &str = "db.background_errors";
+
 /// Pre-registered metrics handles of one open database.
 ///
 /// Counter names carry the `db.` prefix, per-operation latency
@@ -169,7 +172,7 @@ impl DbMetrics {
     /// Creates a fresh registry with every database metric registered.
     pub fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
-        DbMetrics {
+        let metrics = DbMetrics {
             puts: registry.counter("db.puts"),
             gets: registry.counter("db.gets"),
             deletes: registry.counter("db.deletes"),
@@ -192,7 +195,12 @@ impl DbMetrics {
             admission_hard_stalls: registry.counter("admission.hard_stalls"),
             write_path: WritePathMetrics::new(&registry),
             registry,
-        }
+        };
+        // No field: `DbInner` embeds this struct, and one more field
+        // would move its hot atomics onto other cache lines. Failed
+        // background jobs are rare; `run_job` counts them by name.
+        metrics.registry.counter(BACKGROUND_ERRORS);
+        metrics
     }
 }
 

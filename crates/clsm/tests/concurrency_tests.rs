@@ -358,36 +358,6 @@ fn gets_never_block_during_heavy_writing() {
     assert!(written > 0);
 }
 
-#[test]
-fn linearizable_snapshots_always_see_own_writes_under_concurrency() {
-    let dir = TempDir::new("linearizable-conc");
-    let mut opts = Options::small_for_tests();
-    opts.linearizable_snapshots = true;
-    let db = Arc::new(Db::open(&dir.0, opts).unwrap());
-    let mut handles = Vec::new();
-    for t in 0..3u32 {
-        let db = Arc::clone(&db);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..300u32 {
-                let key = format!("lin-{t}-{i:04}");
-                db.put(key.as_bytes(), b"v").unwrap();
-                // §3.2.1: the linearizable variant never reads "in the
-                // past" — the writer's own completed put must be
-                // visible in a snapshot taken immediately after.
-                let snap = db.snapshot().unwrap();
-                assert_eq!(
-                    snap.get(key.as_bytes()).unwrap(),
-                    Some(b"v".to_vec()),
-                    "linearizable snapshot missed its own write"
-                );
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
 /// Puts per second from `threads` writers hammering a fresh store for
 /// 0.4 s. The default 128 MiB memtable never fills in the window, so no
 /// flush is behind and admission never paces: the number is the write

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use clsm::{Db, Options, WriteBatch, WriteOptions};
+use clsm::{Db, Job, Options, WriteBatch, WriteOptions};
 use clsm_util::env::FaultEnv;
 
 /// First key byte per slot: four well-separated key-space regions.
@@ -314,10 +314,15 @@ fn fault_poisoned(db: &Db) -> bool {
 }
 
 /// Failpoints inside the flush/manifest path: a small memtable forces
-/// background flushes mid-workload, so the sweep crosses memtable
-/// rotation, SSTable writes, manifest installs, and WAL retirement.
-/// Every synchronously acked put must survive whichever of those ops
-/// the crash lands on.
+/// flushes mid-workload, so the sweep crosses memtable rotation,
+/// SSTable writes, manifest installs, and WAL retirement. Every
+/// synchronously acked put must survive whichever of those ops the
+/// crash lands on.
+///
+/// The store runs no background threads: this thread runs each flush
+/// (and compaction) as soon as it falls due, and a last flush at the
+/// end, so every run performs the same operations in the same order
+/// and the crash lands exactly where the sweep puts it.
 #[test]
 fn crash_sweep_through_flushes() {
     let dir = Path::new("/db");
@@ -329,31 +334,37 @@ fn crash_sweep_through_flushes() {
         opts.sync_writes = true;
         opts.memtable_bytes = 8 * 1024;
         opts.store.env = Arc::new(fault.clone());
-        opts.open(dir)
+        Db::open_stepped(dir, opts)
+    };
+    let run_due_jobs = |db: &Db| {
+        db.due_jobs()
+            .into_iter()
+            .try_for_each(|job| db.run_job(job).map(drop))
     };
     let run = |db: &Db, fault: &FaultEnv| -> usize {
         let mut acked = 0;
         for (i, key) in keys.iter().enumerate() {
             if fault.is_poisoned() || db.put(key, &value("f", i)).is_err() {
-                break;
+                return acked;
             }
             acked += 1;
-        }
-        // Give an in-flight background flush a moment to cross the
-        // failpoint (or finish) before the "machine" loses power.
-        for _ in 0..40 {
-            if fault.is_poisoned() {
-                break;
+            if run_due_jobs(db).is_err() {
+                return acked;
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
         }
+        let _ = db.run_job(Job::Flush).and_then(|_| run_due_jobs(db));
         acked
     };
 
     let clean = FaultEnv::new(seed);
     let db = open(&clean).unwrap();
     assert_eq!(run(&db, &clean), keys.len());
-    db.compact_to_quiescence().unwrap();
+    assert!(!clean.is_poisoned());
+    assert!(db.due_jobs().is_empty(), "{:?}", db.due_jobs());
+    assert!(
+        !db.run_job(Job::Flush).unwrap(),
+        "the last flush left data behind"
+    );
     drop(db);
     let total_ops = clean.op_count();
 

@@ -273,26 +273,6 @@ fn range_queries_respect_bounds() {
 }
 
 #[test]
-fn serializable_snapshots_may_lag_linearizable_do_not() {
-    let dir = TempDir::new("linearizable");
-    let mut opts = Options::small_for_tests();
-    opts.linearizable_snapshots = true;
-    let db = Db::open(dir.path(), opts).unwrap();
-    for i in 0..10u32 {
-        db.put(format!("k{i}").as_bytes(), b"v").unwrap();
-    }
-    // Linearizable: the snapshot must see every completed write,
-    // including the thread's own.
-    let snap = db.snapshot().unwrap();
-    for i in 0..10u32 {
-        assert_eq!(
-            snap.get(format!("k{i}").as_bytes()).unwrap(),
-            Some(b"v".to_vec())
-        );
-    }
-}
-
-#[test]
 fn write_batch_is_atomic_with_respect_to_snapshots() {
     let dir = TempDir::new("batch");
     let db = open_small(&dir);

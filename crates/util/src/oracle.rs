@@ -347,20 +347,6 @@ impl TimestampOracle {
         }
     }
 
-    /// Linearizable `getSnap` variant (§3.2.1): waits until the snapshot
-    /// time covers everything up to the counter value at call time, so
-    /// the scan never reads "in the past".
-    pub fn get_snap_linearizable(&self) -> u64 {
-        let target = self.time_counter.load(Ordering::SeqCst);
-        loop {
-            let granted = self.get_snap();
-            if granted >= target {
-                return granted;
-            }
-            std::thread::yield_now();
-        }
-    }
-
     /// Current value of `timeCounter` (diagnostics / recovery).
     pub fn current_time(&self) -> u64 {
         self.time_counter.load(Ordering::SeqCst)
@@ -533,16 +519,6 @@ mod tests {
             oracle.active.remove(in_flight);
             assert_eq!(snapshotter.join().unwrap(), 5);
         });
-    }
-
-    #[test]
-    fn linearizable_snap_covers_call_time() {
-        let oracle = TimestampOracle::default();
-        for _ in 0..10 {
-            let s = oracle.get_ts();
-            oracle.publish(s);
-        }
-        assert!(oracle.get_snap_linearizable() >= 10);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! power loss repeated across reopen cycles.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{Arc, Barrier};
 
-use clsm_repro::clsm::{Db, Options};
+use clsm_repro::clsm::{Db, Job, Options};
 use clsm_repro::storage::filenames;
 use clsm_repro::util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
 use clsm_repro::util::Result;
@@ -203,22 +202,19 @@ fn repeated_crash_reopen_cycles_accumulate_data() {
 }
 
 /// A failpoint on the manifest commit, layered over a [`FaultEnv`]:
-/// once armed, the next append to a `MANIFEST-*` file parks its thread
-/// until released and then fails as an injected crash. It also counts
-/// WAL creations, so a test can tell when a memtable rotation has
-/// started the flush that will hit the failpoint.
+/// once armed, the next append to a `MANIFEST-*` file meets the test
+/// thread at `parked` twice — once to say it has parked, once to be
+/// released — and then fails as an injected crash.
 #[derive(Debug, Clone)]
 struct ManifestFailpoint {
     fault: FaultEnv,
     state: Arc<FailpointState>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct FailpointState {
     armed: AtomicBool,
-    parked: AtomicBool,
-    released: AtomicBool,
-    wal_opens: AtomicUsize,
+    parked: Barrier,
 }
 
 struct FailpointFile {
@@ -230,10 +226,8 @@ impl WritableFile for FailpointFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
         let state = &self.env.state;
         if state.armed.swap(false, SeqCst) {
-            state.parked.store(true, SeqCst);
-            while !state.released.load(SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            state.parked.wait();
+            state.parked.wait();
             self.env.fault.crash_after(1);
         }
         self.inner.append(data)
@@ -257,10 +251,6 @@ impl Env for ManifestFailpoint {
                 inner,
                 env: self.clone(),
             }),
-            Some(filenames::FileKind::Wal(_)) => {
-                self.state.wal_opens.fetch_add(1, SeqCst);
-                inner
-            }
             _ => inner,
         })
     }
@@ -313,26 +303,24 @@ fn repeated_power_loss_cycles_keep_every_acked_write() {
         v.resize(96, b'.');
         v
     };
-    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !done() {
-            assert!(Instant::now() < deadline, "timed out waiting for {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    };
 
     // Acked puts per finished cycle.
     let mut acked: Vec<u32> = Vec::new();
     for cycle in 0..=CYCLES {
         let failpoint = ManifestFailpoint {
             fault: fault.clone(),
-            state: Arc::default(),
+            state: Arc::new(FailpointState {
+                armed: AtomicBool::new(false),
+                parked: Barrier::new(2),
+            }),
         };
         let mut opts = Options::small_for_tests();
         opts.memtable_bytes = MEMTABLE_BYTES;
         opts.sync_writes = true;
         opts.store.env = Arc::new(failpoint.clone());
-        let db = Db::open(dir, opts).unwrap();
+        // No background threads: this thread decides when the flush
+        // runs.
+        let db = Db::open_stepped(dir, opts).unwrap();
 
         for (earlier, &count) in acked.iter().enumerate() {
             let earlier = earlier as u32;
@@ -350,37 +338,39 @@ fn repeated_power_loss_cycles_keep_every_acked_write() {
         }
 
         // Synced puts until the memtable is full; the put that fills it
-        // schedules the flush. Stop there (or once the swap is already
-        // done): a put that saw the full memtable beside its immutable
-        // copy mid-swap, or filled the new one, would stall until the
-        // flush finishes, and the flush is about to park on the
-        // failpoint.
+        // asks for the flush.
         let state = &failpoint.state;
-        let wals_at_open = state.wal_opens.load(SeqCst);
-        let rotated = || state.wal_opens.load(SeqCst) > wals_at_open;
         state.armed.store(true, SeqCst);
         let mut n = 0u32;
         loop {
             db.put(&key(cycle, n), &value(cycle, n)).unwrap();
             n += 1;
-            if db.memtable_bytes() >= MEMTABLE_BYTES || rotated() {
+            if db.memtable_bytes() >= MEMTABLE_BYTES {
                 break;
             }
         }
-        // The rotation puts a new WAL under the writes from here on;
-        // the flush of the old memtable then parks on its manifest
-        // commit.
-        wait_for("the memtable rotation", &rotated);
-        wait_for("the flush to reach its manifest commit", &|| {
-            state.parked.load(SeqCst)
+        assert!(db.due_jobs().contains(&Job::Flush), "cycle {cycle}");
+        std::thread::scope(|s| {
+            // The flush rotates a new WAL under the writes from here on,
+            // writes its table, then parks on its manifest commit.
+            let flush = s.spawn(|| db.run_job(Job::Flush));
+            state.parked.wait();
+            // Acked writes only the rotated-in WAL holds.
+            for _ in 0..8 {
+                db.put(&key(cycle, n), &value(cycle, n)).unwrap();
+                n += 1;
+            }
+            state.parked.wait();
+            let flushed = flush.join().unwrap();
+            assert!(
+                flushed.is_err(),
+                "cycle {cycle}: the flush outlived the injected crash"
+            );
         });
-        // Acked writes only the rotated-in WAL holds.
-        for _ in 0..8 {
-            db.put(&key(cycle, n), &value(cycle, n)).unwrap();
-            n += 1;
-        }
-        state.released.store(true, SeqCst);
-        wait_for("the injected crash", &|| fault.is_poisoned());
+        assert!(
+            fault.is_poisoned(),
+            "cycle {cycle}: the injected crash never fired"
+        );
         drop(db);
         fault.power_loss();
         acked.push(n);
