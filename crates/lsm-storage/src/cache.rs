@@ -1,10 +1,9 @@
-//! Block cache and table cache.
+//! The block cache.
 //!
 //! The disk component "utilizes a large RAM cache" (§2.3): most reads
 //! that reach the disk component in a workload with locality are served
-//! from this cache. The block cache is a sharded strict-LRU keyed by
-//! `(table number, block offset)`; the table cache keeps open table
-//! readers (file descriptors + parsed index/filter).
+//! from this cache, a sharded strict-LRU of parsed blocks keyed by
+//! `(table number, block offset)`.
 //!
 //! The block cache serves gets and scans only ([`Table::get`],
 //! [`Table::iter`]). One-pass readers — compaction inputs and
@@ -19,17 +18,12 @@
 //! [`Table::one_pass_iter`]: crate::sstable::Table::one_pass_iter
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use clsm_util::env::Env;
-use clsm_util::error::Result;
-
-use crate::filenames;
-use crate::sstable::{Block, Table};
+use crate::sstable::Block;
 
 /// Number of independent LRU shards (reduces lock contention).
 const SHARDS: usize = 16;
@@ -251,99 +245,6 @@ fn dangling_block() -> Arc<Block> {
         // An empty block: zero restarts, count = 0.
         Arc::new(Block::parse(vec![0, 0, 0, 0]).expect("static empty block"))
     }))
-}
-
-/// Cache of open table readers keyed by file number.
-pub struct TableCache {
-    env: Arc<dyn Env>,
-    dir: PathBuf,
-    bloom_bits_per_key: usize,
-    block_cache: Option<Arc<BlockCache>>,
-    tables: Mutex<HashMap<u64, (Arc<Table>, u64)>>,
-    tick: AtomicU64,
-    max_open: usize,
-}
-
-impl TableCache {
-    /// Creates a table cache for `dir` holding at most `max_open`
-    /// readers.
-    pub fn new(
-        env: Arc<dyn Env>,
-        dir: PathBuf,
-        bloom_bits_per_key: usize,
-        block_cache: Option<Arc<BlockCache>>,
-        max_open: usize,
-    ) -> Self {
-        TableCache {
-            env,
-            dir,
-            bloom_bits_per_key,
-            block_cache,
-            tables: Mutex::new(HashMap::new()),
-            tick: AtomicU64::new(0),
-            max_open: max_open.max(8),
-        }
-    }
-
-    /// Returns the open table for `number`, opening it if needed.
-    pub fn table(&self, number: u64) -> Result<Arc<Table>> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut tables = self.tables.lock();
-            if let Some((t, last)) = tables.get_mut(&number) {
-                *last = tick;
-                return Ok(Arc::clone(t));
-            }
-        }
-        // Open outside the lock; racing opens are harmless (one wins).
-        let path = filenames::table_path(&self.dir, number);
-        let table = Arc::new(Table::open(
-            self.env.as_ref(),
-            &path,
-            number,
-            self.bloom_bits_per_key,
-            self.block_cache.clone(),
-        )?);
-        let mut tables = self.tables.lock();
-        if tables.len() >= self.max_open {
-            // Evict the coldest quarter (amortized, keeps the common
-            // path O(1)).
-            let mut by_age: Vec<(u64, u64)> =
-                tables.iter().map(|(&n, &(_, last))| (last, n)).collect();
-            by_age.sort_unstable();
-            for &(_, n) in by_age.iter().take(self.max_open / 4 + 1) {
-                tables.remove(&n);
-            }
-        }
-        let entry = tables.entry(number).or_insert((table, tick));
-        Ok(Arc::clone(&entry.0))
-    }
-
-    /// Forgets a deleted table and purges its cached blocks.
-    pub fn evict(&self, number: u64) {
-        self.tables.lock().remove(&number);
-        if let Some(cache) = &self.block_cache {
-            cache.evict_table(number);
-        }
-    }
-
-    /// The shared block cache, if configured.
-    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
-        self.block_cache.as_ref()
-    }
-
-    /// The directory this cache serves.
-    pub fn dir(&self) -> &std::path::Path {
-        &self.dir
-    }
-}
-
-impl std::fmt::Debug for TableCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TableCache")
-            .field("open_tables", &self.tables.lock().len())
-            .finish()
-    }
 }
 
 #[cfg(test)]

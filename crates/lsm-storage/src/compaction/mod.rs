@@ -19,14 +19,13 @@ use std::sync::Arc;
 
 use clsm_util::error::Result;
 
-use crate::cache::TableCache;
 use crate::filenames;
 use crate::format::append_internal_key;
 use crate::iter::{InternalIterator, MergingIterator};
 use crate::sstable::TableBuilder;
 use crate::store::StoreOptions;
 use crate::version::{
-    ClaimSignal, CompactionClaim, FileMeta, LevelIter, NewFile, Version, VersionEdit,
+    ClaimSignal, CompactionClaim, FileMeta, LevelIter, NewFile, TableOpener, Version, VersionEdit,
 };
 
 /// A picked compaction: inputs at `level` and overlapping files at
@@ -165,8 +164,7 @@ fn claim(version: &Version, level: usize, base: Vec<Arc<FileMeta>>) -> Option<Co
 /// the bottom level.
 pub fn run(
     task: &CompactionTask,
-    dir: &Path,
-    cache: &Arc<TableCache>,
+    opener: &Arc<TableOpener>,
     opts: &StoreOptions,
     watermark: u64,
     mut alloc_file_number: impl FnMut() -> u64,
@@ -175,7 +173,8 @@ pub fn run(
     let bottom = output_level == opts.num_levels - 1;
 
     // Trivial move: a single base file with no parent overlap can be
-    // reassigned to the next level without rewriting any bytes.
+    // reassigned to the next level without rewriting any bytes (its
+    // open reader moves with it, see `Builder::apply`).
     if task.base.len() == 1 && task.parent.is_empty() && !bottom {
         let f = &task.base[0];
         return Ok(VersionEdit {
@@ -199,17 +198,17 @@ pub fn run(
     let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
     if task.level == 0 {
         for f in &task.base {
-            children.push(Box::new(cache.table(f.number)?.one_pass_iter()));
+            children.push(Box::new(f.table(opener)?.one_pass_iter()));
         }
     } else {
         children.push(Box::new(LevelIter::one_pass(
-            Arc::clone(cache),
+            Arc::clone(opener),
             task.base.clone(),
         )));
     }
     if !task.parent.is_empty() {
         children.push(Box::new(LevelIter::one_pass(
-            Arc::clone(cache),
+            Arc::clone(opener),
             task.parent.clone(),
         )));
     }
@@ -218,7 +217,7 @@ pub fn run(
 
     let new_files = write_merged_tables(
         &mut merged,
-        dir,
+        &opener.dir,
         opts,
         output_level,
         watermark,

@@ -23,6 +23,11 @@ fn tmpdir(name: &str) -> PathBuf {
 
 use std::path::PathBuf;
 
+fn open_table(dir: &Path, number: u64) -> Arc<crate::sstable::Table> {
+    let path = filenames::table_path(dir, number);
+    Arc::new(crate::sstable::Table::open(&RealEnv, &path, number, 10, None).unwrap())
+}
+
 fn small_opts() -> StoreOptions {
     StoreOptions {
         table_file_size: 1024,
@@ -71,16 +76,9 @@ fn run_drop(
     )
     .unwrap();
     // Read everything back.
-    let cache = Arc::new(TableCache::new(
-        Arc::new(RealEnv),
-        dir.clone(),
-        10,
-        None,
-        16,
-    ));
     let mut out = Vec::new();
     for f in &files {
-        let table = cache.table(f.number).unwrap();
+        let table = open_table(&dir, f.number);
         let mut ti = table.iter();
         ti.seek_to_first();
         while ti.valid() {
@@ -177,16 +175,9 @@ fn exact_duplicates_are_deduplicated() {
         n
     };
     let files = write_merged_tables(&mut merged, &dir, &opts, 1, 0, false, &mut alloc).unwrap();
-    let cache = Arc::new(TableCache::new(
-        Arc::new(RealEnv),
-        dir.clone(),
-        10,
-        None,
-        16,
-    ));
     let mut count = 0;
     for f in &files {
-        let table = cache.table(f.number).unwrap();
+        let table = open_table(&dir, f.number);
         let mut ti = table.iter();
         ti.seek_to_first();
         while ti.valid() {

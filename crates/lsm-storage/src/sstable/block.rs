@@ -5,7 +5,7 @@ use std::sync::Arc;
 use clsm_util::coding::{decode_fixed32, get_varint32};
 use clsm_util::error::{Error, Result};
 
-use crate::format::{compare_internal_to_target, split_internal_key, ValueKind};
+use crate::format::{compare_internal_to_target, split_internal_key, ValueKind, TAG_SIZE};
 use crate::iter::InternalIterator;
 
 /// An immutable, parsed block (data or index).
@@ -144,7 +144,8 @@ impl BlockIter {
         self.parse_next();
     }
 
-    /// Decodes the key byte-range of a restart entry (shared = 0).
+    /// Decodes the key byte-range of a restart entry (shared = 0),
+    /// or `None` if it is malformed or shorter than an internal key.
     fn decode_restart_key(&self, offset: usize) -> Option<(usize, usize)> {
         let data = &self.block.data[..self.block.restarts_offset];
         let (shared, a) = get_varint32(&data[offset..]).ok()?;
@@ -152,6 +153,9 @@ impl BlockIter {
             return None;
         }
         let (non_shared, b) = get_varint32(&data[offset + a..]).ok()?;
+        if (non_shared as usize) < TAG_SIZE {
+            return None;
+        }
         let (_vlen, c) = get_varint32(&data[offset + a + b..]).ok()?;
         let key_start = offset + a + b + c;
         let key_end = key_start + non_shared as usize;
@@ -159,7 +163,9 @@ impl BlockIter {
     }
 
     /// Parses the entry at `next_offset` into the cursor state.
-    /// Returns `false` at block end or on corruption.
+    /// Returns `false` at block end or on corruption, which includes a
+    /// key too short to be an internal key: every accessor may then
+    /// split the current key without checking it.
     fn parse_next(&mut self) -> bool {
         let data = &self.block.data[..self.block.restarts_offset];
         if self.next_offset >= data.len() {
@@ -183,6 +189,10 @@ impl BlockIter {
                 let value_start = key_start + non_shared;
                 if shared > self.key.len() || value_start + value_len > data.len() {
                     self.corrupt("block entry out of bounds");
+                    return false;
+                }
+                if shared + non_shared < TAG_SIZE {
+                    self.corrupt("block key shorter than an internal key");
                     return false;
                 }
                 self.key.truncate(shared);

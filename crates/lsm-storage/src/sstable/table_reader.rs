@@ -308,8 +308,13 @@ impl TableIter {
     }
 
     /// Advances through index entries until the data iterator is valid.
+    /// A data block that ended in an error ends the iteration with it.
     fn skip_empty_blocks_forward(&mut self) {
         while self.data_iter.as_ref().is_none_or(|d| !d.is_valid()) {
+            if let Some(Err(e)) = self.data_iter.as_ref().map(|d| d.status()) {
+                self.error.get_or_insert(e);
+                return;
+            }
             if !self.index_iter.is_valid() {
                 self.data_iter = None;
                 return;

@@ -1,7 +1,7 @@
 //! The disk component facade: everything below the memory components.
 //!
 //! A [`Store`] owns the directory, WAL (through the logging queue), the
-//! version set + manifest, the table/block caches, and the compaction
+//! version set + manifest, the block cache, and the compaction
 //! machinery. It corresponds to the paper's `Cd` plus LevelDB's
 //! infrastructure modules, with one cLSM-specific property: **reads
 //! never block** — the current version is published through an RCU
@@ -9,7 +9,7 @@
 //! pointer).
 
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -31,13 +31,13 @@ static T_COMPACTION: TraceId = TraceId::new("storage.compaction");
 static T_WAL_APPEND: TraceId = TraceId::new("storage.wal.append");
 static T_WAL_SYNC: TraceId = TraceId::new("storage.wal.sync");
 
-use crate::cache::{BlockCache, TableCache};
+use crate::cache::BlockCache;
 use crate::compaction::{self, CompactionTask};
 use crate::filenames;
 use crate::format::{self, ValueKind, WriteRecord};
 use crate::iter::{BoxedIterator, InternalIterator};
 use crate::version::ClaimSignal;
-use crate::version::{Version, VersionEdit, VersionSet};
+use crate::version::{TableOpener, Version, VersionEdit, VersionSet};
 use crate::wal::{LogQueue, LogReader, LogWriter, SyncMode};
 use crate::NUM_LEVELS;
 
@@ -60,8 +60,6 @@ pub struct StoreOptions {
     pub level_multiplier: u64,
     /// Number of levels (≤ [`NUM_LEVELS`]).
     pub num_levels: usize,
-    /// Maximum simultaneously open table readers.
-    pub max_open_tables: usize,
     /// The storage environment every byte goes through. Defaults to
     /// [`RealEnv`]; tests inject `clsm_util::env::FaultEnv` for
     /// deterministic crash injection.
@@ -79,7 +77,6 @@ impl Default for StoreOptions {
             base_level_bytes: 10 * 1024 * 1024,
             level_multiplier: 10,
             num_levels: NUM_LEVELS,
-            max_open_tables: 500,
             env: Arc::new(RealEnv),
         }
     }
@@ -114,9 +111,10 @@ pub struct RecoveryReport {
 
 /// The disk component.
 pub struct Store {
-    dir: PathBuf,
     opts: StoreOptions,
-    cache: Arc<TableCache>,
+    /// The store directory and how every table in it opens; each open
+    /// reader belongs to the `FileMeta` naming its table.
+    tables: Arc<TableOpener>,
     versions: Mutex<VersionSet>,
     /// Lock-free snapshot of the current version (the `Pd` pointer).
     current: RcuCell<Arc<Version>>,
@@ -288,13 +286,13 @@ impl Store {
             .unwrap_or(0)
             .max(manifest_state.last_ts);
 
-        let cache = Arc::new(TableCache::new(
-            Arc::clone(&env),
-            dir.to_path_buf(),
-            opts.bloom_bits_per_key,
-            (opts.block_cache_bytes > 0).then(|| Arc::new(BlockCache::new(opts.block_cache_bytes))),
-            opts.max_open_tables,
-        ));
+        let tables = Arc::new(TableOpener {
+            env: Arc::clone(&env),
+            dir: dir.to_path_buf(),
+            bloom_bits_per_key: opts.bloom_bits_per_key,
+            block_cache: (opts.block_cache_bytes > 0)
+                .then(|| Arc::new(BlockCache::new(opts.block_cache_bytes))),
+        });
 
         // Fresh WAL for the new incarnation. The recovered records stay
         // covered by the old WALs (numbers ≥ log_number), which are
@@ -305,9 +303,8 @@ impl Store {
 
         let current = RcuCell::new(versions.current());
         let store = Store {
-            dir: dir.to_path_buf(),
             opts,
-            cache,
+            tables,
             versions: Mutex::new(versions),
             current,
             wal,
@@ -346,12 +343,12 @@ impl Store {
 
     /// The store directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.tables.dir
     }
 
-    /// The shared table cache.
-    pub fn table_cache(&self) -> &Arc<TableCache> {
-        &self.cache
+    /// The shared block cache, if one is configured.
+    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
+        self.tables.block_cache.as_ref()
     }
 
     /// Appends a batch of writes to the WAL as one record, so a crash
@@ -440,12 +437,12 @@ impl Store {
 
     /// Point lookup: newest version of `user_key` with ts `<= max_ts`.
     pub fn get(&self, user_key: &[u8], max_ts: u64) -> Result<Option<(u64, ValueKind, Vec<u8>)>> {
-        self.current_version().get(&self.cache, user_key, max_ts)
+        self.current_version().get(&self.tables, user_key, max_ts)
     }
 
     /// Iterators over the current version (for merging with memtables).
     pub fn iterators(&self) -> Result<Vec<BoxedIterator>> {
-        self.current_version().iterators(&self.cache)
+        self.current_version().iterators(&self.tables)
     }
 
     /// Like [`Store::iterators`], but also returns the version the
@@ -454,7 +451,7 @@ impl Store {
     /// concurrent compaction (the paper's component reference counts).
     pub fn version_iterators(&self) -> Result<(Arc<Version>, Vec<BoxedIterator>)> {
         let version = self.current_version();
-        let iters = version.iterators(&self.cache)?;
+        let iters = version.iterators(&self.tables)?;
         Ok((version, iters))
     }
 
@@ -468,7 +465,7 @@ impl Store {
         let file = self
             .opts
             .env
-            .open_write(&filenames::wal_path(&self.dir, number))?;
+            .open_write(&filenames::wal_path(self.dir(), number))?;
         self.wal.rotate(LogWriter::new(file))?;
         self.wal_number.store(number, Ordering::SeqCst);
         Ok(number)
@@ -504,7 +501,13 @@ impl Store {
         let new_files = {
             let mut alloc = guard.allocator();
             compaction::write_merged_tables(
-                it, &self.dir, &self.opts, 0, watermark, false, &mut alloc,
+                it,
+                self.dir(),
+                &self.opts,
+                0,
+                watermark,
+                false,
+                &mut alloc,
             )?
         };
         let flushed_bytes = new_files.iter().map(|f| f.file_size).sum::<u64>();
@@ -558,14 +561,7 @@ impl Store {
         let guard = PendingGuard::new(self);
         let edit = {
             let mut alloc = guard.allocator();
-            compaction::run(
-                &task,
-                &self.dir,
-                &self.cache,
-                &self.opts,
-                watermark,
-                &mut alloc,
-            )?
+            compaction::run(&task, &self.tables, &self.opts, watermark, &mut alloc)?
         };
         // Both byte counts move before the version is visible, so a
         // reader that sees the version sees them agree.
@@ -596,10 +592,15 @@ impl Store {
         drop(self.versions.lock());
     }
 
-    /// Runs obsolete-file deletion, sparing in-flight pending outputs.
+    /// Runs obsolete-file deletion, sparing in-flight pending outputs,
+    /// and purges the deleted tables' blocks from the block cache.
     fn delete_obsolete_locked(&self, versions: &mut VersionSet) -> Result<()> {
         let pending: HashSet<u64> = self.pending_outputs.lock().clone();
-        versions.delete_obsolete_files(&self.cache, &pending)?;
+        for number in versions.delete_obsolete_files(&pending)? {
+            if let Some(cache) = self.block_cache() {
+                cache.evict_table(number);
+            }
+        }
         Ok(())
     }
 
@@ -699,8 +700,7 @@ impl Store {
         let mut checked = 0u64;
         for level in &version.levels {
             for file in level {
-                let table = self.cache.table(file.number)?;
-                let mut it = table.one_pass_iter();
+                let mut it = file.table(&self.tables)?.one_pass_iter();
                 it.seek_to_first();
                 let mut prev: Option<(Vec<u8>, u64)> = None;
                 while it.valid() {
@@ -727,7 +727,7 @@ impl Store {
 
     /// Block-cache hit/miss counters, if a cache is configured.
     pub fn cache_stats(&self) -> Option<(u64, u64)> {
-        self.cache.block_cache().map(|c| c.stats())
+        self.block_cache().map(|c| c.stats())
     }
 
     /// Write-amplification counters (flush vs. compaction bytes).
@@ -769,7 +769,7 @@ impl Store {
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
-            .field("dir", &self.dir)
+            .field("dir", &self.dir())
             .field("levels", &self.level_file_counts())
             .finish()
     }

@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::iter::{MergingIterator, VecIterator};
+use std::path::PathBuf;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(

@@ -4,16 +4,15 @@ use std::sync::Arc;
 
 use clsm_util::error::{Error, Result};
 
-use crate::cache::TableCache;
 use crate::format::{compare_internal_to_target, ValueKind};
 use crate::iter::InternalIterator;
 use crate::sstable::TableIter;
-use crate::version::FileMeta;
+use crate::version::{FileMeta, TableOpener};
 
 /// Iterates the files of a disjoint-range level in key order, opening
-/// tables lazily through the table cache.
+/// each table on first touch through its [`FileMeta`].
 pub struct LevelIter {
-    cache: Arc<TableCache>,
+    opener: Arc<TableOpener>,
     files: Vec<Arc<FileMeta>>,
     /// Read each table with [`Table::one_pass_iter`] instead of the
     /// block-cached [`Table::iter`].
@@ -30,9 +29,9 @@ pub struct LevelIter {
 impl LevelIter {
     /// Creates an iterator over `files`, which must be sorted by
     /// smallest key with disjoint user-key ranges.
-    pub fn new(cache: Arc<TableCache>, files: Vec<Arc<FileMeta>>) -> Self {
+    pub fn new(opener: Arc<TableOpener>, files: Vec<Arc<FileMeta>>) -> Self {
         LevelIter {
-            cache,
+            opener,
             files,
             one_pass: false,
             idx: 0,
@@ -44,10 +43,10 @@ impl LevelIter {
     /// Like [`LevelIter::new`], for a reader that walks the level once
     /// front to back (compaction): each table is read in sequential,
     /// checksummed chunks that bypass the block cache.
-    pub fn one_pass(cache: Arc<TableCache>, files: Vec<Arc<FileMeta>>) -> Self {
+    pub fn one_pass(opener: Arc<TableOpener>, files: Vec<Arc<FileMeta>>) -> Self {
         LevelIter {
             one_pass: true,
-            ..LevelIter::new(cache, files)
+            ..LevelIter::new(opener, files)
         }
     }
 
@@ -57,7 +56,7 @@ impl LevelIter {
             self.table_iter = None;
             return false;
         }
-        match self.cache.table(self.files[idx].number) {
+        match self.files[idx].table(&self.opener) {
             Ok(table) => {
                 self.table_iter = Some(if self.one_pass {
                     table.one_pass_iter()
@@ -74,8 +73,13 @@ impl LevelIter {
         }
     }
 
+    /// Moves to the next file while the current one is exhausted. A
+    /// table that ended in an error ends the iteration with it.
     fn skip_exhausted_forward(&mut self) {
-        while self.table_iter.as_ref().is_some_and(|t| !t.valid()) {
+        while let Some(t) = self.table_iter.as_ref().filter(|t| !t.valid()) {
+            if let Err(e) = t.status() {
+                self.error.get_or_insert(e);
+            }
             if self.error.is_some() {
                 return;
             }

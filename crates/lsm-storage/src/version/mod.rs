@@ -4,7 +4,8 @@
 //! grab the current version through an RCU pointer (lock-free, matching
 //! cLSM's non-blocking `get`), while flushes and compactions install
 //! new versions through [`VersionSet::log_and_apply`] under the
-//! version-set mutex.
+//! version-set mutex. Each [`FileMeta`] owns its table's open reader,
+//! so reaching an open table takes no lock.
 
 mod edit;
 mod level_iter;
@@ -15,15 +16,16 @@ pub use level_iter::LevelIter;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use clsm_util::env::Env;
 use clsm_util::error::{Error, Result};
 
-use crate::cache::TableCache;
+use crate::cache::BlockCache;
 use crate::filenames;
 use crate::format::ValueKind;
 use crate::iter::BoxedIterator;
+use crate::sstable::Table;
 use crate::wal::{LogReader, LogWriter};
 use crate::NUM_LEVELS;
 
@@ -40,9 +42,24 @@ pub struct FileMeta {
     pub largest: Vec<u8>,
     /// Set while a compaction claims this file as input.
     pub being_compacted: AtomicBool,
+    /// The open reader, filled on first touch and closed when the last
+    /// version, claim or iterator naming this file lets go of it.
+    table: OnceLock<Arc<Table>>,
 }
 
 impl FileMeta {
+    /// The open reader of this table, opening it on first touch. Once
+    /// open, this is one acquire load: no lock, no shared write.
+    pub fn table(&self, opener: &TableOpener) -> Result<&Arc<Table>> {
+        if let Some(table) = self.table.get() {
+            return Ok(table);
+        }
+        // Racing first opens are harmless: one wins, and the loser's
+        // reader is dropped.
+        let table = opener.open(self.number)?;
+        Ok(self.table.get_or_init(|| Arc::new(table)))
+    }
+
     /// The user-key prefix of the smallest internal key.
     pub fn smallest_user_key(&self) -> &[u8] {
         user_part(&self.smallest)
@@ -56,6 +73,33 @@ impl FileMeta {
 
 fn user_part(internal: &[u8]) -> &[u8] {
     &internal[..internal.len().saturating_sub(crate::format::TAG_SIZE)]
+}
+
+/// What every table of one store opens with: the directory and
+/// environment it lives in, the bloom budget its filter was built
+/// with, and the block cache its gets read through.
+#[derive(Debug)]
+pub struct TableOpener {
+    /// The storage environment.
+    pub env: Arc<dyn Env>,
+    /// The store directory.
+    pub dir: PathBuf,
+    /// Bloom-filter budget per key.
+    pub bloom_bits_per_key: usize,
+    /// The shared block cache, if one is configured.
+    pub block_cache: Option<Arc<BlockCache>>,
+}
+
+impl TableOpener {
+    fn open(&self, number: u64) -> Result<Table> {
+        Table::open(
+            self.env.as_ref(),
+            &filenames::table_path(&self.dir, number),
+            number,
+            self.bloom_bits_per_key,
+            self.block_cache.clone(),
+        )
+    }
 }
 
 /// One immutable snapshot of the file layout across levels.
@@ -75,10 +119,11 @@ impl Version {
     }
 
     /// Point lookup across all levels: the newest version of `user_key`
-    /// with timestamp `<= max_ts`.
+    /// with timestamp `<= max_ts`. Each table probed is reached through
+    /// the [`FileMeta`] naming it, without a lock or a shared write.
     pub fn get(
         &self,
-        cache: &TableCache,
+        opener: &TableOpener,
         user_key: &[u8],
         max_ts: u64,
     ) -> Result<Option<(u64, ValueKind, Vec<u8>)>> {
@@ -89,8 +134,7 @@ impl Version {
             if user_key < file.smallest_user_key() || user_key > file.largest_user_key() {
                 continue;
             }
-            let table = cache.table(file.number)?;
-            if let Some(hit) = table.get(user_key, max_ts)? {
+            if let Some(hit) = file.table(opener)?.get(user_key, max_ts)? {
                 return Ok(Some(hit));
             }
         }
@@ -104,8 +148,7 @@ impl Version {
             if user_key < file.smallest_user_key() {
                 continue;
             }
-            let table = cache.table(file.number)?;
-            if let Some(hit) = table.get(user_key, max_ts)? {
+            if let Some(hit) = file.table(opener)?.get(user_key, max_ts)? {
                 return Ok(Some(hit));
             }
         }
@@ -114,15 +157,14 @@ impl Version {
 
     /// Iterators over every file/level, newest component first, for use
     /// in a [`crate::MergingIterator`].
-    pub fn iterators(&self, cache: &Arc<TableCache>) -> Result<Vec<BoxedIterator>> {
+    pub fn iterators(&self, opener: &Arc<TableOpener>) -> Result<Vec<BoxedIterator>> {
         let mut out: Vec<BoxedIterator> = Vec::new();
         for file in &self.levels[0] {
-            let table = cache.table(file.number)?;
-            out.push(Box::new(table.iter()));
+            out.push(Box::new(file.table(opener)?.iter()));
         }
         for level in &self.levels[1..] {
             if !level.is_empty() {
-                out.push(Box::new(LevelIter::new(Arc::clone(cache), level.clone())));
+                out.push(Box::new(LevelIter::new(Arc::clone(opener), level.clone())));
             }
         }
         Ok(out)
@@ -363,11 +405,7 @@ impl VersionSet {
     /// Deletes table and WAL files that no live version references and
     /// that are not pending outputs of an in-flight flush/compaction.
     /// Returns the numbers of the deleted tables (for cache eviction).
-    pub fn delete_obsolete_files(
-        &mut self,
-        cache: &TableCache,
-        pending: &HashSet<u64>,
-    ) -> Result<Vec<u64>> {
+    pub fn delete_obsolete_files(&mut self, pending: &HashSet<u64>) -> Result<Vec<u64>> {
         let mut live = self.live_table_files();
         live.extend(pending.iter().copied());
         let mut deleted = Vec::new();
@@ -375,7 +413,6 @@ impl VersionSet {
             match filenames::parse_file_name(&name) {
                 Some(filenames::FileKind::Table(n)) if !live.contains(&n) => {
                     self.env.remove(&self.dir.join(&name))?;
-                    cache.evict(n);
                     deleted.push(n);
                 }
                 Some(filenames::FileKind::Wal(n)) if n < self.log_number => {
@@ -450,30 +487,38 @@ impl Builder {
     }
 
     fn apply(&mut self, edit: &VersionEdit) -> Result<()> {
+        let mut deleted = Vec::new();
         for &(level, number) in &edit.deleted_files {
             let level = level as usize;
             if level >= self.levels.len() {
                 return Err(Error::corruption("edit deletes file at bad level"));
             }
-            let before = self.levels[level].len();
-            self.levels[level].retain(|f| f.number != number);
-            if self.levels[level].len() == before {
+            let Some(i) = self.levels[level].iter().position(|f| f.number == number) else {
                 return Err(Error::corruption(format!(
                     "edit deletes unknown file {number} at level {level}"
                 )));
-            }
+            };
+            deleted.push(self.levels[level].remove(i));
         }
         for nf in &edit.new_files {
             let level = nf.level as usize;
             if level >= self.levels.len() {
                 return Err(Error::corruption("edit adds file at bad level"));
             }
+            // A trivial move deletes a file and adds it one level down:
+            // the moved file keeps its open reader.
+            let table = deleted
+                .iter()
+                .find(|f| f.number == nf.number)
+                .and_then(|f| f.table.get().cloned())
+                .map_or_else(OnceLock::new, OnceLock::from);
             let meta = Arc::new(FileMeta {
                 number: nf.number,
                 file_size: nf.file_size,
                 smallest: nf.smallest.clone(),
                 largest: nf.largest.clone(),
                 being_compacted: AtomicBool::new(false),
+                table,
             });
             self.levels[level].push(meta);
         }

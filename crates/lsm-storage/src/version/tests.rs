@@ -42,14 +42,13 @@ fn build_table(
     }
 }
 
-fn cache_for(dir: &Path) -> Arc<TableCache> {
-    Arc::new(TableCache::new(
-        Arc::new(RealEnv),
-        dir.to_path_buf(),
-        10,
-        None,
-        100,
-    ))
+fn opener_for(dir: &Path) -> Arc<TableOpener> {
+    Arc::new(TableOpener {
+        env: Arc::new(RealEnv),
+        dir: dir.to_path_buf(),
+        bloom_bits_per_key: 10,
+        block_cache: None,
+    })
 }
 
 #[test]
@@ -107,17 +106,17 @@ fn version_get_prefers_newer_levels() {
     })
     .unwrap();
     let v = set.current();
-    let cache = cache_for(&dir);
+    let opener = opener_for(&dir);
     // Latest overall.
-    let (ts, _, val) = v.get(&cache, b"k", u64::MAX >> 1).unwrap().unwrap();
+    let (ts, _, val) = v.get(&opener, b"k", u64::MAX >> 1).unwrap().unwrap();
     assert_eq!((ts, val.as_slice()), (5, &b"new"[..]));
     // Snapshot reads walk down the levels.
-    let (ts, _, val) = v.get(&cache, b"k", 4).unwrap().unwrap();
+    let (ts, _, val) = v.get(&opener, b"k", 4).unwrap().unwrap();
     assert_eq!((ts, val.as_slice()), (3, &b"mid"[..]));
-    let (ts, _, val) = v.get(&cache, b"k", 2).unwrap().unwrap();
+    let (ts, _, val) = v.get(&opener, b"k", 2).unwrap().unwrap();
     assert_eq!((ts, val.as_slice()), (1, &b"old"[..]));
-    assert!(v.get(&cache, b"k", 0).unwrap().is_none());
-    assert!(v.get(&cache, b"zz", 100).unwrap().is_none());
+    assert!(v.get(&opener, b"k", 0).unwrap().is_none());
+    assert!(v.get(&opener, b"zz", 100).unwrap().is_none());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -137,8 +136,7 @@ fn deleted_files_leave_the_version_and_disk() {
     })
     .unwrap();
     assert_eq!(set.current().num_files(0), 0);
-    let cache = cache_for(&dir);
-    let deleted = set.delete_obsolete_files(&cache, &HashSet::new()).unwrap();
+    let deleted = set.delete_obsolete_files(&HashSet::new()).unwrap();
     assert_eq!(deleted, vec![7]);
     assert!(!filenames::table_path(&dir, 7).exists());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -160,13 +158,12 @@ fn obsolete_deletion_spares_files_held_by_live_versions() {
         ..Default::default()
     })
     .unwrap();
-    let cache = cache_for(&dir);
     // A reader still holds the old version: the file must survive.
-    let deleted = set.delete_obsolete_files(&cache, &HashSet::new()).unwrap();
+    let deleted = set.delete_obsolete_files(&HashSet::new()).unwrap();
     assert!(deleted.is_empty());
     assert!(filenames::table_path(&dir, 7).exists());
     drop(v_with_file);
-    let deleted = set.delete_obsolete_files(&cache, &HashSet::new()).unwrap();
+    let deleted = set.delete_obsolete_files(&HashSet::new()).unwrap();
     assert_eq!(deleted, vec![7]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -303,8 +300,7 @@ fn level_iter_concatenates_files() {
     })
     .unwrap();
     let v = set.current();
-    let cache = cache_for(&dir);
-    let mut it = LevelIter::new(cache, v.levels[1].clone());
+    let mut it = LevelIter::new(opener_for(&dir), v.levels[1].clone());
     it.seek_to_first();
     let mut got = Vec::new();
     while it.valid() {
@@ -341,6 +337,7 @@ fn compaction_claims_are_exclusive_and_released() {
         smallest: vec![0; 8],
         largest: vec![0; 8],
         being_compacted: AtomicBool::new(false),
+        table: OnceLock::new(),
     });
     let g = Arc::new(FileMeta {
         number: 2,
@@ -348,6 +345,7 @@ fn compaction_claims_are_exclusive_and_released() {
         smallest: vec![0; 8],
         largest: vec![0; 8],
         being_compacted: AtomicBool::new(false),
+        table: OnceLock::new(),
     });
     let claim = CompactionClaim::try_claim(vec![f.clone(), g.clone()]).unwrap();
     // Second claim on any overlapping file fails and rolls back.
@@ -355,4 +353,49 @@ fn compaction_claims_are_exclusive_and_released() {
     drop(claim);
     // Released: claimable again.
     assert!(CompactionClaim::try_claim(vec![f, g]).is_some());
+}
+
+#[test]
+fn a_trivial_move_keeps_the_open_reader_and_a_rewrite_does_not() {
+    let dir = tmpdir("move");
+    let f = build_table(&dir, 7, 0, &[(b"k", 1, ValueKind::Put, b"v")]);
+    let (mut set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
+    let v0 = set
+        .log_and_apply(VersionEdit {
+            new_files: vec![f.clone()],
+            ..Default::default()
+        })
+        .unwrap();
+    let opener = opener_for(&dir);
+    let reader = Arc::clone(v0.levels[0][0].table(&opener).unwrap());
+
+    // Moved to L1: the new `FileMeta` holds the very same reader.
+    let v1 = set
+        .log_and_apply(VersionEdit {
+            deleted_files: vec![(0, 7)],
+            new_files: vec![NewFile { level: 1, ..f }],
+            ..Default::default()
+        })
+        .unwrap();
+    let moved = &v1.levels[1][0];
+    assert!(!Arc::ptr_eq(moved, &v0.levels[0][0]));
+    assert!(Arc::ptr_eq(moved.table.get().unwrap(), &reader));
+
+    // A file that was never touched moves unopened.
+    let g = build_table(&dir, 8, 0, &[(b"m", 2, ValueKind::Put, b"v")]);
+    set.log_and_apply(VersionEdit {
+        new_files: vec![g.clone()],
+        ..Default::default()
+    })
+    .unwrap();
+    let v3 = set
+        .log_and_apply(VersionEdit {
+            deleted_files: vec![(0, 8)],
+            new_files: vec![NewFile { level: 1, ..g }],
+            ..Default::default()
+        })
+        .unwrap();
+    let unopened = v3.levels[1].iter().find(|f| f.number == 8).unwrap();
+    assert!(unopened.table.get().is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,11 +1,21 @@
-//! Stress and configuration-matrix tests of the disk substrate.
+//! Stress and configuration-matrix tests of the disk substrate, and the
+//! ownership rules of open table readers: each table opens once, on
+//! first touch; a trivial move keeps its reader; a reader closes when no
+//! version, claim or iterator names its table any more.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::path::Path;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
+use clsm_util::env::{Env, RandomAccessFile, RealEnv, WritableFile};
+use clsm_util::error::Result;
+use lsm_storage::filenames::{self, FileKind};
 use lsm_storage::format::ValueKind;
 use lsm_storage::iter::VecIterator;
 use lsm_storage::wal::SyncMode;
 use lsm_storage::{Store, StoreOptions, WriteRecord};
+use parking_lot::Mutex;
 
 struct TempDir(std::path::PathBuf);
 
@@ -73,28 +83,224 @@ fn works_without_a_block_cache() {
     assert!(store.verify_integrity().unwrap() >= 500);
 }
 
+/// Per table number: how often it was opened for reading, and how many
+/// of those read handles are still open.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Handles {
+    opened: u64,
+    live: u64,
+}
+
+type HandleCounts = Arc<Mutex<HashMap<u64, Handles>>>;
+
+/// A [`RealEnv`] that counts `open_read` calls and live read handles
+/// per table number.
+#[derive(Debug, Default)]
+struct HandleCountingEnv {
+    tables: HandleCounts,
+}
+
+struct CountedFile {
+    inner: Box<dyn RandomAccessFile>,
+    number: u64,
+    tables: HandleCounts,
+}
+
+impl RandomAccessFile for CountedFile {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.inner.read_at(offset, buf)
+    }
+
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
+}
+
+impl Drop for CountedFile {
+    fn drop(&mut self) {
+        self.tables.lock().get_mut(&self.number).unwrap().live -= 1;
+    }
+}
+
+impl Env for HandleCountingEnv {
+    fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
+        RealEnv.open_write(path)
+    }
+
+    fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
+        let inner = RealEnv.open_read(path)?;
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let Some(FileKind::Table(number)) = filenames::parse_file_name(name) else {
+            return Ok(inner);
+        };
+        let handles = &mut *self.tables.lock();
+        let counts = handles.entry(number).or_default();
+        counts.opened += 1;
+        counts.live += 1;
+        Ok(Box::new(CountedFile {
+            inner,
+            number,
+            tables: Arc::clone(&self.tables),
+        }))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        RealEnv.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        RealEnv.remove(path)
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<String>> {
+        RealEnv.list(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        RealEnv.sync_dir(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> Result<()> {
+        RealEnv.create_dir_all(dir)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        RealEnv.exists(path)
+    }
+}
+
+/// A store on a [`HandleCountingEnv`], and that env's counts.
+fn counted_store(dir: &TempDir, opts: StoreOptions) -> (Store, HandleCounts) {
+    let env = Arc::new(HandleCountingEnv::default());
+    let tables = Arc::clone(&env.tables);
+    let (store, _) = Store::open(&dir.0, StoreOptions { env, ..opts }).unwrap();
+    (store, tables)
+}
+
+/// Table numbers per level of the current version.
+fn table_numbers(store: &Store) -> Vec<Vec<u64>> {
+    let version = store.current_version();
+    let levels = version.levels.iter();
+    levels
+        .map(|l| l.iter().map(|f| f.number).collect())
+        .collect()
+}
+
+/// The tables with a read handle open, and how many each has.
+fn live_handles(tables: &HandleCounts) -> HashMap<u64, u64> {
+    let tables = tables.lock();
+    let open = tables.iter().filter(|(_, h)| h.live > 0);
+    open.map(|(&n, h)| (n, h.live)).collect()
+}
+
+fn flush(store: &Store, keys: std::ops::Range<u64>, ts_base: u64) {
+    let wal = store.rotate_wal().unwrap();
+    let max_ts = ts_base + keys.end;
+    let mut it = VecIterator::new(entries(keys, ts_base));
+    store.flush_memtable(&mut it, 0, max_ts, wal).unwrap();
+}
+
 #[test]
-fn tiny_table_cache_evicts_and_reopens() {
-    let dir = TempDir::new("tinycache");
+fn gets_from_two_threads_open_each_table_exactly_once() {
+    let dir = TempDir::new("open-once");
     let mut opts = tiny_opts();
-    opts.max_open_tables = 8; // clamp floor in TableCache
-    opts.table_file_size = 1024; // many small files
-    let (store, _) = Store::open(&dir.0, opts).unwrap();
-    // Create several flushes → many tables.
-    for round in 0..6u64 {
-        let wal = store.rotate_wal().unwrap();
-        let mut it = VecIterator::new(entries(round * 300..round * 300 + 300, round * 1000 + 1));
-        store
-            .flush_memtable(&mut it, u64::MAX >> 1, round * 1000 + 300, wal)
-            .unwrap();
+    opts.table_file_size = 1024; // many small tables
+    let (store, tables) = counted_store(&dir, opts);
+    flush(&store, 0..900, 1);
+    let numbers = table_numbers(&store)[0].clone();
+    assert!(numbers.len() >= 20, "{} tables", numbers.len());
+    let version = store.current_version();
+    let first_keys: Vec<Vec<u8>> = version.levels[0]
+        .iter()
+        .map(|f| f.smallest_user_key().to_vec())
+        .collect();
+    drop(version);
+
+    // Racing first opens of one table may both open it (one reader
+    // wins, the other is dropped), so each thread first touches its
+    // own half of the tables. After the barrier both threads read
+    // every table, and nothing opens again.
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for half in 0..2 {
+            let (store, barrier, first_keys) = (&store, &barrier, &first_keys);
+            scope.spawn(move || {
+                for key in first_keys.iter().skip(half).step_by(2) {
+                    assert!(store.get(key, u64::MAX >> 1).unwrap().is_some());
+                }
+                barrier.wait();
+                for round in 0..5 {
+                    for i in (half + round..900).step_by(3) {
+                        let key = format!("key{i:06}");
+                        assert!(store.get(key.as_bytes(), u64::MAX >> 1).unwrap().is_some());
+                    }
+                }
+            });
+        }
+    });
+
+    let tables = tables.lock();
+    for n in &numbers {
+        assert_eq!(tables[n], Handles { opened: 1, live: 1 }, "table {n}");
     }
-    // Random-ish reads across all files force evict/reopen cycles.
-    for i in (0..1800).step_by(37) {
-        let got = store
-            .get(format!("key{i:06}").as_bytes(), u64::MAX >> 1)
-            .unwrap();
-        assert!(got.is_some(), "key {i}");
+    assert_eq!(tables.len(), numbers.len());
+}
+
+#[test]
+fn a_trivial_move_opens_nothing() {
+    let dir = TempDir::new("trivial-move");
+    let (store, tables) = counted_store(&dir, tiny_opts());
+    // One table, opened by a get, then moved to L1.
+    flush(&store, 0..10, 1);
+    let opened = table_numbers(&store)[0][0];
+    assert!(store.get(b"key000003", u64::MAX >> 1).unwrap().is_some());
+    store.compact_level_range(0, b"", b"\xff", 0).unwrap();
+    assert_eq!(table_numbers(&store)[1], vec![opened]);
+    // One table never read, moved beside it.
+    flush(&store, 100..110, 1000);
+    let untouched = table_numbers(&store)[0][0];
+    store.compact_level_range(0, b"", b"\xff", 0).unwrap();
+    assert_eq!(table_numbers(&store)[1], vec![opened, untouched]);
+    assert!(!tables.lock().contains_key(&untouched));
+
+    // The moved reader serves gets at L1 as it did at L0.
+    assert!(store.get(b"key000007", u64::MAX >> 1).unwrap().is_some());
+    assert_eq!(tables.lock()[&opened], Handles { opened: 1, live: 1 });
+}
+
+#[test]
+fn a_compactions_inputs_close_once_nothing_names_them() {
+    let dir = TempDir::new("inputs-close");
+    let (store, tables) = counted_store(&dir, tiny_opts());
+    // Two overlapping L0 tables, both opened; an iterator holds them.
+    flush(&store, 0..20, 1);
+    flush(&store, 10..30, 1000);
+    let inputs = table_numbers(&store)[0].clone();
+    assert_eq!(inputs.len(), 2);
+    store.verify_integrity().unwrap();
+    let iters = store.iterators().unwrap();
+
+    store.compact_level_range(0, b"", b"\xff", 0).unwrap();
+    let outputs = table_numbers(&store)[1].clone();
+    assert!(!outputs.is_empty() && outputs.iter().all(|n| !inputs.contains(n)));
+    for n in &inputs {
+        assert_eq!(live_handles(&tables).get(n), Some(&1), "input {n} in use");
     }
+
+    // The replaced version is reclaimed through the epoch scheme, so
+    // run its collector until the inputs' readers are gone.
+    drop(iters);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while inputs.iter().any(|n| live_handles(&tables).contains_key(n)) {
+        assert!(Instant::now() < deadline, "inputs still open");
+        clsm_util::epoch::collect();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // One reader per table the current version names, and no other.
+    store.verify_integrity().unwrap();
+    let expected: HashMap<u64, u64> = outputs.iter().map(|&n| (n, 1)).collect();
+    assert_eq!(live_handles(&tables), expected);
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! fail with a corruption error, never a wrong answer and never a panic.
 //! The footer has no checksum of its own; a flip there either leaves
 //! the table readable and correct or is a corruption error too, and so
-//! is a truncated table. Table bytes match a recorded golden image.
+//! is a truncated table. A block whose checksum holds but whose key is
+//! too short to be an internal key is a corruption error as well. Table
+//! bytes match a recorded golden image.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -15,7 +17,7 @@ use clsm_repro::storage::iter::VecIterator;
 use clsm_repro::storage::sstable::{
     Block, BlockHandle, Footer, Table, TableBuilder, BLOCK_TRAILER_SIZE, FOOTER_SIZE,
 };
-use clsm_repro::storage::{InternalIterator, StoreOptions, ValueKind};
+use clsm_repro::storage::{InternalIterator, Store, StoreOptions, ValueKind};
 use clsm_repro::util::crc;
 use clsm_repro::util::env::{Env, FaultEnv};
 use clsm_repro::util::error::ErrorKind;
@@ -294,4 +296,64 @@ fn a_truncated_table_is_corruption() {
             Ok(_) => panic!("kept {keep} of {len} bytes, the table opened"),
         }
     }
+}
+
+#[test]
+fn a_short_key_in_a_checksummed_block_is_corruption() {
+    let env = FaultEnv::new(0x5e7);
+    let dir = Path::new("/short-key");
+    let opts = StoreOptions {
+        env: Arc::new(env.clone()),
+        ..StoreOptions::default()
+    };
+    let (store, _) = Store::open(dir, opts).unwrap();
+    let wal = store.rotate_wal().unwrap();
+    let mut it = VecIterator::new(vec![(b"k".to_vec(), 1, ValueKind::Put, vec![7; 20])]);
+    store.flush_memtable(&mut it, 0, 1, wal).unwrap();
+    let number = store.current_version().levels[0][0].number;
+    let path = dir.join(format!("{number:06}.sst"));
+
+    // The one data block starts the file: shared 0, key length 9
+    // ("k" + an 8-byte tag), value length 20. Re-split the same bytes
+    // into a 3-byte key and a 26-byte value, and re-seal the block.
+    let mut bytes = env.read(&path).unwrap();
+    assert_eq!(bytes[..3], [0, 9, 20]);
+    bytes[1] = 3;
+    bytes[2] = 26;
+    let footer = Footer::decode(&bytes[bytes.len() - FOOTER_SIZE..]).unwrap();
+    let data_len = footer.filter_handle.offset as usize - BLOCK_TRAILER_SIZE;
+    let sealed = crc::extend(crc::extend(0, &bytes[..data_len]), &[0]);
+    bytes[data_len + 1..data_len + BLOCK_TRAILER_SIZE]
+        .copy_from_slice(&crc::mask(sealed).to_le_bytes());
+    env.write(&path, &bytes).unwrap();
+
+    let table = Arc::new(Table::open(&env, &path, number, 10, None).unwrap());
+    let err = table.get(b"k", u64::MAX >> 1).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corruption, "get: {err}");
+
+    let mut walk = table.iter();
+    walk.seek_to_first();
+    while walk.valid() {
+        let _ = (walk.user_key(), walk.ts(), walk.kind());
+        walk.next();
+    }
+    let err = walk.status().unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corruption, "iter: {err}");
+
+    let err = store.verify_integrity().unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corruption, "verify_integrity: {err}");
+
+    // Moved to L1, the table is read through a level iterator.
+    store.compact_level_range(0, b"", b"\xff", 1).unwrap();
+    assert_eq!(store.level_file_counts()[..2], [0, 1]);
+    let mut iters = store.iterators().unwrap();
+    assert_eq!(iters.len(), 1);
+    let level = &mut iters[0];
+    level.seek_to_first();
+    while level.valid() {
+        let _ = (level.user_key(), level.ts(), level.kind());
+        level.next();
+    }
+    let err = level.status().unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Corruption, "level scan: {err}");
 }

@@ -149,11 +149,7 @@ fn compaction_reads_in_chunks_and_leaves_the_block_cache_alone() {
         "a ~2 MiB L0 table: {sizes:?}"
     );
 
-    let cache = store
-        .table_cache()
-        .block_cache()
-        .expect("block cache")
-        .clone();
+    let cache = store.block_cache().expect("block cache").clone();
     let before = (cache.stats(), cache.used_bytes());
     reads.store(0, Relaxed);
     store.compact_level_range(0, b"", b"\xff", 1).unwrap();

@@ -267,6 +267,20 @@ fn threads_named(name: &str) -> Vec<String> {
     tids
 }
 
+/// The number of threads named `name`, polled for up to a second until
+/// it equals `expected`: a joined thread can stay listed in
+/// `/proc/self/task` for a moment after its join returns.
+fn thread_count_settling_to(name: &str, expected: usize) -> usize {
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    loop {
+        let count = threads_named(name).len();
+        if count == expected || std::time::Instant::now() >= deadline {
+            return count;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn voluntary_switches(tid: &str) -> u64 {
     let status = std::fs::read_to_string(format!("/proc/self/task/{tid}/status")).unwrap();
     status
@@ -292,7 +306,7 @@ fn dropping_the_queue_drains_pending_appends_and_joins_the_logger() {
     }
     drop(queue);
     assert_eq!(
-        threads_named("clsm-logger").len(),
+        thread_count_settling_to("clsm-logger", loggers_before),
         loggers_before,
         "logger joined"
     );
