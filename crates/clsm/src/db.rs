@@ -516,9 +516,9 @@ impl Db {
                     continue;
                 }
             }
-            // A compaction stops counting as busy when it publishes
-            // its version, before it deletes its inputs.
-            inner.store.wait_for_obsolete_deletion();
+            // Readers of replaced versions may have let go since the
+            // last job's removal pass: remove what they held.
+            inner.store.remove_obsolete_files();
             return Ok(());
         }
     }

@@ -529,7 +529,8 @@ fn corruption_is_detected_not_silently_returned() {
     assert!(sweep.is_err(), "corruption not detected: {sweep:?}");
 }
 
-/// After `compact_to_quiescence` the directory is settled: no file a
+/// After `compact_to_quiescence` the directory is settled: its tables
+/// are exactly the ones the current version names, and no file a
 /// caller lists is deleted under it. (A compaction publishes its
 /// version before it deletes its inputs; quiescence used to return in
 /// between, about once in a hundred rounds of this loop.)
@@ -539,11 +540,15 @@ fn quiescence_leaves_no_deletion_in_flight() {
     let db = Db::open(dir.path(), Options::small_for_tests()).unwrap();
     let value = vec![7u8; 512];
     for round in 0..40u32 {
+        // A scan open across the round's merges holds their inputs.
+        let scan = db.iter().unwrap();
         for i in 0..400u32 {
             let key = format!("k{:06}", (i * 7919 + round) % 5000);
             db.put(key.as_bytes(), &value).unwrap();
         }
+        drop(scan);
         db.compact_to_quiescence().unwrap();
+        let mut tables = 0;
         for entry in std::fs::read_dir(dir.path()).unwrap() {
             let entry = entry.unwrap();
             assert!(
@@ -551,7 +556,10 @@ fn quiescence_leaves_no_deletion_in_flight() {
                 "round {round}: {:?} vanished after quiescence",
                 entry.file_name()
             );
+            tables += entry.file_name().to_string_lossy().ends_with(".sst") as usize;
         }
+        let named: usize = db.level_file_counts().iter().sum();
+        assert_eq!(tables, named, "round {round}: tables on disk vs named");
     }
 }
 

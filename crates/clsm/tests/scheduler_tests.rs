@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use clsm::{Db, Options};
+use clsm::{Db, Job, Options};
 use clsm_util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
 
@@ -302,5 +302,84 @@ fn a_failed_flush_is_counted_and_retried() {
             Some(value(i)),
             "reopened key {i}"
         );
+    }
+}
+
+/// A [`FaultEnv`] whose every `remove` fails.
+#[derive(Debug, Clone)]
+struct FailEveryRemove(FaultEnv);
+
+impl Env for FailEveryRemove {
+    fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
+        self.0.open_write(path)
+    }
+
+    fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
+        self.0.open_read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        self.0.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        Err(Error::from(std::io::Error::other(format!(
+            "injected remove failure: {}",
+            path.display()
+        ))))
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<String>> {
+        self.0.list(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        self.0.sync_dir(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> Result<()> {
+        self.0.create_dir_all(dir)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.0.exists(path)
+    }
+}
+
+/// A flush whose version is committed succeeds even when no garbage
+/// can be removed: `P'm` is cleared, no background error is counted,
+/// and no memtable is merged into L0 twice.
+#[test]
+fn a_committed_flush_does_not_fail_on_garbage_removal() {
+    let env = FailEveryRemove(FaultEnv::new(0x7e30));
+    let mut opts = Options::small_for_tests();
+    opts.store.l0_compaction_trigger = 2;
+    opts.admission.enabled = false;
+    opts.store.env = Arc::new(env);
+    let db = Db::open_stepped(Path::new("/failing-remove"), opts).unwrap();
+    let flush = |round: u64| {
+        for k in 0..20 {
+            db.put(&key(k), format!("round {round}").as_bytes())
+                .unwrap();
+        }
+        db.run_job(Job::Flush)
+    };
+
+    assert!(flush(0).unwrap());
+    assert!(flush(1).unwrap());
+    assert!(db.run_job(Job::Compact).unwrap());
+    assert_eq!(db.level_file_counts()[0], 0);
+    assert!(flush(2).unwrap());
+    assert!(flush(3).unwrap());
+
+    assert!(!db.doctor().immutable_pending, "P'm still parked");
+    assert!(
+        !db.run_job(Job::Flush).unwrap(),
+        "a flush with nothing to merge ran"
+    );
+    assert_eq!(db.metrics().counters["db.background_errors"], 0);
+    assert_eq!(db.level_file_counts()[0], 2, "a memtable was merged twice");
+    for k in 0..20 {
+        assert_eq!(db.get(&key(k)).unwrap(), Some(b"round 3".to_vec()));
     }
 }

@@ -47,6 +47,16 @@ impl CompactionTask {
     pub fn attach_release_signal(&mut self, signal: Arc<ClaimSignal>) {
         self._claim.attach_release_signal(signal);
     }
+
+    /// Whether every input is still at its level in `version`: a pick
+    /// that read a replaced version may have claimed files that left
+    /// the tree, or that a trivial move took one level down.
+    pub(crate) fn inputs_are_in(&self, version: &Version) -> bool {
+        let at = |level: usize| {
+            move |f: &Arc<FileMeta>| version.levels[level].iter().any(|g| Arc::ptr_eq(f, g))
+        };
+        self.base.iter().all(at(self.level)) && self.parent.iter().all(at(self.level + 1))
+    }
 }
 
 impl std::fmt::Debug for CompactionTask {
@@ -174,7 +184,7 @@ pub fn run(
 
     // Trivial move: a single base file with no parent overlap can be
     // reassigned to the next level without rewriting any bytes (its
-    // open reader moves with it, see `Builder::apply`).
+    // `FileMeta` and open reader move with it, see `Builder::apply`).
     if task.base.len() == 1 && task.parent.is_empty() && !bottom {
         let f = &task.base[0];
         return Ok(VersionEdit {

@@ -8,7 +8,6 @@
 //! cell, so `get` and iterator creation take no lock (the paper's `Pd`
 //! pointer).
 
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -17,6 +16,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use clsm_util::env::{Env, RealEnv};
+use clsm_util::epoch;
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
 use clsm_util::rcu::RcuCell;
@@ -33,11 +33,10 @@ static T_WAL_SYNC: TraceId = TraceId::new("storage.wal.sync");
 
 use crate::cache::BlockCache;
 use crate::compaction::{self, CompactionTask};
-use crate::filenames;
+use crate::filenames::{self, FileKind};
 use crate::format::{self, ValueKind, WriteRecord};
 use crate::iter::{BoxedIterator, InternalIterator};
-use crate::version::ClaimSignal;
-use crate::version::{TableOpener, Version, VersionEdit, VersionSet};
+use crate::version::{ClaimSignal, ObsoleteFiles, TableOpener, Version, VersionEdit, VersionSet};
 use crate::wal::{LogQueue, LogReader, LogWriter, SyncMode};
 use crate::NUM_LEVELS;
 
@@ -124,10 +123,11 @@ pub struct Store {
     /// retire/replay boundary. Every record in the live memtable sits
     /// in a WAL numbered at or above this.
     wal_number: AtomicU64,
-    /// Output files of in-flight flushes/compactions: written to disk
-    /// but not yet committed to a version. Obsolete-file GC must spare
-    /// them (LevelDB's `pending_outputs_`).
-    pending_outputs: Mutex<HashSet<u64>>,
+    /// WALs not yet retired, by number: a committed flush lists those
+    /// below its boundary as obsolete.
+    wals: Mutex<Vec<u64>>,
+    /// Files no version names any more; each job ends by removing them.
+    obsolete: ObsoleteFiles,
     /// Bytes written by memtable flushes.
     bytes_flushed: AtomicU64,
     /// Bytes written by compactions (rewrites).
@@ -181,43 +181,6 @@ impl WriteAmp {
     }
 }
 
-/// RAII registration of in-flight output file numbers; deregisters on
-/// drop so failed flushes/compactions release their claims.
-struct PendingGuard<'a> {
-    store: &'a Store,
-    numbers: Arc<Mutex<Vec<u64>>>,
-}
-
-impl<'a> PendingGuard<'a> {
-    fn new(store: &'a Store) -> Self {
-        PendingGuard {
-            store,
-            numbers: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// An allocator of output file numbers that registers each one as
-    /// pending (shared with the guard for release on drop).
-    fn allocator(&self) -> impl FnMut() -> u64 + '_ {
-        let numbers = Arc::clone(&self.numbers);
-        move || {
-            let n = self.store.versions.lock().new_file_number();
-            self.store.pending_outputs.lock().insert(n);
-            numbers.lock().push(n);
-            n
-        }
-    }
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        let mut pending = self.store.pending_outputs.lock();
-        for n in self.numbers.lock().iter() {
-            pending.remove(n);
-        }
-    }
-}
-
 impl Store {
     /// Opens (or creates) a store in `dir` and replays its WALs.
     pub fn open(dir: &Path, opts: StoreOptions) -> Result<(Store, Recovered)> {
@@ -230,20 +193,28 @@ impl Store {
             ..Default::default()
         };
 
-        // Replay every WAL at/above the manifest's boundary.
+        // The one listing of the directory: replay every WAL at/above
+        // the manifest's boundary; sweep older WALs, temp files and the
+        // tables the recovered version does not name.
+        let named = versions.current();
         let mut wal_numbers: Vec<u64> = Vec::new();
+        let mut sweep = Vec::new();
         for name in env.list(dir)? {
-            if let Some(filenames::FileKind::Wal(n)) = filenames::parse_file_name(&name) {
-                if n >= manifest_state.log_number {
-                    wal_numbers.push(n);
-                }
+            let Some(kind @ (FileKind::Wal(n) | FileKind::Table(n) | FileKind::Temp(n))) =
+                filenames::parse_file_name(&name)
+            else {
+                continue;
+            };
+            // No number on disk is handed out again, not even one whose
+            // file failed to go and stays listed.
+            versions.mark_file_number_used(n);
+            match kind {
+                FileKind::Wal(n) if n >= manifest_state.log_number => wal_numbers.push(n),
+                FileKind::Table(n) if named.levels.iter().flatten().any(|f| f.number == n) => {}
+                _ => sweep.push(kind),
             }
         }
         wal_numbers.sort_unstable();
-        // The fresh WAL below must not reuse (and truncate) a live one.
-        if let Some(&newest) = wal_numbers.last() {
-            versions.mark_file_number_used(newest);
-        }
         let mut records: Vec<WriteRecord> = Vec::new();
         for n in &wal_numbers {
             let path = filenames::wal_path(dir, *n);
@@ -264,7 +235,7 @@ impl Store {
                 }
             }
         }
-        report.wals_replayed = wal_numbers;
+        report.wals_replayed = wal_numbers.clone();
 
         // An empty-key record is not a user write (`Db::write` rejects
         // the empty key): it is a batch-commit marker left in a
@@ -301,6 +272,9 @@ impl Store {
         let wal_file = env.open_write(&filenames::wal_path(dir, wal_number))?;
         let wal = LogQueue::start(LogWriter::new(wal_file));
 
+        let obsolete = Arc::clone(versions.obsolete_files());
+        obsolete.lock().extend(sweep);
+        wal_numbers.push(wal_number);
         let current = RcuCell::new(versions.current());
         let store = Store {
             opts,
@@ -309,13 +283,15 @@ impl Store {
             current,
             wal,
             wal_number: AtomicU64::new(wal_number),
-            pending_outputs: Mutex::new(HashSet::new()),
+            wals: Mutex::new(wal_numbers),
+            obsolete,
             bytes_flushed: AtomicU64::new(0),
             bytes_compacted: AtomicU64::new(0),
             metrics: OnceLock::new(),
             claims: Arc::new(ClaimSignal::default()),
             recovery_report: report.clone(),
         };
+        store.remove_obsolete_files();
         Ok((
             store,
             Recovered {
@@ -466,6 +442,7 @@ impl Store {
             .opts
             .env
             .open_write(&filenames::wal_path(self.dir(), number))?;
+        self.wals.lock().push(number);
         self.wal.rotate(LogWriter::new(file))?;
         self.wal_number.store(number, Ordering::SeqCst);
         Ok(number)
@@ -497,34 +474,29 @@ impl Store {
         it.seek_to_first();
         let _span = T_FLUSH.span_with(max_ts);
         let start = Instant::now();
-        let guard = PendingGuard::new(self);
-        let new_files = {
-            let mut alloc = guard.allocator();
-            compaction::write_merged_tables(
+        let mut flushed_bytes = 0;
+        let committed = self.commit(|alloc| {
+            let new_files = compaction::write_merged_tables(
                 it,
                 self.dir(),
                 &self.opts,
                 0,
                 watermark,
                 false,
-                &mut alloc,
-            )?
-        };
-        let flushed_bytes = new_files.iter().map(|f| f.file_size).sum::<u64>();
-        self.bytes_flushed
-            .fetch_add(flushed_bytes, Ordering::Relaxed);
-        let edit = VersionEdit {
-            log_number: Some(retire_wals_below),
-            last_ts: Some(max_ts),
-            new_files,
-            ..Default::default()
-        };
-        let mut versions = self.versions.lock();
-        let new_version = versions.log_and_apply(edit)?;
-        self.current.store(new_version);
-        self.delete_obsolete_locked(&mut versions)?;
-        drop(versions);
-        drop(guard);
+                alloc,
+            )?;
+            flushed_bytes = new_files.iter().map(|f| f.file_size).sum::<u64>();
+            self.bytes_flushed
+                .fetch_add(flushed_bytes, Ordering::Relaxed);
+            Ok(VersionEdit {
+                log_number: Some(retire_wals_below),
+                last_ts: Some(max_ts),
+                new_files,
+                ..Default::default()
+            })
+        });
+        self.remove_obsolete_files();
+        committed?;
         if let Some(m) = self.metrics.get() {
             m.bytes_flushed.add(flushed_bytes);
             m.flush_ns.record_duration(start.elapsed());
@@ -543,65 +515,105 @@ impl Store {
     /// compactions work on disjoint inputs (this is how the RocksDB
     /// baseline's multi-threaded compaction is modeled, §5.3).
     pub fn maybe_compact(&self, watermark: u64) -> Result<bool> {
-        let version = self.current_version();
-        let Some(task) = compaction::pick(&version, &self.opts) else {
-            return Ok(false);
-        };
-        self.run_task(task, watermark)?;
-        Ok(true)
+        loop {
+            let Some(task) = compaction::pick(&self.current_version(), &self.opts) else {
+                return Ok(false);
+            };
+            if self.run_task(task, watermark)? {
+                return Ok(true);
+            }
+        }
     }
 
-    /// Runs a claimed compaction, installs its version, deletes the
-    /// files it made obsolete and accounts its bytes — the one tail of
-    /// background and manual compactions alike.
-    fn run_task(&self, mut task: CompactionTask, watermark: u64) -> Result<()> {
+    /// Runs a claimed compaction, installs its version and accounts its
+    /// bytes — the one tail of background and manual compactions alike.
+    /// Returns `false`, running nothing, when an input is no longer at
+    /// the level the pick found it at: the pick read a version another
+    /// job has since replaced, so pick again.
+    fn run_task(&self, mut task: CompactionTask, watermark: u64) -> Result<bool> {
         task.attach_release_signal(Arc::clone(&self.claims));
+        if !task.inputs_are_in(&self.current_version()) {
+            return Ok(false);
+        }
         let _span = T_COMPACTION.span_with(task.level as u64);
         let start = Instant::now();
-        let guard = PendingGuard::new(self);
-        let edit = {
-            let mut alloc = guard.allocator();
-            compaction::run(&task, &self.tables, &self.opts, watermark, &mut alloc)?
-        };
-        // Both byte counts move before the version is visible, so a
-        // reader that sees the version sees them agree.
-        let written = edit.new_files.iter().map(|f| f.file_size).sum::<u64>();
-        self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
-        if let Some(m) = self.metrics.get() {
-            m.bytes_compacted.add(written);
-        }
-        let mut versions = self.versions.lock();
-        let new_version = versions.log_and_apply(edit)?;
-        self.current.store(new_version);
-        self.delete_obsolete_locked(&mut versions)?;
-        drop(versions);
-        drop(guard);
-        drop(task); // claim Drop notifies `claims`
+        let committed = self.commit(|alloc| {
+            let edit = compaction::run(&task, &self.tables, &self.opts, watermark, alloc)?;
+            // Both byte counts move before the version is visible, so a
+            // reader that sees the version sees them agree.
+            let written = edit.new_files.iter().map(|f| f.file_size).sum::<u64>();
+            self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
+            if let Some(m) = self.metrics.get() {
+                m.bytes_compacted.add(written);
+            }
+            Ok(edit)
+        });
+        drop(task); // claim Drop notifies `claims`; the inputs may go
+        self.remove_obsolete_files();
+        committed?;
         if let Some(m) = self.metrics.get() {
             m.compaction_ns.record_duration(start.elapsed());
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// Blocks until every flush or compaction that has published its
-    /// version has also deleted the files it made obsolete. Both steps
-    /// happen under the version-set lock, so passing through the lock
-    /// is the wait; afterwards the directory is as settled as the
-    /// current version.
-    pub fn wait_for_obsolete_deletion(&self) {
-        drop(self.versions.lock());
-    }
-
-    /// Runs obsolete-file deletion, sparing in-flight pending outputs,
-    /// and purges the deleted tables' blocks from the block cache.
-    fn delete_obsolete_locked(&self, versions: &mut VersionSet) -> Result<()> {
-        let pending: HashSet<u64> = self.pending_outputs.lock().clone();
-        for number in versions.delete_obsolete_files(&pending)? {
-            if let Some(cache) = self.block_cache() {
-                cache.evict_table(number);
-            }
+    /// Writes a job's tables through `write`, which numbers each one
+    /// with the allocator it is given, then commits the edit `write`
+    /// returns and lists the WALs that edit retired. A job that fails
+    /// lists the tables it wrote instead.
+    fn commit(
+        &self,
+        write: impl FnOnce(&mut dyn FnMut() -> u64) -> Result<VersionEdit>,
+    ) -> Result<()> {
+        let mut outputs = Vec::new();
+        let committed = write(&mut || {
+            let n = self.versions.lock().new_file_number();
+            outputs.push(n);
+            n
+        })
+        .and_then(|edit| {
+            let retire_wals_below = edit.log_number.unwrap_or(0);
+            // Installed under the version-set lock: in commit order.
+            self.current
+                .store(self.versions.lock().log_and_apply(edit)?);
+            let mut wals = self.wals.lock();
+            let retired = wals.extract_if(.., |n| *n < retire_wals_below);
+            self.obsolete.lock().extend(retired.map(FileKind::Wal));
+            Ok(())
+        });
+        if committed.is_err() {
+            let outputs = outputs.into_iter().map(FileKind::Table);
+            self.obsolete.lock().extend(outputs);
         }
-        Ok(())
+        committed
+    }
+
+    /// Removes the listed obsolete files, holding no lock, once the
+    /// epoch collector has dropped every version replaced so far; evicts
+    /// removed tables' blocks. A file that fails to go stays listed.
+    /// Every flush and compaction ends with this pass.
+    pub fn remove_obsolete_files(&self) {
+        epoch::synchronize();
+        let listed = std::mem::take(&mut *self.obsolete.lock());
+        let (dir, env) = (self.dir(), self.env());
+        let failed: Vec<FileKind> = listed
+            .into_iter()
+            .filter(|&kind| {
+                let path = match kind {
+                    FileKind::Table(n) => {
+                        if let Some(cache) = self.block_cache() {
+                            cache.evict_table(n);
+                        }
+                        filenames::table_path(dir, n)
+                    }
+                    FileKind::Wal(n) => filenames::wal_path(dir, n),
+                    FileKind::Temp(n) => filenames::temp_path(dir, n),
+                    FileKind::Manifest(_) | FileKind::Current => unreachable!("never listed"),
+                };
+                env.remove(&path).is_err() && env.exists(&path)
+            })
+            .collect();
+        self.obsolete.lock().extend(failed);
     }
 
     /// Per-level file counts (diagnostics).
@@ -649,25 +661,29 @@ impl Store {
         if level + 1 >= self.opts.num_levels {
             return Ok(());
         }
-        let task = loop {
-            // Every claim release notifies `claims` under its lock
-            // (RAII, including error unwinds), so picking under that
-            // lock and then waiting untimed cannot miss a release.
-            let mut guard = self.claims.lock();
-            let version = self.current_version();
-            if let Some(task) =
-                compaction::pick_level_range(&version, &self.opts, level, start, end)
-            {
-                break task;
-            }
-            // No overlapping files at this level: nothing to do. Else a
-            // background compaction holds one of them: wait it out.
-            if version.overlapping_files(level, start, end).is_empty() {
+        loop {
+            let task = loop {
+                // Every claim release notifies `claims` under its lock
+                // (RAII, including error unwinds), so picking under that
+                // lock and then waiting untimed cannot miss a release.
+                let mut guard = self.claims.lock();
+                let version = self.current_version();
+                if let Some(task) =
+                    compaction::pick_level_range(&version, &self.opts, level, start, end)
+                {
+                    break task;
+                }
+                // No overlapping files at this level: nothing to do. Else
+                // a background compaction holds one of them: wait it out.
+                if version.overlapping_files(level, start, end).is_empty() {
+                    return Ok(());
+                }
+                self.claims.wait(&mut guard);
+            };
+            if self.run_task(task, watermark)? {
                 return Ok(());
             }
-            self.claims.wait(&mut guard);
-        };
-        self.run_task(task, watermark)
+        }
     }
 
     /// Merges all of L0 into L1 when one of its tables overlaps a deeper

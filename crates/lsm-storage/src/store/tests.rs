@@ -279,3 +279,51 @@ fn iterators_merge_levels_in_order() {
     assert!(count > 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A pick that read a version some other compaction has since replaced
+/// is refused once it has claimed its inputs, and the next pick reads
+/// the current version: whether its inputs left the tree, or a trivial
+/// move took them one level down.
+#[test]
+fn a_pick_from_a_replaced_version_is_refused() {
+    let dir = tmpdir("stale-pick");
+    let (store, _) = Store::open(&dir, small_opts()).unwrap();
+    let flush = |keys: std::ops::Range<u64>| {
+        let wal = store.rotate_wal().unwrap();
+        let mut it = VecIterator::new(put_entries(keys.clone()));
+        store.flush_memtable(&mut it, 0, keys.end, wal).unwrap();
+    };
+
+    // Two L0 tables, merged into L1 after the stale pick's version.
+    flush(0..100);
+    flush(50..150);
+    let saved = store.current_version();
+    assert!(store.maybe_compact(0).unwrap());
+    flush(200..300);
+    flush(250..350);
+    let stale = compaction::pick(&saved, &store.opts).unwrap();
+    assert!(!store.run_task(stale, 0).unwrap(), "a merged-away pick ran");
+    assert!(store.maybe_compact(0).unwrap());
+    assert_eq!(store.level_file_counts()[0], 0);
+
+    // One L0 table, trivially moved to L1 after the stale pick's version.
+    flush(400..410);
+    let saved = store.current_version();
+    store
+        .compact_level_range(0, b"key000400", b"key000410", 0)
+        .unwrap();
+    let moved = &store.current_version().levels[1];
+    assert!(moved.iter().any(|f| Arc::ptr_eq(f, &saved.levels[0][0])));
+    let stale =
+        compaction::pick_level_range(&saved, &store.opts, 0, b"key000400", b"key000410").unwrap();
+    assert!(!store.run_task(stale, 0).unwrap(), "a moved pick ran");
+
+    for i in (0..150).chain(200..350).chain(400..410) {
+        let key = format!("key{i:06}");
+        assert!(
+            store.get(key.as_bytes(), u64::MAX >> 1).unwrap().is_some(),
+            "{key}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

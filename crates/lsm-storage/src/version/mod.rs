@@ -5,7 +5,10 @@
 //! cLSM's non-blocking `get`), while flushes and compactions install
 //! new versions through [`VersionSet::log_and_apply`] under the
 //! version-set mutex. Each [`FileMeta`] owns its table's open reader,
-//! so reaching an open table takes no lock.
+//! so reaching an open table takes no lock, and its file: once a
+//! committed edit removes a table, the last reference to its
+//! `FileMeta` lists the file as obsolete (the paper's component
+//! reference counts, §3.1).
 
 mod edit;
 mod level_iter;
@@ -13,16 +16,17 @@ mod level_iter;
 pub use edit::{NewFile, VersionEdit};
 pub use level_iter::LevelIter;
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::Mutex;
 
 use clsm_util::env::Env;
 use clsm_util::error::{Error, Result};
 
 use crate::cache::BlockCache;
-use crate::filenames;
+use crate::filenames::{self, FileKind};
 use crate::format::ValueKind;
 use crate::iter::BoxedIterator;
 use crate::sstable::Table;
@@ -45,6 +49,23 @@ pub struct FileMeta {
     /// The open reader, filled on first touch and closed when the last
     /// version, claim or iterator naming this file lets go of it.
     table: OnceLock<Arc<Table>>,
+    /// Set once a committed edit removes this table from the tree: the
+    /// list its file goes on when this `FileMeta` drops.
+    obsolete: OnceLock<ObsoleteFiles>,
+}
+
+/// Files no version names any more, for the store to remove outside
+/// every lock.
+pub type ObsoleteFiles = Arc<Mutex<Vec<FileKind>>>;
+
+/// Only lists the file: old versions drop inside the epoch collector,
+/// under whatever lock its caller holds, so no I/O happens here.
+impl Drop for FileMeta {
+    fn drop(&mut self) {
+        if let Some(list) = self.obsolete.get() {
+            list.lock().push(FileKind::Table(self.number));
+        }
+    }
 }
 
 impl FileMeta {
@@ -206,21 +227,10 @@ impl Version {
     pub fn num_files(&self, level: usize) -> usize {
         self.levels[level].len()
     }
-
-    /// Collects every file number referenced by this version.
-    pub fn live_files(&self, into: &mut HashSet<u64>) {
-        for level in &self.levels {
-            for f in level {
-                into.insert(f.number);
-            }
-        }
-    }
 }
 
 /// Mutable owner of the version history and the manifest.
 pub struct VersionSet {
-    env: Arc<dyn Env>,
-    dir: PathBuf,
     current: Arc<Version>,
     manifest: LogWriter,
     next_file_number: u64,
@@ -228,8 +238,8 @@ pub struct VersionSet {
     log_number: u64,
     /// Highest timestamp known flushed.
     last_ts: u64,
-    /// Versions that may still be referenced by in-flight readers.
-    live_versions: Vec<Weak<Version>>,
+    /// Where the tables committed edits removed are listed.
+    obsolete: ObsoleteFiles,
 }
 
 impl std::fmt::Debug for VersionSet {
@@ -322,16 +332,13 @@ impl VersionSet {
         manifest.sync()?;
         install_current(env.as_ref(), dir, manifest_number)?;
 
-        let current = Arc::new(version);
         let set = VersionSet {
-            env,
-            dir: dir.to_path_buf(),
-            current: Arc::clone(&current),
+            current: Arc::new(version),
             manifest,
             next_file_number,
             log_number,
             last_ts,
-            live_versions: vec![Arc::downgrade(&current)],
+            obsolete: ObsoleteFiles::default(),
         };
         Ok((
             set,
@@ -364,12 +371,15 @@ impl VersionSet {
         self.next_file_number = self.next_file_number.max(number + 1);
     }
 
-    /// The WAL number boundary recorded in the manifest.
-    pub fn log_number(&self) -> u64 {
-        self.log_number
+    /// The list each table a committed edit removed goes on once its
+    /// last reference drops.
+    pub fn obsolete_files(&self) -> &ObsoleteFiles {
+        &self.obsolete
     }
 
-    /// Logs `edit` durably and installs the resulting version.
+    /// Logs `edit` durably and installs the resulting version. Once the
+    /// edit is durable, each table it removed is marked, so its file
+    /// dies with the last version, claim or iterator naming it.
     pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<Arc<Version>> {
         edit.next_file_number = Some(self.next_file_number);
         if let Some(v) = edit.log_number {
@@ -380,51 +390,15 @@ impl VersionSet {
             self.last_ts = self.last_ts.max(v);
         }
         let mut builder = Builder::new_from(&self.current);
-        builder.apply(&edit)?;
+        let removed = builder.apply(&edit)?;
         let new_version = Arc::new(builder.finish());
         self.manifest.add_record(&edit.encode())?;
         self.manifest.sync()?;
+        for f in removed {
+            let _ = f.obsolete.set(Arc::clone(&self.obsolete));
+        }
         self.current = Arc::clone(&new_version);
-        self.live_versions.push(Arc::downgrade(&new_version));
-        self.live_versions.retain(|w| w.strong_count() > 0);
         Ok(new_version)
-    }
-
-    /// Table-file numbers still referenced by any live version.
-    pub fn live_table_files(&self) -> HashSet<u64> {
-        let mut live = HashSet::new();
-        self.current.live_files(&mut live);
-        for weak in &self.live_versions {
-            if let Some(v) = weak.upgrade() {
-                v.live_files(&mut live);
-            }
-        }
-        live
-    }
-
-    /// Deletes table and WAL files that no live version references and
-    /// that are not pending outputs of an in-flight flush/compaction.
-    /// Returns the numbers of the deleted tables (for cache eviction).
-    pub fn delete_obsolete_files(&mut self, pending: &HashSet<u64>) -> Result<Vec<u64>> {
-        let mut live = self.live_table_files();
-        live.extend(pending.iter().copied());
-        let mut deleted = Vec::new();
-        for name in self.env.list(&self.dir)? {
-            match filenames::parse_file_name(&name) {
-                Some(filenames::FileKind::Table(n)) if !live.contains(&n) => {
-                    self.env.remove(&self.dir.join(&name))?;
-                    deleted.push(n);
-                }
-                Some(filenames::FileKind::Wal(n)) if n < self.log_number => {
-                    self.env.remove(&self.dir.join(&name))?;
-                }
-                Some(filenames::FileKind::Temp(_)) => {
-                    self.env.remove(&self.dir.join(&name))?;
-                }
-                _ => {}
-            }
-        }
-        Ok(deleted)
     }
 }
 
@@ -486,7 +460,10 @@ impl Builder {
         }
     }
 
-    fn apply(&mut self, edit: &VersionEdit) -> Result<()> {
+    /// Applies `edit`; returns the files it took out of the tree. A
+    /// trivial move deletes a file and re-adds it one level down: the
+    /// same `FileMeta`, with its open reader, and nothing removed.
+    fn apply(&mut self, edit: &VersionEdit) -> Result<Vec<Arc<FileMeta>>> {
         let mut deleted = Vec::new();
         for &(level, number) in &edit.deleted_files {
             let level = level as usize;
@@ -505,24 +482,21 @@ impl Builder {
             if level >= self.levels.len() {
                 return Err(Error::corruption("edit adds file at bad level"));
             }
-            // A trivial move deletes a file and adds it one level down:
-            // the moved file keeps its open reader.
-            let table = deleted
-                .iter()
-                .find(|f| f.number == nf.number)
-                .and_then(|f| f.table.get().cloned())
-                .map_or_else(OnceLock::new, OnceLock::from);
-            let meta = Arc::new(FileMeta {
-                number: nf.number,
-                file_size: nf.file_size,
-                smallest: nf.smallest.clone(),
-                largest: nf.largest.clone(),
-                being_compacted: AtomicBool::new(false),
-                table,
-            });
+            let meta = match deleted.iter().position(|f| f.number == nf.number) {
+                Some(i) => deleted.swap_remove(i),
+                None => Arc::new(FileMeta {
+                    number: nf.number,
+                    file_size: nf.file_size,
+                    smallest: nf.smallest.clone(),
+                    largest: nf.largest.clone(),
+                    being_compacted: AtomicBool::new(false),
+                    table: OnceLock::new(),
+                    obsolete: OnceLock::new(),
+                }),
+            };
             self.levels[level].push(meta);
         }
-        Ok(())
+        Ok(deleted)
     }
 
     fn finish(mut self) -> Version {
@@ -535,12 +509,6 @@ impl Builder {
         Version {
             levels: self.levels,
         }
-    }
-}
-
-impl Drop for VersionSet {
-    fn drop(&mut self) {
-        let _ = self.manifest.sync();
     }
 }
 

@@ -121,29 +121,34 @@ fn version_get_prefers_newer_levels() {
 }
 
 #[test]
-fn deleted_files_leave_the_version_and_disk() {
+fn a_deleted_file_is_listed_once_no_version_names_it() {
     let dir = tmpdir("delete");
     let f1 = build_table(&dir, 7, 0, &[(b"x", 1, ValueKind::Put, b"v")]);
-    let (mut set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
-    set.log_and_apply(VersionEdit {
-        new_files: vec![f1],
-        ..Default::default()
-    })
-    .unwrap();
-    set.log_and_apply(VersionEdit {
-        deleted_files: vec![(0, 7)],
-        ..Default::default()
-    })
-    .unwrap();
-    assert_eq!(set.current().num_files(0), 0);
-    let deleted = set.delete_obsolete_files(&HashSet::new()).unwrap();
-    assert_eq!(deleted, vec![7]);
-    assert!(!filenames::table_path(&dir, 7).exists());
+    {
+        let (mut set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
+        set.log_and_apply(VersionEdit {
+            new_files: vec![f1],
+            ..Default::default()
+        })
+        .unwrap();
+        set.log_and_apply(VersionEdit {
+            deleted_files: vec![(0, 7)],
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(set.current().num_files(0), 0);
+        assert_eq!(*set.obsolete_files().lock(), vec![FileKind::Table(7)]);
+        // Listing is all the version set does: the store removes files.
+        assert!(filenames::table_path(&dir, 7).exists());
+    }
+    // Replaying the same two edits lists nothing.
+    let (set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
+    assert!(set.obsolete_files().lock().is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn obsolete_deletion_spares_files_held_by_live_versions() {
+fn a_held_version_keeps_its_files_off_the_obsolete_list() {
     let dir = tmpdir("held");
     let f1 = build_table(&dir, 7, 0, &[(b"x", 1, ValueKind::Put, b"v")]);
     let (mut set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
@@ -158,13 +163,10 @@ fn obsolete_deletion_spares_files_held_by_live_versions() {
         ..Default::default()
     })
     .unwrap();
-    // A reader still holds the old version: the file must survive.
-    let deleted = set.delete_obsolete_files(&HashSet::new()).unwrap();
-    assert!(deleted.is_empty());
-    assert!(filenames::table_path(&dir, 7).exists());
+    // A reader still holds the old version: the file is not listed.
+    assert!(set.obsolete_files().lock().is_empty());
     drop(v_with_file);
-    let deleted = set.delete_obsolete_files(&HashSet::new()).unwrap();
-    assert_eq!(deleted, vec![7]);
+    assert_eq!(*set.obsolete_files().lock(), vec![FileKind::Table(7)]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -338,6 +340,7 @@ fn compaction_claims_are_exclusive_and_released() {
         largest: vec![0; 8],
         being_compacted: AtomicBool::new(false),
         table: OnceLock::new(),
+        obsolete: OnceLock::new(),
     });
     let g = Arc::new(FileMeta {
         number: 2,
@@ -346,6 +349,7 @@ fn compaction_claims_are_exclusive_and_released() {
         largest: vec![0; 8],
         being_compacted: AtomicBool::new(false),
         table: OnceLock::new(),
+        obsolete: OnceLock::new(),
     });
     let claim = CompactionClaim::try_claim(vec![f.clone(), g.clone()]).unwrap();
     // Second claim on any overlapping file fails and rolls back.
@@ -369,7 +373,7 @@ fn a_trivial_move_keeps_the_open_reader_and_a_rewrite_does_not() {
     let opener = opener_for(&dir);
     let reader = Arc::clone(v0.levels[0][0].table(&opener).unwrap());
 
-    // Moved to L1: the new `FileMeta` holds the very same reader.
+    // Moved to L1: the very same `FileMeta`, with the same reader.
     let v1 = set
         .log_and_apply(VersionEdit {
             deleted_files: vec![(0, 7)],
@@ -378,8 +382,13 @@ fn a_trivial_move_keeps_the_open_reader_and_a_rewrite_does_not() {
         })
         .unwrap();
     let moved = &v1.levels[1][0];
-    assert!(!Arc::ptr_eq(moved, &v0.levels[0][0]));
+    assert!(Arc::ptr_eq(moved, &v0.levels[0][0]));
     assert!(Arc::ptr_eq(moved.table.get().unwrap(), &reader));
+    drop(v0);
+    assert!(
+        set.obsolete_files().lock().is_empty(),
+        "a move removes nothing"
+    );
 
     // A file that was never touched moves unopened.
     let g = build_table(&dir, 8, 0, &[(b"m", 2, ValueKind::Put, b"v")]);

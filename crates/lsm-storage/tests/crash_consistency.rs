@@ -11,10 +11,12 @@
 //! - report torn WAL tails in the [`RecoveryReport`] instead of
 //!   surfacing garbage records.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use clsm_util::env::{Env, FaultEnv};
+use clsm_util::env::{Env, FaultEnv, FaultOp};
+use lsm_storage::filenames::{self, FileKind};
 use lsm_storage::store::Store;
 use lsm_storage::wal::SyncMode;
 use lsm_storage::{StoreOptions, WriteRecord};
@@ -185,5 +187,96 @@ fn wal_rotation_failpoints_keep_manifest_consistent() {
                 "failpoint {crash_at}: acked ts {ts} lost across rotation"
             );
         }
+    }
+}
+
+/// A flush that crashes after writing its tables, before its manifest
+/// record is durable, leaves tables no version names. Reopening removes
+/// exactly those: the directory's tables are the recovered version's,
+/// and every acknowledged record reads back.
+#[test]
+fn reopen_sweeps_the_tables_of_a_flush_that_never_committed() {
+    let dir = Path::new("/db");
+    let flush = |store: &Store, keys: std::ops::Range<u64>| {
+        let wal = store.rotate_wal().unwrap();
+        let entries = keys.clone().map(|i| {
+            let r = record(i);
+            (r.key, r.ts, r.kind, r.value)
+        });
+        let mut it = lsm_storage::iter::VecIterator::new(entries.collect());
+        store.flush_memtable(&mut it, 0, keys.end, wal)
+    };
+    // Flush A commits; flush B runs with `crash_at` armed, if given.
+    // Returns how many crash points B passed before its manifest
+    // append, and whether B failed.
+    let run = |fault: &FaultEnv, crash_at: Option<u64>| {
+        let (store, _) = Store::open(dir, test_opts(fault)).unwrap();
+        let log = |keys: std::ops::Range<u64>| {
+            for i in keys {
+                store.log(&[record(i)], SyncMode::Sync).unwrap();
+            }
+        };
+        log(0..OPS / 2);
+        flush(&store, 0..OPS / 2).unwrap();
+        log(OPS / 2..OPS);
+        let history_len = fault.history().len();
+        if let Some(n) = crash_at {
+            fault.crash_after(n);
+        }
+        let failed = flush(&store, OPS / 2..OPS).is_err();
+        let ops: Vec<_> = fault.history()[history_len..]
+            .iter()
+            .filter(|op| !matches!(op, FaultOp::Remove(_)))
+            .cloned()
+            .collect();
+        let manifest_append = ops.iter().position(
+            |op| matches!(op, FaultOp::Write(p, _) if p.to_string_lossy().contains("MANIFEST")),
+        );
+        (manifest_append.unwrap() as u64, failed)
+    };
+
+    let tables_on_disk = |fault: &FaultEnv| -> BTreeSet<u64> {
+        let names = fault.list(dir).unwrap();
+        let kinds = names
+            .iter()
+            .filter_map(|name| filenames::parse_file_name(name));
+        kinds
+            .filter_map(|kind| match kind {
+                FileKind::Table(n) => Some(n),
+                _ => None,
+            })
+            .collect()
+    };
+
+    let (manifest_append, failed) = run(&FaultEnv::new(0x5ee9), None);
+    assert!(!failed);
+    let fault = FaultEnv::new(0x5ee9);
+    assert!(
+        run(&fault, Some(manifest_append + 1)).1,
+        "flush B committed"
+    );
+    fault.power_loss();
+    let left_behind = tables_on_disk(&fault);
+
+    let (store, recovered) = Store::open(dir, test_opts(&fault)).unwrap();
+    let named: BTreeSet<u64> = store
+        .current_version()
+        .levels
+        .iter()
+        .flatten()
+        .map(|f| f.number)
+        .collect();
+    assert!(!named.is_empty() && left_behind.is_superset(&named));
+    assert!(left_behind.len() > named.len(), "flush B wrote no table");
+    assert_eq!(tables_on_disk(&fault), named);
+    let replayed: BTreeSet<u64> = recovered.records.iter().map(|r| r.ts).collect();
+    for i in 0..OPS {
+        let r = record(i);
+        let flushed = store.get(&r.key, u64::MAX >> 1).unwrap();
+        assert!(
+            flushed.is_some_and(|(ts, _, v)| ts == r.ts && v == r.value)
+                || replayed.contains(&r.ts),
+            "acked record {i} lost"
+        );
     }
 }

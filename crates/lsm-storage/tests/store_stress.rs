@@ -1,12 +1,13 @@
 //! Stress and configuration-matrix tests of the disk substrate, and the
-//! ownership rules of open table readers: each table opens once, on
-//! first touch; a trivial move keeps its reader; a reader closes when no
-//! version, claim or iterator names its table any more.
+//! ownership rules of table files: each table opens once, on first
+//! touch; a trivial move keeps its reader and its file; a reader closes,
+//! and a removed table's file goes, when no version, claim or iterator
+//! names the table any more; only `Store::open` lists the directory.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
 
 use clsm_util::env::{Env, RandomAccessFile, RealEnv, WritableFile};
 use clsm_util::error::Result;
@@ -94,10 +95,20 @@ struct Handles {
 type HandleCounts = Arc<Mutex<HashMap<u64, Handles>>>;
 
 /// A [`RealEnv`] that counts `open_read` calls and live read handles
-/// per table number.
+/// per table number, `remove` calls per file name, and `list` calls.
 #[derive(Debug, Default)]
 struct HandleCountingEnv {
     tables: HandleCounts,
+    removes: Mutex<HashMap<String, u64>>,
+    lists: AtomicU64,
+}
+
+impl HandleCountingEnv {
+    /// How often the table numbered `number` was removed.
+    fn removes_of(&self, number: u64) -> u64 {
+        let name = format!("{number:06}.sst");
+        self.removes.lock().get(&name).copied().unwrap_or(0)
+    }
 }
 
 struct CountedFile {
@@ -149,10 +160,13 @@ impl Env for HandleCountingEnv {
     }
 
     fn remove(&self, path: &Path) -> Result<()> {
+        let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+        *self.removes.lock().entry(name).or_default() += 1;
         RealEnv.remove(path)
     }
 
     fn list(&self, dir: &Path) -> Result<Vec<String>> {
+        self.lists.fetch_add(1, Ordering::Relaxed);
         RealEnv.list(dir)
     }
 
@@ -169,12 +183,10 @@ impl Env for HandleCountingEnv {
     }
 }
 
-/// A store on a [`HandleCountingEnv`], and that env's counts.
-fn counted_store(dir: &TempDir, opts: StoreOptions) -> (Store, HandleCounts) {
-    let env = Arc::new(HandleCountingEnv::default());
-    let tables = Arc::clone(&env.tables);
-    let (store, _) = Store::open(&dir.0, StoreOptions { env, ..opts }).unwrap();
-    (store, tables)
+/// A store on `env`.
+fn counted_store(dir: &TempDir, env: &Arc<HandleCountingEnv>, opts: StoreOptions) -> Store {
+    let env = Arc::clone(env) as Arc<dyn Env>;
+    Store::open(&dir.0, StoreOptions { env, ..opts }).unwrap().0
 }
 
 /// Table numbers per level of the current version.
@@ -205,7 +217,8 @@ fn gets_from_two_threads_open_each_table_exactly_once() {
     let dir = TempDir::new("open-once");
     let mut opts = tiny_opts();
     opts.table_file_size = 1024; // many small tables
-    let (store, tables) = counted_store(&dir, opts);
+    let env = Arc::new(HandleCountingEnv::default());
+    let store = counted_store(&dir, &env, opts);
     flush(&store, 0..900, 1);
     let numbers = table_numbers(&store)[0].clone();
     assert!(numbers.len() >= 20, "{} tables", numbers.len());
@@ -239,7 +252,7 @@ fn gets_from_two_threads_open_each_table_exactly_once() {
         }
     });
 
-    let tables = tables.lock();
+    let tables = env.tables.lock();
     for n in &numbers {
         assert_eq!(tables[n], Handles { opened: 1, live: 1 }, "table {n}");
     }
@@ -249,7 +262,8 @@ fn gets_from_two_threads_open_each_table_exactly_once() {
 #[test]
 fn a_trivial_move_opens_nothing() {
     let dir = TempDir::new("trivial-move");
-    let (store, tables) = counted_store(&dir, tiny_opts());
+    let env = Arc::new(HandleCountingEnv::default());
+    let store = counted_store(&dir, &env, tiny_opts());
     // One table, opened by a get, then moved to L1.
     flush(&store, 0..10, 1);
     let opened = table_numbers(&store)[0][0];
@@ -261,53 +275,108 @@ fn a_trivial_move_opens_nothing() {
     let untouched = table_numbers(&store)[0][0];
     store.compact_level_range(0, b"", b"\xff", 0).unwrap();
     assert_eq!(table_numbers(&store)[1], vec![opened, untouched]);
-    assert!(!tables.lock().contains_key(&untouched));
+    assert!(!env.tables.lock().contains_key(&untouched));
 
     // The moved reader serves gets at L1 as it did at L0.
     assert!(store.get(b"key000007", u64::MAX >> 1).unwrap().is_some());
-    assert_eq!(tables.lock()[&opened], Handles { opened: 1, live: 1 });
+    assert_eq!(env.tables.lock()[&opened], Handles { opened: 1, live: 1 });
+    // A move takes nothing out of the tree: neither file goes.
+    store.remove_obsolete_files();
+    assert_eq!((env.removes_of(opened), env.removes_of(untouched)), (0, 0));
 }
 
 #[test]
 fn a_compactions_inputs_close_once_nothing_names_them() {
     let dir = TempDir::new("inputs-close");
-    let (store, tables) = counted_store(&dir, tiny_opts());
-    // Two overlapping L0 tables, both opened; an iterator holds them.
+    let env = Arc::new(HandleCountingEnv::default());
+    let store = counted_store(&dir, &env, tiny_opts());
+    // Two overlapping L0 tables, both opened; a scan holds them.
     flush(&store, 0..20, 1);
     flush(&store, 10..30, 1000);
     let inputs = table_numbers(&store)[0].clone();
     assert_eq!(inputs.len(), 2);
     store.verify_integrity().unwrap();
-    let iters = store.iterators().unwrap();
+    let scan = store.version_iterators().unwrap();
 
     store.compact_level_range(0, b"", b"\xff", 0).unwrap();
     let outputs = table_numbers(&store)[1].clone();
     assert!(!outputs.is_empty() && outputs.iter().all(|n| !inputs.contains(n)));
+    store.remove_obsolete_files();
     for n in &inputs {
-        assert_eq!(live_handles(&tables).get(n), Some(&1), "input {n} in use");
+        assert_eq!(
+            live_handles(&env.tables).get(n),
+            Some(&1),
+            "input {n} in use"
+        );
+        assert_eq!(env.removes_of(*n), 0, "input {n} removed under a scan");
     }
 
-    // The replaced version is reclaimed through the epoch scheme, so
-    // run its collector until the inputs' readers are gone.
-    drop(iters);
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while inputs.iter().any(|n| live_handles(&tables).contains_key(n)) {
-        assert!(Instant::now() < deadline, "inputs still open");
-        clsm_util::epoch::collect();
-        std::thread::sleep(Duration::from_millis(1));
+    // The scan's end lists the inputs; the next pass removes each once.
+    drop(scan);
+    store.remove_obsolete_files();
+    for n in &inputs {
+        assert_eq!(env.removes_of(*n), 1, "input {n}");
+        assert!(!filenames::table_path(&dir.0, *n).exists());
     }
 
     // One reader per table the current version names, and no other.
     store.verify_integrity().unwrap();
     let expected: HashMap<u64, u64> = outputs.iter().map(|&n| (n, 1)).collect();
-    assert_eq!(live_handles(&tables), expected);
+    assert_eq!(live_handles(&env.tables), expected);
+}
+
+/// Only `Store::open` lists the directory; every table removed is one
+/// the tree no longer names, removed once; and closing and reopening a
+/// store removes nothing its manifest names.
+#[test]
+fn only_open_lists_and_only_garbage_is_removed() {
+    let dir = TempDir::new("no-list");
+    let env = Arc::new(HandleCountingEnv::default());
+    let store = counted_store(&dir, &env, tiny_opts());
+    assert_eq!(env.lists.load(Ordering::Relaxed), 1);
+    let mut compactions = 0;
+    for round in 0..12u64 {
+        let base = (round % 3) * 100;
+        flush(&store, base..base + 150, round * 1000 + 1);
+        while store.maybe_compact(u64::MAX >> 1).unwrap() {
+            compactions += 1;
+        }
+    }
+    assert!(compactions >= 10, "{compactions} compactions");
+    assert_eq!(
+        env.lists.load(Ordering::Relaxed),
+        1,
+        "a job listed the directory"
+    );
+    store.remove_obsolete_files();
+    let named: HashSet<u64> = table_numbers(&store).into_iter().flatten().collect();
+    let removes = env.removes.lock().clone();
+    assert!(!removes.is_empty(), "no garbage removed");
+    for (name, count) in &removes {
+        assert_eq!(*count, 1, "{name} removed {count} times");
+        if let Some(FileKind::Table(n)) = filenames::parse_file_name(name) {
+            assert!(!named.contains(&n), "live table {name} removed");
+        }
+    }
+    drop(store);
+
+    let store = counted_store(&dir, &env, tiny_opts());
+    assert_eq!(*env.removes.lock(), removes, "reopening removed a file");
+    assert_eq!(
+        table_numbers(&store)
+            .into_iter()
+            .flatten()
+            .collect::<HashSet<_>>(),
+        named
+    );
+    assert!(store.verify_integrity().unwrap() > 0);
 }
 
 #[test]
 fn concurrent_flush_and_compaction_stress() {
     // Hammer the store with flushes from one thread while two others
-    // run compactions; the pending-outputs and claim machinery must
-    // keep every read valid throughout.
+    // run compactions; claims and delete-on-last-reference must keep
+    // every read valid throughout.
     let dir = TempDir::new("concurrent");
     let (store, _) = Store::open(&dir.0, tiny_opts()).unwrap();
     let store = Arc::new(store);

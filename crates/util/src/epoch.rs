@@ -188,6 +188,19 @@ pub fn collect() {
     }
 }
 
+/// Collects until every deferral made before this call has run (or is
+/// running on another collecting thread). Must not be called while
+/// pinned: the epoch could never advance past the caller.
+pub fn synchronize() {
+    let done = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&done);
+    defer(move || flag.store(true, SeqCst));
+    while !done.load(SeqCst) {
+        collect();
+        std::thread::yield_now();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +260,19 @@ mod tests {
         drop(guard);
         let freed2 = Arc::clone(&freed);
         collect_until(move || freed2.load(SeqCst) == 1);
+    }
+
+    #[test]
+    fn synchronize_runs_every_earlier_deferral() {
+        let freed = Arc::new(AtomicUsize::new(0));
+        for _ in 0..3 {
+            let freed = Arc::clone(&freed);
+            defer(move || {
+                freed.fetch_add(1, SeqCst);
+            });
+        }
+        synchronize();
+        assert_eq!(freed.load(SeqCst), 3);
     }
 
     #[test]
