@@ -108,7 +108,9 @@ impl Db {
     /// and opens on its own.
     pub fn open(path: &Path, opts: impl Into<Options>) -> Result<Db> {
         let mut db = Db::open_stepped(path, opts)?;
-        db.workers = spawn_workers(&db.inner);
+        // On a failed spawn, dropping `db` stops and joins the threads
+        // that did start.
+        spawn_workers(&db.inner, &mut db.workers)?;
         Ok(db)
     }
 

@@ -149,20 +149,20 @@ impl DbInner {
 }
 
 /// Starts the flush thread and `opts.compaction_threads` compaction
-/// threads.
-pub(crate) fn spawn_workers(inner: &Arc<DbInner>) -> Vec<JoinHandle<()>> {
+/// threads, adding each to `workers` as it starts. Stops at the first
+/// thread that cannot be spawned and returns that error.
+pub(crate) fn spawn_workers(inner: &Arc<DbInner>, workers: &mut Vec<JoinHandle<()>>) -> Result<()> {
     let compactors =
         (0..inner.opts.compaction_threads).map(|i| (format!("clsm-compact-{i}"), Job::Compact));
-    std::iter::once(("clsm-flush".to_owned(), Job::Flush))
-        .chain(compactors)
-        .map(|(name, job)| {
-            let inner = Arc::clone(inner);
+    for (name, job) in std::iter::once(("clsm-flush".to_owned(), Job::Flush)).chain(compactors) {
+        let inner = Arc::clone(inner);
+        workers.push(
             std::thread::Builder::new()
                 .name(name)
-                .spawn(move || background_loop(&inner, job))
-                .expect("spawn a background thread")
-        })
-        .collect()
+                .spawn(move || background_loop(&inner, job))?,
+        );
+    }
+    Ok(())
 }
 
 /// A background thread: runs `serves` jobs as they fall due until

@@ -1,10 +1,10 @@
 //! Background work as jobs: the stepped scheduler, quiescence beside a
 //! writer, and the error policy of a failed job.
 
-use std::collections::BTreeMap;
-use std::path::Path;
+use std::collections::{BTreeMap, HashMap};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use clsm::{Db, Job, Options};
@@ -381,5 +381,231 @@ fn a_committed_flush_does_not_fail_on_garbage_removal() {
     assert_eq!(db.level_file_counts()[0], 2, "a memtable was merged twice");
     for k in 0..20 {
         assert_eq!(db.get(&key(k)).unwrap(), Some(b"round 3".to_vec()));
+    }
+}
+
+/// What [`FailFirstTableSync`] saw, in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TableEvent {
+    /// A table opened for writing.
+    Opened(u64),
+    /// The injected failure of a table's sync.
+    SyncFailed(u64),
+}
+
+/// A [`FaultEnv`] whose first table `sync` fails, once, without
+/// poisoning anything else. It notes every table it opens for writing
+/// and the failed sync in order, counts each file's removals, and
+/// counts the read handles open on each table.
+#[derive(Debug, Clone)]
+struct FailFirstTableSync {
+    fault: FaultEnv,
+    armed: Arc<AtomicBool>,
+    events: Arc<Mutex<Vec<TableEvent>>>,
+    removes: Arc<Mutex<HashMap<PathBuf, u64>>>,
+    read_handles: Arc<Mutex<HashMap<u64, u64>>>,
+}
+
+impl FailFirstTableSync {
+    fn new(seed: u64) -> Self {
+        FailFirstTableSync {
+            fault: FaultEnv::new(seed),
+            armed: Arc::new(AtomicBool::new(true)),
+            events: Arc::default(),
+            removes: Arc::default(),
+            read_handles: Arc::default(),
+        }
+    }
+}
+
+fn table_number(path: &Path) -> Option<u64> {
+    let name = path.file_name()?.to_str()?;
+    name.strip_suffix(".sst")?.parse().ok()
+}
+
+struct FailingSyncTable {
+    inner: Box<dyn WritableFile>,
+    number: u64,
+    env: FailFirstTableSync,
+}
+
+impl WritableFile for FailingSyncTable {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        self.inner.append(data)
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.inner.flush()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        if self.env.armed.swap(false, SeqCst) {
+            let failed = TableEvent::SyncFailed(self.number);
+            self.env.events.lock().unwrap().push(failed);
+            return Err(Error::from(std::io::Error::other(
+                "injected table sync failure",
+            )));
+        }
+        self.inner.sync()
+    }
+}
+
+struct CountedReadHandle {
+    inner: Box<dyn RandomAccessFile>,
+    number: u64,
+    read_handles: Arc<Mutex<HashMap<u64, u64>>>,
+}
+
+impl RandomAccessFile for CountedReadHandle {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.inner.read_at(offset, buf)
+    }
+
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
+}
+
+impl Drop for CountedReadHandle {
+    fn drop(&mut self) {
+        *self
+            .read_handles
+            .lock()
+            .unwrap()
+            .get_mut(&self.number)
+            .unwrap() -= 1;
+    }
+}
+
+impl Env for FailFirstTableSync {
+    fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
+        let inner = self.fault.open_write(path)?;
+        let Some(number) = table_number(path) else {
+            return Ok(inner);
+        };
+        self.events.lock().unwrap().push(TableEvent::Opened(number));
+        Ok(Box::new(FailingSyncTable {
+            inner,
+            number,
+            env: self.clone(),
+        }))
+    }
+
+    fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
+        let inner = self.fault.open_read(path)?;
+        let Some(number) = table_number(path) else {
+            return Ok(inner);
+        };
+        *self.read_handles.lock().unwrap().entry(number).or_default() += 1;
+        Ok(Box::new(CountedReadHandle {
+            inner,
+            number,
+            read_handles: Arc::clone(&self.read_handles),
+        }))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        self.fault.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        *self
+            .removes
+            .lock()
+            .unwrap()
+            .entry(path.to_path_buf())
+            .or_default() += 1;
+        self.fault.remove(path)
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<String>> {
+        self.fault.list(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        self.fault.sync_dir(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> Result<()> {
+        self.fault.create_dir_all(dir)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.fault.exists(path)
+    }
+}
+
+/// A flush whose first output fails to sync, while the merge is still
+/// writing the outputs after it: the job fails and `P'm` stays parked;
+/// the merge stops within one table of the failure; the failed job's
+/// tables are removed once, by its own removal pass, and none is left
+/// open; the retry merges the same `P'm` and loses no acked write.
+#[test]
+fn a_failed_table_sync_fails_the_flush_and_leaves_nothing_behind() {
+    let env = FailFirstTableSync::new(0x5eed);
+    let dir = Path::new("/failed-sync");
+    let mut opts = stepped_options(&env.fault);
+    opts.memtable_bytes = 64 * 1024;
+    opts.store.env = Arc::new(env.clone());
+    let db = Db::open_stepped(dir, opts.clone()).unwrap();
+    let value = |i: u64| format!("value-{i:05}-").into_bytes().repeat(8);
+    let mut acked = 0;
+    while !db.due_jobs().contains(&Job::Flush) {
+        db.put(&key(acked), &value(acked)).unwrap();
+        acked += 1;
+    }
+
+    db.run_job(Job::Flush).unwrap_err();
+    assert!(db.doctor().immutable_pending, "P'm was not kept");
+    assert_eq!(db.level_file_counts()[0], 0);
+    assert_eq!(db.metrics().counters["db.background_errors"], 1);
+    let events = env.events.lock().unwrap().clone();
+    let outputs: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TableEvent::Opened(n) => Some(n),
+            TableEvent::SyncFailed(_) => None,
+        })
+        .collect();
+    let failed_at = events
+        .iter()
+        .position(|e| matches!(e, TableEvent::SyncFailed(_)))
+        .expect("no table sync failed");
+    assert!(outputs.len() > 1, "the merge went on past the first table");
+    assert_eq!(events[failed_at], TableEvent::SyncFailed(outputs[0]));
+    let opened_after = events.len() - failed_at - 1;
+    assert!(
+        opened_after <= 1,
+        "{opened_after} tables opened after the failed sync: {events:?}"
+    );
+    let removed = |n: u64| {
+        let path = dir.join(format!("{n:06}.sst"));
+        env.removes.lock().unwrap().get(&path).copied().unwrap_or(0)
+    };
+    let read_handles = |n: u64| {
+        let handles = env.read_handles.lock().unwrap();
+        handles.get(&n).copied().unwrap_or(0)
+    };
+    for &n in &outputs {
+        assert_eq!(removed(n), 1, "table {n} of the failed flush");
+        assert_eq!(read_handles(n), 0, "table {n} of the failed flush");
+        assert!(!env.fault.exists(&dir.join(format!("{n:06}.sst"))));
+    }
+
+    assert!(db.run_job(Job::Flush).unwrap());
+    assert!(!db.doctor().immutable_pending, "P'm still parked");
+    assert!(db.level_file_counts()[0] > 0);
+    for &n in &outputs {
+        assert_eq!(removed(n), 1, "table {n} of the failed flush");
+    }
+    for i in 0..acked {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
+    db.verify_integrity().unwrap();
+    drop(db);
+
+    let db = Db::open_stepped(dir, opts).unwrap();
+    for i in 0..acked {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "reopened key {i}");
     }
 }

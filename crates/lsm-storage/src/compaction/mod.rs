@@ -15,6 +15,7 @@
 //! inputs exclusively, so concurrent compactions work on disjoint files.
 
 use std::path::Path;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 
 use clsm_util::error::Result;
@@ -253,6 +254,13 @@ pub fn run(
 ///
 /// Also used by the memtable flush path (`output_level = 0`,
 /// `drop_tombstones = false`).
+///
+/// The merge runs on the calling thread. Each full table goes to a
+/// finisher thread, which writes its filter, index and footer and
+/// syncs it while the merge streams into the next table. The hand-off
+/// holds one table, so a job is never more than one table ahead of
+/// durability, and the finisher is joined before this returns: no
+/// version edit ever names a table that is not yet synced.
 pub fn write_merged_tables(
     it: &mut dyn InternalIterator,
     dir: &Path,
@@ -262,7 +270,40 @@ pub fn write_merged_tables(
     drop_tombstones: bool,
     alloc_file_number: &mut dyn FnMut() -> u64,
 ) -> Result<Vec<NewFile>> {
-    let mut outputs: Vec<NewFile> = Vec::new();
+    std::thread::scope(|scope| {
+        let (to_finisher, full_tables) = mpsc::sync_channel(1);
+        let finisher = std::thread::Builder::new()
+            .name("clsm-finisher".to_owned())
+            .spawn_scoped(scope, move || finish_tables(full_tables, output_level))?;
+        let merged = merge_into_tables(
+            it,
+            dir,
+            opts,
+            watermark,
+            drop_tombstones,
+            alloc_file_number,
+            to_finisher,
+        );
+        let finished = finisher
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        merged.and(finished)
+    })
+}
+
+/// The merge half of [`write_merged_tables`]: streams `it` into tables
+/// and hands each full one, with its number, to the finisher over
+/// `to_finisher`. Returns `Ok` early once the finisher has stopped:
+/// its error is the job's.
+fn merge_into_tables(
+    it: &mut dyn InternalIterator,
+    dir: &Path,
+    opts: &StoreOptions,
+    watermark: u64,
+    drop_tombstones: bool,
+    alloc_file_number: &mut dyn FnMut() -> u64,
+    to_finisher: SyncSender<(u64, TableBuilder)>,
+) -> Result<()> {
     let mut builder: Option<(u64, TableBuilder)> = None;
 
     let mut prev_key: Vec<u8> = Vec::new();
@@ -312,8 +353,10 @@ pub fn write_merged_tables(
                 .is_some_and(|(_, b)| b.current_size() >= opts.table_file_size)
                 && !same_key;
             if should_roll {
-                let (number, b) = builder.take().expect("checked above");
-                finish_output(number, b, output_level, &mut outputs)?;
+                let output = builder.take().expect("checked above");
+                if to_finisher.send(output).is_err() {
+                    return Ok(());
+                }
             }
             if builder.is_none() {
                 let number = alloc_file_number();
@@ -336,30 +379,31 @@ pub fn write_merged_tables(
     }
     it.status()?;
 
-    if let Some((number, b)) = builder.take() {
-        finish_output(number, b, output_level, &mut outputs)?;
+    if let Some(output) = builder {
+        // A send that fails means the finisher stopped on an error.
+        let _ = to_finisher.send(output);
     }
-    Ok(outputs)
+    Ok(())
 }
 
-fn finish_output(
-    number: u64,
-    builder: TableBuilder,
-    level: usize,
-    outputs: &mut Vec<NewFile>,
-) -> Result<()> {
-    if builder.num_entries() == 0 {
-        return Ok(());
-    }
-    let summary = builder.finish()?;
-    outputs.push(NewFile {
-        level: level as u32,
-        number,
-        file_size: summary.file_size,
-        smallest: summary.smallest,
-        largest: summary.largest,
-    });
-    Ok(())
+/// The finisher half of [`write_merged_tables`]: finishes each table in
+/// the order it arrives and returns them in that order. Stops at the
+/// first error, dropping the tables still queued, which makes the
+/// merge's next hand-off fail.
+fn finish_tables(full_tables: Receiver<(u64, TableBuilder)>, level: usize) -> Result<Vec<NewFile>> {
+    full_tables
+        .into_iter()
+        .map(|(number, builder)| {
+            let summary = builder.finish()?;
+            Ok(NewFile {
+                level: level as u32,
+                number,
+                file_size: summary.file_size,
+                smallest: summary.smallest,
+                largest: summary.largest,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

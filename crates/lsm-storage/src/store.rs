@@ -270,7 +270,7 @@ impl Store {
         // retired only after the next flush.
         let wal_number = versions.new_file_number();
         let wal_file = env.open_write(&filenames::wal_path(dir, wal_number))?;
-        let wal = LogQueue::start(LogWriter::new(wal_file));
+        let wal = LogQueue::spawn(LogWriter::new(wal_file))?;
 
         let obsolete = Arc::clone(versions.obsolete_files());
         obsolete.lock().extend(sweep);

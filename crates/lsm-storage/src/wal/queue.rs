@@ -138,8 +138,15 @@ pub struct LogQueue {
 }
 
 impl LogQueue {
-    /// Starts a logger thread over `writer`.
+    /// Starts a logger thread over `writer`. Panics if the thread
+    /// cannot be spawned; [`LogQueue::spawn`] returns that as an error.
     pub fn start(writer: LogWriter) -> Self {
+        Self::spawn(writer).expect("spawn logger thread")
+    }
+
+    /// Starts a logger thread over `writer`, or fails if the thread
+    /// cannot be spawned.
+    pub fn spawn(writer: LogWriter) -> Result<Self> {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 pending: Vec::new(),
@@ -161,12 +168,11 @@ impl LogQueue {
             .spawn({
                 let shared = Arc::clone(&shared);
                 move || logger_loop(writer, &shared)
-            })
-            .expect("spawn logger thread");
-        LogQueue {
+            })?;
+        Ok(LogQueue {
             shared,
             logger: Some(logger),
-        }
+        })
     }
 
     /// Appends a serialized record.

@@ -1,12 +1,17 @@
-//! A thread-local counting allocator for the cost-budget tests. Each
-//! test binary that declares `mod common;` installs it as its global
-//! allocator.
+//! A counting allocator for the cost-budget tests. Each test binary
+//! that declares `mod common;` installs it as its global allocator.
+//! Not every binary uses every helper.
+#![allow(dead_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Counts allocations made by threads that opted in, each on its own
-/// counter, so background threads and other tests do not disturb it.
+/// counter, so background threads and other tests do not disturb it;
+/// and, while switched on, every thread's allocations on one
+/// process-wide counter.
 struct ThreadCountingAlloc;
 
 thread_local! {
@@ -14,7 +19,13 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+static COUNTING_ALL: AtomicBool = AtomicBool::new(false);
+static ALL_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
 fn note_allocation() {
+    if COUNTING_ALL.load(Relaxed) {
+        ALL_ALLOCATIONS.fetch_add(1, Relaxed);
+    }
     // `try_with`: allocations during thread teardown find the slots gone.
     let _ = COUNTING.try_with(|on| {
         if on.get() {
@@ -61,4 +72,21 @@ pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let out = f();
     COUNTING.with(|on| on.set(false));
     (out, ALLOCATIONS.with(Cell::get))
+}
+
+/// Allocations every thread in the process makes while `f` runs: for
+/// work that hands part of itself to threads of its own. Hold
+/// [`one_at_a_time`] around it, or the binary's other tests count too.
+pub fn process_allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALL_ALLOCATIONS.store(0, Relaxed);
+    COUNTING_ALL.store(true, Relaxed);
+    let out = f();
+    COUNTING_ALL.store(false, Relaxed);
+    (out, ALL_ALLOCATIONS.load(Relaxed))
+}
+
+/// Serializes a binary's tests, for counters that are process-wide.
+pub fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -2,7 +2,9 @@
 //!
 //! - Building tables allocates per block, not per entry: the flush and
 //!   compaction writer stays at or under 0.75 allocations per entry for
-//!   1 KiB values (four entries to a 4 KiB block).
+//!   1 KiB values (four entries to a 4 KiB block). It counts every
+//!   thread, the one that finishes each table included, so the tests
+//!   here take turns.
 //! - Compaction reads each input front to back in large sequential
 //!   chunks: a ~2 MiB table takes at most 16 `read_at` calls, where a
 //!   block-at-a-time reader needs one per 4 KiB block.
@@ -20,7 +22,7 @@ use clsm_repro::storage::iter::VecIterator;
 use clsm_repro::storage::{InternalIterator, Store, StoreOptions, ValueKind};
 use clsm_repro::util::env::{Env, RandomAccessFile, RealEnv, WritableFile};
 use clsm_repro::util::error::Result;
-use common::allocations_in;
+use common::{one_at_a_time, process_allocations_in};
 
 /// A [`RealEnv`] that counts `read_at` calls on table files.
 #[derive(Debug, Default)]
@@ -105,6 +107,7 @@ fn entries(n: u64) -> Vec<(Vec<u8>, u64, ValueKind, Vec<u8>)> {
 #[test]
 fn building_tables_allocates_per_block_not_per_entry() {
     const N: u64 = 20_000;
+    let _turn = one_at_a_time();
     let dir = tmpdir("alloc");
     let opts = StoreOptions::default();
     let mut it = VecIterator::new(entries(N));
@@ -114,7 +117,7 @@ fn building_tables_allocates_per_block_not_per_entry() {
         next_number += 1;
         next_number
     };
-    let (files, allocations) = allocations_in(|| {
+    let (files, allocations) = process_allocations_in(|| {
         write_merged_tables(&mut it, &dir, &opts, 1, 0, false, &mut alloc_number).unwrap()
     });
     assert!(files.len() > 1, "the stream rolls over several tables");
@@ -128,6 +131,7 @@ fn building_tables_allocates_per_block_not_per_entry() {
 
 #[test]
 fn compaction_reads_in_chunks_and_leaves_the_block_cache_alone() {
+    let _turn = one_at_a_time();
     let dir = tmpdir("reads");
     let env = Arc::new(CountingEnv::default());
     let reads = Arc::clone(&env.table_reads);

@@ -15,20 +15,13 @@
 mod common;
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use clsm_repro::storage::compaction::write_merged_tables;
 use clsm_repro::storage::iter::VecIterator;
 use clsm_repro::storage::wal::SyncMode;
 use clsm_repro::storage::{InternalIterator, Store, StoreOptions, ValueKind};
 use clsm_repro::util::env::RealEnv;
-use common::allocations_in;
-
-/// Serializes the tests: the syscall counters are process-wide.
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    static TURN: Mutex<()> = Mutex::new(());
-    TURN.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use common::{allocations_in, one_at_a_time};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wal-costs-{}-{name}", std::process::id()));
