@@ -19,8 +19,9 @@
 //!   for a CPU, and the flush of that oversized `P'm` outlasts every
 //!   headroom.
 //! - *L0 behind*: L0 holds at least twice
-//!   `StoreOptions::l0_compaction_trigger` files (8 by default).
-//!   Every version install re-evaluates the bit.
+//!   `StoreOptions::l0_compaction_trigger` sorted runs (8 by default;
+//!   a flush adds one run, however many tables it writes). Every
+//!   version install re-evaluates the bit.
 //!
 //! A filling `Pm` with no flush in flight is never delayed: the flush
 //! it will need has not started, so there is nothing to be behind.
@@ -78,7 +79,7 @@ pub enum Stage {
     None,
     /// `P'm` is still being merged into L0.
     Flush,
-    /// L0 holds at least twice the compaction trigger's files.
+    /// L0 holds at least twice the compaction trigger's sorted runs.
     L0,
 }
 

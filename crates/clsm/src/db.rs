@@ -166,11 +166,14 @@ impl Db {
         // registry is owned by `DbInner`.
         inner.store.attach_metrics(&inner.metrics.registry);
         type Read = fn(&DbInner) -> i64;
-        let gauges: [(&str, Read); 4] = [
+        let gauges: [(&str, Read); 5] = [
             ("oracle.live_snapshots", |i| i.snapshots.len() as i64),
             ("oracle.active_writes", |i| i.oracle.active().len() as i64),
             ("oracle.snap_time", |i| i.oracle.snap_time() as i64),
             ("db.memtable_bytes", |i| i.pm.load().memory_usage() as i64),
+            ("storage.l0_runs", |i| {
+                i.store.current_version().l0_runs().len() as i64
+            }),
         ];
         for (name, read) in gauges {
             let weak = Arc::downgrade(&inner);
@@ -762,9 +765,9 @@ impl DbInner {
     /// at open. Two installers racing can leave the bit one install
     /// stale; the next install corrects it.
     pub(crate) fn note_version(&self) {
-        let l0_files = self.store.current_version().num_files(0);
+        let l0_runs = self.store.current_version().l0_runs().len();
         let limit = 2 * self.opts.store.l0_compaction_trigger;
-        self.flow.set(L0_BEHIND, l0_files >= limit);
+        self.flow.set(L0_BEHIND, l0_runs >= limit);
         let mut state = self.jobs.lock();
         state.installs += 1;
         self.jobs_cv.notify_all();

@@ -23,6 +23,10 @@ pub struct LevelGeometry {
     pub level: usize,
     /// Number of table files in the level.
     pub files: usize,
+    /// Number of sorted runs those files form: L0 counts its own (a
+    /// flush adds one), and a deeper level is one run when it holds
+    /// any file.
+    pub runs: usize,
     /// Total bytes across those files.
     pub bytes: u64,
 }
@@ -90,16 +94,19 @@ impl Db {
     /// Gathers a [`DoctorReport`] from the running database.
     pub fn doctor(&self) -> DoctorReport {
         let inner = &self.inner;
-        let files = inner.store.level_file_counts();
-        let bytes = inner.store.level_byte_sizes();
-        let levels = files
-            .iter()
-            .zip(&bytes)
-            .enumerate()
-            .map(|(level, (&files, &bytes))| LevelGeometry {
-                level,
-                files,
-                bytes,
+        let version = inner.store.current_version();
+        let levels = (0..inner.opts.store.num_levels)
+            .map(|level| {
+                let files = version.num_files(level);
+                LevelGeometry {
+                    level,
+                    files,
+                    runs: match level {
+                        0 => version.l0_runs().len(),
+                        _ => usize::from(files > 0),
+                    },
+                    bytes: version.level_bytes(level),
+                }
             })
             .collect();
         DoctorReport {
@@ -132,7 +139,8 @@ impl DoctorReport {
     /// Renders the report as the text `clsm-doctor` prints.
     ///
     /// Line formats are stable enough to grep: level lines match
-    /// `L<n>: <files> files, <bytes> bytes`.
+    /// `L<n>: <files> files, <bytes> bytes`, and L0's reads
+    /// `L0: <files> files in <runs> runs, <bytes> bytes`.
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -156,7 +164,15 @@ impl DoctorReport {
             self.wal_number, self.wal_queue_bytes
         );
         for l in &self.levels {
-            let _ = writeln!(out, "  L{}: {} files, {} bytes", l.level, l.files, l.bytes);
+            let runs = match l.level {
+                0 => format!(" in {} runs", l.runs),
+                _ => String::new(),
+            };
+            let _ = writeln!(
+                out,
+                "  L{}: {} files{runs}, {} bytes",
+                l.level, l.files, l.bytes
+            );
         }
         match self.oldest_snapshot_ts {
             Some(ts) => {

@@ -609,3 +609,52 @@ fn a_failed_table_sync_fails_the_flush_and_leaves_nothing_behind() {
         assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "reopened key {i}");
     }
 }
+
+/// L0 is counted in sorted runs: a flush of several tables is one run,
+/// and the doctor, the `storage.l0_runs` gauge and the compaction
+/// trigger all count it once.
+#[test]
+fn a_flush_is_one_l0_run_however_many_tables_it_writes() {
+    let env = FaultEnv::new(0x10_4a5);
+    let mut opts = stepped_options(&env);
+    opts.memtable_bytes = 16 * 1024;
+    opts.store.base_level_bytes = 1 << 20;
+    let db = Db::open_stepped(Path::new("/l0-runs"), opts).unwrap();
+    let flush = |db: &Db| {
+        for k in 0..200 {
+            db.put(&key(k), &[7; 64]).unwrap();
+        }
+        assert!(db.run_job(Job::Flush).unwrap());
+    };
+    let l0 = |db: &Db| {
+        let report = db.doctor();
+        let gauge = db.metrics().gauges["storage.l0_runs"];
+        assert_eq!(gauge as usize, report.levels[0].runs);
+        (report.levels[0].files, report.levels[0].runs)
+    };
+
+    flush(&db);
+    let (files, runs) = l0(&db);
+    assert!(files > 1, "a flush of {files} table(s)");
+    assert_eq!(runs, 1);
+    assert!(
+        db.doctor()
+            .render()
+            .contains(&format!("L0: {files} files in 1 runs")),
+        "{}",
+        db.doctor().render()
+    );
+    // Three more flushes of the same keys make four runs: the trigger.
+    for n in 2..=3 {
+        flush(&db);
+        assert_eq!(l0(&db).1, n);
+        assert!(
+            !db.run_job(Job::Compact).unwrap(),
+            "compacted below the trigger"
+        );
+    }
+    flush(&db);
+    assert_eq!(l0(&db).1, 4);
+    assert!(db.run_job(Job::Compact).unwrap());
+    assert_eq!(l0(&db), (0, 0));
+}

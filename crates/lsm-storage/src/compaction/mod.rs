@@ -10,7 +10,8 @@
 //! oldest-snapshot rule, as LevelDB does).
 //!
 //! This module alone chooses what merges next: [`pick`] for background
-//! work (the most pressured level's single largest file, or all of L0),
+//! work (the most pressured level's single largest file, or all of L0
+//! by sorted run),
 //! [`pick_level_range`] for manual range compactions. Both claim their
 //! inputs exclusively, so concurrent compactions work on disjoint files.
 
@@ -34,8 +35,9 @@ use crate::version::{
 pub struct CompactionTask {
     /// Source level.
     pub level: usize,
-    /// Input files at `level`.
-    pub base: Vec<Arc<FileMeta>>,
+    /// Input files at `level` as sorted runs, newest first: every run
+    /// of L0, or one run of files from a deeper level.
+    pub base: Vec<Vec<Arc<FileMeta>>>,
     /// Overlapping input files at `level + 1`.
     pub parent: Vec<Arc<FileMeta>>,
     /// RAII claim marking every input `being_compacted`.
@@ -56,7 +58,7 @@ impl CompactionTask {
         let at = |level: usize| {
             move |f: &Arc<FileMeta>| version.levels[level].iter().any(|g| Arc::ptr_eq(f, g))
         };
-        self.base.iter().all(at(self.level)) && self.parent.iter().all(at(self.level + 1))
+        self.base.iter().flatten().all(at(self.level)) && self.parent.iter().all(at(self.level + 1))
     }
 }
 
@@ -64,7 +66,7 @@ impl std::fmt::Debug for CompactionTask {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompactionTask")
             .field("level", &self.level)
-            .field("base", &self.base.len())
+            .field("base_runs", &self.base.len())
             .field("parent", &self.parent.len())
             .finish()
     }
@@ -82,9 +84,13 @@ pub fn max_bytes_for_level(opts: &StoreOptions, level: usize) -> u64 {
 }
 
 /// Compaction pressure of `level` in `version` (≥ 1.0 ⇒ should run).
+/// L0 counts sorted runs against the trigger, and its bytes against
+/// L1's budget: a sequential load is one run however large it grows.
 pub fn level_score(version: &Version, opts: &StoreOptions, level: usize) -> f64 {
     if level == 0 {
-        version.num_files(0) as f64 / opts.l0_compaction_trigger as f64
+        let runs = version.l0_runs().len() as f64 / opts.l0_compaction_trigger as f64;
+        let bytes = version.level_bytes(0) as f64 / opts.base_level_bytes as f64;
+        runs.max(bytes)
     } else if level + 1 >= opts.num_levels {
         0.0 // the last level never compacts further down
     } else {
@@ -109,16 +115,16 @@ pub fn pick(version: &Version, opts: &StoreOptions) -> Option<CompactionTask> {
     }
     let (level, _) = best?;
     let base = if level == 0 {
-        // All L0 files: they may overlap each other, so a partial pick
+        // All of L0: its runs may overlap each other, so a partial pick
         // could break the "newer level ⇒ newer versions" invariant.
-        version.levels[0].clone()
+        version.l0_runs().to_vec()
     } else {
         // One file at a time, largest first (the first of equals),
         // keeps work bounded.
         let largest = version.levels[level]
             .iter()
             .min_by_key(|f| std::cmp::Reverse(f.file_size))?;
-        vec![Arc::clone(largest)]
+        vec![vec![Arc::clone(largest)]]
     };
     claim(version, level, base)
 }
@@ -137,25 +143,24 @@ pub fn pick_level_range(
     if level + 1 >= opts.num_levels {
         return None;
     }
-    let mut base = version.overlapping_files(level, smallest, largest);
-    if level == 0 && !base.is_empty() {
-        // L0 files overlap each other: a partial pick would break the
+    let mut base = vec![version.overlapping_files(level, smallest, largest)];
+    if level == 0 && !base[0].is_empty() {
+        // L0 runs overlap each other: a partial pick would break the
         // newer-files-hold-newer-versions invariant, so take all of L0
         // whenever any L0 file intersects the range.
-        base = version.levels[0].clone();
+        base = version.l0_runs().to_vec();
     }
     claim(version, level, base)
 }
 
-/// Claims `base` (files of `level`) together with every file of
+/// Claims `base` (runs of `level`) together with every file of
 /// `level + 1` overlapping their user-key range, or `None` when `base`
 /// is empty or one of the inputs is already claimed.
-fn claim(version: &Version, level: usize, base: Vec<Arc<FileMeta>>) -> Option<CompactionTask> {
-    let smallest = base.iter().map(|f| f.smallest_user_key()).min()?;
-    let largest = base.iter().map(|f| f.largest_user_key()).max()?;
+fn claim(version: &Version, level: usize, base: Vec<Vec<Arc<FileMeta>>>) -> Option<CompactionTask> {
+    let smallest = base.iter().flatten().map(|f| f.smallest_user_key()).min()?;
+    let largest = base.iter().flatten().map(|f| f.largest_user_key()).max()?;
     let parent = version.overlapping_files(level + 1, smallest, largest);
-    let mut all = base.clone();
-    all.extend(parent.iter().cloned());
+    let all = base.iter().flatten().chain(&parent).cloned().collect();
     let claim = CompactionClaim::try_claim(all)?;
     Some(CompactionTask {
         level,
@@ -183,47 +188,28 @@ pub fn run(
     let output_level = task.level + 1;
     let bottom = output_level == opts.num_levels - 1;
 
-    // Trivial move: a single base file with no parent overlap can be
-    // reassigned to the next level without rewriting any bytes (its
-    // `FileMeta` and open reader move with it, see `Builder::apply`).
-    if task.base.len() == 1 && task.parent.is_empty() && !bottom {
-        let f = &task.base[0];
+    // Trivial move: a base that is one sorted run, with nothing in the
+    // next level inside its span, is reassigned to that level without
+    // rewriting any bytes (each `FileMeta` and its open reader move
+    // with it, see `Builder::apply`).
+    if let ([run], [], false) = (task.base.as_slice(), task.parent.as_slice(), bottom) {
         return Ok(VersionEdit {
-            deleted_files: vec![(task.level as u32, f.number)],
-            new_files: vec![NewFile {
-                level: output_level as u32,
-                number: f.number,
-                file_size: f.file_size,
-                smallest: f.smallest.clone(),
-                largest: f.largest.clone(),
-            }],
+            deleted_files: run.iter().map(|f| (task.level as u32, f.number)).collect(),
+            new_files: run
+                .iter()
+                .map(|f| NewFile {
+                    level: output_level as u32,
+                    number: f.number,
+                    file_size: f.file_size,
+                    smallest: f.smallest.clone(),
+                    largest: f.largest.clone(),
+                })
+                .collect(),
             ..Default::default()
         });
     }
 
-    // Build the merged input stream (newest component first: L0 files
-    // are already newest-first in the version). Every input is read
-    // once, front to back, in checksummed chunks that bypass the block
-    // cache: these tables are deleted when the merge commits, so caching
-    // their blocks would only evict blocks that gets still need.
-    let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-    if task.level == 0 {
-        for f in &task.base {
-            children.push(Box::new(f.table(opener)?.one_pass_iter()));
-        }
-    } else {
-        children.push(Box::new(LevelIter::one_pass(
-            Arc::clone(opener),
-            task.base.clone(),
-        )));
-    }
-    if !task.parent.is_empty() {
-        children.push(Box::new(LevelIter::one_pass(
-            Arc::clone(opener),
-            task.parent.clone(),
-        )));
-    }
-    let mut merged = MergingIterator::new(children);
+    let mut merged = merge_inputs(task, opener);
     merged.seek_to_first();
 
     let new_files = write_merged_tables(
@@ -240,13 +226,32 @@ pub fn run(
         new_files,
         ..Default::default()
     };
-    for f in &task.base {
+    for f in task.base.iter().flatten() {
         edit.deleted_files.push((task.level as u32, f.number));
     }
     for f in &task.parent {
         edit.deleted_files.push((output_level as u32, f.number));
     }
     Ok(edit)
+}
+
+/// The merged input stream of `task`: one child per base run, newest
+/// first, then one for the parent files. Every input is read once,
+/// front to back, in checksummed chunks that bypass the block cache:
+/// these tables are deleted when the merge commits, so caching their
+/// blocks would only evict blocks that gets still need.
+pub(crate) fn merge_inputs(task: &CompactionTask, opener: &Arc<TableOpener>) -> MergingIterator {
+    let parent = (!task.parent.is_empty()).then_some(&task.parent);
+    let children = task
+        .base
+        .iter()
+        .chain(parent)
+        .map(|files| {
+            Box::new(LevelIter::one_pass(Arc::clone(opener), files.clone()))
+                as Box<dyn InternalIterator>
+        })
+        .collect();
+    MergingIterator::new(children)
 }
 
 /// Streams a sorted internal iterator into one or more tables at

@@ -267,9 +267,9 @@ fn pick_respects_claims_and_trigger() {
     })
     .unwrap();
     let v = set.current();
-    let task = pick(&v, &opts).expect("two L0 files at trigger 2");
+    let task = pick(&v, &opts).expect("two L0 runs at trigger 2");
     assert_eq!(task.level, 0);
-    assert_eq!(task.base.len(), 2);
+    assert_eq!(task.base.len(), 2, "overlapping files are two runs");
     // While claimed, picking again yields nothing.
     assert!(pick(&v, &opts).is_none());
     drop(task);
@@ -327,8 +327,11 @@ fn over_budget_level_picks_its_single_largest_file() {
     assert!(level_score(&v, &opts, 1) >= 1.0);
     let task = pick(&v, &opts).expect("L1 is over budget");
     assert_eq!(task.level, 1);
-    assert_eq!(task.base.len(), 1, "one file, not the whole level");
-    assert_eq!(task.base[0].number, 11);
+    assert_eq!(
+        numbers(&task.base.concat()),
+        vec![11],
+        "one file, not the whole level"
+    );
     assert_eq!(task.parent.len(), 1, "only the overlapping L2 file");
     assert_eq!(task.parent[0].number, 20);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -353,7 +356,7 @@ fn manual_l0_pick_takes_all_of_l0_when_any_file_overlaps() {
     );
     let task = pick_level_range(&v, &opts, 0, b"a", b"b").expect("file 10 overlaps");
     assert_eq!(task.level, 0);
-    let mut base = numbers(&task.base);
+    let mut base = numbers(&task.base.concat());
     base.sort();
     assert_eq!(
         base,
@@ -384,11 +387,11 @@ fn manual_deeper_pick_takes_only_overlapping_files_and_their_parents() {
         ],
     );
     let task = pick_level_range(&v, &opts, 1, b"e", b"e").expect("file 31 overlaps");
-    assert_eq!(numbers(&task.base), vec![31]);
+    assert_eq!(numbers(&task.base.concat()), vec![31]);
     assert_eq!(numbers(&task.parent), vec![40]);
     drop(task);
     let task = pick_level_range(&v, &opts, 1, b"c", b"d").expect("files 30, 31 overlap");
-    assert_eq!(numbers(&task.base), vec![30, 31]);
+    assert_eq!(numbers(&task.base.concat()), vec![30, 31]);
     assert_eq!(numbers(&task.parent), vec![40]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -112,6 +112,12 @@ impl MergingIterator {
         }
     }
 
+    /// Number of merged children: the fan-in every emitted entry is
+    /// chosen from.
+    pub fn num_children(&self) -> usize {
+        self.children.len()
+    }
+
     fn find_smallest(&mut self) {
         let mut best: Option<usize> = None;
         for (i, child) in self.children.iter().enumerate() {

@@ -51,7 +51,9 @@ pub struct StoreOptions {
     pub table_file_size: u64,
     /// Byte budget of the block cache (0 disables it).
     pub block_cache_bytes: usize,
-    /// Number of L0 files that triggers a compaction.
+    /// Number of L0 sorted runs that triggers a compaction. A run is a
+    /// set of L0 files with disjoint key ranges, contiguous in age; a
+    /// flush adds one, however many tables it writes.
     pub l0_compaction_trigger: usize,
     /// Byte budget of L1; deeper levels get `level_multiplier`× more.
     pub base_level_bytes: u64,
@@ -540,8 +542,15 @@ impl Store {
         let committed = self.commit(|alloc| {
             let edit = compaction::run(&task, &self.tables, &self.opts, watermark, alloc)?;
             // Both byte counts move before the version is visible, so a
-            // reader that sees the version sees them agree.
-            let written = edit.new_files.iter().map(|f| f.file_size).sum::<u64>();
+            // reader that sees the version sees them agree. A table the
+            // edit only moves down wrote no byte.
+            let moved = |number| edit.deleted_files.iter().any(|&(_, n)| n == number);
+            let written = edit
+                .new_files
+                .iter()
+                .filter(|f| !moved(f.number))
+                .map(|f| f.file_size)
+                .sum::<u64>();
             self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
             if let Some(m) = self.metrics.get() {
                 m.bytes_compacted.add(written);
@@ -703,7 +712,8 @@ impl Store {
         Ok(true)
     }
 
-    /// Full integrity scan: walks every table in the current version
+    /// Full integrity scan: checks the version's layout
+    /// ([`Version::check_invariants`]), then walks every table in it
     /// end-to-end, validating per-block checksums and internal key
     /// order. Returns the number of entries checked.
     ///
@@ -713,6 +723,7 @@ impl Store {
     /// the block cache, so a scan neither evicts nor warms what gets use.
     pub fn verify_integrity(&self) -> Result<u64> {
         let version = self.current_version();
+        version.check_invariants()?;
         let mut checked = 0u64;
         for level in &version.levels {
             for file in level {

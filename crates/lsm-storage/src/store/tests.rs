@@ -327,3 +327,110 @@ fn a_pick_from_a_replaced_version_is_refused() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// An L0→L1 merge reads each flush as one sorted run: over N flushes of
+/// random keys it merges N + 1 children (one per run and one for L1),
+/// however many tables each flush wrote.
+#[test]
+fn an_l0_merge_has_one_child_per_flush_and_one_for_l1() {
+    let dir = tmpdir("fan-in");
+    let (store, _) = Store::open(&dir, small_opts()).unwrap();
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut ts = 0u64;
+    let mut flush_random = || {
+        // Random keys plus both ends of the key space, so each flush
+        // overlaps the one before it wherever its tables split.
+        let mut keys: Vec<u64> = vec![0, 9_999];
+        for _ in 0..300 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            keys.push(rng % 10_000);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        let entries = keys
+            .iter()
+            .map(|k| {
+                ts += 1;
+                (
+                    format!("key{k:06}").into_bytes(),
+                    ts,
+                    ValueKind::Put,
+                    vec![b'v'; 24],
+                )
+            })
+            .collect();
+        let wal = store.rotate_wal().unwrap();
+        store
+            .flush_memtable(&mut VecIterator::new(entries), 0, ts, wal)
+            .unwrap();
+    };
+    flush_random();
+    store.compact_level_range(0, b"", b"~", 0).unwrap();
+    assert_eq!(store.level_file_counts()[0], 0);
+    const N: usize = 5;
+    for _ in 0..N {
+        flush_random();
+    }
+    let version = store.current_version();
+    assert_eq!(version.l0_runs().len(), N);
+    assert!(
+        version.num_files(0) > N + 1,
+        "each flush should write several tables: {}",
+        version.num_files(0)
+    );
+    let task = compaction::pick_level_range(&version, &store.opts, 0, b"", b"~").unwrap();
+    assert!(!task.parent.is_empty());
+    let merge = compaction::merge_inputs(&task, &store.tables);
+    assert_eq!(merge.num_children(), N + 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A sequential load's L0 is one sorted run with nothing below its
+/// span: it reaches L1 by its bytes, not its run count, and moves down
+/// whole, every table keeping its number and no byte rewritten.
+#[test]
+fn a_sequential_load_moves_down_without_being_rewritten() {
+    let dir = tmpdir("seq-move");
+    let (store, _) = Store::open(&dir, small_opts()).unwrap();
+    let registry = MetricsRegistry::new();
+    store.attach_metrics(&registry);
+    let compacted = || registry.snapshot().counters["storage.bytes_compacted"];
+    let mut next = 0u64;
+    let mut load = |store: &Store| {
+        while store.current_version().level_bytes(0) < store.opts.base_level_bytes {
+            let wal = store.rotate_wal().unwrap();
+            let mut it = VecIterator::new(put_entries(next..next + 200));
+            store.flush_memtable(&mut it, 0, next + 200, wal).unwrap();
+            next += 200;
+        }
+    };
+    for round in 1..=2 {
+        load(&store);
+        let l0 = store.current_version();
+        assert_eq!(l0.l0_runs().len(), 1, "round {round}");
+        assert!(l0.num_files(0) > 1);
+        assert!(store.needs_compaction(), "L0's bytes are over L1's budget");
+        let tree = |v: &Version| {
+            let mut numbers: Vec<u64> = v.levels.iter().flatten().map(|f| f.number).collect();
+            numbers.sort_unstable();
+            numbers
+        };
+        let before = tree(&l0);
+        while store.maybe_compact(0).unwrap() {}
+        let after = store.current_version();
+        assert_eq!(after.num_files(0), 0, "round {round}");
+        assert_eq!(tree(&after), before, "round {round}: a table was rewritten");
+        assert_eq!(store.write_amp().compacted, 0);
+        assert_eq!(compacted(), 0);
+    }
+    for i in (0..next).step_by(97) {
+        let key = format!("key{i:06}");
+        assert!(
+            store.get(key.as_bytes(), u64::MAX >> 1).unwrap().is_some(),
+            "{key}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

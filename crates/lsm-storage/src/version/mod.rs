@@ -129,6 +129,9 @@ pub struct Version {
     /// Files per level. L0 is sorted by file number descending (newest
     /// first); L1+ are sorted by smallest key with disjoint ranges.
     pub levels: Vec<Vec<Arc<FileMeta>>>,
+    /// L0 partitioned into sorted runs, newest run first (see
+    /// [`Version::l0_runs`]). Computed once, when the version is built.
+    l0_runs: Vec<Vec<Arc<FileMeta>>>,
 }
 
 impl Version {
@@ -136,11 +139,28 @@ impl Version {
     pub fn empty() -> Version {
         Version {
             levels: (0..NUM_LEVELS).map(|_| Vec::new()).collect(),
+            l0_runs: Vec::new(),
         }
     }
 
+    /// L0 as sorted runs, newest first. Each run is sorted by smallest
+    /// key, its files' user-key ranges are pairwise disjoint, and every
+    /// file of a run is newer than every file of the next run, so the
+    /// first run holding a key holds its newest versions.
+    pub fn l0_runs(&self) -> &[Vec<Arc<FileMeta>>] {
+        &self.l0_runs
+    }
+
+    /// Every sorted run, newest first: the L0 runs, then each deeper
+    /// level. A run holds a user key in at most one file.
+    fn sorted_runs(&self) -> impl Iterator<Item = &Vec<Arc<FileMeta>>> {
+        self.l0_runs.iter().chain(&self.levels[1..])
+    }
+
     /// Point lookup across all levels: the newest version of `user_key`
-    /// with timestamp `<= max_ts`. Each table probed is reached through
+    /// with timestamp `<= max_ts`. A binary search probes at most one
+    /// file per sorted run, and runs are searched newest first, so the
+    /// first hit is the answer. Each table probed is reached through
     /// the [`FileMeta`] naming it, without a lock or a shared write.
     pub fn get(
         &self,
@@ -148,24 +168,11 @@ impl Version {
         user_key: &[u8],
         max_ts: u64,
     ) -> Result<Option<(u64, ValueKind, Vec<u8>)>> {
-        // L0: files may overlap; search newest-first. Any hit is the
-        // newest visible version because newer L0 files hold strictly
-        // newer versions of a key than older ones.
-        for file in &self.levels[0] {
-            if user_key < file.smallest_user_key() || user_key > file.largest_user_key() {
+        for run in self.sorted_runs() {
+            let idx = run.partition_point(|f| f.largest_user_key() < user_key);
+            let Some(file) = run.get(idx) else {
                 continue;
-            }
-            if let Some(hit) = file.table(opener)?.get(user_key, max_ts)? {
-                return Ok(Some(hit));
-            }
-        }
-        // L1+: disjoint ranges; at most one candidate file per level.
-        for level in &self.levels[1..] {
-            let idx = level.partition_point(|f| f.largest_user_key() < user_key);
-            if idx >= level.len() {
-                continue;
-            }
-            let file = &level[idx];
+            };
             if user_key < file.smallest_user_key() {
                 continue;
             }
@@ -176,19 +183,53 @@ impl Version {
         Ok(None)
     }
 
-    /// Iterators over every file/level, newest component first, for use
-    /// in a [`crate::MergingIterator`].
+    /// One iterator per sorted run, newest run first, for use in a
+    /// [`crate::MergingIterator`].
     pub fn iterators(&self, opener: &Arc<TableOpener>) -> Result<Vec<BoxedIterator>> {
-        let mut out: Vec<BoxedIterator> = Vec::new();
-        for file in &self.levels[0] {
-            out.push(Box::new(file.table(opener)?.iter()));
-        }
-        for level in &self.levels[1..] {
-            if !level.is_empty() {
-                out.push(Box::new(LevelIter::new(Arc::clone(opener), level.clone())));
+        Ok(self
+            .sorted_runs()
+            .filter(|run| !run.is_empty())
+            .map(|run| Box::new(LevelIter::new(Arc::clone(opener), run.clone())) as BoxedIterator)
+            .collect())
+    }
+
+    /// Checks the layout every reader relies on: the files of each L0
+    /// run are sorted and pairwise disjoint, the runs hold all of L0 and
+    /// are contiguous in age, and each deeper level is sorted and
+    /// disjoint.
+    pub fn check_invariants(&self) -> Result<()> {
+        let disjoint_sorted = |files: &[Arc<FileMeta>]| {
+            files
+                .windows(2)
+                .all(|w| w[0].largest_user_key() < w[1].smallest_user_key())
+        };
+        for (i, run) in self.l0_runs.iter().enumerate() {
+            if !disjoint_sorted(run) {
+                return Err(Error::corruption(format!("L0 run {i} overlaps itself")));
             }
         }
-        Ok(out)
+        // (oldest, newest) file number of each run.
+        let ages: Vec<(u64, u64)> = self
+            .l0_runs
+            .iter()
+            .map(|run| {
+                run.iter().fold((u64::MAX, 0), |(lo, hi), f| {
+                    (lo.min(f.number), hi.max(f.number))
+                })
+            })
+            .collect();
+        if ages.windows(2).any(|w| w[0].0 <= w[1].1) {
+            return Err(Error::corruption("L0 runs are not contiguous in age"));
+        }
+        if self.l0_runs.iter().map(Vec::len).sum::<usize>() != self.levels[0].len() {
+            return Err(Error::corruption("L0 runs do not hold exactly L0"));
+        }
+        for (level, files) in self.levels.iter().enumerate().skip(1) {
+            if !disjoint_sorted(files) {
+                return Err(Error::corruption(format!("L{level} overlaps itself")));
+            }
+        }
+        Ok(())
     }
 
     /// Files in `level` whose user-key range intersects
@@ -506,10 +547,42 @@ impl Builder {
         for level in &mut self.levels[1..] {
             level.sort_by(|a, b| crate::format::compare_internal_keys(&a.smallest, &b.smallest));
         }
-        Version {
+        let version = Version {
+            l0_runs: partition_l0(&self.levels[0]),
             levels: self.levels,
+        };
+        if cfg!(debug_assertions) {
+            if let Err(e) = version.check_invariants() {
+                panic!("built an invalid version: {e}");
+            }
+        }
+        version
+    }
+}
+
+/// Partitions L0, given newest first, into sorted runs. A file joins the
+/// run being built when its user-key range is disjoint from every file
+/// already in it, end keys included; otherwise it starts the next run.
+/// Runs are thus contiguous in age. Joining any earlier run it fits in
+/// instead would let an older file answer a `get` before a newer one.
+fn partition_l0(l0: &[Arc<FileMeta>]) -> Vec<Vec<Arc<FileMeta>>> {
+    let mut runs: Vec<Vec<Arc<FileMeta>>> = Vec::new();
+    for f in l0 {
+        // The run stays sorted by smallest key: `idx` is the first file
+        // not wholly below `f`, and `f` fits if it is wholly below that.
+        let slot = runs.last_mut().and_then(|run| {
+            let idx = run.partition_point(|g| g.largest_user_key() < f.smallest_user_key());
+            let fits = run
+                .get(idx)
+                .is_none_or(|g| f.largest_user_key() < g.smallest_user_key());
+            fits.then_some((run, idx))
+        });
+        match slot {
+            Some((run, idx)) => run.insert(idx, Arc::clone(f)),
+            None => runs.push(vec![Arc::clone(f)]),
         }
     }
+    runs
 }
 
 /// A condition variable claim-release waiters park on. The releasing

@@ -408,3 +408,85 @@ fn a_trivial_move_keeps_the_open_reader_and_a_rewrite_does_not() {
     assert!(unopened.table.get().is_none());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The file numbers of each L0 run, newest run first.
+fn run_numbers(v: &Version) -> Vec<Vec<u64>> {
+    v.l0_runs()
+        .iter()
+        .map(|run| run.iter().map(|f| f.number).collect())
+        .collect()
+}
+
+#[test]
+fn l0_runs_are_contiguous_in_age_so_a_newer_file_answers_first() {
+    let dir = tmpdir("runs");
+    let put = |k: &'static [u8], ts: u64, v: &'static [u8]| (k, ts, ValueKind::Put, v);
+    // Newest first: F3 = [a..c], F2 = [b..z], F1 = [x..z]. F1 is
+    // disjoint from F3 but overlaps F2.
+    let f3 = build_table(&dir, 3, 0, &[put(b"a", 30, b"f3"), put(b"c", 31, b"f3")]);
+    let f2 = build_table(
+        &dir,
+        2,
+        0,
+        &[
+            put(b"b", 20, b"f2"),
+            put(b"y", 21, b"f2"),
+            put(b"z", 22, b"f2"),
+        ],
+    );
+    let f1 = build_table(
+        &dir,
+        1,
+        0,
+        &[
+            put(b"x", 10, b"f1"),
+            put(b"y", 11, b"f1"),
+            put(b"z", 12, b"f1"),
+        ],
+    );
+    let (mut set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
+    let v = set
+        .log_and_apply(VersionEdit {
+            new_files: vec![f1, f2, f3],
+            ..Default::default()
+        })
+        .unwrap();
+    let runs = run_numbers(&v);
+    assert_eq!(runs, vec![vec![3], vec![2], vec![1]]);
+    v.check_invariants().unwrap();
+
+    let opener = opener_for(&dir);
+    let (ts, _, val) = v.get(&opener, b"y", u64::MAX >> 1).unwrap().unwrap();
+    assert_eq!(
+        (ts, val.as_slice()),
+        (21, &b"f2"[..]),
+        "a stale version won"
+    );
+    let (ts, _, val) = v.get(&opener, b"x", u64::MAX >> 1).unwrap().unwrap();
+    assert_eq!((ts, val.as_slice()), (10, &b"f1"[..]));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_flush_of_disjoint_tables_is_one_run_sorted_by_key() {
+    let dir = tmpdir("one-run");
+    let put = |k: &'static [u8], ts: u64| (k, ts, ValueKind::Put, &b"v"[..]);
+    // Tables 1–3 have disjoint key ranges, as one flush writes them.
+    let a = build_table(&dir, 1, 0, &[put(b"a", 1), put(b"b", 2)]);
+    let c = build_table(&dir, 2, 0, &[put(b"c", 3), put(b"d", 4)]);
+    let e = build_table(&dir, 3, 0, &[put(b"e", 5), put(b"f", 6)]);
+    // Table 4 shares only the end key `f` with table 3: a newer run.
+    let f = build_table(&dir, 4, 0, &[put(b"f", 7)]);
+    let (mut set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
+    let v = set
+        .log_and_apply(VersionEdit {
+            new_files: vec![a, c, e, f],
+            ..Default::default()
+        })
+        .unwrap();
+    let runs = run_numbers(&v);
+    assert_eq!(runs, vec![vec![4], vec![1, 2, 3]]);
+    let order: Vec<u64> = v.levels[0].iter().map(|f| f.number).collect();
+    assert_eq!(order, vec![4, 3, 2, 1], "L0 itself stays newest first");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -332,7 +332,13 @@ fn a_compactions_inputs_close_once_nothing_names_them() {
 fn only_open_lists_and_only_garbage_is_removed() {
     let dir = TempDir::new("no-list");
     let env = Arc::new(HandleCountingEnv::default());
-    let store = counted_store(&dir, &env, tiny_opts());
+    // One flush is one sorted run: a trigger of one run compacts after
+    // every flush.
+    let opts = StoreOptions {
+        l0_compaction_trigger: 1,
+        ..tiny_opts()
+    };
+    let store = counted_store(&dir, &env, opts.clone());
     assert_eq!(env.lists.load(Ordering::Relaxed), 1);
     let mut compactions = 0;
     for round in 0..12u64 {
@@ -360,7 +366,7 @@ fn only_open_lists_and_only_garbage_is_removed() {
     }
     drop(store);
 
-    let store = counted_store(&dir, &env, tiny_opts());
+    let store = counted_store(&dir, &env, opts);
     assert_eq!(*env.removes.lock(), removes, "reopening removed a file");
     assert_eq!(
         table_numbers(&store)
@@ -487,6 +493,8 @@ fn minimum_level_configuration() {
     let dir = TempDir::new("two-levels");
     let mut opts = tiny_opts();
     opts.num_levels = 2;
+    // Each flush is one sorted run: compact after every one.
+    opts.l0_compaction_trigger = 1;
     let (store, _) = Store::open(&dir.0, opts).unwrap();
     for round in 0..5u64 {
         let wal = store.rotate_wal().unwrap();
