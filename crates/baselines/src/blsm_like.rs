@@ -73,9 +73,7 @@ impl BlsmLike {
 
 impl KvStore for BlsmLike {
     fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        // Single-writer, gear-throttled per operation; `disable_wal`
-        // is ignored (baselines always log).
-        opts.validate()?;
+        // Single-writer, gear-throttled per operation.
         for (key, value) in batch.iter() {
             self.write_one(key, value.as_deref())?;
         }

@@ -117,9 +117,7 @@ impl BaselineCore {
     }
 
     /// Durability wait for an explicit `WriteOptions::sync` request,
-    /// on top of whatever `maybe_sync` already did. The baselines
-    /// always log — `disable_wal` is accepted but ignored, since the
-    /// WAL is integral to every modeled system.
+    /// on top of whatever `maybe_sync` already did.
     pub(crate) fn sync_if_requested(&self, opts: &clsm_kv::WriteOptions) -> Result<()> {
         if opts.sync && !self.sync_writes {
             self.store.sync_wal()?;
@@ -246,7 +244,7 @@ impl BaselineCore {
                 || !self.mem.load().is_empty()
                 || self.imm.load().is_some()
                 || self.store.needs_compaction();
-            if let Some(e) = self.store.wal_poisoned() {
+            if let Some(e) = self.store.poisoned() {
                 return Err(e);
             }
             if !busy {

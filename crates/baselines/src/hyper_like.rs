@@ -72,9 +72,7 @@ impl HyperLike {
 
 impl KvStore for HyperLike {
     fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        // Each operation rides the ordered-commit pipeline on its own;
-        // `disable_wal` is ignored (baselines always log).
-        opts.validate()?;
+        // Each operation rides the ordered-commit pipeline on its own.
         for (key, value) in batch.iter() {
             self.write_one(key, value.as_deref())?;
         }

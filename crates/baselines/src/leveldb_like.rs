@@ -69,8 +69,7 @@ impl LevelDbLike {
 impl KvStore for LevelDbLike {
     fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
         // LevelDB-style writes funnel one at a time through the global
-        // mutex; `disable_wal` is ignored (baselines always log).
-        opts.validate()?;
+        // mutex.
         for (key, value) in batch.iter() {
             self.write_one(key, value.as_deref())?;
         }

@@ -48,7 +48,6 @@ impl<S: KvStore> Partitioned<S> {
 
 impl<S: KvStore> KvStore for Partitioned<S> {
     fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        opts.validate()?;
         // One sub-batch per touched partition, keeping whatever batch
         // atomicity the child provides *within* a partition. A batch
         // that spans partitions is not atomic as a whole — the §2.2

@@ -60,9 +60,7 @@ impl RocksLike {
 
 impl KvStore for RocksLike {
     fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        // Writes funnel through the writer queue one at a time;
-        // `disable_wal` is ignored (baselines always log).
-        opts.validate()?;
+        // Writes funnel through the writer queue one at a time.
         for (key, value) in batch.iter() {
             self.write_one(key, value.as_deref())?;
         }

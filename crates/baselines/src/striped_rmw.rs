@@ -59,7 +59,6 @@ impl StripedRmw {
 
 impl KvStore for StripedRmw {
     fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        opts.validate()?;
         // Each operation takes its key's stripe so writes serialize
         // against RMW on the same key, as the baseline prescribes.
         for (key, value) in batch.iter() {

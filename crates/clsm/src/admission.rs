@@ -18,10 +18,10 @@
 //!   host overfill `Pm` several times over while the flush worker waits
 //!   for a CPU, and the flush of that oversized `P'm` outlasts every
 //!   headroom.
-//! - *L0 behind*: L0 holds at least twice
-//!   `StoreOptions::l0_compaction_trigger` sorted runs (8 by default;
-//!   a flush adds one run, however many tables it writes). Every
-//!   version install re-evaluates the bit.
+//! - *L0 behind*: L0 holds 8 sorted runs or more, twice the 4 that
+//!   make it due (a flush adds one run, however many tables it
+//!   writes). `lsm_storage::compaction::l0_is_behind` owns both
+//!   numbers; every version install re-evaluates the bit through it.
 //!
 //! A filling `Pm` with no flush in flight is never delayed: the flush
 //! it will need has not started, so there is nothing to be behind.
@@ -79,7 +79,8 @@ pub enum Stage {
     None,
     /// `P'm` is still being merged into L0.
     Flush,
-    /// L0 holds at least twice the compaction trigger's sorted runs.
+    /// L0 holds 8 sorted runs or more, twice the 4 that make it due
+    /// (`lsm_storage::compaction::l0_is_behind`).
     L0,
 }
 

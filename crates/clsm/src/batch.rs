@@ -47,19 +47,4 @@ mod tests {
         drop(db);
         std::fs::remove_dir_all(&dir).unwrap();
     }
-
-    #[test]
-    fn contradictory_options_are_rejected() {
-        let dir = tmpdir("opts");
-        let db = Db::open(&dir, Options::small_for_tests()).unwrap();
-        let mut batch = WriteBatch::new();
-        batch.put(b"k".as_slice(), b"v".as_slice());
-        let bad = WriteOptions {
-            sync: true,
-            disable_wal: true,
-        };
-        assert!(db.write(batch, &bad).is_err());
-        drop(db);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 }

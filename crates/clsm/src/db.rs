@@ -17,6 +17,7 @@ use clsm_util::shared_lock::SharedExclusiveLock;
 use clsm_util::trace::{now_ns, TraceId};
 
 use clsm_kv::{WriteBatch, WriteOptions};
+use lsm_storage::compaction;
 use lsm_storage::format::ValueKind;
 use lsm_storage::store::RecoveryReport;
 use lsm_storage::wal::SyncMode;
@@ -201,13 +202,13 @@ impl Db {
     ///
     /// An empty batch is a no-op. Multi-op batches are atomic: no
     /// snapshot ever observes a strict subset, and recovery replays
-    /// them all-or-nothing.
+    /// them all-or-nothing. Once a manifest or WAL write has failed,
+    /// every write fails with that error (`Store::poisoned`).
     pub fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::Relaxed) {
             return Err(Error::ShuttingDown);
         }
-        opts.validate()?;
         if batch.is_empty() {
             return Ok(());
         }
@@ -219,19 +220,19 @@ impl Db {
         }
         let began = Instant::now();
         let (count, latency) = if let [(key, value)] = batch.ops() {
-            self.write_one(key, value.as_deref(), opts.disable_wal)?;
+            self.write_one(key, value.as_deref())?;
             if value.is_some() {
                 (&inner.metrics.puts, &inner.metrics.put_latency)
             } else {
                 (&inner.metrics.deletes, &inner.metrics.delete_latency)
             }
         } else {
-            self.write_batch_exclusive(batch.into_ops(), opts.disable_wal)?;
+            self.write_batch_exclusive(batch.into_ops())?;
             // One bump per batch, matching the historical counter
             // semantics.
             (&inner.metrics.puts, &inner.metrics.write_batch_latency)
         };
-        if opts.sync || (inner.opts.sync_writes && !opts.disable_wal) {
+        if opts.sync || inner.opts.sync_writes {
             inner.wait_durable()?;
         }
         inner.maybe_schedule_flush();
@@ -256,9 +257,9 @@ impl Db {
     }
 
     /// Algorithm 2's `put`, for one put or delete.
-    fn write_one(&self, key: &[u8], value: Option<&[u8]>, disable_wal: bool) -> Result<()> {
+    fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         let inner = &self.inner;
-        inner.admit_write((key.len() + value.map_or(0, <[u8]>::len)) as u64);
+        inner.admit_write((key.len() + value.map_or(0, <[u8]>::len)) as u64)?;
         let wp = &inner.metrics.write_path;
 
         {
@@ -298,16 +299,11 @@ impl Db {
             let loop_ns = now_ns().saturating_sub(loop_start);
             wp.rec_stamp(stamp_ns);
             wp.rec_memtable(loop_ns.saturating_sub(stamp_ns));
-            let logged = if disable_wal {
-                Ok(())
-            } else {
-                let wal_start = now_ns();
-                let r = inner
-                    .store
-                    .log_writes([(stamp.ts, key, value)], SyncMode::Async);
-                wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
-                r
-            };
+            let wal_start = now_ns();
+            let logged = inner
+                .store
+                .log_writes([(stamp.ts, key, value)], SyncMode::Async);
+            wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
             let publish_start = now_ns();
             inner.oracle.publish(stamp);
             wp.rec_publish(now_ns().saturating_sub(publish_start));
@@ -322,17 +318,13 @@ impl Db {
     /// batch draws one timestamp block — one `Active` slot however many
     /// entries it has — and becomes visible to snapshots at the single
     /// block publish.
-    fn write_batch_exclusive(
-        &self,
-        batch: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-        disable_wal: bool,
-    ) -> Result<()> {
+    fn write_batch_exclusive(&self, batch: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Result<()> {
         let inner = &self.inner;
         let bytes = batch
             .iter()
             .map(|(key, value)| key.len() + value.as_ref().map_or(0, Vec::len))
             .sum::<usize>();
-        inner.admit_write(bytes as u64);
+        inner.admit_write(bytes as u64)?;
         let wp = &inner.metrics.write_path;
         let logged;
         {
@@ -349,17 +341,12 @@ impl Db {
             wp.rec_memtable(now_ns().saturating_sub(mem_start));
             // One log payload for the whole batch, so a torn WAL tail
             // drops it atomically.
-            logged = if disable_wal {
-                Ok(())
-            } else {
-                let wal_start = now_ns();
-                let writes = (block.base..)
-                    .zip(&batch)
-                    .map(|(ts, (key, value))| (ts, key.as_slice(), value.as_deref()));
-                let r = inner.store.log_writes(writes, SyncMode::Async);
-                wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
-                r
-            };
+            let wal_start = now_ns();
+            let writes = (block.base..)
+                .zip(&batch)
+                .map(|(ts, (key, value))| (ts, key.as_slice(), value.as_deref()));
+            logged = inner.store.log_writes(writes, SyncMode::Async);
+            wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
             // Publish even when the log append failed: an unpublished
             // stamp would wedge snapshot creation forever, and recovery
             // never depends on an unlogged record.
@@ -495,7 +482,7 @@ impl Db {
         let entry_pm = inner.pm.load();
         let mut state = inner.jobs.lock();
         loop {
-            if let Some(e) = inner.store.wal_poisoned() {
+            if let Some(e) = inner.store.poisoned() {
                 return Err(e);
             }
             if !entry_pm.is_empty() && Arc::ptr_eq(&inner.pm.load(), &entry_pm) {
@@ -684,20 +671,26 @@ impl DbInner {
     /// Write admission (see [`crate::admission`]): the gate every write
     /// passes once per call, before it takes the lock, charged `bytes`.
     ///
-    /// With no merge stage behind this is one relaxed load. Otherwise
-    /// the write takes a slot on the pacing clock at the binding stage's
-    /// drain rate and sleeps until it, then — while a flush is behind —
-    /// passes §5.3's hard stall.
+    /// A poisoned store (see `Store::poisoned`) fails the write here,
+    /// before it touches a memtable. With no merge stage behind the
+    /// rest is one relaxed load. Otherwise the write takes a slot on
+    /// the pacing clock at the binding stage's drain rate and sleeps
+    /// until it, then — while a flush is behind — passes §5.3's hard
+    /// stall, which a poisoned store also fails.
     #[inline]
-    pub(crate) fn admit_write(&self, bytes: u64) {
+    pub(crate) fn admit_write(&self, bytes: u64) -> Result<()> {
+        if let Some(e) = self.store.poisoned() {
+            return Err(e);
+        }
         let behind = self.flow.behind();
         if behind != 0 {
-            self.admit_behind(behind, bytes);
+            self.admit_behind(behind, bytes)?;
         }
+        Ok(())
     }
 
     #[cold]
-    fn admit_behind(&self, behind: u8, bytes: u64) {
+    fn admit_behind(&self, behind: u8, bytes: u64) -> Result<()> {
         let began = Instant::now();
         let mut held = false;
         if self.opts.admission.enabled {
@@ -714,13 +707,14 @@ impl DbInner {
             }
         }
         if behind & FLUSH_BEHIND != 0 {
-            held |= self.stall_if_needed();
+            held |= self.stall_if_needed()?;
         }
         if held {
             self.metrics
                 .write_path
                 .rec_admission(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
+        Ok(())
     }
 
     /// Reports a behind period `age` old, with `charged_ns` of pacing
@@ -765,9 +759,8 @@ impl DbInner {
     /// at open. Two installers racing can leave the bit one install
     /// stale; the next install corrects it.
     pub(crate) fn note_version(&self) {
-        let l0_runs = self.store.current_version().l0_runs().len();
-        let limit = 2 * self.opts.store.l0_compaction_trigger;
-        self.flow.set(L0_BEHIND, l0_runs >= limit);
+        let behind = compaction::l0_is_behind(&self.store.current_version());
+        self.flow.set(L0_BEHIND, behind);
         let mut state = self.jobs.lock();
         state.installs += 1;
         self.jobs_cv.notify_all();
@@ -790,10 +783,11 @@ impl DbInner {
     /// Write stall (§5.3): when `Cm` is full while `C'm` is still being
     /// merged, client writes wait for the merge to finish. The ladder's
     /// last rung — with pacing on, a write should rarely get here.
-    /// Returns whether the write stalled.
-    fn stall_if_needed(&self) -> bool {
+    /// Returns whether the write stalled, or the store's poison if the
+    /// flush it waited for failed for good.
+    fn stall_if_needed(&self) -> Result<bool> {
         if !self.write_stalled() {
-            return false;
+            return Ok(false);
         }
         let began = Instant::now();
         let stall_span = T_WRITE_STALL.span();
@@ -804,9 +798,10 @@ impl DbInner {
         }
         // Checked under the lock: every flush attempt ends, and `Drop`
         // sets `shutdown`, by notifying under it — so a plain wait (no
-        // timed backstop) cannot hang.
+        // timed backstop) cannot hang. A flush that poisoned the store
+        // is never retried, so its end is the last wake this gets.
         let mut state = self.jobs.lock();
-        while self.write_stalled() && !state.shutdown {
+        while self.write_stalled() && !state.shutdown && self.store.poisoned().is_none() {
             self.jobs_cv.wait(&mut state);
         }
         drop(state);
@@ -814,7 +809,7 @@ impl DbInner {
         self.metrics
             .write_stall_ns
             .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        true
+        self.store.poisoned().map_or(Ok(true), Err)
     }
 
     /// Reports the stall behind the current `P'm`, sized by `Pm`.

@@ -68,8 +68,12 @@ impl DbInner {
     /// The job a thread serving `serves` runs next, if it is due: a
     /// flush once one is asked for and none is running; a compaction
     /// while the tree needs one, unless one found nothing to claim and
-    /// no version was installed since.
+    /// no version was installed since. Nothing is due once the store is
+    /// poisoned: no job can commit again.
     fn next_job(&self, state: &JobState, serves: Job) -> Option<Job> {
+        if self.store.poisoned().is_some() {
+            return None;
+        }
         let due = match serves {
             Job::Flush => state.flush_requested && state.running[Job::Flush as usize] == 0,
             Job::Compact => {
@@ -88,7 +92,8 @@ impl DbInner {
     /// failure counts in `db.background_errors` and is kept for the
     /// doctor. A flush that failed with `P'm` parked stays requested
     /// (stalled writers wait, untimed, for it to finish); a compaction
-    /// stays due while the tree needs it. Nothing else is retried.
+    /// stays due while the tree needs it. Nothing else is retried, and
+    /// nothing at all once the store is poisoned.
     pub(crate) fn run_job(&self, job: Job) -> Result<bool> {
         let taken_at = {
             let mut state = self.jobs.lock();

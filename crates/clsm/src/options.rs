@@ -82,41 +82,7 @@ impl Options {
                 "compaction_threads must be at least 1 (the paper's maintenance thread)",
             ));
         }
-        if self.store.num_levels < 2 || self.store.num_levels > lsm_storage::NUM_LEVELS {
-            return Err(Error::invalid_argument(format!(
-                "num_levels must be within 2..={}",
-                lsm_storage::NUM_LEVELS
-            )));
-        }
-        if self.store.level_multiplier < 2 {
-            return Err(Error::invalid_argument(
-                "level_multiplier must be at least 2",
-            ));
-        }
-        if self.store.block_size < 64 {
-            return Err(Error::invalid_argument(
-                "block_size must be at least 64 bytes",
-            ));
-        }
-        // A zero trigger or budget divides `level_score` by zero, so the
-        // compaction thread never rests; a zero table size closes one
-        // table per entry.
-        if self.store.l0_compaction_trigger == 0 {
-            return Err(Error::invalid_argument(
-                "store.l0_compaction_trigger must be at least 1",
-            ));
-        }
-        if self.store.base_level_bytes == 0 {
-            return Err(Error::invalid_argument(
-                "store.base_level_bytes must be nonzero",
-            ));
-        }
-        if self.store.table_file_size == 0 {
-            return Err(Error::invalid_argument(
-                "store.table_file_size must be nonzero",
-            ));
-        }
-        Ok(())
+        self.store.validate()
     }
 
     /// A configuration scaled down for unit tests and examples: tiny
@@ -139,7 +105,6 @@ impl Options {
                 table_file_size: 64 * 1024,
                 base_level_bytes: 256 * 1024,
                 level_multiplier: 4,
-                l0_compaction_trigger: 4,
                 block_size: 4096,
                 block_cache_bytes: 1 << 20,
                 ..StoreOptions::default()
@@ -274,10 +239,6 @@ mod tests {
         assert!(Options::builder().memtable_bytes(16).build().is_err());
         assert!(Options::builder().compaction_threads(0).build().is_err());
         for zeroed in [
-            StoreOptions {
-                l0_compaction_trigger: 0,
-                ..StoreOptions::default()
-            },
             StoreOptions {
                 base_level_bytes: 0,
                 ..StoreOptions::default()

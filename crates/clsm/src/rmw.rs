@@ -70,7 +70,7 @@ impl Db {
         let began = Instant::now();
         // The new value is known only once `f` has run, under the lock:
         // admission charges the key now and the value at commit.
-        inner.admit_write(key.len() as u64);
+        inner.admit_write(key.len() as u64)?;
 
         // Algorithm 3 line 2/16: the whole operation runs under the
         // shared lock, so the component pointers cannot swing between

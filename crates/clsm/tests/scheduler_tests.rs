@@ -7,9 +7,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use clsm::{Db, Job, Options};
+use clsm::{Db, Job, Options, Stage, WriteBatch, WriteOptions};
 use clsm_util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
+use lsm_storage::compaction::L0_COMPACTION_TRIGGER;
 
 /// xorshift64*: the seeded choices of one schedule.
 struct Rng(u64);
@@ -353,7 +354,6 @@ impl Env for FailEveryRemove {
 fn a_committed_flush_does_not_fail_on_garbage_removal() {
     let env = FailEveryRemove(FaultEnv::new(0x7e30));
     let mut opts = Options::small_for_tests();
-    opts.store.l0_compaction_trigger = 2;
     opts.admission.enabled = false;
     opts.store.env = Arc::new(env);
     let db = Db::open_stepped(Path::new("/failing-remove"), opts).unwrap();
@@ -365,12 +365,14 @@ fn a_committed_flush_does_not_fail_on_garbage_removal() {
         db.run_job(Job::Flush)
     };
 
-    assert!(flush(0).unwrap());
-    assert!(flush(1).unwrap());
+    let due = L0_COMPACTION_TRIGGER as u64;
+    for round in 0..due {
+        assert!(flush(round).unwrap());
+    }
     assert!(db.run_job(Job::Compact).unwrap());
     assert_eq!(db.level_file_counts()[0], 0);
-    assert!(flush(2).unwrap());
-    assert!(flush(3).unwrap());
+    assert!(flush(due).unwrap());
+    assert!(flush(due + 1).unwrap());
 
     assert!(!db.doctor().immutable_pending, "P'm still parked");
     assert!(
@@ -379,8 +381,9 @@ fn a_committed_flush_does_not_fail_on_garbage_removal() {
     );
     assert_eq!(db.metrics().counters["db.background_errors"], 0);
     assert_eq!(db.level_file_counts()[0], 2, "a memtable was merged twice");
+    let last = format!("round {}", due + 1);
     for k in 0..20 {
-        assert_eq!(db.get(&key(k)).unwrap(), Some(b"round 3".to_vec()));
+        assert_eq!(db.get(&key(k)).unwrap(), Some(last.clone().into_bytes()));
     }
 }
 
@@ -657,4 +660,236 @@ fn a_flush_is_one_l0_run_however_many_tables_it_writes() {
     assert_eq!(l0(&db).1, 4);
     assert!(db.run_job(Job::Compact).unwrap());
     assert_eq!(l0(&db), (0, 0));
+}
+
+/// L0 is behind, and writes are paced against it, at twice the
+/// compaction trigger in sorted runs: one run short of that is merely
+/// due, and one compaction ends it.
+#[test]
+fn l0_is_behind_at_twice_the_compaction_trigger() {
+    let env = FaultEnv::new(0xb3_41d);
+    let mut opts = stepped_options(&env);
+    opts.store.base_level_bytes = 1 << 20;
+    let db = Db::open_stepped(Path::new("/l0-behind"), opts).unwrap();
+    let behind = |db: &Db| {
+        let report = db.doctor();
+        let gauge = db.metrics().gauges["storage.l0_runs"];
+        assert_eq!(gauge as usize, report.levels[0].runs);
+        let text = report.render();
+        let stage = report.admission.behind;
+        assert!(text.contains(&format!("(behind {stage},")), "{text}");
+        (report.levels[0].runs, stage)
+    };
+
+    let limit = 2 * L0_COMPACTION_TRIGGER;
+    for run in 1..=limit {
+        // The same keys every time: each flush overlaps every run
+        // before it.
+        for k in 0..20 {
+            db.put(&key(k), format!("run {run}").as_bytes()).unwrap();
+        }
+        assert!(db.run_job(Job::Flush).unwrap());
+        let expected = if run < limit { Stage::None } else { Stage::L0 };
+        assert_eq!(behind(&db), (run, expected), "after {run} runs");
+    }
+    assert!(db.run_job(Job::Compact).unwrap());
+    assert_eq!(behind(&db), (0, Stage::None));
+}
+
+/// A [`FaultEnv`] whose first `MANIFEST` sync after it is armed fails,
+/// once, after the record's bytes were written. It notes every file it
+/// is asked to remove.
+#[derive(Debug, Clone)]
+struct FailManifestSync {
+    fault: FaultEnv,
+    armed: Arc<AtomicBool>,
+    removed: Arc<Mutex<Vec<PathBuf>>>,
+}
+
+struct FailingSyncManifest {
+    inner: Box<dyn WritableFile>,
+    armed: Arc<AtomicBool>,
+}
+
+impl WritableFile for FailingSyncManifest {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        self.inner.append(data)
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.inner.flush()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        if self.armed.swap(false, SeqCst) {
+            return Err(Error::from(std::io::Error::other(
+                "injected manifest sync failure",
+            )));
+        }
+        self.inner.sync()
+    }
+}
+
+fn is_manifest(path: &Path) -> bool {
+    path.file_name()
+        .and_then(|name| name.to_str())
+        .is_some_and(|name| name.starts_with("MANIFEST-"))
+}
+
+impl Env for FailManifestSync {
+    fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
+        let inner = self.fault.open_write(path)?;
+        if !is_manifest(path) {
+            return Ok(inner);
+        }
+        Ok(Box::new(FailingSyncManifest {
+            inner,
+            armed: Arc::clone(&self.armed),
+        }))
+    }
+
+    fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
+        self.fault.open_read(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        self.fault.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        self.removed.lock().unwrap().push(path.to_path_buf());
+        self.fault.remove(path)
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<String>> {
+        self.fault.list(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        self.fault.sync_dir(dir)
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> Result<()> {
+        self.fault.create_dir_all(dir)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.fault.exists(path)
+    }
+}
+
+/// A flush whose manifest record was written but failed to sync
+/// poisons the store. The record may still reach disk and name the
+/// flush's tables, so none of them is removed, and no later edit is
+/// written after it: the retry fails without touching the manifest,
+/// writes fail, and nothing is due. Reopening, after a clean drop or a
+/// power loss, reads back every acked write.
+#[test]
+fn a_failed_manifest_sync_poisons_the_store_and_loses_no_acked_write() {
+    for power_loss in [false, true] {
+        let ctx = format!("power loss: {power_loss}");
+        let env = FailManifestSync {
+            fault: FaultEnv::new(0x3a1f),
+            armed: Arc::default(),
+            removed: Arc::default(),
+        };
+        let dir = Path::new("/manifest-fail");
+        let mut opts = stepped_options(&env.fault);
+        opts.memtable_bytes = 64 * 1024;
+        opts.store.env = Arc::new(env.clone());
+        let db = Db::open_stepped(dir, opts.clone()).unwrap();
+        let value = |i: u64| format!("value-{i:05}-").into_bytes().repeat(8);
+        let mut acked = 0;
+        while !db.due_jobs().contains(&Job::Flush) {
+            db.put(&key(acked), &value(acked)).unwrap();
+            acked += 1;
+        }
+        // The last put syncs every one before it.
+        let durable = WriteBatch::single_put(&key(acked), &value(acked));
+        db.write(durable, &WriteOptions::durable()).unwrap();
+        acked += 1;
+        let manifest = env
+            .fault
+            .list(dir)
+            .unwrap()
+            .into_iter()
+            .map(|name| dir.join(name))
+            .find(|path| is_manifest(path))
+            .unwrap();
+        let manifest_len = || env.fault.file_state(&manifest).unwrap().0;
+
+        env.armed.store(true, SeqCst);
+        let before = manifest_len();
+        db.run_job(Job::Flush).unwrap_err();
+        let after = manifest_len();
+        assert!(after > before, "{ctx}: the failed record was not written");
+        db.run_job(Job::Flush).unwrap_err();
+        assert_eq!(manifest_len(), after, "{ctx}: the retry wrote an edit");
+        db.put(b"late", b"x").unwrap_err();
+        assert!(
+            db.due_jobs().is_empty(),
+            "{ctx}: a poisoned store has due jobs"
+        );
+        let removed = env.removed.lock().unwrap().clone();
+        assert!(
+            !removed.iter().any(|path| table_number(path).is_some()),
+            "{ctx}: removed {removed:?}"
+        );
+        drop(db);
+
+        if power_loss {
+            env.fault.power_loss();
+        }
+        let db = Db::open_stepped(dir, opts).unwrap();
+        for i in 0..acked {
+            assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "{ctx}: key {i}");
+        }
+        assert_eq!(contents(&db).len() as u64, acked, "{ctx}");
+        db.verify_integrity().unwrap();
+    }
+}
+
+/// Writers racing a flush whose manifest sync fails all end with the
+/// store's error, and none hangs: not one in flight, and not one parked
+/// in the §5.3 stall behind the flush that failed.
+#[test]
+fn every_writer_fails_once_a_manifest_sync_fails() {
+    let env = FailManifestSync {
+        fault: FaultEnv::new(0x3a20),
+        armed: Arc::default(),
+        removed: Arc::default(),
+    };
+    let mut opts = Options::small_for_tests();
+    opts.memtable_bytes = 16 * 1024;
+    // Unpaced writers fill `Pm` behind the flush, into the stall.
+    opts.admission.enabled = false;
+    opts.store.env = Arc::new(env.clone());
+    let db = Arc::new(Db::open(Path::new("/manifest-fail-writers"), opts).unwrap());
+    env.armed.store(true, SeqCst);
+    let (tx, rx) = mpsc::channel();
+    let writers: Vec<_> = (0..2u64)
+        .map(|w| {
+            let (db, tx) = (Arc::clone(&db), tx.clone());
+            std::thread::spawn(move || {
+                for i in 0.. {
+                    if let Err(e) = db.put(&key(w * 1_000_000 + i), &[w as u8; 100]) {
+                        tx.send(e).unwrap();
+                        return;
+                    }
+                }
+            })
+        })
+        .collect();
+    for _ in &writers {
+        let err = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a writer still runs after the manifest failed");
+        assert!(
+            err.to_string().contains("injected manifest sync failure"),
+            "{err}"
+        );
+    }
+    for writer in writers {
+        writer.join().unwrap();
+    }
 }

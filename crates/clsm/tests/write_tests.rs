@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use clsm::{Db, Options, RmwDecision, WriteBatch, WriteOptions};
-use clsm_util::env::FaultEnv;
 
 struct TempDir(std::path::PathBuf);
 
@@ -176,67 +175,4 @@ fn batches_are_atomic_under_concurrent_snapshots() {
         h.join().unwrap();
     }
     assert_eq!(db.get(b"a").unwrap(), Some(500u64.to_le_bytes().to_vec()));
-}
-
-/// `disable_wal` writes skip the log entirely: after power loss they
-/// are gone, while a synchronously acked write from the same session
-/// survives.
-#[test]
-fn disable_wal_skips_the_log_and_sync_survives() {
-    let dir = std::path::Path::new("/write-wal");
-    let fault = FaultEnv::new(0x6C06);
-    let mut opts = Options::small_for_tests();
-    opts.store.env = Arc::new(fault.clone());
-    let db = opts.clone().open(dir).unwrap();
-
-    db.write(
-        WriteBatch::single_put(b"ephemeral", b"1"),
-        &WriteOptions {
-            sync: false,
-            disable_wal: true,
-        },
-    )
-    .unwrap();
-    db.write(
-        WriteBatch::single_put(b"durable", b"2"),
-        &WriteOptions::durable(),
-    )
-    .unwrap();
-    // Both are readable while the process lives.
-    assert_eq!(db.get(b"ephemeral").unwrap(), Some(b"1".to_vec()));
-    assert_eq!(db.get(b"durable").unwrap(), Some(b"2".to_vec()));
-    drop(db);
-
-    fault.power_loss();
-    let db = opts.open(dir).unwrap();
-    assert_eq!(
-        db.get(b"ephemeral").unwrap(),
-        None,
-        "disable_wal write must not be recovered from the log"
-    );
-    assert_eq!(
-        db.get(b"durable").unwrap(),
-        Some(b"2".to_vec()),
-        "sync-acked write lost in recovery"
-    );
-}
-
-/// Validation errors surface before any work: contradictory options
-/// are rejected and the store is untouched.
-#[test]
-fn contradictory_write_options_are_rejected_by_write() {
-    let dir = TempDir::new("opts");
-    let db = open(&dir.0);
-    let err = db
-        .write(
-            WriteBatch::single_put(b"k", b"v"),
-            &WriteOptions {
-                sync: true,
-                disable_wal: true,
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("disable_wal"));
-    assert_eq!(db.get(b"k").unwrap(), None);
-    assert_eq!(db.metrics().counters["db.puts"], 0);
 }

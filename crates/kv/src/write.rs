@@ -7,8 +7,6 @@
 //! trait, the baselines, and the cLSM implementation all share one
 //! vocabulary without a dependency cycle.
 
-use crate::{Error, Result};
-
 /// An ordered set of mutations applied as one logical write.
 ///
 /// Entries are `(key, Some(value))` for puts and `(key, None)` for
@@ -140,11 +138,9 @@ impl From<&[(Vec<u8>, Option<Vec<u8>>)]> for WriteBatch {
 pub struct WriteOptions {
     /// Wait until the write is fsync'd before returning (group-committed
     /// with concurrent syncing writers). Defaults to `false`; a store
-    /// opened in always-sync mode syncs regardless.
+    /// opened in always-sync mode syncs regardless. Every write is
+    /// logged either way.
     pub sync: bool,
-    /// Skip the write-ahead log entirely: the write is lost on a crash
-    /// until the memtable flushes. Incompatible with `sync`.
-    pub disable_wal: bool,
 }
 
 impl WriteOptions {
@@ -155,20 +151,7 @@ impl WriteOptions {
 
     /// Options requesting a durable (fsync'd) write.
     pub fn durable() -> Self {
-        WriteOptions {
-            sync: true,
-            disable_wal: false,
-        }
-    }
-
-    /// Rejects contradictory combinations (`sync` + `disable_wal`).
-    pub fn validate(&self) -> Result<()> {
-        if self.sync && self.disable_wal {
-            return Err(Error::invalid_argument(
-                "WriteOptions: sync requires the WAL (disable_wal must be false)",
-            ));
-        }
-        Ok(())
+        WriteOptions { sync: true }
     }
 }
 
@@ -213,23 +196,5 @@ mod tests {
         assert_eq!(p.ops(), &[(b"k".to_vec(), Some(b"v".to_vec()))]);
         let d = WriteBatch::single_delete(b"k");
         assert_eq!(d.ops(), &[(b"k".to_vec(), None)]);
-    }
-
-    #[test]
-    fn write_options_validation() {
-        assert!(WriteOptions::new().validate().is_ok());
-        assert!(WriteOptions::durable().validate().is_ok());
-        assert!(WriteOptions {
-            sync: false,
-            disable_wal: true
-        }
-        .validate()
-        .is_ok());
-        assert!(WriteOptions {
-            sync: true,
-            disable_wal: true
-        }
-        .validate()
-        .is_err());
     }
 }

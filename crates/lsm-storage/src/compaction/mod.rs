@@ -72,6 +72,20 @@ impl std::fmt::Debug for CompactionTask {
     }
 }
 
+/// Number of L0 sorted runs that makes L0 due for compaction
+/// (LevelDB's `kL0_CompactionTrigger`). A run is a set of L0 files with
+/// disjoint key ranges, contiguous in age; a flush adds one, however
+/// many tables it writes.
+pub const L0_COMPACTION_TRIGGER: usize = 4;
+
+/// Whether L0 in `version` is *behind*, not merely due: it holds twice
+/// [`L0_COMPACTION_TRIGGER`] sorted runs or more (LevelDB's
+/// `kL0_SlowdownWritesTrigger`, 8). Write admission paces writers while
+/// this holds.
+pub fn l0_is_behind(version: &Version) -> bool {
+    version.l0_runs().len() >= 2 * L0_COMPACTION_TRIGGER
+}
+
 /// Byte budget of `level` (L1 gets `base_level_bytes`, each deeper
 /// level `level_multiplier`× more).
 pub fn max_bytes_for_level(opts: &StoreOptions, level: usize) -> u64 {
@@ -88,7 +102,7 @@ pub fn max_bytes_for_level(opts: &StoreOptions, level: usize) -> u64 {
 /// L1's budget: a sequential load is one run however large it grows.
 pub fn level_score(version: &Version, opts: &StoreOptions, level: usize) -> f64 {
     if level == 0 {
-        let runs = version.l0_runs().len() as f64 / opts.l0_compaction_trigger as f64;
+        let runs = version.l0_runs().len() as f64 / L0_COMPACTION_TRIGGER as f64;
         let bytes = version.level_bytes(0) as f64 / opts.base_level_bytes as f64;
         runs.max(bytes)
     } else if level + 1 >= opts.num_levels {

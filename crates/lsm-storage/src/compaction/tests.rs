@@ -33,7 +33,6 @@ fn small_opts() -> StoreOptions {
         table_file_size: 1024,
         base_level_bytes: 4096,
         level_multiplier: 4,
-        l0_compaction_trigger: 2,
         ..Default::default()
     }
 }
@@ -236,7 +235,8 @@ fn outputs_roll_without_splitting_keys() {
 fn pick_respects_claims_and_trigger() {
     let dir = tmpdir("pick");
     let opts = small_opts();
-    // Build two overlapping L0 tables (trigger = 2).
+    // Overlapping one-entry L0 tables, one run each: far below L1's
+    // byte budget, so only the run count can make L0 due.
     let mk = |num: u64, k: &str, ts: u64| {
         let path = crate::filenames::table_path(&dir, num);
         let mut b = crate::sstable::TableBuilder::new(
@@ -259,17 +259,28 @@ fn pick_respects_claims_and_trigger() {
         }
     };
     let (mut set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
-    let f1 = mk(10, "a", 1);
-    let f2 = mk(11, "a", 2);
+    for i in 1..L0_COMPACTION_TRIGGER as u64 {
+        set.log_and_apply(crate::version::VersionEdit {
+            new_files: vec![mk(10 + i, "a", i)],
+            ..Default::default()
+        })
+        .unwrap();
+    }
+    assert!(pick(&set.current(), &opts).is_none(), "one run short");
+    let last = L0_COMPACTION_TRIGGER as u64;
     set.log_and_apply(crate::version::VersionEdit {
-        new_files: vec![f1, f2],
+        new_files: vec![mk(10 + last, "a", last)],
         ..Default::default()
     })
     .unwrap();
     let v = set.current();
-    let task = pick(&v, &opts).expect("two L0 runs at trigger 2");
+    let task = pick(&v, &opts).expect("L0 at the trigger");
     assert_eq!(task.level, 0);
-    assert_eq!(task.base.len(), 2, "overlapping files are two runs");
+    assert_eq!(
+        task.base.len(),
+        L0_COMPACTION_TRIGGER,
+        "overlapping files are one run each"
+    );
     // While claimed, picking again yields nothing.
     assert!(pick(&v, &opts).is_none());
     drop(task);
@@ -423,11 +434,12 @@ fn claim_release_notifies_signal_on_drop() {
     use crate::version::ClaimSignal;
     let dir = tmpdir("claimsignal");
     let opts = small_opts();
+    // Two files filling L1's 4 KiB budget make L0 due by bytes.
     let v = synth_version(
         &dir,
         vec![
-            synth_file(0, 10, 100, "a", "c"),
-            synth_file(0, 11, 100, "a", "c"),
+            synth_file(0, 10, 2048, "a", "c"),
+            synth_file(0, 11, 2048, "a", "c"),
         ],
     );
     let signal = Arc::new(ClaimSignal::default());

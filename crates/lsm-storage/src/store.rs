@@ -51,10 +51,6 @@ pub struct StoreOptions {
     pub table_file_size: u64,
     /// Byte budget of the block cache (0 disables it).
     pub block_cache_bytes: usize,
-    /// Number of L0 sorted runs that triggers a compaction. A run is a
-    /// set of L0 files with disjoint key ranges, contiguous in age; a
-    /// flush adds one, however many tables it writes.
-    pub l0_compaction_trigger: usize,
     /// Byte budget of L1; deeper levels get `level_multiplier`× more.
     pub base_level_bytes: u64,
     /// Growth factor between level budgets.
@@ -74,12 +70,33 @@ impl Default for StoreOptions {
             bloom_bits_per_key: 10,
             table_file_size: 2 * 1024 * 1024,
             block_cache_bytes: 8 * 1024 * 1024,
-            l0_compaction_trigger: 4,
             base_level_bytes: 10 * 1024 * 1024,
             level_multiplier: 10,
             num_levels: NUM_LEVELS,
             env: Arc::new(RealEnv),
         }
+    }
+}
+
+impl StoreOptions {
+    /// Checks the invariants [`Store::open`] relies on. A zero budget
+    /// would divide `level_score` by zero, so the compaction thread
+    /// never rests; a zero table size closes one table per entry.
+    pub fn validate(&self) -> Result<()> {
+        let rule = if !(2..=NUM_LEVELS).contains(&self.num_levels) {
+            "num_levels must be within 2..=NUM_LEVELS"
+        } else if self.level_multiplier < 2 {
+            "level_multiplier must be at least 2"
+        } else if self.block_size < 64 {
+            "block_size must be at least 64 bytes"
+        } else if self.base_level_bytes == 0 {
+            "base_level_bytes must be nonzero"
+        } else if self.table_file_size == 0 {
+            "table_file_size must be nonzero"
+        } else {
+            return Ok(());
+        };
+        Err(Error::invalid_argument(format!("StoreOptions: {rule}")))
     }
 }
 
@@ -130,6 +147,8 @@ pub struct Store {
     wals: Mutex<Vec<u64>>,
     /// Files no version names any more; each job ends by removing them.
     obsolete: ObsoleteFiles,
+    /// The version set's first manifest write error.
+    manifest_error: Arc<OnceLock<Error>>,
     /// Bytes written by memtable flushes.
     bytes_flushed: AtomicU64,
     /// Bytes written by compactions (rewrites).
@@ -186,7 +205,7 @@ impl WriteAmp {
 impl Store {
     /// Opens (or creates) a store in `dir` and replays its WALs.
     pub fn open(dir: &Path, opts: StoreOptions) -> Result<(Store, Recovered)> {
-        assert!(opts.num_levels >= 2 && opts.num_levels <= NUM_LEVELS);
+        opts.validate()?;
         let env = Arc::clone(&opts.env);
         env.create_dir_all(dir)?;
         let (mut versions, manifest_state) = VersionSet::open(Arc::clone(&env), dir)?;
@@ -275,6 +294,7 @@ impl Store {
         let wal = LogQueue::spawn(LogWriter::new(wal_file))?;
 
         let obsolete = Arc::clone(versions.obsolete_files());
+        let manifest_error = Arc::clone(versions.manifest_error());
         obsolete.lock().extend(sweep);
         wal_numbers.push(wal_number);
         let current = RcuCell::new(versions.current());
@@ -287,6 +307,7 @@ impl Store {
             wal_number: AtomicU64::new(wal_number),
             wals: Mutex::new(wal_numbers),
             obsolete,
+            manifest_error,
             bytes_flushed: AtomicU64::new(0),
             bytes_compacted: AtomicU64::new(0),
             metrics: OnceLock::new(),
@@ -569,7 +590,8 @@ impl Store {
     /// Writes a job's tables through `write`, which numbers each one
     /// with the allocator it is given, then commits the edit `write`
     /// returns and lists the WALs that edit retired. A job that fails
-    /// lists the tables it wrote instead.
+    /// lists the tables it wrote instead, unless the manifest failed:
+    /// its record may still name them.
     fn commit(
         &self,
         write: impl FnOnce(&mut dyn FnMut() -> u64) -> Result<VersionEdit>,
@@ -590,7 +612,7 @@ impl Store {
             self.obsolete.lock().extend(retired.map(FileKind::Wal));
             Ok(())
         });
-        if committed.is_err() {
+        if committed.is_err() && self.manifest_error.get().is_none() {
             let outputs = outputs.into_iter().map(FileKind::Table);
             self.obsolete.lock().extend(outputs);
         }
@@ -600,8 +622,13 @@ impl Store {
     /// Removes the listed obsolete files, holding no lock, once the
     /// epoch collector has dropped every version replaced so far; evicts
     /// removed tables' blocks. A file that fails to go stays listed.
-    /// Every flush and compaction ends with this pass.
+    /// Every flush and compaction ends with this pass. A poisoned store
+    /// removes nothing: after a failed manifest write, what the tree on
+    /// disk names is unknown until the next open reads it.
     pub fn remove_obsolete_files(&self) {
+        if self.poisoned().is_some() {
+            return;
+        }
         epoch::synchronize();
         let listed = std::mem::take(&mut *self.obsolete.lock());
         let (dir, env) = (self.dir(), self.env());
@@ -639,9 +666,15 @@ impl Store {
             .collect()
     }
 
-    /// First WAL I/O error, if the logger thread hit one.
-    pub fn wal_poisoned(&self) -> Option<clsm_util::error::Error> {
-        self.wal.poisoned()
+    /// The store's first fatal error, if it hit one: a failed manifest
+    /// append or sync, or the logger thread's first WAL I/O error.
+    /// Either way no later write or commit can succeed; reopening the
+    /// store recovers what was acknowledged. Takes no lock.
+    pub fn poisoned(&self) -> Option<Error> {
+        self.manifest_error
+            .get()
+            .cloned()
+            .or_else(|| self.wal.poisoned())
     }
 
     /// Manually compacts every file overlapping `[start, end]` (user

@@ -24,7 +24,6 @@ fn small_opts() -> StoreOptions {
         table_file_size: 4096,
         base_level_bytes: 16 * 1024,
         level_multiplier: 4,
-        l0_compaction_trigger: 2,
         block_cache_bytes: 1 << 20,
         ..Default::default()
     }
@@ -54,6 +53,30 @@ fn open_empty_store() {
     assert!(store.get(b"nope", u64::MAX >> 1).unwrap().is_none());
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `Store::open` checks its own options: a bad `StoreOptions` is an
+/// `InvalidArgument` error, not a panic, and not a zero budget that
+/// keeps every level due for compaction.
+#[test]
+fn open_rejects_invalid_options() {
+    for bad in [
+        StoreOptions {
+            num_levels: 1,
+            ..small_opts()
+        },
+        StoreOptions {
+            base_level_bytes: 0,
+            ..small_opts()
+        },
+    ] {
+        let dir = tmpdir("bad-opts");
+        let Err(err) = Store::open(&dir, bad.clone()) else {
+            panic!("opened with {bad:?}");
+        };
+        assert_eq!(err.kind(), clsm_util::error::ErrorKind::InvalidArgument);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
@@ -221,7 +244,7 @@ fn deletes_disappear_after_bottom_compaction() {
     let wal = store.rotate_wal().unwrap();
     let mut it = VecIterator::new(vec![(b"k".to_vec(), 2, ValueKind::Delete, Vec::new())]);
     store.flush_memtable(&mut it, 10, 2, wal).unwrap();
-    while store.maybe_compact(10).unwrap() {}
+    store.compact_level_range(0, b"", b"~", 10).unwrap();
     // The key is gone and so is its tombstone.
     assert!(store.get(b"k", 100).unwrap().is_none());
     let mut total_entries = 0u64;
@@ -294,13 +317,18 @@ fn a_pick_from_a_replaced_version_is_refused() {
         store.flush_memtable(&mut it, 0, keys.end, wal).unwrap();
     };
 
-    // Two L0 tables, merged into L1 after the stale pick's version.
-    flush(0..100);
-    flush(50..150);
+    // Overlapping flushes, one L0 run each, until L0 is due.
+    let fill_l0 = |base: u64| {
+        for i in 0..compaction::L0_COMPACTION_TRIGGER as u64 {
+            flush(base + 25 * i..base + 25 * i + 50);
+        }
+    };
+
+    // L0 at the trigger, merged into L1 after the stale pick's version.
+    fill_l0(0);
     let saved = store.current_version();
     assert!(store.maybe_compact(0).unwrap());
-    flush(200..300);
-    flush(250..350);
+    fill_l0(200);
     let stale = compaction::pick(&saved, &store.opts).unwrap();
     assert!(!store.run_task(stale, 0).unwrap(), "a merged-away pick ran");
     assert!(store.maybe_compact(0).unwrap());
@@ -318,7 +346,7 @@ fn a_pick_from_a_replaced_version_is_refused() {
         compaction::pick_level_range(&saved, &store.opts, 0, b"key000400", b"key000410").unwrap();
     assert!(!store.run_task(stale, 0).unwrap(), "a moved pick ran");
 
-    for i in (0..150).chain(200..350).chain(400..410) {
+    for i in (0..125).chain(200..325).chain(400..410) {
         let key = format!("key{i:06}");
         assert!(
             store.get(key.as_bytes(), u64::MAX >> 1).unwrap().is_some(),

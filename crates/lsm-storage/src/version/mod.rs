@@ -281,6 +281,9 @@ pub struct VersionSet {
     last_ts: u64,
     /// Where the tables committed edits removed are listed.
     obsolete: ObsoleteFiles,
+    /// The first failed manifest append or sync, readable without the
+    /// version-set lock.
+    manifest_error: Arc<OnceLock<Error>>,
 }
 
 impl std::fmt::Debug for VersionSet {
@@ -380,6 +383,7 @@ impl VersionSet {
             log_number,
             last_ts,
             obsolete: ObsoleteFiles::default(),
+            manifest_error: Arc::default(),
         };
         Ok((
             set,
@@ -418,10 +422,22 @@ impl VersionSet {
         &self.obsolete
     }
 
+    /// The first manifest write error, once there is one.
+    pub fn manifest_error(&self) -> &Arc<OnceLock<Error>> {
+        &self.manifest_error
+    }
+
     /// Logs `edit` durably and installs the resulting version. Once the
     /// edit is durable, each table it removed is marked, so its file
     /// dies with the last version, claim or iterator naming it.
+    ///
+    /// After a failed append or sync, every call returns that first
+    /// error and writes nothing: the failed record may be on disk, in
+    /// whole or in part (LevelDB's background error).
     pub fn log_and_apply(&mut self, mut edit: VersionEdit) -> Result<Arc<Version>> {
+        if let Some(e) = self.manifest_error.get() {
+            return Err(e.clone());
+        }
         edit.next_file_number = Some(self.next_file_number);
         if let Some(v) = edit.log_number {
             debug_assert!(v >= self.log_number);
@@ -433,8 +449,11 @@ impl VersionSet {
         let mut builder = Builder::new_from(&self.current);
         let removed = builder.apply(&edit)?;
         let new_version = Arc::new(builder.finish());
-        self.manifest.add_record(&edit.encode())?;
-        self.manifest.sync()?;
+        let logged = self.manifest.add_record(&edit.encode());
+        if let Err(e) = logged.and_then(|()| self.manifest.sync()) {
+            let _ = self.manifest_error.set(e.clone());
+            return Err(e);
+        }
         for f in removed {
             let _ = f.obsolete.set(Arc::clone(&self.obsolete));
         }

@@ -24,7 +24,7 @@
 //! thus written) out of timestamp order; recovery sorts by timestamp
 //! (§4: "the correct order is easily restored upon recovery").
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -82,17 +82,10 @@ struct State {
     rotate_requested: u64,
     rotate_done: u64,
     logger: Logger,
-    /// The first I/O error; every later append, sync and rotate fails
-    /// with it.
-    error: Option<Error>,
     shutdown: bool,
 }
 
 impl State {
-    fn check(&self) -> Result<()> {
-        self.error.clone().map_or(Ok(()), Err)
-    }
-
     /// Marks the logger woken. Returns whether the caller must notify
     /// it: a busy logger re-reads the state before it parks.
     fn wake(&mut self) -> bool {
@@ -110,6 +103,9 @@ impl State {
 
 struct Shared {
     state: Mutex<State>,
+    /// The first I/O error; every later append, sync and rotate fails
+    /// with it. Set under `state`'s lock, read without it.
+    error: OnceLock<Error>,
     /// Wakes the logger.
     work: Condvar,
     /// Releases sync and rotate waiters.
@@ -117,6 +113,10 @@ struct Shared {
 }
 
 impl Shared {
+    fn check(&self) -> Result<()> {
+        self.error.get().cloned().map_or(Ok(()), Err)
+    }
+
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state
             .lock()
@@ -157,9 +157,9 @@ impl LogQueue {
                 rotate_requested: 0,
                 rotate_done: 0,
                 logger: Logger::Busy,
-                error: None,
                 shutdown: false,
             }),
+            error: OnceLock::new(),
             work: Condvar::new(),
             done: Condvar::new(),
         });
@@ -192,7 +192,7 @@ impl LogQueue {
         mode: SyncMode,
     ) -> Result<()> {
         let mut st = self.shared.lock();
-        st.check()?;
+        self.shared.check()?;
         let start = st.pending.len();
         st.pending.extend_from_slice(&[0; FRAME]);
         encode(&mut st.pending);
@@ -221,7 +221,7 @@ impl LogQueue {
     /// in the new one. Blocks until the rotation happened.
     pub fn rotate(&self, writer: LogWriter) -> Result<()> {
         let mut st = self.shared.lock();
-        st.check()?;
+        self.shared.check()?;
         let at = st.pending.len();
         st.rotations.push((at, writer));
         st.rotate_requested += 1;
@@ -232,7 +232,7 @@ impl LogQueue {
         while st.rotate_done < mine {
             st = self.shared.wait_done(st);
         }
-        st.check()
+        self.shared.check()
     }
 
     /// Waits until everything enqueued so far is flushed and fsync'd.
@@ -249,7 +249,7 @@ impl LogQueue {
     }
 
     fn wait_for_sync(&self, mut st: MutexGuard<'_, State>) -> Result<u64> {
-        st.check()?;
+        self.shared.check()?;
         st.sync_requested += 1;
         let mine = st.sync_requested;
         if st.wake() {
@@ -258,13 +258,14 @@ impl LogQueue {
         while st.sync_done < mine {
             st = self.shared.wait_done(st);
         }
-        st.check()?;
+        self.shared.check()?;
         Ok(st.durable_ns)
     }
 
-    /// The first I/O error encountered by the logger, if any.
+    /// The first I/O error encountered by the logger, if any. Takes no
+    /// lock.
     pub fn poisoned(&self) -> Option<Error> {
-        self.shared.lock().error.clone()
+        self.shared.error.get().cloned()
     }
 
     /// Bytes waiting for the logger thread — the logging queue's
@@ -306,7 +307,7 @@ struct ReleaseOnExit<'a>(&'a Shared);
 impl Drop for ReleaseOnExit<'_> {
     fn drop(&mut self) {
         let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.error.get_or_insert(Error::ShuttingDown);
+        let _ = self.0.error.set(Error::ShuttingDown);
         st.sync_done = st.sync_requested;
         st.rotate_done = st.rotate_requested;
         drop(st);
@@ -327,7 +328,7 @@ fn logger_loop(mut writer: LogWriter, shared: &Shared) {
         let sync_target = st.sync_requested;
         let syncs = sync_target - st.sync_done;
         let shutdown = st.shutdown;
-        let failed = st.error.is_some();
+        let failed = shared.error.get().is_some();
         drop(st);
 
         // After the first error nothing more is written: the batch's
@@ -356,7 +357,7 @@ fn logger_loop(mut writer: LogWriter, shared: &Shared) {
 
         st = shared.lock();
         if let Err(e) = result {
-            st.error.get_or_insert(e);
+            let _ = shared.error.set(e);
         }
         if syncs > 0 {
             st.sync_done = sync_target;

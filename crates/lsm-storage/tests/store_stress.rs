@@ -47,7 +47,6 @@ fn tiny_opts() -> StoreOptions {
         table_file_size: 4096,
         base_level_bytes: 16 * 1024,
         level_multiplier: 4,
-        l0_compaction_trigger: 2,
         ..Default::default()
     }
 }
@@ -332,10 +331,10 @@ fn a_compactions_inputs_close_once_nothing_names_them() {
 fn only_open_lists_and_only_garbage_is_removed() {
     let dir = TempDir::new("no-list");
     let env = Arc::new(HandleCountingEnv::default());
-    // One flush is one sorted run: a trigger of one run compacts after
-    // every flush.
+    // L1's budget is below one flush's bytes: L0 is due after every
+    // flush.
     let opts = StoreOptions {
-        l0_compaction_trigger: 1,
+        base_level_bytes: 1024,
         ..tiny_opts()
     };
     let store = counted_store(&dir, &env, opts.clone());
@@ -493,8 +492,8 @@ fn minimum_level_configuration() {
     let dir = TempDir::new("two-levels");
     let mut opts = tiny_opts();
     opts.num_levels = 2;
-    // Each flush is one sorted run: compact after every one.
-    opts.l0_compaction_trigger = 1;
+    // L1's budget is below one flush's bytes: compact after every one.
+    opts.base_level_bytes = 1024;
     let (store, _) = Store::open(&dir.0, opts).unwrap();
     for round in 0..5u64 {
         let wal = store.rotate_wal().unwrap();

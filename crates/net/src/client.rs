@@ -5,7 +5,7 @@
 //! response frames and wakes the waiting caller by request id, so any
 //! number of application threads can keep requests in flight on the
 //! same socket — the pipelining the protocol was framed for.
-//! `NetOptions::pipeline_depth` bounds in-flight requests per
+//! `PIPELINE_DEPTH` bounds in-flight requests per
 //! connection; senders block (briefly) when the pipeline is full,
 //! which is the client-side analogue of the server's admission
 //! control.
@@ -28,7 +28,7 @@ use clsm_kv::api::{Request, Response};
 use clsm_kv::{KvSnapshot, KvStore, Result, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Error;
 
-use crate::frame::{write_frame, FrameReader};
+use crate::frame::{write_frame, FrameReader, READ_BUFFER_BYTES};
 use crate::proto;
 use crate::server::ServerHandle;
 use crate::NetOptions;
@@ -36,6 +36,10 @@ use crate::NetOptions;
 /// Cap on entries per scan request; the scan API itself takes a limit,
 /// this is just the largest the remote store will request at once.
 const MAX_SCAN_LIMIT: usize = u32::MAX as usize;
+
+/// Per-connection cap on in-flight pipelined requests; senders block
+/// once the pipeline is this deep.
+const PIPELINE_DEPTH: usize = 64;
 
 struct ConnState {
     next_id: u64,
@@ -52,7 +56,6 @@ struct Conn {
     stream: Mutex<TcpStream>,
     state: Mutex<ConnState>,
     cv: Condvar,
-    pipeline_depth: usize,
 }
 
 impl Conn {
@@ -77,7 +80,7 @@ impl Conn {
     fn call_payload(&self, id: u64, payload: &[u8]) -> Result<Response> {
         {
             let mut st = self.state.lock().unwrap();
-            while st.dead.is_none() && st.in_flight >= self.pipeline_depth {
+            while st.dead.is_none() && st.in_flight >= PIPELINE_DEPTH {
                 st = self.cv.wait(st).unwrap();
             }
             if let Some(reason) = &st.dead {
@@ -124,9 +127,9 @@ impl Conn {
     }
 }
 
-fn reader_loop(conn: &Conn, mut stream: TcpStream, max_frame_bytes: usize, chunk_bytes: usize) {
+fn reader_loop(conn: &Conn, mut stream: TcpStream, max_frame_bytes: usize) {
     let mut frames = FrameReader::new(max_frame_bytes);
-    let mut chunk = vec![0u8; chunk_bytes];
+    let mut chunk = vec![0u8; READ_BUFFER_BYTES];
     loop {
         let n = match stream.read(&mut chunk) {
             Ok(0) => {
@@ -209,15 +212,13 @@ impl Client {
                     dead: None,
                 }),
                 cv: Condvar::new(),
-                pipeline_depth: opts.pipeline_depth,
             });
             let reader_conn = Arc::clone(&conn);
             let max_frame = opts.max_frame_bytes;
-            let chunk = opts.read_buffer_bytes;
             readers.push(
                 std::thread::Builder::new()
                     .name(format!("clsm-client-reader-{i}"))
-                    .spawn(move || reader_loop(&reader_conn, read_half, max_frame, chunk))
+                    .spawn(move || reader_loop(&reader_conn, read_half, max_frame))
                     .map_err(Error::from)?,
             );
             conns.push(conn);

@@ -26,6 +26,10 @@ pub const LEN_PREFIX_BYTES: usize = 4;
 /// Minimum legal `len` value: request id (8) + opcode (1).
 pub const MIN_FRAME_BYTES: usize = 9;
 
+/// Bytes the client's reader thread and each server worker read from a
+/// socket at a time.
+pub(crate) const READ_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Appends one frame (length prefix + `payload`) to `out`.
 ///
 /// `payload` must already start with the request id and opcode;

@@ -5,6 +5,10 @@
 //! `clsm::Options::builder()`), so there is exactly one place where
 //! knobs are named, defaulted, and validated — no bare positional
 //! flags drifting between binaries.
+//!
+//! Only what a deployment or a caller sets is a field. Socket read
+//! chunks, the client's pipeline depth and the server's output-buffer
+//! threshold are constants beside the code that uses them.
 
 use clsm_util::error::{Error, Result};
 
@@ -24,15 +28,6 @@ pub struct NetOptions {
     pub max_connections: usize,
     /// Client: number of pooled connections.
     pub connections: usize,
-    /// Client: per-connection cap on in-flight pipelined requests;
-    /// senders block once the pipeline is this deep.
-    pub pipeline_depth: usize,
-    /// Per-connection read buffer chunk, in bytes.
-    pub read_buffer_bytes: usize,
-    /// Server: once a connection's already-sent response prefix passes
-    /// this many bytes its output buffer is compacted, and a peer that
-    /// lets 16x this much queue up unread is closed as a slow consumer.
-    pub write_buffer_bytes: usize,
     /// Largest acceptable frame (length prefix value); larger frames
     /// are a protocol error and fail the connection closed.
     pub max_frame_bytes: usize,
@@ -45,9 +40,6 @@ impl Default for NetOptions {
             workers: 2,
             max_connections: 1024,
             connections: 4,
-            pipeline_depth: 64,
-            read_buffer_bytes: 64 * 1024,
-            write_buffer_bytes: 256 * 1024,
             max_frame_bytes: 16 * 1024 * 1024,
         }
     }
@@ -79,9 +71,6 @@ impl NetOptions {
         nonzero("workers", self.workers)?;
         nonzero("max_connections", self.max_connections)?;
         nonzero("connections", self.connections)?;
-        nonzero("pipeline_depth", self.pipeline_depth)?;
-        nonzero("read_buffer_bytes", self.read_buffer_bytes)?;
-        nonzero("write_buffer_bytes", self.write_buffer_bytes)?;
         // A frame must at least hold the request id + opcode, and the
         // u32 length prefix bounds it from above.
         if self.max_frame_bytes < crate::frame::MIN_FRAME_BYTES {
@@ -135,24 +124,6 @@ impl NetOptionsBuilder {
         self
     }
 
-    /// Per-connection in-flight request cap.
-    pub fn pipeline_depth(mut self, n: usize) -> Self {
-        self.opts.pipeline_depth = n;
-        self
-    }
-
-    /// Read buffer chunk size, in bytes.
-    pub fn read_buffer_bytes(mut self, n: usize) -> Self {
-        self.opts.read_buffer_bytes = n;
-        self
-    }
-
-    /// Output-buffer compaction / slow-consumer threshold, in bytes.
-    pub fn write_buffer_bytes(mut self, n: usize) -> Self {
-        self.opts.write_buffer_bytes = n;
-        self
-    }
-
     /// Largest acceptable frame, in bytes.
     pub fn max_frame_bytes(mut self, n: usize) -> Self {
         self.opts.max_frame_bytes = n;
@@ -176,13 +147,15 @@ mod tests {
             .addr("127.0.0.1:0")
             .workers(3)
             .connections(8)
-            .pipeline_depth(32)
+            .max_connections(16)
+            .max_frame_bytes(1 << 20)
             .build()
             .unwrap();
         assert_eq!(opts.addr, "127.0.0.1:0");
         assert_eq!(opts.workers, 3);
         assert_eq!(opts.connections, 8);
-        assert_eq!(opts.pipeline_depth, 32);
+        assert_eq!(opts.max_connections, 16);
+        assert_eq!(opts.max_frame_bytes, 1 << 20);
         let same = NetOptionsBuilder::from_options(opts.clone())
             .build()
             .unwrap();
@@ -194,7 +167,7 @@ mod tests {
         assert!(NetOptions::builder().addr("").build().is_err());
         assert!(NetOptions::builder().workers(0).build().is_err());
         assert!(NetOptions::builder().connections(0).build().is_err());
-        assert!(NetOptions::builder().pipeline_depth(0).build().is_err());
+        assert!(NetOptions::builder().max_connections(0).build().is_err());
         assert!(NetOptions::builder().max_frame_bytes(4).build().is_err());
         assert!(NetOptions::builder()
             .max_frame_bytes(u32::MAX as usize + 1)

@@ -135,27 +135,21 @@ impl<'a> Rd<'a> {
 // Shared sub-encodings.
 // ---------------------------------------------------------------------
 
+/// The write-options byte: `0x01` is `sync` and every other bit is
+/// reserved (`0x02` once meant "skip the log", which no write does now).
 fn put_write_options(dst: &mut Vec<u8>, opts: &WriteOptions) {
-    let mut bits = 0u8;
-    if opts.sync {
-        bits |= 1;
-    }
-    if opts.disable_wal {
-        bits |= 2;
-    }
-    dst.push(bits);
+    dst.push(u8::from(opts.sync));
 }
 
 fn read_write_options(rd: &mut Rd<'_>) -> Result<WriteOptions> {
     let bits = rd.u8()?;
-    if bits & !3 != 0 {
+    if bits & !1 != 0 {
         return Err(Error::protocol(format!(
             "reserved WriteOptions bits set: {bits:#04x}"
         )));
     }
     Ok(WriteOptions {
         sync: bits & 1 != 0,
-        disable_wal: bits & 2 != 0,
     })
 }
 
@@ -534,10 +528,7 @@ mod tests {
         });
         round_trip_request(Request::Delete {
             key: vec![],
-            opts: WriteOptions {
-                sync: false,
-                disable_wal: true,
-            },
+            opts: WriteOptions::new(),
         });
         round_trip_request(Request::Write {
             batch,
@@ -648,16 +639,20 @@ mod tests {
 
     #[test]
     fn reserved_write_option_bits_are_rejected() {
-        let mut payload = Vec::new();
-        put_fixed64(&mut payload, 1);
-        payload.push(2); // OP_PUT
-        payload.push(0x80); // reserved bit
-        put_length_prefixed_slice(&mut payload, b"k");
-        put_length_prefixed_slice(&mut payload, b"v");
-        assert_eq!(
-            decode_request(&payload).unwrap_err().kind(),
-            ErrorKind::Protocol
-        );
+        // 0x02 is the retired skip-the-log bit; 0x80 was always reserved.
+        for bits in [0x02, 0x80] {
+            let mut payload = Vec::new();
+            put_fixed64(&mut payload, 1);
+            payload.push(2); // OP_PUT
+            payload.push(bits);
+            put_length_prefixed_slice(&mut payload, b"k");
+            put_length_prefixed_slice(&mut payload, b"v");
+            assert_eq!(
+                decode_request(&payload).unwrap_err().kind(),
+                ErrorKind::Protocol,
+                "bits {bits:#04x}"
+            );
+        }
     }
 
     #[test]

@@ -52,12 +52,16 @@ use clsm_kv::KvStore;
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, Counter, Gauge, MetricsRegistry};
 
-use crate::frame::{write_frame, FrameReader};
+use crate::frame::{write_frame, FrameReader, READ_BUFFER_BYTES};
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::proto::{self, WireRequest};
 use crate::NetOptions;
 
-/// Hard multiple of `write_buffer_bytes` past which a connection that
+/// Once a connection's already-sent response prefix passes this many
+/// bytes, its output buffer is compacted.
+const WRITE_BUFFER_BYTES: usize = 256 * 1024;
+
+/// Hard multiple of [`WRITE_BUFFER_BYTES`] past which a connection that
 /// is not draining its responses is closed as a slow consumer.
 const SLOW_CONSUMER_MULTIPLE: usize = 16;
 
@@ -385,7 +389,7 @@ impl Worker {
     /// but reading everything nonblocking is correct regardless —
     /// `WouldBlock` simply ends a connection's drain).
     fn read_ready(&mut self) {
-        let mut chunk = vec![0u8; self.opts.read_buffer_bytes];
+        let mut chunk = vec![0u8; READ_BUFFER_BYTES];
         for conn in &mut self.conns {
             if conn.dead {
                 continue;
@@ -506,13 +510,13 @@ impl Worker {
             if conn.out_pos == conn.out.len() {
                 conn.out.clear();
                 conn.out_pos = 0;
-            } else if conn.out_pos > self.opts.write_buffer_bytes {
+            } else if conn.out_pos > WRITE_BUFFER_BYTES {
                 // Compact the drained prefix so the buffer doesn't
                 // grow monotonically under sustained pipelining.
                 conn.out.drain(..conn.out_pos);
                 conn.out_pos = 0;
             }
-            if conn.pending_out() > self.opts.write_buffer_bytes * SLOW_CONSUMER_MULTIPLE {
+            if conn.pending_out() > WRITE_BUFFER_BYTES * SLOW_CONSUMER_MULTIPLE {
                 // The peer is not reading its responses; cut it loose
                 // rather than buffering without bound.
                 conn.dead = true;

@@ -134,16 +134,10 @@ fn store_errors_cross_as_typed_codes() {
     {
         let store = remote_over_db(&dir);
 
-        // Contradictory write options are rejected server-side with the
+        // An empty-key put is rejected server-side with the
         // InvalidArgument kind intact.
         let err = store
-            .write(
-                WriteBatch::single_put(b"k", b"v"),
-                &WriteOptions {
-                    sync: true,
-                    disable_wal: true,
-                },
-            )
+            .write(WriteBatch::single_put(b"", b"v"), &WriteOptions::new())
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidArgument, "{err}");
         assert!(!err.is_retryable());

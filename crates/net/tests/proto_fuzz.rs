@@ -18,10 +18,7 @@ fn text() -> impl Strategy<Value = String> {
 }
 
 fn arb_opts() -> impl Strategy<Value = WriteOptions> {
-    (any::<bool>(), any::<bool>()).prop_map(|(sync, disable_wal)| WriteOptions {
-        sync: sync && !disable_wal,
-        disable_wal,
-    })
+    any::<bool>().prop_map(|sync| WriteOptions { sync })
 }
 
 fn arb_bound() -> impl Strategy<Value = std::ops::Bound<Vec<u8>>> {

@@ -144,7 +144,7 @@ fn after_a_wal_write_error_every_sync_append_and_rotation_fails() {
         let _ = store.log_writes([(ts, &b"key"[..], Some(&b"value"[..]))], SyncMode::Async);
     }
     assert!(store.sync_wal().is_err(), "a sync after a failed write");
-    assert!(store.wal_poisoned().is_some());
+    assert!(store.poisoned().is_some());
     let record = [WriteRecord::put(11, "key", "value")];
     assert!(
         store.log(&record, SyncMode::Async).is_err(),
