@@ -70,6 +70,7 @@ impl BaselineCore {
             swap_lock: RwLock::new(()),
         });
 
+        core.store.start_logger()?;
         let mut workers = Vec::new();
         {
             let core = Arc::clone(&core);

@@ -27,9 +27,10 @@ fn bench_wal_append(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).unwrap();
 
     let path = dir.join("bench.log");
-    let queue = LogQueue::start(LogWriter::new(Box::new(
+    let queue = LogQueue::new(LogWriter::new(Box::new(
         std::fs::File::create(&path).unwrap(),
     )));
+    queue.start_logger().unwrap();
     let mut record = Vec::new();
     WriteRecord::put(1, b"key-of-16-bytes!".to_vec(), vec![0u8; 256]).encode_to(&mut record);
     group.bench_function("async_enqueue_256B", |b| {

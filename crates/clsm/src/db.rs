@@ -115,11 +115,12 @@ impl Db {
         Ok(db)
     }
 
-    /// Test hook: opens like [`Db::open`] but starts no flush or
-    /// compaction thread; the WAL logger still runs. Nothing flushes or
-    /// compacts until the caller runs the jobs [`Db::due_jobs`] lists
-    /// through [`Db::run_job`], so a test fixes the order of background
-    /// work. Never use this on a production path.
+    /// Test hook: opens like [`Db::open`] but starts no thread, not
+    /// even the WAL logger. Nothing flushes, compacts or writes async
+    /// records to the WAL until the caller runs the jobs
+    /// [`Db::due_jobs`] lists through [`Db::run_job`], so a test fixes
+    /// the order of background work. Never use this on a production
+    /// path.
     ///
     /// A writer that finds `Pm` full while a `P'm` is merging stalls
     /// until some thread finishes that flush, and
@@ -167,7 +168,7 @@ impl Db {
         // registry is owned by `DbInner`.
         inner.store.attach_metrics(&inner.metrics.registry);
         type Read = fn(&DbInner) -> i64;
-        let gauges: [(&str, Read); 5] = [
+        let gauges: [(&str, Read); 6] = [
             ("oracle.live_snapshots", |i| i.snapshots.len() as i64),
             ("oracle.active_writes", |i| i.oracle.active().len() as i64),
             ("oracle.snap_time", |i| i.oracle.snap_time() as i64),
@@ -175,6 +176,7 @@ impl Db {
             ("storage.l0_runs", |i| {
                 i.store.current_version().l0_runs().len() as i64
             }),
+            ("db.read_only", |i| i64::from(i.store.poisoned().is_some())),
         ];
         for (name, read) in gauges {
             let weak = Arc::downgrade(&inner);
@@ -520,6 +522,13 @@ impl Db {
         self.inner.store.level_file_counts()
     }
 
+    /// The error that made the store read-only (`Store::poisoned`), if
+    /// one did: reads and snapshots work, every write and
+    /// [`Db::compact_range`] fails with it; reopening recovers.
+    pub fn read_only(&self) -> Option<Error> {
+        self.inner.store.poisoned()
+    }
+
     /// Approximate bytes in the mutable memtable.
     pub fn memtable_bytes(&self) -> usize {
         self.inner.pm.load().memory_usage()
@@ -612,13 +621,13 @@ impl std::fmt::Debug for Db {
 }
 
 impl DbInner {
-    /// Waits for the WAL's group-committed fsync covering everything
-    /// this thread has logged. Called outside the critical section so
-    /// it never blocks the merge hooks.
+    /// Waits for (or issues) the group-committed WAL fsync covering
+    /// everything this thread has logged. Called outside the critical
+    /// section so it never blocks the merge hooks.
     fn wait_durable(&self) -> Result<()> {
-        // The durable-ack timestamp is taken on the logger thread right
-        // after the fsync, so the stage excludes the time it took to
-        // wake this writer back up.
+        // The durable-ack timestamp is taken right after the covering
+        // fsync, by whichever writer issued it, so the stage excludes
+        // the time it took to wake this writer back up.
         let sync_start = now_ns();
         let durable_ns = self.store.sync_wal_timed()?;
         self.metrics
@@ -831,7 +840,7 @@ impl DbInner {
     /// quiescence condition, inverted).
     fn is_busy(&self, state: &JobState) -> bool {
         state.flush_requested
-            || state.running != [0, 0]
+            || state.running != [0; 3]
             || self.pm_prev.load().is_some()
             || self.store.needs_compaction()
     }

@@ -82,6 +82,8 @@ pub struct DoctorReport {
     /// The error of the last background job (flush or compaction) that
     /// failed, if any did; `db.background_errors` counts them.
     pub last_background_error: Option<String>,
+    /// The error that made the store read-only ([`Db::read_only`]).
+    pub read_only: Option<clsm_util::error::Error>,
     /// Per-stage write latency, extracted from the metrics snapshot.
     pub write_path: WritePathReport,
     /// The CRC32C implementation this CPU runs
@@ -129,6 +131,7 @@ impl Db {
             stall_events: self.stall_events(),
             admission: inner.admission_state(),
             last_background_error: inner.jobs.lock().last_error.clone(),
+            read_only: self.read_only(),
             write_path: WritePathReport::from_snapshot(&self.metrics()),
             checksum: clsm_util::crc::implementation(),
         }
@@ -150,6 +153,13 @@ impl DoctorReport {
             100.0 * self.memtable_bytes as f64 / self.memtable_capacity as f64
         };
         let _ = writeln!(out, "== clsm-doctor ==");
+        if let Some(e) = &self.read_only {
+            let _ = writeln!(
+                out,
+                "mode: read-only ({e}): reads and snapshots work, every write fails with it; \
+                 reopen to recover"
+            );
+        }
         let _ = writeln!(
             out,
             "memtable: {} / {} bytes ({:.1}% full), immutable pending: {}",
@@ -263,11 +273,12 @@ impl DoctorReport {
         out
     }
 
-    /// `true` when a stall episode was reported, or an Active-set
-    /// pressure or a long exclusive hold is under way — the doctor's
-    /// one-bit verdict.
+    /// `true` when the store is read-only, a stall episode was
+    /// reported, or an Active-set pressure or a long exclusive hold is
+    /// under way — the doctor's one-bit verdict.
     pub fn unhealthy(&self) -> bool {
-        !self.stall_events.is_empty()
+        self.read_only.is_some()
+            || !self.stall_events.is_empty()
             || self.active_set_pressure()
             || self.long_exclusive_hold().is_some()
     }

@@ -7,11 +7,13 @@
 //! [`DbInner::run_job`] runs it and records its outcome, and every
 //! background thread runs the same [`background_loop`]: `clsm-flush`
 //! serves flushes only, so a flush never queues behind a compaction,
-//! and each `clsm-compact-{i}` serves compactions.
+//! and each `clsm-compact-{i}` serves compactions. The third kind,
+//! [`Job::Log`], is the WAL logger's step; `clsm-logger` runs it on the
+//! logging queue's own batching timer.
 //!
 //! A test can open a store with no background threads at all
-//! ([`Db::open_stepped`]) and run the due jobs itself, in an order it
-//! chooses, on its own threads.
+//! ([`Db::open_stepped`]) and run the due jobs itself, log steps
+//! included, in an order it chooses, on its own threads.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -35,6 +37,9 @@ pub enum Job {
     /// One compaction, of whatever `lsm_storage::compaction::pick`
     /// picks.
     Compact,
+    /// One log step: write the WAL's queued records to the file, as the
+    /// logger thread does when its batching window closes.
+    Log,
 }
 
 /// Every fact that decides whether a background thread runs or sleeps.
@@ -43,7 +48,7 @@ pub enum Job {
 pub(crate) struct JobState {
     pub(crate) flush_requested: bool,
     /// Jobs running, by kind (`Job as usize`).
-    pub(crate) running: [usize; 2],
+    pub(crate) running: [usize; 3],
     /// Version installs so far (see `DbInner::note_version`).
     pub(crate) installs: u64,
     /// `installs` when a compaction last found nothing it could claim.
@@ -68,13 +73,13 @@ impl DbInner {
     /// The job a thread serving `serves` runs next, if it is due: a
     /// flush once one is asked for and none is running; a compaction
     /// while the tree needs one, unless one found nothing to claim and
-    /// no version was installed since. Nothing is due once the store is
-    /// poisoned: no job can commit again.
+    /// no version was installed since; a log step while the WAL's queue
+    /// holds records. Once the store is poisoned only log steps are
+    /// due: nothing can commit again, but the logger still writes.
     fn next_job(&self, state: &JobState, serves: Job) -> Option<Job> {
-        if self.store.poisoned().is_some() {
-            return None;
-        }
         let due = match serves {
+            Job::Log => self.store.wal_queue_bytes() > 0,
+            _ if self.store.poisoned().is_some() => false,
             Job::Flush => state.flush_requested && state.running[Job::Flush as usize] == 0,
             Job::Compact => {
                 state.compaction_idle_at != Some(state.installs) && self.store.needs_compaction()
@@ -106,6 +111,7 @@ impl DbInner {
         let result = match job {
             Job::Flush => self.flush_once(),
             Job::Compact => self.compact_once(),
+            Job::Log => self.store.flush_wal().map(|()| true),
         };
         let mut state = self.jobs.lock();
         state.running[job as usize] -= 1;
@@ -153,10 +159,12 @@ impl DbInner {
     }
 }
 
-/// Starts the flush thread and `opts.compaction_threads` compaction
-/// threads, adding each to `workers` as it starts. Stops at the first
-/// thread that cannot be spawned and returns that error.
+/// Starts the WAL logger (the store joins it), the flush thread and
+/// `opts.compaction_threads` compaction threads, adding each of the
+/// last to `workers`. Stops at the first thread that cannot be spawned
+/// and returns that error.
 pub(crate) fn spawn_workers(inner: &Arc<DbInner>, workers: &mut Vec<JoinHandle<()>>) -> Result<()> {
+    inner.store.start_logger()?;
     let compactors =
         (0..inner.opts.compaction_threads).map(|i| (format!("clsm-compact-{i}"), Job::Compact));
     for (name, job) in std::iter::once(("clsm-flush".to_owned(), Job::Flush)).chain(compactors) {
@@ -200,7 +208,7 @@ impl Db {
     #[doc(hidden)]
     pub fn due_jobs(&self) -> Vec<Job> {
         let state = self.inner.jobs.lock();
-        [Job::Flush, Job::Compact]
+        [Job::Flush, Job::Compact, Job::Log]
             .into_iter()
             .filter(|&job| self.inner.next_job(&state, job).is_some())
             .collect()

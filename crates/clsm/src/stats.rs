@@ -104,7 +104,7 @@ pub(crate) struct WritePathMetrics {
     pub wal_enqueue: Arc<ConcurrentHistogram>,
     /// Oracle publish (makes stamped writes visible to snapshots).
     pub publish: Arc<ConcurrentHistogram>,
-    /// Sync-wait start → logger-thread fsync completion (sync writes
+    /// Sync-wait start → covering fsync completion (sync writes
     /// only; uses the WAL durable-ack timestamp, so cross-thread wake
     /// latency is excluded).
     pub durable: Arc<ConcurrentHistogram>,

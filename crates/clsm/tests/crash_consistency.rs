@@ -360,6 +360,7 @@ fn crash_sweep_through_flushes() {
     let db = open(&clean).unwrap();
     assert_eq!(run(&db, &clean), keys.len());
     assert!(!clean.is_poisoned());
+    // Every put synced the WAL itself, so no log step is due either.
     assert!(db.due_jobs().is_empty(), "{:?}", db.due_jobs());
     assert!(
         !db.run_job(Job::Flush).unwrap(),

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use clsm::{Db, Job, Options, Stage, WriteBatch, WriteOptions};
-use clsm_util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
+use clsm::{Db, Job, Options, RmwDecision, Stage, WriteBatch, WriteOptions};
+use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
 use lsm_storage::compaction::L0_COMPACTION_TRIGGER;
 
@@ -50,11 +50,11 @@ fn model_contents(model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<(Vec<u8>, Vec<u8>)>
 }
 
 /// One seeded schedule: puts, deletes and reads interleaved with the
-/// jobs that are due, in an order the seed picks, all on this thread.
-/// Every read, a snapshot held across jobs, the final scan and the
-/// reopened store must match a `BTreeMap` model. Returns how many
-/// compactions ran.
-fn run_stepped_schedule(seed: u64) -> u64 {
+/// jobs that are due, log steps included, in an order the seed picks,
+/// all on this thread. Every read, a snapshot held across jobs, the
+/// final scan and the reopened store must match a `BTreeMap` model.
+/// Returns how many compactions ran, and the env the schedule ran on.
+fn run_stepped_schedule(seed: u64) -> (u64, FaultEnv) {
     let ctx = format!("seed {seed}");
     let env = FaultEnv::new(seed);
     let dir = Path::new("/stepped");
@@ -119,13 +119,52 @@ fn run_stepped_schedule(seed: u64) -> u64 {
 
     let db = Db::open_stepped(dir, stepped_options(&env)).unwrap();
     assert_eq!(contents(&db), model_contents(&model), "{ctx}: after reopen");
-    compactions
+    drop(db);
+    (compactions, env)
 }
 
 #[test]
 fn seeded_stepped_schedules_match_a_model() {
-    let compactions: u64 = (0..100).map(run_stepped_schedule).sum();
+    let compactions: u64 = (0..100).map(|seed| run_stepped_schedule(seed).0).sum();
     assert!(compactions > 0, "no schedule compacted");
+}
+
+/// The file operations a schedule made that its seed must fix: every
+/// write (with its length), sync and rename, first of the files only
+/// the schedule's own thread touches (WAL, manifest, `CURRENT`) in the
+/// order it made them, then of each table file on its own. A job's
+/// finisher writes one table while its merge writes the next, so only
+/// each table's own operations come in a fixed order. Removals are
+/// left out: the epoch collector, which every test thread in this
+/// binary shares, decides when a table file goes.
+fn replayed_ops(env: &FaultEnv) -> (Vec<FaultOp>, BTreeMap<PathBuf, Vec<FaultOp>>) {
+    let is_table = |path: &Path| path.extension().is_some_and(|e| e == "sst");
+    let mut own = Vec::new();
+    let mut tables: BTreeMap<PathBuf, Vec<FaultOp>> = BTreeMap::new();
+    for op in env.history() {
+        match &op {
+            FaultOp::Write(path, _) | FaultOp::Sync(path) if is_table(path) => {
+                tables.entry(path.clone()).or_default().push(op)
+            }
+            FaultOp::Remove(_) => {}
+            _ => own.push(op),
+        }
+    }
+    (own, tables)
+}
+
+/// A stepped store has no thread between steps, so a seed fixes its
+/// file operations: the WAL is written by the log steps, syncs and
+/// rotations the schedule runs, never on a logger's timer.
+#[test]
+fn a_seed_replays_the_same_file_operations() {
+    let differing: Vec<u64> = (0..100)
+        .filter(|&seed| {
+            let first = replayed_ops(&run_stepped_schedule(seed).1);
+            first != replayed_ops(&run_stepped_schedule(seed).1)
+        })
+        .collect();
+    assert!(differing.is_empty(), "seeds {differing:?} did not replay");
 }
 
 #[test]
@@ -826,6 +865,9 @@ fn a_failed_manifest_sync_poisons_the_store_and_loses_no_acked_write() {
         db.run_job(Job::Flush).unwrap_err();
         assert_eq!(manifest_len(), after, "{ctx}: the retry wrote an edit");
         db.put(b"late", b"x").unwrap_err();
+        // No log step is due either: the durable put and the flush's
+        // rotation wrote the logging queue out, and the late put failed
+        // before it logged.
         assert!(
             db.due_jobs().is_empty(),
             "{ctx}: a poisoned store has due jobs"
@@ -847,6 +889,80 @@ fn a_failed_manifest_sync_poisons_the_store_and_loses_no_acked_write() {
         assert_eq!(contents(&db).len() as u64, acked, "{ctx}");
         db.verify_integrity().unwrap();
     }
+}
+
+/// A store poisoned by a failed manifest sync is read-only: reads,
+/// scans and snapshots, old and new, still work; every write and
+/// `compact_range` returns the poison; and the error, the doctor and
+/// the `db.read_only` gauge all say so.
+#[test]
+fn a_poisoned_store_is_read_only() {
+    let env = FailManifestSync {
+        fault: FaultEnv::new(0x3a21),
+        armed: Arc::default(),
+        removed: Arc::default(),
+    };
+    let mut opts = stepped_options(&env.fault);
+    opts.memtable_bytes = 64 * 1024;
+    opts.store.env = Arc::new(env.clone());
+    let db = Db::open_stepped(Path::new("/read-only"), opts).unwrap();
+    let gauge = |db: &Db| db.metrics().gauges["db.read_only"];
+    assert!(db.read_only().is_none());
+    assert_eq!(gauge(&db), 0);
+    let healthy = db.doctor();
+    assert!(healthy.read_only.is_none());
+    assert!(
+        !healthy.render().contains("read-only"),
+        "{}",
+        healthy.render()
+    );
+
+    let value = |i: u64| format!("value-{i:05}-").into_bytes().repeat(8);
+    let mut acked = 0;
+    while !db.due_jobs().contains(&Job::Flush) {
+        db.put(&key(acked), &value(acked)).unwrap();
+        acked += 1;
+    }
+    let before = db.snapshot().unwrap();
+    env.armed.store(true, SeqCst);
+    let poison = db.run_job(Job::Flush).unwrap_err().to_string();
+    assert!(
+        poison.contains("injected manifest sync failure"),
+        "{poison}"
+    );
+    assert_eq!(db.read_only().map(|e| e.to_string()), Some(poison.clone()));
+
+    for i in 0..acked {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
+    assert_eq!(contents(&db).len() as u64, acked);
+    let after = db.snapshot().unwrap();
+    for snap in [&before, &after] {
+        assert_eq!(snap.iter().unwrap().count() as u64, acked);
+        assert_eq!(snap.scan(key(0)..key(10), 100).unwrap().len(), 10);
+    }
+
+    let fails = |what: &str, result: Result<()>| {
+        let e = result.expect_err(what).to_string();
+        assert_eq!(e, poison, "{what}");
+    };
+    fails("a put", db.put(b"late", b"x"));
+    let mut batch = WriteBatch::new();
+    batch.put(b"late-a", b"x");
+    batch.put(b"late-b", b"y");
+    fails("a batch", db.write(batch, &WriteOptions::new()));
+    let rmw = db.read_modify_write(&key(0), |_| RmwDecision::Update(b"x".to_vec()));
+    fails("an RMW", rmw.map(drop));
+    fails("compact_range", db.compact_range(b"", b"\xff"));
+
+    let report = db.doctor();
+    assert!(report.unhealthy());
+    let expected = format!(
+        "mode: read-only ({poison}): reads and snapshots work, every write fails with it; \
+         reopen to recover"
+    );
+    assert!(report.render().contains(&expected), "{}", report.render());
+    assert_eq!(gauge(&db), 1);
 }
 
 /// Writers racing a flush whose manifest sync fails all end with the

@@ -136,7 +136,7 @@ pub struct Store {
     versions: Mutex<VersionSet>,
     /// Lock-free snapshot of the current version (the `Pd` pointer).
     current: RcuCell<Arc<Version>>,
-    /// The logging queue (§4): one file, one logger thread.
+    /// The logging queue (§4): one file at a time.
     wal: LogQueue,
     /// Number of the WAL currently receiving appends — the
     /// retire/replay boundary. Every record in the live memtable sits
@@ -291,7 +291,7 @@ impl Store {
         // retired only after the next flush.
         let wal_number = versions.new_file_number();
         let wal_file = env.open_write(&filenames::wal_path(dir, wal_number))?;
-        let wal = LogQueue::spawn(LogWriter::new(wal_file))?;
+        let wal = LogQueue::new(LogWriter::new(wal_file));
 
         let obsolete = Arc::clone(versions.obsolete_files());
         let manifest_error = Arc::clone(versions.manifest_error());
@@ -409,16 +409,29 @@ impl Store {
         });
     }
 
+    /// Starts the WAL's logger thread, which the owner starts like its
+    /// flush and compaction threads; without it, records wait for
+    /// [`Store::flush_wal`], a sync, a rotation or the drop.
+    pub fn start_logger(&self) -> Result<()> {
+        self.wal.start_logger()
+    }
+
+    /// Writes the logging queue's records to the WAL file without an
+    /// fsync: the logger thread's step, on the calling thread.
+    pub fn flush_wal(&self) -> Result<()> {
+        self.wal.flush()
+    }
+
     /// Forces everything logged so far to disk.
     pub fn sync_wal(&self) -> Result<()> {
         self.sync_wal_timed().map(|_durable_ns| ())
     }
 
-    /// Like [`sync_wal`](Self::sync_wal), but returns the logger
-    /// thread's `trace::now_ns()` reading taken right after the
-    /// covering fsync — the instant durability was reached, before any
-    /// cross-thread wake-up latency. Write-path attribution uses it to
-    /// bound the durable stage by actual fsync completion.
+    /// Like [`sync_wal`](Self::sync_wal), but returns the
+    /// `trace::now_ns()` reading taken right after the covering fsync,
+    /// on whichever thread issued it — the instant durability was
+    /// reached. Write-path attribution uses it to bound the durable
+    /// stage by actual fsync completion.
     pub fn sync_wal_timed(&self) -> Result<u64> {
         let _span = T_WAL_SYNC.span();
         let start = self.metrics.get().map(|_| Instant::now());
@@ -476,8 +489,8 @@ impl Store {
         self.wal_number.load(Ordering::SeqCst)
     }
 
-    /// Backlog of the logging queue: bytes enqueued, not yet taken by
-    /// the logger thread. Racy diagnostic sample.
+    /// Backlog of the logging queue: bytes enqueued, not yet written to
+    /// the WAL file. Racy diagnostic sample.
     pub fn wal_queue_bytes(&self) -> usize {
         self.wal.depth()
     }
@@ -667,7 +680,7 @@ impl Store {
     }
 
     /// The store's first fatal error, if it hit one: a failed manifest
-    /// append or sync, or the logger thread's first WAL I/O error.
+    /// append or sync, or the WAL's first I/O error.
     /// Either way no later write or commit can succeed; reopening the
     /// store recovers what was acknowledged. Takes no lock.
     pub fn poisoned(&self) -> Option<Error> {

@@ -7,9 +7,11 @@
 //! split into FIRST/MIDDLE/LAST fragments.
 //!
 //! cLSM's addition (§4) is the *logging queue*: writers encode their
-//! records into a shared buffer and a dedicated logger thread appends
-//! them to the file, so a put never waits for file I/O in asynchronous
-//! mode (the LevelDB default the paper assumes).
+//! records into a shared buffer and return, so a put never waits for
+//! file I/O in asynchronous mode (the LevelDB default the paper
+//! assumes). A logger thread writes the buffer out as each batching
+//! window closes; a sync or a rotation does its own write and fsync,
+//! on the thread that asked for it.
 
 mod queue;
 mod reader;

@@ -1,28 +1,23 @@
-//! The cLSM logging queue: non-blocking WAL appends via a dedicated
-//! logger thread.
+//! The cLSM logging queue: WAL appends that never wait for file I/O.
 //!
 //! The paper implements the logging queue with a non-blocking queue
-//! from libcds (§4). Here it is one mutex-guarded append buffer. A
-//! writer encodes its record straight into the buffer — no record
-//! object, no payload allocation — and wakes the logger only when the
-//! logger is parked. The logger swaps the buffer out, frames each
-//! record into the log through the [`LogWriter`], and hands the batch
-//! to the file with one `flush`, or one fsync when a sync was asked
-//! for. In asynchronous mode (the LevelDB default) a put returns once
-//! its record is in the buffer — "a write only queues the request for
-//! logging and a handful of writes may be lost due to a crash". In
-//! synchronous mode the caller waits for a group-committed fsync.
+//! from libcds (§4). Here it is one mutex-guarded append buffer that a
+//! writer encodes its record straight into: "a write only queues the
+//! request for logging and a handful of writes may be lost due to a
+//! crash". Records may be enqueued out of timestamp order; recovery
+//! sorts them (§4).
 //!
-//! The mutex is held for one record's copy: the same lock count per put
-//! as a channel send, without the unconditional `futex_wake` a condvar
-//! notify costs. While only asynchronous records are pending, the
-//! logger waits out a batching window of at most [`BATCH_WINDOW`] or
-//! [`BATCH_BYTES`], so a process crash loses that window, plus whatever
-//! queued up behind a `write` or fsync the logger was inside.
-//!
-//! Because cLSM allows concurrent writers, records may be enqueued (and
-//! thus written) out of timestamp order; recovery sorts by timestamp
-//! (§4: "the correct order is easily restored upon recovery").
+//! The [`LogWriter`] sits behind a second mutex, the file lock, taken
+//! before the buffer's. Whoever holds it swaps the buffer out, frames
+//! each record into the log and hands the batch to the file with one
+//! `flush` or one fsync. A sync or a rotation does that I/O on its own
+//! thread; syncing callers group-commit, as LevelDB's writers do: one
+//! fsyncs, and the others wait for it and mostly find themselves
+//! covered. The logger thread ([`LogQueue::start_logger`]) only ends
+//! the batching window of [`BATCH_WINDOW`] or [`BATCH_BYTES`], so a
+//! process crash loses that window, plus whatever queued up behind a
+//! `write` or fsync in progress. Without a logger, records wait for the
+//! next [`LogQueue::flush`], sync, rotation or drop.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -33,9 +28,8 @@ use clsm_util::trace::{now_ns, TraceId};
 
 use super::LogWriter;
 
-/// Flight-recorder span on the logger thread: one group-committed
-/// fsync covering every sync request that joined the group (argument =
-/// number of requests released).
+/// Flight-recorder span around one WAL fsync, on the thread that issued
+/// it (argument = bytes of framed records written with it).
 static T_GROUP_COMMIT: TraceId = TraceId::new("storage.wal.group_commit");
 
 /// Longest the logger holds asynchronous records back to batch them.
@@ -52,14 +46,16 @@ const FRAME: usize = 8;
 pub enum SyncMode {
     /// Enqueue and return; data reaches the OS lazily.
     Async,
-    /// Wait until the record is fsync'd (group-committed).
+    /// Return once the record is fsync'd (group-committed).
     Sync,
 }
 
 /// What the logger thread is doing, so writers know whether to wake it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum Logger {
-    /// Writing a batch, or already woken: nobody needs to notify it.
+    /// Writing a batch, already woken, or not started: nobody needs to
+    /// notify it.
+    #[default]
     Busy,
     /// Parked with nothing pending, no timeout.
     Idle,
@@ -67,49 +63,40 @@ enum Logger {
     Window,
 }
 
+#[derive(Default)]
 struct State {
-    /// Records not yet taken by the logger, each preceded by its length
-    /// as a little-endian `u64`.
+    /// Records not yet written, each preceded by its length as a
+    /// little-endian `u64`.
     pending: Vec<u8>,
-    /// Rotations not yet taken: the offset in `pending` where the new
-    /// file begins, and the new file's writer.
-    rotations: Vec<(usize, LogWriter)>,
-    sync_requested: u64,
-    sync_done: u64,
-    /// The logger's [`now_ns`] right after the fsync that last advanced
-    /// `sync_done`.
+    /// Bytes ever appended to `pending`.
+    appended: u64,
+    /// How many of those an fsync has covered, and the [`now_ns`]
+    /// reading right after that fsync.
+    synced: u64,
     durable_ns: u64,
-    rotate_requested: u64,
-    rotate_done: u64,
+    /// A caller of [`LogQueue::sync_timed`] is fsyncing.
+    syncing: bool,
     logger: Logger,
     shutdown: bool,
 }
 
-impl State {
-    /// Marks the logger woken. Returns whether the caller must notify
-    /// it: a busy logger re-reads the state before it parks.
-    fn wake(&mut self) -> bool {
-        std::mem::replace(&mut self.logger, Logger::Busy) != Logger::Busy
-    }
-
-    /// Work that ends a batching window at once.
-    fn urgent(&self) -> bool {
-        self.shutdown
-            || self.sync_requested > self.sync_done
-            || !self.rotations.is_empty()
-            || self.pending.len() >= BATCH_BYTES
-    }
+/// The file lock's contents.
+struct LogFile {
+    writer: LogWriter,
+    /// The empty buffer the next swap puts in place of `pending`.
+    spare: Vec<u8>,
 }
 
 struct Shared {
     state: Mutex<State>,
+    file: Mutex<LogFile>,
     /// The first I/O error; every later append, sync and rotate fails
-    /// with it. Set under `state`'s lock, read without it.
+    /// with it.
     error: OnceLock<Error>,
     /// Wakes the logger.
     work: Condvar,
-    /// Releases sync and rotate waiters.
-    done: Condvar,
+    /// Wakes the syncing callers waiting out another's fsync.
+    fsynced: Condvar,
 }
 
 impl Shared {
@@ -123,62 +110,104 @@ impl Shared {
             .expect("logging queue poisoned by a panicking thread")
     }
 
-    fn wait_done<'a>(&self, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        self.done
-            .wait(st)
-            .expect("logging queue poisoned by a panicking thread")
+    fn lock_file(&self) -> MutexGuard<'_, LogFile> {
+        self.file
+            .lock()
+            .expect("log file poisoned by a panicking thread")
+    }
+
+    /// Swaps out every pending record and adds them to the file, then
+    /// flushes it to the OS, or fsyncs it when `sync`. The first failure
+    /// becomes the queue's error.
+    fn write_out(&self, file: &mut LogFile, sync: bool) -> Result<()> {
+        let (batch, appended) = {
+            let mut st = self.lock();
+            let batch = std::mem::replace(&mut st.pending, std::mem::take(&mut file.spare));
+            (batch, st.appended)
+        };
+        // After the first error nothing more is written: these records
+        // were appended before the error was published, and the error
+        // now fails every sync that could have covered them.
+        let result = self
+            .check()
+            .and_then(|()| write_records(&mut file.writer, &batch))
+            .and_then(|()| {
+                if sync {
+                    let _span = T_GROUP_COMMIT.span_with(batch.len() as u64);
+                    file.writer.sync()
+                } else {
+                    file.writer.flush()
+                }
+            });
+        file.spare = batch;
+        file.spare.clear();
+        // A backlog built up behind a slow fsync can grow the buffer far
+        // past a batch; hand that memory back instead of keeping it.
+        file.spare.shrink_to(2 * BATCH_BYTES);
+        if let Err(e) = result {
+            return Err(self.error.get_or_init(|| e).clone());
+        }
+        if sync {
+            let durable_ns = now_ns();
+            let mut st = self.lock();
+            (st.synced, st.durable_ns) = (appended, durable_ns);
+        }
+        Ok(())
     }
 }
 
-/// Handle to the logger thread. Dropping it drains every pending
-/// record into the file, syncs it, and joins the logger.
+/// The logging queue over one log file at a time. Dropping it stops
+/// the logger, then writes and syncs whatever is not synced yet.
 pub struct LogQueue {
     shared: Arc<Shared>,
-    logger: Option<JoinHandle<()>>,
+    logger: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl LogQueue {
-    /// Starts a logger thread over `writer`. Panics if the thread
-    /// cannot be spawned; [`LogQueue::spawn`] returns that as an error.
-    pub fn start(writer: LogWriter) -> Self {
-        Self::spawn(writer).expect("spawn logger thread")
+    /// A queue over `writer` with no logger thread (see
+    /// [`start_logger`](Self::start_logger)).
+    pub fn new(writer: LogWriter) -> Self {
+        LogQueue {
+            shared: Arc::new(Shared {
+                state: Mutex::default(),
+                file: Mutex::new(LogFile {
+                    writer,
+                    spare: Vec::new(),
+                }),
+                error: OnceLock::new(),
+                work: Condvar::new(),
+                fsynced: Condvar::new(),
+            }),
+            logger: Mutex::new(None),
+        }
     }
 
-    /// Starts a logger thread over `writer`, or fails if the thread
-    /// cannot be spawned.
-    pub fn spawn(writer: LogWriter) -> Result<Self> {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                pending: Vec::new(),
-                rotations: Vec::new(),
-                sync_requested: 0,
-                sync_done: 0,
-                durable_ns: 0,
-                rotate_requested: 0,
-                rotate_done: 0,
-                logger: Logger::Busy,
-                shutdown: false,
-            }),
-            error: OnceLock::new(),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let logger = std::thread::Builder::new()
-            .name("clsm-logger".to_string())
-            .spawn({
-                let shared = Arc::clone(&shared);
-                move || logger_loop(writer, &shared)
-            })?;
-        Ok(LogQueue {
-            shared,
-            logger: Some(logger),
-        })
+    /// A queue over `writer` with its logger running. Panics if the
+    /// thread cannot be spawned, which [`start_logger`](Self::start_logger)
+    /// returns as an error.
+    pub fn start(writer: LogWriter) -> Self {
+        let queue = Self::new(writer);
+        queue.start_logger().expect("spawn logger thread");
+        queue
+    }
+
+    /// Starts the `clsm-logger` thread, which writes asynchronous
+    /// records out as each batching window closes, unless it runs
+    /// already. Fails if the thread cannot be spawned.
+    pub fn start_logger(&self) -> Result<()> {
+        let mut logger = self.logger.lock().expect("logger handle poisoned");
+        if logger.is_none() {
+            let shared = Arc::clone(&self.shared);
+            let thread = std::thread::Builder::new().name("clsm-logger".into());
+            *logger = Some(thread.spawn(move || logger_loop(&shared))?);
+        }
+        Ok(())
     }
 
     /// Appends a serialized record.
     ///
-    /// `Async` returns as soon as the record is enqueued; `Sync` blocks
-    /// until the record (and everything before it) is durable.
+    /// `Async` returns as soon as the record is enqueued; `Sync` returns
+    /// once the record (and everything before it) is durable.
     pub fn append(&self, payload: Vec<u8>, mode: SyncMode) -> Result<()> {
         self.append_with(|dst| dst.extend_from_slice(&payload), mode)
     }
@@ -198,79 +227,95 @@ impl LogQueue {
         encode(&mut st.pending);
         let len = (st.pending.len() - start - FRAME) as u64;
         st.pending[start..start + FRAME].copy_from_slice(&len.to_le_bytes());
-        match mode {
-            SyncMode::Async => {
-                let wake = match st.logger {
-                    Logger::Idle => true,
-                    Logger::Window => st.pending.len() >= BATCH_BYTES,
-                    Logger::Busy => false,
-                } && st.wake();
-                drop(st);
-                if wake {
-                    self.shared.work.notify_one();
-                }
-                Ok(())
-            }
-            SyncMode::Sync => self.wait_for_sync(st).map(|_durable_ns| ()),
+        st.appended += FRAME as u64 + len;
+        if mode == SyncMode::Sync {
+            drop(st);
+            return self.sync();
         }
-    }
-
-    /// Switches the logger to a new file. Every record enqueued before
-    /// the call lands in the old file, which is flushed and synced
-    /// before the switch; every record enqueued after it returns lands
-    /// in the new one. Blocks until the rotation happened.
-    pub fn rotate(&self, writer: LogWriter) -> Result<()> {
-        let mut st = self.shared.lock();
-        self.shared.check()?;
-        let at = st.pending.len();
-        st.rotations.push((at, writer));
-        st.rotate_requested += 1;
-        let mine = st.rotate_requested;
-        if st.wake() {
+        // A busy logger re-reads the state before it parks.
+        let wake = match st.logger {
+            Logger::Idle => true,
+            Logger::Window => st.pending.len() >= BATCH_BYTES,
+            Logger::Busy => false,
+        };
+        if wake {
+            st.logger = Logger::Busy;
+            drop(st);
             self.shared.work.notify_one();
         }
-        while st.rotate_done < mine {
-            st = self.shared.wait_done(st);
-        }
-        self.shared.check()
+        Ok(())
     }
 
-    /// Waits until everything enqueued so far is flushed and fsync'd.
+    /// Writes every pending record to the file and flushes it to the
+    /// OS, without an fsync: the logger's step.
+    pub fn flush(&self) -> Result<()> {
+        self.shared.write_out(&mut self.shared.lock_file(), false)
+    }
+
+    /// Switches to a new file. Every record enqueued before the call
+    /// lands in the old file, which is written and synced before the
+    /// switch; every record enqueued after it returns lands in the new
+    /// one.
+    pub fn rotate(&self, writer: LogWriter) -> Result<()> {
+        let mut file = self.shared.lock_file();
+        self.shared.write_out(&mut file, true)?;
+        file.writer = writer;
+        Ok(())
+    }
+
+    /// Returns once everything enqueued so far is flushed and fsync'd.
     pub fn sync(&self) -> Result<()> {
         self.sync_timed().map(|_durable_ns| ())
     }
 
-    /// Like [`sync`](Self::sync), but returns the logger thread's
-    /// [`now_ns`] reading taken right after the covering fsync — the
-    /// instant durability was reached, excluding the time it took to
-    /// wake this caller.
+    /// Like [`sync`](Self::sync), but returns the [`now_ns`] reading
+    /// taken right after the covering fsync, on the thread that issued
+    /// it: the instant durability was reached.
+    ///
+    /// The caller fsyncs unless an fsync covers everything appended
+    /// before the call: one that ran, or one in flight, which it waits
+    /// out. Waiting on the file lock instead would let the thread that
+    /// just synced take it back for its next record, ahead of every
+    /// caller its fsync covered.
     pub fn sync_timed(&self) -> Result<u64> {
-        self.wait_for_sync(self.shared.lock())
+        let mut st = self.shared.lock();
+        let target = st.appended;
+        loop {
+            self.shared.check()?;
+            if st.synced >= target {
+                return Ok(st.durable_ns);
+            }
+            if !st.syncing {
+                break;
+            }
+            st = self
+                .shared
+                .fsynced
+                .wait(st)
+                .expect("logging queue poisoned by a panicking thread");
+        }
+        st.syncing = true;
+        drop(st);
+        // Ends this caller's turn, also if its fsync panics, and wakes
+        // the callers waiting it out.
+        let _turn = OnDrop(|| {
+            let st = self.shared.state.lock();
+            st.unwrap_or_else(PoisonError::into_inner).syncing = false;
+            self.shared.fsynced.notify_all();
+        });
+        self.shared.write_out(&mut self.shared.lock_file(), true)?;
+        let durable_ns = self.shared.lock().durable_ns;
+        Ok(durable_ns)
     }
 
-    fn wait_for_sync(&self, mut st: MutexGuard<'_, State>) -> Result<u64> {
-        self.shared.check()?;
-        st.sync_requested += 1;
-        let mine = st.sync_requested;
-        if st.wake() {
-            self.shared.work.notify_one();
-        }
-        while st.sync_done < mine {
-            st = self.shared.wait_done(st);
-        }
-        self.shared.check()?;
-        Ok(st.durable_ns)
-    }
-
-    /// The first I/O error encountered by the logger, if any. Takes no
-    /// lock.
+    /// The first I/O error the queue met, if any. Takes no lock.
     pub fn poisoned(&self) -> Option<Error> {
         self.shared.error.get().cloned()
     }
 
-    /// Bytes waiting for the logger thread — the logging queue's
-    /// backlog. Sampled racily; a backlog persistently past
-    /// one batch (128 KiB) means writers outpace the log device.
+    /// Bytes not yet written to the file — the logging queue's backlog.
+    /// Sampled racily; a backlog persistently past one batch (128 KiB)
+    /// means writers outpace the log device.
     pub fn depth(&self) -> usize {
         self.shared.lock().pending.len()
     }
@@ -278,16 +323,25 @@ impl LogQueue {
 
 impl Drop for LogQueue {
     fn drop(&mut self) {
-        let mut st = self
-            .shared
-            .state
-            .lock()
+        let logger = self
+            .logger
+            .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        st.shutdown = true;
-        drop(st);
-        self.shared.work.notify_one();
-        if let Some(logger) = self.logger.take() {
+        if let Some(logger) = logger.take() {
+            let state = &self.shared.state;
+            state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .shutdown = true;
+            self.shared.work.notify_one();
             let _ = logger.join();
+        }
+        // No other thread is left. A poisoned lock means a thread
+        // panicked in the middle of a record or a write: write no more.
+        let state = self.shared.state.lock();
+        let unsynced = state.is_ok_and(|st| st.synced < st.appended);
+        if let (true, Ok(mut file)) = (unsynced, self.shared.file.lock()) {
+            let _ = self.shared.write_out(&mut file, true);
         }
     }
 }
@@ -300,90 +354,50 @@ impl std::fmt::Debug for LogQueue {
     }
 }
 
-/// Releases every waiter when the logger thread ends, by shutdown or by
-/// panic: later appends, syncs and rotates fail instead of hanging.
-struct ReleaseOnExit<'a>(&'a Shared);
+/// Runs its closure when dropped, unwinding included.
+struct OnDrop<F: FnMut()>(F);
 
-impl Drop for ReleaseOnExit<'_> {
+impl<F: FnMut()> Drop for OnDrop<F> {
     fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = self.0.error.set(Error::ShuttingDown);
-        st.sync_done = st.sync_requested;
-        st.rotate_done = st.rotate_requested;
-        drop(st);
-        self.0.done.notify_all();
+        (self.0)();
     }
 }
 
-fn logger_loop(mut writer: LogWriter, shared: &Shared) {
-    let _release = ReleaseOnExit(shared);
-    let mut spare = Vec::new();
+fn logger_loop(shared: &Shared) {
+    // A logger that panics fails the queue, so appends stop piling
+    // records up for it.
+    let _fail = OnDrop(|| {
+        if std::thread::panicking() {
+            let e = Error::Internal("the WAL logger thread panicked".into());
+            let _ = shared.error.set(e);
+        }
+    });
     let mut st = shared.lock();
     loop {
         st = wait_for_work(shared, st);
-        st.logger = Logger::Busy;
-        let batch = std::mem::replace(&mut st.pending, spare);
-        let rotations = std::mem::take(&mut st.rotations);
-        let rotated = rotations.len() as u64;
-        let sync_target = st.sync_requested;
-        let syncs = sync_target - st.sync_done;
-        let shutdown = st.shutdown;
-        let failed = shared.error.get().is_some();
-        drop(st);
-
-        // After the first error nothing more is written: the batch's
-        // appends were accepted before the error was published, and
-        // the error now fails every sync that could have covered them.
-        let mut durable_ns = 0;
-        let result = if failed {
-            Ok(())
-        } else {
-            write_batch(&mut writer, &batch, rotations).and_then(|()| {
-                if syncs > 0 || shutdown {
-                    let _span = T_GROUP_COMMIT.span_with(syncs);
-                    writer.sync()?;
-                    durable_ns = now_ns();
-                    Ok(())
-                } else {
-                    writer.flush()
-                }
-            })
-        };
-        spare = batch;
-        spare.clear();
-        // A backlog built up behind a slow fsync can grow the buffer far
-        // past a batch; hand that memory back instead of keeping it.
-        spare.shrink_to(2 * BATCH_BYTES);
-
-        st = shared.lock();
-        if let Err(e) = result {
-            let _ = shared.error.set(e);
-        }
-        if syncs > 0 {
-            st.sync_done = sync_target;
-            st.durable_ns = durable_ns;
-        }
-        st.rotate_done += rotated;
-        if syncs > 0 || rotated > 0 {
-            shared.done.notify_all();
-        }
-        if shutdown {
-            // Dropping the queue needs `&mut`: nothing can be enqueued
-            // after the shutdown flag, so this batch was the last.
+        if st.shutdown {
+            // The queue's drop writes and syncs what is left.
             return;
         }
+        st.logger = Logger::Busy;
+        drop(st);
+        // A failure is the queue's error from here on.
+        let _ = shared.write_out(&mut shared.lock_file(), false);
+        st = shared.lock();
     }
 }
 
-/// Parks the logger until there is work. While only asynchronous
-/// records are pending, holds them back for one batching window.
+/// Parks the logger until there is work. While records are pending,
+/// holds them back for one batching window.
 fn wait_for_work<'a>(shared: &Shared, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
     let mut window_end = None;
     loop {
-        if st.urgent() {
+        if st.shutdown || st.pending.len() >= BATCH_BYTES {
             return st;
         }
         if st.pending.is_empty() {
+            // A sync or a rotation may have ended the window.
+            window_end = None;
             st.logger = Logger::Idle;
             st = shared
                 .work
@@ -403,23 +417,6 @@ fn wait_for_work<'a>(shared: &Shared, mut st: MutexGuard<'a, State>) -> MutexGua
             .expect("logging queue poisoned by a panicking thread")
             .0;
     }
-}
-
-/// Writes a drained batch, switching files at each rotation's offset.
-/// Each old file is synced before it is let go.
-fn write_batch(
-    writer: &mut LogWriter,
-    batch: &[u8],
-    rotations: Vec<(usize, LogWriter)>,
-) -> Result<()> {
-    let mut at = 0;
-    for (offset, next) in rotations {
-        write_records(writer, &batch[at..offset])?;
-        writer.sync()?;
-        *writer = next;
-        at = offset;
-    }
-    write_records(writer, &batch[at..])
 }
 
 /// Adds every length-framed record in `frames` to the log.
@@ -446,6 +443,14 @@ mod tests {
         dir.join("q.log")
     }
 
+    fn started(path: &std::path::Path) -> LogQueue {
+        let q = LogQueue::new(LogWriter::new(Box::new(
+            std::fs::File::create(path).unwrap(),
+        )));
+        q.start_logger().unwrap();
+        q
+    }
+
     fn read_all(path: &std::path::Path) -> Vec<Vec<u8>> {
         let mut reader = LogReader::new(Box::new(std::fs::File::open(path).unwrap()));
         let mut out = Vec::new();
@@ -458,9 +463,7 @@ mod tests {
     #[test]
     fn async_appends_become_durable_on_sync() {
         let path = temp_file("async");
-        let q = LogQueue::start(LogWriter::new(Box::new(
-            std::fs::File::create(&path).unwrap(),
-        )));
+        let q = started(&path);
         for i in 0..100u32 {
             q.append(i.to_le_bytes().to_vec(), SyncMode::Async).unwrap();
         }
@@ -474,9 +477,7 @@ mod tests {
     #[test]
     fn sync_append_blocks_until_durable() {
         let path = temp_file("sync");
-        let q = LogQueue::start(LogWriter::new(Box::new(
-            std::fs::File::create(&path).unwrap(),
-        )));
+        let q = started(&path);
         q.append(b"hello".to_vec(), SyncMode::Sync).unwrap();
         // Already durable: visible without an extra sync.
         let records = read_all(&path);
@@ -488,9 +489,7 @@ mod tests {
     fn rotation_splits_files() {
         let path_a = temp_file("rot-a");
         let path_b = path_a.with_file_name("b.log");
-        let q = LogQueue::start(LogWriter::new(Box::new(
-            std::fs::File::create(&path_a).unwrap(),
-        )));
+        let q = started(&path_a);
         q.append(b"one".to_vec(), SyncMode::Async).unwrap();
         q.rotate(LogWriter::new(Box::new(
             std::fs::File::create(&path_b).unwrap(),
@@ -505,9 +504,7 @@ mod tests {
     #[test]
     fn concurrent_appenders_all_land() {
         let path = temp_file("conc");
-        let q = LogQueue::start(LogWriter::new(Box::new(
-            std::fs::File::create(&path).unwrap(),
-        )));
+        let q = started(&path);
         std::thread::scope(|s| {
             for t in 0..4u8 {
                 let q = &q;
@@ -524,12 +521,29 @@ mod tests {
     }
 
     #[test]
+    fn without_a_logger_records_wait_for_a_flush() {
+        let path = temp_file("no-logger");
+        let q = LogQueue::new(LogWriter::new(Box::new(
+            std::fs::File::create(&path).unwrap(),
+        )));
+        for i in 0..10u32 {
+            q.append(i.to_le_bytes().to_vec(), SyncMode::Async).unwrap();
+        }
+        assert!(read_all(&path).is_empty(), "written with no logger");
+        assert!(q.depth() > 0);
+        q.flush().unwrap();
+        assert_eq!(q.depth(), 0);
+        assert_eq!(read_all(&path).len(), 10);
+        q.append(b"last".to_vec(), SyncMode::Sync).unwrap();
+        assert_eq!(read_all(&path).len(), 11);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
     fn drop_drains_queue() {
         let path = temp_file("drop");
         {
-            let q = LogQueue::start(LogWriter::new(Box::new(
-                std::fs::File::create(&path).unwrap(),
-            )));
+            let q = started(&path);
             for i in 0..50u32 {
                 q.append(i.to_le_bytes().to_vec(), SyncMode::Async).unwrap();
             }

@@ -74,6 +74,8 @@ fn async_puts_reach_the_file_in_batches() {
     let _turn = one_at_a_time();
     let dir = tmpdir("batches");
     let (store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+    // Without the logger, the final sync would write everything at once.
+    store.start_logger().unwrap();
     let before = RealEnv::syscall_counts();
     log_puts(&store, PUTS);
     store.sync_wal().unwrap();

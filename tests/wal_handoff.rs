@@ -36,8 +36,11 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
+/// A queue over a new file at `path`, with its logger running.
 fn start_queue(path: &Path) -> LogQueue {
-    LogQueue::start(LogWriter::new(RealEnv.open_write(path).unwrap()))
+    let queue = LogQueue::new(LogWriter::new(RealEnv.open_write(path).unwrap()));
+    queue.start_logger().unwrap();
+    queue
 }
 
 fn read_records(path: &Path) -> Vec<Vec<u8>> {
@@ -128,33 +131,46 @@ impl Env for FailingWalEnv {
 #[test]
 fn after_a_wal_write_error_every_sync_append_and_rotation_fails() {
     let _turn = one_at_a_time();
-    let dir = tmpdir("error");
-    let opts = StoreOptions {
-        env: Arc::new(FailingWalEnv {
-            appends: Arc::new(AtomicU64::new(0)),
-            // Each small record is two appends (header, payload): the
-            // third record's payload fails.
-            fail_at: 6,
-        }),
-        ..StoreOptions::default()
-    };
-    let (store, _) = Store::open(&dir, opts).unwrap();
-    for ts in 1..=10u64 {
-        // The logger may publish the error before the last of these.
-        let _ = store.log_writes([(ts, &b"key"[..], Some(&b"value"[..]))], SyncMode::Async);
+    // The failed write is the sync's own, or the logger's.
+    for logger in [false, true] {
+        let dir = tmpdir("error");
+        let opts = StoreOptions {
+            env: Arc::new(FailingWalEnv {
+                appends: Arc::new(AtomicU64::new(0)),
+                // Each small record is two appends (header, payload):
+                // the third record's payload fails.
+                fail_at: 6,
+            }),
+            ..StoreOptions::default()
+        };
+        let (store, _) = Store::open(&dir, opts).unwrap();
+        if logger {
+            store.start_logger().unwrap();
+        }
+        for ts in 1..=10u64 {
+            // The logger may publish the error before the last of these.
+            let _ = store.log_writes([(ts, &b"key"[..], Some(&b"value"[..]))], SyncMode::Async);
+        }
+        let ctx = format!("logger: {logger}");
+        assert!(
+            store.sync_wal().is_err(),
+            "{ctx}: a sync after a failed write"
+        );
+        assert!(store.poisoned().is_some(), "{ctx}");
+        let record = [WriteRecord::put(11, "key", "value")];
+        assert!(
+            store.log(&record, SyncMode::Async).is_err(),
+            "{ctx}: an async append"
+        );
+        assert!(
+            store.log(&record, SyncMode::Sync).is_err(),
+            "{ctx}: a sync append"
+        );
+        assert!(store.sync_wal().is_err(), "{ctx}: a second sync");
+        assert!(store.rotate_wal().is_err(), "{ctx}: a rotation");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert!(store.sync_wal().is_err(), "a sync after a failed write");
-    assert!(store.poisoned().is_some());
-    let record = [WriteRecord::put(11, "key", "value")];
-    assert!(
-        store.log(&record, SyncMode::Async).is_err(),
-        "an async append"
-    );
-    assert!(store.log(&record, SyncMode::Sync).is_err(), "a sync append");
-    assert!(store.sync_wal().is_err(), "a second sync");
-    assert!(store.rotate_wal().is_err(), "a rotation");
-    drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -324,10 +340,18 @@ fn an_idle_logger_makes_no_context_switches() {
     let queue = start_queue(&dir.join("q.log"));
     queue.append(b"warm".to_vec(), SyncMode::Async).unwrap();
     queue.sync().unwrap();
-    let tid = threads_named("clsm-logger")
-        .into_iter()
-        .find(|t| !before.contains(t))
-        .expect("the new logger thread");
+    // The sync ran on this thread: the logger names itself whenever it
+    // first runs.
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    let tid = loop {
+        let new = threads_named("clsm-logger")
+            .into_iter()
+            .find(|t| !before.contains(t));
+        if new.is_some() || std::time::Instant::now() >= deadline {
+            break new.expect("the new logger thread");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     // Let the logger park after the sync.
     std::thread::sleep(Duration::from_millis(20));
     let parked = voluntary_switches(&tid);
