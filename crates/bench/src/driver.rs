@@ -284,7 +284,7 @@ pub fn emit_metrics(args: &BenchArgs, figure: &str, store: &dyn KvStore) -> Resu
         store.name(),
         snapshot.to_text()
     );
-    if let Some(wp) = crate::report::render_write_path(&snapshot) {
+    if let Some(wp) = clsm::render_write_path(&snapshot) {
         eprintln!("[{}] {} write path:\n{}", figure, store.name(), wp);
     }
     let path = crate::report::write_metrics_json(

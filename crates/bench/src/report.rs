@@ -140,14 +140,6 @@ pub fn write_metrics_json(
     Ok(path)
 }
 
-/// Renders the write-path attribution section for a metrics snapshot,
-/// or `None` when the snapshot carries no write-path data — baseline
-/// systems, or a store that never wrote.
-pub fn render_write_path(snapshot: &clsm_util::metrics::MetricsSnapshot) -> Option<String> {
-    let report = clsm::WritePathReport::from_snapshot(snapshot);
-    report.has_samples().then(|| report.render())
-}
-
 /// Writes raw `(x, series, value)` triples as CSV.
 pub fn write_csv(path: &Path, header: &str, rows: &[String]) -> Result<()> {
     if let Some(parent) = path.parent() {

@@ -165,11 +165,21 @@ impl Db {
         // its flush/compaction/WAL metrics into the same registry the
         // DB-level counters live in, and the oracle-pressure gauges
         // read derived state on demand. `Weak` avoids a cycle — the
-        // registry is owned by `DbInner`.
+        // registry is owned by `DbInner`. A leaked `Snapshot` shows in
+        // `oracle.oldest_snapshot_age`, a leaked iterator in
+        // `storage.retired_table_bytes`.
         inner.store.attach_metrics(&inner.metrics.registry);
         type Read = fn(&DbInner) -> i64;
-        let gauges: [(&str, Read); 6] = [
+        let gauges: [(&str, Read); 8] = [
             ("oracle.live_snapshots", |i| i.snapshots.len() as i64),
+            // In timestamps, that is, in writes; 0 with none live.
+            ("oracle.oldest_snapshot_age", |i| {
+                let oldest = i.snapshots.oldest();
+                oldest.map_or(0, |ts| i.oracle.current_time().saturating_sub(ts)) as i64
+            }),
+            ("storage.retired_table_bytes", |i| {
+                i.store.retired_table_bytes() as i64
+            }),
             ("oracle.active_writes", |i| i.oracle.active().len() as i64),
             ("oracle.snap_time", |i| i.oracle.snap_time() as i64),
             ("db.memtable_bytes", |i| i.pm.load().memory_usage() as i64),
@@ -451,15 +461,6 @@ impl Db {
         self.inner.metrics.registry.snapshot()
     }
 
-    /// Write-path latency attribution: the per-stage histograms
-    /// (admission → stamp → memtable → WAL-enqueue → publish →
-    /// durable), extracted from [`Db::metrics`]. Every write records
-    /// into it; a stage no write has visited (`durable` without sync
-    /// writes, `admission` while no write was held) has no samples.
-    pub fn write_path_report(&self) -> crate::WritePathReport {
-        crate::WritePathReport::from_snapshot(&self.metrics())
-    }
-
     /// Blocks until the memtable found at the call is flushed, no L0
     /// table overlaps a deeper level and no compaction is due
     /// (test/benchmark hook; not part of the paper's API).
@@ -582,15 +583,6 @@ impl Db {
         let mem = self.inner.pm.load().memory_usage()
             + self.inner.pm_prev.load().map_or(0, |m| m.memory_usage());
         disk + mem as u64
-    }
-
-    /// Force-releases snapshot handles older than `ttl`, unblocking
-    /// version GC when an application leaks handles (the paper's
-    /// TTL-based snapshot removal, §3.2.1). Returns how many were
-    /// reclaimed. Reads through a reclaimed handle may subsequently
-    /// miss versions — by contract, expired handles must not be used.
-    pub fn expire_snapshots(&self, ttl: std::time::Duration) -> usize {
-        self.inner.snapshots.expire_older_than(ttl)
     }
 }
 

@@ -13,8 +13,8 @@ use clsm_util::metrics::MetricsSnapshot;
 
 use crate::admission::AdmissionState;
 use crate::db::Db;
-use crate::watchdog::{StallEvent, StallKind, EXCLUSIVE_HOLD_THRESHOLD};
-use crate::write_report::WritePathReport;
+use crate::stats::render_write_path;
+use crate::watchdog::{is_long_hold, StallEvent, EXCLUSIVE_HOLD_THRESHOLD};
 
 /// One level's shape in the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +50,12 @@ pub struct DoctorReport {
     /// Timestamp of the oldest live snapshot — the version-GC
     /// watermark — if any snapshot is open.
     pub oldest_snapshot_ts: Option<u64>,
-    /// The oracle's `timeCounter`.
+    /// Bytes of tables only older versions still pin
+    /// (`storage.retired_table_bytes`); a leaked iterator holds them.
+    pub retired_table_bytes: u64,
+    /// The oracle's `timeCounter`, read after `oldest_snapshot_ts`. The
+    /// difference is the oldest snapshot's age in writes
+    /// (`oracle.oldest_snapshot_age`), which a leaked `Snapshot` grows.
     pub time_counter: u64,
     /// The oracle's `snapTime` (highest snapshot time handed out).
     pub snap_time: u64,
@@ -84,8 +89,9 @@ pub struct DoctorReport {
     pub last_background_error: Option<String>,
     /// The error that made the store read-only ([`Db::read_only`]).
     pub read_only: Option<clsm_util::error::Error>,
-    /// Per-stage write latency, extracted from the metrics snapshot.
-    pub write_path: WritePathReport,
+    /// Every registered metric ([`Db::metrics`]); the report's
+    /// write-path stage rows render from its `write_path.*` histograms.
+    pub metrics: MetricsSnapshot,
     /// The CRC32C implementation this CPU runs
     /// ([`clsm_util::crc::implementation`]): `"portable"` pays about
     /// 25× more per checksummed byte than `"sse4.2"`.
@@ -118,6 +124,7 @@ impl Db {
             levels,
             live_snapshots: inner.snapshots.len(),
             oldest_snapshot_ts: inner.snapshots.oldest(),
+            retired_table_bytes: inner.store.retired_table_bytes(),
             time_counter: inner.oracle.current_time(),
             snap_time: inner.oracle.snap_time(),
             active_writes: inner.oracle.active().len(),
@@ -132,7 +139,7 @@ impl Db {
             admission: inner.admission_state(),
             last_background_error: inner.jobs.lock().last_error.clone(),
             read_only: self.read_only(),
-            write_path: WritePathReport::from_snapshot(&self.metrics()),
+            metrics: self.metrics(),
             checksum: clsm_util::crc::implementation(),
         }
     }
@@ -188,13 +195,21 @@ impl DoctorReport {
             Some(ts) => {
                 let _ = writeln!(
                     out,
-                    "snapshots: {} live, oldest ts {} (GC watermark)",
-                    self.live_snapshots, ts
+                    "snapshots: {} live, oldest ts {ts} (GC watermark), {} writes old",
+                    self.live_snapshots,
+                    self.time_counter.saturating_sub(ts)
                 );
             }
             None => {
                 let _ = writeln!(out, "snapshots: 0 live (GC unconstrained)");
             }
+        }
+        if self.retired_table_bytes > 0 {
+            let _ = writeln!(
+                out,
+                "retired tables: {} bytes pinned by older versions (held iterators)",
+                self.retired_table_bytes
+            );
         }
         let _ = writeln!(
             out,
@@ -255,7 +270,9 @@ impl DoctorReport {
         if let Some(last) = &self.last_background_error {
             let _ = writeln!(out, "background jobs: last failure: {last}");
         }
-        out.push_str(&self.write_path.render());
+        if let Some(rows) = render_write_path(&self.metrics) {
+            out.push_str(&rows);
+        }
         if self.stall_events.is_empty() {
             let _ = writeln!(out, "watchdog: no stall events");
         } else {
@@ -293,13 +310,7 @@ impl DoctorReport {
     /// The exclusive hold in progress, if it has already lasted
     /// [`EXCLUSIVE_HOLD_THRESHOLD`] or more.
     fn long_exclusive_hold(&self) -> Option<Duration> {
-        self.exclusive_held_for
-            .filter(|held| *held >= EXCLUSIVE_HOLD_THRESHOLD)
-    }
-
-    /// Convenience: events of one kind, for tests and tools.
-    pub fn events_of(&self, kind: StallKind) -> usize {
-        self.stall_events.iter().filter(|e| e.kind == kind).count()
+        self.exclusive_held_for.filter(|&held| is_long_hold(held))
     }
 }
 

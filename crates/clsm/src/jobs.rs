@@ -28,6 +28,12 @@ use crate::stats::BACKGROUND_ERRORS;
 /// retried at all: see [`DbInner::run_job`]).
 const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
+/// After this many failures in a row of one kind of job the store goes
+/// read-only with the last one's error. A retry rides out a transient
+/// fault; a disk that keeps failing must not keep writers stalled
+/// behind a flush that can never finish.
+const FAILURES_BEFORE_READ_ONLY: u32 = 8;
+
 /// One unit of background work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Job {
@@ -58,6 +64,9 @@ pub(crate) struct JobState {
     pub(crate) shutdown: bool,
     /// The last failed job's error, for the doctor.
     pub(crate) last_error: Option<String>,
+    /// Failures in a row, by kind: reset by a run of that kind that did
+    /// work.
+    failures: [u32; 3],
 }
 
 impl DbInner {
@@ -98,7 +107,9 @@ impl DbInner {
     /// doctor. A flush that failed with `P'm` parked stays requested
     /// (stalled writers wait, untimed, for it to finish); a compaction
     /// stays due while the tree needs it. Nothing else is retried, and
-    /// nothing at all once the store is poisoned.
+    /// nothing at all once the store is poisoned — which the
+    /// [`FAILURES_BEFORE_READ_ONLY`]th failure in a row of one kind
+    /// does, waking the stalled writers with its error.
     pub(crate) fn run_job(&self, job: Job) -> Result<bool> {
         let taken_at = {
             let mut state = self.jobs.lock();
@@ -119,8 +130,9 @@ impl DbInner {
             state.flush_requested = result.is_err() && self.pm_prev.load().is_some();
         }
         match &result {
+            Ok(true) => state.failures[job as usize] = 0,
             Ok(false) if job == Job::Compact => state.compaction_idle_at = Some(taken_at),
-            Ok(_) => {}
+            Ok(false) => {}
             Err(e) => {
                 // A failed compaction released its claims: inputs
                 // another one found claimed may be free now.
@@ -129,6 +141,10 @@ impl DbInner {
                 }
                 self.metrics.registry.counter(BACKGROUND_ERRORS).inc();
                 state.last_error = Some(e.to_string());
+                state.failures[job as usize] += 1;
+                if state.failures[job as usize] >= FAILURES_BEFORE_READ_ONLY {
+                    self.store.poison(e.clone());
+                }
             }
         }
         self.jobs_cv.notify_all();

@@ -56,7 +56,6 @@ mod rmw;
 mod snapshot;
 mod stats;
 mod watchdog;
-mod write_report;
 
 pub use admission::{AdmissionOptions, AdmissionState, Stage};
 pub use batch::{WriteBatch, WriteOptions};
@@ -68,8 +67,8 @@ pub use memtable::Memtable;
 pub use options::{Options, OptionsBuilder};
 pub use rmw::{RmwDecision, RmwResult};
 pub use snapshot::{Snapshot, SnapshotIter};
+pub use stats::render_write_path;
 pub use watchdog::{StallEvent, StallKind};
-pub use write_report::{WritePathReport, WriteStage, WRITE_PATH_STAGES};
 
 pub use clsm_kv::{KvSnapshot, KvStore, ScanRange};
 pub use clsm_util::error::{Error, Result};

@@ -16,7 +16,8 @@ use crate::db::DbInner;
 /// return, for every key, the newest version written at or before that
 /// time. While the handle is live, the merge process keeps every
 /// version a read at this time could need; dropping the handle releases
-/// them for garbage collection.
+/// them for garbage collection. Nothing else does: a leaked handle pins
+/// them for good, and shows as a growing `oracle.oldest_snapshot_age`.
 pub struct Snapshot {
     inner: Arc<DbInner>,
     ts: u64,
@@ -189,12 +190,12 @@ impl std::fmt::Debug for Snapshot {
 ///   memory components through RCU pointers and pins the on-disk file
 ///   set (a `Version`) for its whole lifetime. Holding an iterator
 ///   therefore also holds disk space: dropped files are only reclaimed
-///   once the last iterator over them goes away.
+///   once the last iterator over them goes away, and until then the
+///   `storage.retired_table_bytes` gauge counts them.
 /// - **GC interaction**: when the iterator owns its snapshot handle
 ///   (`Db::iter` / `Db::range`), the handle stays registered until the
 ///   iterator is dropped, so the versions it may still need survive
-///   merges. An expired handle (see `Db::expire_snapshots`) voids this
-///   guarantee.
+///   merges.
 /// - **Errors**: I/O or corruption surfaces as an `Err` item; after
 ///   the first `Err` (or the end of the range) the iterator is fused.
 pub struct SnapshotIter {

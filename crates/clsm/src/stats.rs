@@ -7,9 +7,10 @@
 //! (including the storage layer's `storage.*` metrics and the oracle
 //! pressure gauges) is exposed via `Db::metrics()`.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
-use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
+use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry, MetricsSnapshot};
 use clsm_util::trace::TraceId;
 
 /// Flight-recorder instants mirroring the write-path stage histograms
@@ -78,17 +79,52 @@ pub(crate) struct DbMetrics {
     pub write_path: WritePathMetrics,
 }
 
-/// Pre-registered write-path attribution handles.
+/// The write-path stages in commit order; stage `s` records into the
+/// `write_path.{s}_ns` histogram. A write visits a subset: `admission`
+/// only when it slept for a pacing slot or hard-stalled, `durable` only
+/// when it is a sync write. `total` spans `Db::write` entry to return.
+const WRITE_PATH_STAGES: [&str; 7] = [
+    "admission",
+    "stamp",
+    "memtable",
+    "wal_enqueue",
+    "publish",
+    "durable",
+    "total",
+];
+
+fn stage_metric(stage: &str) -> String {
+    format!("write_path.{stage}_ns")
+}
+
+/// Renders the write-path stage histograms of `snap` in commit order,
+/// under a `write path stages (ns):` header: the block `clsm-doctor`
+/// and the `fig*` binaries print. `None` when no write recorded into
+/// them (a baseline's snapshot, or a store nothing was written to).
+pub fn render_write_path(snap: &MetricsSnapshot) -> Option<String> {
+    let rows: Vec<_> = WRITE_PATH_STAGES
+        .iter()
+        .filter_map(|&stage| Some((stage, snap.histograms.get(&stage_metric(stage))?)))
+        .collect();
+    if rows.iter().all(|(_, h)| h.count == 0) {
+        return None;
+    }
+    let mut out = String::from("write path stages (ns):\n");
+    for (stage, h) in rows {
+        let _ = writeln!(
+            out,
+            "  {stage:<12} count={} mean={:.0} p50={} p90={} p99={} p999={} max={}",
+            h.count, h.mean, h.p50, h.p90, h.p99, h.p999, h.max
+        );
+    }
+    Some(out)
+}
+
+/// Pre-registered write-path attribution handles, one per entry of
+/// [`WRITE_PATH_STAGES`].
 ///
-/// Every write records its stage histograms (`write_path.*_ns`): a
-/// handful of monotonic clock reads plus thread-striped histogram
-/// updates, no locks.
-///
-/// Stage boundaries, in commit order (a write visits a subset):
-/// admitted (`admission`, delayed writes only) → stamped (`stamp`) →
-/// memtable-done (`memtable`) → WAL-enqueued (`wal_enqueue`) →
-/// published (`publish`) → durable fsync (`durable`, sync writes only).
-/// `total` spans `Db::write` entry to return.
+/// Every write records its stage histograms: a handful of monotonic
+/// clock reads plus thread-striped histogram updates, no locks.
 #[derive(Debug)]
 pub(crate) struct WritePathMetrics {
     /// Admission hold (pacing sleep + any hard stall) before the write
@@ -114,14 +150,16 @@ pub(crate) struct WritePathMetrics {
 
 impl WritePathMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
+        let [admission, stamp, memtable, wal_enqueue, publish, durable, total] =
+            WRITE_PATH_STAGES.map(|stage| registry.histogram(&stage_metric(stage)));
         WritePathMetrics {
-            admission: registry.histogram("write_path.admission_ns"),
-            stamp: registry.histogram("write_path.stamp_ns"),
-            memtable: registry.histogram("write_path.memtable_ns"),
-            wal_enqueue: registry.histogram("write_path.wal_enqueue_ns"),
-            publish: registry.histogram("write_path.publish_ns"),
-            durable: registry.histogram("write_path.durable_ns"),
-            total: registry.histogram("write_path.total_ns"),
+            admission,
+            stamp,
+            memtable,
+            wal_enqueue,
+            publish,
+            durable,
+            total,
         }
     }
 
@@ -207,5 +245,33 @@ impl DbMetrics {
 impl Default for DbMetrics {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_path_rows_come_in_commit_order() {
+        let metrics = DbMetrics::new();
+        metrics.write_path.memtable.record(200);
+        metrics.write_path.stamp.record(100);
+        metrics.write_path.total.record(400);
+        let text = render_write_path(&metrics.registry.snapshot()).unwrap();
+        let stages: Vec<_> = text
+            .lines()
+            .skip(1)
+            .filter_map(|row| row.split_whitespace().next())
+            .collect();
+        assert_eq!(stages, WRITE_PATH_STAGES);
+        assert!(text.starts_with("write path stages (ns):\n"), "{text}");
+        assert!(text.contains("  total        count=1 "), "{text}");
+    }
+
+    #[test]
+    fn a_snapshot_without_writes_renders_no_write_path() {
+        assert!(render_write_path(&DbMetrics::new().registry.snapshot()).is_none());
+        assert!(render_write_path(&MetricsSnapshot::default()).is_none());
     }
 }

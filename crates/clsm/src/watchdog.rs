@@ -95,6 +95,12 @@ const HISTORY: usize = 64;
 /// the doctor's verdict unhealthy.
 pub(crate) const EXCLUSIVE_HOLD_THRESHOLD: Duration = Duration::from_millis(5);
 
+/// Whether an exclusive hold that has lasted `held` is a long one: an
+/// episode once it ends, an unhealthy verdict while it lasts.
+pub(crate) fn is_long_hold(held: Duration) -> bool {
+    held >= EXCLUSIVE_HOLD_THRESHOLD
+}
+
 /// Shared sink the event sites report into; owned by `DbInner`.
 #[derive(Debug)]
 pub(crate) struct Watchdog {
@@ -172,13 +178,13 @@ impl Drop for ExclusiveHold<'_> {
             return;
         };
         let held_ns = trace::now_ns().saturating_sub(since);
-        if held_ns >= EXCLUSIVE_HOLD_THRESHOLD.as_nanos() as u64 {
+        let held = Duration::from_nanos(held_ns);
+        if is_long_hold(held) {
             self.inner.watchdog.report(
                 StallKind::ExclusiveHold,
                 held_ns,
                 format!(
-                    "exclusive lock held {:.1?} (threshold {EXCLUSIVE_HOLD_THRESHOLD:.1?})",
-                    Duration::from_nanos(held_ns),
+                    "exclusive lock held {held:.1?} (threshold {EXCLUSIVE_HOLD_THRESHOLD:.1?})"
                 ),
             );
         }
@@ -216,5 +222,19 @@ impl Db {
     pub fn inject_exclusive_hold(&self, hold: Duration) {
         let _hold = self.inner.lock_exclusive();
         std::thread::sleep(hold);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_hold_under_the_threshold_is_no_episode() {
+        let nanosecond = Duration::from_nanos(1);
+        assert!(!is_long_hold(Duration::ZERO));
+        assert!(!is_long_hold(EXCLUSIVE_HOLD_THRESHOLD - nanosecond));
+        assert!(is_long_hold(EXCLUSIVE_HOLD_THRESHOLD));
+        assert!(is_long_hold(EXCLUSIVE_HOLD_THRESHOLD + nanosecond));
     }
 }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use clsm::{Db, Options, WriteBatch, WriteOptions, WritePathReport};
+use clsm::{Db, HistogramSummary, MetricsSnapshot, Options, WriteBatch, WriteOptions};
 
 struct TempDir(std::path::PathBuf);
 
@@ -31,9 +31,27 @@ impl Drop for TempDir {
     }
 }
 
+/// The stages a write can visit, in commit order; each records into
+/// `write_path.{stage}_ns`, and `write_path.total_ns` spans them all.
+const STAGES: [&str; 6] = [
+    "admission",
+    "stamp",
+    "memtable",
+    "wal_enqueue",
+    "publish",
+    "durable",
+];
+
+fn histogram(snap: &MetricsSnapshot, stage: &str) -> HistogramSummary {
+    snap.histograms
+        .get(&format!("write_path.{stage}_ns"))
+        .unwrap_or_else(|| panic!("stage {stage} missing"))
+        .clone()
+}
+
 /// Sum of aggregate nanoseconds across every stage histogram.
-fn stage_sum(report: &WritePathReport) -> u64 {
-    report.stages.iter().map(|s| s.summary.sum).sum()
+fn stage_sum(snap: &MetricsSnapshot) -> u64 {
+    STAGES.iter().map(|stage| histogram(snap, stage).sum).sum()
 }
 
 /// Single-writer Db: every stage fires where expected, and the time
@@ -56,20 +74,11 @@ fn stage_sums_bounded_by_end_to_end_latency() {
         db.write(batch, &WriteOptions::durable()).unwrap();
     }
 
-    let report = db.write_path_report();
-    assert!(report.has_samples());
-    let total = report.total.as_ref().expect("total histogram registered");
+    let snap = db.metrics();
+    let total = histogram(&snap, "total");
     assert_eq!(total.count, u64::from(writes + sync_writes));
 
-    let by_name = |name: &str| {
-        report
-            .stages
-            .iter()
-            .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("stage {name} missing"))
-            .summary
-            .clone()
-    };
+    let by_name = |stage: &str| histogram(&snap, stage);
     // Every write is stamped, inserted, logged and published exactly
     // once; only sync writes wait for the fsync.
     for stage in ["stamp", "memtable", "wal_enqueue", "publish"] {
@@ -81,7 +90,7 @@ fn stage_sums_bounded_by_end_to_end_latency() {
     // Every stage interval lies inside some request's measured
     // end-to-end interval, so the aggregate can never exceed it; and
     // on this workload the stages should explain a non-trivial share.
-    let stages = stage_sum(&report);
+    let stages = stage_sum(&snap);
     assert!(
         stages <= total.sum,
         "stage sum {stages} exceeds end-to-end sum {}",
@@ -129,18 +138,16 @@ fn stage_counts_reconcile_under_hammer() {
         h.join().unwrap();
     }
 
-    let report = db.write_path_report();
-    let total = report.total.as_ref().expect("total histogram");
+    let snap = db.metrics();
+    let total = histogram(&snap, "total");
     assert_eq!(total.count, threads * per_thread);
-    for stage in &report.stages {
-        match stage.name {
-            "stamp" | "memtable" | "wal_enqueue" | "publish" => {
-                assert_eq!(stage.summary.count, total.count, "stage {}", stage.name)
-            }
-            "admission" => assert!(stage.summary.count <= total.count),
-            "durable" => assert_eq!(stage.summary.count, 0),
-            other => panic!("unexpected stage {other}"),
+    for stage in STAGES {
+        let count = histogram(&snap, stage).count;
+        match stage {
+            "admission" => assert!(count <= total.count),
+            "durable" => assert_eq!(count, 0),
+            _ => assert_eq!(count, total.count, "stage {stage}"),
         }
     }
-    assert!(stage_sum(&report) <= total.sum);
+    assert!(stage_sum(&snap) <= total.sum);
 }

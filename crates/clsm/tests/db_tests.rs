@@ -1,7 +1,7 @@
 //! Functional tests of the cLSM database: CRUD, flush, recovery,
 //! snapshots, scans, and RMW.
 
-use clsm::{Db, Options, RmwDecision, WriteBatch, WriteOptions};
+use clsm::{Db, Job, Options, RmwDecision, WriteBatch, WriteOptions};
 
 struct TempDir(std::path::PathBuf);
 
@@ -478,22 +478,81 @@ fn db_iter_and_range_sugar() {
     assert_eq!(some[0], b"k010");
 }
 
+/// A snapshot is released only by dropping it; until then the doctor
+/// and `oracle.oldest_snapshot_age` say how many writes old it is.
 #[test]
-fn expired_snapshots_release_gc_watermark() {
-    let dir = TempDir::new("snap-ttl");
-    let db = open_small(&dir);
-    db.put(b"k", b"v").unwrap();
+fn a_held_snapshot_shows_how_many_writes_old_it_is() {
+    let dir = TempDir::new("snap-age");
+    let db = Db::open_stepped(dir.path(), Options::small_for_tests()).unwrap();
+    let age = |db: &Db| db.metrics().gauges["oracle.oldest_snapshot_age"];
+    db.put(b"k", b"v0").unwrap();
+    assert_eq!(age(&db), 0, "no snapshot is live");
+
     let snap = db.snapshot().unwrap();
-    let ts = snap.timestamp();
-    // Leak the handle conceptually: expire everything immediately.
-    std::thread::sleep(std::time::Duration::from_millis(5));
-    let reclaimed = db.expire_snapshots(std::time::Duration::from_millis(1));
-    assert_eq!(reclaimed, 1);
-    // Dropping the expired handle is a no-op (no panic, no underflow).
+    let writes = 25u64;
+    for i in 1..=writes {
+        db.put(b"k", format!("v{i}").as_bytes()).unwrap();
+    }
+    assert_eq!(age(&db), writes as i64);
+    let report = db.doctor();
+    let line = format!(
+        "snapshots: 1 live, oldest ts {} (GC watermark), {writes} writes old",
+        snap.timestamp()
+    );
+    assert!(report.render().contains(&line), "{}", report.render());
+    assert_eq!(snap.get(b"k").unwrap(), Some(b"v0".to_vec()));
+
     drop(snap);
-    // New snapshots still work and carry later timestamps.
-    let snap2 = db.snapshot().unwrap();
-    assert!(snap2.timestamp() >= ts);
+    assert_eq!(age(&db), 0);
+    assert!(db.doctor().render().contains("snapshots: 0 live"));
+}
+
+/// An iterator pins the tables of its version: held across a
+/// compaction, they show in `storage.retired_table_bytes` until it is
+/// dropped and the next job's removal pass runs.
+#[test]
+fn an_iterator_held_across_a_compaction_pins_retired_tables() {
+    let dir = TempDir::new("retired");
+    let mut opts = Options::small_for_tests();
+    // Nothing drains while the test runs no job, so pacing would only
+    // sleep.
+    opts.admission.enabled = false;
+    let db = Db::open_stepped(dir.path(), opts).unwrap();
+    let retired = |db: &Db| db.metrics().gauges["storage.retired_table_bytes"];
+    let keys = 100u32;
+    let put_all = |round: u32| {
+        for i in 0..keys {
+            let value = format!("round {round} value {i}");
+            db.put(format!("key{i:04}").as_bytes(), value.as_bytes())
+                .unwrap();
+        }
+    };
+    // Each flush of the same keys is one more overlapping L0 run.
+    let mut round = 0;
+    while !db.due_jobs().contains(&Job::Compact) {
+        assert!(round < 100, "no compaction fell due");
+        put_all(round);
+        assert!(db.run_job(Job::Flush).unwrap());
+        round += 1;
+    }
+
+    let iter = db.iter().unwrap();
+    assert!(db.run_job(Job::Compact).unwrap());
+    assert!(retired(&db) > 0, "the compacted tables were not counted");
+    let report = db.doctor();
+    assert_eq!(report.retired_table_bytes as i64, retired(&db));
+    assert!(
+        report.render().contains("retired tables: "),
+        "{}",
+        report.render()
+    );
+    // The pinned tables still serve the iterator.
+    assert_eq!(iter.count() as u32, keys);
+
+    put_all(round);
+    assert!(db.run_job(Job::Flush).unwrap());
+    assert_eq!(retired(&db), 0);
+    assert!(!db.doctor().render().contains("retired tables: "));
 }
 
 #[test]

@@ -12,6 +12,9 @@ use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
 use lsm_storage::compaction::L0_COMPACTION_TRIGGER;
 
+mod common;
+use common::FailTableWrites;
+
 /// xorshift64*: the seeded choices of one schedule.
 struct Rng(u64);
 
@@ -222,88 +225,12 @@ fn quiescence_returns_beside_a_writer() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A [`FaultEnv`] whose first append to a table file fails, once,
-/// without poisoning anything else.
-#[derive(Debug, Clone)]
-struct FailOneTableWrite {
-    fault: FaultEnv,
-    armed: Arc<AtomicBool>,
-}
-
-struct FailingTable {
-    inner: Box<dyn WritableFile>,
-    armed: Arc<AtomicBool>,
-}
-
-impl WritableFile for FailingTable {
-    fn append(&mut self, data: &[u8]) -> Result<()> {
-        if self.armed.swap(false, SeqCst) {
-            return Err(Error::from(std::io::Error::other(
-                "injected table write failure",
-            )));
-        }
-        self.inner.append(data)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.inner.flush()
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.inner.sync()
-    }
-}
-
-impl Env for FailOneTableWrite {
-    fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
-        let inner = self.fault.open_write(path)?;
-        if path.extension().is_some_and(|ext| ext == "sst") {
-            return Ok(Box::new(FailingTable {
-                inner,
-                armed: Arc::clone(&self.armed),
-            }));
-        }
-        Ok(inner)
-    }
-
-    fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
-        self.fault.open_read(path)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        self.fault.rename(from, to)
-    }
-
-    fn remove(&self, path: &Path) -> Result<()> {
-        self.fault.remove(path)
-    }
-
-    fn list(&self, dir: &Path) -> Result<Vec<String>> {
-        self.fault.list(dir)
-    }
-
-    fn sync_dir(&self, dir: &Path) -> Result<()> {
-        self.fault.sync_dir(dir)
-    }
-
-    fn create_dir_all(&self, dir: &Path) -> Result<()> {
-        self.fault.create_dir_all(dir)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.fault.exists(path)
-    }
-}
-
 /// The first flush fails on its table write with `P'm` parked: the
 /// failure is counted and shown by the doctor, the flush thread retries
 /// it after the back-off, and no acked write is lost.
 #[test]
 fn a_failed_flush_is_counted_and_retried() {
-    let env = FailOneTableWrite {
-        fault: FaultEnv::new(0xfa11),
-        armed: Arc::new(AtomicBool::new(true)),
-    };
+    let env = FailTableWrites::new(0xfa11, 1);
     let dir = Path::new("/failed-flush");
     let mut opts = Options::small_for_tests();
     opts.memtable_bytes = 8 * 1024;
@@ -315,7 +242,11 @@ fn a_failed_flush_is_counted_and_retried() {
     }
     db.compact_to_quiescence().unwrap();
 
-    assert!(!env.armed.load(SeqCst), "no table write was attempted");
+    assert_eq!(
+        env.remaining.load(SeqCst),
+        0,
+        "no table write was attempted"
+    );
     let metrics = db.metrics();
     assert!(metrics.counters["db.background_errors"] >= 1, "{metrics:?}");
     assert!(metrics.counters["db.flushes"] >= 1, "{metrics:?}");
@@ -343,6 +274,84 @@ fn a_failed_flush_is_counted_and_retried() {
             "reopened key {i}"
         );
     }
+}
+
+/// A flush that fails every time, with a writer stalled behind its
+/// parked `P'm`: a bounded number of failures in a row make the store
+/// read-only with the flush's error, which wakes the stalled writer.
+/// No flush is due after that, and no acked write is lost.
+#[test]
+fn a_flush_that_keeps_failing_makes_the_store_read_only() {
+    let env = FailTableWrites::new(0xbad_f1a5, u64::MAX);
+    let dir = Path::new("/failing-flush");
+    let mut opts = stepped_options(&env.fault);
+    opts.store.env = Arc::new(env.clone());
+    let db = Arc::new(Db::open_stepped(dir, opts.clone()).unwrap());
+    let value = |i: u64| format!("value-{i:05}-").into_bytes().repeat(4);
+    let mut acked: Vec<u64> = Vec::new();
+    while !db.due_jobs().contains(&Job::Flush) {
+        let i = acked.len() as u64;
+        db.put(&key(i), &value(i)).unwrap();
+        acked.push(i);
+    }
+    let error = db.run_job(Job::Flush).unwrap_err().to_string();
+    assert!(error.contains("injected table write failure"), "{error}");
+    assert!(
+        db.read_only().is_none(),
+        "one failure made the store read-only"
+    );
+
+    // A writer fills the next `Pm` and stalls behind the parked `P'm`.
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            let mut written = Vec::new();
+            for i in 1_000_000.. {
+                match db.put(&key(i), &value(i)) {
+                    Ok(()) => written.push(i),
+                    Err(e) => return (written, e),
+                }
+            }
+            unreachable!()
+        })
+    };
+    let stalls = |db: &Db| db.metrics().counters["db.write_stalls"];
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while stalls(&db) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the writer never stalled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut failures = 1;
+    while db.read_only().is_none() {
+        assert!(
+            failures < 100,
+            "{failures} failed flushes left the store writable"
+        );
+        let retry = db.run_job(Job::Flush).unwrap_err().to_string();
+        assert_eq!(retry, error);
+        failures += 1;
+    }
+    assert!(failures > 1, "one failure made the store read-only");
+    let (written, stalled) = writer.join().unwrap();
+    assert_eq!(stalled.to_string(), error, "the stalled writer");
+    assert_eq!(db.read_only().map(|e| e.to_string()), Some(error.clone()));
+    assert_eq!(stalls(&db), 1);
+    assert_eq!(db.metrics().counters["db.background_errors"], failures);
+    assert!(!db.due_jobs().contains(&Job::Flush));
+    db.put(b"late", b"x").unwrap_err();
+    acked.extend(written);
+    drop(db);
+
+    env.remaining.store(0, SeqCst);
+    let db = Db::open_stepped(dir, opts).unwrap();
+    for &i in &acked {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+    }
+    assert_eq!(contents(&db).len(), acked.len());
 }
 
 /// A [`FaultEnv`] whose every `remove` fails.

@@ -1,13 +1,21 @@
 //! Stall-event integration tests: fault-injected exclusive holds,
-//! organically provoked write stalls, and the doctor report built on
-//! top of both. Every event is reported by the call that caused or
-//! ended it, so each assertion follows that call directly.
+//! a write stall provoked on the stepped scheduler, and the doctor
+//! report built on top of both. Every store opens with
+//! [`Db::open_stepped`], so no background thread takes the lock or
+//! flushes behind a test's back. Every event is reported by the call
+//! that caused or ended it, so each assertion follows that call
+//! directly. Whether a hold under the threshold is an episode is a
+//! unit test in `watchdog.rs`: a sleep that short cannot be timed here.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clsm::{Db, Options, StallKind};
+use clsm::{Db, Job, Options, StallKind};
+
+mod common;
+use common::FailTableWrites;
 
 fn scratch(name: &str) -> PathBuf {
     let dir =
@@ -26,7 +34,7 @@ fn holds(db: &Db) -> Vec<clsm::StallEvent> {
 #[test]
 fn injected_exclusive_hold_is_flagged() {
     let dir = scratch("excl-hold");
-    let db = Db::open(&dir, Options::small_for_tests()).unwrap();
+    let db = Db::open_stepped(&dir, Options::small_for_tests()).unwrap();
     db.put(b"k", b"v").unwrap();
 
     // Healthy database: nothing flagged yet.
@@ -62,7 +70,7 @@ fn injected_exclusive_hold_is_flagged() {
 #[test]
 fn a_hold_in_progress_reaches_the_doctor_and_is_reported_when_it_ends() {
     let dir = scratch("excl-in-progress");
-    let db = Arc::new(Db::open(&dir, Options::small_for_tests()).unwrap());
+    let db = Arc::new(Db::open_stepped(&dir, Options::small_for_tests()).unwrap());
     db.put(b"k", b"v").unwrap();
 
     let hold = Duration::from_millis(200);
@@ -105,19 +113,47 @@ fn a_hold_in_progress_reaches_the_doctor_and_is_reported_when_it_ends() {
 
 #[test]
 fn write_pressure_is_flagged_and_reaches_the_doctor() {
-    let dir = scratch("write-stall");
-    // A tiny memtable (64 KiB in small_for_tests) and a few MiB of
-    // writes force flush-behind stalls — with admission pacing off; on,
-    // it paces writers at the flush's drain rate instead.
+    // A flush that fails once leaves `P'm` parked, so a writer that
+    // fills the next 64 KiB memtable stalls behind it until the retry
+    // lands. Admission pacing is off: on, it would pace that writer at
+    // a drain rate nothing measured.
+    let env = FailTableWrites::new(0x57a11, 1);
     let mut opts = Options::small_for_tests();
     opts.admission.enabled = false;
-    let db = Db::open(&dir, opts).unwrap();
+    opts.store.env = Arc::new(env.clone());
+    let db = Arc::new(Db::open_stepped(Path::new("/write-stall"), opts).unwrap());
     let value = vec![0u8; 512];
-    for i in 0..8192u32 {
-        db.put(format!("stall.{i:08}").as_bytes(), &value).unwrap();
+    let mut next = 0u32;
+    while !db.due_jobs().contains(&Job::Flush) {
+        db.put(format!("stall.{next:08}").as_bytes(), &value)
+            .unwrap();
+        next += 1;
     }
-    db.compact_to_quiescence().unwrap();
-    let stalls = db.metrics().counters["db.write_stalls"];
+    db.run_job(Job::Flush).unwrap_err();
+    assert_eq!(env.remaining.load(SeqCst), 0, "the flush wrote no table");
+    assert!(db.doctor().immutable_pending, "P'm was not kept");
+
+    let stalls = |db: &Db| db.metrics().counters["db.write_stalls"];
+    let writer = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            for i in next.. {
+                db.put(format!("stall.{i:08}").as_bytes(), &value).unwrap();
+                if stalls(&db) > 0 {
+                    return;
+                }
+            }
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while stalls(&db) == 0 {
+        assert!(Instant::now() < deadline, "the writer never stalled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The retry merges `P'm` and releases the writer.
+    assert!(db.run_job(Job::Flush).unwrap());
+    writer.join().unwrap();
+    let stalls = stalls(&db);
     assert!(stalls > 0, "workload never hit the stall");
 
     // The first writer to stall behind each flush reported it.
@@ -135,29 +171,27 @@ fn write_pressure_is_flagged_and_reaches_the_doctor() {
     // level-geometry lines.
     let report = db.doctor();
     assert!(report.unhealthy());
-    assert!(report.events_of(StallKind::WriteStall) > 0);
+    assert!(report
+        .stall_events
+        .iter()
+        .any(|e| e.kind == StallKind::WriteStall));
     let text = report.render();
     assert!(text.contains("== clsm-doctor =="));
     assert!(text.contains("L0:"), "missing level geometry: {text}");
     assert!(text.contains("files,"));
     assert!(text.contains("write-stall"));
     assert!(text.contains("oracle: timeCounter="));
-
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_healthy_store_reports_nothing() {
     let dir = scratch("healthy");
-    let db = Db::open(&dir, Options::small_for_tests()).unwrap();
+    let db = Db::open_stepped(&dir, Options::small_for_tests()).unwrap();
     // 32 KiB of writes never fill the 64 KiB memtable.
     let value = vec![0u8; 64];
     for i in 0..256u32 {
         db.put(format!("quiet.{i:08}").as_bytes(), &value).unwrap();
     }
-    // A hold well under the threshold is no episode.
-    db.inject_exclusive_hold(Duration::from_millis(1));
     assert!(db.stall_events().is_empty(), "{:?}", db.stall_events());
     let report = db.doctor();
     assert!(!report.unhealthy(), "{}", report.render());

@@ -146,9 +146,11 @@ pub struct Store {
     /// below its boundary as obsolete.
     wals: Mutex<Vec<u64>>,
     /// Files no version names any more; each job ends by removing them.
-    obsolete: ObsoleteFiles,
-    /// The version set's first manifest write error.
-    manifest_error: Arc<OnceLock<Error>>,
+    obsolete: Arc<ObsoleteFiles>,
+    /// The store's first fatal error but the WAL's: the version set's
+    /// first manifest write error, or the one [`Store::poison`] set.
+    /// Shared with the version set, so no edit commits after it.
+    fatal: Arc<OnceLock<Error>>,
     /// Bytes written by memtable flushes.
     bytes_flushed: AtomicU64,
     /// Bytes written by compactions (rewrites).
@@ -294,8 +296,8 @@ impl Store {
         let wal = LogQueue::new(LogWriter::new(wal_file));
 
         let obsolete = Arc::clone(versions.obsolete_files());
-        let manifest_error = Arc::clone(versions.manifest_error());
-        obsolete.lock().extend(sweep);
+        let fatal = Arc::clone(versions.manifest_error());
+        obsolete.files.lock().extend(sweep);
         wal_numbers.push(wal_number);
         let current = RcuCell::new(versions.current());
         let store = Store {
@@ -307,7 +309,7 @@ impl Store {
             wal_number: AtomicU64::new(wal_number),
             wals: Mutex::new(wal_numbers),
             obsolete,
-            manifest_error,
+            fatal,
             bytes_flushed: AtomicU64::new(0),
             bytes_compacted: AtomicU64::new(0),
             metrics: OnceLock::new(),
@@ -622,12 +624,15 @@ impl Store {
                 .store(self.versions.lock().log_and_apply(edit)?);
             let mut wals = self.wals.lock();
             let retired = wals.extract_if(.., |n| *n < retire_wals_below);
-            self.obsolete.lock().extend(retired.map(FileKind::Wal));
+            self.obsolete
+                .files
+                .lock()
+                .extend(retired.map(FileKind::Wal));
             Ok(())
         });
-        if committed.is_err() && self.manifest_error.get().is_none() {
+        if committed.is_err() && self.fatal.get().is_none() {
             let outputs = outputs.into_iter().map(FileKind::Table);
-            self.obsolete.lock().extend(outputs);
+            self.obsolete.files.lock().extend(outputs);
         }
         committed
     }
@@ -643,7 +648,7 @@ impl Store {
             return;
         }
         epoch::synchronize();
-        let listed = std::mem::take(&mut *self.obsolete.lock());
+        let listed = std::mem::take(&mut *self.obsolete.files.lock());
         let (dir, env) = (self.dir(), self.env());
         let failed: Vec<FileKind> = listed
             .into_iter()
@@ -662,7 +667,7 @@ impl Store {
                 env.remove(&path).is_err() && env.exists(&path)
             })
             .collect();
-        self.obsolete.lock().extend(failed);
+        self.obsolete.files.lock().extend(failed);
     }
 
     /// Per-level file counts (diagnostics).
@@ -671,23 +676,26 @@ impl Store {
         (0..self.opts.num_levels).map(|l| v.num_files(l)).collect()
     }
 
-    /// Per-level byte totals (diagnostics).
-    pub fn level_byte_sizes(&self) -> Vec<u64> {
-        let v = self.current_version();
-        (0..self.opts.num_levels)
-            .map(|l| v.level_bytes(l))
-            .collect()
+    /// Bytes of tables the current version no longer names but an
+    /// older one, held by a reader, still pins on disk.
+    pub fn retired_table_bytes(&self) -> u64 {
+        self.obsolete.retired_table_bytes.load(Ordering::Relaxed)
     }
 
     /// The store's first fatal error, if it hit one: a failed manifest
-    /// append or sync, or the WAL's first I/O error.
-    /// Either way no later write or commit can succeed; reopening the
-    /// store recovers what was acknowledged. Takes no lock.
+    /// append or sync, the WAL's first I/O error, or the error the
+    /// store was poisoned with. Either way no later write or commit can
+    /// succeed; reopening the store recovers what was acknowledged.
+    /// Takes no lock.
     pub fn poisoned(&self) -> Option<Error> {
-        self.manifest_error
-            .get()
-            .cloned()
-            .or_else(|| self.wal.poisoned())
+        self.fatal.get().cloned().or_else(|| self.wal.poisoned())
+    }
+
+    /// Makes the store read-only with `error`, unless it already is,
+    /// as a failed manifest write does: for an owner whose background
+    /// work keeps failing.
+    pub fn poison(&self, error: Error) {
+        let _ = self.fatal.set(error);
     }
 
     /// Manually compacts every file overlapping `[start, end]` (user

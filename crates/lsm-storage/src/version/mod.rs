@@ -17,7 +17,7 @@ pub use edit::{NewFile, VersionEdit};
 pub use level_iter::LevelIter;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -51,19 +51,31 @@ pub struct FileMeta {
     table: OnceLock<Arc<Table>>,
     /// Set once a committed edit removes this table from the tree: the
     /// list its file goes on when this `FileMeta` drops.
-    obsolete: OnceLock<ObsoleteFiles>,
+    obsolete: OnceLock<Arc<ObsoleteFiles>>,
 }
 
 /// Files no version names any more, for the store to remove outside
-/// every lock.
-pub type ObsoleteFiles = Arc<Mutex<Vec<FileKind>>>;
+/// every lock, and the bytes of the tables a committed edit removed
+/// that an older version, claim or iterator still holds.
+#[derive(Debug, Default)]
+pub struct ObsoleteFiles {
+    /// The files to remove.
+    pub files: Mutex<Vec<FileKind>>,
+    /// Bytes of the tables marked obsolete whose `FileMeta` has not
+    /// dropped yet: tables the current version no longer names but an
+    /// older one still pins.
+    pub retired_table_bytes: AtomicU64,
+}
 
 /// Only lists the file: old versions drop inside the epoch collector,
 /// under whatever lock its caller holds, so no I/O happens here.
 impl Drop for FileMeta {
     fn drop(&mut self) {
-        if let Some(list) = self.obsolete.get() {
-            list.lock().push(FileKind::Table(self.number));
+        if let Some(obsolete) = self.obsolete.get() {
+            obsolete
+                .retired_table_bytes
+                .fetch_sub(self.file_size, Ordering::Relaxed);
+            obsolete.files.lock().push(FileKind::Table(self.number));
         }
     }
 }
@@ -280,7 +292,7 @@ pub struct VersionSet {
     /// Highest timestamp known flushed.
     last_ts: u64,
     /// Where the tables committed edits removed are listed.
-    obsolete: ObsoleteFiles,
+    obsolete: Arc<ObsoleteFiles>,
     /// The first failed manifest append or sync, readable without the
     /// version-set lock.
     manifest_error: Arc<OnceLock<Error>>,
@@ -382,7 +394,7 @@ impl VersionSet {
             next_file_number,
             log_number,
             last_ts,
-            obsolete: ObsoleteFiles::default(),
+            obsolete: Arc::default(),
             manifest_error: Arc::default(),
         };
         Ok((
@@ -418,7 +430,7 @@ impl VersionSet {
 
     /// The list each table a committed edit removed goes on once its
     /// last reference drops.
-    pub fn obsolete_files(&self) -> &ObsoleteFiles {
+    pub fn obsolete_files(&self) -> &Arc<ObsoleteFiles> {
         &self.obsolete
     }
 
@@ -455,7 +467,13 @@ impl VersionSet {
             return Err(e);
         }
         for f in removed {
-            let _ = f.obsolete.set(Arc::clone(&self.obsolete));
+            // Counted before it can drop: `f` holds it until the end of
+            // this iteration.
+            if f.obsolete.set(Arc::clone(&self.obsolete)).is_ok() {
+                self.obsolete
+                    .retired_table_bytes
+                    .fetch_add(f.file_size, Ordering::Relaxed);
+            }
         }
         self.current = Arc::clone(&new_version);
         Ok(new_version)

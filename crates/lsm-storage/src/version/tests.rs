@@ -137,13 +137,13 @@ fn a_deleted_file_is_listed_once_no_version_names_it() {
         })
         .unwrap();
         assert_eq!(set.current().num_files(0), 0);
-        assert_eq!(*set.obsolete_files().lock(), vec![FileKind::Table(7)]);
+        assert_eq!(*set.obsolete_files().files.lock(), vec![FileKind::Table(7)]);
         // Listing is all the version set does: the store removes files.
         assert!(filenames::table_path(&dir, 7).exists());
     }
     // Replaying the same two edits lists nothing.
     let (set, _) = VersionSet::open(Arc::new(RealEnv), &dir).unwrap();
-    assert!(set.obsolete_files().lock().is_empty());
+    assert!(set.obsolete_files().files.lock().is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -164,9 +164,9 @@ fn a_held_version_keeps_its_files_off_the_obsolete_list() {
     })
     .unwrap();
     // A reader still holds the old version: the file is not listed.
-    assert!(set.obsolete_files().lock().is_empty());
+    assert!(set.obsolete_files().files.lock().is_empty());
     drop(v_with_file);
-    assert_eq!(*set.obsolete_files().lock(), vec![FileKind::Table(7)]);
+    assert_eq!(*set.obsolete_files().files.lock(), vec![FileKind::Table(7)]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -386,7 +386,7 @@ fn a_trivial_move_keeps_the_open_reader_and_a_rewrite_does_not() {
     assert!(Arc::ptr_eq(moved.table.get().unwrap(), &reader));
     drop(v0);
     assert!(
-        set.obsolete_files().lock().is_empty(),
+        set.obsolete_files().files.lock().is_empty(),
         "a move removes nothing"
     );
 

@@ -152,11 +152,6 @@ impl ServerHandle {
         &self.registry
     }
 
-    /// Whether shutdown has been requested (e.g. by the wire opcode).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
     /// Blocks until the server stops (a client sent the shutdown
     /// opcode, or another handle owner requested it).
     pub fn wait(mut self) {

@@ -124,6 +124,9 @@ fn pipelined_threads_share_the_pool() {
         let stats = store.client().stats_text().unwrap();
         assert!(stats.contains("net.requests"), "{stats}");
         assert!(stats.contains("net.responses"), "{stats}");
+        // And the store's: a leaked snapshot or iterator shows here.
+        assert!(stats.contains("oracle.oldest_snapshot_age"), "{stats}");
+        assert!(stats.contains("storage.retired_table_bytes"), "{stats}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

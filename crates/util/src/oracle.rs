@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 use crate::trace::TraceId;
 
@@ -364,15 +363,21 @@ impl TimestampOracle {
 }
 
 /// Registry of live snapshot handles, consulted by `beforeMerge` to
-/// compute the version-GC watermark (§3.2.1).
+/// compute the version-GC watermark (§3.2.1): how many handles are
+/// live at each timestamp.
+///
+/// A handle leaves only when its owner releases it (the paper's "API
+/// call"), never on a timer: a snapshot read must find the newest
+/// version at or below its time, so no version it may read can be
+/// collected while it is live.
 ///
 /// The paper protects this list with the shared-exclusive lock; callers
 /// here do the same (register under shared mode, query under exclusive
 /// mode), so a plain mutex-protected multiset suffices internally.
 #[derive(Debug, Default)]
 pub struct SnapshotRegistry {
-    /// timestamp → creation instants of live handles at that timestamp.
-    live: Mutex<BTreeMap<u64, Vec<Instant>>>,
+    /// timestamp → number of live handles at that timestamp.
+    live: Mutex<BTreeMap<u64, usize>>,
 }
 
 impl SnapshotRegistry {
@@ -383,40 +388,21 @@ impl SnapshotRegistry {
 
     /// Records a live snapshot at `ts`.
     pub fn register(&self, ts: u64) {
-        self.live.lock().entry(ts).or_default().push(Instant::now());
+        *self.live.lock().entry(ts).or_default() += 1;
     }
 
-    /// Releases one handle at `ts`.
-    ///
-    /// Unknown timestamps are ignored: a handle may already have been
-    /// reclaimed by [`SnapshotRegistry::expire_older_than`] (the
-    /// paper's TTL-based removal of unused snapshot handles, §3.2.1).
+    /// Releases one handle at `ts`, which must have been registered and
+    /// not yet released.
     pub fn unregister(&self, ts: u64) {
         let mut live = self.live.lock();
-        if let Some(instants) = live.get_mut(&ts) {
-            instants.pop();
-            if instants.is_empty() {
+        let count = live.get_mut(&ts);
+        debug_assert!(count.is_some(), "no live snapshot at {ts}");
+        if let Some(count) = count {
+            *count -= 1;
+            if *count == 0 {
                 live.remove(&ts);
             }
         }
-    }
-
-    /// Reclaims every handle registered longer than `ttl` ago; returns
-    /// how many were dropped. Reads through an expired handle may miss
-    /// versions afterwards — the application contract is the paper's:
-    /// unused handles must be removed "either by the application
-    /// (through an API call), or based on TTL".
-    pub fn expire_older_than(&self, ttl: Duration) -> usize {
-        let cutoff = Instant::now() - ttl;
-        let mut live = self.live.lock();
-        let mut dropped = 0;
-        live.retain(|_, instants| {
-            let before = instants.len();
-            instants.retain(|created| *created >= cutoff);
-            dropped += before - instants.len();
-            !instants.is_empty()
-        });
-        dropped
     }
 
     /// The oldest live snapshot, or `None` if there are no snapshots.
@@ -429,7 +415,7 @@ impl SnapshotRegistry {
 
     /// Number of live snapshot handles.
     pub fn len(&self) -> usize {
-        self.live.lock().values().map(Vec::len).sum()
+        self.live.lock().values().sum()
     }
 
     /// Returns `true` when no snapshots are live.
@@ -442,6 +428,7 @@ impl SnapshotRegistry {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn timestamps_are_unique_and_increasing_per_thread() {
@@ -743,24 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_registry_ttl_expiry() {
-        let reg = SnapshotRegistry::new();
-        reg.register(5);
-        reg.register(9);
-        std::thread::sleep(Duration::from_millis(20));
-        reg.register(12);
-        // Expire everything older than 10ms: the first two go.
-        let dropped = reg.expire_older_than(Duration::from_millis(10));
-        assert_eq!(dropped, 2);
-        assert_eq!(reg.oldest(), Some(12));
-        // Unregistering an expired handle is a no-op, not a panic.
-        reg.unregister(5);
-        assert_eq!(reg.len(), 1);
-        reg.unregister(12);
-        assert!(reg.is_empty());
-    }
-
-    #[test]
     fn snapshot_registry_watermark() {
         let reg = SnapshotRegistry::new();
         assert!(reg.oldest().is_none());
@@ -775,5 +744,32 @@ mod tests {
         assert_eq!(reg.oldest(), Some(10));
         reg.unregister(10);
         assert!(reg.is_empty());
+    }
+
+    #[test]
+    fn snapshot_registry_counts_handles_per_timestamp() {
+        let reg = SnapshotRegistry::new();
+        reg.register(7);
+        reg.register(7);
+        reg.register(9);
+        // Releasing the newer timestamp leaves the watermark alone.
+        reg.unregister(9);
+        assert_eq!((reg.oldest(), reg.len()), (Some(7), 2));
+        // A timestamp whose handles all went can be registered again.
+        reg.unregister(7);
+        reg.unregister(7);
+        assert!(reg.is_empty());
+        reg.register(7);
+        assert_eq!((reg.oldest(), reg.len()), (Some(7), 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "no live snapshot at 5")]
+    fn releasing_a_snapshot_twice_is_a_bug() {
+        let reg = SnapshotRegistry::new();
+        reg.register(5);
+        reg.unregister(5);
+        reg.unregister(5);
     }
 }

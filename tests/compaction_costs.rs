@@ -147,10 +147,10 @@ fn compaction_reads_in_chunks_and_leaves_the_block_cache_alone() {
     let wal = store.rotate_wal().unwrap();
     let mut it = VecIterator::new(entries(2000));
     store.flush_memtable(&mut it, 0, 2000, wal).unwrap();
-    let sizes = store.level_byte_sizes();
+    let l0_bytes = store.current_version().level_bytes(0);
     assert!(
-        (1 << 20..4 << 20).contains(&sizes[0]),
-        "a ~2 MiB L0 table: {sizes:?}"
+        (1 << 20..4 << 20).contains(&l0_bytes),
+        "a ~2 MiB L0 table: {l0_bytes} bytes"
     );
 
     let cache = store.block_cache().expect("block cache").clone();
@@ -161,8 +161,7 @@ fn compaction_reads_in_chunks_and_leaves_the_block_cache_alone() {
     assert_eq!(store.level_file_counts(), vec![0, 1]);
     assert!(
         compaction_reads <= 16,
-        "compacting a {}-byte table took {compaction_reads} reads",
-        sizes[0]
+        "compacting a {l0_bytes}-byte table took {compaction_reads} reads"
     );
     assert_eq!(
         (cache.stats(), cache.used_bytes()),

@@ -283,15 +283,20 @@ fn threads_named(name: &str) -> Vec<String> {
     tids
 }
 
-/// The number of threads named `name`, polled for up to a second until
-/// it equals `expected`: a joined thread can stay listed in
-/// `/proc/self/task` for a moment after its join returns.
-fn thread_count_settling_to(name: &str, expected: usize) -> usize {
+/// The threads named `name` that are not in `before`, polled for up to
+/// a second until there are none: a joined thread can stay listed in
+/// `/proc/self/task` for a moment after its join returns. So can one
+/// an earlier test joined, which is why `before` is a set of thread ids
+/// and not a count.
+fn new_threads_settling_to_none(name: &str, before: &[String]) -> Vec<String> {
     let deadline = std::time::Instant::now() + Duration::from_secs(1);
     loop {
-        let count = threads_named(name).len();
-        if count == expected || std::time::Instant::now() >= deadline {
-            return count;
+        let new: Vec<String> = threads_named(name)
+            .into_iter()
+            .filter(|tid| !before.contains(tid))
+            .collect();
+        if new.is_empty() || std::time::Instant::now() >= deadline {
+            return new;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -313,7 +318,7 @@ fn dropping_the_queue_drains_pending_appends_and_joins_the_logger() {
     let _turn = one_at_a_time();
     let dir = tmpdir("drop");
     let path = dir.join("q.log");
-    let loggers_before = threads_named("clsm-logger").len();
+    let loggers_before = threads_named("clsm-logger");
     let queue = start_queue(&path);
     for i in 0..500u32 {
         queue
@@ -322,8 +327,8 @@ fn dropping_the_queue_drains_pending_appends_and_joins_the_logger() {
     }
     drop(queue);
     assert_eq!(
-        thread_count_settling_to("clsm-logger", loggers_before),
-        loggers_before,
+        new_threads_settling_to_none("clsm-logger", &loggers_before),
+        Vec::<String>::new(),
         "logger joined"
     );
     let records = read_records(&path);
