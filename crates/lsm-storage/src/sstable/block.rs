@@ -1,5 +1,6 @@
 //! Parsed block and its iterator.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use clsm_util::coding::{decode_fixed32, get_varint32};
@@ -46,6 +47,55 @@ impl Block {
         decode_fixed32(&self.data[self.restarts_offset + i * 4..]) as usize
     }
 
+    /// The entries: the block without its restart array.
+    fn entries(&self) -> &[u8] {
+        &self.data[..self.restarts_offset]
+    }
+
+    /// Binary-searches the restart points for the last one whose key is
+    /// ordered before `(user_key, ts)`, or the first, and returns its
+    /// offset: where a seek's linear scan starts.
+    fn seek_restart(&self, user_key: &[u8], ts: u64) -> Result<usize> {
+        if self.num_restarts == 0 {
+            return Ok(0);
+        }
+        let mut lo = 0usize;
+        let mut hi = self.num_restarts - 1;
+        while lo < hi {
+            let mid = (lo + hi).div_ceil(2);
+            let entry = Entry::decode(self.entries(), self.restart_point(mid), 0)
+                .map_err(|_| Error::corruption("bad restart entry"))?;
+            let key = &self.entries()[entry.key_delta];
+            if compare_internal_to_target(key, user_key, ts) == std::cmp::Ordering::Less {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        Ok(self.restart_point(lo))
+    }
+
+    /// Point seek on the borrowed block: the first entry at or after
+    /// `(user_key, ts)`, if its user key is `user_key`, as its
+    /// timestamp, kind and value. The keys the scan passes are rebuilt
+    /// on the stack, so a seek allocates nothing unless a key is longer
+    /// than 128 bytes.
+    pub fn get(&self, user_key: &[u8], ts: u64) -> Result<Option<(u64, ValueKind, &[u8])>> {
+        let data = self.entries();
+        let mut offset = self.seek_restart(user_key, ts)?;
+        let mut key = SeekKey::default();
+        while offset < data.len() {
+            let entry = Entry::decode(data, offset, key.len)?;
+            key.set(entry.shared, &data[entry.key_delta]);
+            if compare_internal_to_target(key.get(), user_key, ts) != std::cmp::Ordering::Less {
+                let (found, found_ts, kind) = split_internal_key(key.get())?;
+                return Ok((found == user_key).then(|| (found_ts, kind, &data[entry.value])));
+            }
+            offset = entry.value.end;
+        }
+        Ok(None)
+    }
+
     /// Creates an iterator holding the block alive via `Arc`.
     pub fn iter(self: &Arc<Self>) -> BlockIter {
         BlockIter {
@@ -56,6 +106,93 @@ impl Block {
             value_len: 0,
             valid: false,
             error: None,
+        }
+    }
+}
+
+/// One decoded entry: `[shared][non_shared][value_len][key delta][value]`.
+struct Entry {
+    /// Bytes of the previous key this entry's key starts with.
+    shared: usize,
+    key_delta: Range<usize>,
+    /// Ends where the next entry starts.
+    value: Range<usize>,
+}
+
+impl Entry {
+    /// Decodes the entry at `offset` of `data` (a block's entries),
+    /// whose previous key is `prev_len` bytes long. An entry that runs
+    /// past the entries, shares more than the previous key holds, or
+    /// whose key is too short to be an internal key is corruption, so
+    /// every reader may split a decoded key without checking it.
+    fn decode(data: &[u8], offset: usize, prev_len: usize) -> Result<Entry> {
+        let at = data
+            .get(offset..)
+            .ok_or_else(|| Error::corruption("block entry offset out of bounds"))?;
+        let (shared, a) = get_varint32(at)?;
+        let (non_shared, b) = get_varint32(&data[offset + a..])?;
+        let (value_len, c) = get_varint32(&data[offset + a + b..])?;
+        let (shared, non_shared) = (shared as usize, non_shared as usize);
+        let key_start = offset + a + b + c;
+        let value_start = key_start + non_shared;
+        let value_end = value_start + value_len as usize;
+        if shared > prev_len || value_end > data.len() {
+            return Err(Error::corruption("block entry out of bounds"));
+        }
+        if shared + non_shared < TAG_SIZE {
+            return Err(Error::corruption("block key shorter than an internal key"));
+        }
+        Ok(Entry {
+            shared,
+            key_delta: key_start..value_start,
+            value: value_start..value_end,
+        })
+    }
+}
+
+/// Longest key a point seek rebuilds on the stack.
+const SEEK_KEY_INLINE: usize = 128;
+
+/// The key under a point seek, rebuilt from prefix-compressed entries
+/// on the stack; a key longer than [`SEEK_KEY_INLINE`] moves to the heap.
+struct SeekKey {
+    inline: [u8; SEEK_KEY_INLINE],
+    len: usize,
+    /// The key, once it has outgrown `inline`.
+    spilled: Vec<u8>,
+}
+
+impl Default for SeekKey {
+    fn default() -> Self {
+        SeekKey {
+            inline: [0; SEEK_KEY_INLINE],
+            len: 0,
+            spilled: Vec::new(),
+        }
+    }
+}
+
+impl SeekKey {
+    /// Keeps the first `shared` bytes and appends `delta`.
+    fn set(&mut self, shared: usize, delta: &[u8]) {
+        let len = shared + delta.len();
+        if self.spilled.is_empty() && len <= SEEK_KEY_INLINE {
+            self.inline[shared..len].copy_from_slice(delta);
+        } else {
+            if self.spilled.is_empty() {
+                self.spilled.extend_from_slice(&self.inline[..self.len]);
+            }
+            self.spilled.truncate(shared);
+            self.spilled.extend_from_slice(delta);
+        }
+        self.len = len;
+    }
+
+    fn get(&self) -> &[u8] {
+        if self.spilled.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
         }
     }
 }
@@ -102,32 +239,16 @@ impl BlockIter {
     /// Positions on the first entry whose stored internal key is
     /// `>= (user_key, ts)`.
     pub fn seek_internal(&mut self, user_key: &[u8], ts: u64) {
-        // Binary search the restart points: find the last restart whose
-        // key is ordered before the target.
-        let mut lo = 0usize;
-        let mut hi = self.block.num_restarts.saturating_sub(1);
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            let off = self.block.restart_point(mid);
-            match self.decode_restart_key(off) {
-                Some(key_range) => {
-                    let key = &self.block.data[key_range.0..key_range.1];
-                    if compare_internal_to_target(key, user_key, ts) == std::cmp::Ordering::Less {
-                        lo = mid;
-                    } else {
-                        hi = mid - 1;
-                    }
-                }
-                None => {
-                    self.corrupt("bad restart entry");
-                    return;
-                }
+        self.key.clear();
+        self.valid = false;
+        match self.block.seek_restart(user_key, ts) {
+            Ok(offset) => self.next_offset = offset,
+            Err(e) => {
+                self.corrupt(e);
+                return;
             }
         }
         // Linear scan from the chosen restart.
-        self.next_offset = self.block.restart_point(lo);
-        self.key.clear();
-        self.valid = false;
         loop {
             if !self.parse_next() {
                 return; // exhausted or error
@@ -144,77 +265,34 @@ impl BlockIter {
         self.parse_next();
     }
 
-    /// Decodes the key byte-range of a restart entry (shared = 0),
-    /// or `None` if it is malformed or shorter than an internal key.
-    fn decode_restart_key(&self, offset: usize) -> Option<(usize, usize)> {
-        let data = &self.block.data[..self.block.restarts_offset];
-        let (shared, a) = get_varint32(&data[offset..]).ok()?;
-        if shared != 0 {
-            return None;
-        }
-        let (non_shared, b) = get_varint32(&data[offset + a..]).ok()?;
-        if (non_shared as usize) < TAG_SIZE {
-            return None;
-        }
-        let (_vlen, c) = get_varint32(&data[offset + a + b..]).ok()?;
-        let key_start = offset + a + b + c;
-        let key_end = key_start + non_shared as usize;
-        (key_end <= data.len()).then_some((key_start, key_end))
-    }
-
     /// Parses the entry at `next_offset` into the cursor state.
-    /// Returns `false` at block end or on corruption, which includes a
-    /// key too short to be an internal key: every accessor may then
-    /// split the current key without checking it.
+    /// Returns `false` at block end or on corruption.
     fn parse_next(&mut self) -> bool {
-        let data = &self.block.data[..self.block.restarts_offset];
+        let data = self.block.entries();
         if self.next_offset >= data.len() {
             self.valid = false;
             return false;
         }
-        let offset = self.next_offset;
-        let parsed = (|| -> Result<(usize, usize, usize, usize)> {
-            let (shared, a) = get_varint32(&data[offset..])?;
-            let (non_shared, b) = get_varint32(&data[offset + a..])?;
-            let (value_len, c) = get_varint32(&data[offset + a + b..])?;
-            Ok((
-                shared as usize,
-                non_shared as usize,
-                value_len as usize,
-                offset + a + b + c,
-            ))
-        })();
-        match parsed {
-            Ok((shared, non_shared, value_len, key_start)) => {
-                let value_start = key_start + non_shared;
-                if shared > self.key.len() || value_start + value_len > data.len() {
-                    self.corrupt("block entry out of bounds");
-                    return false;
-                }
-                if shared + non_shared < TAG_SIZE {
-                    self.corrupt("block key shorter than an internal key");
-                    return false;
-                }
-                self.key.truncate(shared);
-                self.key.extend_from_slice(&data[key_start..value_start]);
-                self.value_off = value_start;
-                self.value_len = value_len;
-                self.next_offset = value_start + value_len;
+        match Entry::decode(data, self.next_offset, self.key.len()) {
+            Ok(entry) => {
+                self.key.truncate(entry.shared);
+                self.key.extend_from_slice(&data[entry.key_delta]);
+                self.value_off = entry.value.start;
+                self.value_len = entry.value.len();
+                self.next_offset = entry.value.end;
                 self.valid = true;
                 true
             }
             Err(e) => {
-                self.corrupt(&e.to_string());
+                self.corrupt(e);
                 false
             }
         }
     }
 
-    fn corrupt(&mut self, msg: &str) {
+    fn corrupt(&mut self, e: Error) {
         self.valid = false;
-        if self.error.is_none() {
-            self.error = Some(Error::corruption(msg.to_string()));
-        }
+        self.error.get_or_insert(e);
     }
 }
 

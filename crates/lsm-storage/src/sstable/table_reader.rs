@@ -1,13 +1,18 @@
 //! SSTable reading: point lookups and two-level iteration.
 //!
+//! [`Table::open`] decodes the index block once into a [`BlockIndex`]:
+//! one flat array of separator keys and block handles, every handle
+//! checked against the block region there. A get is then one binary
+//! search over that array, one block-cache probe and one point seek
+//! that borrows the block; iterators step through the same array.
+//!
 //! A table is read two ways. Gets and scans go block by block through
 //! the block cache ([`Table::get`], [`Table::iter`]). One-pass readers —
 //! compaction inputs and [`Store::verify_integrity`] — read the table
 //! front to back in [`READAHEAD_BYTES`] chunks, one `read_at` each,
 //! verify every block's checksum out of the chunk, and neither look up
 //! nor insert anything in the cache ([`Table::one_pass_iter`]). Both
-//! paths check each block handle against the file length recorded at
-//! open and each block's CRC through one helper, `verify_block`.
+//! paths check each block's CRC through one helper, `verify_block`.
 //!
 //! [`Store::verify_integrity`]: crate::Store::verify_integrity
 
@@ -20,7 +25,7 @@ use clsm_util::env::{Env, RandomAccessFile};
 use clsm_util::error::{Error, Result};
 
 use crate::cache::BlockCache;
-use crate::format::{split_internal_key, ValueKind};
+use crate::format::{compare_internal_to_target, ValueKind};
 use crate::iter::InternalIterator;
 use crate::sstable::{Block, BlockHandle, BlockIter, Footer, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
 
@@ -37,7 +42,7 @@ pub struct Table {
     file_len: u64,
     /// Table file number; used as the cache-key namespace.
     number: u64,
-    index: Arc<Block>,
+    index: BlockIndex,
     filter: Vec<u8>,
     bloom: BloomFilterPolicy,
     cache: Option<Arc<BlockCache>>,
@@ -63,7 +68,7 @@ impl Table {
         let footer = Footer::decode(&footer_buf)?;
 
         let index_data = read_verified_block(file.as_ref(), blocks_end, footer.index_handle)?;
-        let index = Arc::new(Block::parse(index_data)?);
+        let index = BlockIndex::decode(Block::parse(index_data)?, blocks_end)?;
         let filter = read_verified_block(file.as_ref(), blocks_end, footer.filter_handle)?;
 
         Ok(Table {
@@ -87,7 +92,9 @@ impl Table {
         self.file_len - FOOTER_SIZE as u64
     }
 
-    /// Reads (or fetches from cache) the data block at `handle`.
+    /// Reads (or fetches from cache) the data block at `handle`. A get
+    /// never waits on the cache: a busy shard is a miss, and the block
+    /// read from the file then skips its insert.
     fn block(&self, handle: BlockHandle) -> Result<Arc<Block>> {
         if let Some(cache) = &self.cache {
             if let Some(block) = cache.get(self.number, handle.offset) {
@@ -97,7 +104,7 @@ impl Table {
         let data = read_verified_block(self.file.as_ref(), self.blocks_end(), handle)?;
         let block = Arc::new(Block::parse(data)?);
         if let Some(cache) = &self.cache {
-            cache.insert(self.number, handle.offset, Arc::clone(&block));
+            cache.try_insert(self.number, handle.offset, Arc::clone(&block));
         }
         Ok(block)
     }
@@ -108,26 +115,13 @@ impl Table {
         if !self.bloom.key_may_match(user_key, &self.filter) {
             return Ok(None);
         }
-        let mut index_iter = self.index.iter();
-        index_iter.seek_internal(user_key, max_ts);
-        if !index_iter.is_valid() {
-            index_iter.status()?;
+        let Some(&handle) = self.index.handles.get(self.index.seek(user_key, max_ts)) else {
             return Ok(None);
-        }
-        let (handle, _) = BlockHandle::decode_from(index_iter.raw_value())?;
+        };
         let block = self.block(handle)?;
-        let mut data_iter = block.iter();
-        data_iter.seek_internal(user_key, max_ts);
-        if !data_iter.is_valid() {
-            data_iter.status()?;
-            return Ok(None);
-        }
-        let (found_key, ts, kind) = split_internal_key(data_iter.raw_key())?;
-        if found_key != user_key {
-            return Ok(None);
-        }
-        debug_assert!(ts <= max_ts);
-        Ok(Some((ts, kind, data_iter.raw_value().to_vec())))
+        let found = block.get(user_key, max_ts)?;
+        debug_assert!(found.is_none_or(|(ts, _, _)| ts <= max_ts));
+        Ok(found.map(|(ts, kind, value)| (ts, kind, value.to_vec())))
     }
 
     /// Creates a two-level iterator over the whole table that reads
@@ -151,6 +145,62 @@ impl std::fmt::Debug for Table {
         f.debug_struct("Table")
             .field("number", &self.number)
             .finish()
+    }
+}
+
+/// A table's index block, decoded once at open: data block `i` lives
+/// at `handles[i]` and holds the keys after separator `i - 1`, up to
+/// and including separator `i` (the last key of the block).
+#[derive(Debug, Default)]
+struct BlockIndex {
+    /// The separator keys, back to back; key `i` ends at `key_ends[i]`.
+    keys: Vec<u8>,
+    key_ends: Vec<usize>,
+    handles: Vec<BlockHandle>,
+}
+
+impl BlockIndex {
+    /// Decodes every entry of `block`, checking that each handle lies
+    /// in the block region, so a damaged index fails the open rather
+    /// than a later get.
+    fn decode(block: Block, blocks_end: u64) -> Result<BlockIndex> {
+        let mut index = BlockIndex {
+            keys: Vec::with_capacity(block.size()),
+            ..BlockIndex::default()
+        };
+        let mut entries = Arc::new(block).iter();
+        entries.to_first();
+        while entries.is_valid() {
+            let (handle, _) = BlockHandle::decode_from(entries.raw_value())?;
+            check_handle(handle, blocks_end)?;
+            index.keys.extend_from_slice(entries.raw_key());
+            index.key_ends.push(index.keys.len());
+            index.handles.push(handle);
+            entries.step();
+        }
+        entries.status()?;
+        Ok(index)
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let start = i.checked_sub(1).map_or(0, |prev| self.key_ends[prev]);
+        &self.keys[start..self.key_ends[i]]
+    }
+
+    /// The first block whose separator is at or after `(user_key, ts)`:
+    /// the only block that can hold that entry. `handles.len()` when
+    /// the target is past the table's last key.
+    fn seek(&self, user_key: &[u8], ts: u64) -> usize {
+        let (mut lo, mut hi) = (0, self.handles.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if compare_internal_to_target(self.key(mid), user_key, ts) == std::cmp::Ordering::Less {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
@@ -252,12 +302,14 @@ impl Readahead {
     }
 }
 
-/// Two-level iterator: index block → data blocks, read through the
-/// block cache or, when built by [`Table::one_pass_iter`], out of
+/// Two-level iterator: the decoded index → data blocks, read through
+/// the block cache or, when built by [`Table::one_pass_iter`], out of
 /// sequential readahead chunks.
 pub struct TableIter {
     table: Arc<Table>,
-    index_iter: BlockIter,
+    /// The data block under the cursor: an index into the table's
+    /// [`BlockIndex`], `handles.len()` once past the last block.
+    block: usize,
     data_iter: Option<BlockIter>,
     readahead: Option<Readahead>,
     error: Option<Error>,
@@ -267,7 +319,7 @@ impl TableIter {
     fn new(table: &Arc<Table>, readahead: Option<Readahead>) -> TableIter {
         TableIter {
             table: Arc::clone(table),
-            index_iter: table.index.iter(),
+            block: 0,
             data_iter: None,
             readahead,
             error: None,
@@ -286,15 +338,13 @@ impl TableIter {
         }
     }
 
-    /// Loads the data block referenced by the current index entry.
+    /// Loads data block `self.block`, if there is one.
     fn load_data_block(&mut self) -> bool {
-        if !self.index_iter.is_valid() {
+        let Some(&handle) = self.table.index.handles.get(self.block) else {
             self.data_iter = None;
             return false;
-        }
-        match BlockHandle::decode_from(self.index_iter.raw_value())
-            .and_then(|(h, _)| self.read_block(h))
-        {
+        };
+        match self.read_block(handle) {
             Ok(block) => {
                 self.data_iter = Some(block.iter());
                 true
@@ -307,7 +357,7 @@ impl TableIter {
         }
     }
 
-    /// Advances through index entries until the data iterator is valid.
+    /// Advances through data blocks until the data iterator is valid.
     /// A data block that ended in an error ends the iteration with it.
     fn skip_empty_blocks_forward(&mut self) {
         while self.data_iter.as_ref().is_none_or(|d| !d.is_valid()) {
@@ -315,11 +365,11 @@ impl TableIter {
                 self.error.get_or_insert(e);
                 return;
             }
-            if !self.index_iter.is_valid() {
+            if self.block >= self.table.index.handles.len() {
                 self.data_iter = None;
                 return;
             }
-            self.index_iter.step();
+            self.block += 1;
             if self.load_data_block() {
                 if let Some(d) = &mut self.data_iter {
                     d.to_first();
@@ -337,7 +387,7 @@ impl InternalIterator for TableIter {
     }
 
     fn seek_to_first(&mut self) {
-        self.index_iter.to_first();
+        self.block = 0;
         if self.load_data_block() {
             if let Some(d) = &mut self.data_iter {
                 d.to_first();
@@ -347,7 +397,7 @@ impl InternalIterator for TableIter {
     }
 
     fn seek(&mut self, user_key: &[u8], ts: u64) {
-        self.index_iter.seek_internal(user_key, ts);
+        self.block = self.table.index.seek(user_key, ts);
         if self.load_data_block() {
             if let Some(d) = &mut self.data_iter {
                 d.seek_internal(user_key, ts);
@@ -383,7 +433,6 @@ impl InternalIterator for TableIter {
         if let Some(e) = &self.error {
             return Err(e.clone());
         }
-        self.index_iter.status()?;
         if let Some(d) = &self.data_iter {
             d.status()?;
         }
@@ -590,15 +639,12 @@ mod tests {
 
     /// Where each data block's stored bytes end, from the index.
     fn block_ends(table: &Table) -> Vec<u64> {
-        let mut index = table.index.iter();
-        index.to_first();
-        let mut ends = Vec::new();
-        while index.is_valid() {
-            let (h, _) = BlockHandle::decode_from(index.raw_value()).unwrap();
-            ends.push(h.offset + h.size + BLOCK_TRAILER_SIZE as u64);
-            index.step();
-        }
-        ends
+        table
+            .index
+            .handles
+            .iter()
+            .map(|h| h.offset + h.size + BLOCK_TRAILER_SIZE as u64)
+            .collect()
     }
 
     fn drain(mut it: TableIter) -> Vec<Entry> {

@@ -5,17 +5,20 @@
 //! The footer has no checksum of its own; a flip there either leaves
 //! the table readable and correct or is a corruption error too, and so
 //! is a truncated table. A block whose checksum holds but whose key is
-//! too short to be an internal key is a corruption error as well. Table
-//! bytes match a recorded golden image.
+//! too short to be an internal key is a corruption error as well, and so
+//! is opening a table whose index names a block past the block region.
+//! A damaged block is never cached, so with a block cache a second get
+//! fails the same way. Table bytes match a recorded golden image.
 
 use std::path::Path;
 use std::sync::Arc;
 
+use clsm_repro::storage::cache::BlockCache;
 use clsm_repro::storage::compaction::write_merged_tables;
 use clsm_repro::storage::format::InternalKey;
 use clsm_repro::storage::iter::VecIterator;
 use clsm_repro::storage::sstable::{
-    Block, BlockHandle, Footer, Table, TableBuilder, BLOCK_TRAILER_SIZE, FOOTER_SIZE,
+    Block, BlockBuilder, BlockHandle, Footer, Table, TableBuilder, BLOCK_TRAILER_SIZE, FOOTER_SIZE,
 };
 use clsm_repro::storage::{InternalIterator, Store, StoreOptions, ValueKind};
 use clsm_repro::util::crc;
@@ -127,30 +130,125 @@ fn every_single_bit_flip_in_a_data_block_is_a_corruption_error() {
         "one data block"
     );
 
-    let open = |bytes: &[u8]| {
+    // Once without a block cache and once with one. A block that fails
+    // its CRC is never cached, so asking for it again fails again, and
+    // the cache never charges for it. Each flipped table gets its own
+    // number, as a rewritten file would.
+    for cache in [None, Some(Arc::new(BlockCache::new(1 << 20)))] {
+        let open = |bytes: &[u8], number: u64| {
+            env.write(path, bytes).unwrap();
+            Table::open(&env, path, number, 10, cache.clone()).unwrap()
+        };
+
+        let table = open(&pristine, 0);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(
+                table.get(key, u64::MAX >> 1).unwrap(),
+                Some((i as u64 + 1, ValueKind::Put, value(i))),
+                "unflipped table, key {i}"
+            );
+        }
+        if let Some(cache) = &cache {
+            cache.evict_table(0);
+        }
+
+        for bit in 0..block_end * 8 {
+            let mut bytes = pristine.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let table = open(&bytes, bit as u64 + 1);
+            // Every key is in the filter and the index, so the lookup
+            // reaches the damaged block whichever key asks.
+            let key = &keys[bit % keys.len()];
+            for ask in ["first", "second"] {
+                match table.get(key, u64::MAX >> 1) {
+                    Err(e) => assert_eq!(e.kind(), ErrorKind::Corruption, "bit {bit}: {e}"),
+                    Ok(found) => {
+                        panic!("bit {bit} flipped, {ask} lookup returned Ok({found:?})")
+                    }
+                }
+            }
+            if let Some(cache) = &cache {
+                assert_eq!(
+                    cache.used_bytes(),
+                    0,
+                    "bit {bit}: a damaged block was cached"
+                );
+            }
+        }
+    }
+}
+
+/// The footer carries no checksum and the index block's CRC covers only
+/// what was written: an index that names a block past the block region
+/// fails the open, not just a get of that block.
+#[test]
+fn an_index_handle_past_the_block_region_fails_the_open() {
+    let env = FaultEnv::new(0x1d8);
+    let path = Path::new("/checksums/000005.sst");
+    let (pristine, entries) = small_table(&env, path, 24, 80, 1024);
+    let footer = Footer::decode(&pristine[pristine.len() - FOOTER_SIZE..]).unwrap();
+    let index_at = footer.index_handle.offset;
+    let reopened = |bytes: &[u8]| {
         env.write(path, bytes).unwrap();
-        Table::open(&env, path, 1, 10, None).unwrap()
+        Table::open(&env, path, 5, 10, None)
     };
 
-    let table = open(&pristine);
-    for (i, key) in keys.iter().enumerate() {
-        assert_eq!(
-            table.get(key, u64::MAX >> 1).unwrap(),
-            Some((i as u64 + 1, ValueKind::Put, value(i))),
-            "unflipped table, key {i}"
+    // Rebuild the index with one entry naming `handle`, re-sealed so
+    // its CRC holds, behind a footer that points at it.
+    let with_handle = |handle: BlockHandle| {
+        let mut bytes = pristine[..index_at as usize].to_vec();
+        let mut index = BlockBuilder::new(1);
+        let last = &entries[entries.len() - 1];
+        let mut encoded = Vec::new();
+        handle.encode_to(&mut encoded);
+        index.add(
+            InternalKey::new(&last.0, last.1, last.2).encoded(),
+            &encoded,
         );
-    }
+        let contents = index.finish();
+        let sealed = crc::extend(crc::extend(0, &contents), &[0]);
+        let index_handle = BlockHandle {
+            offset: index_at,
+            size: contents.len() as u64,
+        };
+        bytes.extend_from_slice(&contents);
+        bytes.push(0);
+        bytes.extend_from_slice(&crc::mask(sealed).to_le_bytes());
+        bytes.extend_from_slice(
+            &Footer {
+                filter_handle: footer.filter_handle,
+                index_handle,
+            }
+            .encode(),
+        );
+        reopened(&bytes)
+    };
 
-    for bit in 0..block_end * 8 {
-        let mut bytes = pristine.clone();
-        bytes[bit / 8] ^= 1 << (bit % 8);
-        let table = open(&bytes);
-        // Every key is in the filter and the index, so the lookup
-        // reaches the damaged block whichever key asks.
-        let key = &keys[bit % keys.len()];
-        match table.get(key, u64::MAX >> 1) {
-            Err(e) => assert_eq!(e.kind(), ErrorKind::Corruption, "bit {bit}: {e}"),
-            Ok(found) => panic!("bit {bit} flipped, lookup returned Ok({found:?})"),
+    with_handle(BlockHandle {
+        offset: 0,
+        size: 100,
+    })
+    .expect("a handle inside the block region opens");
+    for past in [
+        // Starts inside the region and runs past its end.
+        BlockHandle {
+            offset: index_at,
+            size: 1 << 20,
+        },
+        // Starts past the end of the file.
+        BlockHandle {
+            offset: 1 << 40,
+            size: 10,
+        },
+        // Wraps around when its end is computed.
+        BlockHandle {
+            offset: u64::MAX - 2,
+            size: 10,
+        },
+    ] {
+        match with_handle(past) {
+            Err(e) => assert_eq!(e.kind(), ErrorKind::Corruption, "{past:?}: {e}"),
+            Ok(_) => panic!("index handle {past:?} past the block region opened"),
         }
     }
 }
