@@ -17,11 +17,9 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use clsm::Options;
+use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
-use crate::common::{
-    KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions,
-};
 use crate::core::BaselineCore;
 
 /// A bLSM-style store: single writer, gear-throttled against merges.

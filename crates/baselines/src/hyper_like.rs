@@ -16,9 +16,9 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use clsm::Options;
+use clsm_kv::{KvSnapshot, KvStore, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
-use crate::common::{KvSnapshot, KvStore, ScanRange, WriteBatch, WriteOptions};
 use crate::core::BaselineCore;
 
 /// A HyperLevelDB-style store: parallel inserts, ordered commit.

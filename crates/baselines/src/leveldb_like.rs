@@ -18,11 +18,9 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use clsm::Options;
+use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
-use crate::common::{
-    KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions,
-};
 use crate::core::BaselineCore;
 
 /// A LevelDB-style store: globally locked writes, briefly locked reads.

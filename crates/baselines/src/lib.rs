@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod blsm_like;
-mod common;
 mod core;
 mod hyper_like;
 mod leveldb_like;
@@ -37,11 +36,10 @@ mod rocks_like;
 mod striped_rmw;
 
 pub use blsm_like::BlsmLike;
-pub use common::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange};
 pub use hyper_like::HyperLike;
 pub use leveldb_like::LevelDbLike;
 pub use partitioned::Partitioned;
 pub use rocks_like::RocksLike;
 pub use striped_rmw::StripedRmw;
 
-pub use clsm_util::error::{Error, Result};
+pub use clsm_kv::{KvStore, ScanRange};

@@ -7,11 +7,8 @@
 //! partitioning ("the data store's consistent snapshot scans do not
 //! span multiple partitions", §2.2).
 
+use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
-
-use crate::common::{
-    KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions,
-};
 
 /// N stores, each owning a contiguous key range.
 pub struct Partitioned<S: KvStore> {
@@ -33,16 +30,6 @@ impl<S: KvStore> Partitioned<S> {
     /// Index of the partition owning `key`.
     pub fn partition_of(&self, key: &[u8]) -> usize {
         self.boundaries.partition_point(|b| b.as_slice() <= key)
-    }
-
-    /// Direct access to one partition (for partition-pinned drivers).
-    pub fn part(&self, i: usize) -> &S {
-        &self.parts[i]
-    }
-
-    /// Number of partitions.
-    pub fn num_parts(&self) -> usize {
-        self.parts.len()
     }
 }
 

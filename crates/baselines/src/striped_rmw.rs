@@ -12,12 +12,10 @@ use std::path::Path;
 use parking_lot::Mutex;
 
 use clsm::Options;
+use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::bloom::hash_seeded;
 use clsm_util::error::Result;
 
-use crate::common::{
-    KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions,
-};
 use crate::leveldb_like::LevelDbLike;
 
 /// Number of stripes (a power of two).

@@ -273,7 +273,7 @@ fn write_trace(path: &std::path::Path) -> Result<()> {
 /// Prints a system's metrics snapshot and persists it as JSON next to
 /// the CSV artifacts. Systems without a metrics registry (the
 /// baselines) are skipped silently.
-pub fn emit_metrics(args: &BenchArgs, figure: &str, store: &dyn KvStore) -> Result<()> {
+pub(crate) fn emit_metrics(args: &BenchArgs, figure: &str, store: &dyn KvStore) -> Result<()> {
     let snapshot = store.stats();
     if snapshot.counters.is_empty() && snapshot.histograms.is_empty() {
         return Ok(());
@@ -304,41 +304,6 @@ pub fn run_one(
     cfg: &RunConfig,
 ) -> Result<RunResult> {
     run_workload(store, spec, cfg, Prefill::Skip)
-}
-
-/// Runs one short, unmeasured write cell before a sweep starts. The
-/// first measured cell of a cold process otherwise reads several
-/// percent high — warm caches, CPU boost headroom, no JITted kernel
-/// state from earlier cells — which systematically flatters whichever
-/// configuration happens to run first.
-pub fn warmup(args: &BenchArgs) {
-    let spec = WorkloadSpec::write_only(args.key_space());
-    let dir = args.scratch("warmup").expect("scratch");
-    let store: Arc<dyn KvStore> =
-        Arc::new(clsm::Db::open(&dir, args.store_options()).expect("open"));
-    let cfg = RunConfig {
-        threads: 2,
-        duration: Duration::from_secs(2),
-        seed: args.seed,
-    };
-    run_one(&store, &spec, &cfg).expect("warmup");
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Picks the median-throughput run out of `--repeat` repetitions of
-/// one cell. The median is robust against a rep that caught a
-/// background-compaction burst or a scheduler hiccup, which on small
-/// machines swings single runs by ±15%.
-///
-/// # Panics
-///
-/// Panics if `runs` is empty.
-pub fn median_by_throughput(mut runs: Vec<RunResult>) -> RunResult {
-    assert!(!runs.is_empty(), "median of zero runs");
-    runs.sort_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()));
-    let mid = runs.len() / 2;
-    runs.swap_remove(mid)
 }
 
 fn figure_slug(figure: &str) -> String {

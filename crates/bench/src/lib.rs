@@ -23,5 +23,3 @@ pub mod report;
 pub mod systems;
 
 pub use driver::{parse_args, BenchArgs};
-pub use report::{write_csv, Table};
-pub use systems::{all_systems, no_blsm_systems, registry, system_by_name, System};

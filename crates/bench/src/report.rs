@@ -25,12 +25,6 @@ impl Table {
         }
     }
 
-    /// Adds an empty series row.
-    pub fn add_row(&mut self, name: &str) {
-        self.rows
-            .push((name.to_string(), vec![None; self.columns.len()]));
-    }
-
     /// Sets the cell of series `row` at column index `col`.
     pub fn set(&mut self, row: &str, col: usize, value: f64) {
         if let Some((_, cells)) = self.rows.iter_mut().find(|(n, _)| n == row) {
@@ -43,7 +37,7 @@ impl Table {
     }
 
     /// Renders the aligned console table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let name_w = self
             .rows
             .iter()
@@ -129,7 +123,7 @@ fn format_value(v: f64) -> String {
 
 /// Writes a metrics snapshot as a JSON artifact:
 /// `dir/<name>.metrics.json`.
-pub fn write_metrics_json(
+pub(crate) fn write_metrics_json(
     dir: &Path,
     name: &str,
     snapshot: &clsm_util::metrics::MetricsSnapshot,
@@ -138,19 +132,6 @@ pub fn write_metrics_json(
     let path = dir.join(format!("{name}.metrics.json"));
     std::fs::write(&path, snapshot.to_json())?;
     Ok(path)
-}
-
-/// Writes raw `(x, series, value)` triples as CSV.
-pub fn write_csv(path: &Path, header: &str, rows: &[String]) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{header}")?;
-    for r in rows {
-        writeln!(f, "{r}")?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

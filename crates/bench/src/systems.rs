@@ -42,33 +42,6 @@ macro_rules! declare_system {
 }
 
 declare_system!(ClsmSystem, CLSM, "cLSM", Db);
-
-/// The cLSM store behind an embedded loopback `clsm-server`, accessed
-/// through the pipelined TCP client: every measurement through this
-/// system is client-observed over the wire. The
-/// [`clsm_net::RemoteStore`] owns the server handle, so the server
-/// lives exactly as long as the returned store.
-struct ClsmNetSystem;
-
-impl System for ClsmNetSystem {
-    fn name(&self) -> &'static str {
-        "cLSM-net"
-    }
-
-    fn open(&self, dir: &Path, opts: Options) -> Result<Arc<dyn KvStore>> {
-        let db: Arc<dyn KvStore> = Arc::new(Db::open(dir, opts)?);
-        let net = clsm_net::NetOptions::builder()
-            .addr("127.0.0.1:0")
-            .workers(2)
-            .build()?;
-        Ok(Arc::new(clsm_net::RemoteStore::with_embedded_server(
-            db, &net,
-        )?))
-    }
-}
-
-/// The registry entry for the networked system.
-pub static CLSM_NET: &dyn System = &ClsmNetSystem;
 declare_system!(LevelDbSystem, LEVELDB, "LevelDB", LevelDbLike);
 declare_system!(HyperSystem, HYPER, "HyperLevelDB", HyperLike);
 declare_system!(RocksSystem, ROCKS, "rocksDB", RocksLike);
@@ -93,36 +66,13 @@ pub fn no_blsm_systems() -> &'static [&'static dyn System] {
     &SET
 }
 
-/// Every registered system, including ones outside the standard
-/// comparison sets.
-pub fn registry() -> &'static [&'static dyn System] {
-    static ALL: [&dyn System; 7] = [
-        &RocksSystem,
-        &BlsmSystem,
-        &LevelDbSystem,
-        &HyperSystem,
-        &ClsmSystem,
-        &ClsmNetSystem,
-        &StripedSystem,
-    ];
-    &ALL
-}
-
-/// Looks a system up by its display name (case-insensitive).
-pub fn system_by_name(name: &str) -> Option<&'static dyn System> {
-    registry()
-        .iter()
-        .copied()
-        .find(|s| s.name().eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn every_system_opens_and_serves() {
-        for sys in registry() {
+        for sys in [CLSM, LEVELDB, HYPER, ROCKS, BLSM, STRIPED] {
             let dir = std::env::temp_dir().join(format!(
                 "bench-sys-{}-{}-{}",
                 std::process::id(),
@@ -140,13 +90,5 @@ mod tests {
             drop(store);
             std::fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn lookup_by_name_is_case_insensitive() {
-        assert_eq!(system_by_name("clsm").unwrap().name(), "cLSM");
-        assert_eq!(system_by_name("clsm-net").unwrap().name(), "cLSM-net");
-        assert_eq!(system_by_name("LEVELDB").unwrap().name(), "LevelDB");
-        assert!(system_by_name("nonexistent").is_none());
     }
 }

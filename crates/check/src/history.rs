@@ -19,7 +19,7 @@ use clsm_kv::ScanRange;
 use clsm_util::error::{Error, Result};
 
 /// Hex-encodes bytes (lowercase, two digits per byte).
-pub fn hex(bytes: &[u8]) -> String {
+pub(crate) fn hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
         let _ = write!(s, "{b:02x}");
@@ -28,7 +28,7 @@ pub fn hex(bytes: &[u8]) -> String {
 }
 
 /// Inverse of [`hex`].
-pub fn unhex(s: &str) -> Result<Vec<u8>> {
+pub(crate) fn unhex(s: &str) -> Result<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return Err(Error::corruption("odd-length hex string"));
     }
@@ -169,7 +169,7 @@ pub fn parse_history(text: &str) -> Result<Vec<KvEvent>> {
 
 /// A parsed JSON value (only the shapes the history format uses).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -237,7 +237,7 @@ impl Json {
 }
 
 /// Parses one JSON document.
-pub fn parse_json(text: &str) -> std::result::Result<Json, String> {
+pub(crate) fn parse_json(text: &str) -> std::result::Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
     let value = parse_value(bytes, &mut pos)?;

@@ -10,7 +10,7 @@
 //!
 //! - [`driver`] runs seeded adversarial schedules, recording every
 //!   operation through [`clsm_kv::record`];
-//! - [`lin`] checks point ops for per-key linearizability (Wing–Gong
+//! - `lin` checks point ops for per-key linearizability (Wing–Gong
 //!   search with memoization);
 //! - [`snapcheck`] checks snapshots and scans for serializability,
 //!   batch atomicity, and cross-snapshot monotonicity — with a
@@ -21,20 +21,19 @@
 //! - [`mutations`] re-introduces classic bugs so the suite can prove
 //!   the checker catches them;
 //! - [`history`] serializes failing runs for `clsm-check --replay`;
-//! - [`verdict`] turns check results into JSON verdicts with minimized
+//! - [`check_history`] turns check results into JSON verdicts with minimized
 //!   counterexamples.
 
 #![warn(missing_docs)]
 
 pub mod driver;
 pub mod history;
-pub mod lin;
+mod lin;
 pub mod mutations;
 pub mod snapcheck;
 pub mod sut;
-pub mod verdict;
+mod verdict;
 
 pub use driver::{run_schedule, ScheduleCfg, SutCaps};
-pub use lin::{check_linearizable, LinOutcome, LinViolation};
-pub use snapcheck::{check_recovery, check_snapshots, CheckMode, RecoveredState, SnapViolation};
+pub use snapcheck::{CheckMode, RecoveredState};
 pub use verdict::{check_history, Verdict};

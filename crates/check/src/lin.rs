@@ -24,7 +24,7 @@ use clsm_kv::record::{KvEvent, KvOp, RmwApplied};
 
 /// Outcome of a linearizability check.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LinOutcome {
+pub(crate) enum LinOutcome {
     /// Every per-key subhistory is linearizable.
     Ok,
     /// A key's subhistory admits no linearization.
@@ -39,7 +39,7 @@ pub enum LinOutcome {
 
 /// A non-linearizable per-key subhistory.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinViolation {
+pub(crate) struct LinViolation {
     /// The key whose subhistory failed.
     pub key: Vec<u8>,
     /// Indexes (into the checked event slice) of the ops involved.
@@ -74,14 +74,14 @@ struct PerKeyOp {
 /// Default DFS step budget per key. Schedules the driver produces stay
 /// far below this; it exists so adversarial replay files cannot wedge
 /// the checker.
-pub const DEFAULT_BUDGET: u64 = 20_000_000;
+pub(crate) const DEFAULT_BUDGET: u64 = 20_000_000;
 
 /// Checks the point-op portion of `events` for per-key linearizability.
 ///
 /// Failed (`ok == false`) events are skipped: the driver joins workers
 /// before collecting histories, so they only appear in hand-edited
 /// replay files where their effects are unknowable black-box.
-pub fn check_linearizable(events: &[KvEvent]) -> LinOutcome {
+pub(crate) fn check_linearizable(events: &[KvEvent]) -> LinOutcome {
     check_linearizable_budget(events, &HashMap::new(), DEFAULT_BUDGET)
 }
 
@@ -89,7 +89,7 @@ pub fn check_linearizable(events: &[KvEvent]) -> LinOutcome {
 /// for a *slice* of a longer history: a key named in `initial` starts
 /// holding that value instead of absent (the state the dropped prefix
 /// left behind).
-pub fn check_linearizable_budget(
+pub(crate) fn check_linearizable_budget(
     events: &[KvEvent],
     initial: &HashMap<Vec<u8>, Option<Vec<u8>>>,
     budget: u64,
@@ -342,7 +342,7 @@ fn check_key(ops: &[PerKeyOp], initial: Option<&[u8]>, budget: u64) -> KeyOutcom
 /// repeats single-event passes until one removes nothing. Whole runs
 /// go first because a history whose operations each observe their
 /// predecessor's write (an RMW chain) cannot lose one link at a time.
-pub fn minimize<F>(events: &[KvEvent], mut still_fails: F) -> Vec<KvEvent>
+pub(crate) fn minimize<F>(events: &[KvEvent], mut still_fails: F) -> Vec<KvEvent>
 where
     F: FnMut(&[KvEvent]) -> bool,
 {

@@ -21,7 +21,7 @@ use clsm_util::error::Result;
 use parking_lot::Mutex;
 
 /// Mutation names [`mutate`] accepts.
-pub const MUTATIONS: &[&str] = &[
+pub(crate) const MUTATIONS: &[&str] = &[
     "non-atomic-rmw",
     "lost-write",
     "stale-snapshot",

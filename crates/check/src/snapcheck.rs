@@ -39,11 +39,9 @@ pub enum CheckMode {
 
 /// One snapshot-consistency violation.
 #[derive(Debug, Clone)]
-pub struct SnapViolation {
+pub(crate) struct SnapViolation {
     /// Which condition tripped (stable machine-readable slug).
     pub condition: &'static str,
-    /// Snapshot id involved, if any.
-    pub snap: Option<u64>,
     /// Key involved.
     pub key: Vec<u8>,
     /// Human-readable explanation.
@@ -119,7 +117,7 @@ struct Prepared {
 }
 
 /// Checks all snapshots (explicit and implicit-scan) in `events`.
-pub fn check_snapshots(events: &[KvEvent], mode: CheckMode) -> Vec<SnapViolation> {
+pub(crate) fn check_snapshots(events: &[KvEvent], mode: CheckMode) -> Vec<SnapViolation> {
     let mut p = prepare(events);
     let snap_cands = check_each_snapshot(&mut p, mode == CheckMode::Linearizable);
     check_monotonicity(&mut p, &snap_cands);
@@ -134,7 +132,7 @@ pub fn check_snapshots(events: &[KvEvent], mode: CheckMode) -> Vec<SnapViolation
 /// the store must run with synchronous logging, so recovery must land
 /// on a *final* state: for every key, the value of some write that no
 /// other write strictly follows.
-pub fn check_recovery(events: &[KvEvent], recovered: &RecoveredState) -> Vec<SnapViolation> {
+pub(crate) fn check_recovery(events: &[KvEvent], recovered: &RecoveredState) -> Vec<SnapViolation> {
     let mut p = prepare(events);
     let mut snap = Snap {
         id: u64::MAX,
@@ -287,7 +285,7 @@ fn prepare(events: &[KvEvent]) -> Prepared {
                         p.snaps.len() - 1
                     }
                 };
-                check_scan_shape(&mut p.violations, *snap, range, *limit, result, idx);
+                check_scan_shape(&mut p.violations, range, *limit, result, idx);
                 for (k, v) in result {
                     record_obs(
                         &mut p.snaps[si],
@@ -349,7 +347,6 @@ fn record_obs(
         Some(prior) if prior.value != value => {
             violations.push(SnapViolation {
                 condition: "snapshot-not-frozen",
-                snap: Some(snap.id),
                 key: key.clone(),
                 detail: format!(
                     "snapshot {} observed both {:?} and {:?} for the same key",
@@ -377,7 +374,6 @@ fn record_obs(
 
 fn check_scan_shape(
     violations: &mut Vec<SnapViolation>,
-    snap: u64,
     range: &clsm_kv::ScanRange,
     limit: usize,
     result: &[(Vec<u8>, Vec<u8>)],
@@ -386,7 +382,6 @@ fn check_scan_shape(
     if result.len() > limit {
         violations.push(SnapViolation {
             condition: "scan-over-limit",
-            snap: Some(snap),
             key: Vec::new(),
             detail: format!("scan returned {} pairs, limit {}", result.len(), limit),
             events: vec![event],
@@ -396,7 +391,6 @@ fn check_scan_shape(
         if w[0].0 >= w[1].0 {
             violations.push(SnapViolation {
                 condition: "scan-unordered",
-                snap: Some(snap),
                 key: w[1].0.clone(),
                 detail: "scan result keys not strictly ascending".to_string(),
                 events: vec![event],
@@ -407,7 +401,6 @@ fn check_scan_shape(
         if !range.contains_key(k) {
             violations.push(SnapViolation {
                 condition: "scan-out-of-range",
-                snap: Some(snap),
                 key: k.clone(),
                 detail: "scan returned a key outside the requested range".to_string(),
                 events: vec![event],
@@ -484,7 +477,6 @@ fn check_each_snapshot(p: &mut Prepared, strict: bool) -> Vec<BTreeMap<Vec<u8>, 
             if cands.is_empty() {
                 p.violations.push(SnapViolation {
                     condition: "unexplained-value",
-                    snap: Some(snap.id),
                     key: key.clone(),
                     detail: format!(
                         "snapshot {} observed {} but no write invoked before the \
@@ -526,7 +518,6 @@ fn check_each_snapshot(p: &mut Prepared, strict: bool) -> Vec<BTreeMap<Vec<u8>, 
                     .map(|&w| &writes[w]);
                 p.violations.push(SnapViolation {
                     condition: "stale-read",
-                    snap: Some(snap.id),
                     key: key.clone(),
                     detail: format!(
                         "snapshot {} observed {} ({}), but {} completed before \
@@ -617,7 +608,6 @@ fn check_batch_atomicity(
             if torn {
                 found.push(SnapViolation {
                     condition: "torn-batch",
-                    snap: Some(snap.id),
                     key: other_key.clone(),
                     detail: format!(
                         "snapshot {} contains batch {}'s write of key {:02x?} but \
@@ -674,7 +664,6 @@ fn check_monotonicity(p: &mut Prepared, snap_cands: &[BTreeMap<Vec<u8>, Vec<Cand
             if regressed {
                 found.push(SnapViolation {
                     condition: "snapshot-regression",
-                    snap: Some(p.snaps[s2].id),
                     key: key.to_vec(),
                     detail: format!(
                         "snapshot {} (taken after snapshot {} completed) observed a \
@@ -726,7 +715,6 @@ fn check_get_floors(p: &mut Prepared, snap_cands: &[BTreeMap<Vec<u8>, Vec<Cand>>
             if below_floor {
                 found.push(SnapViolation {
                     condition: "get-floor",
-                    snap: Some(snap.id),
                     key: key.clone(),
                     detail: format!(
                         "a get completed before snapshot {} was taken observed {}, \

@@ -7,7 +7,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use clsm::Options;
+use clsm::{Db, Options};
 use clsm_baselines::{BlsmLike, HyperLike, LevelDbLike, Partitioned, RocksLike, StripedRmw};
 use clsm_kv::KvStore;
 use clsm_util::env::{Env, FaultEnv};
@@ -56,7 +56,7 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
     opts.sync_writes = sync;
 
     if name == "clsm" {
-        let db = Arc::new(opts.open(dir)?);
+        let db = Arc::new(Db::open(dir, opts)?);
         let chaos_db = Arc::clone(&db);
         let tick = std::sync::atomic::AtomicU64::new(0);
         return Ok(Sut {
@@ -81,7 +81,7 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
         // just the store. The RemoteStore owns the server handle —
         // dropping the store shuts the server down. RMW needs a
         // closure and cannot cross the wire; everything else can.
-        let db: Arc<dyn KvStore> = Arc::new(opts.open(dir)?);
+        let db: Arc<dyn KvStore> = Arc::new(Db::open(dir, opts)?);
         let net = clsm_net::NetOptions::builder()
             .addr("127.0.0.1:0")
             .workers(2)
@@ -187,11 +187,5 @@ impl CrashSut {
             store: sut.store,
             env,
         })
-    }
-
-    /// Reopens `name` at `dir` on the post-power-loss bytes.
-    pub fn reopen(&self, name: &str, dir: &Path) -> Result<Arc<dyn KvStore>> {
-        let sut = open_sut_with(name, dir, Some(self.env.clone() as Arc<dyn Env>), true)?;
-        Ok(sut.store)
     }
 }

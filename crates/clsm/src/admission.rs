@@ -86,7 +86,7 @@ pub enum Stage {
 
 impl Stage {
     /// Stable lower-case name (`none` / `flush` / `l0`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::None => "none",
             Stage::Flush => "flush",
@@ -352,7 +352,7 @@ pub struct AdmissionState {
 
 impl AdmissionState {
     /// The rung of the ladder writes are on: `open`, `paced` or `stall`.
-    pub fn ladder_rung(&self) -> &'static str {
+    pub(crate) fn ladder_rung(&self) -> &'static str {
         if self.stalled {
             "stall"
         } else if self.enabled && self.paced_bytes_per_sec != 0 {

@@ -98,16 +98,17 @@ impl Db {
     /// by a previous incarnation (§4: out-of-order log records are
     /// sorted by timestamp on recovery).
     ///
-    /// Accepts anything convertible into [`Options`] — a finished
-    /// `Options` value or an [`crate::OptionsBuilder`] directly; the
-    /// configuration is validated either way.
+    /// An invalid configuration (a memtable under 4 KiB, no compaction
+    /// thread, or a `StoreOptions` that `StoreOptions::validate`
+    /// rejects) fails with [`Error::InvalidArgument`] before anything
+    /// is opened.
     ///
     /// A directory holding a `SHARDS` manifest is the root of a
     /// range-sharded layout earlier versions wrote; it is refused with
     /// [`Error::InvalidArgument`] rather than given a fresh empty store
     /// beside its data. Each `shard-NNN/` under it is a complete store
     /// and opens on its own.
-    pub fn open(path: &Path, opts: impl Into<Options>) -> Result<Db> {
+    pub fn open(path: &Path, opts: Options) -> Result<Db> {
         let mut db = Db::open_stepped(path, opts)?;
         // On a failed spawn, dropping `db` stops and joins the threads
         // that did start.
@@ -127,8 +128,7 @@ impl Db {
     /// [`Db::compact_to_quiescence`] waits for jobs some other thread
     /// runs.
     #[doc(hidden)]
-    pub fn open_stepped(path: &Path, opts: impl Into<Options>) -> Result<Db> {
-        let opts: Options = opts.into();
+    pub fn open_stepped(path: &Path, opts: Options) -> Result<Db> {
         opts.validate()?;
         refuse_sharded_root(opts.store.env.as_ref(), path)?;
         let (store, recovered) = Store::open(path, opts.store.clone())?;
@@ -230,7 +230,7 @@ impl Db {
             // so an acked write to it would vanish at the next recovery.
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
-        let began = Instant::now();
+        let began = now_ns();
         let (count, latency) = if let [(key, value)] = batch.ops() {
             self.write_one(key, value.as_deref())?;
             if value.is_some() {
@@ -248,13 +248,10 @@ impl Db {
             inner.wait_durable()?;
         }
         inner.maybe_schedule_flush();
-        let elapsed = began.elapsed();
-        inner
-            .metrics
-            .write_path
-            .rec_total(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+        let elapsed = now_ns().saturating_sub(began);
+        inner.metrics.write_path.rec_total(elapsed);
         count.inc();
-        latency.record_duration(elapsed);
+        latency.record(elapsed);
         Ok(())
     }
 
@@ -293,32 +290,28 @@ impl Db {
             // leaves the recovered image unchanged.
             let _span = T_PUT.span_with(key.len() as u64);
             let _shared = inner.lock.lock_shared();
-            // Attribution: accumulated `get_ts` time is the stamp
-            // stage; the rest of the loop (inserts, plus the rare
-            // abandoned-stamp publish on conflict) is the memtable
-            // stage.
-            let loop_start = now_ns();
-            let mut stamp_ns = 0u64;
-            let stamp = loop {
-                let t0 = now_ns();
-                let stamp = inner.oracle.get_ts();
-                stamp_ns += now_ns().saturating_sub(t0);
-                match inner.pm.load().insert_as_newest(key, stamp.ts, value) {
-                    Ok(()) => break stamp,
-                    Err(_conflict) => inner.oracle.publish(stamp),
-                }
-            };
-            let loop_ns = now_ns().saturating_sub(loop_start);
-            wp.rec_stamp(stamp_ns);
-            wp.rec_memtable(loop_ns.saturating_sub(stamp_ns));
-            let wal_start = now_ns();
+            // Attribution: one clock read per stage boundary. The
+            // first `get_ts` is the stamp stage; a restamp after a
+            // conflict (the abandoned stamp's publish and the next
+            // `get_ts`) counts in the memtable stage.
+            let locked = now_ns();
+            let mut stamp = inner.oracle.get_ts();
+            let stamped = now_ns();
+            while let Err(_conflict) = inner.pm.load().insert_as_newest(key, stamp.ts, value) {
+                inner.oracle.publish(stamp);
+                stamp = inner.oracle.get_ts();
+            }
+            let inserted = now_ns();
             let logged = inner
                 .store
                 .log_writes([(stamp.ts, key, value)], SyncMode::Async);
-            wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
-            let publish_start = now_ns();
+            let enqueued = now_ns();
             inner.oracle.publish(stamp);
-            wp.rec_publish(now_ns().saturating_sub(publish_start));
+            let published = now_ns();
+            wp.rec_stamp(stamped.saturating_sub(locked));
+            wp.rec_memtable(inserted.saturating_sub(stamped));
+            wp.rec_wal_enqueue(enqueued.saturating_sub(inserted));
+            wp.rec_publish(published.saturating_sub(enqueued));
             logged?;
         }
         Ok(())
@@ -342,29 +335,31 @@ impl Db {
         {
             let _span = T_WRITE_BATCH.span_with(batch.len() as u64);
             let _excl = inner.lock_exclusive();
-            let stamp_start = now_ns();
+            // Attribution: one clock read per stage boundary.
+            let locked = now_ns();
             let block = inner.oracle.get_ts_block(batch.len() as u64);
-            let mem_start = now_ns();
-            wp.rec_stamp(mem_start.saturating_sub(stamp_start));
+            let stamped = now_ns();
             let pm = inner.pm.load();
             for (ts, (key, value)) in (block.base..).zip(&batch) {
                 pm.insert(key, ts, value.as_deref());
             }
-            wp.rec_memtable(now_ns().saturating_sub(mem_start));
+            let inserted = now_ns();
             // One log payload for the whole batch, so a torn WAL tail
             // drops it atomically.
-            let wal_start = now_ns();
             let writes = (block.base..)
                 .zip(&batch)
                 .map(|(ts, (key, value))| (ts, key.as_slice(), value.as_deref()));
             logged = inner.store.log_writes(writes, SyncMode::Async);
-            wp.rec_wal_enqueue(now_ns().saturating_sub(wal_start));
+            let enqueued = now_ns();
             // Publish even when the log append failed: an unpublished
             // stamp would wedge snapshot creation forever, and recovery
             // never depends on an unlogged record.
-            let publish_start = now_ns();
             inner.oracle.publish_block(block);
-            wp.rec_publish(now_ns().saturating_sub(publish_start));
+            let published = now_ns();
+            wp.rec_stamp(stamped.saturating_sub(locked));
+            wp.rec_memtable(inserted.saturating_sub(stamped));
+            wp.rec_wal_enqueue(enqueued.saturating_sub(inserted));
+            wp.rec_publish(published.saturating_sub(enqueued));
         }
         logged
     }

@@ -155,17 +155,23 @@ impl DbInner {
     /// are not claimed. An L0→L1 merge (one that took L0 tables out of
     /// the tree — flushes only ever add them) stores the L0 drain rate.
     fn compact_once(&self) -> Result<bool> {
-        let before = self.store.current_version();
+        // Only L0's numbers and sizes: holding the version itself would
+        // pin the compaction's inputs past its removal pass, leaving
+        // them on disk until the next job.
+        let l0_before: Vec<(u64, u64)> = self.store.current_version().levels[0]
+            .iter()
+            .map(|f| (f.number, f.file_size))
+            .collect();
         let began = Instant::now();
         if !self.store.maybe_compact(self.gc_watermark())? {
             return Ok(false);
         }
         self.metrics.compactions.inc();
         let after = self.store.current_version();
-        let l0_retired: u64 = before.levels[0]
+        let l0_retired: u64 = l0_before
             .iter()
-            .filter(|f| !after.levels[0].iter().any(|g| g.number == f.number))
-            .map(|f| f.file_size)
+            .filter(|&&(number, _)| !after.levels[0].iter().any(|g| g.number == number))
+            .map(|&(_, size)| size)
             .sum();
         if l0_retired > 0 {
             self.flow.l0_drained(l0_retired, began.elapsed());

@@ -42,7 +42,7 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod admission;
 mod batch;
@@ -64,7 +64,7 @@ pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport, Lev
 #[doc(hidden)]
 pub use jobs::Job;
 pub use memtable::Memtable;
-pub use options::{Options, OptionsBuilder};
+pub use options::Options;
 pub use rmw::{RmwDecision, RmwResult};
 pub use snapshot::{Snapshot, SnapshotIter};
 pub use stats::render_write_path;

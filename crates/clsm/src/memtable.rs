@@ -40,7 +40,7 @@ impl Memtable {
     /// Inserts iff no newer version of `key` exists (see
     /// [`SkipList::insert_as_newest`]); writers that stamp before
     /// inserting use this and re-stamp on conflict.
-    pub fn insert_as_newest(
+    pub(crate) fn insert_as_newest(
         &self,
         key: &[u8],
         ts: u64,
@@ -55,7 +55,7 @@ impl Memtable {
 
     /// Algorithm 3's conditional insert (see
     /// [`SkipList::insert_if_latest`]).
-    pub fn insert_if_latest(
+    pub(crate) fn insert_if_latest(
         &self,
         key: &[u8],
         ts: u64,
@@ -86,7 +86,7 @@ impl Memtable {
     }
 
     /// Number of entries (versions).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.list.len()
     }
 

@@ -1,9 +1,5 @@
 //! Database configuration.
 
-use std::path::Path;
-use std::sync::Arc;
-
-use clsm_util::env::Env;
 use lsm_storage::StoreOptions;
 
 use crate::admission::AdmissionOptions;
@@ -12,12 +8,15 @@ use crate::admission::AdmissionOptions;
 ///
 /// # Opening a database
 ///
-/// [`Options::open`] and [`crate::Db::open`] are the same call.
-///
 /// ```no_run
-/// use clsm::Options;
+/// use clsm::{Db, Options};
 ///
-/// let db = Options::small_for_tests().open("/tmp/db".as_ref()).unwrap();
+/// let opts = Options {
+///     memtable_bytes: 8 * 1024 * 1024,
+///     sync_writes: true,
+///     ..Options::default()
+/// };
+/// let db = Db::open("/tmp/db".as_ref(), opts).unwrap();
 /// # drop(db);
 /// ```
 ///
@@ -32,8 +31,7 @@ use crate::admission::AdmissionOptions;
 ///   default [`clsm_util::env::RealEnv`] hits the real filesystem with
 ///   zero overhead; [`clsm_util::env::FaultEnv`] adds deterministic
 ///   crash failpoints and torn-tail simulation for the
-///   crash-consistency harness. Set it with
-///   [`OptionsBuilder::env`].
+///   crash-consistency harness.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Memtable size that triggers a flush (the paper's default,
@@ -70,7 +68,7 @@ impl Default for Options {
 
 impl Options {
     /// Checks configuration invariants; called by `Db::open`.
-    pub fn validate(&self) -> clsm_util::error::Result<()> {
+    pub(crate) fn validate(&self) -> clsm_util::error::Result<()> {
         use clsm_util::error::Error;
         if self.memtable_bytes < 4 * 1024 {
             return Err(Error::invalid_argument(
@@ -112,102 +110,6 @@ impl Options {
             ..Options::default()
         }
     }
-
-    /// Starts a validating [`OptionsBuilder`] from the defaults.
-    ///
-    /// ```
-    /// use clsm::Options;
-    ///
-    /// let opts = Options::builder()
-    ///     .memtable_bytes(8 * 1024 * 1024)
-    ///     .sync_writes(true)
-    ///     .compaction_threads(2)
-    ///     .build()
-    ///     .unwrap();
-    /// assert!(opts.sync_writes);
-    /// ```
-    pub fn builder() -> OptionsBuilder {
-        OptionsBuilder {
-            opts: Options::default(),
-        }
-    }
-
-    /// Opens (or creates) a [`crate::Db`] at `path` with this
-    /// configuration.
-    pub fn open(self, path: &Path) -> clsm_util::error::Result<crate::Db> {
-        crate::Db::open(path, self)
-    }
-}
-
-/// Fluent, validating constructor for [`Options`].
-///
-/// Every setter returns `self`; [`OptionsBuilder::build`] runs
-/// [`Options::validate`], so an invalid combination fails at
-/// construction rather than inside `Db::open`. The builder converts
-/// into `Options` wherever `impl Into<Options>` is accepted (e.g.
-/// `Db::open`), in which case validation is deferred to `open`.
-#[derive(Debug, Clone)]
-pub struct OptionsBuilder {
-    opts: Options,
-}
-
-impl OptionsBuilder {
-    /// Starts from an existing configuration instead of the defaults.
-    pub fn from_options(opts: Options) -> Self {
-        OptionsBuilder { opts }
-    }
-
-    /// Memtable size that triggers a flush.
-    pub fn memtable_bytes(mut self, bytes: usize) -> Self {
-        self.opts.memtable_bytes = bytes;
-        self
-    }
-
-    /// Whether every write waits for an fsync.
-    pub fn sync_writes(mut self, sync: bool) -> Self {
-        self.opts.sync_writes = sync;
-        self
-    }
-
-    /// Number of background compaction threads.
-    pub fn compaction_threads(mut self, threads: usize) -> Self {
-        self.opts.compaction_threads = threads;
-        self
-    }
-
-    /// Write-admission configuration (pacing while a merge stage is
-    /// behind, ahead of the §5.3 stall).
-    pub fn admission(mut self, admission: AdmissionOptions) -> Self {
-        self.opts.admission = admission;
-        self
-    }
-
-    /// Disk substrate tuning.
-    pub fn store(mut self, store: StoreOptions) -> Self {
-        self.opts.store = store;
-        self
-    }
-
-    /// Storage environment every file operation is routed through
-    /// (see the "Injection points" section of [`Options`]).
-    pub fn env(mut self, env: Arc<dyn Env>) -> Self {
-        self.opts.store.env = env;
-        self
-    }
-
-    /// Validates and returns the finished configuration.
-    pub fn build(self) -> clsm_util::error::Result<Options> {
-        self.opts.validate()?;
-        Ok(self.opts)
-    }
-}
-
-impl From<OptionsBuilder> for Options {
-    /// Unvalidated conversion, for passing a builder straight to
-    /// `Db::open` (which validates on entry).
-    fn from(b: OptionsBuilder) -> Options {
-        b.opts
-    }
 }
 
 #[cfg(test)]
@@ -215,68 +117,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_roundtrips_every_field() {
-        let opts = Options::builder()
-            .memtable_bytes(1 << 20)
-            .sync_writes(true)
-            .compaction_threads(3)
-            .admission(AdmissionOptions { enabled: false })
-            .store(StoreOptions {
-                block_size: 1024,
-                ..StoreOptions::default()
-            })
-            .build()
-            .unwrap();
-        assert_eq!(opts.memtable_bytes, 1 << 20);
-        assert!(opts.sync_writes);
-        assert_eq!(opts.compaction_threads, 3);
-        assert!(!opts.admission.enabled);
-        assert_eq!(opts.store.block_size, 1024);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_configurations() {
-        assert!(Options::builder().memtable_bytes(16).build().is_err());
-        assert!(Options::builder().compaction_threads(0).build().is_err());
-        for zeroed in [
-            StoreOptions {
-                base_level_bytes: 0,
-                ..StoreOptions::default()
+    fn validate_rejects_invalid_configurations() {
+        assert!(Options::default().validate().is_ok());
+        for bad in [
+            Options {
+                memtable_bytes: 16,
+                ..Options::default()
             },
-            StoreOptions {
-                table_file_size: 0,
-                ..StoreOptions::default()
+            Options {
+                compaction_threads: 0,
+                ..Options::default()
+            },
+            Options {
+                store: StoreOptions {
+                    base_level_bytes: 0,
+                    ..StoreOptions::default()
+                },
+                ..Options::default()
+            },
+            Options {
+                store: StoreOptions {
+                    table_file_size: 0,
+                    ..StoreOptions::default()
+                },
+                ..Options::default()
             },
         ] {
-            assert!(Options::builder().store(zeroed).build().is_err());
+            assert!(bad.validate().is_err());
         }
-    }
-
-    #[test]
-    fn options_open_is_db_open() {
-        let dir = std::env::temp_dir().join(format!(
-            "options-open-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let db = Options::small_for_tests().open(&dir).unwrap();
-        db.put(b"k", b"v").unwrap();
-        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn builder_from_options_preserves_base() {
-        let base = Options::small_for_tests();
-        let opts = OptionsBuilder::from_options(base.clone())
-            .sync_writes(true)
-            .build()
-            .unwrap();
-        assert_eq!(opts.memtable_bytes, base.memtable_bytes);
-        assert!(opts.sync_writes);
     }
 }

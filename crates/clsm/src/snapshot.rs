@@ -56,7 +56,7 @@ impl Snapshot {
     /// iterator understands: an excluded start and an included end both
     /// shift by the key's immediate lexicographic successor (`key ++
     /// 0x00`).
-    pub fn range_bounds<R>(&self, range: R) -> Result<SnapshotIter>
+    pub(crate) fn range_bounds<R>(&self, range: R) -> Result<SnapshotIter>
     where
         R: std::ops::RangeBounds<Vec<u8>>,
     {
@@ -113,7 +113,7 @@ impl Snapshot {
 
     /// Consumes the snapshot into a full-scan iterator that keeps the
     /// handle (and thus the GC registration) alive for its duration.
-    pub fn into_iter_owned(self) -> Result<SnapshotIter> {
+    pub(crate) fn into_iter_owned(self) -> Result<SnapshotIter> {
         let mut it = self.iter()?;
         it._snapshot = Some(self);
         Ok(it)
@@ -122,7 +122,7 @@ impl Snapshot {
     /// Consumes the snapshot into a [`Snapshot::range_bounds`] iterator
     /// that keeps the handle alive for its duration (see
     /// [`Snapshot::into_iter_owned`]).
-    pub fn into_range_bounds_owned<R>(self, range: R) -> Result<SnapshotIter>
+    pub(crate) fn into_range_bounds_owned<R>(self, range: R) -> Result<SnapshotIter>
     where
         R: std::ops::RangeBounds<Vec<u8>>,
     {
@@ -256,12 +256,5 @@ impl Iterator for SnapshotIter {
             return Some(Err(e));
         }
         None
-    }
-}
-
-impl SnapshotIter {
-    /// Surfaces any I/O or corruption error hit during iteration.
-    pub fn status(&self) -> Result<()> {
-        self.merged.status()
     }
 }

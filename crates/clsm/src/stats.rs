@@ -20,13 +20,13 @@ use clsm_util::trace::TraceId;
 mod stage_trace {
     use super::TraceId;
 
-    pub static ADMISSION: TraceId = TraceId::new("clsm.write.admission");
-    pub static STAMP: TraceId = TraceId::new("clsm.write.stamp");
-    pub static MEMTABLE: TraceId = TraceId::new("clsm.write.memtable");
-    pub static WAL_ENQUEUE: TraceId = TraceId::new("clsm.write.wal_enqueue");
-    pub static PUBLISH: TraceId = TraceId::new("clsm.write.publish");
-    pub static DURABLE: TraceId = TraceId::new("clsm.write.durable");
-    pub static TOTAL: TraceId = TraceId::new("clsm.write.total");
+    pub(crate) static ADMISSION: TraceId = TraceId::new("clsm.write.admission");
+    pub(crate) static STAMP: TraceId = TraceId::new("clsm.write.stamp");
+    pub(crate) static MEMTABLE: TraceId = TraceId::new("clsm.write.memtable");
+    pub(crate) static WAL_ENQUEUE: TraceId = TraceId::new("clsm.write.wal_enqueue");
+    pub(crate) static PUBLISH: TraceId = TraceId::new("clsm.write.publish");
+    pub(crate) static DURABLE: TraceId = TraceId::new("clsm.write.durable");
+    pub(crate) static TOTAL: TraceId = TraceId::new("clsm.write.total");
 }
 
 /// Background jobs that failed (see `DbInner::run_job`).
@@ -131,10 +131,15 @@ pub(crate) struct WritePathMetrics {
     /// takes the lock. Writes that neither slept nor stalled are not
     /// recorded, so the count doubles as "writes held by admission".
     pub admission: Arc<ConcurrentHistogram>,
-    /// Timestamp acquisition (`getTS`, or one block per batch).
+    /// Timestamp acquisition: the first `getTS` of a single op, or
+    /// the batch's one block. A restamp after an insert conflict is not
+    /// here: it counts in `memtable`. Stamp, memtable, WAL enqueue and
+    /// publish tile the write's time under the lock, each stage
+    /// starting at the clock read that ended the one before.
     pub stamp: Arc<ConcurrentHistogram>,
-    /// Memtable insert pass (includes restamp retries on the
-    /// single-op path).
+    /// Memtable insert pass, including any restamp after a conflict on
+    /// the single-op path (the abandoned stamp's publish and the next
+    /// `getTS`).
     pub memtable: Arc<ConcurrentHistogram>,
     /// WAL record encode into the logging queue (`Store::log_writes`).
     pub wal_enqueue: Arc<ConcurrentHistogram>,
@@ -164,43 +169,43 @@ impl WritePathMetrics {
     }
 
     /// Records one stage sample and mirrors it to the flight recorder.
-    pub fn rec_admission(&self, ns: u64) {
+    pub(crate) fn rec_admission(&self, ns: u64) {
         self.admission.record(ns);
         stage_trace::ADMISSION.instant(ns);
     }
 
     /// See [`rec_admission`](Self::rec_admission).
-    pub fn rec_stamp(&self, ns: u64) {
+    pub(crate) fn rec_stamp(&self, ns: u64) {
         self.stamp.record(ns);
         stage_trace::STAMP.instant(ns);
     }
 
     /// See [`rec_admission`](Self::rec_admission).
-    pub fn rec_memtable(&self, ns: u64) {
+    pub(crate) fn rec_memtable(&self, ns: u64) {
         self.memtable.record(ns);
         stage_trace::MEMTABLE.instant(ns);
     }
 
     /// See [`rec_admission`](Self::rec_admission).
-    pub fn rec_wal_enqueue(&self, ns: u64) {
+    pub(crate) fn rec_wal_enqueue(&self, ns: u64) {
         self.wal_enqueue.record(ns);
         stage_trace::WAL_ENQUEUE.instant(ns);
     }
 
     /// See [`rec_admission`](Self::rec_admission).
-    pub fn rec_publish(&self, ns: u64) {
+    pub(crate) fn rec_publish(&self, ns: u64) {
         self.publish.record(ns);
         stage_trace::PUBLISH.instant(ns);
     }
 
     /// See [`rec_admission`](Self::rec_admission).
-    pub fn rec_durable(&self, ns: u64) {
+    pub(crate) fn rec_durable(&self, ns: u64) {
         self.durable.record(ns);
         stage_trace::DURABLE.instant(ns);
     }
 
     /// See [`rec_admission`](Self::rec_admission).
-    pub fn rec_total(&self, ns: u64) {
+    pub(crate) fn rec_total(&self, ns: u64) {
         self.total.record(ns);
         stage_trace::TOTAL.instant(ns);
     }
@@ -208,7 +213,7 @@ impl WritePathMetrics {
 
 impl DbMetrics {
     /// Creates a fresh registry with every database metric registered.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let metrics = DbMetrics {
             puts: registry.counter("db.puts"),

@@ -323,10 +323,10 @@ fn paced_delays_are_counted_and_flagged_as_sustained_slowdown() {
 #[test]
 fn doctor_reports_checksum_syscalls_and_admission_ladder() {
     let dir = scratch("doctor");
-    let opts = Options::builder()
-        .memtable_bytes(64 * 1024)
-        .build()
-        .unwrap();
+    let opts = Options {
+        memtable_bytes: 64 * 1024,
+        ..Options::default()
+    };
     let db = Db::open(&dir, opts).unwrap();
     let value = vec![0u8; 512];
     for i in 0..1024u32 {

@@ -72,7 +72,7 @@ fn open(path: &Path, fault: &FaultEnv, sync: bool) -> clsm_util::Result<Db> {
     let mut opts = Options::small_for_tests();
     opts.sync_writes = sync;
     opts.store.env = Arc::new(fault.clone());
-    opts.open(path)
+    Db::open(path, opts)
 }
 
 fn apply(db: &Db, op: &Op) -> clsm_util::Result<()> {

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use clsm::{Db, Options, OptionsBuilder, RmwDecision, WriteBatch, WriteOptions};
+use clsm::{Db, Options, RmwDecision, WriteBatch, WriteOptions};
 
 struct TempDir(std::path::PathBuf);
 
@@ -161,10 +161,10 @@ fn metrics_are_cheap_and_isolated_per_db() {
 #[test]
 fn wal_sync_latency_recorded_with_synchronous_logging() {
     let dir = TempDir::new("sync");
-    let opts = OptionsBuilder::from_options(Options::small_for_tests())
-        .sync_writes(true)
-        .build()
-        .unwrap();
+    let opts = Options {
+        sync_writes: true,
+        ..Options::small_for_tests()
+    };
     let db = Db::open(&dir.0, opts).unwrap();
     for i in 0..50u32 {
         db.put(format!("sync{i:04}").as_bytes(), b"v").unwrap();

@@ -225,9 +225,26 @@ fn quiescence_returns_beside_a_writer() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Fails unless every table file in `dir` is one the current version
+/// names: no failed job left an output behind. The version names one
+/// file per table `level_file_counts` counts, and `verify_integrity`
+/// reads each of them.
+fn assert_no_orphan_tables(db: &Db, env: &dyn Env, dir: &Path) {
+    let on_disk: Vec<String> = env
+        .list(dir)
+        .unwrap()
+        .into_iter()
+        .filter(|name| name.ends_with(".sst"))
+        .collect();
+    let named: usize = db.level_file_counts().iter().sum();
+    assert_eq!(on_disk.len(), named, "table files on disk: {on_disk:?}");
+    db.verify_integrity().unwrap();
+}
+
 /// The first flush fails on its table write with `P'm` parked: the
 /// failure is counted and shown by the doctor, the flush thread retries
-/// it after the back-off, and no acked write is lost.
+/// it after the back-off, no table is left behind, and no acked write
+/// is lost.
 #[test]
 fn a_failed_flush_is_counted_and_retried() {
     let env = FailTableWrites::new(0xfa11, 1);
@@ -263,7 +280,7 @@ fn a_failed_flush_is_counted_and_retried() {
             "key {i}"
         );
     }
-    db.verify_integrity().unwrap();
+    assert_no_orphan_tables(&db, &env, dir);
     drop(db);
 
     let db = Db::open(dir, opts).unwrap();
@@ -274,6 +291,62 @@ fn a_failed_flush_is_counted_and_retried() {
             "reopened key {i}"
         );
     }
+}
+
+/// A compaction whose first table write fails: the job returns the
+/// error, the store stays writable, the failed job's outputs are gone,
+/// the next compaction succeeds, and no acked write is lost.
+#[test]
+fn a_failed_compaction_leaves_nothing_behind_and_is_retried() {
+    let env = FailTableWrites::new(0xc0_fa11, 0);
+    let dir = Path::new("/failed-compaction");
+    let mut opts = stepped_options(&env.fault);
+    opts.store.env = Arc::new(env.clone());
+    let db = Db::open_stepped(dir, opts.clone()).unwrap();
+    // Each flush spreads over the whole key range, so the L0 runs
+    // overlap and the compaction merges them instead of moving them.
+    let mut acked = BTreeMap::new();
+    for i in 0.. {
+        if db.due_jobs().contains(&Job::Compact) {
+            break;
+        }
+        assert!(i < 10_000, "no compaction came due");
+        let k = key(i * 37 % 300);
+        let v = format!("value-{i:05}-").into_bytes().repeat(4);
+        db.put(&k, &v).unwrap();
+        acked.insert(k, v);
+        for job in db.due_jobs() {
+            if job != Job::Compact {
+                db.run_job(job).unwrap();
+            }
+        }
+    }
+    let check = |db: &Db, ctx: &str| {
+        for (k, v) in &acked {
+            assert_eq!(db.get(k).unwrap().as_ref(), Some(v), "{ctx}");
+        }
+        assert_eq!(contents(db), model_contents(&acked), "{ctx}");
+    };
+
+    env.remaining.store(1, SeqCst);
+    let error = db.run_job(Job::Compact).unwrap_err().to_string();
+    assert!(error.contains("injected table write failure"), "{error}");
+    assert_eq!(env.remaining.load(SeqCst), 0, "no table write failed");
+    assert!(db.read_only().is_none(), "{:?}", db.read_only());
+    assert_eq!(db.metrics().counters["db.background_errors"], 1);
+    assert_no_orphan_tables(&db, &env, dir);
+    check(&db, "after the failed compaction");
+
+    assert!(db.due_jobs().contains(&Job::Compact));
+    assert!(db.run_job(Job::Compact).unwrap());
+    assert_eq!(db.metrics().counters["db.compactions"], 1);
+    assert_no_orphan_tables(&db, &env, dir);
+    check(&db, "after the retry");
+    drop(db);
+
+    let db = Db::open_stepped(dir, opts).unwrap();
+    check(&db, "reopened");
+    db.verify_integrity().unwrap();
 }
 
 /// A flush that fails every time, with a writer stalled behind its

@@ -198,16 +198,6 @@ impl SnapshotSessions {
         SnapshotSessions::default()
     }
 
-    /// Number of snapshots currently held.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Whether no snapshots are held.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
     fn insert(&mut self, snap: Box<dyn KvSnapshot>) -> u64 {
         self.next += 1;
         self.live.insert(self.next, snap);
@@ -512,7 +502,7 @@ mod tests {
             d(&store, &mut s, Request::SnapshotRelease { snapshot: id }),
             Response::Done
         );
-        assert!(s.is_empty());
+        assert!(s.live.is_empty());
         // Released (and never-issued) ids fail with a typed error, not
         // a panic.
         for bogus in [id, 0, 999] {

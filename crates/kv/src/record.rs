@@ -178,11 +178,6 @@ impl RecordingSession {
         })
     }
 
-    /// The store under test.
-    pub fn store(&self) -> &Arc<dyn KvStore> {
-        &self.store
-    }
-
     /// Creates a per-thread recorder.
     pub fn recorder(self: &Arc<Self>) -> Recorder {
         Recorder {
@@ -222,13 +217,6 @@ impl std::fmt::Debug for RecordingSession {
 pub struct RecordedSnapshot {
     snap: Box<dyn KvSnapshot>,
     id: u64,
-}
-
-impl RecordedSnapshot {
-    /// The session-unique snapshot id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// Per-thread recording facade over the session's store.
@@ -414,12 +402,6 @@ impl Recorder {
             },
         );
         r
-    }
-
-    /// Flushes buffered events into the session early (they otherwise
-    /// flush when the recorder drops).
-    pub fn flush(&mut self) {
-        self.handle.flush();
     }
 }
 

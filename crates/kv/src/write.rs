@@ -72,19 +72,6 @@ impl WriteBatch {
         self.ops.is_empty()
     }
 
-    /// Total payload bytes queued (key + value lengths).
-    pub fn size_bytes(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|(k, v)| k.len() + v.as_ref().map_or(0, Vec::len))
-            .sum()
-    }
-
-    /// Discards all queued operations, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-    }
-
     /// The queued operations in insertion order.
     pub fn ops(&self) -> &[(Vec<u8>, Option<Vec<u8>>)] {
         &self.ops
@@ -165,11 +152,8 @@ mod tests {
         assert!(b.is_empty());
         b.put(b"a".to_vec(), b"1".to_vec()).delete(b"b".to_vec());
         assert_eq!(b.len(), 2);
-        assert_eq!(b.size_bytes(), 3);
         assert_eq!(b.ops()[0], (b"a".to_vec(), Some(b"1".to_vec())));
         assert_eq!(b.ops()[1], (b"b".to_vec(), None));
-        b.clear();
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! snapshot's timestamp is kept" (we use the conservative
 //! oldest-snapshot rule, as LevelDB does).
 //!
-//! This module alone chooses what merges next: [`pick`] for background
+//! This module alone chooses what merges next: `pick` for background
 //! work (the most pressured level's single largest file, or all of L0
 //! by sorted run),
-//! [`pick_level_range`] for manual range compactions. Both claim their
+//! `pick_level_range` for manual range compactions. Both claim their
 //! inputs exclusively, so concurrent compactions work on disjoint files.
 
 use std::path::Path;
@@ -32,7 +32,7 @@ use crate::version::{
 
 /// A picked compaction: inputs at `level` and overlapping files at
 /// `level + 1`, exclusively claimed.
-pub struct CompactionTask {
+pub(crate) struct CompactionTask {
     /// Source level.
     pub level: usize,
     /// Input files at `level` as sorted runs, newest first: every run
@@ -47,7 +47,7 @@ pub struct CompactionTask {
 impl CompactionTask {
     /// Makes this task's claim notify `signal` when released —
     /// success or error unwind alike, via the claim's `Drop`.
-    pub fn attach_release_signal(&mut self, signal: Arc<ClaimSignal>) {
+    pub(crate) fn attach_release_signal(&mut self, signal: Arc<ClaimSignal>) {
         self._claim.attach_release_signal(signal);
     }
 
@@ -88,7 +88,7 @@ pub fn l0_is_behind(version: &Version) -> bool {
 
 /// Byte budget of `level` (L1 gets `base_level_bytes`, each deeper
 /// level `level_multiplier`× more).
-pub fn max_bytes_for_level(opts: &StoreOptions, level: usize) -> u64 {
+pub(crate) fn max_bytes_for_level(opts: &StoreOptions, level: usize) -> u64 {
     debug_assert!(level >= 1);
     let mut budget = opts.base_level_bytes;
     for _ in 1..level {
@@ -100,7 +100,7 @@ pub fn max_bytes_for_level(opts: &StoreOptions, level: usize) -> u64 {
 /// Compaction pressure of `level` in `version` (≥ 1.0 ⇒ should run).
 /// L0 counts sorted runs against the trigger, and its bytes against
 /// L1's budget: a sequential load is one run however large it grows.
-pub fn level_score(version: &Version, opts: &StoreOptions, level: usize) -> f64 {
+pub(crate) fn level_score(version: &Version, opts: &StoreOptions, level: usize) -> f64 {
     if level == 0 {
         let runs = version.l0_runs().len() as f64 / L0_COMPACTION_TRIGGER as f64;
         let bytes = version.level_bytes(0) as f64 / opts.base_level_bytes as f64;
@@ -113,13 +113,13 @@ pub fn level_score(version: &Version, opts: &StoreOptions, level: usize) -> f64 
 }
 
 /// `true` if any level's score is at or past its trigger.
-pub fn needs_compaction(version: &Version, opts: &StoreOptions) -> bool {
+pub(crate) fn needs_compaction(version: &Version, opts: &StoreOptions) -> bool {
     (0..opts.num_levels.saturating_sub(1)).any(|l| level_score(version, opts, l) >= 1.0)
 }
 
 /// Picks the most pressured level and claims a compaction, or `None`
 /// when nothing needs compaction or all candidates are already claimed.
-pub fn pick(version: &Version, opts: &StoreOptions) -> Option<CompactionTask> {
+pub(crate) fn pick(version: &Version, opts: &StoreOptions) -> Option<CompactionTask> {
     let mut best: Option<(usize, f64)> = None;
     for level in 0..opts.num_levels - 1 {
         let score = level_score(version, opts, level);
@@ -147,7 +147,7 @@ pub fn pick(version: &Version, opts: &StoreOptions) -> Option<CompactionTask> {
 /// `[smallest, largest]` (user keys), claiming it exclusively. Returns
 /// `None` when the level has no overlapping files (nothing to do) or
 /// when a background compaction currently claims one of them (retry).
-pub fn pick_level_range(
+pub(crate) fn pick_level_range(
     version: &Version,
     opts: &StoreOptions,
     level: usize,
@@ -192,7 +192,7 @@ fn claim(version: &Version, level: usize, base: Vec<Vec<Arc<FileMeta>>>) -> Opti
 /// the watermark are invisible to every present and future reader and
 /// are dropped. Tombstones are additionally dropped when the output is
 /// the bottom level.
-pub fn run(
+pub(crate) fn run(
     task: &CompactionTask,
     opener: &Arc<TableOpener>,
     opts: &StoreOptions,

@@ -28,17 +28,17 @@ pub fn table_path(dir: &Path, number: u64) -> PathBuf {
 }
 
 /// Path of the manifest with the given number.
-pub fn manifest_path(dir: &Path, number: u64) -> PathBuf {
+pub(crate) fn manifest_path(dir: &Path, number: u64) -> PathBuf {
     dir.join(format!("MANIFEST-{number:06}"))
 }
 
 /// Path of the CURRENT pointer file.
-pub fn current_path(dir: &Path) -> PathBuf {
+pub(crate) fn current_path(dir: &Path) -> PathBuf {
     dir.join("CURRENT")
 }
 
 /// Path of a temporary file with the given number.
-pub fn temp_path(dir: &Path, number: u64) -> PathBuf {
+pub(crate) fn temp_path(dir: &Path, number: u64) -> PathBuf {
     dir.join(format!("{number:06}.tmp"))
 }
 

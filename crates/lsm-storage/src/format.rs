@@ -23,7 +23,7 @@ pub enum ValueKind {
 
 impl ValueKind {
     /// Parses a kind byte.
-    pub fn from_u8(v: u8) -> Result<ValueKind> {
+    pub(crate) fn from_u8(v: u8) -> Result<ValueKind> {
         match v {
             0 => Ok(ValueKind::Delete),
             1 => Ok(ValueKind::Put),
@@ -42,7 +42,7 @@ impl ValueKind {
 pub struct InternalKey(Vec<u8>);
 
 /// Size of the trailing tag.
-pub const TAG_SIZE: usize = 8;
+pub(crate) const TAG_SIZE: usize = 8;
 
 /// Maximum encodable timestamp (63 bits).
 pub const MAX_TS: u64 = (1 << 63) - 1;
@@ -55,51 +55,22 @@ impl InternalKey {
         InternalKey(buf)
     }
 
-    /// Interprets an encoded buffer as an internal key.
-    pub fn decode(buf: &[u8]) -> Result<InternalKey> {
-        if buf.len() < TAG_SIZE {
-            return Err(Error::corruption("internal key too short"));
-        }
-        Ok(InternalKey(buf.to_vec()))
-    }
-
     /// The encoded bytes.
     pub fn encoded(&self) -> &[u8] {
         &self.0
-    }
-
-    /// The user-key prefix.
-    pub fn user_key(&self) -> &[u8] {
-        split_internal_key(&self.0)
-            .expect("validated at construction")
-            .0
-    }
-
-    /// The timestamp.
-    pub fn ts(&self) -> u64 {
-        split_internal_key(&self.0)
-            .expect("validated at construction")
-            .1
-    }
-
-    /// The value kind.
-    pub fn kind(&self) -> ValueKind {
-        split_internal_key(&self.0)
-            .expect("validated at construction")
-            .2
     }
 }
 
 /// Appends the internal-key encoding of `(user_key, ts, kind)` to
 /// `dst` — the allocation-free form of [`InternalKey::new`] for loops
 /// that encode one key after another into a reused buffer.
-pub fn append_internal_key(dst: &mut Vec<u8>, user_key: &[u8], ts: u64, kind: ValueKind) {
+pub(crate) fn append_internal_key(dst: &mut Vec<u8>, user_key: &[u8], ts: u64, kind: ValueKind) {
     dst.extend_from_slice(user_key);
     dst.extend_from_slice(&pack_tag(ts, kind).to_le_bytes());
 }
 
 /// Packs timestamp and kind into the 8-byte tag.
-pub fn pack_tag(ts: u64, kind: ValueKind) -> u64 {
+pub(crate) fn pack_tag(ts: u64, kind: ValueKind) -> u64 {
     debug_assert!(ts <= MAX_TS);
     (ts << 1) | kind as u64
 }
@@ -117,7 +88,7 @@ pub fn split_internal_key(encoded: &[u8]) -> Result<(&[u8], u64, ValueKind)> {
 
 /// Compares two encoded internal keys: user key ascending, then
 /// timestamp descending.
-pub fn compare_internal_keys(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+pub(crate) fn compare_internal_keys(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
     let (ua, ta, _) = split_internal_key(a).expect("valid internal key");
     let (ub, tb, _) = split_internal_key(b).expect("valid internal key");
     ua.cmp(ub).then(tb.cmp(&ta))
@@ -125,7 +96,7 @@ pub fn compare_internal_keys(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
 
 /// Compares an encoded internal key to a `(user_key, ts)` search
 /// target (the newest admissible version sorts first).
-pub fn compare_internal_to_target(a: &[u8], key: &[u8], ts: u64) -> std::cmp::Ordering {
+pub(crate) fn compare_internal_to_target(a: &[u8], key: &[u8], ts: u64) -> std::cmp::Ordering {
     let (ua, ta, _) = split_internal_key(a).expect("valid internal key");
     ua.cmp(key).then(ts.cmp(&ta))
 }
@@ -133,7 +104,7 @@ pub fn compare_internal_to_target(a: &[u8], key: &[u8], ts: u64) -> std::cmp::Or
 /// Appends one write to `dst` in the WAL record format, byte for byte
 /// what [`WriteRecord::encode_to`] emits for the same write, without
 /// building the record. A `None` value encodes a deletion.
-pub fn encode_write(dst: &mut Vec<u8>, ts: u64, key: &[u8], value: Option<&[u8]>) {
+pub(crate) fn encode_write(dst: &mut Vec<u8>, ts: u64, key: &[u8], value: Option<&[u8]>) {
     match value {
         Some(v) => encode_fields(dst, ts, ValueKind::Put, key, v),
         None => encode_fields(dst, ts, ValueKind::Delete, key, &[]),
@@ -192,7 +163,7 @@ impl WriteRecord {
 
     /// Decodes one record from the front of `src`, returning it and the
     /// bytes consumed.
-    pub fn decode_from(src: &[u8]) -> Result<(WriteRecord, usize)> {
+    pub(crate) fn decode_from(src: &[u8]) -> Result<(WriteRecord, usize)> {
         let (ts, mut at) = get_varint64(src)?;
         let kind = ValueKind::from_u8(
             *src.get(at)
@@ -234,16 +205,15 @@ mod tests {
     #[test]
     fn internal_key_roundtrip() {
         let k = InternalKey::new(b"user", 42, ValueKind::Put);
-        assert_eq!(k.user_key(), b"user");
-        assert_eq!(k.ts(), 42);
-        assert_eq!(k.kind(), ValueKind::Put);
-        let decoded = InternalKey::decode(k.encoded()).unwrap();
-        assert_eq!(decoded, k);
+        assert_eq!(
+            split_internal_key(k.encoded()).unwrap(),
+            (&b"user"[..], 42, ValueKind::Put)
+        );
     }
 
     #[test]
     fn internal_key_rejects_short_buffers() {
-        assert!(InternalKey::decode(b"1234567").is_err());
+        assert!(split_internal_key(b"1234567").is_err());
         assert!(split_internal_key(b"").is_err());
     }
 

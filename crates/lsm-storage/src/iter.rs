@@ -52,7 +52,7 @@ pub trait InternalIterator: Send {
 }
 
 /// A heap-allocated, dynamically typed internal iterator.
-pub type BoxedIterator = Box<dyn InternalIterator>;
+pub(crate) type BoxedIterator = Box<dyn InternalIterator>;
 
 impl<T: InternalIterator + ?Sized> InternalIterator for Box<T> {
     fn valid(&self) -> bool {

@@ -18,7 +18,7 @@
 //! 000005.sst         → sorted string tables, organised in levels
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod cache;
 pub mod compaction;
@@ -35,4 +35,4 @@ pub use iter::{InternalIterator, MergingIterator};
 pub use store::{Store, StoreOptions};
 
 /// Number of on-disk levels (L0 .. L6), as in LevelDB.
-pub const NUM_LEVELS: usize = 7;
+pub(crate) const NUM_LEVELS: usize = 7;

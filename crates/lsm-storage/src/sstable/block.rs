@@ -38,7 +38,7 @@ impl Block {
     }
 
     /// Approximate in-memory size (for cache accounting).
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.data.len()
     }
 
@@ -80,7 +80,7 @@ impl Block {
     /// timestamp, kind and value. The keys the scan passes are rebuilt
     /// on the stack, so a seek allocates nothing unless a key is longer
     /// than 128 bytes.
-    pub fn get(&self, user_key: &[u8], ts: u64) -> Result<Option<(u64, ValueKind, &[u8])>> {
+    pub(crate) fn get(&self, user_key: &[u8], ts: u64) -> Result<Option<(u64, ValueKind, &[u8])>> {
         let data = self.entries();
         let mut offset = self.seek_restart(user_key, ts)?;
         let mut key = SeekKey::default();

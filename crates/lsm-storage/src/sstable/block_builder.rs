@@ -8,7 +8,7 @@
 use clsm_util::coding::{put_fixed32, put_varint32};
 
 /// Default number of entries between restart points.
-pub const RESTART_INTERVAL: usize = 16;
+pub(crate) const RESTART_INTERVAL: usize = 16;
 
 /// Accumulates sorted entries into one block.
 #[derive(Debug)]
@@ -71,7 +71,7 @@ impl BlockBuilder {
     /// leaving the builder empty. Hand the buffer back with
     /// [`reuse`](Self::reuse) once it is written, so the next block
     /// fills the same allocation instead of regrowing one from zero.
-    pub fn take_finished(&mut self) -> Vec<u8> {
+    pub(crate) fn take_finished(&mut self) -> Vec<u8> {
         for &r in &self.restarts {
             put_fixed32(&mut self.buffer, r);
         }
@@ -87,7 +87,7 @@ impl BlockBuilder {
     /// Takes back a buffer handed out by
     /// [`take_finished`](Self::take_finished), cleared, as the next
     /// block's storage.
-    pub fn reuse(&mut self, mut buffer: Vec<u8>) {
+    pub(crate) fn reuse(&mut self, mut buffer: Vec<u8>) {
         debug_assert!(self.is_empty(), "reuse only between blocks");
         buffer.clear();
         self.buffer = buffer;
@@ -99,17 +99,12 @@ impl BlockBuilder {
     }
 
     /// Returns `true` if no entries were added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.num_entries == 0
     }
 
-    /// Number of entries added.
-    pub fn num_entries(&self) -> usize {
-        self.num_entries
-    }
-
     /// The last key added (for index construction).
-    pub fn last_key(&self) -> &[u8] {
+    pub(crate) fn last_key(&self) -> &[u8] {
         &self.last_key
     }
 }

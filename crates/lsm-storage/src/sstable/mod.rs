@@ -26,7 +26,7 @@ use clsm_util::coding::{get_varint64, put_varint64};
 use clsm_util::error::{Error, Result};
 
 /// Magic number at the end of every table file.
-pub const TABLE_MAGIC: u64 = 0xdb4775248b80fb57;
+pub(crate) const TABLE_MAGIC: u64 = 0xdb4775248b80fb57;
 
 /// Size of the per-block trailer: type byte + crc32.
 pub const BLOCK_TRAILER_SIZE: usize = 5;

@@ -158,13 +158,8 @@ impl TableBuilder {
         })
     }
 
-    /// Number of entries added so far.
-    pub fn num_entries(&self) -> u64 {
-        self.num_entries
-    }
-
     /// Bytes written so far (excludes the current unflushed block).
-    pub fn current_size(&self) -> u64 {
+    pub(crate) fn current_size(&self) -> u64 {
         self.offset + self.data_block.size_estimate() as u64
     }
 }

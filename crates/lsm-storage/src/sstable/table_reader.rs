@@ -82,11 +82,6 @@ impl Table {
         })
     }
 
-    /// The table's file number.
-    pub fn number(&self) -> u64 {
-        self.number
-    }
-
     /// End of the block region: the footer's offset.
     fn blocks_end(&self) -> u64 {
         self.file_len - FOOTER_SIZE as u64

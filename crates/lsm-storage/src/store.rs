@@ -55,7 +55,7 @@ pub struct StoreOptions {
     pub base_level_bytes: u64,
     /// Growth factor between level budgets.
     pub level_multiplier: u64,
-    /// Number of levels (≤ [`NUM_LEVELS`]).
+    /// Number of levels (≤ `NUM_LEVELS`).
     pub num_levels: usize,
     /// The storage environment every byte goes through. Defaults to
     /// [`RealEnv`]; tests inject `clsm_util::env::FaultEnv` for
@@ -327,13 +327,8 @@ impl Store {
         ))
     }
 
-    /// The store's options.
-    pub fn options(&self) -> &StoreOptions {
-        &self.opts
-    }
-
     /// The storage environment this store runs on.
-    pub fn env(&self) -> &Arc<dyn Env> {
+    pub(crate) fn env(&self) -> &Arc<dyn Env> {
         &self.opts.env
     }
 
@@ -343,7 +338,7 @@ impl Store {
     }
 
     /// The store directory.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.tables.dir
     }
 
@@ -750,7 +745,7 @@ impl Store {
     }
 
     /// Merges all of L0 into L1 when one of its tables overlaps a deeper
-    /// level ([`Version::l0_shadows_deeper_levels`]); returns whether it
+    /// level (`Version::l0_shadows_deeper_levels`); returns whether it
     /// merged. Blocks like [`Store::compact_level_range`].
     pub fn compact_l0_if_it_shadows_deeper_levels(&self, watermark: u64) -> Result<bool> {
         let version = self.current_version();

@@ -44,7 +44,7 @@ const TAG_NEW_FILE: u64 = 5;
 
 impl VersionEdit {
     /// Serializes the edit into one manifest record.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         if let Some(v) = self.log_number {
             put_varint64(&mut buf, TAG_LOG_NUMBER);

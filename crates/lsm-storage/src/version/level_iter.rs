@@ -11,7 +11,7 @@ use crate::version::{FileMeta, TableOpener};
 
 /// Iterates the files of a disjoint-range level in key order, opening
 /// each table on first touch through its [`FileMeta`].
-pub struct LevelIter {
+pub(crate) struct LevelIter {
     opener: Arc<TableOpener>,
     files: Vec<Arc<FileMeta>>,
     /// Read each table with [`Table::one_pass_iter`] instead of the
@@ -29,7 +29,7 @@ pub struct LevelIter {
 impl LevelIter {
     /// Creates an iterator over `files`, which must be sorted by
     /// smallest key with disjoint user-key ranges.
-    pub fn new(opener: Arc<TableOpener>, files: Vec<Arc<FileMeta>>) -> Self {
+    pub(crate) fn new(opener: Arc<TableOpener>, files: Vec<Arc<FileMeta>>) -> Self {
         LevelIter {
             opener,
             files,
@@ -43,7 +43,7 @@ impl LevelIter {
     /// Like [`LevelIter::new`], for a reader that walks the level once
     /// front to back (compaction): each table is read in sequential,
     /// checksummed chunks that bypass the block cache.
-    pub fn one_pass(opener: Arc<TableOpener>, files: Vec<Arc<FileMeta>>) -> Self {
+    pub(crate) fn one_pass(opener: Arc<TableOpener>, files: Vec<Arc<FileMeta>>) -> Self {
         LevelIter {
             one_pass: true,
             ..LevelIter::new(opener, files)

@@ -14,7 +14,7 @@ mod edit;
 mod level_iter;
 
 pub use edit::{NewFile, VersionEdit};
-pub use level_iter::LevelIter;
+pub(crate) use level_iter::LevelIter;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,7 +58,7 @@ pub struct FileMeta {
 /// every lock, and the bytes of the tables a committed edit removed
 /// that an older version, claim or iterator still holds.
 #[derive(Debug, Default)]
-pub struct ObsoleteFiles {
+pub(crate) struct ObsoleteFiles {
     /// The files to remove.
     pub files: Mutex<Vec<FileKind>>,
     /// Bytes of the tables marked obsolete whose `FileMeta` has not
@@ -83,7 +83,7 @@ impl Drop for FileMeta {
 impl FileMeta {
     /// The open reader of this table, opening it on first touch. Once
     /// open, this is one acquire load: no lock, no shared write.
-    pub fn table(&self, opener: &TableOpener) -> Result<&Arc<Table>> {
+    pub(crate) fn table(&self, opener: &TableOpener) -> Result<&Arc<Table>> {
         if let Some(table) = self.table.get() {
             return Ok(table);
         }
@@ -99,7 +99,7 @@ impl FileMeta {
     }
 
     /// The user-key prefix of the largest internal key.
-    pub fn largest_user_key(&self) -> &[u8] {
+    pub(crate) fn largest_user_key(&self) -> &[u8] {
         user_part(&self.largest)
     }
 }
@@ -148,7 +148,7 @@ pub struct Version {
 
 impl Version {
     /// An empty version.
-    pub fn empty() -> Version {
+    pub(crate) fn empty() -> Version {
         Version {
             levels: (0..NUM_LEVELS).map(|_| Vec::new()).collect(),
             l0_runs: Vec::new(),
@@ -246,7 +246,7 @@ impl Version {
 
     /// Files in `level` whose user-key range intersects
     /// `[smallest, largest]`.
-    pub fn overlapping_files(
+    pub(crate) fn overlapping_files(
         &self,
         level: usize,
         smallest: &[u8],
@@ -261,7 +261,7 @@ impl Version {
 
     /// Whether some L0 table's key range overlaps a table in a deeper
     /// level, so that it may hold versions superseding ones merged below.
-    pub fn l0_shadows_deeper_levels(&self) -> bool {
+    pub(crate) fn l0_shadows_deeper_levels(&self) -> bool {
         self.levels[0].iter().any(|f| {
             (1..self.levels.len()).any(|level| {
                 !self
@@ -408,12 +408,12 @@ impl VersionSet {
     }
 
     /// The current version.
-    pub fn current(&self) -> Arc<Version> {
+    pub(crate) fn current(&self) -> Arc<Version> {
         Arc::clone(&self.current)
     }
 
     /// Allocates a fresh file number.
-    pub fn new_file_number(&mut self) -> u64 {
+    pub(crate) fn new_file_number(&mut self) -> u64 {
         let n = self.next_file_number;
         self.next_file_number += 1;
         n
@@ -424,18 +424,18 @@ impl VersionSet {
     /// created after the last commit — a WAL rotated in just before a
     /// crash — can carry a number the recovered counter would hand out
     /// again (LevelDB's `MarkFileNumberUsed`).
-    pub fn mark_file_number_used(&mut self, number: u64) {
+    pub(crate) fn mark_file_number_used(&mut self, number: u64) {
         self.next_file_number = self.next_file_number.max(number + 1);
     }
 
     /// The list each table a committed edit removed goes on once its
     /// last reference drops.
-    pub fn obsolete_files(&self) -> &Arc<ObsoleteFiles> {
+    pub(crate) fn obsolete_files(&self) -> &Arc<ObsoleteFiles> {
         &self.obsolete
     }
 
     /// The first manifest write error, once there is one.
-    pub fn manifest_error(&self) -> &Arc<OnceLock<Error>> {
+    pub(crate) fn manifest_error(&self) -> &Arc<OnceLock<Error>> {
         &self.manifest_error
     }
 
@@ -628,7 +628,7 @@ fn partition_l0(l0: &[Arc<FileMeta>]) -> Vec<Vec<Arc<FileMeta>>> {
 /// and wait can never be missed — the reason `Store::compact_range`
 /// needs no timed-poll backstop.
 #[derive(Debug, Default)]
-pub struct ClaimSignal {
+pub(crate) struct ClaimSignal {
     mutex: parking_lot::Mutex<()>,
     cv: parking_lot::Condvar,
 }
@@ -636,19 +636,19 @@ pub struct ClaimSignal {
 impl ClaimSignal {
     /// Locks the signal; re-check the waited-on condition while
     /// holding this guard, then [`wait`](Self::wait) on it.
-    pub fn lock(&self) -> parking_lot::MutexGuard<'_, ()> {
+    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, ()> {
         self.mutex.lock()
     }
 
     /// Parks until the next claim release (no timeout: every release
     /// path notifies, including error unwinds, via the claim's Drop).
-    pub fn wait(&self, guard: &mut parking_lot::MutexGuard<'_, ()>) {
+    pub(crate) fn wait(&self, guard: &mut parking_lot::MutexGuard<'_, ()>) {
         self.cv.wait(guard);
     }
 
     /// Wakes every waiter. Takes the mutex internally so a notify
     /// cannot slip between a waiter's condition check and its park.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         let _g = self.mutex.lock();
         self.cv.notify_all();
     }
@@ -659,7 +659,7 @@ impl ClaimSignal {
 /// is attached, the drop also notifies it — on success *and* on error
 /// unwind — so claim waiters never need a timed poll.
 #[derive(Debug)]
-pub struct CompactionClaim {
+pub(crate) struct CompactionClaim {
     files: Vec<Arc<FileMeta>>,
     signal: Option<Arc<ClaimSignal>>,
 }
@@ -667,7 +667,7 @@ pub struct CompactionClaim {
 impl CompactionClaim {
     /// Attempts to claim every file; returns `None` if any is already
     /// claimed by another compaction.
-    pub fn try_claim(files: Vec<Arc<FileMeta>>) -> Option<CompactionClaim> {
+    pub(crate) fn try_claim(files: Vec<Arc<FileMeta>>) -> Option<CompactionClaim> {
         for (i, f) in files.iter().enumerate() {
             if f.being_compacted.swap(true, Ordering::AcqRel) {
                 // Roll back the ones we claimed.
@@ -684,13 +684,8 @@ impl CompactionClaim {
     }
 
     /// Attaches the signal to notify when this claim is released.
-    pub fn attach_release_signal(&mut self, signal: Arc<ClaimSignal>) {
+    pub(crate) fn attach_release_signal(&mut self, signal: Arc<ClaimSignal>) {
         self.signal = Some(signal);
-    }
-
-    /// The claimed files.
-    pub fn files(&self) -> &[Arc<FileMeta>] {
-        &self.files
     }
 }
 

@@ -22,15 +22,15 @@ pub use reader::LogReader;
 pub use writer::LogWriter;
 
 /// Size of a log block.
-pub const BLOCK_SIZE: usize = 32 * 1024;
+pub(crate) const BLOCK_SIZE: usize = 32 * 1024;
 
 /// Size of a fragment header: crc (4) + length (2) + type (1).
-pub const HEADER_SIZE: usize = 7;
+pub(crate) const HEADER_SIZE: usize = 7;
 
 /// Fragment types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum RecordType {
+pub(crate) enum RecordType {
     /// A whole record in one fragment.
     Full = 1,
     /// First fragment of a spanning record.

@@ -248,7 +248,7 @@ impl LogQueue {
 
     /// Writes every pending record to the file and flushes it to the
     /// OS, without an fsync: the logger's step.
-    pub fn flush(&self) -> Result<()> {
+    pub(crate) fn flush(&self) -> Result<()> {
         self.shared.write_out(&mut self.shared.lock_file(), false)
     }
 
@@ -309,14 +309,14 @@ impl LogQueue {
     }
 
     /// The first I/O error the queue met, if any. Takes no lock.
-    pub fn poisoned(&self) -> Option<Error> {
+    pub(crate) fn poisoned(&self) -> Option<Error> {
         self.shared.error.get().cloned()
     }
 
     /// Bytes not yet written to the file — the logging queue's backlog.
     /// Sampled racily; a backlog persistently past one batch (128 KiB)
     /// means writers outpace the log device.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.shared.lock().pending.len()
     }
 }

@@ -55,7 +55,7 @@ impl LogReader {
     }
 
     /// Like [`LogReader::new`], with a path for error reporting.
-    pub fn with_path(file: Box<dyn RandomAccessFile>, path: impl Into<PathBuf>) -> Self {
+    pub(crate) fn with_path(file: Box<dyn RandomAccessFile>, path: impl Into<PathBuf>) -> Self {
         LogReader {
             file,
             path: path.into(),

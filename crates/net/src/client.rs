@@ -231,7 +231,7 @@ impl Client {
     }
 
     /// Number of pooled connections.
-    pub fn connections(&self) -> usize {
+    pub(crate) fn connections(&self) -> usize {
         self.conns.len()
     }
 
@@ -247,7 +247,7 @@ impl Client {
     /// Issues one request on a specific pooled connection (snapshot
     /// operations must stay on the connection that created the
     /// snapshot).
-    pub fn call_on(&self, conn: usize, req: &Request) -> Result<Response> {
+    pub(crate) fn call_on(&self, conn: usize, req: &Request) -> Result<Response> {
         let conn = &self.conns[conn % self.conns.len()];
         let id = conn.next_id();
         conn.call_payload(id, &proto::encode_request(id, req))
@@ -367,11 +367,6 @@ impl RemoteStore {
     /// The underlying connection pool.
     pub fn client(&self) -> &Client {
         &self.client
-    }
-
-    /// The embedded server handle, when this store owns one.
-    pub fn server(&self) -> Option<&ServerHandle> {
-        self.server.as_ref()
     }
 }
 

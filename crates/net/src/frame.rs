@@ -21,7 +21,7 @@
 use clsm_util::error::{Error, Result};
 
 /// Bytes in the length prefix itself.
-pub const LEN_PREFIX_BYTES: usize = 4;
+pub(crate) const LEN_PREFIX_BYTES: usize = 4;
 
 /// Minimum legal `len` value: request id (8) + opcode (1).
 pub const MIN_FRAME_BYTES: usize = 9;
@@ -65,11 +65,6 @@ impl FrameReader {
     /// Appends freshly received bytes.
     pub fn feed(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
-    }
-
-    /// Bytes buffered but not yet returned as frames.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Extracts the next complete frame payload (id + opcode + body,
@@ -153,7 +148,7 @@ mod tests {
         assert_eq!(r.next_frame().unwrap().unwrap(), a);
         assert_eq!(r.next_frame().unwrap().unwrap(), b);
         assert_eq!(r.next_frame().unwrap(), None);
-        assert_eq!(r.pending_bytes(), 0);
+        assert_eq!(r.buf.len(), r.pos);
     }
 
     #[test]
@@ -197,7 +192,7 @@ mod tests {
             r.feed(&wire);
             assert_eq!(r.next_frame().unwrap().unwrap(), p, "round {round}");
         }
-        assert_eq!(r.pending_bytes(), 0);
+        assert_eq!(r.buf.len(), r.pos);
         assert!(r.buf.len() < 8192, "compaction kept the buffer bounded");
     }
 }

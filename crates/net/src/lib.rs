@@ -17,20 +17,20 @@
 //!   per-connection order, so a wire put is the store's own put; only
 //!   the responses are batched, one socket write per connection per
 //!   tick.
-//! - **Client** ([`client`]): a pipelined connection pool and a
-//!   [`client::RemoteStore`] that implements [`clsm_kv::KvStore`], so
+//! - **Client** ([`Client`]): a pipelined connection pool and a
+//!   [`RemoteStore`] that implements [`clsm_kv::KvStore`], so
 //!   the workload driver, the history recorder, and `clsm-check` run
 //!   unchanged over TCP and every measured latency is client-observed.
 //!
 //! Configuration for all of it — server, client, doctor — is one
 //! validated [`NetOptions`] builder.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod client;
+mod client;
 pub mod frame;
 mod options;
-pub mod poll;
+mod poll;
 pub mod proto;
 pub mod server;
 

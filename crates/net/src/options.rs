@@ -1,10 +1,9 @@
 //! Unified, validated configuration for every networked component.
 //!
 //! Server, client, and doctor all construct a
-//! [`NetOptions`] through the same builder (mirroring
-//! `clsm::Options::builder()`), so there is exactly one place where
-//! knobs are named, defaulted, and validated — no bare positional
-//! flags drifting between binaries.
+//! [`NetOptions`] through the same builder, so there is exactly one
+//! place where knobs are named, defaulted, and validated — no bare
+//! positional flags drifting between binaries.
 //!
 //! Only what a deployment or a caller sets is a field. Socket read
 //! chunks, the client's pipeline depth and the server's output-buffer
@@ -56,7 +55,7 @@ impl NetOptions {
     /// Rejects inconsistent configurations. Called by the builder and
     /// again by server/client entry points (options can be constructed
     /// literally).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         fn nonzero(name: &str, v: usize) -> Result<()> {
             if v == 0 {
                 return Err(Error::invalid_argument(format!(
@@ -88,18 +87,13 @@ impl NetOptions {
     }
 }
 
-/// Builder for [`NetOptions`], mirroring `clsm::Options::builder()`.
+/// Validating builder for [`NetOptions`].
 #[derive(Debug, Clone)]
 pub struct NetOptionsBuilder {
     opts: NetOptions,
 }
 
 impl NetOptionsBuilder {
-    /// Starts from an existing configuration instead of the defaults.
-    pub fn from_options(opts: NetOptions) -> Self {
-        NetOptionsBuilder { opts }
-    }
-
     /// Bind/connect address (`host:port`; port 0 = OS-assigned).
     pub fn addr(mut self, addr: impl Into<String>) -> Self {
         self.opts.addr = addr.into();
@@ -156,10 +150,6 @@ mod tests {
         assert_eq!(opts.connections, 8);
         assert_eq!(opts.max_connections, 16);
         assert_eq!(opts.max_frame_bytes, 1 << 20);
-        let same = NetOptionsBuilder::from_options(opts.clone())
-            .build()
-            .unwrap();
-        assert_eq!(same, opts);
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! `WouldBlock`, throttled by the poll timeout.
 
 /// Readable readiness (POLLIN).
-pub const POLLIN: i16 = 0x1;
+pub(crate) const POLLIN: i16 = 0x1;
 /// Writable readiness (POLLOUT).
-pub const POLLOUT: i16 = 0x4;
+pub(crate) const POLLOUT: i16 = 0x4;
 
 /// One entry of a poll set, matching `struct pollfd`.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     /// File descriptor to watch.
     pub fd: i32,
     /// Requested events ([`POLLIN`] | [`POLLOUT`]).
@@ -27,18 +27,12 @@ pub struct PollFd {
 
 impl PollFd {
     /// A fresh entry watching `events` on `fd`.
-    pub fn new(fd: i32, events: i16) -> Self {
+    pub(crate) fn new(fd: i32, events: i16) -> Self {
         PollFd {
             fd,
             events,
             revents: 0,
         }
-    }
-
-    /// Whether any event fired (data, error, or hangup — all of which
-    /// a read/write attempt will surface properly).
-    pub fn ready(&self) -> bool {
-        self.revents != 0
     }
 }
 
@@ -52,7 +46,7 @@ mod imp {
 
     /// Blocks until an entry is ready or `timeout_ms` elapses.
     /// Returns the number of ready entries (0 on timeout).
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+    pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
         for fd in fds.iter_mut() {
             fd.revents = 0;
         }
@@ -77,7 +71,7 @@ mod imp {
 
     /// Fallback: sleep for the timeout, then report everything ready.
     /// Nonblocking I/O turns spurious readiness into `WouldBlock`.
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+    pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
         if timeout_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
         }
@@ -88,7 +82,7 @@ mod imp {
     }
 }
 
-pub use imp::poll_fds;
+pub(crate) use imp::poll_fds;
 
 #[cfg(all(test, unix))]
 mod tests {
@@ -110,13 +104,13 @@ mod tests {
         if cfg!(unix) {
             let n = poll_fds(&mut fds, 50).unwrap();
             assert_eq!(n, 0, "unexpected readiness before any write");
-            assert!(!fds[0].ready());
+            assert_eq!(fds[0].revents, 0);
         }
 
         client.write_all(b"ping").unwrap();
         client.flush().unwrap();
         let n = poll_fds(&mut fds, 1000).unwrap();
         assert!(n >= 1);
-        assert!(fds[0].ready());
+        assert_ne!(fds[0].revents, 0);
     }
 }

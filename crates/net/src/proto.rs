@@ -65,7 +65,7 @@ const RESP_ERROR: u8 = 255;
 /// The request id carried by a server-originated fatal error frame
 /// (protocol violations that belong to the connection, not to any one
 /// request).
-pub const CONNECTION_ERROR_ID: u64 = 0;
+pub(crate) const CONNECTION_ERROR_ID: u64 = 0;
 
 // ---------------------------------------------------------------------
 // Checked reader over untrusted bytes.
@@ -278,7 +278,7 @@ pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
 }
 
 /// Encodes the shutdown control message.
-pub fn encode_shutdown(id: u64) -> Vec<u8> {
+pub(crate) fn encode_shutdown(id: u64) -> Vec<u8> {
     let mut dst = Vec::with_capacity(9);
     put_header(&mut dst, id, OP_SHUTDOWN);
     dst
@@ -482,7 +482,7 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response)> {
 
 /// Builds the frame payload for a connection-fatal protocol error,
 /// sent (best-effort) just before the server closes the connection.
-pub fn encode_connection_error(err: &Error) -> Vec<u8> {
+pub(crate) fn encode_connection_error(err: &Error) -> Vec<u8> {
     encode_response(
         CONNECTION_ERROR_ID,
         &Response::Error(WireError::from_error(err)),

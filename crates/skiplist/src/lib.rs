@@ -33,11 +33,11 @@ use clsm_util::arena::Arena;
 
 mod node;
 use node::Node;
-pub use node::MAX_HEIGHT;
+pub(crate) use node::MAX_HEIGHT;
 
 /// The kind of a stored entry: a user value or a deletion marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryKind {
+pub(crate) enum EntryKind {
     /// A live value.
     Put,
     /// A tombstone (the paper's ⊥ deletion marker).
@@ -132,7 +132,7 @@ impl SkipList {
     }
 
     /// Creates an empty list over the given arena.
-    pub fn with_arena(arena: Arena) -> Self {
+    pub(crate) fn with_arena(arena: Arena) -> Self {
         let head = Node::alloc_head(&arena);
         SkipList {
             arena,
@@ -594,14 +594,14 @@ impl<'a> Cursor<'a> {
     }
 
     /// The current entry's value (`None` = tombstone).
-    pub fn value(&self) -> Option<&'a [u8]> {
+    pub(crate) fn value(&self) -> Option<&'a [u8]> {
         debug_assert!(self.valid());
         // SAFETY: as in `key`.
         unsafe { (*self.node).value_slice() }
     }
 
     /// The current entry as an [`Entry`].
-    pub fn entry(&self) -> Entry<'a> {
+    pub(crate) fn entry(&self) -> Entry<'a> {
         Entry {
             key: self.key(),
             ts: self.ts(),

@@ -13,7 +13,7 @@ use crate::EntryKind;
 
 /// Maximum tower height. With branching factor 4 this comfortably
 /// supports tens of millions of entries (LevelDB uses 12 as well).
-pub const MAX_HEIGHT: usize = 12;
+pub(crate) const MAX_HEIGHT: usize = 12;
 
 /// Node header; the tower of `height` forward pointers follows
 /// immediately in memory.

@@ -132,7 +132,7 @@ impl Arena {
     }
 
     /// Creates an arena with a custom chunk size (rounded up to 8 bytes).
-    pub fn with_chunk_size(chunk_bytes: usize) -> Self {
+    pub(crate) fn with_chunk_size(chunk_bytes: usize) -> Self {
         let chunk_bytes = chunk_bytes.max(64);
         let first = Chunk::new(chunk_bytes);
         let ptr = &*first as *const Chunk as *mut Chunk;

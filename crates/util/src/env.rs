@@ -5,7 +5,7 @@
 //! Two implementations ship with the crate:
 //!
 //! - [`RealEnv`] — thin forwarding to `std::fs`, the zero-cost default.
-//!   Write handles buffer [`WRITE_BUFFER_BYTES`] (256 KiB) before each
+//!   Write handles buffer `WRITE_BUFFER_BYTES` (256 KiB) before each
 //!   `write`, so a 2 MiB table leaves in about eight syscalls and a WAL
 //!   batch in one. `RealEnv` counts its `write`, `pread` and fsync calls
 //!   process-wide ([`RealEnv::syscall_counts`]).
@@ -121,7 +121,7 @@ pub trait Env: Send + Sync + fmt::Debug {
 
 /// Bytes a [`RealEnv`] write handle gathers before issuing one `write`:
 /// the write-side twin of the table reader's 256 KiB sequential reads.
-pub const WRITE_BUFFER_BYTES: usize = 256 * 1024;
+pub(crate) const WRITE_BUFFER_BYTES: usize = 256 * 1024;
 
 /// The production environment: direct `std::fs` access.
 #[derive(Debug, Default, Clone, Copy)]
@@ -423,14 +423,6 @@ impl FaultEnv {
         }
     }
 
-    /// Clears the crash plan and poison without dropping any data
-    /// (a crash the process survived, e.g. a transient I/O error).
-    pub fn disarm(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.crash_at = None;
-        s.poisoned = false;
-    }
-
     /// Whether an injected crash has fired.
     pub fn is_poisoned(&self) -> bool {
         self.state.lock().unwrap().poisoned
@@ -657,10 +649,11 @@ mod tests {
         assert_eq!(env.read(&dir.join("000002.log")).unwrap(), b"hello world");
 
         env.remove(&dir.join("000002.log")).unwrap();
-        assert!(env
-            .read(&dir.join("000002.log"))
-            .unwrap_err()
-            .is_not_found());
+        let err = env.read(&dir.join("000002.log")).unwrap_err();
+        assert!(
+            matches!(&err, Error::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+            "{err}"
+        );
     }
 
     #[test]

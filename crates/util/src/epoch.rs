@@ -3,7 +3,7 @@
 //! Replaces `crossbeam-epoch` for the one pattern this workspace needs:
 //! readers pin an epoch around a short critical section (load a shared
 //! pointer, clone the `Arc` behind it), writers unlink a pointer and
-//! [`defer`] its destruction until every reader that might still see it
+//! `defer` its destruction until every reader that might still see it
 //! has unpinned.
 //!
 //! Scheme: a global epoch counter, a registry of per-thread
@@ -17,7 +17,7 @@
 //! which point no participant pinned at `e` (or earlier) can remain.
 //!
 //! Pinning is lock-free: registration takes a mutex once per thread,
-//! after which [`pin`] touches only the thread's own slot. Collection
+//! after which `pin` touches only the thread's own slot. Collection
 //! runs on the *deferral* (writer) side, keeping readers undisturbed.
 
 use std::cell::Cell;
@@ -87,14 +87,14 @@ thread_local! {
 
 /// Keeps the calling thread pinned while alive. `!Send`: must drop on
 /// the thread that pinned.
-pub struct Guard {
+pub(crate) struct Guard {
     _not_send: PhantomData<*mut ()>,
 }
 
 /// Pins the current thread, blocking epoch advance past its published
 /// epoch until the returned [`Guard`] drops. Reentrant; lock-free after
 /// the thread's first call.
-pub fn pin() -> Guard {
+pub(crate) fn pin() -> Guard {
     HANDLE.with(|h| {
         if h.depth.get() == 0 {
             let e = global().epoch.load(SeqCst);
@@ -127,7 +127,7 @@ impl Drop for Guard {
 
 /// Defers `f` (typically a destructor) until every thread pinned at the
 /// current epoch has unpinned. May run earlier deferrals inline.
-pub fn defer(f: impl FnOnce() + Send + 'static) {
+pub(crate) fn defer(f: impl FnOnce() + Send + 'static) {
     let g = global();
     let e = g.epoch.load(SeqCst);
     let run_collect = {
@@ -146,7 +146,7 @@ pub fn defer(f: impl FnOnce() + Send + 'static) {
 /// Tries to advance the epoch and frees all garbage that is provably
 /// unreachable. Called automatically from [`defer`]; exposed for tests
 /// and shutdown paths that want reclamation flushed promptly.
-pub fn collect() {
+pub(crate) fn collect() {
     let g = global();
     {
         let mut slots = g

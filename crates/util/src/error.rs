@@ -94,23 +94,11 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    /// Every kind, for exhaustive round-trip tests.
-    pub const ALL: &'static [ErrorKind] = &[
-        ErrorKind::Io,
-        ErrorKind::Corruption,
-        ErrorKind::WalTruncated,
-        ErrorKind::ManifestCorrupt,
-        ErrorKind::InvalidArgument,
-        ErrorKind::Internal,
-        ErrorKind::ShuttingDown,
-        ErrorKind::Protocol,
-    ];
-
     /// The stable wire code for this kind.
     ///
     /// These codes are part of the network protocol: a server maps an
     /// [`Error`] to `error.kind().code()` before shipping it, and the
-    /// client reconstructs the kind with [`ErrorKind::from_code`].
+    /// client reconstructs the kind with `ErrorKind::from_code`.
     /// Codes are append-only — never renumber or reuse one.
     pub fn code(self) -> u16 {
         match self {
@@ -128,7 +116,7 @@ impl ErrorKind {
     /// The kind a stable wire code names, if any ([`ErrorKind::code`]'s
     /// inverse). Unknown codes — a newer peer's kinds — return `None`;
     /// callers degrade them to [`ErrorKind::Internal`] or reject.
-    pub fn from_code(code: u16) -> Option<ErrorKind> {
+    pub(crate) fn from_code(code: u16) -> Option<ErrorKind> {
         match code {
             1 => Some(ErrorKind::Io),
             2 => Some(ErrorKind::Corruption),
@@ -152,11 +140,6 @@ impl Error {
     /// Builds an invalid-argument error with the given detail.
     pub fn invalid_argument(msg: impl Into<String>) -> Self {
         Error::InvalidArgument(msg.into())
-    }
-
-    /// Builds an internal error with the given detail.
-    pub fn internal(msg: impl Into<String>) -> Self {
-        Error::Internal(msg.into())
     }
 
     /// Builds a torn-log-tail error for `file` at byte `offset`.
@@ -225,19 +208,6 @@ impl Error {
             _ => false,
         }
     }
-
-    /// The underlying [`io::ErrorKind`] when this is an I/O error.
-    pub fn io_kind(&self) -> Option<io::ErrorKind> {
-        match self {
-            Error::Io(e) => Some(e.kind()),
-            _ => None,
-        }
-    }
-
-    /// Whether this error reports a missing file or directory.
-    pub fn is_not_found(&self) -> bool {
-        self.io_kind() == Some(io::ErrorKind::NotFound)
-    }
 }
 
 impl fmt::Display for Error {
@@ -299,7 +269,7 @@ mod tests {
         let e = Error::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
         let e2 = e.clone();
         assert!(std::error::Error::source(&e2).is_some());
-        assert!(std::error::Error::source(&Error::internal("x")).is_none());
+        assert!(std::error::Error::source(&Error::Internal("x".into())).is_none());
     }
 
     #[test]
@@ -310,13 +280,13 @@ mod tests {
             ErrorKind::WalTruncated
         );
         assert_eq!(Error::ShuttingDown.kind(), ErrorKind::ShuttingDown);
-        assert_eq!(Error::internal("x").kind(), ErrorKind::Internal);
+        assert_eq!(Error::Internal("x".into()).kind(), ErrorKind::Internal);
 
         let interrupted = Error::from(io::Error::new(io::ErrorKind::Interrupted, "eintr"));
         assert!(interrupted.is_retryable());
         let missing = Error::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
         assert!(!missing.is_retryable());
-        assert!(missing.is_not_found());
+        assert_eq!(missing.kind(), ErrorKind::Io);
         assert!(!Error::corruption("x").is_retryable());
         assert!(!Error::wal_truncated("a.log", 0).is_retryable());
     }
@@ -335,7 +305,7 @@ mod tests {
             (Error::wal_truncated("a.log", 10), false),
             (Error::manifest_corrupt("MANIFEST-000001", "bad tag"), false),
             (Error::invalid_argument("empty key"), false),
-            (Error::internal("bug"), false),
+            (Error::Internal("bug".into()), false),
             (Error::ShuttingDown, false),
             (Error::protocol("bad opcode"), false),
             (
@@ -354,15 +324,25 @@ mod tests {
 
     #[test]
     fn wire_codes_round_trip_every_kind() {
-        for &kind in ErrorKind::ALL {
+        const ALL: &[ErrorKind] = &[
+            ErrorKind::Io,
+            ErrorKind::Corruption,
+            ErrorKind::WalTruncated,
+            ErrorKind::ManifestCorrupt,
+            ErrorKind::InvalidArgument,
+            ErrorKind::Internal,
+            ErrorKind::ShuttingDown,
+            ErrorKind::Protocol,
+        ];
+        for &kind in ALL {
             assert_eq!(ErrorKind::from_code(kind.code()), Some(kind), "{kind:?}");
         }
         // Codes are distinct (the round-trip above implies it, but make
         // the append-only contract explicit).
-        let mut codes: Vec<u16> = ErrorKind::ALL.iter().map(|k| k.code()).collect();
+        let mut codes: Vec<u16> = ALL.iter().map(|k| k.code()).collect();
         codes.sort_unstable();
         codes.dedup();
-        assert_eq!(codes.len(), ErrorKind::ALL.len());
+        assert_eq!(codes.len(), ALL.len());
         // Unknown codes never panic and never alias a real kind.
         assert_eq!(ErrorKind::from_code(0), None);
         assert_eq!(ErrorKind::from_code(u16::MAX), None);

@@ -43,7 +43,7 @@ impl<T> EventLog<T> {
     }
 
     /// Advances the logical clock and returns the new tick (> 0).
-    pub fn tick(&self) -> u64 {
+    pub(crate) fn tick(&self) -> u64 {
         self.ticks.fetch_add(1, Ordering::AcqRel) + 1
     }
 
@@ -92,7 +92,7 @@ pub struct EventLogHandle<T> {
 }
 
 impl<T> EventLogHandle<T> {
-    /// Advances the shared logical clock (see [`EventLog::tick`]).
+    /// Advances the shared logical clock (see `EventLog::tick`).
     pub fn tick(&self) -> u64 {
         self.log.tick()
     }
@@ -108,7 +108,7 @@ impl<T> EventLogHandle<T> {
     }
 
     /// Moves the buffered events into the shared log early.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.log.absorb(std::mem::take(&mut self.buf));
     }
 }

@@ -49,7 +49,7 @@ pub mod metrics;
 pub mod oracle;
 pub mod rcu;
 pub mod shared_lock;
-pub mod tid;
+mod tid;
 pub mod trace;
 
 pub use error::{Error, Result};

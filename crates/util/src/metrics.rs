@@ -8,7 +8,7 @@
 //!   for values bumped rarely or from one thread (flush counts, stall
 //!   time).
 //! - [`ConcurrentHistogram`] is the hot-path workhorse: samples land in
-//!   one of [`STRIPES`] independent bucket arrays chosen per thread, so
+//!   one of `STRIPES` independent bucket arrays chosen per thread, so
 //!   concurrent recorders on different threads touch disjoint cache
 //!   lines. Recording is a handful of relaxed `fetch_add`s into the
 //!   same log-bucket layout as [`Histogram`], and a snapshot folds all
@@ -34,7 +34,7 @@ use crate::json;
 /// stripes, distinct threads share a stripe and contend only on its
 /// relaxed atomics. 16 covers the paper's thread counts without
 /// sharing.
-pub const STRIPES: usize = 16;
+pub(crate) const STRIPES: usize = 16;
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -69,13 +69,8 @@ pub struct Gauge(AtomicI64);
 
 impl Gauge {
     /// Creates a gauge at zero.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Gauge(AtomicI64::new(0))
-    }
-
-    /// Sets the level.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Relaxed);
     }
 
     /// Moves the level up.
@@ -89,7 +84,7 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Relaxed)
     }
 }
@@ -360,7 +355,7 @@ pub struct HistogramSummary {
 
 impl HistogramSummary {
     /// Summarizes a folded histogram.
-    pub fn from_histogram(h: &Histogram) -> Self {
+    pub(crate) fn from_histogram(h: &Histogram) -> Self {
         HistogramSummary {
             count: h.count(),
             sum: h.sum(),
@@ -482,7 +477,7 @@ mod tests {
         assert_eq!(c.get(), 5);
 
         let g = Gauge::new();
-        g.set(10);
+        g.add(10);
         g.add(5);
         g.sub(3);
         assert_eq!(g.get(), 12);
@@ -511,7 +506,7 @@ mod tests {
         let ops = reg.counter("db.ops");
         ops.add(7);
         let depth = reg.gauge("queue.depth");
-        depth.set(3);
+        depth.add(3);
         reg.gauge_fn("answer", || 42);
         let lat = reg.histogram("op.get.latency");
         lat.record(100);

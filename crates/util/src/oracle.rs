@@ -61,7 +61,7 @@ impl Stripe {
 ///
 /// The slots are grouped into cache-line-aligned stripes. A writer
 /// claims an empty slot by CAS, starting in its *home stripe* (picked
-/// by [`crate::tid::thread_index`]), and overflows into neighboring
+/// by `thread_index`), and overflows into neighboring
 /// stripes only when its home stripe is full — so under normal load
 /// (slot capacity exceeding writer count) concurrent `add`/`remove`
 /// touch disjoint cache lines instead of contending on one CAS line.
@@ -190,14 +190,6 @@ pub struct BlockStamp {
     /// Number of timestamps in the block.
     pub len: u64,
     ticket: ActiveTicket,
-}
-
-impl BlockStamp {
-    /// The `i`-th timestamp of the block (`i < len`).
-    pub fn ts(&self, i: u64) -> u64 {
-        debug_assert!(i < self.len);
-        self.base + i
-    }
 }
 
 /// The cLSM timestamp oracle (Algorithm 2).
@@ -550,8 +542,6 @@ mod tests {
         oracle.publish(single);
         let block = oracle.get_ts_block(4);
         assert_eq!((block.base, block.len), (2, 4));
-        assert_eq!(block.ts(0), 2);
-        assert_eq!(block.ts(3), 5);
         oracle.publish_block(block);
         // The counter moved past the whole block.
         let next = oracle.get_ts();

@@ -67,37 +67,6 @@ impl<V: Clone + Send + Sync + 'static> RcuCell<V> {
         let boxed = unsafe { Box::from_raw(old) };
         epoch::defer(move || drop(boxed));
     }
-
-    /// Applies `f` to the current value and swaps in the result,
-    /// retrying on contention. Returns the value it installed.
-    ///
-    /// Intended for infrequent pointer swings done under an external
-    /// exclusive lock (the merge hooks), where contention is impossible;
-    /// the CAS loop is belt-and-braces.
-    pub fn update(&self, mut f: impl FnMut(&V) -> V) -> V {
-        let _guard = epoch::pin();
-        loop {
-            let current = self.inner.load(SeqCst);
-            // SAFETY: non-null and epoch-protected as in `load`.
-            let new = f(unsafe { &*current });
-            let new_ptr = Box::into_raw(Box::new(new.clone()));
-            match self
-                .inner
-                .compare_exchange(current, new_ptr, SeqCst, SeqCst)
-            {
-                Ok(old) => {
-                    // SAFETY: `old` equals `current`, now unlinked.
-                    let boxed = unsafe { Box::from_raw(old) };
-                    epoch::defer(move || drop(boxed));
-                    return new;
-                }
-                Err(_) => {
-                    // SAFETY: `new_ptr` was never published.
-                    drop(unsafe { Box::from_raw(new_ptr) });
-                }
-            }
-        }
-    }
 }
 
 impl<V> Drop for RcuCell<V> {
@@ -139,14 +108,6 @@ mod tests {
         assert_eq!(cell.load().unwrap().as_str(), "x");
         cell.store(None);
         assert!(cell.load().is_none());
-    }
-
-    #[test]
-    fn update_applies_function() {
-        let cell = RcuCell::new(Arc::new(10u64));
-        let installed = cell.update(|v| Arc::new(**v + 5));
-        assert_eq!(*installed, 15);
-        assert_eq!(*cell.load(), 15);
     }
 
     #[test]

@@ -15,14 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// During thread destruction (when thread-local storage is already
 /// gone) this falls back to 0 — acceptable for its consumers, which
 /// only use the index to *pick* a stripe, never for exclusion.
-///
-/// # Examples
-///
-/// ```
-/// let a = clsm_util::tid::thread_index();
-/// assert_eq!(a, clsm_util::tid::thread_index());
-/// ```
-pub fn thread_index() -> usize {
+pub(crate) fn thread_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed);

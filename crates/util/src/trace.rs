@@ -55,13 +55,13 @@
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::json;
 
 /// Default per-thread ring capacity (events), used by
 /// [`enable_default`]. 64 Ki events × 32 B = 2 MiB per thread.
-pub const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
 
 /// Event phase, mirroring the Chrome trace-format phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,7 +268,7 @@ pub fn enable(capacity: usize) {
     reg.enabled.store(true, Ordering::Release);
 }
 
-/// [`enable`] with [`DEFAULT_RING_CAPACITY`].
+/// [`enable`] with `DEFAULT_RING_CAPACITY`.
 pub fn enable_default() {
     enable(DEFAULT_RING_CAPACITY);
 }
@@ -279,7 +279,7 @@ pub fn disable() {
 }
 
 /// Whether the recorder is currently on.
-pub fn is_enabled() -> bool {
+pub(crate) fn is_enabled() -> bool {
     registry().enabled.load(Ordering::Relaxed)
 }
 
@@ -468,7 +468,7 @@ pub fn drain() -> TraceSnapshot {
 
 impl TraceSnapshot {
     /// The event's interned name.
-    pub fn name_of(&self, e: &TraceEvent) -> &'static str {
+    pub(crate) fn name_of(&self, e: &TraceEvent) -> &'static str {
         self.names.get(e.name_id as usize).copied().unwrap_or("?")
     }
 
@@ -514,56 +514,6 @@ impl TraceSnapshot {
         out.push_str("\n]}\n");
         out
     }
-
-    /// Per-name span statistics computed by matching begin/end pairs on
-    /// each thread: `(name, count, total, max)`. Unmatched begins (span
-    /// still open at drain time) are ignored.
-    pub fn span_stats(&self) -> Vec<SpanStat> {
-        use std::collections::HashMap;
-        // (thread, name_id) -> stack of begin timestamps.
-        let mut open: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
-        let mut stats: HashMap<u32, SpanStat> = HashMap::new();
-        for e in &self.events {
-            match e.phase {
-                Phase::Begin => open.entry((e.thread, e.name_id)).or_default().push(e.ts_ns),
-                Phase::End => {
-                    if let Some(begin) = open
-                        .get_mut(&(e.thread, e.name_id))
-                        .and_then(std::vec::Vec::pop)
-                    {
-                        let d = Duration::from_nanos(e.ts_ns.saturating_sub(begin));
-                        let s = stats.entry(e.name_id).or_insert_with(|| SpanStat {
-                            name: self.name_of(e),
-                            count: 0,
-                            total: Duration::ZERO,
-                            max: Duration::ZERO,
-                        });
-                        s.count += 1;
-                        s.total += d;
-                        s.max = s.max.max(d);
-                    }
-                }
-                Phase::Instant => {}
-            }
-        }
-        let mut out: Vec<SpanStat> = stats.into_values().collect();
-        out.sort_by_key(|s| std::cmp::Reverse(s.total));
-        out
-    }
-}
-
-/// Aggregated duration statistics of one span name (see
-/// [`TraceSnapshot::span_stats`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanStat {
-    /// The span's interned name.
-    pub name: &'static str,
-    /// Completed begin/end pairs.
-    pub count: u64,
-    /// Summed duration.
-    pub total: Duration,
-    /// Longest single span.
-    pub max: Duration,
 }
 
 #[cfg(test)]
@@ -653,26 +603,6 @@ mod tests {
                 assert!(line.ends_with('}'), "line not self-contained: {line}");
             }
         }
-    }
-
-    #[test]
-    fn span_stats_match_pairs() {
-        let _g = serial();
-        enable(1024);
-        for _ in 0..3 {
-            let _s = SPAN_A.span();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let snap = drain();
-        disable();
-        let stat = snap
-            .span_stats()
-            .into_iter()
-            .find(|s| s.name == "test.span_a")
-            .expect("span stat");
-        assert!(stat.count >= 3);
-        assert!(stat.max >= Duration::from_millis(1));
-        assert!(stat.total >= stat.max);
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl KeyGen {
         }
     }
 
-    /// The number of distinct keys.
-    pub fn space(&self) -> u64 {
-        self.space
-    }
-
     /// Draws the next key index.
     pub fn next_index<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         match &self.dist {
@@ -103,7 +98,7 @@ impl KeyGen {
 
     /// Formats index `i` as a key (stable across distributions so
     /// prefill and access agree).
-    pub fn format(&self, i: u64) -> Vec<u8> {
+    pub(crate) fn format(&self, i: u64) -> Vec<u8> {
         format_key(i, self.key_len)
     }
 

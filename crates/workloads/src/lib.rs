@@ -9,8 +9,9 @@
 //!   put-if-absent RMW.
 //! - **Production** (§5.2): 40-byte keys / 1 KiB values, 85–96% reads,
 //!   heavy-tail key popularity (top 10% of keys ≈ 75%+ of requests,
-//!   top 1–2% ≈ 50%, ~10% of keys seen once). We synthesize traces
-//!   with those published aggregate properties.
+//!   top 1–2% ≈ 50%, ~10% of keys seen once), drawn from a
+//!   heavy-tail key distribution with those published aggregate
+//!   properties.
 //! - **Disk-bound** (§5.3): sequential fill followed by uniform
 //!   updates, 10-byte keys / 400-byte values.
 //!
@@ -21,12 +22,10 @@
 
 pub mod keygen;
 pub mod runner;
-pub mod spec;
-pub mod trace;
+pub(crate) mod spec;
 pub mod zipf;
 
 pub use keygen::{KeyDistribution, KeyGen};
 pub use runner::{run_workload, Prefill, RunConfig, RunResult};
 pub use spec::{production_dataset, OpMix, WorkloadSpec};
-pub use trace::{replay_trace, synthesize_trace, ReplayStats, TraceOp, TraceReader, TraceWriter};
 pub use zipf::Zipf;

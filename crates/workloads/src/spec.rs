@@ -17,7 +17,7 @@ pub struct OpMix {
 
 impl OpMix {
     /// 100% writes (Figure 5).
-    pub fn write_only() -> OpMix {
+    pub(crate) fn write_only() -> OpMix {
         OpMix {
             read_pct: 0,
             write_pct: 100,
@@ -27,7 +27,7 @@ impl OpMix {
     }
 
     /// 100% reads (Figure 6).
-    pub fn read_only() -> OpMix {
+    pub(crate) fn read_only() -> OpMix {
         OpMix {
             read_pct: 100,
             write_pct: 0,
@@ -37,7 +37,7 @@ impl OpMix {
     }
 
     /// 1:1 read/write (Figure 7a).
-    pub fn mixed() -> OpMix {
+    pub(crate) fn mixed() -> OpMix {
         OpMix {
             read_pct: 50,
             write_pct: 50,
@@ -48,7 +48,7 @@ impl OpMix {
 
     /// Scan/write mix (Figure 7b): scans are 10x rarer than writes so
     /// keys-scanned ≈ keys-written (ranges average 15 keys).
-    pub fn scan_write() -> OpMix {
+    pub(crate) fn scan_write() -> OpMix {
         OpMix {
             read_pct: 0,
             write_pct: 94,
@@ -58,7 +58,7 @@ impl OpMix {
     }
 
     /// 100% read-modify-write (Figure 9).
-    pub fn rmw_only() -> OpMix {
+    pub(crate) fn rmw_only() -> OpMix {
         OpMix {
             read_pct: 0,
             write_pct: 0,
@@ -69,7 +69,7 @@ impl OpMix {
 
     /// Production read ratio (Figure 10): `read_pct` reads, the rest
     /// writes.
-    pub fn read_heavy(read_pct: u32) -> OpMix {
+    pub(crate) fn read_heavy(read_pct: u32) -> OpMix {
         OpMix {
             read_pct,
             write_pct: 100 - read_pct,
@@ -107,7 +107,7 @@ pub struct WorkloadSpec {
 impl WorkloadSpec {
     /// §5.1 synthetic base: 8-byte logical keys (16-byte formatted) and
     /// 256-byte values over `key_space` keys.
-    pub fn synthetic(name: &str, mix: OpMix, key_space: u64, dist: KeyDistribution) -> Self {
+    pub(crate) fn synthetic(name: &str, mix: OpMix, key_space: u64, dist: KeyDistribution) -> Self {
         assert_eq!(mix.total(), 100, "op mix must sum to 100");
         WorkloadSpec {
             name: name.to_string(),

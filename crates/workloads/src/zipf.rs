@@ -15,7 +15,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -34,7 +33,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -50,21 +48,6 @@ impl Zipf {
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
-    }
-
-    /// Number of items.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// The skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// Internal consistency check hook (used by tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
