@@ -51,8 +51,8 @@
 //! read) → `paced` (one clock reservation and one wait per write call,
 //! before the shared lock; the wait ends early once nothing is behind)
 //! → `stall`, §5.3's hard stall, unchanged: a full `Pm` with `P'm`
-//! still merging cannot take writes. `admission.hard_stalls` counts how
-//! often pacing was not enough.
+//! still merging cannot take writes. `db.write_stalls` counts how often
+//! pacing was not enough.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -327,7 +327,10 @@ fn rate_of(bytes: u64, elapsed: Duration) -> u64 {
         .max(1)
 }
 
-/// A point-in-time view of write admission, for `clsm-doctor`.
+/// A point-in-time view of write admission, for `clsm-doctor`. Its
+/// lifetime counts live in the metrics registry only:
+/// `admission.delayed_writes`, `admission.delay_ns` and
+/// `db.write_stalls`.
 #[derive(Debug, Clone)]
 pub struct AdmissionState {
     /// Whether pacing is on ([`AdmissionOptions::enabled`]).
@@ -341,13 +344,6 @@ pub struct AdmissionState {
     /// `Pm` is full while `P'm` is still merging: writes are in the
     /// §5.3 hard stall.
     pub stalled: bool,
-    /// Writes that slept for their pacing slot so far
-    /// (`admission.delayed_writes`).
-    pub delayed_writes: u64,
-    /// Total pacing sleep so far (`admission.delay_ns`).
-    pub delay_ns: u64,
-    /// Writes that hit the §5.3 hard stall (`admission.hard_stalls`).
-    pub hard_stalls: u64,
 }
 
 impl AdmissionState {
@@ -536,9 +532,6 @@ mod tests {
             behind: if paced == 0 { Stage::None } else { Stage::L0 },
             paced_bytes_per_sec: paced,
             stalled,
-            delayed_writes: 0,
-            delay_ns: 0,
-            hard_stalls: 0,
         };
         assert_eq!(mk(0, false, true).ladder_rung(), "open");
         assert_eq!(mk(1 << 20, false, true).ladder_rung(), "paced");

@@ -10,7 +10,7 @@ use parking_lot::{Condvar, Mutex};
 
 use clsm_util::env::Env;
 use clsm_util::error::{Error, Result};
-use clsm_util::metrics::MetricsSnapshot;
+use clsm_util::metrics::{ConcurrentHistogram, MetricsSnapshot};
 use clsm_util::oracle::{SnapshotRegistry, TimestampOracle};
 use clsm_util::rcu::RcuCell;
 use clsm_util::shared_lock::SharedExclusiveLock;
@@ -202,76 +202,84 @@ impl Db {
         })
     }
 
-    /// Applies a [`WriteBatch`] under the given [`WriteOptions`] — the
-    /// single mutation entry point every other write API desugars to.
+    /// Applies a [`WriteBatch`] under the given [`WriteOptions`].
     ///
     /// A single op runs Algorithm 2's `put` (shared lock → `getTS` →
     /// insert-as-newest → log → publish), concurrently with every
-    /// other writer. A multi-op batch takes the lock in exclusive mode
-    /// (§4) and stamps all entries from one timestamp block. Fsync
-    /// batching for `sync` writes lives below this layer, in the WAL's
-    /// logging queue.
+    /// other writer; [`Db::put`] and [`Db::delete`] take that path on
+    /// the caller's bytes, without building a batch. A multi-op batch
+    /// takes the lock in exclusive mode (§4) and stamps all entries
+    /// from one timestamp block. Fsync batching for `sync` writes lives
+    /// below this layer, in the WAL's logging queue.
     ///
     /// An empty batch is a no-op. Multi-op batches are atomic: no
     /// snapshot ever observes a strict subset, and recovery replays
     /// them all-or-nothing. Once a manifest or WAL write has failed,
     /// every write fails with that error (`Store::poisoned`).
     pub fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
+        if let [(key, value)] = batch.ops() {
+            return self.write_one(key, value.as_deref(), opts);
+        }
+        let ops = batch.into_ops();
+        if ops.is_empty() {
+            return Ok(());
+        }
+        let keys = ops.iter().map(|(key, _)| key.as_slice());
+        let latency = &self.inner.metrics.write_batch_latency;
+        self.commit(keys, opts, latency, || self.write_batch_exclusive(&ops))
+    }
+
+    /// Stores `value` under `key` (Algorithm 2's `put`).
+    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.write_one(key, Some(value), &WriteOptions::new())
+    }
+
+    /// Deletes `key` by storing a deletion marker (the paper's ⊥).
+    pub fn delete(&self, key: &[u8]) -> Result<()> {
+        self.write_one(key, None, &WriteOptions::new())
+    }
+
+    /// What every write does around its commit: refuse it once the
+    /// store is shutting down or when a key is empty, run `apply`, wait
+    /// for the WAL fsync when `opts` or the store asks for one, ask for
+    /// a flush when `Pm` is full, and record the call's latency.
+    fn commit<'k>(
+        &self,
+        mut keys: impl Iterator<Item = &'k [u8]>,
+        opts: &WriteOptions,
+        latency: &ConcurrentHistogram,
+        apply: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::Relaxed) {
             return Err(Error::ShuttingDown);
         }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if batch.iter().any(|(key, _)| key.is_empty()) {
+        if keys.any(<[u8]>::is_empty) {
             // WAL replay drops empty-key records (a legacy `shard-NNN/`
             // directory carries batch-commit markers under that key),
             // so an acked write to it would vanish at the next recovery.
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
         let began = now_ns();
-        let (count, latency) = if let [(key, value)] = batch.ops() {
-            self.write_one(key, value.as_deref())?;
-            if value.is_some() {
-                (&inner.metrics.puts, &inner.metrics.put_latency)
-            } else {
-                (&inner.metrics.deletes, &inner.metrics.delete_latency)
-            }
-        } else {
-            self.write_batch_exclusive(batch.into_ops())?;
-            // One bump per batch, matching the historical counter
-            // semantics.
-            (&inner.metrics.puts, &inner.metrics.write_batch_latency)
-        };
+        apply()?;
         if opts.sync || inner.opts.sync_writes {
             inner.wait_durable()?;
         }
         inner.maybe_schedule_flush();
-        let elapsed = now_ns().saturating_sub(began);
-        inner.metrics.write_path.rec_total(elapsed);
-        count.inc();
-        latency.record(elapsed);
+        latency.record(now_ns().saturating_sub(began));
         Ok(())
     }
 
-    /// Stores `value` under `key` (Algorithm 2's `put`).
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write(WriteBatch::single_put(key, value), &WriteOptions::new())
-    }
-
-    /// Deletes `key` by storing a deletion marker (the paper's ⊥).
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.write(WriteBatch::single_delete(key), &WriteOptions::new())
-    }
-
-    /// Algorithm 2's `put`, for one put or delete.
-    fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+    /// Algorithm 2's `put`, for one put or delete, on borrowed bytes.
+    fn write_one(&self, key: &[u8], value: Option<&[u8]>, opts: &WriteOptions) -> Result<()> {
         let inner = &self.inner;
-        inner.admit_write((key.len() + value.map_or(0, <[u8]>::len)) as u64)?;
-        let wp = &inner.metrics.write_path;
-
-        {
+        let latency = match value {
+            Some(_) => &inner.metrics.put_latency,
+            None => &inner.metrics.delete_latency,
+        };
+        self.commit(std::iter::once(key), opts, latency, || {
+            inner.admit_write((key.len() + value.map_or(0, <[u8]>::len)) as u64)?;
+            let wp = &inner.metrics.write_path;
             // Algorithm 2, put: shared lock → getTS → insert → log →
             // Active.remove. The WAL enqueue is non-blocking (logging
             // queue); the insert is lock-free.
@@ -308,13 +316,12 @@ impl Db {
             let enqueued = now_ns();
             inner.oracle.publish(stamp);
             let published = now_ns();
-            wp.rec_stamp(stamped.saturating_sub(locked));
-            wp.rec_memtable(inserted.saturating_sub(stamped));
-            wp.rec_wal_enqueue(enqueued.saturating_sub(inserted));
-            wp.rec_publish(published.saturating_sub(enqueued));
-            logged?;
-        }
-        Ok(())
+            wp.stamp.record(stamped.saturating_sub(locked));
+            wp.memtable.record(inserted.saturating_sub(stamped));
+            wp.wal_enqueue.record(enqueued.saturating_sub(inserted));
+            wp.publish.record(published.saturating_sub(enqueued));
+            logged
+        })
     }
 
     /// The coarse-grained batch path (§4): the shared-exclusive lock in
@@ -323,7 +330,7 @@ impl Db {
     /// batch draws one timestamp block — one `Active` slot however many
     /// entries it has — and becomes visible to snapshots at the single
     /// block publish.
-    fn write_batch_exclusive(&self, batch: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> Result<()> {
+    fn write_batch_exclusive(&self, batch: &[(Vec<u8>, Option<Vec<u8>>)]) -> Result<()> {
         let inner = &self.inner;
         let bytes = batch
             .iter()
@@ -340,14 +347,14 @@ impl Db {
             let block = inner.oracle.get_ts_block(batch.len() as u64);
             let stamped = now_ns();
             let pm = inner.pm.load();
-            for (ts, (key, value)) in (block.base..).zip(&batch) {
+            for (ts, (key, value)) in (block.base..).zip(batch) {
                 pm.insert(key, ts, value.as_deref());
             }
             let inserted = now_ns();
             // One log payload for the whole batch, so a torn WAL tail
             // drops it atomically.
             let writes = (block.base..)
-                .zip(&batch)
+                .zip(batch)
                 .map(|(ts, (key, value))| (ts, key.as_slice(), value.as_deref()));
             logged = inner.store.log_writes(writes, SyncMode::Async);
             let enqueued = now_ns();
@@ -356,10 +363,10 @@ impl Db {
             // never depends on an unlogged record.
             inner.oracle.publish_block(block);
             let published = now_ns();
-            wp.rec_stamp(stamped.saturating_sub(locked));
-            wp.rec_memtable(inserted.saturating_sub(stamped));
-            wp.rec_wal_enqueue(enqueued.saturating_sub(inserted));
-            wp.rec_publish(published.saturating_sub(enqueued));
+            wp.stamp.record(stamped.saturating_sub(locked));
+            wp.memtable.record(inserted.saturating_sub(stamped));
+            wp.wal_enqueue.record(enqueued.saturating_sub(inserted));
+            wp.publish.record(published.saturating_sub(enqueued));
         }
         logged
     }
@@ -374,7 +381,6 @@ impl Db {
         let began = Instant::now();
         let _span = T_GET.span();
         let result = self.inner.get_at(key, lsm_storage::format::MAX_TS);
-        self.inner.metrics.gets.inc();
         self.inner
             .metrics
             .get_latency
@@ -386,13 +392,7 @@ impl Db {
     /// (convenience over [`Db::snapshot`] + iterate). The snapshot
     /// handle lives inside the iterator.
     pub fn iter(&self) -> Result<crate::snapshot::SnapshotIter> {
-        let began = Instant::now();
-        let it = self.snapshot()?.into_iter_owned()?;
-        self.inner
-            .metrics
-            .scan_latency
-            .record_duration(began.elapsed());
-        Ok(it)
+        self.range(..)
     }
 
     /// Range query over an implicit fresh snapshot, accepting any
@@ -439,7 +439,6 @@ impl Db {
             inner.snapshots.register(ts);
             ts
         };
-        inner.metrics.snapshots.inc();
         inner
             .metrics
             .snapshot_latency
@@ -619,7 +618,8 @@ impl DbInner {
         let durable_ns = self.store.sync_wal_timed()?;
         self.metrics
             .write_path
-            .rec_durable(durable_ns.saturating_sub(sync_start));
+            .durable
+            .record(durable_ns.saturating_sub(sync_start));
         Ok(())
     }
 
@@ -658,9 +658,6 @@ impl DbInner {
             behind,
             paced_bytes_per_sec,
             stalled: self.write_stalled(),
-            delayed_writes: self.metrics.admission_delayed_writes.get(),
-            delay_ns: self.metrics.admission_delay_ns.get(),
-            hard_stalls: self.metrics.admission_hard_stalls.get(),
         }
     }
 
@@ -687,13 +684,13 @@ impl DbInner {
 
     #[cold]
     fn admit_behind(&self, behind: u8, bytes: u64) -> Result<()> {
-        let began = Instant::now();
+        let began = now_ns();
         let mut held = false;
         if self.opts.admission.enabled {
             let wait = self.flow.reserve(behind, self.pm_fill(behind), bytes);
             if !wait.is_zero() {
                 self.flow.wait_for_slot(wait);
-                let delay_ns = u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                let delay_ns = now_ns().saturating_sub(began);
                 self.metrics.admission_delayed_writes.inc();
                 self.metrics.admission_delay_ns.add(delay_ns);
                 if let Some((age, charged_ns)) = self.flow.charge_delay(delay_ns) {
@@ -706,9 +703,8 @@ impl DbInner {
             held |= self.stall_if_needed()?;
         }
         if held {
-            self.metrics
-                .write_path
-                .rec_admission(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let held_ns = now_ns().saturating_sub(began);
+            self.metrics.write_path.admission.record(held_ns);
         }
         Ok(())
     }
@@ -785,10 +781,9 @@ impl DbInner {
         if !self.write_stalled() {
             return Ok(false);
         }
-        let began = Instant::now();
+        let began = now_ns();
         let stall_span = T_WRITE_STALL.span();
         self.metrics.write_stalls.inc();
-        self.metrics.admission_hard_stalls.inc();
         if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
             self.report_write_stall();
         }
@@ -802,9 +797,8 @@ impl DbInner {
         }
         drop(state);
         drop(stall_span);
-        self.metrics
-            .write_stall_ns
-            .add(u64::try_from(began.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let stalled_ns = now_ns().saturating_sub(began);
+        self.metrics.write_stall_ns.add(stalled_ns);
         self.store.poisoned().map_or(Ok(true), Err)
     }
 
@@ -913,7 +907,6 @@ impl DbInner {
             self.pm_prev.store(None);
             self.flow.set(FLUSH_BEHIND, false);
         }
-        self.metrics.flushes.inc();
         Ok(true)
     }
 }

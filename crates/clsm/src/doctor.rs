@@ -8,8 +8,8 @@
 
 use std::time::Duration;
 
-use clsm_util::env::{RealEnv, SyscallCounts};
 use clsm_util::metrics::MetricsSnapshot;
+use lsm_storage::store::WriteAmp;
 
 use crate::admission::AdmissionState;
 use crate::db::Db;
@@ -34,33 +34,26 @@ pub struct LevelGeometry {
 /// A point-in-time health snapshot of an open database.
 ///
 /// Everything here is sampled racily (the database keeps running), so
-/// treat it as a diagnostic picture, not a consistent cut.
+/// treat it as a diagnostic picture, not a consistent cut. What the
+/// metrics registry already holds — the memtable's bytes, live
+/// snapshots, retired table bytes, `snapTime`, active writes, the
+/// write-amp byte counts, syscalls and admission's counters — the
+/// report reads from [`DoctorReport::metrics`] rather than copying.
 #[derive(Debug, Clone)]
 pub struct DoctorReport {
-    /// Approximate bytes in the mutable memtable `Pm`.
-    pub memtable_bytes: usize,
     /// Flush threshold ([`crate::Options::memtable_bytes`]).
     pub memtable_capacity: usize,
     /// `true` while an immutable memtable `P'm` awaits/undergoes merge.
     pub immutable_pending: bool,
     /// Per-level file counts and byte totals.
     pub levels: Vec<LevelGeometry>,
-    /// Live snapshot handles (each pins versions from GC).
-    pub live_snapshots: usize,
     /// Timestamp of the oldest live snapshot — the version-GC
     /// watermark — if any snapshot is open.
     pub oldest_snapshot_ts: Option<u64>,
-    /// Bytes of tables only older versions still pin
-    /// (`storage.retired_table_bytes`); a leaked iterator holds them.
-    pub retired_table_bytes: u64,
-    /// The oracle's `timeCounter`, read after `oldest_snapshot_ts`. The
-    /// difference is the oldest snapshot's age in writes
-    /// (`oracle.oldest_snapshot_age`), which a leaked `Snapshot` grows.
+    /// The oracle's `timeCounter`. Less `oldest_snapshot_ts`, it is the
+    /// oldest snapshot's age in writes (`oracle.oldest_snapshot_age`),
+    /// which a leaked `Snapshot` grows.
     pub time_counter: u64,
-    /// The oracle's `snapTime` (highest snapshot time handed out).
-    pub snap_time: u64,
-    /// In-flight writes currently in the oracle's `Active` set.
-    pub active_writes: usize,
     /// Slot capacity of the `Active` set (its real size, a whole number
     /// of cache-line stripes).
     pub active_slots: usize,
@@ -68,8 +61,6 @@ pub struct DoctorReport {
     /// is exclusively held right now. A hold is reported as a stall
     /// event only when it ends; a hung merge hook shows here.
     pub exclusive_held_for: Option<Duration>,
-    /// Flush vs. compaction byte counters.
-    pub write_amp: lsm_storage::store::WriteAmp,
     /// Block-cache `(hits, misses)`, when a cache is configured.
     pub cache: Option<(u64, u64)>,
     /// Current WAL file number.
@@ -77,20 +68,17 @@ pub struct DoctorReport {
     /// Bytes in the logging queue at sampling time (persistently past
     /// one batch means writers outpace the log device).
     pub wal_queue_bytes: usize,
-    /// Process-wide syscalls issued by `RealEnv` file handles.
-    pub syscalls: SyscallCounts,
     /// Recent watchdog verdicts, oldest first.
     pub stall_events: Vec<StallEvent>,
-    /// Write admission: the stage behind, the paced rate, the rung and
-    /// lifetime counters.
+    /// Write admission: the stage behind, the paced rate and the rung.
     pub admission: AdmissionState,
     /// The error of the last background job (flush or compaction) that
     /// failed, if any did; `db.background_errors` counts them.
     pub last_background_error: Option<String>,
     /// The error that made the store read-only ([`Db::read_only`]).
     pub read_only: Option<clsm_util::error::Error>,
-    /// Every registered metric ([`Db::metrics`]); the report's
-    /// write-path stage rows render from its `write_path.*` histograms.
+    /// Every registered metric ([`Db::metrics`]): the report's gauges,
+    /// counters and write-path stage rows render from it.
     pub metrics: MetricsSnapshot,
     /// The CRC32C implementation this CPU runs
     /// ([`clsm_util::crc::implementation`]): `"portable"` pays about
@@ -118,23 +106,16 @@ impl Db {
             })
             .collect();
         DoctorReport {
-            memtable_bytes: inner.pm.load().memory_usage(),
             memtable_capacity: inner.opts.memtable_bytes,
             immutable_pending: inner.pm_prev.load().is_some(),
             levels,
-            live_snapshots: inner.snapshots.len(),
             oldest_snapshot_ts: inner.snapshots.oldest(),
-            retired_table_bytes: inner.store.retired_table_bytes(),
             time_counter: inner.oracle.current_time(),
-            snap_time: inner.oracle.snap_time(),
-            active_writes: inner.oracle.active().len(),
             active_slots: inner.oracle.active().capacity(),
             exclusive_held_for: inner.lock.exclusive_held_for(),
-            write_amp: inner.store.write_amp(),
             cache: inner.store.cache_stats(),
             wal_number: inner.store.current_wal_number(),
             wal_queue_bytes: inner.store.wal_queue_bytes(),
-            syscalls: RealEnv::syscall_counts(),
             stall_events: self.stall_events(),
             admission: inner.admission_state(),
             last_background_error: inner.jobs.lock().last_error.clone(),
@@ -154,11 +135,8 @@ impl DoctorReport {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let pct = if self.memtable_capacity == 0 {
-            0.0
-        } else {
-            100.0 * self.memtable_bytes as f64 / self.memtable_capacity as f64
-        };
+        let memtable_bytes = self.gauge("db.memtable_bytes");
+        let pct = 100.0 * memtable_bytes as f64 / self.memtable_capacity.max(1) as f64;
         let _ = writeln!(out, "== clsm-doctor ==");
         if let Some(e) = &self.read_only {
             let _ = writeln!(
@@ -170,7 +148,7 @@ impl DoctorReport {
         let _ = writeln!(
             out,
             "memtable: {} / {} bytes ({:.1}% full), immutable pending: {}",
-            self.memtable_bytes,
+            memtable_bytes,
             self.memtable_capacity,
             pct,
             if self.immutable_pending { "yes" } else { "no" }
@@ -196,32 +174,36 @@ impl DoctorReport {
                 let _ = writeln!(
                     out,
                     "snapshots: {} live, oldest ts {ts} (GC watermark), {} writes old",
-                    self.live_snapshots,
-                    self.time_counter.saturating_sub(ts)
+                    self.gauge("oracle.live_snapshots"),
+                    self.gauge("oracle.oldest_snapshot_age")
                 );
             }
             None => {
                 let _ = writeln!(out, "snapshots: 0 live (GC unconstrained)");
             }
         }
-        if self.retired_table_bytes > 0 {
+        let retired = self.gauge("storage.retired_table_bytes");
+        if retired > 0 {
             let _ = writeln!(
                 out,
-                "retired tables: {} bytes pinned by older versions (held iterators)",
-                self.retired_table_bytes
+                "retired tables: {retired} bytes pinned by older versions (held iterators)"
             );
         }
         let _ = writeln!(
             out,
             "oracle: timeCounter={} snapTime={} activeWrites={}/{}",
-            self.time_counter, self.snap_time, self.active_writes, self.active_slots
+            self.time_counter,
+            self.gauge("oracle.snap_time"),
+            self.active_writes(),
+            self.active_slots
         );
         if self.active_set_pressure() {
             let _ = writeln!(
                 out,
                 "active-set pressure: {} of {} slots in use (alarm at 3/4): \
                  getSnap's min-scan is expensive and getTS may soon find no free slot",
-                self.active_writes, self.active_slots
+                self.active_writes(),
+                self.active_slots
             );
         }
         if let Some(held) = self.long_exclusive_hold() {
@@ -231,20 +213,15 @@ impl DoctorReport {
                  (threshold {EXCLUSIVE_HOLD_THRESHOLD:.1?})"
             );
         }
+        let flushed = self.counter("storage.bytes_flushed");
+        let compacted = self.counter("storage.bytes_compacted");
+        let factor = WriteAmp { flushed, compacted }.factor();
         let _ = writeln!(
             out,
-            "write amp: flushed={} compacted={} factor={:.2}",
-            self.write_amp.flushed,
-            self.write_amp.compacted,
-            self.write_amp.factor()
+            "write amp: flushed={flushed} compacted={compacted} factor={factor:.2}"
         );
         if let Some((hits, misses)) = self.cache {
-            let total = hits + misses;
-            let rate = if total == 0 {
-                0.0
-            } else {
-                100.0 * hits as f64 / total as f64
-            };
+            let rate = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
             let _ = writeln!(
                 out,
                 "block cache: {hits} hits / {misses} misses ({rate:.1}% hit rate)"
@@ -254,7 +231,9 @@ impl DoctorReport {
         let _ = writeln!(
             out,
             "syscalls (env.real): write={} read={} sync={}",
-            self.syscalls.write, self.syscalls.read, self.syscalls.sync
+            self.gauge("env.real.write_calls"),
+            self.gauge("env.real.read_calls"),
+            self.gauge("env.real.sync_calls")
         );
         let a = &self.admission;
         let _ = writeln!(
@@ -263,9 +242,9 @@ impl DoctorReport {
             a.ladder_rung(),
             a.behind,
             a.paced_bytes_per_sec,
-            a.delayed_writes,
-            Duration::from_nanos(a.delay_ns),
-            a.hard_stalls
+            self.counter("admission.delayed_writes"),
+            Duration::from_nanos(self.counter("admission.delay_ns")),
+            self.counter("db.write_stalls")
         );
         if let Some(last) = &self.last_background_error {
             let _ = writeln!(out, "background jobs: last failure: {last}");
@@ -304,7 +283,23 @@ impl DoctorReport {
     /// up, so never 0): slow or stuck writers make `getSnap` wait on an
     /// old minimum (§3.2).
     fn active_set_pressure(&self) -> bool {
-        self.active_writes >= (self.active_slots * 3).div_ceil(4)
+        self.active_writes() >= (self.active_slots * 3).div_ceil(4)
+    }
+
+    /// In-flight writes in the oracle's `Active` set
+    /// (`oracle.active_writes`).
+    fn active_writes(&self) -> usize {
+        self.gauge("oracle.active_writes") as usize
+    }
+
+    /// A gauge of [`DoctorReport::metrics`], 0 if it is not registered.
+    fn gauge(&self, name: &str) -> i64 {
+        self.metrics.gauges.get(name).copied().unwrap_or(0)
+    }
+
+    /// A counter of [`DoctorReport::metrics`], 0 if it is not registered.
+    fn counter(&self, name: &str) -> u64 {
+        self.metrics.counters.get(name).copied().unwrap_or(0)
     }
 
     /// The exclusive hold in progress, if it has already lasted
@@ -360,7 +355,7 @@ pub fn watch_dashboard_line(
         rate("db.puts"),
         rate("db.gets"),
         rate("admission.delayed_writes"),
-        rate("admission.hard_stalls"),
+        rate("db.write_stalls"),
         p99_us("write_path.total_ns"),
         p99_us("op.get.latency_ns"),
         delta("db.flushes"),
@@ -420,11 +415,12 @@ mod tests {
         assert!(!healthy.unhealthy(), "{}", healthy.render());
         assert!(!healthy.render().contains("active-set pressure"));
 
-        let pressed = DoctorReport {
-            active_writes: 192,
+        let mut pressed = DoctorReport {
             active_slots: 256,
             ..healthy.clone()
         };
+        let active = "oracle.active_writes".to_string();
+        pressed.metrics.gauges.insert(active.clone(), 192);
         assert!(pressed.unhealthy());
         assert!(
             pressed
@@ -433,10 +429,8 @@ mod tests {
             "{}",
             pressed.render()
         );
-        let below = DoctorReport {
-            active_writes: 191,
-            ..pressed
-        };
+        let mut below = pressed;
+        below.metrics.gauges.insert(active, 191);
         assert!(!below.unhealthy());
     }
 

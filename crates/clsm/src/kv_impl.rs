@@ -13,8 +13,16 @@ impl KvStore for Db {
         Db::write(self, batch, opts)
     }
 
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        Db::put(self, key, value)
+    }
+
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         Db::get(self, key)
+    }
+
+    fn delete(&self, key: &[u8]) -> Result<()> {
+        Db::delete(self, key)
     }
 
     fn snapshot(&self) -> Result<Box<dyn KvSnapshot>> {

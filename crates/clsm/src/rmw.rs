@@ -120,7 +120,6 @@ impl Db {
                     if inner.opts.sync_writes {
                         inner.store.sync_wal()?;
                     }
-                    inner.metrics.rmw_ops.inc();
                     inner.metrics.rmw_latency.record_duration(began.elapsed());
                     inner.charge_committed(value.map_or(0, <[u8]>::len) as u64);
                     inner.maybe_schedule_flush();

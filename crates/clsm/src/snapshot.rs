@@ -111,17 +111,9 @@ impl Snapshot {
         })
     }
 
-    /// Consumes the snapshot into a full-scan iterator that keeps the
-    /// handle (and thus the GC registration) alive for its duration.
-    pub(crate) fn into_iter_owned(self) -> Result<SnapshotIter> {
-        let mut it = self.iter()?;
-        it._snapshot = Some(self);
-        Ok(it)
-    }
-
     /// Consumes the snapshot into a [`Snapshot::range_bounds`] iterator
-    /// that keeps the handle alive for its duration (see
-    /// [`Snapshot::into_iter_owned`]).
+    /// that keeps the handle (and thus the GC registration) alive for
+    /// its duration.
     pub(crate) fn into_range_bounds_owned<R>(self, range: R) -> Result<SnapshotIter>
     where
         R: std::ops::RangeBounds<Vec<u8>>,
@@ -205,7 +197,7 @@ pub struct SnapshotIter {
     /// Pins the disk files the child iterators read.
     _version: Arc<Version>,
     /// Keeps the snapshot handle registered while iterating, when the
-    /// iterator owns its snapshot (see [`Snapshot::into_iter_owned`]).
+    /// iterator owns its snapshot (see `Snapshot::into_range_bounds_owned`).
     _snapshot: Option<Snapshot>,
     /// Last key whose newest visible version was already processed;
     /// persists across `next` calls so older versions never resurface.

@@ -7,7 +7,8 @@
 //! - **Write stall** (§5.3): `Pm` is full while `P'm` is still being
 //!   merged, so client writes block behind the flush. The first writer
 //!   to block behind a given `P'm` reports it; one episode is one flush
-//!   that writers stalled behind.
+//!   that writers stalled behind. The stalled writes themselves are
+//!   counted once each, in `db.write_stalls`.
 //! - **Sustained slowdown**: write admission (see
 //!   [`crate::AdmissionOptions`]) has paced writers through a behind
 //!   period at least 30 ms old. The first paced write to find its
@@ -41,11 +42,14 @@ use clsm_util::trace::{self, TraceId};
 
 use crate::db::{Db, DbInner};
 
-/// Flight-recorder instants, one per kind; the argument carries the
-/// episode magnitude (memtable bytes, ns of delay, ns held).
-static T_WRITE_STALL: TraceId = TraceId::new("watchdog.write_stall");
-static T_SUSTAINED_SLOWDOWN: TraceId = TraceId::new("watchdog.sustained_slowdown");
-static T_EXCL_HOLD: TraceId = TraceId::new("watchdog.exclusive_hold");
+/// Flight-recorder instants, one per kind in [`StallKind`] order; the
+/// argument carries the episode magnitude (memtable bytes, ns of delay,
+/// ns held).
+static TRACES: [TraceId; 3] = [
+    TraceId::new("watchdog.write_stall"),
+    TraceId::new("watchdog.sustained_slowdown"),
+    TraceId::new("watchdog.exclusive_hold"),
+];
 
 /// Which kind of episode was reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,43 +109,31 @@ pub(crate) fn is_long_hold(held: Duration) -> bool {
 #[derive(Debug)]
 pub(crate) struct Watchdog {
     recent: Mutex<VecDeque<StallEvent>>,
-    /// `watchdog.stall_events` — all kinds combined.
-    total: Arc<Counter>,
-    write_stalls: Arc<Counter>,
-    sustained_slowdowns: Arc<Counter>,
-    exclusive_holds: Arc<Counter>,
+    /// `watchdog.{kind}_events`, in [`StallKind`] order.
+    counts: [Arc<Counter>; 3],
 }
 
 impl Watchdog {
     /// Registers the watchdog counters and builds the event sink.
+    /// `watchdog.stall_events`, all kinds combined, is their sum.
     pub(crate) fn new(registry: &MetricsRegistry) -> Watchdog {
+        let counts = ["write_stall", "sustained_slowdown", "exclusive_hold"]
+            .map(|kind| registry.counter(&format!("watchdog.{kind}_events")));
+        let all = counts.clone();
+        registry.counter_fn("watchdog.stall_events", move || {
+            all.iter().map(|c| c.get()).sum()
+        });
         Watchdog {
             recent: Mutex::new(VecDeque::with_capacity(HISTORY)),
-            total: registry.counter("watchdog.stall_events"),
-            write_stalls: registry.counter("watchdog.write_stall_events"),
-            sustained_slowdowns: registry.counter("watchdog.sustained_slowdown_events"),
-            exclusive_holds: registry.counter("watchdog.exclusive_hold_events"),
+            counts,
         }
     }
 
     /// Records one episode in all three sinks (metrics, trace, ring).
     #[cold]
     pub(crate) fn report(&self, kind: StallKind, magnitude: u64, detail: String) {
-        self.total.inc();
-        match kind {
-            StallKind::WriteStall => {
-                self.write_stalls.inc();
-                T_WRITE_STALL.instant(magnitude);
-            }
-            StallKind::SustainedSlowdown => {
-                self.sustained_slowdowns.inc();
-                T_SUSTAINED_SLOWDOWN.instant(magnitude);
-            }
-            StallKind::ExclusiveHold => {
-                self.exclusive_holds.inc();
-                T_EXCL_HOLD.instant(magnitude);
-            }
-        }
+        self.counts[kind as usize].inc();
+        TRACES[kind as usize].instant(magnitude);
         let event = StallEvent {
             kind,
             at_ns: trace::now_ns(),

@@ -1,11 +1,12 @@
 //! Integration tests for the observability layer: after a mixed
 //! workload, `Db::metrics()` must return populated latency histograms
 //! for every operation class plus flush/compaction/storage metrics,
-//! and the renderers must emit them.
+//! and the renderers must emit them. The contract test pins what the
+//! repo benchmark reads and which numbers are derived from which.
 
 use std::sync::Arc;
 
-use clsm::{Db, Options, RmwDecision, WriteBatch, WriteOptions};
+use clsm::{Db, Job, Options, RmwDecision, WriteBatch, WriteOptions};
 
 struct TempDir(std::path::PathBuf);
 
@@ -197,4 +198,135 @@ fn write_stall_metrics_appear_under_pressure() {
     if snap.counters["db.write_stalls"] > 0 {
         assert!(snap.counters["db.write_stall_ns"] > 0);
     }
+}
+
+/// The names the repo benchmark's report reads from `Db::metrics()`
+/// (`benchmark/src/report.rs`), less the ones nothing has recorded
+/// since their sources went (`write_path.{queue_wait,wake}_ns`,
+/// `db.commit.*`): a name missing here reads 0 there.
+const BENCHMARK_COUNTERS: [&str; 12] = [
+    "db.puts",
+    "db.gets",
+    "db.rmw_ops",
+    "db.rmw_conflicts",
+    "db.write_stalls",
+    "db.write_stall_ns",
+    "admission.delayed_writes",
+    "admission.delay_ns",
+    "db.flushes",
+    "db.compactions",
+    "storage.bytes_flushed",
+    "storage.bytes_compacted",
+];
+const BENCHMARK_HISTOGRAMS: [&str; 10] = [
+    "write_path.total_ns",
+    "write_path.admission_ns",
+    "write_path.stamp_ns",
+    "write_path.memtable_ns",
+    "write_path.wal_enqueue_ns",
+    "write_path.publish_ns",
+    "write_path.durable_ns",
+    "op.snapshot.latency_ns",
+    "storage.flush_ns",
+    "storage.compaction_ns",
+];
+
+/// Every operation class once or more on a stepped store, flushes and
+/// a compaction included; then the registry must hold every name the
+/// benchmark reads, and each number reported under two names must be
+/// one record: an operation count is its latency histograms' count,
+/// `write_path.total_ns` the merge of the three write kinds.
+#[test]
+fn every_derived_number_agrees_with_its_one_record() {
+    let dir = TempDir::new("contract");
+    let mut opts = Options::small_for_tests();
+    // Nothing drains while the test runs no job, so pacing would only
+    // sleep.
+    opts.admission.enabled = false;
+    let db = Db::open_stepped(&dir.0, opts).unwrap();
+    let mut round = 0u32;
+    while !db.due_jobs().contains(&Job::Compact) {
+        assert!(round < 100, "no compaction fell due");
+        for i in 0..100u32 {
+            let key = format!("key{i:04}");
+            db.put(key.as_bytes(), format!("round {round} {i}").as_bytes())
+                .unwrap();
+            if i % 10 == 0 {
+                db.delete(key.as_bytes()).unwrap();
+                assert!(db.get(key.as_bytes()).unwrap().is_none());
+            }
+        }
+        let batch = [
+            (b"batch-a".to_vec(), Some(round.to_le_bytes().to_vec())),
+            (b"batch-b".to_vec(), None),
+        ];
+        db.write(WriteBatch::from(&batch[..]), &WriteOptions::new())
+            .unwrap();
+        db.read_modify_write(b"counter", |cur| {
+            let n = cur.map_or(0u32, |v| u32::from_le_bytes(v.try_into().unwrap()));
+            RmwDecision::Update((n + 1).to_le_bytes().to_vec())
+        })
+        .unwrap();
+        assert!(db.run_job(Job::Flush).unwrap());
+        round += 1;
+    }
+    assert!(db.run_job(Job::Compact).unwrap());
+    let snap = db.snapshot().unwrap();
+    assert!(snap.get(b"key0001").unwrap().is_some());
+    drop(snap);
+    assert_eq!(db.range(b"key".to_vec()..).unwrap().count(), 90);
+
+    let m = db.metrics();
+    for name in BENCHMARK_COUNTERS {
+        assert!(m.counters.contains_key(name), "counter {name} missing");
+    }
+    for name in BENCHMARK_HISTOGRAMS {
+        assert!(m.histograms.contains_key(name), "histogram {name} missing");
+    }
+    for name in [
+        "db.flushes",
+        "db.compactions",
+        "storage.bytes_flushed",
+        "storage.bytes_compacted",
+    ] {
+        assert!(m.counters[name] > 0, "{name} did not move");
+    }
+
+    let count = |histogram: &str| m.histograms[histogram].count;
+    let rounds = u64::from(round);
+    assert_eq!(count("op.put.latency_ns"), 100 * rounds);
+    assert_eq!(count("op.delete.latency_ns"), 10 * rounds);
+    assert_eq!(count("op.write_batch.latency_ns"), rounds);
+    let derived = [
+        (
+            "db.puts",
+            count("op.put.latency_ns") + count("op.write_batch.latency_ns"),
+        ),
+        ("db.deletes", count("op.delete.latency_ns")),
+        ("db.gets", count("op.get.latency_ns")),
+        ("db.rmw_ops", count("op.rmw.latency_ns")),
+        ("db.snapshots", count("op.snapshot.latency_ns")),
+    ];
+    for (name, histograms) in derived {
+        assert!(histograms > 0, "{name}: its histograms recorded nothing");
+        assert_eq!(m.counters[name], histograms, "{name}");
+    }
+    let writes = ["put", "delete", "write_batch"]
+        .map(|kind| &m.histograms[&format!("op.{kind}.latency_ns")]);
+    let total = &m.histograms["write_path.total_ns"];
+    assert_eq!(total.count, writes.iter().map(|h| h.count).sum::<u64>());
+    assert_eq!(total.sum, writes.iter().map(|h| h.sum).sum::<u64>());
+    assert_eq!(total.max, writes.iter().map(|h| h.max).max().unwrap());
+    // Each write records its four locked stages once, in the same
+    // count as the writes it times.
+    for stage in ["stamp", "memtable", "wal_enqueue", "publish"] {
+        let recorded = count(&format!("write_path.{stage}_ns"));
+        assert_eq!(recorded, total.count, "write_path.{stage}_ns");
+    }
+    // The watchdog's total is the sum of its kinds.
+    let kinds: u64 = ["write_stall", "sustained_slowdown", "exclusive_hold"]
+        .iter()
+        .map(|kind| m.counters[&format!("watchdog.{kind}_events")])
+        .sum();
+    assert_eq!(m.counters["watchdog.stall_events"], kinds);
 }

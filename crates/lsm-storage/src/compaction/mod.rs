@@ -34,12 +34,12 @@ use crate::version::{
 /// `level + 1`, exclusively claimed.
 pub(crate) struct CompactionTask {
     /// Source level.
-    pub level: usize,
+    pub(crate) level: usize,
     /// Input files at `level` as sorted runs, newest first: every run
     /// of L0, or one run of files from a deeper level.
-    pub base: Vec<Vec<Arc<FileMeta>>>,
+    pub(crate) base: Vec<Vec<Arc<FileMeta>>>,
     /// Overlapping input files at `level + 1`.
-    pub parent: Vec<Arc<FileMeta>>,
+    pub(crate) parent: Vec<Arc<FileMeta>>,
     /// RAII claim marking every input `being_compacted`.
     _claim: CompactionClaim,
 }

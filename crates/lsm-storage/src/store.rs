@@ -151,10 +151,11 @@ pub struct Store {
     /// first manifest write error, or the one [`Store::poison`] set.
     /// Shared with the version set, so no edit commits after it.
     fatal: Arc<OnceLock<Error>>,
-    /// Bytes written by memtable flushes.
-    bytes_flushed: AtomicU64,
-    /// Bytes written by compactions (rewrites).
-    bytes_compacted: AtomicU64,
+    /// Bytes written by memtable flushes (`storage.bytes_flushed`).
+    bytes_flushed: Arc<Counter>,
+    /// Bytes written by compactions, rewrites only
+    /// (`storage.bytes_compacted`).
+    bytes_compacted: Arc<Counter>,
     /// Observability hooks, attached at most once (see
     /// [`Store::attach_metrics`]). Absent in standalone/test use; all
     /// recording sites are no-ops then.
@@ -177,10 +178,6 @@ struct StoreMetrics {
     flush_ns: Arc<ConcurrentHistogram>,
     /// Duration of each compaction (background or manual).
     compaction_ns: Arc<ConcurrentHistogram>,
-    /// Bytes written by flushes (mirror of the write-amp counter).
-    bytes_flushed: Arc<Counter>,
-    /// Bytes written by compactions.
-    bytes_compacted: Arc<Counter>,
 }
 
 /// Write-amplification accounting: bytes written by flushes vs. bytes
@@ -310,8 +307,8 @@ impl Store {
             wals: Mutex::new(wal_numbers),
             obsolete,
             fatal,
-            bytes_flushed: AtomicU64::new(0),
-            bytes_compacted: AtomicU64::new(0),
+            bytes_flushed: Arc::default(),
+            bytes_compacted: Arc::default(),
             metrics: OnceLock::new(),
             claims: Arc::new(ClaimSignal::default()),
             recovery_report: report.clone(),
@@ -401,9 +398,15 @@ impl Store {
             wal_sync_ns: registry.histogram("storage.wal_sync_ns"),
             flush_ns: registry.histogram("storage.flush_ns"),
             compaction_ns: registry.histogram("storage.compaction_ns"),
-            bytes_flushed: registry.counter("storage.bytes_flushed"),
-            bytes_compacted: registry.counter("storage.bytes_compacted"),
         });
+        let bytes = [
+            ("storage.bytes_flushed", &self.bytes_flushed),
+            ("storage.bytes_compacted", &self.bytes_compacted),
+        ];
+        for (name, counter) in bytes {
+            let counter = Arc::clone(counter);
+            registry.counter_fn(name, move || counter.get());
+        }
     }
 
     /// Starts the WAL's logger thread, which the owner starts like its
@@ -507,7 +510,6 @@ impl Store {
         it.seek_to_first();
         let _span = T_FLUSH.span_with(max_ts);
         let start = Instant::now();
-        let mut flushed_bytes = 0;
         let committed = self.commit(|alloc| {
             let new_files = compaction::write_merged_tables(
                 it,
@@ -518,9 +520,8 @@ impl Store {
                 false,
                 alloc,
             )?;
-            flushed_bytes = new_files.iter().map(|f| f.file_size).sum::<u64>();
             self.bytes_flushed
-                .fetch_add(flushed_bytes, Ordering::Relaxed);
+                .add(new_files.iter().map(|f| f.file_size).sum());
             Ok(VersionEdit {
                 log_number: Some(retire_wals_below),
                 last_ts: Some(max_ts),
@@ -531,7 +532,6 @@ impl Store {
         self.remove_obsolete_files();
         committed?;
         if let Some(m) = self.metrics.get() {
-            m.bytes_flushed.add(flushed_bytes);
             m.flush_ns.record_duration(start.elapsed());
         }
         Ok(())
@@ -582,10 +582,7 @@ impl Store {
                 .filter(|f| !moved(f.number))
                 .map(|f| f.file_size)
                 .sum::<u64>();
-            self.bytes_compacted.fetch_add(written, Ordering::Relaxed);
-            if let Some(m) = self.metrics.get() {
-                m.bytes_compacted.add(written);
-            }
+            self.bytes_compacted.add(written);
             Ok(edit)
         });
         drop(task); // claim Drop notifies `claims`; the inputs may go
@@ -809,8 +806,8 @@ impl Store {
     /// Write-amplification counters (flush vs. compaction bytes).
     pub fn write_amp(&self) -> WriteAmp {
         WriteAmp {
-            flushed: self.bytes_flushed.load(Ordering::Relaxed),
-            compacted: self.bytes_compacted.load(Ordering::Relaxed),
+            flushed: self.bytes_flushed.get(),
+            compacted: self.bytes_compacted.get(),
         }
     }
 

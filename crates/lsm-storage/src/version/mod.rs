@@ -60,11 +60,11 @@ pub struct FileMeta {
 #[derive(Debug, Default)]
 pub(crate) struct ObsoleteFiles {
     /// The files to remove.
-    pub files: Mutex<Vec<FileKind>>,
+    pub(crate) files: Mutex<Vec<FileKind>>,
     /// Bytes of the tables marked obsolete whose `FileMeta` has not
     /// dropped yet: tables the current version no longer names but an
     /// older one still pins.
-    pub retired_table_bytes: AtomicU64,
+    pub(crate) retired_table_bytes: AtomicU64,
 }
 
 /// Only lists the file: old versions drop inside the epoch collector,

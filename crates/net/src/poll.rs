@@ -17,12 +17,12 @@ pub(crate) const POLLOUT: i16 = 0x4;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PollFd {
     /// File descriptor to watch.
-    pub fd: i32,
+    pub(crate) fd: i32,
     /// Requested events ([`POLLIN`] | [`POLLOUT`]).
-    pub events: i16,
+    pub(crate) events: i16,
     /// Kernel-reported events (includes POLLERR/POLLHUP/POLLNVAL,
     /// which are always watched implicitly).
-    pub revents: i16,
+    pub(crate) revents: i16,
 }
 
 impl PollFd {

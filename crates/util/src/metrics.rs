@@ -19,6 +19,13 @@
 //! the registry is never touched on an operation path. Snapshots
 //! ([`MetricsRegistry::snapshot`]) are read-only and render to
 //! human-readable text or JSON.
+//!
+//! Each measurement is recorded once. A number that can be worked out
+//! from records already kept (an operation count from its latency
+//! histogram, a total from a merge of histograms) is registered with
+//! [`MetricsRegistry::counter_fn`], [`MetricsRegistry::gauge_fn`] or
+//! [`MetricsRegistry::histogram_fn`] and computed when a snapshot is
+//! taken, so the operation path never pays for it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -41,11 +48,6 @@ pub(crate) const STRIPES: usize = 16;
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.0.fetch_add(1, Relaxed);
@@ -68,11 +70,6 @@ impl Counter {
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub(crate) const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
     /// Moves the level up.
     pub fn add(&self, n: i64) {
         self.0.fetch_add(n, Relaxed);
@@ -81,11 +78,6 @@ impl Gauge {
     /// Moves the level down.
     pub fn sub(&self, n: i64) {
         self.0.fetch_sub(n, Relaxed);
-    }
-
-    /// Current level.
-    pub(crate) fn get(&self) -> i64 {
-        self.0.load(Relaxed)
     }
 }
 
@@ -210,19 +202,62 @@ impl std::fmt::Debug for ConcurrentHistogram {
     }
 }
 
-/// A gauge whose level is computed on demand (e.g. derived from oracle
-/// state rather than maintained incrementally).
-type GaugeFn = Box<dyn Fn() -> i64 + Send + Sync>;
+/// A primitive the registry can read at snapshot time.
+trait Metric: Default {
+    /// What a snapshot holds of it.
+    type Value;
+    fn read(&self) -> Self::Value;
+}
 
-enum GaugeSource {
-    Stored(Arc<Gauge>),
-    Computed(GaugeFn),
+impl Metric for Counter {
+    type Value = u64;
+    fn read(&self) -> u64 {
+        self.get()
+    }
+}
+
+impl Metric for Gauge {
+    type Value = i64;
+    fn read(&self) -> i64 {
+        self.0.load(Relaxed)
+    }
+}
+
+impl Metric for ConcurrentHistogram {
+    type Value = Histogram;
+    fn read(&self) -> Histogram {
+        self.snapshot()
+    }
+}
+
+/// Where a registered name's value comes from: a primitive recorded
+/// into directly, or a function that works it out from other records
+/// (an operation count from its latency histograms, a level from
+/// oracle state) when a snapshot is taken.
+enum Source<M: Metric> {
+    Stored(Arc<M>),
+    Computed(Box<dyn Fn() -> M::Value + Send + Sync>),
+}
+
+type Sources<M> = BTreeMap<String, Source<M>>;
+
+/// Fetches the stored primitive under `name`, registering it first if
+/// the name is new.
+fn stored<M: Metric>(sources: &mut Sources<M>, name: &str) -> Arc<M> {
+    match sources
+        .entry(name.to_string())
+        .or_insert_with(|| Source::Stored(Arc::default()))
+    {
+        Source::Stored(m) => Arc::clone(m),
+        Source::Computed(_) => panic!("metric {name:?} already registered as a computed one"),
+    }
 }
 
 /// Named registry of metrics primitives.
 ///
 /// Register once at startup, record through the returned `Arc`s (the
-/// registry itself is never on a hot path), snapshot on demand.
+/// registry itself is never on a hot path), snapshot on demand. A
+/// `*_fn` name is worked out at snapshot time instead of recorded.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<RegistryInner>,
@@ -230,9 +265,9 @@ pub struct MetricsRegistry {
 
 #[derive(Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, Arc<Counter>>,
-    gauges: BTreeMap<String, GaugeSource>,
-    histograms: BTreeMap<String, Arc<ConcurrentHistogram>>,
+    counters: Sources<Counter>,
+    gauges: Sources<Gauge>,
+    histograms: Sources<ConcurrentHistogram>,
 }
 
 impl MetricsRegistry {
@@ -247,74 +282,62 @@ impl MetricsRegistry {
 
     /// Registers (or fetches, if the name exists) a counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(
-            self.lock()
-                .counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        stored(&mut self.lock().counters, name)
+    }
+
+    /// Registers a counter computed by `f` at snapshot time. Replaces
+    /// any previous counter of the same name.
+    pub fn counter_fn(&self, name: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
+        let computed = Source::Computed(Box::new(f));
+        self.lock().counters.insert(name.to_string(), computed);
     }
 
     /// Registers (or fetches) a stored gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.lock();
-        match inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| GaugeSource::Stored(Arc::new(Gauge::new())))
-        {
-            GaugeSource::Stored(g) => Arc::clone(g),
-            GaugeSource::Computed(_) => {
-                panic!("metric {name:?} already registered as a computed gauge")
-            }
-        }
+        stored(&mut self.lock().gauges, name)
     }
 
     /// Registers a gauge computed by `f` at snapshot time. Replaces any
-    /// previous computed gauge of the same name.
+    /// previous gauge of the same name.
     pub fn gauge_fn(&self, name: &str, f: impl Fn() -> i64 + Send + Sync + 'static) {
-        self.lock()
-            .gauges
-            .insert(name.to_string(), GaugeSource::Computed(Box::new(f)));
+        let computed = Source::Computed(Box::new(f));
+        self.lock().gauges.insert(name.to_string(), computed);
     }
 
     /// Registers (or fetches) a concurrent histogram.
     pub fn histogram(&self, name: &str) -> Arc<ConcurrentHistogram> {
-        Arc::clone(
-            self.lock()
-                .histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(ConcurrentHistogram::new())),
-        )
+        stored(&mut self.lock().histograms, name)
+    }
+
+    /// Registers a histogram computed by `f` at snapshot time (say, the
+    /// merge of others). Replaces any previous histogram of the same
+    /// name.
+    pub fn histogram_fn(&self, name: &str, f: impl Fn() -> Histogram + Send + Sync + 'static) {
+        let computed = Source::Computed(Box::new(f));
+        self.lock().histograms.insert(name.to_string(), computed);
     }
 
     /// Reads every metric into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| {
-                    let level = match v {
-                        GaugeSource::Stored(g) => g.get(),
-                        GaugeSource::Computed(f) => f(),
-                    };
-                    (k.clone(), level)
-                })
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, v)| (k.clone(), HistogramSummary::from_histogram(&v.snapshot())))
-                .collect(),
+            counters: read_all(&inner.counters, |v| v),
+            gauges: read_all(&inner.gauges, |v| v),
+            histograms: read_all(&inner.histograms, |h| HistogramSummary::from_histogram(&h)),
         }
     }
+}
+
+/// Reads every source in `sources` into what a snapshot keeps of it.
+fn read_all<M: Metric, V>(sources: &Sources<M>, keep: fn(M::Value) -> V) -> BTreeMap<String, V> {
+    let read = |source: &Source<M>| match source {
+        Source::Stored(m) => m.read(),
+        Source::Computed(f) => f(),
+    };
+    sources
+        .iter()
+        .map(|(name, source)| (name.clone(), keep(read(source))))
+        .collect()
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -396,27 +419,14 @@ impl MetricsSnapshot {
     /// Renders a human-readable table.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                out.push_str(&format!("  {name:<40} {v}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                out.push_str(&format!("  {name:<40} {v}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms (ns):\n");
-            for (name, h) in &self.histograms {
-                out.push_str(&format!(
-                    "  {name:<40} count={} mean={:.0} min={} p50={} p90={} p99={} p999={} max={}\n",
-                    h.count, h.mean, h.min, h.p50, h.p90, h.p99, h.p999, h.max
-                ));
-            }
-        }
+        text_section(&mut out, "counters:", &self.counters, u64::to_string);
+        text_section(&mut out, "gauges:", &self.gauges, i64::to_string);
+        text_section(&mut out, "histograms (ns):", &self.histograms, |h| {
+            format!(
+                "count={} mean={:.0} min={} p50={} p90={} p99={} p999={} max={}",
+                h.count, h.mean, h.min, h.p50, h.p90, h.p99, h.p999, h.max
+            )
+        });
         if out.is_empty() {
             out.push_str("(no metrics registered)\n");
         }
@@ -426,43 +436,52 @@ impl MetricsSnapshot {
     /// Renders a single JSON object:
     /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
     pub fn to_json(&self) -> String {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v))
-            .collect::<Vec<_>>()
-            .join(",");
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{}", json::escape(k), v))
-            .collect::<Vec<_>>()
-            .join(",");
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{}\":{{\"count\":{},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\
-                     \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-                    json::escape(k),
-                    h.count,
-                    h.sum,
-                    json_f64(h.mean),
-                    h.min,
-                    h.max,
-                    h.p50,
-                    h.p90,
-                    h.p99,
-                    h.p999
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
+        let counters = json_members(&self.counters, u64::to_string);
+        let gauges = json_members(&self.gauges, i64::to_string);
+        let histograms = json_members(&self.histograms, |h| {
+            format!(
+                "{{\"count\":{},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\
+                 \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
+                h.count,
+                h.sum,
+                json_f64(h.mean),
+                h.min,
+                h.max,
+                h.p50,
+                h.p90,
+                h.p99,
+                h.p999
+            )
+        });
         format!(
             "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}}}}"
         )
     }
+}
+
+/// Appends `title` and one `name value` line per row, when there are
+/// rows.
+fn text_section<V>(
+    out: &mut String,
+    title: &str,
+    rows: &BTreeMap<String, V>,
+    value: fn(&V) -> String,
+) {
+    if !rows.is_empty() {
+        out.push_str(title);
+        out.push('\n');
+        for (name, v) in rows {
+            out.push_str(&format!("  {name:<40} {}\n", value(v)));
+        }
+    }
+}
+
+/// The rows as comma-separated JSON object members.
+fn json_members<V>(rows: &BTreeMap<String, V>, value: fn(&V) -> String) -> String {
+    rows.iter()
+        .map(|(name, v)| format!("\"{}\":{}", json::escape(name), value(v)))
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 #[cfg(test)]
@@ -471,16 +490,16 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_roundtrip() {
-        let c = Counter::new();
+        let c = Counter::default();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
 
-        let g = Gauge::new();
+        let g = Gauge::default();
         g.add(10);
         g.add(5);
         g.sub(3);
-        assert_eq!(g.get(), 12);
+        assert_eq!(g.read(), 12);
     }
 
     #[test]
@@ -511,12 +530,23 @@ mod tests {
         let lat = reg.histogram("op.get.latency");
         lat.record(100);
         lat.record(200);
+        let counted = Arc::clone(&lat);
+        reg.counter_fn("db.gets", move || counted.count());
+        let merged = Arc::clone(&lat);
+        reg.histogram_fn("op.twice", move || {
+            let mut h = merged.snapshot();
+            h.merge(&merged.snapshot());
+            h
+        });
 
         let snap = reg.snapshot();
         assert_eq!(snap.counters["db.ops"], 7);
         assert_eq!(snap.gauges["queue.depth"], 3);
         assert_eq!(snap.gauges["answer"], 42);
         assert_eq!(snap.histograms["op.get.latency"].count, 2);
+        assert_eq!(snap.counters["db.gets"], 2);
+        assert_eq!(snap.histograms["op.twice"].count, 4);
+        assert_eq!(snap.histograms["op.twice"].max, 200);
 
         let text = snap.to_text();
         assert!(text.contains("db.ops"));

@@ -138,7 +138,7 @@ fn registry_counters_and_histograms_hammered_concurrently() {
 
 #[test]
 fn counter_add_is_lossless_across_threads() {
-    let c = Arc::new(Counter::new());
+    let c = Arc::new(Counter::default());
     std::thread::scope(|scope| {
         for _ in 0..8 {
             let c = Arc::clone(&c);

@@ -2,13 +2,14 @@
 //! logging semantics, the out-of-order log recovery rule (§4), and
 //! power loss repeated across reopen cycles.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Barrier};
 
-use clsm_repro::clsm::{Db, Job, Options};
+use clsm_repro::clsm::{Db, Job, Options, WriteBatch, WriteOptions};
 use clsm_repro::storage::filenames;
-use clsm_repro::util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
+use clsm_repro::util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_repro::util::Result;
 
 struct TempDir(std::path::PathBuf);
@@ -284,15 +285,40 @@ impl Env for ManifestFailpoint {
     }
 }
 
-/// Power loss between a flush's WAL rotation and its manifest commit,
-/// cycle after cycle. The manifest persists the file-number counter
-/// only at commits, so every reopen finds a live WAL numbered above
-/// what the manifest recorded; reusing that number for the new WAL
-/// truncates writes that exist nowhere else once the reopened store
-/// crashes again. A clean shutdown between cycles cannot show this:
-/// only repeated crashes do.
+/// Crashes repeated across reopen cycles keep every write a sync or a
+/// flush covered. A clean shutdown between cycles cannot show what
+/// this looks for: only repeated crashes do.
+///
+/// First a fixed scenario: power loss between a flush's WAL rotation
+/// and its manifest commit, four cycles in a row. Then [`CRASH_SEEDS`]
+/// seeds of [`SEEDED_CYCLES`] cycles each, where the seed picks the
+/// writes, the jobs and the operation the process dies at (see
+/// [`seeded_crash_cycles`]); each seed runs twice and must leave the
+/// same `FaultEnv::history()` both times.
 #[test]
 fn repeated_power_loss_cycles_keep_every_acked_write() {
+    manifest_commit_crash_cycles();
+    let mut endings = [0u32; 2];
+    for seed in CRASH_SEEDS {
+        let (history, crashed_mid_cycle) = seeded_crash_cycles(seed);
+        assert_eq!(
+            seeded_crash_cycles(seed).0,
+            history,
+            "seed {seed:#x}: the same seed must do the same I/O"
+        );
+        endings[0] += crashed_mid_cycle;
+        endings[1] += SEEDED_CYCLES - crashed_mid_cycle;
+    }
+    // Neither ending may be left untried by the seeds.
+    assert!(endings.iter().all(|&n| n > 0), "{endings:?}");
+}
+
+/// The manifest persists the file-number counter only at commits, so
+/// every reopen after a crash between a flush's WAL rotation and its
+/// manifest commit finds a live WAL numbered above what the manifest
+/// recorded; reusing that number for the new WAL truncates writes that
+/// exist nowhere else once the reopened store crashes again.
+fn manifest_commit_crash_cycles() {
     const CYCLES: u32 = 4;
     const MEMTABLE_BYTES: usize = 8 * 1024;
     let dir = Path::new("/power-loss-cycles");
@@ -375,6 +401,151 @@ fn repeated_power_loss_cycles_keep_every_acked_write() {
         fault.power_loss();
         acked.push(n);
     }
+}
+
+/// Seeds of the seeded crash cycles.
+const CRASH_SEEDS: [u64; 8] = [
+    0x5eed_0001,
+    0x5eed_0002,
+    0x5eed_0003,
+    0x5eed_0004,
+    0x5eed_0005,
+    0x5eed_0006,
+    0x5eed_0007,
+    0x5eed_0008,
+];
+/// Crash cycles per seed.
+const SEEDED_CYCLES: u32 = 4;
+
+/// What one key may read back after a crash: the values written to it
+/// since the last reopen, oldest first (`None` a delete; a write that
+/// failed is here too, as its record may have reached the file), and
+/// how many of them a sync or a flush covered. The newest covered
+/// value, or one written after it, must read back; with none covered,
+/// so may nothing.
+struct Written {
+    values: Vec<Option<Vec<u8>>>,
+    covered: usize,
+}
+
+impl Written {
+    fn allows(&self, read: &Option<Vec<u8>>) -> bool {
+        (self.covered == 0 && read.is_none())
+            || self.values[self.covered.saturating_sub(1)..].contains(read)
+    }
+}
+
+/// One seed's crash cycles on a stepped store over a [`FaultEnv`]; returns
+/// the env's operation history and how many cycles the armed crash
+/// ended (the rest ended in power loss).
+///
+/// Each cycle reopens the store, checks every key against what was
+/// written and covered before the crash and `verify_integrity`, then
+/// runs 160 seeded steps: async puts, sync puts, deletes and the jobs
+/// that are due (WAL write, flush, compaction), over 48 keys. Two
+/// cycles in three arm `FaultEnv::crash_after(n)` first, at an
+/// operation `n` the seed picks from the next 128, and end at the step
+/// that fails; a cycle whose crash has not fired when its steps run out
+/// ends in power loss, dying at its next durable operation. Either way
+/// `FaultEnv::power_loss` then drops what was not synced, keeping a
+/// seeded torn tail.
+fn seeded_crash_cycles(seed: u64) -> (Vec<FaultOp>, u32) {
+    let dir = Path::new("/seeded-crash-cycles");
+    let fault = FaultEnv::new(seed);
+    let mut rng = seed;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let mut model: BTreeMap<Vec<u8>, Written> = BTreeMap::new();
+    let mut crashed_mid_cycle = 0;
+    for cycle in 0..=SEEDED_CYCLES {
+        let mut opts = Options::small_for_tests();
+        opts.memtable_bytes = 8 * 1024;
+        // Nothing drains between the steps, so pacing would only sleep.
+        opts.admission.enabled = false;
+        opts.store.env = Arc::new(fault.clone());
+        let db = Db::open_stepped(dir, opts).unwrap();
+        let ctx = format!("seed {seed:#x}, reopen {cycle}");
+        for (key, written) in &mut model {
+            let read = db.get(key).unwrap();
+            let text = |v: &Option<Vec<u8>>| {
+                v.as_deref()
+                    .map(|v| String::from_utf8_lossy(v).into_owned())
+            };
+            assert!(
+                written.allows(&read),
+                "{ctx}: {} reads {:?}, written {:?} with {} covered (report: {:?})",
+                String::from_utf8_lossy(key),
+                text(&read),
+                written.values.iter().map(text).collect::<Vec<_>>(),
+                written.covered,
+                db.recovery_report()
+            );
+            // What recovery found is on disk now, so a later crash must
+            // keep it.
+            *written = Written {
+                values: vec![read],
+                covered: 1,
+            };
+        }
+        db.verify_integrity()
+            .unwrap_or_else(|e| panic!("{ctx}: verify_integrity: {e}"));
+        if cycle == SEEDED_CYCLES {
+            break;
+        }
+
+        if next() % 3 != 0 {
+            fault.crash_after(1 + next() % 128);
+        }
+        for step in 0..160u32 {
+            let key = format!("k{:02}", next() % 48).into_bytes();
+            let roll = next() % 16;
+            let value = (roll < 12).then(|| {
+                let mut v = format!("{seed:x}-{cycle}-{step}-").into_bytes();
+                v.resize(100, b'.');
+                v
+            });
+            let result = match roll {
+                0..=12 => {
+                    let written = model.entry(key.clone()).or_insert(Written {
+                        values: Vec::new(),
+                        covered: 0,
+                    });
+                    written.values.push(value.clone());
+                    let sync = (10..12).contains(&roll);
+                    let batch = match &value {
+                        Some(v) => WriteBatch::single_put(&key, v),
+                        None => WriteBatch::single_delete(&key),
+                    };
+                    db.write(batch, &WriteOptions { sync }).map(|()| sync)
+                }
+                _ => match db.due_jobs().first() {
+                    Some(&job) => db.run_job(job).map(|ran| ran && job == Job::Flush),
+                    None => Ok(false),
+                },
+            };
+            match result {
+                // A sync covers every write acked before it; a flush
+                // commits every write so far to a table.
+                Ok(true) => model.values_mut().for_each(|w| w.covered = w.values.len()),
+                Ok(false) => {}
+                Err(e) => {
+                    assert!(fault.is_poisoned(), "{ctx}, step {step}: {e}");
+                    crashed_mid_cycle += 1;
+                    break;
+                }
+            }
+        }
+        if !fault.is_poisoned() {
+            fault.crash_after(1);
+        }
+        drop(db);
+        fault.power_loss();
+    }
+    (fault.history(), crashed_mid_cycle)
 }
 
 /// Several live WALs whose records interleave in timestamp order —
