@@ -233,14 +233,15 @@ pub fn dispatch(store: &dyn KvStore, sessions: &mut SnapshotSessions, req: Reque
 
     match req {
         Request::Get { key } => ok_or_err(store.get(&key), Response::Value),
-        Request::Put { key, value, opts } => ok_or_err(
-            store.write(WriteBatch::single_put(&key, &value), &opts),
-            |()| Response::Done,
-        ),
+        // The request owns its key and value: they move into the
+        // one-op batch, uncopied.
+        Request::Put { key, value, opts } => {
+            let batch = [(key, Some(value))].into_iter().collect();
+            ok_or_err(store.write(batch, &opts), |()| Response::Done)
+        }
         Request::Delete { key, opts } => {
-            ok_or_err(store.write(WriteBatch::single_delete(&key), &opts), |()| {
-                Response::Done
-            })
+            let batch = [(key, None)].into_iter().collect();
+            ok_or_err(store.write(batch, &opts), |()| Response::Done)
         }
         Request::Write { batch, opts } => ok_or_err(store.write(batch, &opts), |()| Response::Done),
         Request::PutIfAbsent { key, value } => {
@@ -399,6 +400,22 @@ mod tests {
             d(&store, &mut s, Request::Get { key: b"a".to_vec() }),
             Response::Value(None)
         );
+    }
+
+    #[test]
+    fn a_wire_put_moves_its_key_and_value_into_the_store() {
+        let store = MemStore::default();
+        let (key, value) = (b"k".to_vec(), b"v".to_vec());
+        let buffers = (key.as_ptr(), value.as_ptr());
+        let put = Request::Put {
+            key,
+            value,
+            opts: WriteOptions::new(),
+        };
+        assert_eq!(d(&store, &mut SnapshotSessions::new(), put), Response::Done);
+        let map = store.map.lock().unwrap();
+        let (k, v) = map.first_key_value().unwrap();
+        assert_eq!((k.as_ptr(), v.as_ptr()), buffers, "dispatch copied the put");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   the in-process dispatch surface.
 //! - **Server** ([`server`]): a poll(2)-based event loop
 //!   (vendored-deps-only, so no `mio`) of N worker threads over
-//!   nonblocking sockets. Each worker tick drains every readable
+//!   nonblocking sockets; each worker accepts its own connections from
+//!   the shared listener. Each worker tick drains every readable
 //!   connection and dispatches the decoded requests one at a time, in
 //!   per-connection order, so a wire put is the store's own put; only
 //!   the responses are batched, one socket write per connection per

@@ -3,21 +3,28 @@
 //!
 //! ## Architecture
 //!
-//! One acceptor thread owns the listener and deals accepted
-//! connections to `NetOptions::workers` event-loop workers round-robin.
-//! Each worker runs a classic readiness loop:
+//! The server is `NetOptions::workers` threads. Each runs one readiness
+//! loop over the shared nonblocking listener and its own connections:
 //!
-//! 1. poll its connections (plus a 50 ms timeout so shutdown and
-//!    freshly dealt connections are noticed),
-//! 2. drain every readable socket into that connection's
+//! 1. poll the listener beside its connections, with a 50 ms timeout so
+//!    that shutdown is noticed (the server's only timer),
+//! 2. accept one connection if the listener is readable,
+//! 3. drain every readable socket into that connection's
 //!    [`FrameReader`],
-//! 3. decode and execute the completed frames,
-//! 4. flush response bytes, keeping `WouldBlock` remainders for the
-//!    next tick.
+//! 4. decode and execute the completed frames,
+//! 5. flush response bytes, keeping `WouldBlock` remainders for the
+//!    next tick, and drop the connections that are done.
+//!
+//! Every worker watches the listener, so a new connection wakes the
+//! idle workers and one of them takes it; the others see `WouldBlock`.
+//! Taking one connection a tick spreads a burst across the workers.
+//! `max_connections` is one shared count: a connection is kept only
+//! after a compare-and-swap takes a slot under it, and is otherwise
+//! closed at once and counted in `net.conn_refused`.
 //!
 //! ## Dispatch discipline
 //!
-//! Step 3 executes every request — reads and writes alike — on its
+//! Step 4 executes every request — reads and writes alike — on its
 //! own, in the order its connection sent it, through
 //! [`clsm_kv::api::dispatch`]. A wire `Put`/`Delete` is therefore
 //! Algorithm 2's shared-lock `put`, concurrent with every other writer
@@ -25,8 +32,8 @@
 //! asked for, takes the store's exclusive batch route. Requests are
 //! never merged across (or within) connections, so read-your-writes
 //! holds per connection by construction. What *is* batched per tick is
-//! the response side: every answer produced in step 3 is queued, and
-//! step 4 hands each connection's whole queue to one `write` call.
+//! the response side: every answer produced in step 4 is queued, and
+//! step 5 hands each connection's whole queue to one `write` call.
 //!
 //! ## Failure containment
 //!
@@ -36,21 +43,23 @@
 //! on the same worker are untouched. Store-level errors cross the wire
 //! as structured codes (see [`clsm_kv::api::WireError`]) and fail only
 //! their own request: a rejected put never fails the put decoded next
-//! to it.
+//! to it. A peer that half-closes still gets every answer before its
+//! socket closes; one that stops reading is cut once more than
+//! 16 × 256 KiB of answers wait for it.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use clsm_kv::api::{dispatch, Request, Response, SnapshotSessions};
 use clsm_kv::KvStore;
 use clsm_util::error::{Error, Result};
-use clsm_util::metrics::{ConcurrentHistogram, Counter, Gauge, MetricsRegistry};
+use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
 
 use crate::frame::{write_frame, FrameReader, READ_BUFFER_BYTES};
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
@@ -65,6 +74,10 @@ const WRITE_BUFFER_BYTES: usize = 256 * 1024;
 /// is not draining its responses is closed as a slow consumer.
 const SLOW_CONSUMER_MULTIPLE: usize = 16;
 
+/// How long a worker waits in poll(2): the bound on how late it
+/// notices shutdown.
+const POLL_TIMEOUT_MS: i32 = 50;
+
 /// Starts serving `store` per `opts`; returns once the listener is
 /// bound and workers are running.
 pub fn serve(store: Arc<dyn KvStore>, opts: &NetOptions) -> Result<ServerHandle> {
@@ -73,53 +86,62 @@ pub fn serve(store: Arc<dyn KvStore>, opts: &NetOptions) -> Result<ServerHandle>
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let registry = Arc::new(MetricsRegistry::new());
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let registry = MetricsRegistry::new();
     let live_conns = Arc::new(AtomicUsize::new(0));
-
-    let mut threads = Vec::with_capacity(opts.workers + 1);
-    let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(opts.workers);
-    for w in 0..opts.workers {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        let worker = Worker::new(
-            Arc::clone(&store),
-            opts.clone(),
-            Arc::clone(&registry),
-            Arc::clone(&shutdown),
-            Arc::clone(&live_conns),
-            rx,
-        );
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("clsm-net-worker-{w}"))
-                .spawn(move || worker.run())
-                .map_err(Error::from)?,
-        );
-    }
-
-    let acceptor = Acceptor {
+    let live = Arc::clone(&live_conns);
+    registry.gauge_fn("net.connections", move || {
+        live.load(Ordering::Relaxed) as i64
+    });
+    let shared = Arc::new(Shared {
+        store,
         listener,
-        senders,
-        opts: opts.clone(),
-        shutdown: Arc::clone(&shutdown),
+        max_connections: opts.max_connections,
+        max_frame_bytes: opts.max_frame_bytes,
+        shutdown: AtomicBool::new(false),
         live_conns,
         accepts: registry.counter("net.accepts"),
         refused: registry.counter("net.conn_refused"),
-    };
-    threads.push(
-        std::thread::Builder::new()
-            .name("clsm-net-acceptor".to_string())
-            .spawn(move || acceptor.run())
-            .map_err(Error::from)?,
-    );
-
-    Ok(ServerHandle {
-        addr,
-        shutdown,
-        threads,
+        requests: registry.counter("net.requests"),
+        protocol_errors: registry.counter("net.protocol_errors"),
+        bytes_read: registry.counter("net.bytes_read"),
+        bytes_written: registry.counter("net.bytes_written"),
         registry,
-    })
+    });
+
+    // A failed spawn drops the handle, which stops and joins the
+    // workers already running.
+    let mut handle = ServerHandle {
+        addr,
+        shared,
+        threads: Vec::with_capacity(opts.workers),
+    };
+    for w in 0..opts.workers {
+        let worker = Worker::new(Arc::clone(&handle.shared));
+        let thread = std::thread::Builder::new()
+            .name(format!("clsm-net-worker-{w}"))
+            .spawn(move || worker.run())?;
+        handle.threads.push(thread);
+    }
+    Ok(handle)
+}
+
+/// What every worker shares: the store, the listener, the connection
+/// count and the `net.*` metrics.
+struct Shared {
+    store: Arc<dyn KvStore>,
+    listener: TcpListener,
+    max_connections: usize,
+    max_frame_bytes: usize,
+    shutdown: AtomicBool,
+    /// Kept connections; `net.connections` reads it.
+    live_conns: Arc<AtomicUsize>,
+    registry: MetricsRegistry,
+    accepts: Arc<Counter>,
+    refused: Arc<Counter>,
+    requests: Arc<Counter>,
+    protocol_errors: Arc<Counter>,
+    bytes_read: Arc<Counter>,
+    bytes_written: Arc<Counter>,
 }
 
 /// A running server: the bound address plus the thread lifecycle.
@@ -127,16 +149,15 @@ pub fn serve(store: Arc<dyn KvStore>, opts: &NetOptions) -> Result<ServerHandle>
 /// Dropping the handle shuts the server down and joins its threads.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
-    registry: Arc<MetricsRegistry>,
 }
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("shut_down", &self.shutdown.load(Ordering::Relaxed))
+            .field("shut_down", &self.shared.shutdown.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -149,7 +170,7 @@ impl ServerHandle {
 
     /// The server's `net.*` metrics registry.
     pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        &self.shared.registry
     }
 
     /// Blocks until the server stops (a client sent the shutdown
@@ -160,7 +181,7 @@ impl ServerHandle {
 
     /// Requests shutdown and joins all server threads.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::Relaxed);
         self.join_threads();
     }
 
@@ -173,64 +194,8 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::Relaxed);
         self.join_threads();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Acceptor.
-// ---------------------------------------------------------------------
-
-struct Acceptor {
-    listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
-    opts: NetOptions,
-    shutdown: Arc<AtomicBool>,
-    live_conns: Arc<AtomicUsize>,
-    accepts: Arc<Counter>,
-    refused: Arc<Counter>,
-}
-
-impl Acceptor {
-    fn run(self) {
-        use std::os::fd::AsRawFd;
-        let mut next = 0usize;
-        let mut fds = [PollFd::new(self.listener.as_raw_fd(), POLLIN)];
-        while !self.shutdown.load(Ordering::Relaxed) {
-            let _ = poll_fds(&mut fds, 100);
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if self.live_conns.load(Ordering::Relaxed) >= self.opts.max_connections {
-                            // At capacity: refuse by closing immediately.
-                            self.refused.inc();
-                            drop(stream);
-                            continue;
-                        }
-                        let _ = stream.set_nodelay(true);
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        self.accepts.inc();
-                        self.live_conns.fetch_add(1, Ordering::Relaxed);
-                        // Round-robin deal; a worker that exited means
-                        // the server is shutting down anyway.
-                        if self.senders[next % self.senders.len()]
-                            .send(stream)
-                            .is_err()
-                        {
-                            self.live_conns.fetch_sub(1, Ordering::Relaxed);
-                            return;
-                        }
-                        next = next.wrapping_add(1);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => return,
-                }
-            }
-        }
     }
 }
 
@@ -246,6 +211,9 @@ struct Conn {
     out: Vec<u8>,
     /// Write cursor into `out`.
     out_pos: usize,
+    /// The peer sent end-of-stream: nothing more to read, but its
+    /// answers are still owed.
+    eof: bool,
     dead: bool,
 }
 
@@ -257,6 +225,11 @@ impl Conn {
     fn pending_out(&self) -> usize {
         self.out.len() - self.out_pos
     }
+
+    /// Closed, or half-closed by the peer with every answer written.
+    fn done(&self) -> bool {
+        self.dead || (self.eof && self.pending_out() == 0)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -264,69 +237,35 @@ impl Conn {
 // ---------------------------------------------------------------------
 
 struct Worker {
-    store: Arc<dyn KvStore>,
-    opts: NetOptions,
-    registry: Arc<MetricsRegistry>,
-    shutdown: Arc<AtomicBool>,
-    live_conns: Arc<AtomicUsize>,
-    incoming: Receiver<TcpStream>,
+    shared: Arc<Shared>,
     conns: Vec<Conn>,
-
-    // Metrics (registered once, recorded lock-free).
-    requests: Arc<Counter>,
-    responses: Arc<Counter>,
-    protocol_errors: Arc<Counter>,
-    bytes_read: Arc<Counter>,
-    bytes_written: Arc<Counter>,
-    connections: Arc<Gauge>,
+    /// The poll set, refilled every tick: the listener, then `conns`.
+    fds: Vec<PollFd>,
+    /// The buffer every socket read lands in.
+    chunk: Box<[u8]>,
     op_latency: HashMap<&'static str, Arc<ConcurrentHistogram>>,
 }
 
 impl Worker {
-    fn new(
-        store: Arc<dyn KvStore>,
-        opts: NetOptions,
-        registry: Arc<MetricsRegistry>,
-        shutdown: Arc<AtomicBool>,
-        live_conns: Arc<AtomicUsize>,
-        incoming: Receiver<TcpStream>,
-    ) -> Self {
-        let requests = registry.counter("net.requests");
-        let responses = registry.counter("net.responses");
-        let protocol_errors = registry.counter("net.protocol_errors");
-        let bytes_read = registry.counter("net.bytes_read");
-        let bytes_written = registry.counter("net.bytes_written");
-        let connections = registry.gauge("net.connections");
+    fn new(shared: Arc<Shared>) -> Self {
         Worker {
-            store,
-            opts,
-            registry,
-            shutdown,
-            live_conns,
-            incoming,
+            shared,
             conns: Vec::new(),
-            requests,
-            responses,
-            protocol_errors,
-            bytes_read,
-            bytes_written,
-            connections,
+            fds: Vec::new(),
+            chunk: vec![0u8; READ_BUFFER_BYTES].into_boxed_slice(),
             op_latency: HashMap::new(),
         }
     }
 
     fn run(mut self) {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            self.adopt_new_conns();
-            if self.conns.is_empty() {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                continue;
+        while !self.shared.shutdown.load(Ordering::Relaxed) {
+            if self.poll() {
+                self.accept();
             }
-            self.poll_conns();
             self.read_ready();
             self.process_frames();
             self.flush_writes();
-            self.reap_dead();
+            self.reap_done();
         }
         // Graceful exit: give queued responses (e.g. the shutdown ack)
         // a brief chance to drain before the sockets close.
@@ -335,76 +274,80 @@ impl Worker {
             if self.conns.iter().all(|c| c.pending_out() == 0 || c.dead) {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            std::thread::sleep(Duration::from_millis(5));
         }
-        let remaining = self.conns.len();
-        if remaining > 0 {
-            self.live_conns.fetch_sub(remaining, Ordering::Relaxed);
-            self.connections.sub(remaining as i64);
-        }
+        self.shared
+            .live_conns
+            .fetch_sub(self.conns.len(), Ordering::Relaxed);
     }
 
-    fn adopt_new_conns(&mut self) {
-        loop {
-            match self.incoming.try_recv() {
-                Ok(stream) => {
-                    self.connections.add(1);
-                    self.conns.push(Conn {
-                        stream,
-                        frames: FrameReader::new(self.opts.max_frame_bytes),
-                        sessions: SnapshotSessions::new(),
-                        out: Vec::new(),
-                        out_pos: 0,
-                        dead: false,
-                    });
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break,
+    /// Waits until the listener or a connection is ready, or the poll
+    /// times out; returns whether the listener is readable.
+    fn poll(&mut self) -> bool {
+        self.fds.clear();
+        self.fds
+            .push(PollFd::new(self.shared.listener.as_raw_fd(), POLLIN));
+        self.fds.extend(self.conns.iter().map(|c| {
+            let mut events = if c.eof { 0 } else { POLLIN };
+            if c.pending_out() > 0 {
+                events |= POLLOUT;
             }
-        }
+            PollFd::new(c.stream.as_raw_fd(), events)
+        }));
+        let _ = poll_fds(&mut self.fds, POLL_TIMEOUT_MS);
+        self.fds[0].revents != 0
     }
 
-    fn poll_conns(&mut self) {
-        use std::os::fd::AsRawFd;
-        let mut fds: Vec<PollFd> = self
-            .conns
-            .iter()
-            .map(|c| {
-                let mut events = POLLIN;
-                if c.pending_out() > 0 {
-                    events |= POLLOUT;
-                }
-                PollFd::new(c.stream.as_raw_fd(), events)
-            })
-            .collect();
-        let _ = poll_fds(&mut fds, 50);
+    /// Takes one pending connection, and keeps it if a slot under
+    /// `max_connections` is free.
+    fn accept(&mut self) {
+        let shared = &self.shared;
+        // `WouldBlock` means another worker took it; any other error
+        // belongs to that one pending connection.
+        let Ok((stream, _peer)) = shared.listener.accept() else {
+            return;
+        };
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let slot = shared
+            .live_conns
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < shared.max_connections).then_some(n + 1)
+            });
+        if slot.is_err() {
+            // At capacity: refuse by closing at once.
+            shared.refused.inc();
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        shared.accepts.inc();
+        self.conns.push(Conn {
+            stream,
+            frames: FrameReader::new(shared.max_frame_bytes),
+            sessions: SnapshotSessions::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            eof: false,
+            dead: false,
+        });
     }
 
     /// Drains every socket that has bytes (readiness was just polled,
     /// but reading everything nonblocking is correct regardless —
     /// `WouldBlock` simply ends a connection's drain).
     fn read_ready(&mut self) {
-        let mut chunk = vec![0u8; READ_BUFFER_BYTES];
         for conn in &mut self.conns {
-            if conn.dead {
-                continue;
-            }
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
+            while !conn.eof && !conn.dead {
+                match conn.stream.read(&mut self.chunk) {
+                    Ok(0) => conn.eof = true,
                     Ok(n) => {
-                        self.bytes_read.add(n as u64);
-                        conn.frames.feed(&chunk[..n]);
+                        self.shared.bytes_read.add(n as u64);
+                        conn.frames.feed(&self.chunk[..n]);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
+                    Err(_) => conn.dead = true,
                 }
             }
         }
@@ -413,34 +356,35 @@ impl Worker {
     /// Decodes and executes all complete frames, one request at a time.
     fn process_frames(&mut self) {
         for i in 0..self.conns.len() {
-            loop {
+            // A protocol violation marks the connection dead.
+            while !self.conns[i].dead {
                 let frame = match self.conns[i].frames.next_frame() {
                     Ok(Some(f)) => f,
                     Ok(None) => break,
                     Err(e) => {
                         self.fail_connection(i, &e);
-                        break;
+                        continue;
                     }
                 };
                 let (id, req) = match proto::decode_request(&frame) {
                     Ok(decoded) => decoded,
                     Err(e) => {
                         self.fail_connection(i, &e);
-                        break;
+                        continue;
                     }
                 };
-                self.requests.inc();
+                self.shared.requests.inc();
                 match req {
                     WireRequest::Shutdown => {
                         self.respond(i, id, &Response::Done);
-                        self.shutdown.store(true, Ordering::Relaxed);
+                        self.shared.shutdown.store(true, Ordering::Relaxed);
                     }
                     WireRequest::Op(Request::Stats) => {
                         let began = Instant::now();
                         let text = format!(
                             "{}{}",
-                            self.registry.snapshot().to_text(),
-                            self.store.stats().to_text()
+                            self.shared.registry.snapshot().to_text(),
+                            self.shared.store.stats().to_text()
                         );
                         self.respond(i, id, &Response::Stats(text));
                         self.record_latency("stats", began);
@@ -448,7 +392,8 @@ impl Worker {
                     WireRequest::Op(req) => {
                         let name = req.name();
                         let began = Instant::now();
-                        let resp = dispatch(self.store.as_ref(), &mut self.conns[i].sessions, req);
+                        let store = self.shared.store.as_ref();
+                        let resp = dispatch(store, &mut self.conns[i].sessions, req);
                         self.respond(i, id, &resp);
                         self.record_latency(name, began);
                     }
@@ -460,12 +405,11 @@ impl Worker {
     fn respond(&mut self, conn: usize, id: u64, resp: &Response) {
         let payload = proto::encode_response(id, resp);
         self.conns[conn].queue_frame(&payload);
-        self.responses.inc();
     }
 
     fn record_latency(&mut self, op: &'static str, began: Instant) {
         if !self.op_latency.contains_key(op) {
-            let hist = self.registry.histogram(&format!("net.op.{op}_ns"));
+            let hist = self.shared.registry.histogram(&format!("net.op.{op}_ns"));
             self.op_latency.insert(op, hist);
         }
         self.op_latency[op].record(began.elapsed().as_nanos() as u64);
@@ -474,7 +418,7 @@ impl Worker {
     /// Poisons one connection after a protocol violation: best-effort
     /// error frame, then close. Other connections are unaffected.
     fn fail_connection(&mut self, conn: usize, err: &Error) {
-        self.protocol_errors.inc();
+        self.shared.protocol_errors.inc();
         let payload = proto::encode_connection_error(err);
         let c = &mut self.conns[conn];
         c.queue_frame(&payload);
@@ -491,7 +435,7 @@ impl Worker {
                         break;
                     }
                     Ok(n) => {
-                        self.bytes_written.add(n as u64);
+                        self.shared.bytes_written.add(n as u64);
                         conn.out_pos += n;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -519,21 +463,16 @@ impl Worker {
         }
     }
 
-    /// Drops closed connections. `flush_writes` runs before this in
-    /// every tick, so a connection killed for a protocol violation has
-    /// already had one chance to push its final error frame out.
-    fn reap_dead(&mut self) {
-        let mut i = 0;
-        while i < self.conns.len() {
-            let c = &self.conns[i];
-            if c.dead {
-                let _ = c.stream.shutdown(std::net::Shutdown::Both);
-                self.conns.swap_remove(i);
-                self.live_conns.fetch_sub(1, Ordering::Relaxed);
-                self.connections.sub(1);
-            } else {
-                i += 1;
-            }
+    /// Drops the connections that are done. `flush_writes` runs before
+    /// this in every tick, so a connection killed for a protocol
+    /// violation has already had one chance to push its final error
+    /// frame out.
+    fn reap_done(&mut self) {
+        let before = self.conns.len();
+        self.conns.retain(|c| !c.done());
+        let reaped = before - self.conns.len();
+        if reaped > 0 {
+            self.shared.live_conns.fetch_sub(reaped, Ordering::Relaxed);
         }
     }
 }

@@ -21,9 +21,9 @@ use clsm_repro::clsm::{Db, KvStore, Options, ScanRange, WriteBatch, WriteOptions
 use clsm_repro::util::env::FaultEnv;
 use clsm_repro::util::error::ErrorKind;
 
-/// A store on an in-memory filesystem behind a two-worker server. The
-/// acceptor deals connections round-robin, so two connections land on
-/// two workers.
+/// A store on an in-memory filesystem behind a two-worker server. Each
+/// worker accepts its own connections, so two connections land on one
+/// worker or on two; the assertions hold either way.
 fn serve(dir: &str) -> (Arc<Db>, ServerHandle) {
     let mut opts = Options::small_for_tests();
     opts.store.env = Arc::new(FaultEnv::new(0x317e));
