@@ -1,4 +1,4 @@
-//! `clsm-doctor` — database and trace introspection CLI.
+//! `clsm-doctor` — database introspection CLI.
 //!
 //! Two modes:
 //!
@@ -11,17 +11,12 @@
 //!   an empty directory. `--crash-audit` prints the durability
 //!   forensics of the open instead: which WALs recovery replayed, how
 //!   many records came back, torn WAL tails and manifest damage.
-//! - `clsm-doctor --replay <trace.json>` parses a flight-recorder
-//!   artifact (the Chrome trace-format JSON written by the bench
-//!   binaries' `--trace` flag) and prints per-span duration
-//!   statistics, no running database required.
 //! - `clsm-doctor --connect HOST:PORT [--shutdown]` dials a running
 //!   `clsm-server` over the binary protocol, fetches its merged
 //!   metrics via the stats opcode (`net.*` counters, per-opcode
 //!   latency histograms, and the store's own registry), and prints
 //!   them. `--shutdown` then asks the server to exit cleanly.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -43,7 +38,6 @@ fn main() {
 fn run(argv: &[String]) -> Result<()> {
     let mut dir: Option<PathBuf> = None;
     let mut populate: u64 = 0;
-    let mut replay: Option<PathBuf> = None;
     let mut crash_audit = false;
     let mut watch_ms: Option<u64> = None;
     let mut watch_count: Option<u64> = None;
@@ -61,13 +55,6 @@ fn run(argv: &[String]) -> Result<()> {
                 );
             }
             "--shutdown" => shutdown = true,
-            "--replay" => {
-                replay = Some(PathBuf::from(
-                    iter.next()
-                        .map(String::as_str)
-                        .unwrap_or_else(|| usage("--replay needs a trace file")),
-                ));
-            }
             "--populate" => {
                 populate = iter
                     .next()
@@ -102,22 +89,21 @@ fn run(argv: &[String]) -> Result<()> {
     }
 
     if let Some(addr) = connect {
-        if dir.is_some() || replay.is_some() {
-            usage("--connect cannot be combined with <db-dir> or --replay");
+        if dir.is_some() {
+            usage("--connect cannot be combined with <db-dir>");
         }
         return connect_server(&addr, shutdown);
     }
     if shutdown {
         usage("--shutdown only makes sense with --connect");
     }
-    match (dir, replay) {
-        (None, Some(trace)) => replay_trace(&trace),
-        (Some(dir), None) if crash_audit => audit_db(&dir),
-        (Some(dir), None) => match watch_ms {
+    match dir {
+        Some(dir) if crash_audit => audit_db(&dir),
+        Some(dir) => match watch_ms {
             Some(ms) => watch_db(&dir, populate, ms, watch_count),
             None => examine_db(&dir, populate),
         },
-        _ => usage("pass exactly one of <db-dir>, --replay FILE, or --connect ADDR"),
+        None => usage("pass exactly one of <db-dir> or --connect ADDR"),
     }
 }
 
@@ -151,7 +137,6 @@ fn usage(msg: &str) -> ! {
         "usage: clsm-doctor <db-dir> [--populate N] [--crash-audit] \
          [--watch MS [--watch-count N]]"
     );
-    eprintln!("       clsm-doctor --replay <trace.json>");
     eprintln!("       clsm-doctor --connect HOST:PORT [--shutdown]");
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -280,95 +265,6 @@ fn populate_keys(populate: u64, mut put: impl FnMut(&[u8], &[u8]) -> Result<()>)
     Ok(())
 }
 
-/// Statistics accumulated per span name while replaying a trace file.
-#[derive(Default)]
-struct ReplayStat {
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
-    instants: u64,
-}
-
-/// Parses the one-event-per-line Chrome trace JSON and prints span
-/// statistics. The writer (`TraceSnapshot::to_chrome_json`) guarantees
-/// one self-contained object per line, so a field-scraping parser is
-/// enough — no JSON library in the workspace, none needed.
-fn replay_trace(path: &std::path::Path) -> Result<()> {
-    let text = std::fs::read_to_string(path)?;
-    // (tid, name) -> stack of open begin timestamps (ns).
-    let mut open: HashMap<(u64, String), Vec<u64>> = HashMap::new();
-    let mut stats: HashMap<String, ReplayStat> = HashMap::new();
-    let mut events = 0u64;
-    let mut threads = std::collections::HashSet::new();
-
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') {
-            continue;
-        }
-        let Some(ph) = str_field(line, "ph") else {
-            continue;
-        };
-        if ph == "M" {
-            continue; // metadata (process/thread names)
-        }
-        let Some(name) = str_field(line, "name") else {
-            continue;
-        };
-        let tid = num_field(line, "tid").unwrap_or(0.0) as u64;
-        let ts_ns = (num_field(line, "ts").unwrap_or(0.0) * 1000.0) as u64;
-        events += 1;
-        threads.insert(tid);
-        match ph.as_str() {
-            "B" => open.entry((tid, name)).or_default().push(ts_ns),
-            "E" => {
-                if let Some(begin) = open
-                    .get_mut(&(tid, name.clone()))
-                    .and_then(std::vec::Vec::pop)
-                {
-                    let d = ts_ns.saturating_sub(begin);
-                    let s = stats.entry(name).or_default();
-                    s.count += 1;
-                    s.total_ns += d;
-                    s.max_ns = s.max_ns.max(d);
-                }
-            }
-            "i" => stats.entry(name).or_default().instants += 1,
-            _ => {}
-        }
-    }
-
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "== clsm-doctor replay ==");
-    let _ = writeln!(
-        out,
-        "trace: {} ({} events, {} threads)",
-        path.display(),
-        events,
-        threads.len()
-    );
-    let mut rows: Vec<(String, ReplayStat)> = stats.into_iter().collect();
-    rows.sort_by_key(|r| std::cmp::Reverse(r.1.total_ns));
-    let _ = writeln!(
-        out,
-        "{:<36} {:>8} {:>12} {:>12} {:>9}",
-        "span", "count", "total", "max", "instants"
-    );
-    for (name, s) in rows {
-        let _ = writeln!(
-            out,
-            "{:<36} {:>8} {:>12} {:>12} {:>9}",
-            name,
-            s.count,
-            format!("{:.3?}", Duration::from_nanos(s.total_ns)),
-            format!("{:.3?}", Duration::from_nanos(s.max_ns)),
-            s.instants
-        );
-    }
-    print_all(&out)
-}
-
 /// Writes the report to stdout; a closed pipe (`clsm-doctor … | head`)
 /// is a normal way to consume the output, not an error.
 fn print_all(out: &str) -> Result<()> {
@@ -377,23 +273,4 @@ fn print_all(out: &str) -> Result<()> {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
         other => Ok(other?),
     }
-}
-
-/// Extracts `"key":"value"` from a single-line JSON object.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extracts `"key":<number>` from a single-line JSON object.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -28,9 +28,6 @@ pub struct BenchArgs {
     pub data_dir: PathBuf,
     /// RNG seed.
     pub seed: u64,
-    /// When set, the flight recorder runs for the whole sweep and a
-    /// Chrome-trace-format JSON (Perfetto-loadable) lands here.
-    pub trace: Option<PathBuf>,
     /// Repetitions per measured cell (`--repeat N`); binaries that
     /// honor it report the median rep, which tames scheduler noise on
     /// small machines.
@@ -46,7 +43,6 @@ impl Default for BenchArgs {
             out_dir: PathBuf::from("bench-results"),
             data_dir: std::env::temp_dir().join(format!("clsm-bench-{}", std::process::id())),
             seed: 0xc15a,
-            trace: None,
             repeat: 1,
         }
     }
@@ -88,11 +84,6 @@ pub fn parse_args() -> BenchArgs {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs a number"));
             }
-            "--trace" => {
-                args.trace = Some(PathBuf::from(
-                    iter.next().unwrap_or_else(|| usage("--trace needs a path")),
-                ));
-            }
             "--repeat" => {
                 args.repeat = iter
                     .next()
@@ -113,7 +104,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: fig* [--quick|--full] [--seconds N] [--threads 1,2,4,...] [--out DIR] [--seed N] \
-         [--trace FILE.json] [--repeat N]"
+         [--repeat N]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -206,10 +197,6 @@ pub fn sweep_threads(
         .map(|(_, label)| Table::new(&format!("{figure} — {label}"), "threads", columns.clone()))
         .collect();
 
-    if args.trace.is_some() {
-        clsm_util::trace::enable_default();
-    }
-
     for &sys in systems {
         let dir = args.scratch(&format!("{}-{}", figure_slug(figure), sys.name()))?;
         let store = sys.open(&dir, args.store_options())?;
@@ -245,29 +232,7 @@ pub fn sweep_threads(
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    if let Some(path) = &args.trace {
-        write_trace(path)?;
-    }
     Ok(tables)
-}
-
-/// Drains the flight recorder and writes the Chrome-trace JSON.
-fn write_trace(path: &std::path::Path) -> Result<()> {
-    let snap = clsm_util::trace::drain();
-    clsm_util::trace::disable();
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, snap.to_chrome_json())?;
-    eprintln!(
-        "wrote trace {} ({} events, {} dropped; load in https://ui.perfetto.dev)",
-        path.display(),
-        snap.events.len(),
-        snap.total_dropped()
-    );
-    Ok(())
 }
 
 /// Prints a system's metrics snapshot and persists it as JSON next to

@@ -179,14 +179,14 @@ pub(crate) struct FlowControl {
     /// Last flush's drain rate in bytes/s (0: none finished yet).
     flush_rate: AtomicU64,
     /// Bytes of the `P'm` being flushed (0: no flush in flight) and
-    /// when its flush started, in `trace::now_ns` time.
+    /// when its flush started, in `clock::now_ns` time.
     flush_bytes: AtomicU64,
     flush_started_ns: AtomicU64,
     /// Last L0→L1 compaction's drain rate in bytes/s (0: none yet).
     l0_rate: AtomicU64,
     clock: PacingClock,
     /// The current behind period — from `behind` leaving 0 to its
-    /// return — in `trace::now_ns` time: when it began, the pacing delay
+    /// return — in `clock::now_ns` time: when it began, the pacing delay
     /// charged in it, and whether it was reported as a slowdown.
     period_began_ns: AtomicU64,
     period_delay_ns: AtomicU64,
@@ -208,7 +208,7 @@ impl FlowControl {
         if on {
             if self.behind.fetch_or(bit, Ordering::Relaxed) == 0 {
                 self.period_began_ns
-                    .store(clsm_util::trace::now_ns(), Ordering::Relaxed);
+                    .store(clsm_util::clock::now_ns(), Ordering::Relaxed);
                 self.period_delay_ns.store(0, Ordering::Relaxed);
                 self.period_reported.store(false, Ordering::Relaxed);
             }
@@ -224,7 +224,7 @@ impl FlowControl {
     pub(crate) fn charge_delay(&self, delay_ns: u64) -> Option<(Duration, u64)> {
         let charged = self.period_delay_ns.fetch_add(delay_ns, Ordering::Relaxed) + delay_ns;
         let began = self.period_began_ns.load(Ordering::Relaxed);
-        let age = Duration::from_nanos(clsm_util::trace::now_ns().saturating_sub(began));
+        let age = Duration::from_nanos(clsm_util::clock::now_ns().saturating_sub(began));
         if age < SLOWDOWN_PERIOD || self.period_reported.swap(true, Ordering::Relaxed) {
             return None;
         }
@@ -235,7 +235,7 @@ impl FlowControl {
     /// `afterMerge`.
     pub(crate) fn flush_started(&self, bytes: u64) {
         self.flush_started_ns
-            .store(clsm_util::trace::now_ns(), Ordering::Relaxed);
+            .store(clsm_util::clock::now_ns(), Ordering::Relaxed);
         self.flush_bytes.store(bytes, Ordering::Relaxed);
         self.set(FLUSH_BEHIND, true);
     }
@@ -258,7 +258,7 @@ impl FlowControl {
             return last;
         }
         let started = self.flush_started_ns.load(Ordering::Relaxed);
-        let ran = clsm_util::trace::now_ns().saturating_sub(started);
+        let ran = clsm_util::clock::now_ns().saturating_sub(started);
         last.min(rate_of(bytes, Duration::from_nanos(ran)))
     }
 
@@ -299,7 +299,7 @@ impl FlowControl {
     pub(crate) fn reserve(&self, behind: u8, pm_fill: f64, bytes: u64) -> Duration {
         match self.binding(behind, pm_fill) {
             (_, 0) => Duration::ZERO,
-            (_, rate) => self.clock.reserve(clsm_util::trace::now_ns(), bytes, rate),
+            (_, rate) => self.clock.reserve(clsm_util::clock::now_ns(), bytes, rate),
         }
     }
 
@@ -408,7 +408,7 @@ mod tests {
                 let clock = std::sync::Arc::clone(&clock);
                 std::thread::spawn(move || {
                     for _ in 0..1024 {
-                        let wait = clock.reserve(clsm_util::trace::now_ns(), 1024, 32 << 20);
+                        let wait = clock.reserve(clsm_util::clock::now_ns(), 1024, 32 << 20);
                         std::thread::sleep(wait);
                     }
                 })

@@ -8,13 +8,13 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use clsm_util::clock::now_ns;
 use clsm_util::env::Env;
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, MetricsSnapshot};
 use clsm_util::oracle::{SnapshotRegistry, TimestampOracle};
 use clsm_util::rcu::RcuCell;
 use clsm_util::shared_lock::SharedExclusiveLock;
-use clsm_util::trace::{now_ns, TraceId};
 
 use clsm_kv::{WriteBatch, WriteOptions};
 use lsm_storage::compaction;
@@ -30,19 +30,6 @@ use crate::options::Options;
 use crate::snapshot::Snapshot;
 use crate::stats::DbMetrics;
 use crate::watchdog::{StallKind, Watchdog};
-
-/// Flight-recorder spans for the layers Algorithm 1/2 say matter: the
-/// put critical section (shared lock → getTS → log → insert →
-/// publish), the lock-free get, snapshot creation, the write stall,
-/// and the merge hooks' exclusive-lock holds.
-static T_PUT: TraceId = TraceId::new("clsm.put.critical");
-static T_WRITE_BATCH: TraceId = TraceId::new("clsm.write_batch.exclusive");
-static T_GET: TraceId = TraceId::new("clsm.get");
-static T_GET_SNAP: TraceId = TraceId::new("clsm.getSnap");
-static T_WRITE_STALL: TraceId = TraceId::new("clsm.write_stall");
-static T_BEFORE_MERGE: TraceId = TraceId::new("clsm.beforeMerge.exclusive");
-static T_AFTER_MERGE: TraceId = TraceId::new("clsm.afterMerge.exclusive");
-static T_MEMTABLE_ROTATE: TraceId = TraceId::new("clsm.memtable_rotate");
 
 /// The newest version of a key visible at a read time: `(ts,
 /// value-or-tombstone)`, plus whether it was found in the mutable
@@ -193,6 +180,13 @@ impl Db {
             let gauge = move || weak.upgrade().map_or(0, |i| read(&i));
             inner.metrics.registry.gauge_fn(name, gauge);
         }
+        let weak = Arc::downgrade(&inner);
+        inner
+            .metrics
+            .registry
+            .counter_fn("oracle.getts_rollbacks", move || {
+                weak.upgrade().map_or(0, |i| i.oracle.rollbacks())
+            });
 
         // A recovered tree may already be behind.
         inner.note_version();
@@ -296,7 +290,6 @@ impl Db {
             // carries the final timestamp — recovery orders replay by
             // timestamp, not log position, so logging after the insert
             // leaves the recovered image unchanged.
-            let _span = T_PUT.span_with(key.len() as u64);
             let _shared = inner.lock.lock_shared();
             // Attribution: one clock read per stage boundary. The
             // first `get_ts` is the stamp stage; a restamp after a
@@ -340,7 +333,6 @@ impl Db {
         let wp = &inner.metrics.write_path;
         let logged;
         {
-            let _span = T_WRITE_BATCH.span_with(batch.len() as u64);
             let _excl = inner.lock_exclusive();
             // Attribution: one clock read per stage boundary.
             let locked = now_ns();
@@ -379,7 +371,6 @@ impl Db {
     /// harmless.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let began = Instant::now();
-        let _span = T_GET.span();
         let result = self.inner.get_at(key, lsm_storage::format::MAX_TS);
         self.inner
             .metrics
@@ -430,10 +421,6 @@ impl Db {
             // The registry is read by `beforeMerge` under the exclusive
             // lock; registering under shared mode closes the race
             // between installing a handle and the merge observing it.
-            // The span covers the `Active`-min wait inside `get_snap`
-            // (which also records its own `oracle.getSnap.active_wait`
-            // sub-span when it actually waits).
-            let _span = T_GET_SNAP.span();
             let _shared = inner.lock.lock_shared();
             let ts = inner.oracle.get_snap();
             inner.snapshots.register(ts);
@@ -782,7 +769,6 @@ impl DbInner {
             return Ok(false);
         }
         let began = now_ns();
-        let stall_span = T_WRITE_STALL.span();
         self.metrics.write_stalls.inc();
         if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
             self.report_write_stall();
@@ -796,7 +782,6 @@ impl DbInner {
             self.jobs_cv.wait(&mut state);
         }
         drop(state);
-        drop(stall_span);
         let stalled_ns = now_ns().saturating_sub(began);
         self.metrics.write_stall_ns.add(stalled_ns);
         self.store.poisoned().map_or(Ok(true), Err)
@@ -855,10 +840,8 @@ impl DbInner {
         // exclusive lock. Order matters for lock-free readers:
         // P'm must point at the old data before Pm stops doing so.
         let (imm, new_wal, watermark) = {
-            // The span brackets both the wait for readers to drain and
-            // the hold itself — together they are the merge's write-path
-            // interference, the quantity §3.1 argues must stay tiny.
-            let _span = T_BEFORE_MERGE.span();
+            // The hold is the merge's write-path interference, the
+            // quantity §3.1 argues must stay tiny: `db.exclusive_hold_ns`.
             let _excl = self.lock_exclusive();
             let imm = match self.pm_prev.load() {
                 // A failed flush left `P'm` parked: merge it again.
@@ -868,7 +851,6 @@ impl DbInner {
                     if old.is_empty() {
                         return Ok(false);
                     }
-                    let _rotate = T_MEMTABLE_ROTATE.span_with(old.memory_usage() as u64);
                     // A new `P'm`, a new stall episode. Cleared before the
                     // (sequentially consistent) store that publishes `P'm`, so a
                     // writer that loads it and stalls sees the flag clear; a
@@ -902,7 +884,6 @@ impl DbInner {
         // is reachable via the disk pointer); dropping P'm last keeps
         // the read order `Pm → P'm → Pd` gap-free throughout.
         {
-            let _span = T_AFTER_MERGE.span();
             let _excl = self.lock_exclusive();
             self.pm_prev.store(None);
             self.flow.set(FLUSH_BEHIND, false);

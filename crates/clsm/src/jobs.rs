@@ -166,7 +166,6 @@ impl DbInner {
         if !self.store.maybe_compact(self.gc_watermark())? {
             return Ok(false);
         }
-        self.metrics.compactions.inc();
         let after = self.store.current_version();
         let l0_retired: u64 = l0_before
             .iter()

@@ -10,18 +10,10 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use clsm_util::error::{Error, Result};
-use clsm_util::trace::TraceId;
 
 use lsm_storage::wal::SyncMode;
 
 use crate::db::Db;
-
-/// Flight-recorder span over the whole RMW critical section (read →
-/// decide → conditional insert, including conflict retries).
-static T_RMW: TraceId = TraceId::new("clsm.rmw.critical");
-/// Flight-recorder event: one optimistic-conflict retry (Algorithm 3
-/// line 13). The argument carries the rolled-back timestamp.
-static T_RMW_CONFLICT: TraceId = TraceId::new("clsm.rmw.conflict");
 
 /// What a read-modify-write function wants done with the key.
 ///
@@ -75,7 +67,6 @@ impl Db {
         // Algorithm 3 line 2/16: the whole operation runs under the
         // shared lock, so the component pointers cannot swing between
         // the read (line 4) and the insert (line 12).
-        let _span = T_RMW.span_with(key.len() as u64);
         let _shared = inner.lock.lock_shared();
         loop {
             let (latest, in_mutable) = inner.lookup(key, lsm_storage::format::MAX_TS)?;
@@ -131,10 +122,8 @@ impl Db {
                 Err(_conflict) => {
                     // Algorithm 3 line 13: roll the timestamp back and
                     // retry with a fresh read.
-                    let ts = stamp.ts;
                     inner.oracle.publish(stamp);
                     inner.metrics.rmw_conflicts.inc();
-                    T_RMW_CONFLICT.instant(ts);
                 }
             }
         }

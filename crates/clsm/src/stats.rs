@@ -10,9 +10,10 @@
 //! Each number is recorded once. The operation counts (`db.puts`,
 //! `db.deletes`, `db.gets`, `db.rmw_ops`, `db.snapshots`) are the
 //! sample counts of their `op.*` latency histograms, `db.flushes` that
-//! of `storage.flush_ns`, and `write_path.total_ns` is the merge of
-//! the three write kinds' latencies; all seven are worked out when a
-//! snapshot is taken.
+//! of `storage.flush_ns`, `db.compactions` that of
+//! `storage.compaction_ns` (background and manual alike), and
+//! `write_path.total_ns` is the merge of the three write kinds'
+//! latencies; all eight are worked out when a snapshot is taken.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -36,7 +37,6 @@ pub(crate) struct DbMetrics {
 
     // -- event counters --
     pub(crate) rmw_conflicts: Arc<Counter>,
-    pub(crate) compactions: Arc<Counter>,
     /// Writes that hit the §5.3 hard stall (memtable full with a flush
     /// in flight). Zero while pacing keeps up.
     pub(crate) write_stalls: Arc<Counter>,
@@ -145,7 +145,6 @@ impl DbMetrics {
         let stage = |name: &str| registry.histogram(&stage_metric(name));
         let metrics = DbMetrics {
             rmw_conflicts: registry.counter("db.rmw_conflicts"),
-            compactions: registry.counter("db.compactions"),
             write_stalls: registry.counter("db.write_stalls"),
             put_latency: op("put"),
             get_latency: op("get"),
@@ -169,12 +168,15 @@ impl DbMetrics {
         };
         // Worked out at snapshot time from the histograms above, so an
         // operation records each number once. A batch counts as one
-        // put, the historical semantics of `db.puts`; a flush is one
-        // sample of the duration the store records when it attaches.
+        // put, the historical semantics of `db.puts`; a flush or a
+        // compaction is one sample of the duration the store records
+        // when it attaches.
         let m = &metrics;
         let flush_ns = registry.histogram("storage.flush_ns");
+        let compaction_ns = registry.histogram("storage.compaction_ns");
         let counts = [
             ("db.flushes", vec![&flush_ns]),
+            ("db.compactions", vec![&compaction_ns]),
             ("db.puts", vec![&m.put_latency, &m.write_batch_latency]),
             ("db.deletes", vec![&m.delete_latency]),
             ("db.gets", vec![&m.get_latency]),

@@ -23,12 +23,12 @@
 //!   hold when it ends. A hold still in progress, such as a hung hook,
 //!   is what [`Db::doctor`] reads on demand.
 //!
-//! Events land in three places: monotonic counters in the metrics
-//! registry (`watchdog.*`), instant events in the flight recorder
-//! (`watchdog.*`), and a small in-memory ring readable via
+//! Events land in two places: monotonic counters in the metrics
+//! registry (`watchdog.*`), and a small in-memory ring readable via
 //! [`Db::stall_events`] — which is what `clsm-doctor` prints as its
 //! verdicts. An event is in the ring by the time the call that caused
-//! it returns.
+//! it returns. Every exclusive hold, long or not, is also one sample of
+//! the `db.exclusive_hold_ns` histogram.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -36,20 +36,11 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use clsm_util::metrics::{Counter, MetricsRegistry};
+use clsm_util::clock::now_ns;
+use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
 use clsm_util::shared_lock::ExclusiveGuard;
-use clsm_util::trace::{self, TraceId};
 
 use crate::db::{Db, DbInner};
-
-/// Flight-recorder instants, one per kind in [`StallKind`] order; the
-/// argument carries the episode magnitude (memtable bytes, ns of delay,
-/// ns held).
-static TRACES: [TraceId; 3] = [
-    TraceId::new("watchdog.write_stall"),
-    TraceId::new("watchdog.sustained_slowdown"),
-    TraceId::new("watchdog.exclusive_hold"),
-];
 
 /// Which kind of episode was reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,8 +71,8 @@ impl std::fmt::Display for StallKind {
 pub struct StallEvent {
     /// Which kind of episode.
     pub kind: StallKind,
-    /// Trace-clock nanoseconds at the report (same clock as the flight
-    /// recorder, so events line up with trace spans).
+    /// [`now_ns`] at the report (the clock of every stage timing, so
+    /// events line up with the lock's hold stamps).
     pub at_ns: u64,
     /// Kind-dependent magnitude: memtable bytes (`WriteStall`),
     /// nanoseconds of pacing delay charged in the period
@@ -111,10 +102,13 @@ pub(crate) struct Watchdog {
     recent: Mutex<VecDeque<StallEvent>>,
     /// `watchdog.{kind}_events`, in [`StallKind`] order.
     counts: [Arc<Counter>; 3],
+    /// `db.exclusive_hold_ns`: every exclusive hold's length.
+    holds: Arc<ConcurrentHistogram>,
 }
 
 impl Watchdog {
-    /// Registers the watchdog counters and builds the event sink.
+    /// Registers the watchdog counters and the hold histogram and
+    /// builds the event sink.
     /// `watchdog.stall_events`, all kinds combined, is their sum.
     pub(crate) fn new(registry: &MetricsRegistry) -> Watchdog {
         let counts = ["write_stall", "sustained_slowdown", "exclusive_hold"]
@@ -126,17 +120,17 @@ impl Watchdog {
         Watchdog {
             recent: Mutex::new(VecDeque::with_capacity(HISTORY)),
             counts,
+            holds: registry.histogram("db.exclusive_hold_ns"),
         }
     }
 
-    /// Records one episode in all three sinks (metrics, trace, ring).
+    /// Records one episode in both sinks (metrics, ring).
     #[cold]
     pub(crate) fn report(&self, kind: StallKind, magnitude: u64, detail: String) {
         self.counts[kind as usize].inc();
-        TRACES[kind as usize].instant(magnitude);
         let event = StallEvent {
             kind,
-            at_ns: trace::now_ns(),
+            at_ns: now_ns(),
             magnitude,
             detail,
         };
@@ -155,7 +149,8 @@ impl Watchdog {
 
 /// An exclusive hold of the database's lock, from
 /// [`DbInner::lock_exclusive`]. Releases the lock on drop, after
-/// reporting the hold if it lasted [`EXCLUSIVE_HOLD_THRESHOLD`] or more.
+/// recording the hold's length and reporting the hold if it lasted
+/// [`EXCLUSIVE_HOLD_THRESHOLD`] or more.
 #[must_use = "the lock is released when the guard is dropped"]
 pub(crate) struct ExclusiveHold<'a> {
     inner: &'a DbInner,
@@ -169,7 +164,8 @@ impl Drop for ExclusiveHold<'_> {
         let Some(since) = self.inner.lock.exclusive_held_since_ns() else {
             return;
         };
-        let held_ns = trace::now_ns().saturating_sub(since);
+        let held_ns = now_ns().saturating_sub(since);
+        self.inner.watchdog.holds.record(held_ns);
         let held = Duration::from_nanos(held_ns);
         if is_long_hold(held) {
             self.inner.watchdog.report(

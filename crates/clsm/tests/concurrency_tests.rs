@@ -446,13 +446,27 @@ fn write_amp_grows_only_through_compaction() {
         levels.iter().filter(|&&n| n > 0).count() >= 2,
         "expected a multi-level store, got {levels:?}"
     );
-    let counter = |db: &Db| db.metrics().counters["storage.bytes_compacted"];
+    // Each read takes one registry snapshot: the byte counter, the
+    // compaction count and its duration histogram's sample count.
+    let counters = |db: &Db| {
+        let m = db.metrics();
+        let c = |name: &str| m.counters[name];
+        let timed = m.histograms["storage.compaction_ns"].count;
+        (c("storage.bytes_compacted"), c("db.compactions"), timed)
+    };
     // A manual compaction is accounted exactly like a background one:
-    // both byte counts grow, by the same amount.
-    let (amp_before, counter_before) = (db.write_amp().compacted, counter(&db));
+    // both byte counts grow, by the same amount, and so do both
+    // compaction counts.
+    let (amp_before, before) = (db.write_amp().compacted, counters(&db));
     db.compact_range(b"key000000", b"key999999").unwrap();
     let amp_grew = db.write_amp().compacted - amp_before;
-    let counter_grew = counter(&db) - counter_before;
+    let after = counters(&db);
     assert!(amp_grew > 0, "a manual merge wrote no compaction bytes");
-    assert_eq!(amp_grew, counter_grew);
+    assert_eq!(amp_grew, after.0 - before.0);
+    let (counted, timed) = (after.1 - before.1, after.2 - before.2);
+    assert!(timed > 0, "the manual merge was not timed");
+    assert_eq!(
+        counted, timed,
+        "db.compactions against storage.compaction_ns"
+    );
 }

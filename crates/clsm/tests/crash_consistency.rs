@@ -313,38 +313,44 @@ fn fault_poisoned(db: &Db) -> bool {
     db.get(b"\xffprobe").is_err()
 }
 
-/// Failpoints inside the flush/manifest path: a small memtable forces
-/// flushes mid-workload, so the sweep crosses memtable rotation,
-/// SSTable writes, manifest installs, and WAL retirement. Every
-/// synchronously acked put must survive whichever of those ops the
-/// crash lands on.
+/// Failpoints inside the flush/manifest path, crashed three times over:
+/// a small memtable forces flushes mid-workload, so the sweep crosses
+/// memtable rotation, SSTable writes, manifest installs, and WAL
+/// retirement. For every failpoint of one clean cycle, a run crashes
+/// there, loses power and reopens; then it goes on with fresh keys on
+/// the reopened store until a seeded later crash, twice more. Every
+/// synchronously acked put of every earlier cycle must survive each
+/// reopen, and a failpoint run again does the same I/O.
 ///
 /// The store runs no background threads: this thread runs each flush
 /// (and compaction) as soon as it falls due, and a last flush at the
-/// end, so every run performs the same operations in the same order
-/// and the crash lands exactly where the sweep puts it.
+/// end of each cycle, so every run performs the same operations in the
+/// same order and each crash lands exactly where the sweep puts it.
 #[test]
 fn crash_sweep_through_flushes() {
-    let dir = Path::new("/db");
+    const CRASHES: u8 = 3;
     let seed = 0xF1A5;
-    let keys: Vec<Vec<u8>> = (0..40u8).map(|i| vec![lead(i as usize), b'f', i]).collect();
+    let key = |cycle: u8, i: u8| vec![lead(i as usize), b'f', cycle, i];
+    let value = |cycle: u8, i: u8| value(&format!("f{cycle}-"), i as usize);
 
     let open = |fault: &FaultEnv| -> clsm_util::Result<Db> {
         let mut opts = Options::small_for_tests();
         opts.sync_writes = true;
         opts.memtable_bytes = 8 * 1024;
         opts.store.env = Arc::new(fault.clone());
-        Db::open_stepped(dir, opts)
+        Db::open_stepped(Path::new("/db"), opts)
     };
     let run_due_jobs = |db: &Db| {
         db.due_jobs()
             .into_iter()
             .try_for_each(|job| db.run_job(job).map(drop))
     };
-    let run = |db: &Db, fault: &FaultEnv| -> usize {
+    // One cycle: 40 fresh puts, each followed by the jobs it made due,
+    // then a last flush. Returns how many puts were acked.
+    let run = |db: &Db, fault: &FaultEnv, cycle: u8| -> u8 {
         let mut acked = 0;
-        for (i, key) in keys.iter().enumerate() {
-            if fault.is_poisoned() || db.put(key, &value("f", i)).is_err() {
+        for i in 0..40 {
+            if fault.is_poisoned() || db.put(&key(cycle, i), &value(cycle, i)).is_err() {
                 return acked;
             }
             acked += 1;
@@ -358,7 +364,7 @@ fn crash_sweep_through_flushes() {
 
     let clean = FaultEnv::new(seed);
     let db = open(&clean).unwrap();
-    assert_eq!(run(&db, &clean), keys.len());
+    assert_eq!(run(&db, &clean, 0), 40);
     assert!(!clean.is_poisoned());
     // Every put synced the WAL itself, so no log step is due either.
     assert!(db.due_jobs().is_empty(), "{:?}", db.due_jobs());
@@ -367,27 +373,67 @@ fn crash_sweep_through_flushes() {
         "the last flush left data behind"
     );
     drop(db);
-    let total_ops = clean.op_count();
+    let cycle_ops = clean.op_count();
 
-    for crash_at in 1..=total_ops {
+    // Three crashes from the first failpoint `first`; returns the env's
+    // history and how many of the seeded later crashes fired before
+    // their cycle ended.
+    let crash_cycles = |first: u64| -> (Vec<clsm_util::env::FaultOp>, u64) {
         let fault = FaultEnv::new(seed);
-        let db = open(&fault).unwrap();
-        fault.crash_after(crash_at);
-        let acked = run(&db, &fault);
-        drop(db);
+        let mut rng = seed ^ first.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut acked: Vec<u8> = Vec::new();
+        let mut fired = 0;
+        let mut db = open(&fault).unwrap();
+        for cycle in 0..CRASHES {
+            let crash_at = if cycle == 0 {
+                first
+            } else {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                1 + rng % cycle_ops
+            };
+            fault.crash_after(crash_at);
+            acked.push(run(&db, &fault, cycle));
+            fired += u64::from(cycle > 0 && fault.is_poisoned());
+            drop(db);
 
-        fault.power_loss();
-        let db = open(&fault)
-            .unwrap_or_else(|e| panic!("flush sweep: recovery failed at {crash_at}: {e}"));
-        for (i, key) in keys.iter().enumerate().take(acked) {
-            assert_eq!(
-                db.get(key).unwrap(),
-                Some(value("f", i)),
-                "flush sweep failpoint {crash_at}: acked key {i} lost \
-                 (report: {:?})",
-                db.recovery_report()
-            );
+            fault.power_loss();
+            db = open(&fault).unwrap_or_else(|e| {
+                panic!("failpoint {first}, crash {cycle} at {crash_at}: recovery failed: {e}")
+            });
+            for (earlier, &count) in (0..).zip(&acked) {
+                for i in 0..count {
+                    assert_eq!(
+                        db.get(&key(earlier, i)).unwrap(),
+                        Some(value(earlier, i)),
+                        "failpoint {first}, crash {cycle} at {crash_at}: acked key {i} \
+                         of cycle {earlier} lost (report: {:?})",
+                        db.recovery_report()
+                    );
+                }
+            }
         }
         drop(db);
+        (fault.history(), fired)
+    };
+
+    let mut later_crashes = 0;
+    for first in 1..=cycle_ops {
+        let (history, fired) = crash_cycles(first);
+        later_crashes += fired;
+        if first % 8 == 1 {
+            assert!(
+                crash_cycles(first).0 == history,
+                "failpoint {first}: the same seed did different I/O"
+            );
+        }
     }
+    // Most later crashes land inside their cycle; the rest are a power
+    // loss after its last flush.
+    assert!(
+        later_crashes > cycle_ops,
+        "only {later_crashes} of {} later crashes fired",
+        2 * cycle_ops
+    );
 }

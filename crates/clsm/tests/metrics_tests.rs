@@ -231,10 +231,17 @@ const BENCHMARK_HISTOGRAMS: [&str; 10] = [
     "storage.compaction_ns",
 ];
 
+/// Two numbers only this registry records for the paper: each
+/// exclusive hold's length (§3.1's short merge hooks) and `getTS`
+/// rollbacks (Algorithm 2's Figure 4 race).
+const EXCLUSIVE_HOLDS: &str = "db.exclusive_hold_ns";
+const GETTS_ROLLBACKS: &str = "oracle.getts_rollbacks";
+
 /// Every operation class once or more on a stepped store, flushes and
 /// a compaction included; then the registry must hold every name the
 /// benchmark reads, and each number reported under two names must be
 /// one record: an operation count is its latency histograms' count,
+/// a flush or compaction count that of its duration histogram,
 /// `write_path.total_ns` the merge of the three write kinds.
 #[test]
 fn every_derived_number_agrees_with_its_one_record() {
@@ -283,6 +290,8 @@ fn every_derived_number_agrees_with_its_one_record() {
     for name in BENCHMARK_HISTOGRAMS {
         assert!(m.histograms.contains_key(name), "histogram {name} missing");
     }
+    // One thread stamps every write, so no stamp can roll back.
+    assert_eq!(m.counters.get(GETTS_ROLLBACKS), Some(&0));
     for name in [
         "db.flushes",
         "db.compactions",
@@ -306,6 +315,8 @@ fn every_derived_number_agrees_with_its_one_record() {
         ("db.gets", count("op.get.latency_ns")),
         ("db.rmw_ops", count("op.rmw.latency_ns")),
         ("db.snapshots", count("op.snapshot.latency_ns")),
+        ("db.flushes", count("storage.flush_ns")),
+        ("db.compactions", count("storage.compaction_ns")),
     ];
     for (name, histograms) in derived {
         assert!(histograms > 0, "{name}: its histograms recorded nothing");
@@ -329,4 +340,7 @@ fn every_derived_number_agrees_with_its_one_record() {
         .map(|kind| m.counters[&format!("watchdog.{kind}_events")])
         .sum();
     assert_eq!(m.counters["watchdog.stall_events"], kinds);
+    // A flush holds the lock twice (`beforeMerge`, `afterMerge`), a
+    // multi-op batch once; a compaction never takes it.
+    assert_eq!(count(EXCLUSIVE_HOLDS), 3 * rounds);
 }

@@ -12,7 +12,8 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clsm::{Db, Job, Options, StallKind};
+use clsm::{Db, Job, Options, StallKind, WriteBatch, WriteOptions};
+use clsm_util::metrics::HistogramSummary;
 
 mod common;
 use common::FailTableWrites;
@@ -22,6 +23,11 @@ fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("clsm-stall-events-{}-{}", std::process::id(), name));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// `db.exclusive_hold_ns`: one sample per exclusive hold, long or not.
+fn hold_samples(db: &Db) -> HistogramSummary {
+    db.metrics().histograms["db.exclusive_hold_ns"].clone()
 }
 
 fn holds(db: &Db) -> Vec<clsm::StallEvent> {
@@ -62,6 +68,37 @@ fn injected_exclusive_hold_is_flagged() {
         .copied()
         .unwrap_or(0);
     assert_eq!(count, 1);
+    // So did the hold histogram, with the hold's length.
+    let samples = hold_samples(&db);
+    assert_eq!(samples.count, 1);
+    assert_eq!(samples.max, event.magnitude);
+
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_exclusive_hold_is_one_sample() {
+    let dir = scratch("hold-samples");
+    let db = Db::open_stepped(&dir, Options::small_for_tests()).unwrap();
+    // Single puts and gets take the lock shared: no sample.
+    db.put(b"k", b"v").unwrap();
+    assert_eq!(db.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+    assert_eq!(hold_samples(&db).count, 0);
+
+    // A flush holds it twice: `beforeMerge` and `afterMerge`.
+    assert!(db.run_job(Job::Flush).unwrap());
+    assert_eq!(hold_samples(&db).count, 2);
+
+    // A multi-op batch holds it once, however many ops it has.
+    let batch = [
+        (b"a".to_vec(), Some(b"1".to_vec())),
+        (b"b".to_vec(), Some(b"2".to_vec())),
+        (b"c".to_vec(), None),
+    ];
+    db.write(WriteBatch::from(&batch[..]), &WriteOptions::new())
+        .unwrap();
+    assert_eq!(hold_samples(&db).count, 3);
 
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,9 +1,9 @@
 //! The uniform key-value store interface of the cLSM evaluation.
 //!
 //! Every evaluated system — `clsm::Db` and each concurrency-control
-//! baseline — implements [`KvStore`], so the workload driver, trace
-//! replayer, and benchmark harness treat them as interchangeable trait
-//! objects. The trait lives in its own crate so that both the `clsm`
+//! baseline — implements [`KvStore`], so the workload driver, the
+//! history checker and the benchmark harness treat them as
+//! interchangeable trait objects. The trait lives in its own crate so that both the `clsm`
 //! crate (which implements it for `Db`) and the baselines crate can
 //! depend on it without a cycle.
 //!

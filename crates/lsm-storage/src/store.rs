@@ -20,16 +20,6 @@ use clsm_util::epoch;
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
 use clsm_util::rcu::RcuCell;
-use clsm_util::trace::TraceId;
-
-/// Flight-recorder spans of the disk substrate. The flush span and the
-/// per-stage compaction spans (argument = input level) are what makes
-/// a flush→compaction causal chain visible in a merged trace; the WAL
-/// spans time the logging queue from the writer's side.
-static T_FLUSH: TraceId = TraceId::new("storage.flush");
-static T_COMPACTION: TraceId = TraceId::new("storage.compaction");
-static T_WAL_APPEND: TraceId = TraceId::new("storage.wal.append");
-static T_WAL_SYNC: TraceId = TraceId::new("storage.wal.sync");
 
 use crate::cache::BlockCache;
 use crate::compaction::{self, CompactionTask};
@@ -347,7 +337,6 @@ impl Store {
     /// Appends a batch of writes to the WAL as one record, so a crash
     /// tears whole batches, never fractions of one.
     pub fn log(&self, batch: &[WriteRecord], mode: SyncMode) -> Result<()> {
-        let _span = T_WAL_APPEND.span();
         self.wal.append_with(
             |dst| {
                 for r in batch {
@@ -367,7 +356,6 @@ impl Store {
         writes: impl IntoIterator<Item = (u64, &'a [u8], Option<&'a [u8]>)>,
         mode: SyncMode,
     ) -> Result<()> {
-        let _span = T_WAL_APPEND.span();
         self.wal.append_with(
             |dst| {
                 for (ts, key, value) in writes {
@@ -428,12 +416,11 @@ impl Store {
     }
 
     /// Like [`sync_wal`](Self::sync_wal), but returns the
-    /// `trace::now_ns()` reading taken right after the covering fsync,
-    /// on whichever thread issued it — the instant durability was
-    /// reached. Write-path attribution uses it to bound the durable
+    /// [`now_ns`](clsm_util::clock::now_ns) reading taken right after
+    /// the covering fsync, on whichever thread issued it — the instant
+    /// durability was reached. Write-path attribution uses it to bound the durable
     /// stage by actual fsync completion.
     pub fn sync_wal_timed(&self) -> Result<u64> {
-        let _span = T_WAL_SYNC.span();
         let start = self.metrics.get().map(|_| Instant::now());
         let result = self.wal.sync_timed();
         if let (Some(m), Some(start)) = (self.metrics.get(), start) {
@@ -508,7 +495,6 @@ impl Store {
         retire_wals_below: u64,
     ) -> Result<()> {
         it.seek_to_first();
-        let _span = T_FLUSH.span_with(max_ts);
         let start = Instant::now();
         let committed = self.commit(|alloc| {
             let new_files = compaction::write_merged_tables(
@@ -568,7 +554,6 @@ impl Store {
         if !task.inputs_are_in(&self.current_version()) {
             return Ok(false);
         }
-        let _span = T_COMPACTION.span_with(task.level as u64);
         let start = Instant::now();
         let committed = self.commit(|alloc| {
             let edit = compaction::run(&task, &self.tables, &self.opts, watermark, alloc)?;

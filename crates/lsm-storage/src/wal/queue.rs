@@ -23,14 +23,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use clsm_util::clock::now_ns;
 use clsm_util::error::{Error, Result};
-use clsm_util::trace::{now_ns, TraceId};
 
 use super::LogWriter;
-
-/// Flight-recorder span around one WAL fsync, on the thread that issued
-/// it (argument = bytes of framed records written with it).
-static T_GROUP_COMMIT: TraceId = TraceId::new("storage.wal.group_commit");
 
 /// Longest the logger holds asynchronous records back to batch them.
 const BATCH_WINDOW: Duration = Duration::from_micros(500);
@@ -133,7 +129,6 @@ impl Shared {
             .and_then(|()| write_records(&mut file.writer, &batch))
             .and_then(|()| {
                 if sync {
-                    let _span = T_GROUP_COMMIT.span_with(batch.len() as u64);
                     file.writer.sync()
                 } else {
                     file.writer.flush()

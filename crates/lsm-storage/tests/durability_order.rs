@@ -16,7 +16,6 @@ use std::thread::ThreadId;
 
 use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_util::error::Result;
-use clsm_util::trace;
 use lsm_storage::iter::VecIterator;
 use lsm_storage::store::Store;
 use lsm_storage::wal::SyncMode;
@@ -283,23 +282,4 @@ fn power_loss_after_a_flush_or_a_compaction_keeps_every_acked_key() {
     let store = reopen_and_check(&fault, 1, "after a compaction");
     assert_eq!(store.level_file_counts()[0], 0);
     assert!(store.level_file_counts()[1] > 1);
-}
-
-/// The finisher is one short-lived thread per job, and the flight
-/// recorder keeps a ring for every thread that ever recorded an event:
-/// a finisher that recorded one would leak a ring per job.
-#[test]
-fn finishers_record_no_trace_events() {
-    trace::enable_default();
-    let (store, _) = Store::open(Path::new("/db"), opts(Arc::new(FaultEnv::new(0x7ace)))).unwrap();
-    log_and_flush(&store, 0);
-    log_and_flush(&store, 1);
-    compact_l0(&store);
-    let threads = trace::drain().threads;
-    assert!(
-        threads.iter().any(|t| t.recorded > 0),
-        "the jobs recorded nothing"
-    );
-    let finishers = threads.iter().filter(|t| t.name == "clsm-finisher");
-    assert_eq!(finishers.count(), 0, "{threads:?}");
 }

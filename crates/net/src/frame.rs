@@ -78,15 +78,9 @@ impl FrameReader {
         if self.poisoned {
             return Err(Error::protocol("frame stream previously failed"));
         }
-        let avail = self.buf.len() - self.pos;
-        if avail < LEN_PREFIX_BYTES {
+        let Some(len) = self.prefix() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + LEN_PREFIX_BYTES]
-                .try_into()
-                .expect("4 bytes checked above"),
-        ) as usize;
+        };
         if len < MIN_FRAME_BYTES {
             self.poisoned = true;
             return Err(Error::protocol(format!(
@@ -100,7 +94,7 @@ impl FrameReader {
                 self.max_frame_bytes
             )));
         }
-        if avail < LEN_PREFIX_BYTES + len {
+        if self.buf.len() - self.pos < LEN_PREFIX_BYTES + len {
             return Ok(None);
         }
         let start = self.pos + LEN_PREFIX_BYTES;
@@ -112,6 +106,23 @@ impl FrameReader {
             self.pos = 0;
         }
         Ok(Some(frame))
+    }
+
+    /// Whether [`next_frame`](Self::next_frame) has something to return
+    /// now, a frame or a framing error, rather than waiting for more
+    /// bytes.
+    pub(crate) fn has_frame(&self) -> bool {
+        let legal = MIN_FRAME_BYTES..=self.max_frame_bytes;
+        self.poisoned
+            || self.prefix().is_some_and(|len| {
+                !legal.contains(&len) || self.buf.len() - self.pos >= LEN_PREFIX_BYTES + len
+            })
+    }
+
+    /// The next frame's length prefix, once its four bytes are here.
+    fn prefix(&self) -> Option<usize> {
+        let bytes = self.buf.get(self.pos..self.pos + LEN_PREFIX_BYTES)?;
+        Some(u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize)
     }
 }
 
@@ -155,6 +166,7 @@ mod tests {
     fn oversized_prefix_fails_closed() {
         let mut r = FrameReader::new(1024);
         r.feed(&(4096u32).to_le_bytes());
+        assert!(r.has_frame(), "the error is there to report");
         let err = r.next_frame().unwrap_err();
         assert_eq!(err.kind(), clsm_util::error::ErrorKind::Protocol);
         // Poisoned: even valid bytes afterwards keep failing.
@@ -177,9 +189,12 @@ mod tests {
         write_frame(&mut wire, &payload(50));
         let mut r = FrameReader::new(1024);
         r.feed(&wire[..wire.len() - 1]);
+        assert!(!r.has_frame());
         assert_eq!(r.next_frame().unwrap(), None);
         r.feed(&wire[wire.len() - 1..]);
+        assert!(r.has_frame());
         assert_eq!(r.next_frame().unwrap().unwrap(), payload(50));
+        assert!(!r.has_frame());
     }
 
     #[test]

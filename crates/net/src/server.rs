@@ -44,8 +44,11 @@
 //! as structured codes (see [`clsm_kv::api::WireError`]) and fail only
 //! their own request: a rejected put never fails the put decoded next
 //! to it. A peer that half-closes still gets every answer before its
-//! socket closes; one that stops reading is cut once more than
-//! 16 × 256 KiB of answers wait for it.
+//! socket closes. A connection with more than 16 × 256 KiB of answers
+//! waiting runs no further request until its peer reads them, and is
+//! cut once a whole tick passes with it over that bound and its peer
+//! taking no byte: a peer that stops reading costs the server that
+//! bound, not its whole pipeline.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -73,6 +76,10 @@ const WRITE_BUFFER_BYTES: usize = 256 * 1024;
 /// Hard multiple of [`WRITE_BUFFER_BYTES`] past which a connection that
 /// is not draining its responses is closed as a slow consumer.
 const SLOW_CONSUMER_MULTIPLE: usize = 16;
+
+/// Answers a connection may have waiting before its next frame waits
+/// too: the slow-consumer bound.
+const MAX_PENDING_OUT: usize = WRITE_BUFFER_BYTES * SLOW_CONSUMER_MULTIPLE;
 
 /// How long a worker waits in poll(2): the bound on how late it
 /// notices shutdown.
@@ -211,6 +218,8 @@ struct Conn {
     out: Vec<u8>,
     /// Write cursor into `out`.
     out_pos: usize,
+    /// The last flush left more than [`MAX_PENDING_OUT`] waiting.
+    over_bound: bool,
     /// The peer sent end-of-stream: nothing more to read, but its
     /// answers are still owed.
     eof: bool,
@@ -226,9 +235,17 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
-    /// Closed, or half-closed by the peer with every answer written.
+    /// Whether its next request can run now: one has arrived whole (or
+    /// a framing error waits to be reported), and the answers already
+    /// waiting are within the slow-consumer bound.
+    fn runnable(&self) -> bool {
+        !self.dead && self.pending_out() <= MAX_PENDING_OUT && self.frames.has_frame()
+    }
+
+    /// Closed, or half-closed by the peer with every request run and
+    /// every answer written.
     fn done(&self) -> bool {
-        self.dead || (self.eof && self.pending_out() == 0)
+        self.dead || (self.eof && self.pending_out() == 0 && !self.frames.has_frame())
     }
 }
 
@@ -282,8 +299,14 @@ impl Worker {
     }
 
     /// Waits until the listener or a connection is ready, or the poll
-    /// times out; returns whether the listener is readable.
+    /// times out, without waiting while a request is runnable; returns
+    /// whether the listener is readable.
     fn poll(&mut self) -> bool {
+        let timeout = if self.conns.iter().any(Conn::runnable) {
+            0
+        } else {
+            POLL_TIMEOUT_MS
+        };
         self.fds.clear();
         self.fds
             .push(PollFd::new(self.shared.listener.as_raw_fd(), POLLIN));
@@ -294,7 +317,7 @@ impl Worker {
             }
             PollFd::new(c.stream.as_raw_fd(), events)
         }));
-        let _ = poll_fds(&mut self.fds, POLL_TIMEOUT_MS);
+        let _ = poll_fds(&mut self.fds, timeout);
         self.fds[0].revents != 0
     }
 
@@ -328,6 +351,7 @@ impl Worker {
             sessions: SnapshotSessions::new(),
             out: Vec::new(),
             out_pos: 0,
+            over_bound: false,
             eof: false,
             dead: false,
         });
@@ -353,11 +377,14 @@ impl Worker {
         }
     }
 
-    /// Decodes and executes all complete frames, one request at a time.
+    /// Decodes and executes the complete frames, one request at a time.
+    /// A connection whose waiting answers pass the slow-consumer bound
+    /// runs no more until the peer reads them; `flush_writes` cuts it
+    /// if it does not.
     fn process_frames(&mut self) {
         for i in 0..self.conns.len() {
             // A protocol violation marks the connection dead.
-            while !self.conns[i].dead {
+            while self.conns[i].runnable() {
                 let frame = match self.conns[i].frames.next_frame() {
                     Ok(Some(f)) => f,
                     Ok(None) => break,
@@ -425,9 +452,12 @@ impl Worker {
         c.dead = true;
     }
 
-    /// Writes as much queued output as each socket accepts.
+    /// Writes as much queued output as each socket accepts, and cuts a
+    /// connection that stayed over the slow-consumer bound a whole tick
+    /// with its peer taking no byte.
     fn flush_writes(&mut self) {
         for conn in &mut self.conns {
+            let waiting = conn.pending_out();
             while conn.pending_out() > 0 {
                 match conn.stream.write(&conn.out[conn.out_pos..]) {
                     Ok(0) => {
@@ -455,11 +485,12 @@ impl Worker {
                 conn.out.drain(..conn.out_pos);
                 conn.out_pos = 0;
             }
-            if conn.pending_out() > WRITE_BUFFER_BYTES * SLOW_CONSUMER_MULTIPLE {
-                // The peer is not reading its responses; cut it loose
-                // rather than buffering without bound.
+            // Over the bound since the last flush, no request ran, so
+            // an unchanged count means the peer took nothing.
+            if conn.over_bound && conn.pending_out() == waiting {
                 conn.dead = true;
             }
+            conn.over_bound = conn.pending_out() > MAX_PENDING_OUT;
         }
     }
 

@@ -477,6 +477,63 @@ fn a_client_that_never_reads_is_cut_and_its_neighbour_is_not() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The server's slow-consumer bound, 16 × 256 KiB of waiting answers.
+const MAX_PENDING_OUT: u64 = 4 << 20;
+
+#[test]
+fn a_client_that_never_reads_runs_only_a_bounded_pipeline() {
+    let dir = tempdir("bounded-pipeline");
+    {
+        let handle = serve_db(&dir, 1024);
+        let value = vec![9u8; 1024 * 1024];
+        let pool = connect_pool(handle.addr());
+        pool.put(b"mib", &value).unwrap();
+        wait_until("both pooled connections are kept", || {
+            live_connections(&handle) == 2
+        });
+        let gets = |handle: &ServerHandle| {
+            let m = handle.registry().snapshot();
+            m.histograms.get("net.op.get_ns").map_or(0, |h| h.count)
+        };
+        let accepts = counter(&handle, "net.accepts");
+        let written = counter(&handle, "net.bytes_written");
+
+        // 32 gets of 1 MiB in one write, never read: the server runs
+        // the next one only while the answers waiting fit under its
+        // bound. What it ran is what the socket took plus at most the
+        // bound and the one answer that crossed it.
+        let mut hog = raw_connect(handle.addr());
+        send_pipelined(&mut hog, &vec![get(b"mib"); 32]);
+        wait_until("the hog was accepted and cut", || {
+            counter(&handle, "net.accepts") == accepts + 1 && live_connections(&handle) == 2
+        });
+        let ran = gets(&handle);
+        let taken = counter(&handle, "net.bytes_written") - written;
+        assert!(
+            ran <= (taken + MAX_PENDING_OUT) / value.len() as u64 + 1,
+            "the server ran {ran} of the 32 gets for a client that never read \
+             (its socket took {taken} bytes)"
+        );
+        drop(hog);
+
+        // A client that reads gets every answer, in order, though it
+        // half-closes while most of its requests still wait to run.
+        let mut reader = raw_connect(handle.addr());
+        send_pipelined(&mut reader, &vec![get(b"mib"); 32]);
+        reader.shutdown(Shutdown::Write).unwrap();
+        let answers = read_responses(&mut reader, 32);
+        let ids: Vec<u64> = answers.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, (1..=32).collect::<Vec<u64>>());
+        for (_, resp) in answers {
+            assert_eq!(resp, Response::Value(Some(value.clone())));
+        }
+        assert!(read_responses(&mut reader, 1).is_empty());
+        drop(pool);
+        handle.shutdown();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn the_connection_limit_is_exact_and_a_freed_slot_is_reused() {
     let dir = tempdir("limit");

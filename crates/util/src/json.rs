@@ -1,5 +1,5 @@
 //! JSON string escaping for the hand-rendered reports (metrics
-//! snapshots, Chrome traces, checker verdicts).
+//! snapshots, checker verdicts).
 
 /// Escapes `s` for use between the quotes of a JSON string: `"` and
 /// `\` get a backslash, control characters become `\u00XX`.

@@ -21,15 +21,14 @@
 //!   (readers pin, writers defer destruction).
 //! - [`mod@env`] — the injectable storage environment ([`env::RealEnv`] for
 //!   production, [`env::FaultEnv`] for deterministic crash injection).
+//! - [`clock`] — `now_ns`, the one clock every timestamp and stage
+//!   timing of the observability layer reads.
 //! - [`bloom`], [`coding`], [`crc`] — encoding substrates for the disk
 //!   component (Bloom filters, varints, CRC32C).
 //! - [`histogram`] — latency histograms for the evaluation harness.
 //! - [`json`] — the one JSON string escaper of every hand-rendered report.
 //! - [`metrics`] — lock-free counters, gauges, and thread-striped
 //!   concurrent histograms behind the store's observability layer.
-//! - [`trace`] — the flight recorder: per-thread lock-free event rings
-//!   merged into a globally ordered stream, exportable as Chrome trace
-//!   JSON for `chrome://tracing` / Perfetto.
 //! - [`eventlog`] — per-thread buffered event logs with a shared
 //!   logical clock, the substrate of the `clsm-check` history recorder.
 
@@ -37,6 +36,7 @@
 
 pub mod arena;
 pub mod bloom;
+pub mod clock;
 pub mod coding;
 pub mod crc;
 pub mod env;
@@ -50,6 +50,5 @@ pub mod oracle;
 pub mod rcu;
 pub mod shared_lock;
 mod tid;
-pub mod trace;
 
 pub use error::{Error, Result};

@@ -22,15 +22,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
-use crate::trace::TraceId;
-
-/// Flight-recorder event: one `getTS` rollback retry (Figure 4's race
-/// taken). The argument carries the rolled-back timestamp.
-static T_GETTS_ROLLBACK: TraceId = TraceId::new("oracle.getTS.rollback");
-/// Flight-recorder span: `getSnap` waiting out in-flight writes at or
-/// below its chosen time (the `Active`-min wait).
-static T_SNAP_WAIT: TraceId = TraceId::new("oracle.getSnap.active_wait");
-
 /// Default number of slots in the active set (the size a database's
 /// oracle has); must comfortably exceed the number of concurrently
 /// writing threads. A write holds one slot from stamp to publish — a
@@ -201,6 +192,8 @@ pub struct TimestampOracle {
     /// and every write timestamp ever published exceeds it.
     snap_time: AtomicU64,
     active: ActiveSet,
+    /// `getTS` rollbacks (Figure 4's race taken), single and block.
+    rollbacks: AtomicU64,
 }
 
 impl Default for TimestampOracle {
@@ -216,6 +209,7 @@ impl TimestampOracle {
             time_counter: AtomicU64::new(0),
             snap_time: AtomicU64::new(0),
             active: ActiveSet::new(active_slots),
+            rollbacks: AtomicU64::new(0),
         }
     }
 
@@ -239,7 +233,7 @@ impl TimestampOracle {
                 // A snapshot has already been promised that no write at
                 // or below its time is in flight; roll back and retry.
                 self.active.remove(ticket);
-                T_GETTS_ROLLBACK.instant(ts);
+                self.rollbacks.fetch_add(1, Ordering::Relaxed);
             } else {
                 return WriteStamp { ts, ticket };
             }
@@ -272,7 +266,7 @@ impl TimestampOracle {
             let ticket = self.active.add(base);
             if base <= self.snap_time.load(Ordering::SeqCst) {
                 self.active.remove(ticket);
-                T_GETTS_ROLLBACK.instant(base);
+                self.rollbacks.fetch_add(1, Ordering::Relaxed);
             } else {
                 return BlockStamp {
                     base,
@@ -313,9 +307,6 @@ impl TimestampOracle {
         // Wait until every active write timestamp exceeds `snapTime`,
         // then return the validated `snapTime`.
         let mut spins = 0u32;
-        // Span only the waiting case: the common no-wait path records
-        // nothing.
-        let mut wait_span = None;
         loop {
             let snap = self.snap_time.load(Ordering::SeqCst);
             match self.active.find_min() {
@@ -323,9 +314,6 @@ impl TimestampOracle {
                     // An in-flight put at or below our snapshot time: it
                     // will either publish (making its write visible) or
                     // roll back. Either way we wait it out.
-                    if wait_span.is_none() {
-                        wait_span = Some(T_SNAP_WAIT.span_with(min));
-                    }
                     if spins < 64 {
                         spins += 1;
                         std::hint::spin_loop();
@@ -346,6 +334,12 @@ impl TimestampOracle {
     /// Current `snapTime` high-water mark.
     pub fn snap_time(&self) -> u64 {
         self.snap_time.load(Ordering::SeqCst)
+    }
+
+    /// How many times `getTS` (or a block) rolled back because a
+    /// snapshot had claimed its time: Figure 4's race, taken.
+    pub fn rollbacks(&self) -> u64 {
+        self.rollbacks.load(Ordering::Relaxed)
     }
 
     /// Direct access to the active set (used by tests and benches).
@@ -465,6 +459,21 @@ mod tests {
         let s = oracle.get_ts();
         assert!(s.ts > snap);
         oracle.publish(s);
+    }
+
+    #[test]
+    fn each_rollback_is_counted() {
+        // A snapshot promised time 3 while the counter was still at 0:
+        // stamps 1..=3 roll back, then the block's base 4..=5 does too.
+        let oracle = TimestampOracle::default();
+        oracle.snap_time.store(3, Ordering::SeqCst);
+        let s = oracle.get_ts();
+        assert_eq!((s.ts, oracle.rollbacks()), (4, 3));
+        oracle.publish(s);
+        oracle.snap_time.store(6, Ordering::SeqCst);
+        let block = oracle.get_ts_block(2);
+        assert_eq!((block.base, oracle.rollbacks()), (7, 4));
+        oracle.publish_block(block);
     }
 
     #[test]

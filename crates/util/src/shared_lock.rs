@@ -41,7 +41,7 @@ const SPINS_BEFORE_YIELD: u32 = 64;
 #[derive(Debug, Default)]
 pub struct SharedExclusiveLock {
     state: AtomicU64,
-    /// Trace-clock nanoseconds at which the current exclusive hold
+    /// [`now_ns`](crate::clock::now_ns) nanoseconds at which the current exclusive hold
     /// began, or 0 while not exclusively held. Read when a hold ends, to
     /// report a long one, and on demand by diagnostics; written only by
     /// exclusive lockers, so two relaxed stores per (rare) exclusive
@@ -114,7 +114,7 @@ impl SharedExclusiveLock {
             backoff(&mut spins);
         }
         self.excl_since_ns
-            .store(crate::trace::now_ns(), Ordering::Relaxed);
+            .store(crate::clock::now_ns(), Ordering::Relaxed);
         ExclusiveGuard { lock: self }
     }
 
@@ -124,11 +124,11 @@ impl SharedExclusiveLock {
     /// its consumer (a diagnostic report of a hold still in progress).
     pub fn exclusive_held_for(&self) -> Option<std::time::Duration> {
         self.exclusive_held_since_ns().map(|since| {
-            std::time::Duration::from_nanos(crate::trace::now_ns().saturating_sub(since))
+            std::time::Duration::from_nanos(crate::clock::now_ns().saturating_sub(since))
         })
     }
 
-    /// Trace-clock nanoseconds at which the current exclusive hold
+    /// [`now_ns`](crate::clock::now_ns) nanoseconds at which the current exclusive hold
     /// began, or `None` when not exclusively held. The value is stable
     /// for the duration of one hold, so its holder can read it just
     /// before releasing to learn how long the hold lasted.
