@@ -44,7 +44,8 @@ pub(crate) struct BaselineCore {
 
 impl BaselineCore {
     /// Opens the stack, replays the WAL, and spawns maintenance
-    /// threads.
+    /// threads. A failed spawn is returned as the error, once the
+    /// threads already started are stopped and joined.
     pub(crate) fn open(dir: &Path, opts: &Options) -> Result<(Arc<Self>, Vec<JoinHandle<()>>)> {
         let (store, recovered) = Store::open(dir, opts.store.clone())?;
         let mem = Arc::new(Memtable::new());
@@ -71,24 +72,27 @@ impl BaselineCore {
         });
 
         core.store.start_logger()?;
+        let compactors = (0..opts.compaction_threads).map(|i| {
+            (
+                format!("baseline-compact-{i}"),
+                compaction_worker as fn(Arc<Self>),
+            )
+        });
+        let threads = std::iter::once(("baseline-flush".to_owned(), flush_worker as fn(_)));
         let mut workers = Vec::new();
-        {
-            let core = Arc::clone(&core);
-            workers.push(
-                std::thread::Builder::new()
-                    .name("baseline-flush".into())
-                    .spawn(move || flush_worker(core))
-                    .expect("spawn flush worker"),
-            );
-        }
-        for i in 0..opts.compaction_threads {
-            let core = Arc::clone(&core);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("baseline-compact-{i}"))
-                    .spawn(move || compaction_worker(core))
-                    .expect("spawn compaction worker"),
-            );
+        for (name, work) in threads.chain(compactors) {
+            let worker = Arc::clone(&core);
+            match std::thread::Builder::new()
+                .name(name)
+                .spawn(move || work(worker))
+            {
+                Ok(handle) => workers.push(handle),
+                Err(e) => {
+                    // Stop and join the threads that did start.
+                    core.shutdown_and_join(&mut workers);
+                    return Err(e.into());
+                }
+            }
         }
         Ok((core, workers))
     }

@@ -235,29 +235,23 @@ pub fn sweep_threads(
     Ok(tables)
 }
 
-/// Prints a system's metrics snapshot and persists it as JSON next to
-/// the CSV artifacts. Systems without a metrics registry (the
-/// baselines) are skipped silently.
+/// Prints a system's metrics snapshot and persists its text as
+/// `<figure>-<system>.metrics.txt` next to the CSV artifacts. Systems
+/// without a metrics registry (the baselines) are skipped silently.
 pub(crate) fn emit_metrics(args: &BenchArgs, figure: &str, store: &dyn KvStore) -> Result<()> {
     let snapshot = store.stats();
     if snapshot.counters.is_empty() && snapshot.histograms.is_empty() {
         return Ok(());
     }
-    eprintln!(
-        "[{}] {} metrics:\n{}",
-        figure,
-        store.name(),
-        snapshot.to_text()
-    );
+    let text = snapshot.to_text();
+    eprintln!("[{}] {} metrics:\n{}", figure, store.name(), text);
     if let Some(wp) = clsm::render_write_path(&snapshot) {
         eprintln!("[{}] {} write path:\n{}", figure, store.name(), wp);
     }
-    let path = crate::report::write_metrics_json(
-        &args.out_dir,
-        &format!("{}-{}", figure_slug(figure), figure_slug(store.name())),
-        &snapshot,
-    )?;
-    println!("{} metrics: {}", store.name(), snapshot.to_json());
+    let name = format!("{}-{}", figure_slug(figure), figure_slug(store.name()));
+    std::fs::create_dir_all(&args.out_dir)?;
+    let path = args.out_dir.join(format!("{name}.metrics.txt"));
+    std::fs::write(&path, text)?;
     eprintln!("wrote {}", path.display());
     Ok(())
 }

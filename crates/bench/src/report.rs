@@ -121,19 +121,6 @@ fn format_value(v: f64) -> String {
     }
 }
 
-/// Writes a metrics snapshot as a JSON artifact:
-/// `dir/<name>.metrics.json`.
-pub(crate) fn write_metrics_json(
-    dir: &Path,
-    name: &str,
-    snapshot: &clsm_util::metrics::MetricsSnapshot,
-) -> Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.metrics.json"));
-    std::fs::write(&path, snapshot.to_json())?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,40 +72,22 @@ impl Default for AdmissionOptions {
     }
 }
 
-/// The merge stage that is behind, as the doctor reports it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Nothing is behind: writes are admitted unpaced.
-    None,
-    /// `P'm` is still being merged into L0.
-    Flush,
-    /// L0 holds 8 sorted runs or more, twice the 4 that make it due
-    /// (`lsm_storage::compaction::l0_is_behind`).
-    L0,
-}
-
-impl Stage {
-    /// Stable lower-case name (`none` / `flush` / `l0`).
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Stage::None => "none",
-            Stage::Flush => "flush",
-            Stage::L0 => "l0",
-        }
-    }
-}
-
-impl std::fmt::Display for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Bit of [`FlowControl::behind`] set while a flush is behind: `P'm` is
 /// present, or `Pm` is full and its flush has not started.
 pub(crate) const FLUSH_BEHIND: u8 = 1;
 /// Bit of [`FlowControl::behind`] set while L0 is too deep.
 pub(crate) const L0_BEHIND: u8 = 2;
+
+/// The name of the stage whose `behind` bit is `stage`, as the doctor
+/// and stall events print it: `none`, `flush` or `l0`. The bits are
+/// also the `admission.stage` gauge's values.
+pub(crate) fn stage_name(stage: u8) -> &'static str {
+    match stage {
+        FLUSH_BEHIND => "flush",
+        L0_BEHIND => "l0",
+        _ => "none",
+    }
+}
 
 /// Gain on `Pm`'s free fraction in the flush stage's rate (see the
 /// module documentation).
@@ -269,26 +251,26 @@ impl FlowControl {
             .store(rate_of(bytes, elapsed), Ordering::Relaxed);
     }
 
-    /// The stage whose rate binds under `behind`, and that rate in
-    /// bytes/s (0 when the stages behind have no measurement yet).
-    /// `pm_fill` is `Pm`'s bytes over its capacity; it scales the
-    /// flush stage's rate.
-    pub(crate) fn binding(&self, behind: u8, pm_fill: f64) -> (Stage, u64) {
+    /// The stage whose rate binds under `behind` (its `behind` bit, 0
+    /// when nothing is behind), and that rate in bytes/s (0 when the
+    /// stages behind have no measurement yet). `pm_fill` is `Pm`'s
+    /// bytes over its capacity; it scales the flush stage's rate.
+    pub(crate) fn binding(&self, behind: u8, pm_fill: f64) -> (u8, u64) {
         let flush = (behind & FLUSH_BEHIND != 0).then(|| {
             let share = (HEADROOM_GAIN * (1.0 - pm_fill)).max(MIN_FLUSH_SHARE);
             let rate = match self.flush_drain_rate() {
                 0 => 0,
                 drained => ((drained as f64 * share) as u64).max(1),
             };
-            (Stage::Flush, rate)
+            (FLUSH_BEHIND, rate)
         });
         let l0 =
-            (behind & L0_BEHIND != 0).then(|| (Stage::L0, self.l0_rate.load(Ordering::Relaxed)));
+            (behind & L0_BEHIND != 0).then(|| (L0_BEHIND, self.l0_rate.load(Ordering::Relaxed)));
         match (flush, l0) {
             (Some(f), Some(l)) if l.1 != 0 && (f.1 == 0 || l.1 < f.1) => l,
             (Some(f), _) => f,
             (None, Some(l)) => l,
-            (None, None) => (Stage::None, 0),
+            (None, None) => (0, 0),
         }
     }
 
@@ -325,38 +307,6 @@ fn rate_of(bytes: u64, elapsed: Duration) -> u64 {
     u64::try_from(u128::from(bytes) * 1_000_000_000 / ns)
         .unwrap_or(u64::MAX)
         .max(1)
-}
-
-/// A point-in-time view of write admission, for `clsm-doctor`. Its
-/// lifetime counts live in the metrics registry only:
-/// `admission.delayed_writes`, `admission.delay_ns` and
-/// `db.write_stalls`.
-#[derive(Debug, Clone)]
-pub struct AdmissionState {
-    /// Whether pacing is on ([`AdmissionOptions::enabled`]).
-    pub enabled: bool,
-    /// The stage behind whose rate binds (`none` when nothing is).
-    pub behind: Stage,
-    /// The rate writes are paced at, in bytes/s: that stage's measured
-    /// drain rate, scaled by `Pm`'s headroom for the flush stage (0:
-    /// nothing behind, or no job of the stage finished yet).
-    pub paced_bytes_per_sec: u64,
-    /// `Pm` is full while `P'm` is still merging: writes are in the
-    /// §5.3 hard stall.
-    pub stalled: bool,
-}
-
-impl AdmissionState {
-    /// The rung of the ladder writes are on: `open`, `paced` or `stall`.
-    pub(crate) fn ladder_rung(&self) -> &'static str {
-        if self.stalled {
-            "stall"
-        } else if self.enabled && self.paced_bytes_per_sec != 0 {
-            "paced"
-        } else {
-            "open"
-        }
-    }
 }
 
 #[cfg(test)]
@@ -428,16 +378,16 @@ mod tests {
     #[test]
     fn binding_stage_is_the_slower_measured_one() {
         let flow = FlowControl::default();
-        assert_eq!(flow.binding(0, 0.0), (Stage::None, 0));
+        assert_eq!(flow.binding(0, 0.0), (0, 0));
         // Behind but unmeasured: named, not paced.
-        assert_eq!(flow.binding(FLUSH_BEHIND, 0.5), (Stage::Flush, 0));
+        assert_eq!(flow.binding(FLUSH_BEHIND, 0.5), (FLUSH_BEHIND, 0));
         assert_eq!(flow.reserve(FLUSH_BEHIND, 0.5, 1 << 20), Duration::ZERO);
         flow.flush_drained(100 << 20, Duration::from_secs(1));
         flow.l0_drained(10 << 20, Duration::from_secs(1));
-        assert_eq!(flow.binding(L0_BEHIND, 0.5), (Stage::L0, 10 << 20));
+        assert_eq!(flow.binding(L0_BEHIND, 0.5), (L0_BEHIND, 10 << 20));
         assert_eq!(
             flow.binding(FLUSH_BEHIND | L0_BEHIND, 0.5),
-            (Stage::L0, 10 << 20)
+            (L0_BEHIND, 10 << 20)
         );
         flow.set(L0_BEHIND, true);
         flow.set(FLUSH_BEHIND, true);
@@ -480,7 +430,7 @@ mod tests {
         let flow = FlowControl::default();
         // The first flush: no finished job, so no rate yet.
         flow.flush_started(1 << 30);
-        assert_eq!(flow.binding(FLUSH_BEHIND, 0.5), (Stage::Flush, 0));
+        assert_eq!(flow.binding(FLUSH_BEHIND, 0.5), (FLUSH_BEHIND, 0));
         // A fast last flush does not lift the bound of a slow one.
         flow.flush_drained(1 << 20, Duration::from_nanos(1));
         flow.flush_started(1 << 20);
@@ -523,20 +473,5 @@ mod tests {
         assert_eq!(flow.charge_delay(5_000), None);
         std::thread::sleep(SLOWDOWN_PERIOD);
         assert_eq!(flow.charge_delay(6_000).map(|(_, c)| c), Some(11_000));
-    }
-
-    #[test]
-    fn ladder_rungs() {
-        let mk = |paced: u64, stalled: bool, enabled: bool| AdmissionState {
-            enabled,
-            behind: if paced == 0 { Stage::None } else { Stage::L0 },
-            paced_bytes_per_sec: paced,
-            stalled,
-        };
-        assert_eq!(mk(0, false, true).ladder_rung(), "open");
-        assert_eq!(mk(1 << 20, false, true).ladder_rung(), "paced");
-        assert_eq!(mk(1 << 20, false, false).ladder_rung(), "open");
-        assert_eq!(mk(1 << 20, true, true).ladder_rung(), "stall");
-        assert_eq!(mk(0, true, false).ladder_rung(), "stall");
     }
 }

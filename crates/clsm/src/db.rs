@@ -23,12 +23,12 @@ use lsm_storage::store::RecoveryReport;
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
-use crate::admission::{AdmissionState, FlowControl, FLUSH_BEHIND, L0_BEHIND};
+use crate::admission::{stage_name, FlowControl, FLUSH_BEHIND, L0_BEHIND};
 use crate::jobs::{spawn_workers, JobState};
 use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
-use crate::stats::DbMetrics;
+use crate::stats::{register_gauges, DbMetrics};
 use crate::watchdog::{StallKind, Watchdog};
 
 /// The newest version of a key visible at a read time: `(ts,
@@ -149,44 +149,11 @@ impl Db {
         });
 
         // One registry for the whole stack: the storage layer records
-        // its flush/compaction/WAL metrics into the same registry the
-        // DB-level counters live in, and the oracle-pressure gauges
-        // read derived state on demand. `Weak` avoids a cycle — the
-        // registry is owned by `DbInner`. A leaked `Snapshot` shows in
-        // `oracle.oldest_snapshot_age`, a leaked iterator in
-        // `storage.retired_table_bytes`.
+        // its flush/compaction/WAL metrics into the registry the
+        // DB-level ones live in, beside the gauges every number the
+        // doctor prints comes from.
         inner.store.attach_metrics(&inner.metrics.registry);
-        type Read = fn(&DbInner) -> i64;
-        let gauges: [(&str, Read); 8] = [
-            ("oracle.live_snapshots", |i| i.snapshots.len() as i64),
-            // In timestamps, that is, in writes; 0 with none live.
-            ("oracle.oldest_snapshot_age", |i| {
-                let oldest = i.snapshots.oldest();
-                oldest.map_or(0, |ts| i.oracle.current_time().saturating_sub(ts)) as i64
-            }),
-            ("storage.retired_table_bytes", |i| {
-                i.store.retired_table_bytes() as i64
-            }),
-            ("oracle.active_writes", |i| i.oracle.active().len() as i64),
-            ("oracle.snap_time", |i| i.oracle.snap_time() as i64),
-            ("db.memtable_bytes", |i| i.pm.load().memory_usage() as i64),
-            ("storage.l0_runs", |i| {
-                i.store.current_version().l0_runs().len() as i64
-            }),
-            ("db.read_only", |i| i64::from(i.store.poisoned().is_some())),
-        ];
-        for (name, read) in gauges {
-            let weak = Arc::downgrade(&inner);
-            let gauge = move || weak.upgrade().map_or(0, |i| read(&i));
-            inner.metrics.registry.gauge_fn(name, gauge);
-        }
-        let weak = Arc::downgrade(&inner);
-        inner
-            .metrics
-            .registry
-            .counter_fn("oracle.getts_rollbacks", move || {
-                weak.upgrade().map_or(0, |i| i.oracle.rollbacks())
-            });
+        register_gauges(&inner);
 
         // A recovered tree may already be behind.
         inner.note_version();
@@ -435,9 +402,10 @@ impl Db {
 
     /// A point-in-time view of every registered metric: operation
     /// counters (`db.*`), per-operation latency histograms (`op.*`),
-    /// storage-layer flush/compaction/WAL metrics (`storage.*`), and
-    /// oracle pressure gauges (`oracle.*`). Render with
-    /// [`MetricsSnapshot::to_text`] or [`MetricsSnapshot::to_json`].
+    /// storage-layer flush/compaction/WAL metrics and the tree's shape
+    /// (`storage.*`, `storage.level.<n>.{files,bytes}`), oracle state
+    /// (`oracle.*`) and write admission (`admission.*`). Render with
+    /// [`MetricsSnapshot::to_text`].
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics.registry.snapshot()
     }
@@ -635,17 +603,13 @@ impl DbInner {
         Ok((found, false))
     }
 
-    /// Write admission's current rung plus its lifetime counters, for
-    /// `clsm-doctor`.
-    pub(crate) fn admission_state(&self) -> AdmissionState {
+    /// The admission stage whose rate binds right now (see
+    /// [`FlowControl::binding`]) and the rate writes are paced at, 0
+    /// with pacing off: the `admission.*` gauges.
+    pub(crate) fn admission_binding(&self) -> (u8, u64) {
         let behind = self.flow.behind();
-        let (behind, paced_bytes_per_sec) = self.flow.binding(behind, self.pm_fill(behind));
-        AdmissionState {
-            enabled: self.opts.admission.enabled,
-            behind,
-            paced_bytes_per_sec,
-            stalled: self.write_stalled(),
-        }
+        let (stage, rate) = self.flow.binding(behind, self.pm_fill(behind));
+        (stage, rate * u64::from(self.opts.admission.enabled))
     }
 
     /// Write admission (see [`crate::admission`]): the gate every write
@@ -705,8 +669,9 @@ impl DbInner {
             StallKind::SustainedSlowdown,
             charged_ns,
             format!(
-                "admission pacing writers behind {stage} at {rate} B/s for {age:.1?} \
+                "admission pacing writers behind {} at {rate} B/s for {age:.1?} \
                  ({:.1?} of delay charged)",
+                stage_name(stage),
                 Duration::from_nanos(charged_ns),
             ),
         );

@@ -1,127 +1,52 @@
-//! Database introspection: one structured snapshot of everything an
-//! operator asks first ("is the memtable full? how deep is L0? who is
-//! holding snapshots open?"), renderable as a text report.
+//! Database introspection: one snapshot of everything an operator asks
+//! first ("is the memtable full? how deep is L0? who is holding
+//! snapshots open?"), renderable as a text report.
 //!
 //! [`Db::doctor`] gathers the state; [`DoctorReport::render`] prints
-//! it. The `clsm-doctor` binary (in the bench crate) is a thin CLI
-//! over this.
+//! it. Every number it prints is a registered metric, so the Stats
+//! opcode carries the same numbers. The `clsm-doctor` binary (in the
+//! bench crate) is a thin CLI over this.
 
 use std::time::Duration;
 
 use clsm_util::metrics::MetricsSnapshot;
 use lsm_storage::store::WriteAmp;
 
-use crate::admission::AdmissionState;
+use crate::admission::stage_name;
 use crate::db::Db;
 use crate::stats::render_write_path;
 use crate::watchdog::{is_long_hold, StallEvent, EXCLUSIVE_HOLD_THRESHOLD};
 
-/// One level's shape in the report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelGeometry {
-    /// Level index (0 = freshest).
-    pub level: usize,
-    /// Number of table files in the level.
-    pub files: usize,
-    /// Number of sorted runs those files form: L0 counts its own (a
-    /// flush adds one), and a deeper level is one run when it holds
-    /// any file.
-    pub runs: usize,
-    /// Total bytes across those files.
-    pub bytes: u64,
-}
-
 /// A point-in-time health snapshot of an open database.
 ///
 /// Everything here is sampled racily (the database keeps running), so
-/// treat it as a diagnostic picture, not a consistent cut. What the
-/// metrics registry already holds — the memtable's bytes, live
-/// snapshots, retired table bytes, `snapTime`, active writes, the
-/// write-amp byte counts, syscalls and admission's counters — the
-/// report reads from [`DoctorReport::metrics`] rather than copying.
+/// treat it as a diagnostic picture, not a consistent cut. Every number
+/// — memtable fill, level shape, the WAL, oracle state, the exclusive
+/// hold in progress, write admission, cache counts — is a metric of
+/// [`DoctorReport::metrics`]; the report keeps beside it only what is
+/// not a number.
 #[derive(Debug, Clone)]
 pub struct DoctorReport {
-    /// Flush threshold ([`crate::Options::memtable_bytes`]).
-    pub memtable_capacity: usize,
-    /// `true` while an immutable memtable `P'm` awaits/undergoes merge.
-    pub immutable_pending: bool,
-    /// Per-level file counts and byte totals.
-    pub levels: Vec<LevelGeometry>,
-    /// Timestamp of the oldest live snapshot — the version-GC
-    /// watermark — if any snapshot is open.
-    pub oldest_snapshot_ts: Option<u64>,
-    /// The oracle's `timeCounter`. Less `oldest_snapshot_ts`, it is the
-    /// oldest snapshot's age in writes (`oracle.oldest_snapshot_age`),
-    /// which a leaked `Snapshot` grows.
-    pub time_counter: u64,
-    /// Slot capacity of the `Active` set (its real size, a whole number
-    /// of cache-line stripes).
-    pub active_slots: usize,
-    /// How long the exclusive hold in progress has lasted, if the lock
-    /// is exclusively held right now. A hold is reported as a stall
-    /// event only when it ends; a hung merge hook shows here.
-    pub exclusive_held_for: Option<Duration>,
-    /// Block-cache `(hits, misses)`, when a cache is configured.
-    pub cache: Option<(u64, u64)>,
-    /// Current WAL file number.
-    pub wal_number: u64,
-    /// Bytes in the logging queue at sampling time (persistently past
-    /// one batch means writers outpace the log device).
-    pub wal_queue_bytes: usize,
+    /// Every registered metric ([`Db::metrics`]): the report's lines
+    /// render from it.
+    pub metrics: MetricsSnapshot,
     /// Recent watchdog verdicts, oldest first.
     pub stall_events: Vec<StallEvent>,
-    /// Write admission: the stage behind, the paced rate and the rung.
-    pub admission: AdmissionState,
     /// The error of the last background job (flush or compaction) that
     /// failed, if any did; `db.background_errors` counts them.
     pub last_background_error: Option<String>,
     /// The error that made the store read-only ([`Db::read_only`]).
     pub read_only: Option<clsm_util::error::Error>,
-    /// Every registered metric ([`Db::metrics`]): the report's gauges,
-    /// counters and write-path stage rows render from it.
-    pub metrics: MetricsSnapshot,
-    /// The CRC32C implementation this CPU runs
-    /// ([`clsm_util::crc::implementation`]): `"portable"` pays about
-    /// 25× more per checksummed byte than `"sse4.2"`.
-    pub checksum: &'static str,
 }
 
 impl Db {
     /// Gathers a [`DoctorReport`] from the running database.
     pub fn doctor(&self) -> DoctorReport {
-        let inner = &self.inner;
-        let version = inner.store.current_version();
-        let levels = (0..inner.opts.store.num_levels)
-            .map(|level| {
-                let files = version.num_files(level);
-                LevelGeometry {
-                    level,
-                    files,
-                    runs: match level {
-                        0 => version.l0_runs().len(),
-                        _ => usize::from(files > 0),
-                    },
-                    bytes: version.level_bytes(level),
-                }
-            })
-            .collect();
         DoctorReport {
-            memtable_capacity: inner.opts.memtable_bytes,
-            immutable_pending: inner.pm_prev.load().is_some(),
-            levels,
-            oldest_snapshot_ts: inner.snapshots.oldest(),
-            time_counter: inner.oracle.current_time(),
-            active_slots: inner.oracle.active().capacity(),
-            exclusive_held_for: inner.lock.exclusive_held_for(),
-            cache: inner.store.cache_stats(),
-            wal_number: inner.store.current_wal_number(),
-            wal_queue_bytes: inner.store.wal_queue_bytes(),
-            stall_events: self.stall_events(),
-            admission: inner.admission_state(),
-            last_background_error: inner.jobs.lock().last_error.clone(),
-            read_only: self.read_only(),
             metrics: self.metrics(),
-            checksum: clsm_util::crc::implementation(),
+            stall_events: self.stall_events(),
+            last_background_error: self.inner.jobs.lock().last_error.clone(),
+            read_only: self.read_only(),
         }
     }
 }
@@ -136,7 +61,8 @@ impl DoctorReport {
         use std::fmt::Write;
         let mut out = String::new();
         let memtable_bytes = self.gauge("db.memtable_bytes");
-        let pct = 100.0 * memtable_bytes as f64 / self.memtable_capacity.max(1) as f64;
+        let capacity = self.gauge("db.memtable_capacity");
+        let pct = 100.0 * memtable_bytes as f64 / capacity.max(1) as f64;
         let _ = writeln!(out, "== clsm-doctor ==");
         if let Some(e) = &self.read_only {
             let _ = writeln!(
@@ -145,41 +71,48 @@ impl DoctorReport {
                  reopen to recover"
             );
         }
+        let pending = if self.gauge("db.immutable_pending") != 0 {
+            "yes"
+        } else {
+            "no"
+        };
         let _ = writeln!(
             out,
-            "memtable: {} / {} bytes ({:.1}% full), immutable pending: {}",
-            memtable_bytes,
-            self.memtable_capacity,
-            pct,
-            if self.immutable_pending { "yes" } else { "no" }
+            "memtable: {memtable_bytes} / {capacity} bytes ({pct:.1}% full), \
+             immutable pending: {pending}"
         );
         let _ = writeln!(
             out,
             "level geometry (wal #{}, logging queue {} bytes):",
-            self.wal_number, self.wal_queue_bytes
+            self.gauge("storage.wal_number"),
+            self.gauge("storage.wal_queue_bytes")
         );
-        for l in &self.levels {
-            let runs = match l.level {
-                0 => format!(" in {} runs", l.runs),
+        for level in 0.. {
+            let Some(&files) = self
+                .metrics
+                .gauges
+                .get(&format!("storage.level.{level}.files"))
+            else {
+                break;
+            };
+            let runs = match level {
+                0 => format!(" in {} runs", self.gauge("storage.l0_runs")),
                 _ => String::new(),
             };
-            let _ = writeln!(
-                out,
-                "  L{}: {} files{runs}, {} bytes",
-                l.level, l.files, l.bytes
-            );
+            let bytes = self.gauge(&format!("storage.level.{level}.bytes"));
+            let _ = writeln!(out, "  L{level}: {files} files{runs}, {bytes} bytes");
         }
-        match self.oldest_snapshot_ts {
-            Some(ts) => {
+        match self.gauge("oracle.live_snapshots") {
+            0 => {
+                let _ = writeln!(out, "snapshots: 0 live (GC unconstrained)");
+            }
+            live => {
                 let _ = writeln!(
                     out,
-                    "snapshots: {} live, oldest ts {ts} (GC watermark), {} writes old",
-                    self.gauge("oracle.live_snapshots"),
+                    "snapshots: {live} live, oldest ts {} (GC watermark), {} writes old",
+                    self.gauge("oracle.oldest_snapshot_ts"),
                     self.gauge("oracle.oldest_snapshot_age")
                 );
-            }
-            None => {
-                let _ = writeln!(out, "snapshots: 0 live (GC unconstrained)");
             }
         }
         let retired = self.gauge("storage.retired_table_bytes");
@@ -192,10 +125,10 @@ impl DoctorReport {
         let _ = writeln!(
             out,
             "oracle: timeCounter={} snapTime={} activeWrites={}/{}",
-            self.time_counter,
+            self.gauge("oracle.time_counter"),
             self.gauge("oracle.snap_time"),
             self.active_writes(),
-            self.active_slots
+            self.active_slots()
         );
         if self.active_set_pressure() {
             let _ = writeln!(
@@ -203,7 +136,7 @@ impl DoctorReport {
                 "active-set pressure: {} of {} slots in use (alarm at 3/4): \
                  getSnap's min-scan is expensive and getTS may soon find no free slot",
                 self.active_writes(),
-                self.active_slots
+                self.active_slots()
             );
         }
         if let Some(held) = self.long_exclusive_hold() {
@@ -220,14 +153,20 @@ impl DoctorReport {
             out,
             "write amp: flushed={flushed} compacted={compacted} factor={factor:.2}"
         );
-        if let Some((hits, misses)) = self.cache {
+        if self.metrics.counters.contains_key("storage.cache_hits") {
+            let hits = self.counter("storage.cache_hits");
+            let misses = self.counter("storage.cache_misses");
             let rate = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
             let _ = writeln!(
                 out,
                 "block cache: {hits} hits / {misses} misses ({rate:.1}% hit rate)"
             );
         }
-        let _ = writeln!(out, "checksum: crc32c ({})", self.checksum);
+        let _ = writeln!(
+            out,
+            "checksum: crc32c ({})",
+            clsm_util::crc::implementation()
+        );
         let _ = writeln!(
             out,
             "syscalls (env.real): write={} read={} sync={}",
@@ -235,13 +174,13 @@ impl DoctorReport {
             self.gauge("env.real.read_calls"),
             self.gauge("env.real.sync_calls")
         );
-        let a = &self.admission;
+        let paced = self.gauge("admission.paced_bytes_per_sec");
+        let stage = u8::try_from(self.gauge("admission.stage")).unwrap_or(0);
         let _ = writeln!(
             out,
-            "admission: {} (behind {}, paced {} B/s) delayed={} delay={:.1?} hard stalls={}",
-            a.ladder_rung(),
-            a.behind,
-            a.paced_bytes_per_sec,
+            "admission: {} (behind {}, paced {paced} B/s) delayed={} delay={:.1?} hard stalls={}",
+            ladder_rung(self.gauge("admission.stalled") != 0, paced),
+            stage_name(stage),
             self.counter("admission.delayed_writes"),
             Duration::from_nanos(self.counter("admission.delay_ns")),
             self.counter("db.write_stalls")
@@ -283,13 +222,18 @@ impl DoctorReport {
     /// up, so never 0): slow or stuck writers make `getSnap` wait on an
     /// old minimum (§3.2).
     fn active_set_pressure(&self) -> bool {
-        self.active_writes() >= (self.active_slots * 3).div_ceil(4)
+        self.active_writes() >= (self.active_slots() * 3).div_ceil(4)
     }
 
     /// In-flight writes in the oracle's `Active` set
     /// (`oracle.active_writes`).
     fn active_writes(&self) -> usize {
         self.gauge("oracle.active_writes") as usize
+    }
+
+    /// Slot capacity of the `Active` set (`oracle.active_slots`).
+    fn active_slots(&self) -> usize {
+        self.gauge("oracle.active_slots") as usize
     }
 
     /// A gauge of [`DoctorReport::metrics`], 0 if it is not registered.
@@ -302,10 +246,25 @@ impl DoctorReport {
         self.metrics.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The exclusive hold in progress, if it has already lasted
+    /// The exclusive hold in progress
+    /// (`db.exclusive_hold_in_progress_ns`), if it has already lasted
     /// [`EXCLUSIVE_HOLD_THRESHOLD`] or more.
     fn long_exclusive_hold(&self) -> Option<Duration> {
-        self.exclusive_held_for.filter(|&held| is_long_hold(held))
+        let held = self.gauge("db.exclusive_hold_in_progress_ns");
+        Some(Duration::from_nanos(held.max(0) as u64)).filter(|&held| is_long_hold(held))
+    }
+}
+
+/// The rung of the admission ladder writes are on: `stall` while they
+/// are in §5.3's hard stall, `paced` while a stage behind paces them at
+/// `paced` bytes/s, else `open`.
+fn ladder_rung(stalled: bool, paced: i64) -> &'static str {
+    if stalled {
+        "stall"
+    } else if paced != 0 {
+        "paced"
+    } else {
+        "open"
     }
 }
 
@@ -415,12 +374,11 @@ mod tests {
         assert!(!healthy.unhealthy(), "{}", healthy.render());
         assert!(!healthy.render().contains("active-set pressure"));
 
-        let mut pressed = DoctorReport {
-            active_slots: 256,
-            ..healthy.clone()
-        };
+        let mut pressed = healthy.clone();
+        let gauges = &mut pressed.metrics.gauges;
+        gauges.insert("oracle.active_slots".into(), 256);
         let active = "oracle.active_writes".to_string();
-        pressed.metrics.gauges.insert(active.clone(), 192);
+        gauges.insert(active.clone(), 192);
         assert!(pressed.unhealthy());
         assert!(
             pressed
@@ -432,6 +390,14 @@ mod tests {
         let mut below = pressed;
         below.metrics.gauges.insert(active, 191);
         assert!(!below.unhealthy());
+    }
+
+    #[test]
+    fn ladder_rungs() {
+        assert_eq!(ladder_rung(false, 0), "open");
+        assert_eq!(ladder_rung(false, 1 << 20), "paced");
+        assert_eq!(ladder_rung(true, 1 << 20), "stall");
+        assert_eq!(ladder_rung(true, 0), "stall");
     }
 
     #[test]

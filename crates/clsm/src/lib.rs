@@ -57,10 +57,10 @@ mod snapshot;
 mod stats;
 mod watchdog;
 
-pub use admission::{AdmissionOptions, AdmissionState, Stage};
+pub use admission::AdmissionOptions;
 pub use batch::{WriteBatch, WriteOptions};
 pub use db::Db;
-pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport, LevelGeometry};
+pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport};
 #[doc(hidden)]
 pub use jobs::Job;
 pub use memtable::Memtable;

@@ -14,12 +14,20 @@
 //! `storage.compaction_ns` (background and manual alike), and
 //! `write_path.total_ns` is the merge of the three write kinds'
 //! latencies; all eight are worked out when a snapshot is taken.
+//!
+//! So is every gauge [`register_gauges`] registers: the tree's shape,
+//! the WAL, oracle and memtable state, the exclusive hold in progress
+//! and write admission. Each is read from the store when a snapshot is
+//! taken, so `clsm-doctor` and the Stats opcode print one set of
+//! numbers and no operation path records any of them.
 
 use std::fmt::Write;
 use std::sync::Arc;
 
 use clsm_util::histogram::Histogram;
 use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry, MetricsSnapshot};
+
+use crate::db::DbInner;
 
 /// Background jobs that failed (see `DbInner::run_job`).
 pub(crate) const BACKGROUND_ERRORS: &str = "db.background_errors";
@@ -62,6 +70,100 @@ pub(crate) struct DbMetrics {
 
     /// Write-path latency attribution (stage histograms).
     pub(crate) write_path: WritePathMetrics,
+}
+
+/// Registers the gauges (and the two counters) read from the store
+/// behind `inner` at snapshot time. A leaked `Snapshot` shows in
+/// `oracle.oldest_snapshot_age`, a leaked iterator in
+/// `storage.retired_table_bytes`, a hung merge hook in
+/// `db.exclusive_hold_in_progress_ns`.
+pub(crate) fn register_gauges(inner: &Arc<DbInner>) {
+    let registry = &inner.metrics.registry;
+    type Read = fn(&DbInner) -> i64;
+    let gauges: [(&str, Read); 19] = [
+        ("oracle.live_snapshots", |i| i.snapshots.len() as i64),
+        // In timestamps, that is, in writes; 0 with none live.
+        ("oracle.oldest_snapshot_age", |i| {
+            let oldest = i.snapshots.oldest();
+            oldest.map_or(0, |ts| i.oracle.current_time().saturating_sub(ts)) as i64
+        }),
+        // The version-GC watermark; 0 with none live.
+        ("oracle.oldest_snapshot_ts", |i| {
+            i.snapshots.oldest().unwrap_or(0) as i64
+        }),
+        ("oracle.time_counter", |i| i.oracle.current_time() as i64),
+        ("oracle.active_writes", |i| i.oracle.active().len() as i64),
+        // The `Active` set's real size: whole cache-line stripes.
+        ("oracle.active_slots", |i| {
+            i.oracle.active().capacity() as i64
+        }),
+        ("oracle.snap_time", |i| i.oracle.snap_time() as i64),
+        ("storage.retired_table_bytes", |i| {
+            i.store.retired_table_bytes() as i64
+        }),
+        ("storage.l0_runs", |i| {
+            i.store.current_version().l0_runs().len() as i64
+        }),
+        ("storage.wal_number", |i| {
+            i.store.current_wal_number() as i64
+        }),
+        // Persistently past one batch: writers outpace the log.
+        ("storage.wal_queue_bytes", |i| {
+            i.store.wal_queue_bytes() as i64
+        }),
+        ("db.memtable_bytes", |i| i.pm.load().memory_usage() as i64),
+        ("db.memtable_capacity", |i| i.opts.memtable_bytes as i64),
+        // 1 while a `P'm` awaits or undergoes its merge.
+        ("db.immutable_pending", |i| {
+            i64::from(i.pm_prev.load().is_some())
+        }),
+        ("db.read_only", |i| i64::from(i.store.poisoned().is_some())),
+        // A hold is a stall event only once it ends.
+        ("db.exclusive_hold_in_progress_ns", |i| {
+            let held = i.lock.exclusive_held_for().unwrap_or_default();
+            held.as_nanos().try_into().unwrap_or(i64::MAX)
+        }),
+        // The binding stage's `behind` bit: 0 none, 1 flush, 2 L0.
+        ("admission.stage", |i| i64::from(i.admission_binding().0)),
+        // 0 with nothing behind, no rate measured, or pacing off.
+        ("admission.paced_bytes_per_sec", |i| {
+            i64::try_from(i.admission_binding().1).unwrap_or(i64::MAX)
+        }),
+        // 1 while writers are in §5.3's hard stall.
+        ("admission.stalled", |i| i64::from(i.write_stalled())),
+    ];
+    for (name, read) in gauges {
+        registry.gauge_fn(name, computed(inner, read));
+    }
+    for level in 0..inner.opts.store.num_levels {
+        let name = |what: &str| format!("storage.level.{level}.{what}");
+        let files = move |i: &DbInner| i.store.current_version().num_files(level) as i64;
+        let bytes = move |i: &DbInner| i.store.current_version().level_bytes(level) as i64;
+        registry.gauge_fn(&name("files"), computed(inner, files));
+        registry.gauge_fn(&name("bytes"), computed(inner, bytes));
+    }
+    let rollbacks = computed(inner, |i| i.oracle.rollbacks());
+    registry.counter_fn("oracle.getts_rollbacks", rollbacks);
+    if inner.store.cache_stats().is_some() {
+        let hits = computed(inner, |i| i.store.cache_stats().map_or(0, |(hits, _)| hits));
+        let misses = computed(inner, |i| {
+            i.store.cache_stats().map_or(0, |(_, misses)| misses)
+        });
+        registry.counter_fn("storage.cache_hits", hits);
+        registry.counter_fn("storage.cache_misses", misses);
+    }
+}
+
+/// `read` of the store behind `inner`, as a function the registry
+/// calls at snapshot time. It holds a `Weak` (the registry is owned by
+/// `DbInner`, so an `Arc` would be a cycle) and reads the default once
+/// the store is gone.
+fn computed<T: Default>(
+    inner: &Arc<DbInner>,
+    read: impl Fn(&DbInner) -> T + Send + Sync + 'static,
+) -> impl Fn() -> T + Send + Sync + 'static {
+    let weak = Arc::downgrade(inner);
+    move || weak.upgrade().map_or_else(T::default, |i| read(&i))
 }
 
 /// The write-path stages in commit order; stage `s` reads from the

@@ -4,9 +4,15 @@
 //! and the renderers must emit them. The contract test pins what the
 //! repo benchmark reads and which numbers are derived from which.
 
+use std::path::Path;
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
 use clsm::{Db, Job, Options, RmwDecision, WriteBatch, WriteOptions};
+use clsm_util::env::Env;
+
+mod common;
+use common::FailTableWrites;
 
 struct TempDir(std::path::PathBuf);
 
@@ -137,13 +143,23 @@ fn metrics_populated_after_mixed_workload() {
     assert!(snap.gauges["oracle.snap_time"] > 0);
     assert!(snap.gauges.contains_key("db.memtable_bytes"));
 
-    // Renderers carry the data.
+    // The one exposition carries the data: a row per name.
     let text = snap.to_text();
-    assert!(text.contains("op.put.latency_ns"));
-    assert!(text.contains("db.puts"));
-    let json = snap.to_json();
-    assert!(json.contains("\"op.get.latency_ns\""));
-    assert!(json.contains("\"storage.bytes_flushed\""));
+    let row = |name: &str| {
+        let line = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name));
+        line.unwrap_or_else(|| panic!("no {name} row: {text}"))
+            .to_string()
+    };
+    let puts = snap.counters["db.puts"];
+    assert!(row("db.puts").ends_with(&format!(" {puts}")));
+    let flushed = snap.counters["storage.bytes_flushed"];
+    assert!(row("storage.bytes_flushed").ends_with(&format!(" {flushed}")));
+    let get = &snap.histograms["op.get.latency_ns"];
+    let columns = format!("count={} sum={} ", get.count, get.sum);
+    assert!(row("op.get.latency_ns").contains(&columns));
+    assert!(row("op.put.latency_ns").contains("p999="));
 }
 
 #[test]
@@ -343,4 +359,164 @@ fn every_derived_number_agrees_with_its_one_record() {
     // A flush holds the lock twice (`beforeMerge`, `afterMerge`), a
     // multi-op batch once; a compaction never takes it.
     assert_eq!(count(EXCLUSIVE_HOLDS), 3 * rounds);
+}
+
+/// Checks every number `clsm-doctor` prints from a gauge against the
+/// public source of the same number, after the job `job`. `writes` is
+/// how many single puts the store has taken; `parked` whether a failed
+/// flush left its `P'm` behind.
+fn check_shape_gauges(
+    db: &Db,
+    env: &FailTableWrites,
+    opts: &Options,
+    writes: u64,
+    parked: bool,
+    job: &str,
+) {
+    let snap = db.snapshot().unwrap();
+    let m = db.metrics();
+    let gauge = |name: &str| {
+        let value = m.gauges.get(name).copied();
+        value.unwrap_or_else(|| panic!("{job}: no gauge {name}"))
+    };
+
+    // The tree's shape: a files and a bytes gauge per level, no more.
+    let files = db.level_file_counts();
+    assert_eq!(files.len(), opts.store.num_levels);
+    let mut on_disk = 0;
+    for (level, &count) in files.iter().enumerate() {
+        let gauged = gauge(&format!("storage.level.{level}.files"));
+        assert_eq!(gauged, count as i64, "{job}: L{level} files");
+        let bytes = gauge(&format!("storage.level.{level}.bytes"));
+        assert_eq!(bytes > 0, count > 0, "{job}: L{level} holds {bytes} bytes");
+        on_disk += bytes as u64;
+    }
+    let past = format!("storage.level.{}.files", files.len());
+    assert!(!m.gauges.contains_key(&past), "{job}: {past}");
+    assert!(gauge("storage.l0_runs") <= files[0] as i64, "{job}");
+    // Every key lies in ["", "\xff"], so the whole tree is charged.
+    if !parked {
+        let memtable = db.memtable_bytes() as u64;
+        let total = db.approximate_size(b"", b"\xff");
+        assert_eq!(on_disk + memtable, total, "{job}: level bytes");
+    }
+
+    // The memtables.
+    assert_eq!(
+        gauge("db.memtable_bytes"),
+        db.memtable_bytes() as i64,
+        "{job}"
+    );
+    assert_eq!(gauge("db.memtable_capacity"), opts.memtable_bytes as i64);
+    assert_eq!(
+        gauge("db.immutable_pending"),
+        i64::from(parked),
+        "{job}: P'm"
+    );
+
+    // The WAL: its number names the newest log file, and the queue
+    // holds bytes exactly when a log job is due.
+    let logs = env.fault.list(Path::new("/shape-gauges")).unwrap();
+    let newest = logs.iter().filter_map(|name| name.strip_suffix(".log"));
+    let newest = newest.filter_map(|n| n.parse::<i64>().ok()).max();
+    assert_eq!(Some(gauge("storage.wal_number")), newest, "{job}: {logs:?}");
+    let queued = gauge("storage.wal_queue_bytes") > 0;
+    assert_eq!(
+        queued,
+        db.due_jobs().contains(&Job::Log),
+        "{job}: logging queue"
+    );
+
+    // The oracle: one timestamp per single put, and the snapshot held
+    // above is the oldest live one.
+    assert_eq!(
+        gauge("oracle.time_counter"),
+        writes as i64,
+        "{job}: timeCounter"
+    );
+    assert_eq!(gauge("oracle.live_snapshots"), 1);
+    assert_eq!(gauge("oracle.oldest_snapshot_ts"), snap.timestamp() as i64);
+    assert!(gauge("oracle.active_slots") > gauge("oracle.active_writes"));
+
+    // The block cache, the read-only flag and the hold in progress.
+    let (hits, misses) = db.cache_stats().expect("a block cache");
+    assert_eq!(m.counters["storage.cache_hits"], hits, "{job}: cache hits");
+    assert_eq!(
+        m.counters["storage.cache_misses"], misses,
+        "{job}: cache misses"
+    );
+    assert_eq!(gauge("db.read_only"), i64::from(db.read_only().is_some()));
+    assert_eq!(gauge("db.exclusive_hold_in_progress_ns"), 0, "{job}");
+
+    // Admission, with pacing off: never paced, nobody stalled, and a
+    // parked `P'm` is a flush behind (stage 1).
+    assert_eq!(gauge("admission.paced_bytes_per_sec"), 0, "{job}");
+    assert_eq!(gauge("admission.stalled"), 0, "{job}");
+    let stage = gauge("admission.stage");
+    assert!((0..=2).contains(&stage), "{job}: stage {stage}");
+    if parked {
+        assert_eq!(stage, 1, "{job}: stage");
+    }
+
+    drop(snap);
+    assert_eq!(db.metrics().gauges["oracle.oldest_snapshot_ts"], 0);
+}
+
+/// Every number `clsm-doctor` prints is a registered metric: a stepped
+/// store runs flushes, a flush that fails and its retry, and a
+/// compaction, and after each job every new gauge agrees with its
+/// public source.
+#[test]
+fn doctor_gauges_agree_with_their_public_sources_after_every_job() {
+    let env = FailTableWrites::new(0x5_4a9e, 0);
+    let mut opts = Options::small_for_tests();
+    // Nothing drains while the test runs no job, so pacing would only
+    // sleep.
+    opts.admission.enabled = false;
+    opts.store.env = Arc::new(env.clone());
+    let db = Db::open_stepped(Path::new("/shape-gauges"), opts.clone()).unwrap();
+    let mut writes = 0u64;
+    let fill = |db: &Db, writes: &mut u64| {
+        let round = *writes;
+        while !db.due_jobs().contains(&Job::Flush) {
+            let key = format!("key{:04}", *writes % 300);
+            db.put(
+                key.as_bytes(),
+                format!("{round} {key}").repeat(4).as_bytes(),
+            )
+            .unwrap();
+            *writes += 1;
+        }
+    };
+    check_shape_gauges(&db, &env, &opts, writes, false, "open");
+
+    fill(&db, &mut writes);
+    assert!(db.run_job(Job::Flush).unwrap());
+    check_shape_gauges(&db, &env, &opts, writes, false, "first flush");
+    // Gets from the tables move the cache counters.
+    for i in 0..50 {
+        db.get(format!("key{i:04}").as_bytes()).unwrap();
+    }
+    check_shape_gauges(&db, &env, &opts, writes, false, "gets");
+    let (hits, misses) = db.cache_stats().unwrap();
+    assert!(hits + misses > 0, "the gets never reached the cache");
+
+    fill(&db, &mut writes);
+    env.remaining.store(1, SeqCst);
+    db.run_job(Job::Flush).unwrap_err();
+    check_shape_gauges(&db, &env, &opts, writes, true, "failed flush");
+    assert!(db.run_job(Job::Flush).unwrap());
+    check_shape_gauges(&db, &env, &opts, writes, false, "retried flush");
+
+    let mut flushes = 2;
+    while !db.due_jobs().contains(&Job::Compact) {
+        assert!(flushes < 100, "no compaction fell due");
+        fill(&db, &mut writes);
+        assert!(db.run_job(Job::Flush).unwrap());
+        flushes += 1;
+        check_shape_gauges(&db, &env, &opts, writes, false, &format!("flush {flushes}"));
+    }
+    assert!(db.run_job(Job::Compact).unwrap());
+    check_shape_gauges(&db, &env, &opts, writes, false, "compaction");
+    assert!(db.level_file_counts()[1..].iter().any(|&n| n > 0));
 }

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use clsm::{Db, Job, Options, RmwDecision, Stage, WriteBatch, WriteOptions};
+use clsm::{Db, Job, Options, RmwDecision, WriteBatch, WriteOptions};
 use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
 use lsm_storage::compaction::L0_COMPACTION_TRIGGER;
@@ -41,6 +41,12 @@ fn stepped_options(env: &FaultEnv) -> Options {
 
 fn key(k: u64) -> Vec<u8> {
     format!("key{k:04}").into_bytes()
+}
+
+/// Whether a `P'm` is parked awaiting its merge
+/// (`db.immutable_pending`).
+fn pm_parked(db: &Db) -> bool {
+    db.metrics().gauges["db.immutable_pending"] != 0
 }
 
 /// Every live pair of `db`, in key order.
@@ -495,7 +501,7 @@ fn a_committed_flush_does_not_fail_on_garbage_removal() {
     assert!(flush(due).unwrap());
     assert!(flush(due + 1).unwrap());
 
-    assert!(!db.doctor().immutable_pending, "P'm still parked");
+    assert!(!pm_parked(&db), "P'm still parked");
     assert!(
         !db.run_job(Job::Flush).unwrap(),
         "a flush with nothing to merge ran"
@@ -680,7 +686,7 @@ fn a_failed_table_sync_fails_the_flush_and_leaves_nothing_behind() {
     }
 
     db.run_job(Job::Flush).unwrap_err();
-    assert!(db.doctor().immutable_pending, "P'm was not kept");
+    assert!(pm_parked(&db), "P'm was not kept");
     assert_eq!(db.level_file_counts()[0], 0);
     assert_eq!(db.metrics().counters["db.background_errors"], 1);
     let events = env.events.lock().unwrap().clone();
@@ -717,7 +723,7 @@ fn a_failed_table_sync_fails_the_flush_and_leaves_nothing_behind() {
     }
 
     assert!(db.run_job(Job::Flush).unwrap());
-    assert!(!db.doctor().immutable_pending, "P'm still parked");
+    assert!(!pm_parked(&db), "P'm still parked");
     assert!(db.level_file_counts()[0] > 0);
     for &n in &outputs {
         assert_eq!(removed(n), 1, "table {n} of the failed flush");
@@ -751,10 +757,10 @@ fn a_flush_is_one_l0_run_however_many_tables_it_writes() {
         assert!(db.run_job(Job::Flush).unwrap());
     };
     let l0 = |db: &Db| {
-        let report = db.doctor();
-        let gauge = db.metrics().gauges["storage.l0_runs"];
-        assert_eq!(gauge as usize, report.levels[0].runs);
-        (report.levels[0].files, report.levels[0].runs)
+        let gauges = db.doctor().metrics.gauges;
+        let files = gauges["storage.level.0.files"] as usize;
+        assert_eq!(files, db.level_file_counts()[0]);
+        (files, gauges["storage.l0_runs"] as usize)
     };
 
     flush(&db);
@@ -792,14 +798,16 @@ fn l0_is_behind_at_twice_the_compaction_trigger() {
     let mut opts = stepped_options(&env);
     opts.store.base_level_bytes = 1 << 20;
     let db = Db::open_stepped(Path::new("/l0-behind"), opts).unwrap();
+    // `admission.stage`: 0 nothing behind, 1 a flush, 2 L0.
+    let (none, l0) = (0, 2);
     let behind = |db: &Db| {
         let report = db.doctor();
-        let gauge = db.metrics().gauges["storage.l0_runs"];
-        assert_eq!(gauge as usize, report.levels[0].runs);
+        let gauges = &report.metrics.gauges;
+        let stage = gauges["admission.stage"];
+        let name = ["none", "flush", "l0"][stage as usize];
         let text = report.render();
-        let stage = report.admission.behind;
-        assert!(text.contains(&format!("(behind {stage},")), "{text}");
-        (report.levels[0].runs, stage)
+        assert!(text.contains(&format!("(behind {name},")), "{text}");
+        (gauges["storage.l0_runs"] as usize, stage)
     };
 
     let limit = 2 * L0_COMPACTION_TRIGGER;
@@ -810,11 +818,11 @@ fn l0_is_behind_at_twice_the_compaction_trigger() {
             db.put(&key(k), format!("run {run}").as_bytes()).unwrap();
         }
         assert!(db.run_job(Job::Flush).unwrap());
-        let expected = if run < limit { Stage::None } else { Stage::L0 };
+        let expected = if run < limit { none } else { l0 };
         assert_eq!(behind(&db), (run, expected), "after {run} runs");
     }
     assert!(db.run_job(Job::Compact).unwrap());
-    assert_eq!(behind(&db), (0, Stage::None));
+    assert_eq!(behind(&db), (0, none));
 }
 
 /// A [`FaultEnv`] whose first `MANIFEST` sync after it is armed fails,

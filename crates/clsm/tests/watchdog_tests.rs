@@ -30,6 +30,12 @@ fn hold_samples(db: &Db) -> HistogramSummary {
     db.metrics().histograms["db.exclusive_hold_ns"].clone()
 }
 
+/// `db.exclusive_hold_in_progress_ns`: how long the exclusive hold in
+/// progress has lasted, 0 with none.
+fn hold_in_progress_ns(db: &Db) -> i64 {
+    db.metrics().gauges["db.exclusive_hold_in_progress_ns"]
+}
+
 fn holds(db: &Db) -> Vec<clsm::StallEvent> {
     db.stall_events()
         .into_iter()
@@ -119,10 +125,8 @@ fn a_hold_in_progress_reaches_the_doctor_and_is_reported_when_it_ends() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let report = loop {
         let report = db.doctor();
-        if report
-            .exclusive_held_for
-            .is_some_and(|held| held >= Duration::from_millis(5))
-        {
+        let held = report.metrics.gauges["db.exclusive_hold_in_progress_ns"];
+        if held >= Duration::from_millis(5).as_nanos() as i64 {
             break report;
         }
         assert!(Instant::now() < deadline, "the hold never began");
@@ -142,8 +146,66 @@ fn a_hold_in_progress_reaches_the_doctor_and_is_reported_when_it_ends() {
         "{} ns",
         holds[0].magnitude
     );
-    assert!(db.doctor().exclusive_held_for.is_none());
+    assert_eq!(hold_in_progress_ns(&db), 0);
 
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads make progress inside an exclusive hold (Algorithm 1: a get
+/// takes no lock). `Db::get`, `Snapshot::get` and `Snapshot::scan` each
+/// return the published values while `db.exclusive_hold_in_progress_ns`
+/// still reads the hold, so they finished inside it; no wall-clock bound
+/// is asserted. The snapshot is taken before the hold begins, and
+/// `Db::snapshot` is not called during it: registering a snapshot takes
+/// the lock shared (§3.2.1), so it waits the hold out by design.
+#[test]
+fn reads_return_inside_an_exclusive_hold() {
+    let dir = scratch("reads-in-hold");
+    let db = Arc::new(Db::open_stepped(&dir, Options::small_for_tests()).unwrap());
+    let published: Vec<(Vec<u8>, Vec<u8>)> = (0..10u32)
+        .map(|i| {
+            (
+                format!("read.{i:02}").into_bytes(),
+                format!("v{i}").into_bytes(),
+            )
+        })
+        .collect();
+    for (key, value) in &published {
+        db.put(key, value).unwrap();
+    }
+    let snap = db.snapshot().unwrap();
+    assert_eq!(hold_in_progress_ns(&db), 0);
+
+    let holder = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || db.inject_exclusive_hold(Duration::from_secs(2)))
+    };
+    while hold_in_progress_ns(&db) == 0 {
+        assert!(!holder.is_finished(), "the hold ended unseen");
+        std::thread::yield_now();
+    }
+
+    for (key, value) in &published {
+        assert_eq!(db.get(key).unwrap().as_ref(), Some(value), "Db::get");
+        assert_eq!(
+            snap.get(key).unwrap().as_ref(),
+            Some(value),
+            "Snapshot::get"
+        );
+    }
+    let scanned = snap
+        .scan(b"read.".to_vec()..b"read/".to_vec(), 100)
+        .unwrap();
+    assert_eq!(scanned, published, "Snapshot::scan");
+    assert!(
+        hold_in_progress_ns(&db) > 0,
+        "the reads returned only after the hold"
+    );
+
+    holder.join().unwrap();
+    assert_eq!(hold_in_progress_ns(&db), 0);
+    drop(snap);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -168,7 +230,8 @@ fn write_pressure_is_flagged_and_reaches_the_doctor() {
     }
     db.run_job(Job::Flush).unwrap_err();
     assert_eq!(env.remaining.load(SeqCst), 0, "the flush wrote no table");
-    assert!(db.doctor().immutable_pending, "P'm was not kept");
+    let parked = db.metrics().gauges["db.immutable_pending"];
+    assert_eq!(parked, 1, "P'm was not kept");
 
     let stalls = |db: &Db| db.metrics().counters["db.write_stalls"];
     let writer = {

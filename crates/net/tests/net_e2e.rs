@@ -160,6 +160,18 @@ fn pipelined_threads_share_the_pool() {
         // And the store's: a leaked snapshot or iterator shows here.
         assert!(stats.contains("oracle.oldest_snapshot_age"), "{stats}");
         assert!(stats.contains("storage.retired_table_bytes"), "{stats}");
+        // The tree's shape, the oracle's `timeCounter` (one tick per
+        // put), the WAL and write admission cross the wire too:
+        // `clsm-doctor --connect` shows them with no code of its own.
+        for name in [
+            "storage.level.0.files",
+            "storage.wal_number",
+            "admission.stage",
+        ] {
+            assert!(stat(&stats, name).is_some(), "no {name} row: {stats}");
+        }
+        let time_counter = stat(&stats, "oracle.time_counter");
+        assert!(time_counter >= Some(400), "{stats}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -17,8 +17,8 @@
 //! Registration happens once at startup (it takes a mutex); the
 //! returned `Arc`'d primitives are then recorded through directly —
 //! the registry is never touched on an operation path. Snapshots
-//! ([`MetricsRegistry::snapshot`]) are read-only and render to
-//! human-readable text or JSON.
+//! ([`MetricsRegistry::snapshot`]) are read-only and render to one
+//! text exposition ([`MetricsSnapshot::to_text`]).
 //!
 //! Each measurement is recorded once. A number that can be worked out
 //! from records already kept (an operation count from its latency
@@ -33,7 +33,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::histogram::{Histogram, NUM_BUCKETS};
-use crate::json;
 
 /// Number of independent bucket arrays in a [`ConcurrentHistogram`].
 ///
@@ -393,8 +392,8 @@ impl HistogramSummary {
     }
 }
 
-/// Point-in-time view of every registered metric, renderable as text
-/// or JSON.
+/// Point-in-time view of every registered metric, rendered by
+/// [`MetricsSnapshot::to_text`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -405,57 +404,26 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
 
-/// Renders an `f64` the way JSON expects (no NaN/Inf, which can't
-/// appear here: means of non-negative u64 samples).
-fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
 impl MetricsSnapshot {
-    /// Renders a human-readable table.
+    /// Renders one `name value` row per metric, under a `counters:`,
+    /// `gauges:` and `histograms (ns):` title; a histogram's value is
+    /// its `count=`, `sum=`, `mean=`, `min=`, percentile and `max=`
+    /// columns. The Stats opcode, `clsm-doctor --connect` and the figure
+    /// binaries' `*.metrics.txt` all carry this text.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         text_section(&mut out, "counters:", &self.counters, u64::to_string);
         text_section(&mut out, "gauges:", &self.gauges, i64::to_string);
         text_section(&mut out, "histograms (ns):", &self.histograms, |h| {
             format!(
-                "count={} mean={:.0} min={} p50={} p90={} p99={} p999={} max={}",
-                h.count, h.mean, h.min, h.p50, h.p90, h.p99, h.p999, h.max
+                "count={} sum={} mean={:.0} min={} p50={} p90={} p99={} p999={} max={}",
+                h.count, h.sum, h.mean, h.min, h.p50, h.p90, h.p99, h.p999, h.max
             )
         });
         if out.is_empty() {
             out.push_str("(no metrics registered)\n");
         }
         out
-    }
-
-    /// Renders a single JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-    pub fn to_json(&self) -> String {
-        let counters = json_members(&self.counters, u64::to_string);
-        let gauges = json_members(&self.gauges, i64::to_string);
-        let histograms = json_members(&self.histograms, |h| {
-            format!(
-                "{{\"count\":{},\"sum\":{},\"mean\":{},\"min\":{},\"max\":{},\
-                 \"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-                h.count,
-                h.sum,
-                json_f64(h.mean),
-                h.min,
-                h.max,
-                h.p50,
-                h.p90,
-                h.p99,
-                h.p999
-            )
-        });
-        format!(
-            "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{histograms}}}}}"
-        )
     }
 }
 
@@ -474,14 +442,6 @@ fn text_section<V>(
             out.push_str(&format!("  {name:<40} {}\n", value(v)));
         }
     }
-}
-
-/// The rows as comma-separated JSON object members.
-fn json_members<V>(rows: &BTreeMap<String, V>, value: fn(&V) -> String) -> String {
-    rows.iter()
-        .map(|(name, v)| format!("\"{}\":{}", json::escape(name), value(v)))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 #[cfg(test)]
@@ -549,18 +509,19 @@ mod tests {
         assert_eq!(snap.histograms["op.twice"].max, 200);
 
         let text = snap.to_text();
-        assert!(text.contains("db.ops"));
-        assert!(text.contains("count=2"));
-        assert!(text.contains("p999="));
-        assert!(text.contains("max=200"));
-
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"db.ops\":7"));
-        assert!(json.contains("\"answer\":42"));
-        assert!(json.contains("\"count\":2"));
-        assert!(json.contains("\"p999\":"));
-        assert!(json.contains("\"max\":200"));
+        let row = |name: &str| {
+            let line = text
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name));
+            line.unwrap_or_else(|| panic!("no {name} row: {text}"))
+                .to_string()
+        };
+        assert!(row("db.ops").ends_with(" 7"));
+        assert!(row("answer").ends_with(" 42"));
+        let latency = row("op.get.latency");
+        assert!(latency.contains("count=2 sum=300 "), "{latency}");
+        assert!(latency.contains("p999="));
+        assert!(latency.contains("max=200"));
     }
 
     #[test]
@@ -595,10 +556,8 @@ mod tests {
         let p999_at = line.find("p999=").unwrap();
         let max_at = line.find("max=").unwrap();
         assert!(p99_at < p999_at && p999_at < max_at);
-
-        let json = snap.to_json();
-        assert!(json.contains(&format!("\"max\":{}", h.max)));
-        assert!(json.contains(&format!("\"p999\":{}", h.p999)));
+        assert!(line.contains(&format!("max={}", h.max)));
+        assert!(line.contains(&format!("p999={}", h.p999)));
     }
 
     #[test]
@@ -614,10 +573,6 @@ mod tests {
     #[test]
     fn empty_snapshot_renders() {
         let snap = MetricsRegistry::new().snapshot();
-        assert!(snap.to_text().contains("no metrics"));
-        assert_eq!(
-            snap.to_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
-        );
+        assert_eq!(snap.to_text(), "(no metrics registered)\n");
     }
 }

@@ -130,10 +130,16 @@ fn registry_counters_and_histograms_hammered_concurrently() {
     let h = &snap.histograms["test.latency_ns"];
     assert_eq!(h.count, threads * per_thread);
     assert!(h.min >= 100 && h.p50 >= h.min && h.p99 >= h.p50);
-    // Renderers stay coherent under the same snapshot.
-    let json = snap.to_json();
-    assert!(json.contains("\"test.ops\""));
-    assert!(snap.to_text().contains("test.latency_ns"));
+    // The exposition stays coherent under the same snapshot.
+    let text = snap.to_text();
+    let row = |name: &str| {
+        text.lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+    };
+    let ops = snap.counters["test.ops"];
+    assert!(row("test.ops").is_some_and(|l| l.ends_with(&format!(" {ops}"))));
+    let columns = format!("count={} sum={} ", h.count, h.sum);
+    assert!(row("test.latency_ns").is_some_and(|l| l.contains(&columns)));
 }
 
 #[test]
