@@ -245,9 +245,6 @@ pub(crate) fn emit_metrics(args: &BenchArgs, figure: &str, store: &dyn KvStore) 
     }
     let text = snapshot.to_text();
     eprintln!("[{}] {} metrics:\n{}", figure, store.name(), text);
-    if let Some(wp) = clsm::render_write_path(&snapshot) {
-        eprintln!("[{}] {} write path:\n{}", figure, store.name(), wp);
-    }
     let name = format!("{}-{}", figure_slug(figure), figure_slug(store.name()));
     std::fs::create_dir_all(&args.out_dir)?;
     let path = args.out_dir.join(format!("{name}.metrics.txt"));

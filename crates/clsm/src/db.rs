@@ -800,7 +800,24 @@ impl DbInner {
 
     /// The merge of `C'm` into `Cd` with its beforeMerge/afterMerge
     /// hooks (Algorithm 1 lines 8–17).
+    ///
+    /// `beforeMerge` swings pointers and cuts the WAL, and does no file
+    /// I/O: the new log is created and the new memtable built before
+    /// the exclusive hold, and the old log's tail is written and fsynced
+    /// after it, before anything reaches the new log (see
+    /// `lsm_storage::wal`). Preparing ahead is safe because only this
+    /// job swings `Pm` and `P'm`, and `run_job` runs one flush at a
+    /// time: a `Pm` found non-empty with no `P'm` parked stays so until
+    /// the hold.
     pub(crate) fn flush_once(&self) -> Result<bool> {
+        // --- before the hold: the new WAL's file and the new `Pm`,
+        // unless a failed flush left `P'm` parked to merge again.
+        let fresh = match self.pm_prev.load() {
+            Some(_) => None,
+            None if self.pm.load().is_empty() => return Ok(false),
+            None => Some((self.store.prepare_wal()?, Arc::new(Memtable::new()))),
+        };
+        let cut = fresh.is_some();
         // --- beforeMerge: swing the memory pointers under the
         // exclusive lock. Order matters for lock-free readers:
         // P'm must point at the old data before Pm stops doing so.
@@ -808,14 +825,13 @@ impl DbInner {
             // The hold is the merge's write-path interference, the
             // quantity §3.1 argues must stay tiny: `db.exclusive_hold_ns`.
             let _excl = self.lock_exclusive();
-            let imm = match self.pm_prev.load() {
-                // A failed flush left `P'm` parked: merge it again.
-                Some(parked) => parked,
-                None => {
+            let imm = match fresh {
+                None => self
+                    .pm_prev
+                    .load()
+                    .expect("only a flush clears a parked P'm"),
+                Some((next_wal, pm)) => {
                     let old = self.pm.load();
-                    if old.is_empty() {
-                        return Ok(false);
-                    }
                     // A new `P'm`, a new stall episode. Cleared before the
                     // (sequentially consistent) store that publishes `P'm`, so a
                     // writer that loads it and stalls sees the flag clear; a
@@ -824,16 +840,21 @@ impl DbInner {
                     self.write_stall_reported.store(false, Ordering::Relaxed);
                     self.pm_prev.store(Some(Arc::clone(&old)));
                     self.flow.flush_started(old.memory_usage() as u64);
-                    self.pm.store(Arc::new(Memtable::new()));
+                    self.pm.store(pm);
                     // New WAL: records of the immutable memtable live only in
                     // older logs, which die when the flush commits.
-                    self.store.rotate_wal()?;
+                    self.store.cut_wal(next_wal)?;
                     old
                 }
             };
             // Read the snapshot list under the exclusive lock (§3.2.1).
             (imm, self.store.current_wal_number(), self.gc_watermark())
         };
+        // --- after the hold: the old WAL's tail and fsync, unless a
+        // sync or the logger finished the cut first.
+        if cut {
+            self.store.flush_wal()?;
+        }
 
         // --- merge (no locks held): stream C'm into L0.
         let mut iter = imm.internal_iter();

@@ -14,7 +14,6 @@ use lsm_storage::store::WriteAmp;
 
 use crate::admission::stage_name;
 use crate::db::Db;
-use crate::stats::render_write_path;
 use crate::watchdog::{is_long_hold, StallEvent, EXCLUSIVE_HOLD_THRESHOLD};
 
 /// A point-in-time health snapshot of an open database.
@@ -188,8 +187,15 @@ impl DoctorReport {
         if let Some(last) = &self.last_background_error {
             let _ = writeln!(out, "background jobs: last failure: {last}");
         }
-        if let Some(rows) = render_write_path(&self.metrics) {
-            out.push_str(&rows);
+        // The write-path stage histograms, as the registry's text has
+        // them.
+        let _ = writeln!(out, "write path stages (ns):");
+        let text = self.metrics.to_text();
+        for row in text
+            .lines()
+            .filter(|row| row.trim_start().starts_with("write_path."))
+        {
+            let _ = writeln!(out, "{row}");
         }
         if self.stall_events.is_empty() {
             let _ = writeln!(out, "watchdog: no stall events");

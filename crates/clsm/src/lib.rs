@@ -67,7 +67,6 @@ pub use memtable::Memtable;
 pub use options::Options;
 pub use rmw::{RmwDecision, RmwResult};
 pub use snapshot::{Snapshot, SnapshotIter};
-pub use stats::render_write_path;
 pub use watchdog::{StallEvent, StallKind};
 
 pub use clsm_kv::{KvSnapshot, KvStore, ScanRange};

@@ -21,11 +21,10 @@
 //! taken, so `clsm-doctor` and the Stats opcode print one set of
 //! numbers and no operation path records any of them.
 
-use std::fmt::Write;
 use std::sync::Arc;
 
 use clsm_util::histogram::Histogram;
-use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry, MetricsSnapshot};
+use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
 
 use crate::db::DbInner;
 
@@ -166,50 +165,16 @@ fn computed<T: Default>(
     move || weak.upgrade().map_or_else(T::default, |i| read(&i))
 }
 
-/// The write-path stages in commit order; stage `s` reads from the
-/// `write_path.{s}_ns` histogram. A write visits a subset: `admission`
-/// only when it slept for a pacing slot or hard-stalled, `durable` only
-/// when it is a sync write. `total` spans `Db::write` entry to return:
-/// it is the merge of the put, delete and batch latencies.
-const WRITE_PATH_STAGES: [&str; 7] = [
-    "admission",
-    "stamp",
-    "memtable",
-    "wal_enqueue",
-    "publish",
-    "durable",
-    "total",
-];
-
 fn stage_metric(stage: &str) -> String {
     format!("write_path.{stage}_ns")
 }
 
-/// Renders the write-path stage histograms of `snap` in commit order,
-/// under a `write path stages (ns):` header: the block `clsm-doctor`
-/// and the `fig*` binaries print. `None` when no write recorded into
-/// them (a baseline's snapshot, or a store nothing was written to).
-pub fn render_write_path(snap: &MetricsSnapshot) -> Option<String> {
-    let rows: Vec<_> = WRITE_PATH_STAGES
-        .iter()
-        .filter_map(|&stage| Some((stage, snap.histograms.get(&stage_metric(stage))?)))
-        .collect();
-    if rows.iter().all(|(_, h)| h.count == 0) {
-        return None;
-    }
-    let mut out = String::from("write path stages (ns):\n");
-    for (stage, h) in rows {
-        let _ = writeln!(
-            out,
-            "  {stage:<12} count={} mean={:.0} p50={} p90={} p99={} p999={} max={}",
-            h.count, h.mean, h.p50, h.p90, h.p99, h.p999, h.max
-        );
-    }
-    Some(out)
-}
-
-/// Pre-registered write-path attribution handles, one per recorded
-/// entry of [`WRITE_PATH_STAGES`].
+/// Pre-registered write-path attribution handles: stage `s` records
+/// into the `write_path.{s}_ns` histogram. A write visits a subset:
+/// `admission` only when it slept for a pacing slot or hard-stalled,
+/// `durable` only when it is a sync write. `write_path.total_ns`, which
+/// spans `Db::write` entry to return, is the merge of the put, delete
+/// and batch latencies.
 ///
 /// Every write records its stage histograms: a handful of monotonic
 /// clock reads plus thread-striped histogram updates, no locks.
@@ -302,33 +267,5 @@ impl DbMetrics {
         // background jobs are rare; `run_job` counts them by name.
         registry.counter(BACKGROUND_ERRORS);
         metrics
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn write_path_rows_come_in_commit_order() {
-        let metrics = DbMetrics::new();
-        metrics.write_path.memtable.record(200);
-        metrics.write_path.stamp.record(100);
-        metrics.put_latency.record(400);
-        let text = render_write_path(&metrics.registry.snapshot()).unwrap();
-        let stages: Vec<_> = text
-            .lines()
-            .skip(1)
-            .filter_map(|row| row.split_whitespace().next())
-            .collect();
-        assert_eq!(stages, WRITE_PATH_STAGES);
-        assert!(text.starts_with("write path stages (ns):\n"), "{text}");
-        assert!(text.contains("  total        count=1 "), "{text}");
-    }
-
-    #[test]
-    fn a_snapshot_without_writes_renders_no_write_path() {
-        assert!(render_write_path(&DbMetrics::new().registry.snapshot()).is_none());
-        assert!(render_write_path(&MetricsSnapshot::default()).is_none());
     }
 }

@@ -1,17 +1,26 @@
 //! Model runs: exact cost counts from a seeded, stepped schedule, so a
-//! read-path claim does not have to outvote a noisy host.
+//! claim does not have to outvote a noisy host.
 //!
 //! A stepped `Db` (no threads) on an in-memory `FaultEnv` is loaded at
-//! the `prod-mix` benchmark's geometry ÷ 32: a 256 KiB memtable, 64 KiB
-//! tables, a 512 KiB block cache, 40-byte keys and 1 KiB values, data
-//! about 8× the cache. It then serves 20 000 heavy-tail gets (θ = 0.99,
-//! ranks scattered as `clsm_workloads::keygen` scatters them) and
-//! counts, per get, the table `pread`s, the block-cache hits and misses
-//! and the allocations of the calling thread. Two runs of one seed must
-//! count the same, and every count must stay at or under its budget.
+//! a benchmark workload's geometry ÷ 32: a 256 KiB memtable, 64 KiB
+//! tables, a 512 KiB block cache and L1 budget.
 //!
-//! Run it in release (`cargo test --release -p clsm --test model_runs
-//! -- --nocapture` prints the table).
+//! - The read phase, at `prod-mix`'s 40-byte keys and 1 KiB values,
+//!   data about 8× the cache, serves 20 000 heavy-tail gets (θ = 0.99,
+//!   ranks scattered as `clsm_workloads::keygen` scatters them) and
+//!   counts, per get, the table `pread`s, the block-cache hits and
+//!   misses and the allocations of the calling thread.
+//! - The ingest phase, at `ingest`'s 16-byte keys and 1 KiB values, all
+//!   prefilled, overwrites every key about twice with uniform puts and
+//!   runs at most *d* compactions after each flush: *d* = 1 lags the
+//!   way `ingest`'s one compaction thread does, *d* = 8 keeps up. It
+//!   counts the bytes written through the env over user bytes
+//!   (`write_amp`), WAL and table fsyncs per put, and the L0 runs each
+//!   flush lands on.
+//!
+//! Two runs of one seed must count the same, and every count must stay
+//! at or under its budget. Run it in release (`cargo test --release -p
+//! clsm --test model_runs -- --nocapture` prints the tables).
 
 #[path = "../../../tests/common/mod.rs"]
 mod counting;
@@ -20,7 +29,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use clsm::{Db, Options};
+use clsm::{Db, Job, Options, WriteBatch, WriteOptions};
 use clsm_util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
 use clsm_util::error::Result;
 use clsm_workloads::keygen::{format_key, value_for, KeyDistribution, KeyGen};
@@ -35,11 +44,52 @@ const KEYS: u64 = 130_000 / 32;
 const GETS: u64 = 20_000;
 const SEED: u64 = 0xc15a;
 
-/// A [`FaultEnv`] that counts reads of table files.
+/// A [`FaultEnv`] that counts reads of table files, bytes written to
+/// any file, and syncs of WAL and of table files.
 #[derive(Debug, Clone)]
-struct CountingReads {
+struct Counting {
     fault: FaultEnv,
     reads: Arc<AtomicU64>,
+    written: Arc<AtomicU64>,
+    wal_syncs: Arc<AtomicU64>,
+    table_syncs: Arc<AtomicU64>,
+}
+
+impl Counting {
+    fn new(seed: u64) -> Self {
+        Counting {
+            fault: FaultEnv::new(seed),
+            reads: Arc::default(),
+            written: Arc::default(),
+            wal_syncs: Arc::default(),
+            table_syncs: Arc::default(),
+        }
+    }
+}
+
+struct CountedWrite {
+    inner: Box<dyn WritableFile>,
+    written: Arc<AtomicU64>,
+    /// The counter of this kind of file's syncs, if it has one.
+    syncs: Option<Arc<AtomicU64>>,
+}
+
+impl WritableFile for CountedWrite {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        self.written.fetch_add(data.len() as u64, Relaxed);
+        self.inner.append(data)
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.inner.flush()
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        if let Some(syncs) = &self.syncs {
+            syncs.fetch_add(1, Relaxed);
+        }
+        self.inner.sync()
+    }
 }
 
 struct CountedFile {
@@ -58,9 +108,18 @@ impl RandomAccessFile for CountedFile {
     }
 }
 
-impl Env for CountingReads {
+impl Env for Counting {
     fn open_write(&self, path: &Path) -> Result<Box<dyn WritableFile>> {
-        self.fault.open_write(path)
+        let syncs = match path.extension().and_then(|ext| ext.to_str()) {
+            Some("log") => Some(Arc::clone(&self.wal_syncs)),
+            Some("sst") => Some(Arc::clone(&self.table_syncs)),
+            _ => None,
+        };
+        Ok(Box::new(CountedWrite {
+            inner: self.fault.open_write(path)?,
+            written: Arc::clone(&self.written),
+            syncs,
+        }))
     }
 
     fn open_read(&self, path: &Path) -> Result<Box<dyn RandomAccessFile>> {
@@ -130,10 +189,7 @@ fn run_all_due_jobs(db: &Db) {
 /// thread-local cache carries over from an earlier run.
 fn read_run(seed: u64) -> ReadCounts {
     std::thread::spawn(move || {
-        let env = CountingReads {
-            fault: FaultEnv::new(seed),
-            reads: Arc::new(AtomicU64::new(0)),
-        };
+        let env = Counting::new(seed);
         let opts = Options {
             memtable_bytes: 256 << 10,
             store: StoreOptions {
@@ -257,6 +313,176 @@ fn a_heavy_tail_read_phase_costs_what_its_budget_says() {
                 "{}: {} is over its budget of {budget}",
                 row.name,
                 row.value
+            );
+        }
+    }
+}
+
+/// `ingest`'s 100 000 keys ÷ 32.
+const INGEST_KEYS: u64 = 100_000 / 32;
+/// Uniform puts after the prefill: every key overwritten about twice.
+const INGEST_PUTS: u64 = 2 * INGEST_KEYS;
+const INGEST_KEY_LEN: usize = 16;
+
+/// Totals over the ingest phase, the closing quiescence included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct WriteCounts {
+    user_bytes: u64,
+    written: u64,
+    wal_syncs: u64,
+    table_syncs: u64,
+    flushes: u64,
+    /// L0 runs right after each flush commits, summed and at most.
+    l0_runs_sum: u64,
+    l0_runs_max: u64,
+}
+
+/// Runs the due flush, then at most `compactions` due compactions,
+/// recording the L0 runs the flush landed on. Returns whether it
+/// flushed.
+fn flush_then_compact(db: &Db, compactions: u32, counts: &mut WriteCounts) -> bool {
+    if !db.run_job(Job::Flush).unwrap() {
+        return false;
+    }
+    let runs = db.metrics().gauges["storage.l0_runs"] as u64;
+    counts.flushes += 1;
+    counts.l0_runs_sum += runs;
+    counts.l0_runs_max = counts.l0_runs_max.max(runs);
+    for _ in 0..compactions {
+        if !db.due_jobs().contains(&Job::Compact) || !db.run_job(Job::Compact).unwrap() {
+            break;
+        }
+    }
+    true
+}
+
+/// Prefills the store, then counts the ingest phase with at most
+/// `compactions` compactions after each flush.
+fn ingest_run(seed: u64, compactions: u32) -> WriteCounts {
+    let env = Counting::new(seed);
+    let opts = Options {
+        memtable_bytes: 256 << 10,
+        store: StoreOptions {
+            block_cache_bytes: 512 << 10,
+            table_file_size: 64 << 10,
+            base_level_bytes: 512 << 10,
+            env: Arc::new(env.clone()),
+            ..StoreOptions::default()
+        },
+        ..Options::default()
+    };
+    let db = Db::open_stepped(Path::new("/model-ingest"), opts).unwrap();
+    // The prefill in 256-entry batches, then quiescence.
+    for base in (0..INGEST_KEYS).step_by(256) {
+        let batch: WriteBatch = (base..INGEST_KEYS.min(base + 256))
+            .map(|i| {
+                let key = format_key(i, INGEST_KEY_LEN);
+                (key, Some(value_for(i, VALUE_LEN)))
+            })
+            .collect();
+        db.write(batch, &WriteOptions::new()).unwrap();
+        run_all_due_jobs(&db);
+    }
+    let mut prefill = WriteCounts::default();
+    while flush_then_compact(&db, u32::MAX, &mut prefill) || !db.due_jobs().is_empty() {
+        run_all_due_jobs(&db);
+    }
+
+    let before = [&env.written, &env.wal_syncs, &env.table_syncs].map(|c| c.load(Relaxed));
+    let mut keys = KeyGen::new(INGEST_KEYS, INGEST_KEY_LEN, KeyDistribution::Uniform);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut counts = WriteCounts::default();
+    for i in 0..INGEST_PUTS {
+        let index = keys.next_index(&mut rng);
+        let value = value_for(index ^ i, VALUE_LEN);
+        db.put(&format_key(index, INGEST_KEY_LEN), &value).unwrap();
+        counts.user_bytes += (INGEST_KEY_LEN + VALUE_LEN) as u64;
+        // The logger's step, about as often as its batching window
+        // closes under one writer.
+        if i % 64 == 63 && db.due_jobs().contains(&Job::Log) {
+            db.run_job(Job::Log).unwrap();
+        }
+        if db.due_jobs().contains(&Job::Flush) {
+            flush_then_compact(&db, compactions, &mut counts);
+        }
+    }
+    while flush_then_compact(&db, u32::MAX, &mut counts) || !db.due_jobs().is_empty() {
+        run_all_due_jobs(&db);
+    }
+    let after = [&env.written, &env.wal_syncs, &env.table_syncs].map(|c| c.load(Relaxed));
+    [counts.written, counts.wal_syncs, counts.table_syncs] =
+        [0, 1, 2].map(|k| after[k] - before[k]);
+    counts
+}
+
+/// Budgets, by the most compactions after a flush: bytes written, WAL
+/// fsyncs, table fsyncs, and the L0 runs at flushes, summed and at
+/// most. They are the counts of the change that took the WAL
+/// rotation's file I/O out of `beforeMerge`'s hold, which moved none of
+/// them: a stepped run has no timing.
+fn ingest_budget(compactions: u32) -> [u64; 5] {
+    match compactions {
+        1 => [31_756_222, 26, 404, 94, 8],
+        _ => [49_101_535, 26, 671, 53, 3],
+    }
+}
+
+#[test]
+fn an_ingest_phase_writes_what_its_budget_says() {
+    const DEPTHS: [u32; 2] = [1, 8];
+    let counts = DEPTHS.map(|d| ingest_run(SEED, d));
+    assert_eq!(
+        DEPTHS.map(|d| ingest_run(SEED, d)),
+        counts,
+        "one seed, two different runs"
+    );
+    println!(
+        "ingest phase, {INGEST_PUTS} uniform puts over {INGEST_KEYS} prefilled keys \
+         (seed {SEED:#x}), d compactions at most after each flush:"
+    );
+    println!("{:<28} {:>12} {:>12}", "count", "d = 1", "d = 8");
+    let row = |name: &str, [one, eight]: [String; 2]| {
+        println!("{name:<28} {one:>12} {eight:>12}");
+    };
+    let per_put = |n: u64| format!("{:.4}", n as f64 / INGEST_PUTS as f64);
+    row(
+        "write_amp",
+        counts.map(|c| format!("{:.4}", c.written as f64 / c.user_bytes as f64)),
+    );
+    row("bytes written", counts.map(|c| c.written.to_string()));
+    row("WAL fsyncs per put", counts.map(|c| per_put(c.wal_syncs)));
+    row(
+        "table fsyncs per put",
+        counts.map(|c| per_put(c.table_syncs)),
+    );
+    row("flushes", counts.map(|c| c.flushes.to_string()));
+    row(
+        "L0 runs at flushes, summed",
+        counts.map(|c| c.l0_runs_sum.to_string()),
+    );
+    row(
+        "L0 runs at a flush, max",
+        counts.map(|c| c.l0_runs_max.to_string()),
+    );
+    for (d, c) in DEPTHS.iter().zip(&counts) {
+        let names = [
+            "bytes written",
+            "WAL fsyncs",
+            "table fsyncs",
+            "L0 runs at flushes, summed",
+            "L0 runs at a flush, max",
+        ];
+        let values = [
+            c.written,
+            c.wal_syncs,
+            c.table_syncs,
+            c.l0_runs_sum,
+            c.l0_runs_max,
+        ];
+        for ((name, value), budget) in names.into_iter().zip(values).zip(ingest_budget(*d)) {
+            assert!(
+                value <= budget,
+                "d = {d}: {name}: {value} is over its budget of {budget}"
             );
         }
     }

@@ -117,6 +117,14 @@ pub struct RecoveryReport {
     pub manifest_torn_at: Option<u64>,
 }
 
+/// A WAL file created ahead of the memtable switch that starts it
+/// ([`Store::prepare_wal`]); [`Store::cut_wal`] switches to it.
+#[derive(Debug)]
+pub struct NextWal {
+    number: u64,
+    writer: LogWriter,
+}
+
 /// The disk component.
 pub struct Store {
     opts: StoreOptions,
@@ -399,13 +407,14 @@ impl Store {
 
     /// Starts the WAL's logger thread, which the owner starts like its
     /// flush and compaction threads; without it, records wait for
-    /// [`Store::flush_wal`], a sync, a rotation or the drop.
+    /// [`Store::flush_wal`], a sync or the drop.
     pub fn start_logger(&self) -> Result<()> {
         self.wal.start_logger()
     }
 
     /// Writes the logging queue's records to the WAL file without an
-    /// fsync: the logger thread's step, on the calling thread.
+    /// fsync: the logger thread's step, on the calling thread. Finishes
+    /// a [`cut_wal`](Self::cut_wal) first, with the old WAL's fsync.
     pub fn flush_wal(&self) -> Result<()> {
         self.wal.flush()
     }
@@ -455,20 +464,42 @@ impl Store {
     }
 
     /// Starts a new WAL file; subsequent appends go to it. Returns the
-    /// new WAL's number. Called by `beforeMerge` when the memtable is
-    /// swapped, so each memtable maps to a WAL prefix: every
-    /// pre-rotation WAL is numbered strictly below the return value,
-    /// the retire/replay boundary for the memtable being flushed.
+    /// new WAL's number: every earlier WAL is numbered strictly below
+    /// it, the retire/replay boundary for what was logged before. The
+    /// three steps `beforeMerge` splits around its hold
+    /// ([`prepare_wal`](Self::prepare_wal), [`cut_wal`](Self::cut_wal),
+    /// [`flush_wal`](Self::flush_wal)), run back to back.
     pub fn rotate_wal(&self) -> Result<u64> {
+        let number = self.cut_wal(self.prepare_wal()?)?;
+        self.flush_wal()?;
+        Ok(number)
+    }
+
+    /// A rotation's file I/O, done before the switch: numbers the next
+    /// WAL and creates it.
+    pub fn prepare_wal(&self) -> Result<NextWal> {
         let number = self.versions.lock().new_file_number();
         let file = self
             .opts
             .env
             .open_write(&filenames::wal_path(self.dir(), number))?;
-        self.wals.lock().push(number);
-        self.wal.rotate(LogWriter::new(file))?;
-        self.wal_number.store(number, Ordering::SeqCst);
-        Ok(number)
+        Ok(NextWal {
+            number,
+            writer: LogWriter::new(file),
+        })
+    }
+
+    /// Switches appends to `next` without file I/O (see
+    /// [`LogQueue::cut`]) and returns its number. Called by
+    /// `beforeMerge` as it swaps the memtable, so each memtable maps to
+    /// a WAL prefix. The next [`flush_wal`](Self::flush_wal), sync, log
+    /// step or drop writes the old WAL's tail and fsyncs it before
+    /// anything reaches `next`. The caller runs one rotation at a time.
+    pub fn cut_wal(&self, next: NextWal) -> Result<u64> {
+        self.wal.cut(next.writer)?;
+        self.wals.lock().push(next.number);
+        self.wal_number.store(next.number, Ordering::SeqCst);
+        Ok(next.number)
     }
 
     /// The WAL number currently receiving appends.

@@ -10,8 +10,9 @@
 //! records into a shared buffer and return, so a put never waits for
 //! file I/O in asynchronous mode (the LevelDB default the paper
 //! assumes). A logger thread writes the buffer out as each batching
-//! window closes; a sync or a rotation does its own write and fsync,
-//! on the thread that asked for it.
+//! window closes; a sync does its own write and fsync, on the thread
+//! that asked for it. A switch to a new file is a cut that does no I/O;
+//! the next writer of the file finishes it.
 
 mod queue;
 mod reader;

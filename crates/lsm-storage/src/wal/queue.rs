@@ -10,14 +10,25 @@
 //! The [`LogWriter`] sits behind a second mutex, the file lock, taken
 //! before the buffer's. Whoever holds it swaps the buffer out, frames
 //! each record into the log and hands the batch to the file with one
-//! `flush` or one fsync. A sync or a rotation does that I/O on its own
-//! thread; syncing callers group-commit, as LevelDB's writers do: one
-//! fsyncs, and the others wait for it and mostly find themselves
-//! covered. The logger thread ([`LogQueue::start_logger`]) only ends
-//! the batching window of [`BATCH_WINDOW`] or [`BATCH_BYTES`], so a
-//! process crash loses that window, plus whatever queued up behind a
-//! `write` or fsync in progress. Without a logger, records wait for the
-//! next [`LogQueue::flush`], sync, rotation or drop.
+//! `flush` or one fsync. A sync does that I/O on its own thread;
+//! syncing callers group-commit, as LevelDB's writers do: one fsyncs,
+//! and the others wait for it and mostly find themselves covered. The
+//! logger thread ([`LogQueue::start_logger`]) only ends the batching
+//! window of [`BATCH_WINDOW`] or [`BATCH_BYTES`], so a process crash
+//! loses that window, plus whatever queued up behind a `write` or
+//! fsync in progress. Without a logger, records wait for the next
+//! [`LogQueue::flush`], sync or drop.
+//!
+//! A switch to a new file takes no file I/O and no file lock. The
+//! [`cut`](LogQueue::cut), under the buffer's mutex alone, marks the
+//! records pending at that instant as the old file's tail and queues
+//! the new file's writer behind them; it is all `beforeMerge` does to
+//! the log. Whoever next takes the file lock — a flush, a sync, the
+//! logger or the drop — finishes the switch before it writes any record
+//! appended after the cut: it writes the tail to the old file, fsyncs
+//! it, and only then moves to the new file. So no byte reaches the new
+//! file before the old one is durable, and a sync that covers a record
+//! appended after the cut returns only after both fsyncs.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
@@ -70,10 +81,24 @@ struct State {
     /// reading right after that fsync.
     synced: u64,
     durable_ns: u64,
+    /// Switches the next file-lock holder must finish, oldest first.
+    cuts: Vec<Cut>,
     /// A caller of [`LogQueue::sync_timed`] is fsyncing.
     syncing: bool,
     logger: Logger,
     shutdown: bool,
+}
+
+/// A switch to a new file that [`LogQueue::cut`] made and no holder of
+/// the file lock has finished yet.
+struct Cut {
+    /// The old file's tail ends here in `pending`: every byte before
+    /// it was appended before the cut.
+    tail_end: usize,
+    /// `appended` at the cut: what the old file's fsync covers.
+    at: u64,
+    /// The new file's writer.
+    next: LogWriter,
 }
 
 /// The file lock's contents.
@@ -86,7 +111,7 @@ struct LogFile {
 struct Shared {
     state: Mutex<State>,
     file: Mutex<LogFile>,
-    /// The first I/O error; every later append, sync and rotate fails
+    /// The first I/O error; every later append, sync and cut fails
     /// with it.
     error: OnceLock<Error>,
     /// Wakes the logger.
@@ -113,27 +138,37 @@ impl Shared {
     }
 
     /// Swaps out every pending record and adds them to the file, then
-    /// flushes it to the OS, or fsyncs it when `sync`. The first failure
+    /// flushes it to the OS, or fsyncs it when `sync`. Finishes every
+    /// cut first: the records before it go to the old file, which is
+    /// fsynced before the next file receives a byte. The first failure
     /// becomes the queue's error.
     fn write_out(&self, file: &mut LogFile, sync: bool) -> Result<()> {
-        let (batch, appended) = {
+        let (batch, cuts, appended) = {
             let mut st = self.lock();
             let batch = std::mem::replace(&mut st.pending, std::mem::take(&mut file.spare));
-            (batch, st.appended)
+            (batch, std::mem::take(&mut st.cuts), st.appended)
         };
         // After the first error nothing more is written: these records
         // were appended before the error was published, and the error
         // now fails every sync that could have covered them.
-        let result = self
-            .check()
-            .and_then(|()| write_records(&mut file.writer, &batch))
-            .and_then(|()| {
-                if sync {
-                    file.writer.sync()
-                } else {
-                    file.writer.flush()
-                }
-            });
+        let result = self.check().and_then(|()| {
+            let mut start = 0;
+            for Cut { tail_end, at, next } in cuts {
+                write_records(&mut file.writer, &batch[start..tail_end])?;
+                file.writer.sync()?;
+                file.writer = next;
+                start = tail_end;
+                let durable_ns = now_ns();
+                let mut st = self.lock();
+                (st.synced, st.durable_ns) = (at, durable_ns);
+            }
+            write_records(&mut file.writer, &batch[start..])?;
+            if sync {
+                file.writer.sync()
+            } else {
+                file.writer.flush()
+            }
+        });
         file.spare = batch;
         file.spare.clear();
         // A backlog built up behind a slow fsync can grow the buffer far
@@ -242,19 +277,27 @@ impl LogQueue {
     }
 
     /// Writes every pending record to the file and flushes it to the
-    /// OS, without an fsync: the logger's step.
-    pub(crate) fn flush(&self) -> Result<()> {
+    /// OS, without an fsync: the logger's step. Finishes a
+    /// [`cut`](Self::cut) first, with the old file's one fsync.
+    pub fn flush(&self) -> Result<()> {
         self.shared.write_out(&mut self.shared.lock_file(), false)
     }
 
-    /// Switches to a new file. Every record enqueued before the call
-    /// lands in the old file, which is written and synced before the
-    /// switch; every record enqueued after it returns lands in the new
-    /// one.
-    pub fn rotate(&self, writer: LogWriter) -> Result<()> {
-        let mut file = self.shared.lock_file();
-        self.shared.write_out(&mut file, true)?;
-        file.writer = writer;
+    /// Switches to the file `next` writes, without I/O and without the
+    /// file lock: every record enqueued before the call belongs to the
+    /// old file, every record enqueued after it returns to the new one.
+    /// The next holder of the file lock ([`flush`](Self::flush), a
+    /// sync, the logger or the drop) finishes the switch: it writes the
+    /// old file's tail, fsyncs it, and only then writes to `next`.
+    pub fn cut(&self, next: LogWriter) -> Result<()> {
+        let mut st = self.shared.lock();
+        self.shared.check()?;
+        let cut = Cut {
+            tail_end: st.pending.len(),
+            at: st.appended,
+            next,
+        };
+        st.cuts.push(cut);
         Ok(())
     }
 
@@ -334,7 +377,7 @@ impl Drop for LogQueue {
         // No other thread is left. A poisoned lock means a thread
         // panicked in the middle of a record or a write: write no more.
         let state = self.shared.state.lock();
-        let unsynced = state.is_ok_and(|st| st.synced < st.appended);
+        let unsynced = state.is_ok_and(|st| st.synced < st.appended || !st.cuts.is_empty());
         if let (true, Ok(mut file)) = (unsynced, self.shared.file.lock()) {
             let _ = self.shared.write_out(&mut file, true);
         }
@@ -391,7 +434,7 @@ fn wait_for_work<'a>(shared: &Shared, mut st: MutexGuard<'a, State>) -> MutexGua
             return st;
         }
         if st.pending.is_empty() {
-            // A sync or a rotation may have ended the window.
+            // A sync or a flush may have ended the window.
             window_end = None;
             st.logger = Logger::Idle;
             st = shared
@@ -430,6 +473,7 @@ fn write_records(writer: &mut LogWriter, mut frames: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use crate::wal::LogReader;
+    use clsm_util::env::WritableFile;
     use std::path::PathBuf;
 
     fn temp_file(name: &str) -> PathBuf {
@@ -480,19 +524,117 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
+    /// A real file that logs each append and sync, as `(file, event)`,
+    /// to a list it shares with the others; its syncs fail when
+    /// `fail_sync`.
+    struct Logged {
+        file: std::fs::File,
+        name: &'static str,
+        events: Arc<Mutex<Vec<(&'static str, &'static str)>>>,
+        fail_sync: bool,
+    }
+
+    impl Logged {
+        fn writer(
+            path: &std::path::Path,
+            name: &'static str,
+            events: &Arc<Mutex<Vec<(&'static str, &'static str)>>>,
+            fail_sync: bool,
+        ) -> LogWriter {
+            LogWriter::new(Box::new(Logged {
+                file: std::fs::File::create(path).unwrap(),
+                name,
+                events: Arc::clone(events),
+                fail_sync,
+            }))
+        }
+    }
+
+    impl WritableFile for Logged {
+        fn append(&mut self, data: &[u8]) -> Result<()> {
+            self.events.lock().unwrap().push((self.name, "write"));
+            WritableFile::append(&mut self.file, data)
+        }
+
+        fn flush(&mut self) -> Result<()> {
+            WritableFile::flush(&mut self.file)
+        }
+
+        fn sync(&mut self) -> Result<()> {
+            if self.fail_sync {
+                return Err(Error::from(std::io::Error::other("injected sync error")));
+            }
+            self.events.lock().unwrap().push((self.name, "sync"));
+            WritableFile::sync(&mut self.file)
+        }
+    }
+
     #[test]
-    fn rotation_splits_files() {
-        let path_a = temp_file("rot-a");
+    fn records_after_a_cut_land_in_the_new_file() {
+        let path_a = temp_file("cut-a");
         let path_b = path_a.with_file_name("b.log");
         let q = started(&path_a);
         q.append(b"one".to_vec(), SyncMode::Async).unwrap();
-        q.rotate(LogWriter::new(Box::new(
+        q.cut(LogWriter::new(Box::new(
             std::fs::File::create(&path_b).unwrap(),
         )))
         .unwrap();
-        q.append(b"two".to_vec(), SyncMode::Sync).unwrap();
+        q.append(b"two".to_vec(), SyncMode::Async).unwrap();
+        q.append(b"three".to_vec(), SyncMode::Sync).unwrap();
         assert_eq!(read_all(&path_a), vec![b"one".to_vec()]);
-        assert_eq!(read_all(&path_b), vec![b"two".to_vec()]);
+        assert_eq!(read_all(&path_b), vec![b"two".to_vec(), b"three".to_vec()]);
+        std::fs::remove_dir_all(path_a.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn the_old_file_is_synced_before_the_new_file_is_written() {
+        let path_a = temp_file("cut-order");
+        let path_b = path_a.with_file_name("b.log");
+        let events = Arc::default();
+        let q = LogQueue::new(Logged::writer(&path_a, "old", &events, false));
+        q.append(b"one".to_vec(), SyncMode::Async).unwrap();
+        q.cut(Logged::writer(&path_b, "new", &events, false))
+            .unwrap();
+        q.append(b"two".to_vec(), SyncMode::Async).unwrap();
+        // The cut did no I/O.
+        assert!(events.lock().unwrap().is_empty());
+        q.append(b"three".to_vec(), SyncMode::Sync).unwrap();
+        let events = events.lock().unwrap().clone();
+        let old_sync = events.iter().position(|&e| e == ("old", "sync"));
+        let first_new = events.iter().position(|&(file, _)| file == "new");
+        assert!(old_sync.is_some() && old_sync < first_new, "{events:?}");
+        assert!(events[..old_sync.unwrap()]
+            .iter()
+            .all(|&e| e == ("old", "write")));
+        // The sync put after the cut returned after both fsyncs.
+        assert_eq!(events.last(), Some(&("new", "sync")), "{events:?}");
+        assert_eq!(read_all(&path_a), vec![b"one".to_vec()]);
+        assert_eq!(read_all(&path_b).len(), 2);
+        std::fs::remove_dir_all(path_a.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_failed_old_file_sync_poisons_the_queue_and_spares_the_new_file() {
+        let path_a = temp_file("cut-fail");
+        let path_b = path_a.with_file_name("b.log");
+        let events = Arc::default();
+        {
+            let q = LogQueue::new(Logged::writer(&path_a, "old", &events, true));
+            q.append(b"one".to_vec(), SyncMode::Async).unwrap();
+            q.cut(Logged::writer(&path_b, "new", &events, false))
+                .unwrap();
+            q.append(b"two".to_vec(), SyncMode::Async).unwrap();
+            assert!(q.flush().is_err());
+            assert!(q.poisoned().is_some());
+            assert!(q.append(b"three".to_vec(), SyncMode::Async).is_err());
+            assert!(q.sync().is_err());
+            let path_c = path_a.with_file_name("c.log");
+            let next = LogWriter::new(Box::new(std::fs::File::create(path_c).unwrap()));
+            assert!(q.cut(next).is_err());
+        } // dropped: writes nothing more
+        let events = events.lock().unwrap().clone();
+        assert!(events.iter().all(|&(file, _)| file == "old"), "{events:?}");
+        assert_eq!(std::fs::metadata(&path_b).unwrap().len(), 0);
         std::fs::remove_dir_all(path_a.parent().unwrap()).unwrap();
     }
 

@@ -240,9 +240,11 @@ fn appends_racing_a_rotation_land_in_exactly_one_file() {
         }
         for path in &paths[1..] {
             std::thread::sleep(Duration::from_micros(200));
+            // A rotation: the cut, then the flush that finishes it.
             queue
-                .rotate(LogWriter::new(RealEnv.open_write(path).unwrap()))
+                .cut(LogWriter::new(RealEnv.open_write(path).unwrap()))
                 .unwrap();
+            queue.flush().unwrap();
         }
     });
     queue.sync().unwrap();
