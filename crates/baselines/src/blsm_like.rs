@@ -9,14 +9,12 @@
 //! grows with the memtable fill fraction once flushing falls behind.
 
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use clsm::Options;
+use clsm::{Options, Workers};
 use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
@@ -26,7 +24,8 @@ use crate::core::BaselineCore;
 pub struct BlsmLike {
     core: Arc<BaselineCore>,
     global: Mutex<()>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Stops the background threads when dropped.
+    _workers: Workers<BaselineCore>,
 }
 
 impl BlsmLike {
@@ -36,7 +35,7 @@ impl BlsmLike {
         Ok(BlsmLike {
             core,
             global: Mutex::new(()),
-            workers: Mutex::new(workers),
+            _workers: workers,
         })
     }
 
@@ -56,16 +55,8 @@ impl BlsmLike {
 
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         self.gear_throttle();
-        self.core.stall_if_needed();
-        {
-            let _g = self.global.lock();
-            let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-            self.core.apply_write(key, value, seq)?;
-            self.core.publish(seq);
-        }
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(())
+        self.core
+            .serialized(&self.global, || self.core.write_next(key, value))
     }
 }
 
@@ -100,60 +91,17 @@ impl KvStore for BlsmLike {
         self.core.scan_at(&range, limit, seq)
     }
 
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        self.gear_throttle();
-        self.core.stall_if_needed();
-        let stored = {
-            let _g = self.global.lock();
-            if self.core.get_at(key, self.core.visible())?.is_some() {
-                false
-            } else {
-                let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                self.core.apply_write(key, Some(value), seq)?;
-                self.core.publish(seq);
-                true
-            }
-        };
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(stored)
-    }
-
     fn read_modify_write(
         &self,
         key: &[u8],
         f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
     ) -> Result<RmwResult> {
-        // Single-writer design: the whole read-decide-write holds the
-        // global mutex, same as every other write.
+        // Single-writer design: the whole read-decide-write (and the
+        // default `put_if_absent` over it) holds the global mutex, same
+        // as every other write.
         self.gear_throttle();
-        self.core.stall_if_needed();
-        let result = {
-            let _g = self.global.lock();
-            let current = self.core.get_at(key, self.core.visible())?;
-            match f(current.as_deref()) {
-                RmwDecision::Abort => RmwResult {
-                    committed: false,
-                    previous: current,
-                },
-                decision => {
-                    let value = match &decision {
-                        RmwDecision::Update(v) => Some(v.as_slice()),
-                        _ => None,
-                    };
-                    let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                    self.core.apply_write(key, value, seq)?;
-                    self.core.publish(seq);
-                    RmwResult {
-                        committed: true,
-                        previous: current,
-                    }
-                }
-            }
-        };
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(result)
+        self.core
+            .serialized(&self.global, || self.core.rmw_next(key, f))
     }
 
     fn quiesce(&self) -> Result<()> {
@@ -166,11 +114,5 @@ impl KvStore for BlsmLike {
 
     fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
         Some(self.core.write_amp())
-    }
-}
-
-impl Drop for BlsmLike {
-    fn drop(&mut self) {
-        self.core.shutdown_and_join(&mut self.workers.lock());
     }
 }

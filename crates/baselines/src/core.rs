@@ -1,41 +1,51 @@
-//! Shared machinery for all baselines: memtable/WAL/flush/compaction
-//! plumbing identical to cLSM's, minus cLSM's concurrency control.
+//! The storage stack under every baseline, and what it shares with
+//! cLSM.
 //!
-//! Each baseline front-end decides *how writers synchronize* (global
-//! mutex, ordered commit, striped locks…); this core provides the
-//! sequence-numbered storage stack they synchronize over, so that
-//! benchmark differences come from the concurrency control alone.
+//! Shared with `clsm::Db`, so that benchmark differences come from the
+//! concurrency control alone:
+//! - the `lsm-storage` substrate: table format, block cache, WAL and
+//!   its logging queue, compaction picks;
+//! - the memtable, and reads in `mem → imm → disk` order;
+//! - the background job runtime, `clsm::jobs`: flushes and compactions
+//!   run as jobs on the same threads, with the same untimed wake-ups.
+//!   A failed flush leaves its immutable memtable parked and is
+//!   retried; eight failures in a row make the store read-only, which
+//!   fails every later write with its error; the WAL rotates prepare →
+//!   cut → flush around the memtable swap, so no fsync runs inside it;
+//! - §5.3's hard stall, which waits on the job state untimed.
+//!
+//! Each model (the front-ends) owns only what the paper compares: how
+//! writers get and publish sequence numbers (global mutex, ordered
+//! commit, writer queue…), the read point, and bLSM's gear.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
-use clsm::{Memtable, Options};
+use clsm::{wait_idle, JobHost, Jobs, Memtable, Options, Workers};
+use clsm_kv::{RmwDecision, RmwResult};
 use clsm_util::error::{Error, Result};
 use clsm_util::rcu::RcuCell;
-use lsm_storage::format::{ValueKind, WriteRecord};
+use lsm_storage::format::ValueKind;
 use lsm_storage::iter::{InternalIterator, MergingIterator};
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
 /// The storage stack under a baseline's concurrency control.
 pub(crate) struct BaselineCore {
-    pub(crate) store: Store,
-    pub(crate) mem: RcuCell<Arc<Memtable>>,
-    pub(crate) imm: RcuCell<Option<Arc<Memtable>>>,
+    store: Store,
+    mem: RcuCell<Arc<Memtable>>,
+    imm: RcuCell<Option<Arc<Memtable>>>,
     /// Next sequence number to assign (LevelDB-style).
     pub(crate) next_seq: AtomicU64,
     /// Highest sequence number whose write is visible to reads.
-    pub(crate) visible_seq: AtomicU64,
-    pub(crate) memtable_bytes: usize,
+    visible_seq: AtomicU64,
+    memtable_bytes: usize,
     sync_writes: bool,
-    flush_pending: AtomicBool,
-    shutdown: AtomicBool,
-    work_mutex: Mutex<()>,
-    work_cv: Condvar,
+    /// The background threads' wake state (see `clsm::jobs`).
+    jobs: Jobs,
     /// Writers hold this shared during inserts; the flush swap takes it
     /// exclusively (same role as cLSM's shared-exclusive lock, but here
     /// it is ordinary and not the contended path).
@@ -43,10 +53,11 @@ pub(crate) struct BaselineCore {
 }
 
 impl BaselineCore {
-    /// Opens the stack, replays the WAL, and spawns maintenance
-    /// threads. A failed spawn is returned as the error, once the
-    /// threads already started are stopped and joined.
-    pub(crate) fn open(dir: &Path, opts: &Options) -> Result<(Arc<Self>, Vec<JoinHandle<()>>)> {
+    /// Opens the stack, replays the WAL, and starts the background
+    /// threads; dropping the returned [`Workers`] stops them. A failed
+    /// spawn is returned as the error, once the threads already started
+    /// are stopped and joined.
+    pub(crate) fn open(dir: &Path, opts: &Options) -> Result<(Arc<Self>, Workers<Self>)> {
         let (store, recovered) = Store::open(dir, opts.store.clone())?;
         let mem = Arc::new(Memtable::new());
         for rec in &recovered.records {
@@ -64,65 +75,108 @@ impl BaselineCore {
             visible_seq: AtomicU64::new(recovered.last_ts),
             memtable_bytes: opts.memtable_bytes,
             sync_writes: opts.sync_writes,
-            flush_pending: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            work_mutex: Mutex::new(()),
-            work_cv: Condvar::new(),
+            jobs: Jobs::default(),
             swap_lock: RwLock::new(()),
         });
-
-        core.store.start_logger()?;
-        let compactors = (0..opts.compaction_threads).map(|i| {
-            (
-                format!("baseline-compact-{i}"),
-                compaction_worker as fn(Arc<Self>),
-            )
-        });
-        let threads = std::iter::once(("baseline-flush".to_owned(), flush_worker as fn(_)));
-        let mut workers = Vec::new();
-        for (name, work) in threads.chain(compactors) {
-            let worker = Arc::clone(&core);
-            match std::thread::Builder::new()
-                .name(name)
-                .spawn(move || work(worker))
-            {
-                Ok(handle) => workers.push(handle),
-                Err(e) => {
-                    // Stop and join the threads that did start.
-                    core.shutdown_and_join(&mut workers);
-                    return Err(e.into());
-                }
-            }
-        }
+        let mut workers = Workers::new(&core);
+        workers.start(opts.compaction_threads)?;
         Ok((core, workers))
     }
 
-    /// Logs and inserts one write at `seq`. The caller is responsible
-    /// for writer-side synchronization and for publishing visibility.
+    /// What every write passes before it takes a sequence number: a
+    /// read-only store fails it with its error, and §5.3's stall (the
+    /// memtable full while the immutable one still merges) holds it,
+    /// untimed, until the flush ends.
+    pub(crate) fn admit(&self) -> Result<()> {
+        if let Some(e) = self.store.poisoned() {
+            return Err(e);
+        }
+        if !self.write_stalled() {
+            return Ok(());
+        }
+        self.jobs.wait_while(&self.store, || self.write_stalled())
+    }
+
+    /// Logs and inserts one write at `seq`, logging the caller's bytes.
+    /// The caller is responsible for writer-side synchronization and for
+    /// publishing visibility.
     pub(crate) fn apply_write(&self, key: &[u8], value: Option<&[u8]>, seq: u64) -> Result<()> {
         if key.is_empty() {
             return Err(Error::invalid_argument("empty keys are not supported"));
         }
-        let record = match value {
-            Some(v) => WriteRecord::put(seq, key, v),
-            None => WriteRecord::delete(seq, key),
-        };
         let _swap = self.swap_lock.read();
-        self.store.log(&[record], SyncMode::Async)?;
+        self.store
+            .log_writes([(seq, key, value)], SyncMode::Async)?;
         self.mem.load().insert(key, seq, value);
         Ok(())
     }
 
-    /// Waits for durability when configured.
-    pub(crate) fn maybe_sync(&self) -> Result<()> {
+    /// The single-writer models' commit (LevelDB's global mutex,
+    /// RocksDB's writer queue, bLSM's one writer): admission, `op` under
+    /// `writer`, then what follows every write.
+    pub(crate) fn serialized<T>(
+        &self,
+        writer: &Mutex<()>,
+        op: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        self.admit()?;
+        let done = {
+            let _writer = writer.lock();
+            op()?
+        };
+        self.after_write()?;
+        Ok(done)
+    }
+
+    /// Under the caller's writer lock: logs and inserts one write at the
+    /// next sequence number and publishes it.
+    pub(crate) fn write_next(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
+        self.apply_write(key, value, seq)?;
+        self.publish(seq);
+        Ok(())
+    }
+
+    /// Under the caller's writer lock: reads `key`'s visible value, lets
+    /// `f` decide, and writes the decision with
+    /// [`write_next`](Self::write_next).
+    pub(crate) fn rmw_next(
+        &self,
+        key: &[u8],
+        f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
+    ) -> Result<RmwResult> {
+        let previous = self.get_at(key, self.visible())?;
+        let value = match f(previous.as_deref()) {
+            RmwDecision::Abort => {
+                return Ok(RmwResult {
+                    committed: false,
+                    previous,
+                })
+            }
+            RmwDecision::Update(v) => Some(v),
+            RmwDecision::Delete => None,
+        };
+        self.write_next(key, value.as_deref())?;
+        Ok(RmwResult {
+            committed: true,
+            previous,
+        })
+    }
+
+    /// What follows every write's commit: the WAL sync when every write
+    /// syncs, and a flush request once the memtable is full.
+    pub(crate) fn after_write(&self) -> Result<()> {
         if self.sync_writes {
             self.store.sync_wal()?;
+        }
+        if self.mem.load().memory_usage() >= self.memtable_bytes {
+            self.jobs.request_flush();
         }
         Ok(())
     }
 
     /// Durability wait for an explicit `WriteOptions::sync` request,
-    /// on top of whatever `maybe_sync` already did.
+    /// on top of whatever `after_write` already did.
     pub(crate) fn sync_if_requested(&self, opts: &clsm_kv::WriteOptions) -> Result<()> {
         if opts.sync && !self.sync_writes {
             self.store.sync_wal()?;
@@ -203,60 +257,23 @@ impl BaselineCore {
         self.mem.load().memory_usage() as f64 / self.memtable_bytes as f64
     }
 
-    /// Returns `true` when the immutable memtable is still being
-    /// flushed while the mutable one is full (hard stall condition).
-    pub(crate) fn should_stall(&self) -> bool {
-        self.mem.load().memory_usage() >= self.memtable_bytes && self.imm.load().is_some()
+    /// §5.3's stall condition: the memtable is full while the immutable
+    /// one is still being merged. Inside the swap both pointers briefly
+    /// name the same memtable; that is a rotation under way, not a
+    /// stall.
+    fn write_stalled(&self) -> bool {
+        let mem = self.mem.load();
+        mem.memory_usage() >= self.memtable_bytes
+            && self.imm.load().is_some_and(|imm| !Arc::ptr_eq(&imm, &mem))
     }
 
-    /// Blocks while [`BaselineCore::should_stall`] holds.
-    pub(crate) fn stall_if_needed(&self) {
-        while self.should_stall() && !self.shutdown.load(Ordering::Acquire) {
-            let mut g = self.work_mutex.lock();
-            if self.should_stall() {
-                self.work_cv
-                    .wait_for(&mut g, std::time::Duration::from_millis(50));
-            }
-        }
-    }
-
-    /// Schedules a flush if the memtable crossed its budget.
-    pub(crate) fn maybe_schedule_flush(&self) {
-        if self.mem.load().memory_usage() >= self.memtable_bytes {
-            self.schedule_flush();
-        }
-    }
-
-    pub(crate) fn schedule_flush(&self) {
-        if !self.flush_pending.swap(true, Ordering::AcqRel) {
-            let _g = self.work_mutex.lock();
-            self.work_cv.notify_all();
-        }
-    }
-
-    /// Blocks until flush and compaction queues drain (bench hook).
+    /// Blocks until the memtable found at the call is flushed and no
+    /// flush or compaction is due or running (bench hook).
     pub(crate) fn quiesce(&self) -> Result<()> {
-        loop {
-            // Only a non-empty memtable needs a flush. Scheduling one
-            // regardless re-raises `flush_pending` just before reading
-            // it, so the loop could exit only if the worker cleared the
-            // flag in between — a livelock that lasted minutes when the
-            // worker ran on the other core.
-            if !self.mem.load().is_empty() {
-                self.schedule_flush();
-            }
-            let busy = self.flush_pending.load(Ordering::Acquire)
-                || !self.mem.load().is_empty()
-                || self.imm.load().is_some()
-                || self.store.needs_compaction();
-            if let Some(e) = self.store.poisoned() {
-                return Err(e);
-            }
-            if !busy {
-                return Ok(());
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        let entry = self.mem.load();
+        wait_idle(self, || {
+            !entry.is_empty() && Arc::ptr_eq(&self.mem.load(), &entry)
+        })
     }
 
     /// Write-amplification counters from the shared store.
@@ -272,32 +289,51 @@ impl BaselineCore {
             seq,
         })
     }
+}
 
-    /// Stops maintenance threads (front-ends call from `Drop`).
-    pub(crate) fn shutdown_and_join(&self, workers: &mut Vec<JoinHandle<()>>) {
-        self.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.work_mutex.lock();
-            self.work_cv.notify_all();
-        }
-        for h in workers.drain(..) {
-            let _ = h.join();
-        }
-        let _ = self.store.sync_wal();
+impl JobHost for BaselineCore {
+    fn store(&self) -> &Store {
+        &self.store
     }
 
+    fn jobs(&self) -> &Jobs {
+        &self.jobs
+    }
+
+    /// `clsm::Db`'s flush without its admission and watchdog
+    /// bookkeeping: the new WAL and memtable are made before the swap
+    /// and the old WAL's tail is synced after it. Preparing ahead is
+    /// safe because only this job swings `mem` and `imm`, one at a
+    /// time.
     fn flush_once(&self) -> Result<bool> {
+        let fresh = match self.imm.load() {
+            Some(_) => None,
+            None if self.mem.load().is_empty() => return Ok(false),
+            None => Some((self.store.prepare_wal()?, Arc::new(Memtable::new()))),
+        };
+        let cut = fresh.is_some();
         let (imm, new_wal) = {
             let _excl = self.swap_lock.write();
-            let old = self.mem.load();
-            if old.is_empty() {
-                return Ok(false);
-            }
-            self.imm.store(Some(Arc::clone(&old)));
-            self.mem.store(Arc::new(Memtable::new()));
-            let new_wal = self.store.rotate_wal()?;
-            (old, new_wal)
+            let imm = match fresh {
+                None => self
+                    .imm
+                    .load()
+                    .expect("only a flush clears a parked memtable"),
+                Some((next_wal, mem)) => {
+                    // `imm` names the old data before `mem` stops
+                    // doing so: readers go `mem → imm → disk`.
+                    let old = self.mem.load();
+                    self.imm.store(Some(Arc::clone(&old)));
+                    self.mem.store(mem);
+                    self.store.cut_wal(next_wal)?;
+                    old
+                }
+            };
+            (imm, self.store.current_wal_number())
         };
+        if cut {
+            self.store.flush_wal()?;
+        }
         let mut iter = imm.internal_iter();
         // Baselines hold no snapshot registry: the watermark is the
         // current visible sequence (short scans pin components
@@ -305,8 +341,21 @@ impl BaselineCore {
         let watermark = self.visible();
         self.store
             .flush_memtable(&mut iter, watermark, imm.max_ts(), new_wal)?;
+        self.jobs.note_install();
         self.imm.store(None);
         Ok(true)
+    }
+
+    fn flush_parked(&self) -> bool {
+        self.imm.load().is_some()
+    }
+
+    fn compact_once(&self) -> Result<bool> {
+        let compacted = self.store.maybe_compact(self.visible())?;
+        if compacted {
+            self.jobs.note_install();
+        }
+        Ok(compacted)
     }
 }
 
@@ -330,45 +379,5 @@ impl clsm_kv::KvSnapshot for CoreSnapshot {
 
     fn scan(&self, range: clsm_kv::ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.core.scan_at(&range, limit, self.seq)
-    }
-}
-
-fn flush_worker(core: Arc<BaselineCore>) {
-    loop {
-        {
-            let mut g = core.work_mutex.lock();
-            while !core.flush_pending.load(Ordering::Acquire)
-                && !core.shutdown.load(Ordering::Acquire)
-            {
-                core.work_cv
-                    .wait_for(&mut g, std::time::Duration::from_millis(50));
-            }
-        }
-        if core.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if core.flush_once().is_err() {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        core.flush_pending.store(false, Ordering::Release);
-        let _g = core.work_mutex.lock();
-        core.work_cv.notify_all();
-    }
-}
-
-fn compaction_worker(core: Arc<BaselineCore>) {
-    loop {
-        if core.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let did_work = core.store.needs_compaction()
-            && core.store.maybe_compact(core.visible()).unwrap_or(false);
-        if !did_work {
-            let mut g = core.work_mutex.lock();
-            if !core.shutdown.load(Ordering::Acquire) {
-                core.work_cv
-                    .wait_for(&mut g, std::time::Duration::from_millis(20));
-            }
-        }
     }
 }

@@ -11,11 +11,8 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
-
-use clsm::Options;
+use clsm::{Options, Workers};
 use clsm_kv::{KvSnapshot, KvStore, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
@@ -27,7 +24,8 @@ pub struct HyperLike {
     /// Highest sequence number whose writer finished committing; a
     /// writer with sequence `s` waits for `s - 1`.
     committed: AtomicU64,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Stops the background threads when dropped.
+    _workers: Workers<BaselineCore>,
 }
 
 impl HyperLike {
@@ -38,12 +36,12 @@ impl HyperLike {
         Ok(HyperLike {
             core,
             committed,
-            workers: Mutex::new(workers),
+            _workers: workers,
         })
     }
 
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        self.core.stall_if_needed();
+        self.core.admit()?;
         let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
         // The insert itself runs in parallel with other writers.
         let applied = self.core.apply_write(key, value, seq);
@@ -64,9 +62,7 @@ impl HyperLike {
         }
         self.committed.store(seq, Ordering::Release);
         applied?;
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(())
+        self.core.after_write()
     }
 }
 
@@ -100,7 +96,7 @@ impl KvStore for HyperLike {
     fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
         // HyperLevelDB has no native RMW; emulate with a writer-side
         // critical section over the commit counter (coarse).
-        self.core.stall_if_needed();
+        self.core.admit()?;
         let seq = self.committed.load(Ordering::Acquire);
         if self.core.get_at(key, seq)?.is_some() {
             return Ok(false);
@@ -119,11 +115,5 @@ impl KvStore for HyperLike {
 
     fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
         Some(self.core.write_amp())
-    }
-}
-
-impl Drop for HyperLike {
-    fn drop(&mut self) {
-        self.core.shutdown_and_join(&mut self.workers.lock());
     }
 }

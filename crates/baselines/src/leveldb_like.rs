@@ -11,13 +11,11 @@
 //!   sequence number and component references, then reads without it.
 
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use clsm::Options;
+use clsm::{Options, Workers};
 use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
@@ -28,7 +26,8 @@ pub struct LevelDbLike {
     core: Arc<BaselineCore>,
     /// The global mutex of LevelDB's `DBImpl::mutex_`.
     global: Mutex<()>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Stops the background threads when dropped.
+    _workers: Workers<BaselineCore>,
 }
 
 impl LevelDbLike {
@@ -38,22 +37,14 @@ impl LevelDbLike {
         Ok(LevelDbLike {
             core,
             global: Mutex::new(()),
-            workers: Mutex::new(workers),
+            _workers: workers,
         })
     }
 
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        self.core.stall_if_needed();
-        {
-            // Single writer: the entire write path is serialized.
-            let _g = self.global.lock();
-            let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-            self.core.apply_write(key, value, seq)?;
-            self.core.publish(seq);
-        }
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(())
+        // Single writer: the entire write path is serialized.
+        self.core
+            .serialized(&self.global, || self.core.write_next(key, value))
     }
 
     /// Captures a consistent read point the way LevelDB does: under the
@@ -88,61 +79,16 @@ impl KvStore for LevelDbLike {
         self.core.scan_at(&range, limit, seq)
     }
 
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        // Without lock striping (see `StripedRmw`), LevelDB-style
-        // conditional puts ride the single-writer mutex.
-        self.core.stall_if_needed();
-        let stored = {
-            let _g = self.global.lock();
-            let seq = self.core.visible();
-            if self.core.get_at(key, seq)?.is_some() {
-                false
-            } else {
-                let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                self.core.apply_write(key, Some(value), seq)?;
-                self.core.publish(seq);
-                true
-            }
-        };
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(stored)
-    }
-
     fn read_modify_write(
         &self,
         key: &[u8],
         f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
     ) -> Result<RmwResult> {
-        // LevelDB-style conditional writes ride the single-writer
-        // mutex end to end: read, decide, write, all serialized.
-        self.core.stall_if_needed();
-        let result = {
-            let _g = self.global.lock();
-            let current = self.core.get_at(key, self.core.visible())?;
-            match f(current.as_deref()) {
-                RmwDecision::Abort => RmwResult {
-                    committed: false,
-                    previous: current,
-                },
-                decision => {
-                    let value = match &decision {
-                        RmwDecision::Update(v) => Some(v.as_slice()),
-                        _ => None,
-                    };
-                    let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                    self.core.apply_write(key, value, seq)?;
-                    self.core.publish(seq);
-                    RmwResult {
-                        committed: true,
-                        previous: current,
-                    }
-                }
-            }
-        };
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(result)
+        // LevelDB-style conditional writes (and the default
+        // `put_if_absent` over this) ride the single-writer mutex end to
+        // end: read, decide, write, all serialized.
+        self.core
+            .serialized(&self.global, || self.core.rmw_next(key, f))
     }
 
     fn quiesce(&self) -> Result<()> {
@@ -155,11 +101,5 @@ impl KvStore for LevelDbLike {
 
     fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
         Some(self.core.write_amp())
-    }
-}
-
-impl Drop for LevelDbLike {
-    fn drop(&mut self) {
-        self.core.shutdown_and_join(&mut self.workers.lock());
     }
 }

@@ -5,7 +5,14 @@
 //! reimplements each system's **concurrency-control model** on the same
 //! `lsm-storage` substrate the cLSM crate uses. That isolates exactly
 //! the variable the paper studies — in-memory synchronization — with
-//! the disk format, caches, WAL, and compaction held equal:
+//! the disk format, caches, WAL, and compaction held equal.
+//!
+//! Shared with `clsm::Db`: the substrate, the memtable, and the
+//! background job runtime (`clsm::jobs`), so flushes and compactions
+//! run on the same threads with the same retry, read-only and WAL
+//! rotation rules, and §5.3's stall waits on the same job state. Each
+//! model owns only how writers get and publish sequence numbers, the
+//! read point, and (bLSM) the gear:
 //!
 //! - [`LevelDbLike`] — a global mutex serializes writers end-to-end and
 //!   is briefly taken by every read (LevelDB's design: "coarse-grained

@@ -10,13 +10,11 @@
 //! threads concurrently".
 
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use clsm::Options;
+use clsm::{Options, Workers};
 use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
@@ -28,7 +26,8 @@ pub struct RocksLike {
     /// The writers queue (we model the leader/follower group-commit
     /// protocol as one mutex: same serialization, simpler mechanics).
     writer_queue: Mutex<()>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Stops the background threads when dropped.
+    _workers: Workers<BaselineCore>,
 }
 
 impl RocksLike {
@@ -38,21 +37,13 @@ impl RocksLike {
         Ok(RocksLike {
             core,
             writer_queue: Mutex::new(()),
-            workers: Mutex::new(workers),
+            _workers: workers,
         })
     }
 
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        self.core.stall_if_needed();
-        {
-            let _g = self.writer_queue.lock();
-            let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-            self.core.apply_write(key, value, seq)?;
-            self.core.publish(seq);
-        }
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(())
+        self.core
+            .serialized(&self.writer_queue, || self.core.write_next(key, value))
     }
 }
 
@@ -79,58 +70,16 @@ impl KvStore for RocksLike {
         self.core.scan_at(&range, limit, self.core.visible())
     }
 
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        self.core.stall_if_needed();
-        let stored = {
-            let _g = self.writer_queue.lock();
-            if self.core.get_at(key, self.core.visible())?.is_some() {
-                false
-            } else {
-                let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                self.core.apply_write(key, Some(value), seq)?;
-                self.core.publish(seq);
-                true
-            }
-        };
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(stored)
-    }
-
     fn read_modify_write(
         &self,
         key: &[u8],
         f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
     ) -> Result<RmwResult> {
         // Modeled on RocksDB's merge-operator discipline: the whole
-        // read-decide-write runs inside the writer queue.
-        self.core.stall_if_needed();
-        let result = {
-            let _g = self.writer_queue.lock();
-            let current = self.core.get_at(key, self.core.visible())?;
-            match f(current.as_deref()) {
-                RmwDecision::Abort => RmwResult {
-                    committed: false,
-                    previous: current,
-                },
-                decision => {
-                    let value = match &decision {
-                        RmwDecision::Update(v) => Some(v.as_slice()),
-                        _ => None,
-                    };
-                    let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                    self.core.apply_write(key, value, seq)?;
-                    self.core.publish(seq);
-                    RmwResult {
-                        committed: true,
-                        previous: current,
-                    }
-                }
-            }
-        };
-        self.core.maybe_sync()?;
-        self.core.maybe_schedule_flush();
-        Ok(result)
+        // read-decide-write (and the default `put_if_absent` over it)
+        // runs inside the writer queue.
+        self.core
+            .serialized(&self.writer_queue, || self.core.rmw_next(key, f))
     }
 
     fn quiesce(&self) -> Result<()> {
@@ -143,11 +92,5 @@ impl KvStore for RocksLike {
 
     fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
         Some(self.core.write_amp())
-    }
-}
-
-impl Drop for RocksLike {
-    fn drop(&mut self) {
-        self.core.shutdown_and_join(&mut self.workers.lock());
     }
 }

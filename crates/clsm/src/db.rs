@@ -3,10 +3,7 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use clsm_util::clock::now_ns;
 use clsm_util::env::Env;
@@ -24,7 +21,7 @@ use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
 use crate::admission::{stage_name, FlowControl, FLUSH_BEHIND, L0_BEHIND};
-use crate::jobs::{spawn_workers, JobState};
+use crate::jobs::{wait_idle, JobHost, Jobs, Workers};
 use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
@@ -63,12 +60,10 @@ pub(crate) struct DbInner {
     /// reports the episode; cleared when `beforeMerge` makes a new one.
     write_stall_reported: AtomicBool,
 
-    /// Rejects writes once `Drop` has begun; set with `jobs.shutdown`.
+    /// Rejects writes once `Drop` has begun.
     pub(crate) shutdown: AtomicBool,
-    /// The background threads' wake state (see [`crate::jobs`]). Its
-    /// condvar also wakes stalled writers and quiescence waiters.
-    pub(crate) jobs: Mutex<JobState>,
-    pub(crate) jobs_cv: Condvar,
+    /// The background threads' wake state (see [`crate::jobs`]).
+    pub(crate) jobs: Jobs,
 }
 
 /// A concurrent log-structured data store (the paper's cLSM).
@@ -77,7 +72,7 @@ pub(crate) struct DbInner {
 /// `&self` and are safe to call from any number of threads.
 pub struct Db {
     pub(crate) inner: Arc<DbInner>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Workers<DbInner>,
 }
 
 impl Db {
@@ -99,7 +94,7 @@ impl Db {
         let mut db = Db::open_stepped(path, opts)?;
         // On a failed spawn, dropping `db` stops and joins the threads
         // that did start.
-        spawn_workers(&db.inner, &mut db.workers)?;
+        db.workers.start(db.inner.opts.compaction_threads)?;
         Ok(db)
     }
 
@@ -144,8 +139,7 @@ impl Db {
             flow: FlowControl::default(),
             write_stall_reported: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            jobs: Mutex::default(),
-            jobs_cv: Condvar::new(),
+            jobs: Jobs::default(),
         });
 
         // One registry for the whole stack: the storage layer records
@@ -158,8 +152,8 @@ impl Db {
         // A recovered tree may already be behind.
         inner.note_version();
         Ok(Db {
+            workers: Workers::new(&inner),
             inner,
-            workers: Vec::new(),
         })
     }
 
@@ -425,26 +419,15 @@ impl Db {
     /// written alone, and merging would only rewrite it.
     ///
     /// A writer that keeps putting does not hold it up: what it writes
-    /// after the call need not be flushed. The wait is untimed. Every transition that ends "busy" (a job finishing, a
-    /// version install) notifies under the job-state lock, and while
-    /// the store is busy some job is asked for or running, and its end
-    /// notifies.
+    /// after the call need not be flushed. The wait is untimed (see
+    /// `jobs::wait_idle`).
     pub fn compact_to_quiescence(&self) -> Result<()> {
         let inner = &self.inner;
         let entry_pm = inner.pm.load();
-        let mut state = inner.jobs.lock();
         loop {
-            if let Some(e) = inner.store.poisoned() {
-                return Err(e);
-            }
-            if !entry_pm.is_empty() && Arc::ptr_eq(&inner.pm.load(), &entry_pm) {
-                inner.request_flush_locked(&mut state);
-            }
-            if inner.is_busy(&state) {
-                inner.jobs_cv.wait(&mut state);
-                continue;
-            }
-            drop(state);
+            wait_idle(&**inner, || {
+                !entry_pm.is_empty() && Arc::ptr_eq(&inner.pm.load(), &entry_pm)
+            })?;
             match inner
                 .store
                 .compact_l0_if_it_shadows_deeper_levels(inner.gc_watermark())
@@ -456,7 +439,6 @@ impl Db {
                     inner.note_version();
                     compacted?;
                     // L1 may now be over its budget.
-                    state = inner.jobs.lock();
                     continue;
                 }
             }
@@ -536,19 +518,10 @@ impl Db {
 }
 
 impl Drop for Db {
+    /// Rejects later writes; dropping `workers` then stops and joins the
+    /// background threads and pushes the WAL to the OS.
     fn drop(&mut self) {
-        {
-            let mut state = self.inner.jobs.lock();
-            state.shutdown = true;
-            self.inner.shutdown.store(true, Ordering::Relaxed);
-            self.inner.jobs_cv.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Unflushed memtable data stays recoverable via the WAL; make
-        // sure the logging queue has pushed it to the OS.
-        let _ = self.inner.store.sync_wal();
+        self.inner.shutdown.store(true, Ordering::Relaxed);
     }
 }
 
@@ -705,9 +678,7 @@ impl DbInner {
     pub(crate) fn note_version(&self) {
         let behind = compaction::l0_is_behind(&self.store.current_version());
         self.flow.set(L0_BEHIND, behind);
-        let mut state = self.jobs.lock();
-        state.installs += 1;
-        self.jobs_cv.notify_all();
+        self.jobs.note_install();
     }
 
     /// §5.3's stall condition: `Pm` is full while `P'm` is still being
@@ -738,18 +709,12 @@ impl DbInner {
         if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
             self.report_write_stall();
         }
-        // Checked under the lock: every flush attempt ends, and `Drop`
-        // sets `shutdown`, by notifying under it — so a plain wait (no
-        // timed backstop) cannot hang. A flush that poisoned the store
-        // is never retried, so its end is the last wake this gets.
-        let mut state = self.jobs.lock();
-        while self.write_stalled() && !state.shutdown && self.store.poisoned().is_none() {
-            self.jobs_cv.wait(&mut state);
-        }
-        drop(state);
+        // Every flush attempt ends by notifying the job state, so the
+        // wait is untimed (see `Jobs::wait_while`).
+        let waited = self.jobs.wait_while(&self.store, || self.write_stalled());
         let stalled_ns = now_ns().saturating_sub(began);
         self.metrics.write_stall_ns.add(stalled_ns);
-        self.store.poisoned().map_or(Ok(true), Err)
+        waited.map(|()| true)
     }
 
     /// Reports the stall behind the current `P'm`, sized by `Pm`.
@@ -767,15 +732,6 @@ impl DbInner {
         );
     }
 
-    /// Whether any background work is asked for or in flight (the
-    /// quiescence condition, inverted).
-    fn is_busy(&self, state: &JobState) -> bool {
-        state.flush_requested
-            || state.running != [0; 3]
-            || self.pm_prev.load().is_some()
-            || self.store.needs_compaction()
-    }
-
     pub(crate) fn maybe_schedule_flush(&self) {
         if self.pm.load().memory_usage() >= self.opts.memtable_bytes {
             // A full `Pm` is a flush that is due, not one about to be:
@@ -785,7 +741,7 @@ impl DbInner {
             if self.flow.behind() & FLUSH_BEHIND == 0 {
                 self.flow.set(FLUSH_BEHIND, true);
             }
-            self.request_flush_locked(&mut self.jobs.lock());
+            self.jobs.request_flush();
         }
     }
 
@@ -796,6 +752,16 @@ impl DbInner {
         self.snapshots
             .oldest()
             .unwrap_or_else(|| self.oracle.current_time())
+    }
+}
+
+impl JobHost for DbInner {
+    fn store(&self) -> &Store {
+        &self.store
+    }
+
+    fn jobs(&self) -> &Jobs {
+        &self.jobs
     }
 
     /// The merge of `C'm` into `Cd` with its beforeMerge/afterMerge
@@ -809,7 +775,7 @@ impl DbInner {
     /// job swings `Pm` and `P'm`, and `run_job` runs one flush at a
     /// time: a `Pm` found non-empty with no `P'm` parked stays so until
     /// the hold.
-    pub(crate) fn flush_once(&self) -> Result<bool> {
+    fn flush_once(&self) -> Result<bool> {
         // --- before the hold: the new WAL's file and the new `Pm`,
         // unless a failed flush left `P'm` parked to merge again.
         let fresh = match self.pm_prev.load() {
@@ -874,6 +840,37 @@ impl DbInner {
             self.pm_prev.store(None);
             self.flow.set(FLUSH_BEHIND, false);
         }
+        Ok(true)
+    }
+
+    fn flush_parked(&self) -> bool {
+        self.pm_prev.load().is_some()
+    }
+
+    /// An L0→L1 merge (one that took L0 tables out of the tree —
+    /// flushes only ever add them) also stores the L0 drain rate.
+    fn compact_once(&self) -> Result<bool> {
+        // Only L0's numbers and sizes: holding the version itself would
+        // pin the compaction's inputs past its removal pass, leaving
+        // them on disk until the next job.
+        let l0_before: Vec<(u64, u64)> = self.store.current_version().levels[0]
+            .iter()
+            .map(|f| (f.number, f.file_size))
+            .collect();
+        let began = Instant::now();
+        if !self.store.maybe_compact(self.gc_watermark())? {
+            return Ok(false);
+        }
+        let after = self.store.current_version();
+        let l0_retired: u64 = l0_before
+            .iter()
+            .filter(|&&(number, _)| !after.levels[0].iter().any(|g| g.number == number))
+            .map(|&(_, size)| size)
+            .sum();
+        if l0_retired > 0 {
+            self.flow.l0_drained(l0_retired, began.elapsed());
+        }
+        self.note_version();
         Ok(true)
     }
 }

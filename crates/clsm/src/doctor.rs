@@ -44,7 +44,7 @@ impl Db {
         DoctorReport {
             metrics: self.metrics(),
             stall_events: self.stall_events(),
-            last_background_error: self.inner.jobs.lock().last_error.clone(),
+            last_background_error: self.inner.jobs.state.lock().last_error.clone(),
             read_only: self.read_only(),
         }
     }

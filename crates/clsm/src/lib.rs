@@ -62,7 +62,7 @@ pub use batch::{WriteBatch, WriteOptions};
 pub use db::Db;
 pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport};
 #[doc(hidden)]
-pub use jobs::Job;
+pub use jobs::{wait_idle, Job, JobHost, Jobs, Workers};
 pub use memtable::Memtable;
 pub use options::Options;
 pub use rmw::{RmwDecision, RmwResult};

@@ -28,9 +28,6 @@ use clsm_util::metrics::{ConcurrentHistogram, Counter, MetricsRegistry};
 
 use crate::db::DbInner;
 
-/// Background jobs that failed (see `DbInner::run_job`).
-pub(crate) const BACKGROUND_ERRORS: &str = "db.background_errors";
-
 /// Pre-registered metrics handles of one open database.
 ///
 /// Counter names carry the `db.` prefix, per-operation latency
@@ -71,7 +68,7 @@ pub(crate) struct DbMetrics {
     pub(crate) write_path: WritePathMetrics,
 }
 
-/// Registers the gauges (and the two counters) read from the store
+/// Registers the gauges (and the counters) read from the store
 /// behind `inner` at snapshot time. A leaked `Snapshot` shows in
 /// `oracle.oldest_snapshot_age`, a leaked iterator in
 /// `storage.retired_table_bytes`, a hung merge hook in
@@ -143,6 +140,9 @@ pub(crate) fn register_gauges(inner: &Arc<DbInner>) {
     }
     let rollbacks = computed(inner, |i| i.oracle.rollbacks());
     registry.counter_fn("oracle.getts_rollbacks", rollbacks);
+    // Counted in the job state, which the baselines share.
+    let failed_jobs = computed(inner, |i| i.jobs.state.lock().errors);
+    registry.counter_fn("db.background_errors", failed_jobs);
     if inner.store.cache_stats().is_some() {
         let hits = computed(inner, |i| i.store.cache_stats().map_or(0, |(hits, _)| hits));
         let misses = computed(inner, |i| {
@@ -262,10 +262,6 @@ impl DbMetrics {
             }
             total
         });
-        // No field: `DbInner` embeds this struct, and one more field
-        // would move its hot atomics onto other cache lines. Failed
-        // background jobs are rare; `run_job` counts them by name.
-        registry.counter(BACKGROUND_ERRORS);
         metrics
     }
 }

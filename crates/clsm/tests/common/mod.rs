@@ -1,10 +1,13 @@
-//! A fault-injecting `Env` the stepped-scheduler suites share.
+//! A fault-injecting `Env` and the replayable part of a `FaultEnv`
+//! history, which the stepped-scheduler suites share; each uses some.
+#![allow(dead_code)]
 
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use clsm_util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
+use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
 
 /// A [`FaultEnv`] whose next `remaining` appends to table files fail,
@@ -92,4 +95,28 @@ impl Env for FailTableWrites {
     fn exists(&self, path: &Path) -> bool {
         self.fault.exists(path)
     }
+}
+
+/// The file operations a schedule made that its seed must fix: every
+/// write (with its length), sync and rename, first of the files only
+/// the schedule's own thread touches (WAL, manifest, `CURRENT`) in the
+/// order it made them, then of each table file on its own. A job's
+/// finisher writes one table while its merge writes the next, so only
+/// each table's own operations come in a fixed order. Removals are
+/// left out: the epoch collector, which every test thread in this
+/// binary shares, decides when a table file goes.
+pub fn replayed_ops(env: &FaultEnv) -> (Vec<FaultOp>, BTreeMap<PathBuf, Vec<FaultOp>>) {
+    let is_table = |path: &Path| path.extension().is_some_and(|e| e == "sst");
+    let mut own = Vec::new();
+    let mut tables: BTreeMap<PathBuf, Vec<FaultOp>> = BTreeMap::new();
+    for op in env.history() {
+        match &op {
+            FaultOp::Write(path, _) | FaultOp::Sync(path) if is_table(path) => {
+                tables.entry(path.clone()).or_default().push(op)
+            }
+            FaultOp::Remove(_) => {}
+            _ => own.push(op),
+        }
+    }
+    (own, tables)
 }

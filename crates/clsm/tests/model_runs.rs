@@ -22,6 +22,7 @@
 //! at or under its budget. Run it in release (`cargo test --release -p
 //! clsm --test model_runs -- --nocapture` prints the tables).
 
+mod common;
 #[path = "../../../tests/common/mod.rs"]
 mod counting;
 
@@ -33,6 +34,7 @@ use clsm::{Db, Job, Options, WriteBatch, WriteOptions};
 use clsm_util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
 use clsm_util::error::Result;
 use clsm_workloads::keygen::{format_key, value_for, KeyDistribution, KeyGen};
+use common::replayed_ops;
 use lsm_storage::StoreOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -356,23 +358,24 @@ fn flush_then_compact(db: &Db, compactions: u32, counts: &mut WriteCounts) -> bo
     true
 }
 
-/// Prefills the store, then counts the ingest phase with at most
-/// `compactions` compactions after each flush.
-fn ingest_run(seed: u64, compactions: u32) -> WriteCounts {
-    let env = Counting::new(seed);
-    let opts = Options {
+/// The ingest phase's geometry, on `env`.
+fn ingest_options(env: Arc<dyn Env>) -> Options {
+    Options {
         memtable_bytes: 256 << 10,
         store: StoreOptions {
             block_cache_bytes: 512 << 10,
             table_file_size: 64 << 10,
             base_level_bytes: 512 << 10,
-            env: Arc::new(env.clone()),
+            env,
             ..StoreOptions::default()
         },
         ..Options::default()
-    };
-    let db = Db::open_stepped(Path::new("/model-ingest"), opts).unwrap();
-    // The prefill in 256-entry batches, then quiescence.
+    }
+}
+
+/// Writes every key once, in 256-entry batches, then runs jobs until
+/// none is due.
+fn prefill(db: &Db) {
     for base in (0..INGEST_KEYS).step_by(256) {
         let batch: WriteBatch = (base..INGEST_KEYS.min(base + 256))
             .map(|i| {
@@ -381,12 +384,24 @@ fn ingest_run(seed: u64, compactions: u32) -> WriteCounts {
             })
             .collect();
         db.write(batch, &WriteOptions::new()).unwrap();
-        run_all_due_jobs(&db);
+        run_all_due_jobs(db);
     }
     let mut prefill = WriteCounts::default();
-    while flush_then_compact(&db, u32::MAX, &mut prefill) || !db.due_jobs().is_empty() {
-        run_all_due_jobs(&db);
+    while flush_then_compact(db, u32::MAX, &mut prefill) || !db.due_jobs().is_empty() {
+        run_all_due_jobs(db);
     }
+}
+
+/// Prefills the store, then counts the ingest phase with at most
+/// `compactions` compactions after each flush.
+fn ingest_run(seed: u64, compactions: u32) -> WriteCounts {
+    let env = Counting::new(seed);
+    let db = Db::open_stepped(
+        Path::new("/model-ingest"),
+        ingest_options(Arc::new(env.clone())),
+    )
+    .unwrap();
+    prefill(&db);
 
     let before = [&env.written, &env.wal_syncs, &env.table_syncs].map(|c| c.load(Relaxed));
     let mut keys = KeyGen::new(INGEST_KEYS, INGEST_KEY_LEN, KeyDistribution::Uniform);
@@ -486,4 +501,63 @@ fn an_ingest_phase_writes_what_its_budget_says() {
             );
         }
     }
+}
+
+/// Crash cycles in the ingest shape; each ends in power loss.
+const CRASH_CYCLES: u64 = 3;
+
+/// Repeated crashes (ROADMAP item 10(c)) in the ingest shape at *d* = 1:
+/// after the prefill, [`CRASH_CYCLES`] cycles of `INGEST_PUTS /
+/// CRASH_CYCLES` uniform sync puts, each put followed by the due flush
+/// and one compaction. A cycle ends in power loss: the next durable
+/// operation dies, then what was not synced goes, keeping a seeded torn
+/// tail. Each reopen must read every acknowledged put back and pass
+/// `verify_integrity`. Returns the env, whose history the seed fixes.
+fn crash_cycles_run(seed: u64) -> FaultEnv {
+    let dir = Path::new("/model-crash-cycles");
+    let fault = FaultEnv::new(seed);
+    let opts = ingest_options(Arc::new(fault.clone()));
+    let mut db = Db::open_stepped(dir, opts.clone()).unwrap();
+    prefill(&db);
+    let mut acked: Vec<Vec<u8>> = (0..INGEST_KEYS).map(|i| value_for(i, VALUE_LEN)).collect();
+    let mut keys = KeyGen::new(INGEST_KEYS, INGEST_KEY_LEN, KeyDistribution::Uniform);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut counts = WriteCounts::default();
+    for cycle in 0..CRASH_CYCLES {
+        for i in 0..INGEST_PUTS / CRASH_CYCLES {
+            let index = keys.next_index(&mut rng);
+            let value = value_for(index ^ (cycle << 32 | i), VALUE_LEN);
+            let put = WriteBatch::single_put(&format_key(index, INGEST_KEY_LEN), &value);
+            db.write(put, &WriteOptions::durable()).unwrap();
+            acked[index as usize] = value;
+            if db.due_jobs().contains(&Job::Flush) {
+                flush_then_compact(&db, 1, &mut counts);
+            }
+        }
+        fault.crash_after(1);
+        drop(db);
+        fault.power_loss();
+        db = Db::open_stepped(dir, opts.clone()).unwrap();
+        let lost = (0..INGEST_KEYS)
+            .filter(|&i| {
+                db.get(&format_key(i, INGEST_KEY_LEN)).unwrap().as_ref() != Some(&acked[i as usize])
+            })
+            .count();
+        assert_eq!(
+            lost, 0,
+            "seed {seed:#x}, reopen {cycle}: acknowledged puts lost"
+        );
+        db.verify_integrity()
+            .unwrap_or_else(|e| panic!("seed {seed:#x}, reopen {cycle}: {e}"));
+    }
+    fault
+}
+
+#[test]
+fn repeated_power_loss_in_the_ingest_shape_keeps_every_sync_put() {
+    let history = replayed_ops(&crash_cycles_run(SEED));
+    assert!(
+        replayed_ops(&crash_cycles_run(SEED)) == history,
+        "one seed, two different operation histories"
+    );
 }

@@ -8,12 +8,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use clsm::{Db, Job, Options, RmwDecision, WriteBatch, WriteOptions};
-use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
+use clsm_util::env::{Env, FaultEnv, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
 use lsm_storage::compaction::L0_COMPACTION_TRIGGER;
 
 mod common;
-use common::FailTableWrites;
+use common::{replayed_ops, FailTableWrites};
 
 /// xorshift64*: the seeded choices of one schedule.
 struct Rng(u64);
@@ -136,30 +136,6 @@ fn run_stepped_schedule(seed: u64) -> (u64, FaultEnv) {
 fn seeded_stepped_schedules_match_a_model() {
     let compactions: u64 = (0..100).map(|seed| run_stepped_schedule(seed).0).sum();
     assert!(compactions > 0, "no schedule compacted");
-}
-
-/// The file operations a schedule made that its seed must fix: every
-/// write (with its length), sync and rename, first of the files only
-/// the schedule's own thread touches (WAL, manifest, `CURRENT`) in the
-/// order it made them, then of each table file on its own. A job's
-/// finisher writes one table while its merge writes the next, so only
-/// each table's own operations come in a fixed order. Removals are
-/// left out: the epoch collector, which every test thread in this
-/// binary shares, decides when a table file goes.
-fn replayed_ops(env: &FaultEnv) -> (Vec<FaultOp>, BTreeMap<PathBuf, Vec<FaultOp>>) {
-    let is_table = |path: &Path| path.extension().is_some_and(|e| e == "sst");
-    let mut own = Vec::new();
-    let mut tables: BTreeMap<PathBuf, Vec<FaultOp>> = BTreeMap::new();
-    for op in env.history() {
-        match &op {
-            FaultOp::Write(path, _) | FaultOp::Sync(path) if is_table(path) => {
-                tables.entry(path.clone()).or_default().push(op)
-            }
-            FaultOp::Remove(_) => {}
-            _ => own.push(op),
-        }
-    }
-    (own, tables)
 }
 
 /// A stepped store has no thread between steps, so a seed fixes its

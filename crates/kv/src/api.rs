@@ -1,11 +1,12 @@
 //! Request-oriented façade over [`KvStore`].
 //!
-//! Every driver that exercises a store through a uniform surface — the
-//! network server, the linearizability checker, the bench harness —
-//! speaks in terms of one [`Request`] in, one [`Response`] out, routed
-//! through [`dispatch`]. The wire protocol in `clsm-net` is then a
-//! *serialization* of these enums rather than a parallel API that
-//! could drift from the trait.
+//! The network server speaks in terms of one [`Request`] in, one
+//! [`Response`] out, routed through [`dispatch`], and the wire protocol
+//! in `clsm-net` is a *serialization* of these enums rather than a
+//! parallel API that could drift from the trait. Its users are
+//! `clsm-net` and, through it, the linearizability checker's `clsm-net`
+//! system and the benchmark's `net-open` workload; the checker's other
+//! systems and the bench harness drive [`KvStore`] directly.
 //!
 //! Two store operations cannot be represented as plain data and are
 //! deliberately absent:
