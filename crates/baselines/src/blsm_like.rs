@@ -19,31 +19,27 @@ use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch
 use clsm_util::error::Result;
 
 use crate::core::BaselineCore;
+use crate::Stepped;
 
 /// A bLSM-style store: single writer, gear-throttled against merges.
 pub struct BlsmLike {
     core: Arc<BaselineCore>,
     global: Mutex<()>,
     /// Stops the background threads when dropped.
-    _workers: Workers<BaselineCore>,
+    workers: Workers<BaselineCore>,
 }
 
 impl BlsmLike {
     /// Opens (or creates) a store at `path`.
     pub fn open(path: &Path, opts: Options) -> Result<BlsmLike> {
-        let (core, workers) = BaselineCore::open(path, &opts)?;
-        Ok(BlsmLike {
-            core,
-            global: Mutex::new(()),
-            _workers: workers,
-        })
+        BaselineCore::open(path, &opts, true)
     }
 
     /// Spring-and-gear: no delay below 70% fill; once the memtable
     /// outpaces the merge, delay writes proportionally instead of
     /// letting them hit the hard stall.
     fn gear_throttle(&self) {
-        let fill = self.core.fill_fraction();
+        let fill = self.core.components.fill();
         if fill > 0.7 {
             let over = (fill - 0.7) / 0.3;
             let micros = (over.clamp(0.0, 1.0) * 200.0) as u64;
@@ -57,6 +53,20 @@ impl BlsmLike {
         self.gear_throttle();
         self.core
             .serialized(&self.global, || self.core.write_next(key, value))
+    }
+}
+
+impl Stepped for BlsmLike {
+    fn assemble(core: Arc<BaselineCore>, workers: Workers<BaselineCore>) -> Self {
+        BlsmLike {
+            core,
+            global: Mutex::new(()),
+            workers,
+        }
+    }
+
+    fn workers(&self) -> &Workers<BaselineCore> {
+        &self.workers
     }
 }
 

@@ -5,14 +5,23 @@
 //! concurrency control alone:
 //! - the `lsm-storage` substrate: table format, block cache, WAL and
 //!   its logging queue, compaction picks;
-//! - the memtable, and reads in `mem → imm → disk` order;
-//! - the background job runtime, `clsm::jobs`: flushes and compactions
-//!   run as jobs on the same threads, with the same untimed wake-ups.
-//!   A failed flush leaves its immutable memtable parked and is
-//!   retried; eight failures in a row make the store read-only, which
-//!   fails every later write with its error; the WAL rotates prepare →
-//!   cut → flush around the memtable swap, so no fsync runs inside it;
-//! - §5.3's hard stall, which waits on the job state untimed.
+//! - the memory components, `clsm::Components`: `Pm` and `P'm`, the
+//!   recovery replay into `Pm`, reads in `Pm → P'm → Pd` order, the
+//!   children a scan merges, and the one stall condition: a write that
+//!   finds `Pm` full waits, untimed on the job state, for the flush to
+//!   swap it (LevelDB's `MakeRoomForWrite`), so `Pm` stays bounded;
+//! - the background job runtime, `clsm::jobs`, with its one flush:
+//!   flushes and compactions run as jobs on the same threads, with the
+//!   same untimed wake-ups. A failed flush leaves its immutable
+//!   memtable parked and is retried; eight failures in a row make the
+//!   store read-only, which fails every later write with its error; the
+//!   WAL rotates prepare → cut → flush around the memtable swap, so no
+//!   fsync runs inside it. The swap and the drop of `P'm` run under
+//!   `swap_lock`'s write side, and the GC watermark is the visible
+//!   sequence, read inside the swap.
+//!
+//! A core opened without threads is a stepped store: its front-end's
+//! `open_stepped`, whose jobs a test runs through [`crate::Stepped`].
 //!
 //! Each model (the front-ends) owns only what the paper compares: how
 //! writers get and publish sequence numbers (global mutex, ordered
@@ -24,25 +33,23 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use clsm::{wait_idle, JobHost, Jobs, Memtable, Options, Workers};
+use clsm::{wait_idle, Components, JobHost, Jobs, Options, SnapshotIter, Workers};
 use clsm_kv::{RmwDecision, RmwResult};
 use clsm_util::error::{Error, Result};
-use clsm_util::rcu::RcuCell;
-use lsm_storage::format::ValueKind;
-use lsm_storage::iter::{InternalIterator, MergingIterator};
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
+use crate::Stepped;
+
 /// The storage stack under a baseline's concurrency control.
-pub(crate) struct BaselineCore {
+#[doc(hidden)]
+pub struct BaselineCore {
     store: Store,
-    mem: RcuCell<Arc<Memtable>>,
-    imm: RcuCell<Option<Arc<Memtable>>>,
+    pub(crate) components: Components,
     /// Next sequence number to assign (LevelDB-style).
     pub(crate) next_seq: AtomicU64,
     /// Highest sequence number whose write is visible to reads.
     visible_seq: AtomicU64,
-    memtable_bytes: usize,
     sync_writes: bool,
     /// The background threads' wake state (see `clsm::jobs`).
     jobs: Jobs,
@@ -53,48 +60,40 @@ pub(crate) struct BaselineCore {
 }
 
 impl BaselineCore {
-    /// Opens the stack, replays the WAL, and starts the background
-    /// threads; dropping the returned [`Workers`] stops them. A failed
-    /// spawn is returned as the error, once the threads already started
-    /// are stopped and joined.
-    pub(crate) fn open(dir: &Path, opts: &Options) -> Result<(Arc<Self>, Workers<Self>)> {
+    /// Opens the stack, replays the WAL and builds the front-end `S`
+    /// over it; with `threads`, starts the background threads too
+    /// (dropping the front-end's [`Workers`] stops them). A failed spawn
+    /// is returned as the error, once the threads already started are
+    /// stopped and joined. Without `threads` the store is stepped.
+    pub(crate) fn open<S: Stepped>(dir: &Path, opts: &Options, threads: bool) -> Result<S> {
         let (store, recovered) = Store::open(dir, opts.store.clone())?;
-        let mem = Arc::new(Memtable::new());
-        for rec in &recovered.records {
-            let value = match rec.kind {
-                ValueKind::Put => Some(rec.value.as_slice()),
-                ValueKind::Delete => None,
-            };
-            mem.insert(&rec.key, rec.ts, value);
-        }
         let core = Arc::new(BaselineCore {
             store,
-            mem: RcuCell::new(mem),
-            imm: RcuCell::new(None),
+            components: Components::recovered(&recovered.records, opts.memtable_bytes),
             next_seq: AtomicU64::new(recovered.last_ts),
             visible_seq: AtomicU64::new(recovered.last_ts),
-            memtable_bytes: opts.memtable_bytes,
             sync_writes: opts.sync_writes,
             jobs: Jobs::default(),
             swap_lock: RwLock::new(()),
         });
         let mut workers = Workers::new(&core);
-        workers.start(opts.compaction_threads)?;
-        Ok((core, workers))
+        if threads {
+            workers.start(opts.compaction_threads)?;
+        }
+        Ok(S::assemble(core, workers))
     }
 
     /// What every write passes before it takes a sequence number: a
-    /// read-only store fails it with its error, and §5.3's stall (the
-    /// memtable full while the immutable one still merges) holds it,
-    /// untimed, until the flush ends.
+    /// read-only store fails it with its error, and a full `Pm` holds
+    /// it, untimed, until the flush swaps it.
     pub(crate) fn admit(&self) -> Result<()> {
         if let Some(e) = self.store.poisoned() {
             return Err(e);
         }
-        if !self.write_stalled() {
+        if !self.components.write_waits() {
             return Ok(());
         }
-        self.jobs.wait_while(&self.store, || self.write_stalled())
+        self.jobs.wait_for_room(&self.store, &self.components)
     }
 
     /// Logs and inserts one write at `seq`, logging the caller's bytes.
@@ -107,7 +106,7 @@ impl BaselineCore {
         let _swap = self.swap_lock.read();
         self.store
             .log_writes([(seq, key, value)], SyncMode::Async)?;
-        self.mem.load().insert(key, seq, value);
+        self.components.pm().insert(key, seq, value);
         Ok(())
     }
 
@@ -169,7 +168,7 @@ impl BaselineCore {
         if self.sync_writes {
             self.store.sync_wal()?;
         }
-        if self.mem.load().memory_usage() >= self.memtable_bytes {
+        if self.components.full() {
             self.jobs.request_flush();
         }
         Ok(())
@@ -190,20 +189,9 @@ impl BaselineCore {
         self.visible_seq.fetch_max(seq, Ordering::Release);
     }
 
-    /// Reads `key` at `seq` through `mem → imm → disk`.
+    /// Reads `key` at `seq` through `Pm → P'm → Pd`.
     pub(crate) fn get_at(&self, key: &[u8], seq: u64) -> Result<Option<Vec<u8>>> {
-        if let Some((_, v)) = self.mem.load().get_latest(key, seq) {
-            return Ok(v.map(<[u8]>::to_vec));
-        }
-        if let Some(imm) = self.imm.load() {
-            if let Some((_, v)) = imm.get_latest(key, seq) {
-                return Ok(v.map(<[u8]>::to_vec));
-            }
-        }
-        match self.store.get(key, seq)? {
-            Some((_, ValueKind::Put, v)) => Ok(Some(v)),
-            _ => Ok(None),
-        }
+        self.components.get(&self.store, key, seq)
     }
 
     /// The currently visible sequence number.
@@ -219,61 +207,21 @@ impl BaselineCore {
         seq: u64,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let (start, end) = range.as_keys();
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(self.mem.load().internal_iter()));
-        if let Some(imm) = self.imm.load() {
-            children.push(Box::new(imm.internal_iter()));
-        }
-        let (_version, disk) = self.store.version_iterators()?;
-        children.extend(disk);
-        let mut merged = MergingIterator::new(children);
-        merged.seek(start.as_deref().unwrap_or_default(), seq);
-
-        let mut out = Vec::with_capacity(limit.min(1024));
-        let mut last_key: Option<Vec<u8>> = None;
-        while merged.valid() && out.len() < limit {
-            if let Some(end) = &end {
-                if merged.user_key() >= end.as_slice() {
-                    break;
-                }
-            }
-            if merged.ts() > seq || last_key.as_deref() == Some(merged.user_key()) {
-                merged.next();
-                continue;
-            }
-            last_key = Some(merged.user_key().to_vec());
-            if merged.kind() == ValueKind::Put {
-                out.push((merged.user_key().to_vec(), merged.value().to_vec()));
-            }
-            merged.next();
-        }
-        merged.status()?;
-        Ok(out)
-    }
-
-    /// Fraction of the memtable budget used (for bLSM's gear
-    /// throttling).
-    pub(crate) fn fill_fraction(&self) -> f64 {
-        self.mem.load().memory_usage() as f64 / self.memtable_bytes as f64
-    }
-
-    /// §5.3's stall condition: the memtable is full while the immutable
-    /// one is still being merged. Inside the swap both pointers briefly
-    /// name the same memtable; that is a rotation under way, not a
-    /// stall.
-    fn write_stalled(&self) -> bool {
-        let mem = self.mem.load();
-        mem.memory_usage() >= self.memtable_bytes
-            && self.imm.load().is_some_and(|imm| !Arc::ptr_eq(&imm, &mem))
+        SnapshotIter::over(
+            &self.components,
+            &self.store,
+            seq,
+            start.as_deref(),
+            end.as_deref(),
+        )?
+        .take(limit)
+        .collect()
     }
 
     /// Blocks until the memtable found at the call is flushed and no
     /// flush or compaction is due or running (bench hook).
     pub(crate) fn quiesce(&self) -> Result<()> {
-        let entry = self.mem.load();
-        wait_idle(self, || {
-            !entry.is_empty() && Arc::ptr_eq(&self.mem.load(), &entry)
-        })
+        wait_idle(self, &self.components.pm())
     }
 
     /// Write-amplification counters from the shared store.
@@ -300,54 +248,19 @@ impl JobHost for BaselineCore {
         &self.jobs
     }
 
-    /// `clsm::Db`'s flush without its admission and watchdog
-    /// bookkeeping: the new WAL and memtable are made before the swap
-    /// and the old WAL's tail is synced after it. Preparing ahead is
-    /// safe because only this job swings `mem` and `imm`, one at a
-    /// time.
-    fn flush_once(&self) -> Result<bool> {
-        let fresh = match self.imm.load() {
-            Some(_) => None,
-            None if self.mem.load().is_empty() => return Ok(false),
-            None => Some((self.store.prepare_wal()?, Arc::new(Memtable::new()))),
-        };
-        let cut = fresh.is_some();
-        let (imm, new_wal) = {
-            let _excl = self.swap_lock.write();
-            let imm = match fresh {
-                None => self
-                    .imm
-                    .load()
-                    .expect("only a flush clears a parked memtable"),
-                Some((next_wal, mem)) => {
-                    // `imm` names the old data before `mem` stops
-                    // doing so: readers go `mem → imm → disk`.
-                    let old = self.mem.load();
-                    self.imm.store(Some(Arc::clone(&old)));
-                    self.mem.store(mem);
-                    self.store.cut_wal(next_wal)?;
-                    old
-                }
-            };
-            (imm, self.store.current_wal_number())
-        };
-        if cut {
-            self.store.flush_wal()?;
-        }
-        let mut iter = imm.internal_iter();
-        // Baselines hold no snapshot registry: the watermark is the
-        // current visible sequence (short scans pin components
-        // directly).
-        let watermark = self.visible();
-        self.store
-            .flush_memtable(&mut iter, watermark, imm.max_ts(), new_wal)?;
-        self.jobs.note_install();
-        self.imm.store(None);
-        Ok(true)
+    fn components(&self) -> &Components {
+        &self.components
     }
 
-    fn flush_parked(&self) -> bool {
-        self.imm.load().is_some()
+    fn exclusively<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _swap = self.swap_lock.write();
+        f()
+    }
+
+    /// Baselines hold no snapshot registry: the watermark is the
+    /// current visible sequence (short scans pin components directly).
+    fn gc_watermark(&self) -> u64 {
+        self.visible()
     }
 
     fn compact_once(&self) -> Result<bool> {

@@ -17,6 +17,7 @@ use clsm_kv::{KvSnapshot, KvStore, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
 use crate::core::BaselineCore;
+use crate::Stepped;
 
 /// A HyperLevelDB-style store: parallel inserts, ordered commit.
 pub struct HyperLike {
@@ -25,19 +26,13 @@ pub struct HyperLike {
     /// writer with sequence `s` waits for `s - 1`.
     committed: AtomicU64,
     /// Stops the background threads when dropped.
-    _workers: Workers<BaselineCore>,
+    workers: Workers<BaselineCore>,
 }
 
 impl HyperLike {
     /// Opens (or creates) a store at `path`.
     pub fn open(path: &Path, opts: Options) -> Result<HyperLike> {
-        let (core, workers) = BaselineCore::open(path, &opts)?;
-        let committed = AtomicU64::new(core.visible());
-        Ok(HyperLike {
-            core,
-            committed,
-            _workers: workers,
-        })
+        BaselineCore::open(path, &opts, true)
     }
 
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
@@ -63,6 +58,21 @@ impl HyperLike {
         self.committed.store(seq, Ordering::Release);
         applied?;
         self.core.after_write()
+    }
+}
+
+impl Stepped for HyperLike {
+    fn assemble(core: Arc<BaselineCore>, workers: Workers<BaselineCore>) -> Self {
+        let committed = AtomicU64::new(core.visible());
+        HyperLike {
+            core,
+            committed,
+            workers,
+        }
+    }
+
+    fn workers(&self) -> &Workers<BaselineCore> {
+        &self.workers
     }
 }
 

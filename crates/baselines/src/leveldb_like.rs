@@ -20,6 +20,7 @@ use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch
 use clsm_util::error::Result;
 
 use crate::core::BaselineCore;
+use crate::Stepped;
 
 /// A LevelDB-style store: globally locked writes, briefly locked reads.
 pub struct LevelDbLike {
@@ -27,18 +28,13 @@ pub struct LevelDbLike {
     /// The global mutex of LevelDB's `DBImpl::mutex_`.
     global: Mutex<()>,
     /// Stops the background threads when dropped.
-    _workers: Workers<BaselineCore>,
+    workers: Workers<BaselineCore>,
 }
 
 impl LevelDbLike {
     /// Opens (or creates) a store at `path`.
     pub fn open(path: &Path, opts: Options) -> Result<LevelDbLike> {
-        let (core, workers) = BaselineCore::open(path, &opts)?;
-        Ok(LevelDbLike {
-            core,
-            global: Mutex::new(()),
-            _workers: workers,
-        })
+        BaselineCore::open(path, &opts, true)
     }
 
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
@@ -52,6 +48,20 @@ impl LevelDbLike {
     fn read_point(&self) -> u64 {
         let _g = self.global.lock();
         self.core.visible()
+    }
+}
+
+impl Stepped for LevelDbLike {
+    fn assemble(core: Arc<BaselineCore>, workers: Workers<BaselineCore>) -> Self {
+        LevelDbLike {
+            core,
+            global: Mutex::new(()),
+            workers,
+        }
+    }
+
+    fn workers(&self) -> &Workers<BaselineCore> {
+        &self.workers
     }
 }
 

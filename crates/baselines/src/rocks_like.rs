@@ -19,6 +19,7 @@ use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch
 use clsm_util::error::Result;
 
 use crate::core::BaselineCore;
+use crate::Stepped;
 
 /// A RocksDB-style store: serialized writes, lock-free reads.
 pub struct RocksLike {
@@ -27,23 +28,32 @@ pub struct RocksLike {
     /// protocol as one mutex: same serialization, simpler mechanics).
     writer_queue: Mutex<()>,
     /// Stops the background threads when dropped.
-    _workers: Workers<BaselineCore>,
+    workers: Workers<BaselineCore>,
 }
 
 impl RocksLike {
     /// Opens (or creates) a store at `path`.
     pub fn open(path: &Path, opts: Options) -> Result<RocksLike> {
-        let (core, workers) = BaselineCore::open(path, &opts)?;
-        Ok(RocksLike {
-            core,
-            writer_queue: Mutex::new(()),
-            _workers: workers,
-        })
+        BaselineCore::open(path, &opts, true)
     }
 
     fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         self.core
             .serialized(&self.writer_queue, || self.core.write_next(key, value))
+    }
+}
+
+impl Stepped for RocksLike {
+    fn assemble(core: Arc<BaselineCore>, workers: Workers<BaselineCore>) -> Self {
+        RocksLike {
+            core,
+            writer_queue: Mutex::new(()),
+            workers,
+        }
+    }
+
+    fn workers(&self) -> &Workers<BaselineCore> {
+        &self.workers
     }
 }
 

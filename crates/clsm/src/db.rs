@@ -10,28 +10,22 @@ use clsm_util::env::Env;
 use clsm_util::error::{Error, Result};
 use clsm_util::metrics::{ConcurrentHistogram, MetricsSnapshot};
 use clsm_util::oracle::{SnapshotRegistry, TimestampOracle};
-use clsm_util::rcu::RcuCell;
 use clsm_util::shared_lock::SharedExclusiveLock;
 
 use clsm_kv::{WriteBatch, WriteOptions};
 use lsm_storage::compaction;
-use lsm_storage::format::ValueKind;
 use lsm_storage::store::RecoveryReport;
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
 use crate::admission::{stage_name, FlowControl, FLUSH_BEHIND, L0_BEHIND};
-use crate::jobs::{wait_idle, JobHost, Jobs, Workers};
+use crate::components::Components;
+use crate::jobs::{wait_idle, Job, JobHost, Jobs, Workers};
 use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
 use crate::stats::{register_gauges, DbMetrics};
 use crate::watchdog::{StallKind, Watchdog};
-
-/// The newest version of a key visible at a read time: `(ts,
-/// value-or-tombstone)`, plus whether it was found in the mutable
-/// memtable (the RMW conflict scope).
-pub(crate) type VersionedRead = (Option<(u64, Option<Vec<u8>>)>, bool);
 
 /// Shared state of an open database.
 pub(crate) struct DbInner {
@@ -44,10 +38,8 @@ pub(crate) struct DbInner {
     pub(crate) oracle: TimestampOracle,
     /// Live snapshot handles (version-GC watermark).
     pub(crate) snapshots: SnapshotRegistry,
-    /// `Pm`: the mutable memory component.
-    pub(crate) pm: RcuCell<Arc<Memtable>>,
-    /// `P'm`: the immutable memory component being merged, if any.
-    pub(crate) pm_prev: RcuCell<Option<Arc<Memtable>>>,
+    /// `Pm` and `P'm` (see [`crate::components`]).
+    pub(crate) components: Components,
     /// Counters and latency histograms (see [`crate::stats`]).
     pub(crate) metrics: DbMetrics,
     /// Stall-event sink the event sites report into (see
@@ -105,35 +97,23 @@ impl Db {
     /// the order of background work. Never use this on a production
     /// path.
     ///
-    /// A writer that finds `Pm` full while a `P'm` is merging stalls
-    /// until some thread finishes that flush, and
-    /// [`Db::compact_to_quiescence`] waits for jobs some other thread
-    /// runs.
+    /// A writer that finds `Pm` full waits until some thread runs the
+    /// flush that swaps it, and [`Db::compact_to_quiescence`] waits for
+    /// jobs some other thread runs.
     #[doc(hidden)]
     pub fn open_stepped(path: &Path, opts: Options) -> Result<Db> {
         opts.validate()?;
         refuse_sharded_root(opts.store.env.as_ref(), path)?;
         let (store, recovered) = Store::open(path, opts.store.clone())?;
-
-        let pm = Arc::new(Memtable::new());
-        for rec in &recovered.records {
-            let value = match rec.kind {
-                ValueKind::Put => Some(rec.value.as_slice()),
-                ValueKind::Delete => None,
-            };
-            pm.insert(&rec.key, rec.ts, value);
-        }
-
         let metrics = DbMetrics::new();
         let watchdog = Watchdog::new(&metrics.registry);
         let inner = Arc::new(DbInner {
             oracle: TimestampOracle::recovered_at(recovered.last_ts),
+            components: Components::recovered(&recovered.records, opts.memtable_bytes),
             opts,
             store,
             lock: SharedExclusiveLock::new(),
             snapshots: SnapshotRegistry::new(),
-            pm: RcuCell::new(pm),
-            pm_prev: RcuCell::new(None),
             metrics,
             watchdog,
             flow: FlowControl::default(),
@@ -155,6 +135,18 @@ impl Db {
             workers: Workers::new(&inner),
             inner,
         })
+    }
+
+    /// The stepped scheduler's hook: see [`Workers::due_jobs`].
+    #[doc(hidden)]
+    pub fn due_jobs(&self) -> Vec<Job> {
+        self.workers.due_jobs()
+    }
+
+    /// The stepped scheduler's hook: see [`Workers::run_job`].
+    #[doc(hidden)]
+    pub fn run_job(&self, job: Job) -> Result<bool> {
+        self.workers.run_job(job)
     }
 
     /// Applies a [`WriteBatch`] under the given [`WriteOptions`].
@@ -259,7 +251,8 @@ impl Db {
             let locked = now_ns();
             let mut stamp = inner.oracle.get_ts();
             let stamped = now_ns();
-            while let Err(_conflict) = inner.pm.load().insert_as_newest(key, stamp.ts, value) {
+            let pm = inner.components.pm();
+            while let Err(_conflict) = pm.insert_as_newest(key, stamp.ts, value) {
                 inner.oracle.publish(stamp);
                 stamp = inner.oracle.get_ts();
             }
@@ -299,7 +292,7 @@ impl Db {
             let locked = now_ns();
             let block = inner.oracle.get_ts_block(batch.len() as u64);
             let stamped = now_ns();
-            let pm = inner.pm.load();
+            let pm = inner.components.pm();
             for (ts, (key, value)) in (block.base..).zip(batch) {
                 pm.insert(key, ts, value.as_deref());
             }
@@ -423,11 +416,9 @@ impl Db {
     /// `jobs::wait_idle`).
     pub fn compact_to_quiescence(&self) -> Result<()> {
         let inner = &self.inner;
-        let entry_pm = inner.pm.load();
+        let entry = inner.components.pm();
         loop {
-            wait_idle(&**inner, || {
-                !entry_pm.is_empty() && Arc::ptr_eq(&inner.pm.load(), &entry_pm)
-            })?;
+            wait_idle(&**inner, &entry)?;
             match inner
                 .store
                 .compact_l0_if_it_shadows_deeper_levels(inner.gc_watermark())
@@ -463,7 +454,7 @@ impl Db {
 
     /// Approximate bytes in the mutable memtable.
     pub fn memtable_bytes(&self) -> usize {
-        self.inner.pm.load().memory_usage()
+        self.inner.components.memory_usage()
     }
 
     /// Manually compacts the key range `[start, end]` down to the
@@ -511,8 +502,8 @@ impl Db {
     pub fn approximate_size(&self, start: &[u8], end: &[u8]) -> u64 {
         let disk = self.inner.store.approximate_range_bytes(start, end);
         // Memory components are not range-indexed; charge them whole.
-        let mem = self.inner.pm.load().memory_usage()
-            + self.inner.pm_prev.load().map_or(0, |m| m.memory_usage());
+        let components = &self.inner.components;
+        let mem = components.memory_usage() + components.pm_prev().map_or(0, |m| m.memory_usage());
         disk + mem as u64
     }
 }
@@ -553,27 +544,7 @@ impl DbInner {
 
     /// Read at a snapshot time (Algorithm 1's get).
     pub(crate) fn get_at(&self, key: &[u8], max_ts: u64) -> Result<Option<Vec<u8>>> {
-        Ok(self.lookup(key, max_ts)?.0.and_then(|(_, value)| value))
-    }
-
-    /// The newest version of `key` at or below `max_ts`, searched
-    /// `Pm → P'm → Pd`. The boolean is `true` when it lives in the
-    /// *mutable* memtable (Algorithm 3's conflict scope).
-    pub(crate) fn lookup(&self, key: &[u8], max_ts: u64) -> Result<VersionedRead> {
-        let pm = self.pm.load();
-        if let Some((ts, value)) = pm.get_latest(key, max_ts) {
-            return Ok((Some((ts, value.map(<[u8]>::to_vec))), true));
-        }
-        if let Some(prev) = self.pm_prev.load() {
-            if let Some((ts, value)) = prev.get_latest(key, max_ts) {
-                return Ok((Some((ts, value.map(<[u8]>::to_vec))), false));
-            }
-        }
-        let found = self
-            .store
-            .get(key, max_ts)?
-            .map(|(ts, kind, value)| (ts, (kind == ValueKind::Put).then_some(value)));
-        Ok((found, false))
+        self.components.get(&self.store, key, max_ts)
     }
 
     /// The admission stage whose rate binds right now (see
@@ -581,7 +552,7 @@ impl DbInner {
     /// with pacing off: the `admission.*` gauges.
     pub(crate) fn admission_binding(&self) -> (u8, u64) {
         let behind = self.flow.behind();
-        let (stage, rate) = self.flow.binding(behind, self.pm_fill(behind));
+        let (stage, rate) = self.flow.binding(behind, self.components.fill());
         (stage, rate * u64::from(self.opts.admission.enabled))
     }
 
@@ -611,7 +582,7 @@ impl DbInner {
         let began = now_ns();
         let mut held = false;
         if self.opts.admission.enabled {
-            let wait = self.flow.reserve(behind, self.pm_fill(behind), bytes);
+            let wait = self.flow.reserve(behind, self.components.fill(), bytes);
             if !wait.is_zero() {
                 self.flow.wait_for_slot(wait);
                 let delay_ns = now_ns().saturating_sub(began);
@@ -637,7 +608,7 @@ impl DbInner {
     /// delay charged in it, as a sustained slowdown.
     #[cold]
     fn report_slowdown(&self, behind: u8, age: Duration, charged_ns: u64) {
-        let (stage, rate) = self.flow.binding(behind, self.pm_fill(behind));
+        let (stage, rate) = self.flow.binding(behind, self.components.fill());
         self.watchdog.report(
             StallKind::SustainedSlowdown,
             charged_ns,
@@ -657,17 +628,8 @@ impl DbInner {
     pub(crate) fn charge_committed(&self, bytes: u64) {
         let behind = self.flow.behind();
         if behind != 0 && self.opts.admission.enabled {
-            self.flow.reserve(behind, self.pm_fill(behind), bytes);
+            self.flow.reserve(behind, self.components.fill(), bytes);
         }
-    }
-
-    /// `Pm`'s bytes over its capacity while a flush is behind (the
-    /// flush stage's rate depends on it), else 0 without a load.
-    fn pm_fill(&self, behind: u8) -> f64 {
-        if behind & FLUSH_BEHIND == 0 {
-            return 0.0;
-        }
-        self.pm.load().memory_usage() as f64 / self.opts.memtable_bytes as f64
     }
 
     /// Re-evaluates the L0-behind bit from the current version and
@@ -681,46 +643,40 @@ impl DbInner {
         self.jobs.note_install();
     }
 
-    /// §5.3's stall condition: `Pm` is full while `P'm` is still being
-    /// merged. Inside `beforeMerge` both pointers briefly name the same
-    /// memtable (`P'm` is published before `Pm` is replaced); that is a
-    /// rotation under way, not a stall — a writer that waited on it
-    /// would sleep through the whole flush.
-    pub(crate) fn write_stalled(&self) -> bool {
-        let pm = self.pm.load();
-        pm.memory_usage() >= self.opts.memtable_bytes
-            && self
-                .pm_prev
-                .load()
-                .is_some_and(|prev| !Arc::ptr_eq(&prev, &pm))
-    }
-
-    /// Write stall (§5.3): when `Cm` is full while `C'm` is still being
-    /// merged, client writes wait for the merge to finish. The ladder's
-    /// last rung — with pacing on, a write should rarely get here.
-    /// Returns whether the write stalled, or the store's poison if the
-    /// flush it waited for failed for good.
+    /// The wait for room ([`Components::write_waits`]), the ladder's last
+    /// rung: with pacing on, a write should rarely get here. Returns
+    /// whether the write waited, or the store's poison if the flush it
+    /// waited for failed for good.
+    ///
+    /// Behind a `P'm` still merging it is §5.3's stall (`Cm` full while
+    /// `C'm` merges): counted in `db.write_stalls`, timed in
+    /// `db.write_stall_ns` and reported once per `P'm`. A write that
+    /// waits only for the flush job to swap its full `Pm` is none of
+    /// those; its time shows in `write_path.admission_ns` alone.
     fn stall_if_needed(&self) -> Result<bool> {
-        if !self.write_stalled() {
+        if !self.components.write_waits() {
             return Ok(false);
         }
+        let behind_merge = self.components.parked();
         let began = now_ns();
-        self.metrics.write_stalls.inc();
-        if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
-            self.report_write_stall();
+        if behind_merge {
+            self.metrics.write_stalls.inc();
+            if !self.write_stall_reported.swap(true, Ordering::Relaxed) {
+                self.report_write_stall();
+            }
         }
-        // Every flush attempt ends by notifying the job state, so the
-        // wait is untimed (see `Jobs::wait_while`).
-        let waited = self.jobs.wait_while(&self.store, || self.write_stalled());
-        let stalled_ns = now_ns().saturating_sub(began);
-        self.metrics.write_stall_ns.add(stalled_ns);
+        let waited = self.jobs.wait_for_room(&self.store, &self.components);
+        if behind_merge {
+            let stalled_ns = now_ns().saturating_sub(began);
+            self.metrics.write_stall_ns.add(stalled_ns);
+        }
         waited.map(|()| true)
     }
 
     /// Reports the stall behind the current `P'm`, sized by `Pm`.
     #[cold]
     fn report_write_stall(&self) {
-        let memtable_bytes = self.pm.load().memory_usage();
+        let memtable_bytes = self.components.memory_usage();
         self.watchdog.report(
             StallKind::WriteStall,
             memtable_bytes as u64,
@@ -733,7 +689,7 @@ impl DbInner {
     }
 
     pub(crate) fn maybe_schedule_flush(&self) {
-        if self.pm.load().memory_usage() >= self.opts.memtable_bytes {
+        if self.components.full() {
             // A full `Pm` is a flush that is due, not one about to be:
             // behind from here until `afterMerge`. (A writer that read
             // a `Pm` whose flush has since finished sets the bit late;
@@ -764,87 +720,39 @@ impl JobHost for DbInner {
         &self.jobs
     }
 
-    /// The merge of `C'm` into `Cd` with its beforeMerge/afterMerge
-    /// hooks (Algorithm 1 lines 8–17).
-    ///
-    /// `beforeMerge` swings pointers and cuts the WAL, and does no file
-    /// I/O: the new log is created and the new memtable built before
-    /// the exclusive hold, and the old log's tail is written and fsynced
-    /// after it, before anything reaches the new log (see
-    /// `lsm_storage::wal`). Preparing ahead is safe because only this
-    /// job swings `Pm` and `P'm`, and `run_job` runs one flush at a
-    /// time: a `Pm` found non-empty with no `P'm` parked stays so until
-    /// the hold.
-    fn flush_once(&self) -> Result<bool> {
-        // --- before the hold: the new WAL's file and the new `Pm`,
-        // unless a failed flush left `P'm` parked to merge again.
-        let fresh = match self.pm_prev.load() {
-            Some(_) => None,
-            None if self.pm.load().is_empty() => return Ok(false),
-            None => Some((self.store.prepare_wal()?, Arc::new(Memtable::new()))),
-        };
-        let cut = fresh.is_some();
-        // --- beforeMerge: swing the memory pointers under the
-        // exclusive lock. Order matters for lock-free readers:
-        // P'm must point at the old data before Pm stops doing so.
-        let (imm, new_wal, watermark) = {
-            // The hold is the merge's write-path interference, the
-            // quantity §3.1 argues must stay tiny: `db.exclusive_hold_ns`.
-            let _excl = self.lock_exclusive();
-            let imm = match fresh {
-                None => self
-                    .pm_prev
-                    .load()
-                    .expect("only a flush clears a parked P'm"),
-                Some((next_wal, pm)) => {
-                    let old = self.pm.load();
-                    // A new `P'm`, a new stall episode. Cleared before the
-                    // (sequentially consistent) store that publishes `P'm`, so a
-                    // writer that loads it and stalls sees the flag clear; a
-                    // writer late to report the last episode cannot swallow
-                    // this one.
-                    self.write_stall_reported.store(false, Ordering::Relaxed);
-                    self.pm_prev.store(Some(Arc::clone(&old)));
-                    self.flow.flush_started(old.memory_usage() as u64);
-                    self.pm.store(pm);
-                    // New WAL: records of the immutable memtable live only in
-                    // older logs, which die when the flush commits.
-                    self.store.cut_wal(next_wal)?;
-                    old
-                }
-            };
-            // Read the snapshot list under the exclusive lock (§3.2.1).
-            (imm, self.store.current_wal_number(), self.gc_watermark())
-        };
-        // --- after the hold: the old WAL's tail and fsync, unless a
-        // sync or the logger finished the cut first.
-        if cut {
-            self.store.flush_wal()?;
-        }
-
-        // --- merge (no locks held): stream C'm into L0.
-        let mut iter = imm.internal_iter();
-        let max_ts = imm.max_ts();
-        let began = Instant::now();
-        self.store
-            .flush_memtable(&mut iter, watermark, max_ts, new_wal)?;
-        self.flow
-            .flush_drained(imm.memory_usage() as u64, began.elapsed());
-        self.note_version();
-
-        // --- afterMerge: Pd was already swung inside the store (data
-        // is reachable via the disk pointer); dropping P'm last keeps
-        // the read order `Pm → P'm → Pd` gap-free throughout.
-        {
-            let _excl = self.lock_exclusive();
-            self.pm_prev.store(None);
-            self.flow.set(FLUSH_BEHIND, false);
-        }
-        Ok(true)
+    fn components(&self) -> &Components {
+        &self.components
     }
 
-    fn flush_parked(&self) -> bool {
-        self.pm_prev.load().is_some()
+    /// Algorithm 1's lock in exclusive mode. The hold is the merge's
+    /// write-path interference, the quantity §3.1 argues must stay tiny:
+    /// `db.exclusive_hold_ns`.
+    fn exclusively<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _excl = self.lock_exclusive();
+        f()
+    }
+
+    fn gc_watermark(&self) -> u64 {
+        DbInner::gc_watermark(self)
+    }
+
+    /// A new `P'm`, a new stall episode and a flush behind. The episode
+    /// flag is cleared before the (sequentially consistent) store that
+    /// publishes `P'm`, so a writer that loads it and stalls sees the
+    /// flag clear; a writer late to report the last episode cannot
+    /// swallow this one.
+    fn before_swing(&self, old: &Memtable) {
+        self.write_stall_reported.store(false, Ordering::Relaxed);
+        self.flow.flush_started(old.memory_usage() as u64);
+    }
+
+    fn merged(&self, imm: &Memtable, took: Duration) {
+        self.flow.flush_drained(imm.memory_usage() as u64, took);
+        self.note_version();
+    }
+
+    fn after_merge(&self) {
+        self.flow.set(FLUSH_BEHIND, false);
     }
 
     /// An L0→L1 merge (one that took L0 tables out of the tree —

@@ -1,5 +1,6 @@
 //! Background work as jobs: the one place that decides when a flush or
-//! a compaction runs, for cLSM and for the baselines alike.
+//! a compaction runs, and the one flush, for cLSM and for the baselines
+//! alike.
 //!
 //! Algorithm 1's merge is one process with two short hooks. Here it is
 //! two kinds of [`Job`] over one wake state, a [`JobState`] behind the
@@ -13,22 +14,25 @@
 //!
 //! The store the jobs work on is a [`JobHost`]: `Db`'s, or a baseline's
 //! (`clsm_baselines`), which differ only in how writers synchronize.
-//! The runtime is generic over it, never a trait object.
-//!
-//! A test can open a store with no background threads at all
-//! ([`Db::open_stepped`]) and run the due jobs itself, log steps
-//! included, in an order it chooses, on its own threads.
+//! The runtime is generic over it, never a trait object. The one
+//! [`flush`] runs over the host's [`Components`] under its exclusive
+//! guard; a write that finds `Pm` full waits for its swap
+//! ([`Jobs::wait_for_room`]). A store opened stepped has no thread: a
+//! test runs [`Workers::due_jobs`] itself, in an order it chooses.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use clsm_util::error::Result;
+use clsm_util::error::{Error, Result};
 use lsm_storage::Store;
 
+use crate::components::Components;
+#[cfg(doc)]
 use crate::db::Db;
+use crate::memtable::Memtable;
 
 /// A failed job is retried this long after it failed (when it is
 /// retried at all: see [`run_job`]).
@@ -61,23 +65,82 @@ pub trait JobHost: Send + Sync + 'static {
     /// The storage stack the jobs work on.
     fn store(&self) -> &Store;
 
-    /// The wake state the background threads, stalled writers and
+    /// The wake state the background threads, waiting writers and
     /// quiescence waiters share.
     fn jobs(&self) -> &Jobs;
 
-    /// Merges the immutable memtable into L0: the one a failed flush
-    /// left parked, else the mutable one, swapped out first with a WAL
-    /// cut. `Ok(false)` when there was nothing to flush. Calls
-    /// [`Jobs::note_install`] once the merge is installed.
-    fn flush_once(&self) -> Result<bool>;
+    /// `Pm` and `P'm`, which the flush swings and merges.
+    fn components(&self) -> &Components;
 
-    /// Whether an immutable memtable awaits or undergoes its merge: one
-    /// a failed flush left parked stays due.
-    fn flush_parked(&self) -> bool;
+    /// Runs `f` under the guard that excludes every writer's insert:
+    /// `beforeMerge` and `afterMerge` run inside it.
+    fn exclusively<R>(&self, f: impl FnOnce() -> R) -> R;
+
+    /// The version-GC watermark, read inside `beforeMerge`'s hold
+    /// (§3.2.1).
+    fn gc_watermark(&self) -> u64;
+
+    /// Inside `beforeMerge`'s hold, just before `old` becomes `P'm`.
+    fn before_swing(&self, _old: &Memtable) {}
+
+    /// Once the merge of `imm` into L0 is installed, `took` after it
+    /// began; calls [`Jobs::note_install`].
+    fn merged(&self, _imm: &Memtable, _took: Duration) {
+        self.jobs().note_install();
+    }
+
+    /// Inside `afterMerge`'s hold, once `P'm` is dropped.
+    fn after_merge(&self) {}
 
     /// One compaction, if the tree needs one and its inputs are not
     /// claimed; calls [`Jobs::note_install`] when it did one.
     fn compact_once(&self) -> Result<bool>;
+}
+
+/// Algorithm 1's merge (lines 8–17) for every store: of the `P'm` a
+/// failed flush left parked, else of `Pm`, swung out first with a WAL
+/// cut. `Ok(false)` when there was nothing to flush. `beforeMerge` does
+/// no file I/O: the next log and `Pm` are made before the hold and the
+/// old log is flushed after it (see `lsm_storage::wal`), which is safe
+/// as only this job swings, one at a time ([`run_job`]).
+fn flush<H: JobHost>(host: &H) -> Result<bool> {
+    let (store, components) = (host.store(), host.components());
+    let fresh = match components.pm_prev() {
+        Some(_) => None,
+        None if components.pm().is_empty() => return Ok(false),
+        None => Some((store.prepare_wal()?, Arc::new(Memtable::new()))),
+    };
+    let cut = fresh.is_some();
+    let (imm, new_wal, watermark) = host.exclusively(|| {
+        let imm = match fresh {
+            None => components
+                .pm_prev()
+                .expect("only a flush clears a parked P'm"),
+            Some((next_wal, pm)) => {
+                host.before_swing(&components.pm());
+                let old = components.swing(pm);
+                store.cut_wal(next_wal)?;
+                old
+            }
+        };
+        Ok::<_, Error>((imm, store.current_wal_number(), host.gc_watermark()))
+    })?;
+    if cut {
+        host.jobs().note_swap();
+        store.flush_wal()?;
+    }
+
+    let began = Instant::now();
+    store.flush_memtable(&mut imm.internal_iter(), watermark, imm.max_ts(), new_wal)?;
+    host.merged(&imm, began.elapsed());
+
+    // `Pd` already holds the data: dropping `P'm` last keeps the read
+    // order `Pm → P'm → Pd` gap-free.
+    host.exclusively(|| {
+        components.clear_prev();
+        host.after_merge();
+    });
+    Ok(true)
 }
 
 /// Every fact that decides whether a background thread runs or sleeps.
@@ -133,17 +196,22 @@ impl Jobs {
         self.cv.notify_all();
     }
 
-    /// Blocks while `blocked` holds, unless the runtime shuts down or
-    /// `store` is poisoned; then fails with the poison, if any.
-    ///
-    /// `blocked` is checked under the state lock, and every job's end,
-    /// every install and the shutdown notify under it, so a plain wait
-    /// (no timed backstop) cannot hang on a condition only a job
-    /// changes. A job that poisoned the store is never retried, so its
-    /// end is the last wake this gets.
-    pub fn wait_while(&self, store: &Store, mut blocked: impl FnMut() -> bool) -> Result<()> {
+    /// Wakes everyone waiting for room: the flush swapped `Pm`.
+    fn note_swap(&self) {
+        let _state = self.state.lock();
+        self.cv.notify_all();
+    }
+
+    /// The one stall: asks for a flush and blocks while a write must wait
+    /// for room ([`Components::write_waits`]), unless the runtime shuts
+    /// down or `store` is poisoned; then fails with the poison, if any.
+    /// The condition is checked under the state lock, and every swap, job
+    /// end and shutdown notifies under it, so the wait needs no timed
+    /// backstop; a flush that ends with `Pm` full stays asked for.
+    pub fn wait_for_room(&self, store: &Store, components: &Components) -> Result<()> {
         let mut state = self.state.lock();
-        while blocked() && !state.shutdown && store.poisoned().is_none() {
+        self.request_flush_locked(&mut state);
+        while components.write_waits() && !state.shutdown && store.poisoned().is_none() {
             self.cv.wait(&mut state);
         }
         drop(state);
@@ -174,11 +242,12 @@ fn next_job<H: JobHost>(host: &H, state: &JobState, serves: Job) -> Option<Job> 
 /// whether it did any work. A flush while another runs does nothing.
 ///
 /// A flush stays requested while it runs, so the writers that find the
-/// memtable full before its swap ask for nothing more. A failure counts
-/// in `errors` and is kept for the doctor. A flush that failed with its
-/// immutable memtable parked stays requested (stalled writers wait,
-/// untimed, for it to finish); a compaction stays due while the tree
-/// needs it. Nothing else is retried, and nothing at all once the store
+/// memtable full before its swap ask for nothing more; it stays
+/// requested after it, too, while `Pm` is full (writers that filled it
+/// during the merge wait, untimed, for its swap). A failure counts in
+/// `errors` and is kept for the doctor. A flush that failed with its
+/// immutable memtable parked stays requested; a compaction stays due
+/// while the tree needs it. Nothing else is retried, and nothing at all once the store
 /// is poisoned — which the [`FAILURES_BEFORE_READ_ONLY`]th failure in a
 /// row of one kind does, waking the stalled writers with its error.
 fn run_job<H: JobHost>(host: &H, job: Job) -> Result<bool> {
@@ -192,14 +261,15 @@ fn run_job<H: JobHost>(host: &H, job: Job) -> Result<bool> {
         state.installs
     };
     let result = match job {
-        Job::Flush => host.flush_once(),
+        Job::Flush => flush(host),
         Job::Compact => host.compact_once(),
         Job::Log => host.store().flush_wal().map(|()| true),
     };
     let mut state = jobs.state.lock();
     state.running[job as usize] -= 1;
     if job == Job::Flush {
-        state.flush_requested = result.is_err() && host.flush_parked();
+        let components = host.components();
+        state.flush_requested = (result.is_err() && components.parked()) || components.full();
     }
     match &result {
         Ok(true) => state.failures[job as usize] = 0,
@@ -225,7 +295,8 @@ fn run_job<H: JobHost>(host: &H, job: Job) -> Result<bool> {
 
 /// Waits, untimed, until no flush is asked for, running or parked, no
 /// job runs and the tree needs no compaction; fails with the store's
-/// poison instead. While `flush_due` holds it asks for a flush.
+/// poison instead. While `entry`, the `Pm` the caller found, is
+/// unflushed it asks for a flush.
 ///
 /// Every transition that ends "busy" (a job finishing, a version
 /// install) notifies under the state lock, and while the store is busy
@@ -233,19 +304,19 @@ fn run_job<H: JobHost>(host: &H, job: Job) -> Result<bool> {
 /// background threads (the stepped scheduler) it waits for jobs some
 /// other thread runs.
 #[doc(hidden)]
-pub fn wait_idle<H: JobHost>(host: &H, mut flush_due: impl FnMut() -> bool) -> Result<()> {
-    let jobs = host.jobs();
+pub fn wait_idle<H: JobHost>(host: &H, entry: &Arc<Memtable>) -> Result<()> {
+    let (jobs, components) = (host.jobs(), host.components());
     let mut state = jobs.state.lock();
     loop {
         if let Some(e) = host.store().poisoned() {
             return Err(e);
         }
-        if flush_due() {
+        if components.unflushed(entry) {
             jobs.request_flush_locked(&mut state);
         }
         let busy = state.flush_requested
             || state.running != [0; 3]
-            || host.flush_parked()
+            || components.parked()
             || host.store().needs_compaction();
         if !busy {
             return Ok(());
@@ -272,6 +343,22 @@ impl<H: JobHost> Workers<H> {
             host: Arc::clone(host),
             threads: Vec::new(),
         }
+    }
+
+    /// The jobs the background threads would run now, flush first: the
+    /// stepped scheduler's view of a store whose threads never started.
+    pub fn due_jobs(&self) -> Vec<Job> {
+        let state = self.host.jobs().state.lock();
+        [Job::Flush, Job::Compact, Job::Log]
+            .into_iter()
+            .filter(|&job| next_job(&*self.host, &state, job).is_some())
+            .collect()
+    }
+
+    /// Runs `job` on the calling thread, exactly as a background thread
+    /// would, and returns whether it did any work.
+    pub fn run_job(&self, job: Job) -> Result<bool> {
+        run_job(&*self.host, job)
     }
 
     /// Starts the WAL logger, the flush thread and `compaction_threads`
@@ -334,25 +421,5 @@ fn background_loop<H: JobHost>(host: &H, serves: Job) {
         if run_job(host, job).is_err() {
             std::thread::sleep(RETRY_BACKOFF);
         }
-    }
-}
-
-/// The stepped scheduler's other two hooks (see [`Db::open_stepped`]).
-impl Db {
-    /// The jobs the background threads would run now, flush first.
-    #[doc(hidden)]
-    pub fn due_jobs(&self) -> Vec<Job> {
-        let state = self.inner.jobs.state.lock();
-        [Job::Flush, Job::Compact, Job::Log]
-            .into_iter()
-            .filter(|&job| next_job(&*self.inner, &state, job).is_some())
-            .collect()
-    }
-
-    /// Runs `job` on the calling thread, exactly as a background thread
-    /// would, and returns whether it did any work.
-    #[doc(hidden)]
-    pub fn run_job(&self, job: Job) -> Result<bool> {
-        run_job(&*self.inner, job)
     }
 }

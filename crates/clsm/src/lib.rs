@@ -46,6 +46,7 @@
 
 mod admission;
 mod batch;
+mod components;
 mod db;
 mod doctor;
 mod jobs;
@@ -59,6 +60,8 @@ mod watchdog;
 
 pub use admission::AdmissionOptions;
 pub use batch::{WriteBatch, WriteOptions};
+#[doc(hidden)]
+pub use components::{Components, VersionedRead};
 pub use db::Db;
 pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport};
 #[doc(hidden)]

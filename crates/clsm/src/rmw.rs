@@ -69,7 +69,10 @@ impl Db {
         // the read (line 4) and the insert (line 12).
         let _shared = inner.lock.lock_shared();
         loop {
-            let (latest, in_mutable) = inner.lookup(key, lsm_storage::format::MAX_TS)?;
+            let (latest, in_mutable) =
+                inner
+                    .components
+                    .lookup(&inner.store, key, lsm_storage::format::MAX_TS)?;
             let current = latest.as_ref().and_then(|(_, v)| v.as_deref());
 
             let decision = f(current);
@@ -97,7 +100,7 @@ impl Db {
             // Algorithm 3 line 9: the timestamp is acquired after
             // locating the read point.
             let stamp = inner.oracle.get_ts();
-            let pm = inner.pm.load();
+            let pm = inner.components.pm();
             match pm.insert_if_latest(key, stamp.ts, value, expected) {
                 Ok(()) => {
                     let logged = inner

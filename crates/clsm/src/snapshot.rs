@@ -7,7 +7,9 @@ use clsm_util::error::Result;
 use lsm_storage::format::ValueKind;
 use lsm_storage::iter::{InternalIterator, MergingIterator};
 use lsm_storage::version::Version;
+use lsm_storage::Store;
 
+use crate::components::Components;
 use crate::db::DbInner;
 
 /// A consistent read-only view of the database at one point in time.
@@ -83,32 +85,8 @@ impl Snapshot {
     }
 
     fn scan_from(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<SnapshotIter> {
-        // Gather component iterators newest-first: Pm, P'm, then the
-        // disk levels. Each child holds its component alive (`Arc`s on
-        // memtables, the pinned `Version` for the files) — the paper's
-        // per-component reference counts.
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(Box::new(self.inner.pm.load().internal_iter()));
-        if let Some(prev) = self.inner.pm_prev.load() {
-            children.push(Box::new(prev.internal_iter()));
-        }
-        let (version, disk_iters) = self.inner.store.version_iterators()?;
-        children.extend(disk_iters);
-
-        let mut merged = MergingIterator::new(children);
-        match start {
-            Some(key) => merged.seek(key, self.ts),
-            None => merged.seek_to_first(),
-        }
-        Ok(SnapshotIter {
-            merged,
-            snap_ts: self.ts,
-            end: end.map(<[u8]>::to_vec),
-            _version: version,
-            _snapshot: None,
-            last_key: None,
-            finished: false,
-        })
+        let inner = &self.inner;
+        SnapshotIter::over(&inner.components, &inner.store, self.ts, start, end)
     }
 
     /// Consumes the snapshot into a [`Snapshot::range_bounds`] iterator
@@ -203,6 +181,44 @@ pub struct SnapshotIter {
     /// persists across `next` calls so older versions never resurface.
     last_key: Option<Vec<u8>>,
     finished: bool,
+}
+
+impl SnapshotIter {
+    /// The live pairs at `ts` of `components` over `store`, from
+    /// `start` (inclusive) to `end` (exclusive), holding no snapshot
+    /// handle: what a [`Snapshot`] and a baseline's scan iterate.
+    #[doc(hidden)]
+    pub fn over(
+        components: &Components,
+        store: &Store,
+        ts: u64,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
+    ) -> Result<SnapshotIter> {
+        // Newest first: `Pm`, `P'm`, then the disk levels of the pinned
+        // version.
+        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
+        children.push(Box::new(components.pm().internal_iter()));
+        if let Some(prev) = components.pm_prev() {
+            children.push(Box::new(prev.internal_iter()));
+        }
+        let (version, disk) = store.version_iterators()?;
+        children.extend(disk);
+        let mut merged = MergingIterator::new(children);
+        match start {
+            Some(key) => merged.seek(key, ts),
+            None => merged.seek_to_first(),
+        }
+        Ok(SnapshotIter {
+            merged,
+            snap_ts: ts,
+            end: end.map(<[u8]>::to_vec),
+            _version: version,
+            _snapshot: None,
+            last_key: None,
+            finished: false,
+        })
+    }
 }
 
 impl Iterator for SnapshotIter {

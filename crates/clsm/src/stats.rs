@@ -107,12 +107,10 @@ pub(crate) fn register_gauges(inner: &Arc<DbInner>) {
         ("storage.wal_queue_bytes", |i| {
             i.store.wal_queue_bytes() as i64
         }),
-        ("db.memtable_bytes", |i| i.pm.load().memory_usage() as i64),
+        ("db.memtable_bytes", |i| i.components.memory_usage() as i64),
         ("db.memtable_capacity", |i| i.opts.memtable_bytes as i64),
         // 1 while a `P'm` awaits or undergoes its merge.
-        ("db.immutable_pending", |i| {
-            i64::from(i.pm_prev.load().is_some())
-        }),
+        ("db.immutable_pending", |i| i64::from(i.components.parked())),
         ("db.read_only", |i| i64::from(i.store.poisoned().is_some())),
         // A hold is a stall event only once it ends.
         ("db.exclusive_hold_in_progress_ns", |i| {
@@ -125,8 +123,12 @@ pub(crate) fn register_gauges(inner: &Arc<DbInner>) {
         ("admission.paced_bytes_per_sec", |i| {
             i64::try_from(i.admission_binding().1).unwrap_or(i64::MAX)
         }),
-        // 1 while writers are in §5.3's hard stall.
-        ("admission.stalled", |i| i64::from(i.write_stalled())),
+        // 1 while writers are in §5.3's hard stall: `Pm` full behind a
+        // merging `P'm`.
+        ("admission.stalled", |i| {
+            let components = &i.components;
+            i64::from(components.write_waits() && components.parked())
+        }),
     ];
     for (name, read) in gauges {
         registry.gauge_fn(name, computed(inner, read));

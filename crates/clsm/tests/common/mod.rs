@@ -1,12 +1,15 @@
-//! A fault-injecting `Env` and the replayable part of a `FaultEnv`
-//! history, which the stepped-scheduler suites share; each uses some.
+//! A fault-injecting `Env`, the replayable part of a `FaultEnv`
+//! history and the full-memtable writer check, which the
+//! stepped-scheduler suites share; each uses some.
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use clsm::KvStore;
 use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
 
@@ -119,4 +122,95 @@ pub fn replayed_ops(env: &FaultEnv) -> (Vec<FaultOp>, BTreeMap<PathBuf, Vec<Faul
         }
     }
     (own, tables)
+}
+
+/// Whether this process's thread named `name` is asleep on a futex — a
+/// lock or a condvar, as opposed to a timed sleep, which the kernel
+/// shows as `hrtimer_nanosleep` — read from its `/proc/self/task/*/stat`
+/// state and `wchan`.
+pub fn blocked_on_futex(name: &str) -> bool {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return false;
+    };
+    tasks.flatten().any(|task| {
+        let task = task.path();
+        let read = |file: &str| std::fs::read_to_string(task.join(file)).unwrap_or_default();
+        if read("comm").trim_end() != name {
+            return false;
+        }
+        // `pid (comm) state …`: the state follows the last `)`.
+        let stat = read("stat");
+        let state = stat
+            .rfind(')')
+            .and_then(|i| stat[i + 1..].trim_start().chars().next());
+        state == Some('S') && read("wchan").contains("futex")
+    })
+}
+
+/// A stepped store, whose memtable holds far fewer than `keys` puts of
+/// 100 B, takes them from a writer thread named `name` while this
+/// thread runs no job. Each time the writer is blocked on a futex inside
+/// a put — waiting on a state change, not sleeping out a duration; a
+/// writer that never waits never blocks here, as no other thread takes
+/// its locks — that put must not have landed and a flush must be due;
+/// running it (`run_flush`) must release the writer, which then goes
+/// on. Returns how many times the writer was held. A writer nothing
+/// bounds puts all `keys` without ever being held.
+///
+/// The deadline only catches a writer a flush failed to release (a
+/// missed wake-up); no duration decides whether the writer is held.
+pub fn hold_count(
+    store: Arc<dyn KvStore>,
+    name: &str,
+    keys: u64,
+    flush_due: impl Fn() -> bool,
+    run_flush: impl Fn() -> Result<bool>,
+) -> u64 {
+    let key = |i: u64| format!("held{i:06}").into_bytes();
+    let value = |i: u64| format!("{i:06}-").into_bytes().repeat(100 / 7);
+    let acked = Arc::new(AtomicU64::new(0));
+    let writer = std::thread::Builder::new()
+        .name(name.to_owned())
+        .spawn({
+            let (store, acked) = (Arc::clone(&store), Arc::clone(&acked));
+            move || {
+                for i in 0..keys {
+                    store.put(&key(i), &value(i)).unwrap();
+                    acked.store(i + 1, SeqCst);
+                }
+            }
+        })
+        .unwrap();
+    let mut held = 0;
+    loop {
+        while !writer.is_finished() && !blocked_on_futex(name) {
+            std::thread::yield_now();
+        }
+        if writer.is_finished() {
+            break;
+        }
+        let put = acked.load(SeqCst);
+        assert!(flush_due(), "{name}: held in put {put} with no flush due");
+        assert_eq!(store.get(&key(put)).unwrap(), None, "{name}: put {put}");
+        assert_eq!(acked.load(SeqCst), put, "{name}: the held put returned");
+        assert!(run_flush().unwrap(), "{name}: the flush had nothing to do");
+        held += 1;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while acked.load(SeqCst) == put && !writer.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "{name}: the flush did not release put {put}"
+            );
+            std::thread::yield_now();
+        }
+    }
+    writer.join().unwrap();
+    for i in 0..keys {
+        assert_eq!(
+            store.get(&key(i)).unwrap(),
+            Some(value(i)),
+            "{name}: key {i}"
+        );
+    }
+    held
 }

@@ -13,7 +13,7 @@ use clsm_util::error::{Error, Result};
 use lsm_storage::compaction::L0_COMPACTION_TRIGGER;
 
 mod common;
-use common::{replayed_ops, FailTableWrites};
+use common::{hold_count, replayed_ops, FailTableWrites};
 
 /// xorshift64*: the seeded choices of one schedule.
 struct Rng(u64);
@@ -60,9 +60,11 @@ fn model_contents(model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<(Vec<u8>, Vec<u8>)>
 
 /// One seeded schedule: puts, deletes and reads interleaved with the
 /// jobs that are due, log steps included, in an order the seed picks,
-/// all on this thread. Every read, a snapshot held across jobs, the
-/// final scan and the reopened store must match a `BTreeMap` model.
-/// Returns how many compactions ran, and the env the schedule ran on.
+/// all on this thread. A write that finds `Pm` full (its flush due)
+/// would wait for the swap, so the flush runs first. Every read, a
+/// snapshot held across jobs, the final scan and the reopened store
+/// must match a `BTreeMap` model. Returns how many compactions ran, and
+/// the env the schedule ran on.
 fn run_stepped_schedule(seed: u64) -> (u64, FaultEnv) {
     let ctx = format!("seed {seed}");
     let env = FaultEnv::new(seed);
@@ -74,7 +76,12 @@ fn run_stepped_schedule(seed: u64) -> (u64, FaultEnv) {
     let mut jobs_run = 0;
     for step in 0..600u64 {
         let k = key(rng.below(160));
-        match rng.below(100) {
+        let roll = rng.below(100);
+        if roll < 65 && db.due_jobs().contains(&Job::Flush) {
+            assert!(db.run_job(Job::Flush).unwrap(), "{ctx} step {step}");
+            jobs_run += 1;
+        }
+        match roll {
             0..=49 => {
                 let mut v = format!("{seed}/{step}/").into_bytes();
                 v.resize(16 + rng.below(120) as usize, b'v');
@@ -150,6 +157,25 @@ fn a_seed_replays_the_same_file_operations() {
         })
         .collect();
     assert!(differing.is_empty(), "seeds {differing:?} did not replay");
+}
+
+/// Nothing bounds `Pm` but its swap: with no job run, a writer that
+/// finds it full is held until the test runs the flush, each time.
+#[test]
+fn a_full_memtable_holds_its_writer_until_the_flush() {
+    let env = FaultEnv::new(0xf0_11);
+    let db = Arc::new(Db::open_stepped(Path::new("/held"), stepped_options(&env)).unwrap());
+    let held = hold_count(
+        Arc::clone(&db) as Arc<dyn clsm::KvStore>,
+        "held-clsm",
+        200,
+        || db.due_jobs().contains(&Job::Flush),
+        || db.run_job(Job::Flush),
+    );
+    assert!(
+        held >= 3,
+        "the writer was held {held} times over ~7 memtables"
+    );
 }
 
 #[test]
@@ -723,7 +749,8 @@ fn a_failed_table_sync_fails_the_flush_and_leaves_nothing_behind() {
 fn a_flush_is_one_l0_run_however_many_tables_it_writes() {
     let env = FaultEnv::new(0x10_4a5);
     let mut opts = stepped_options(&env);
-    opts.memtable_bytes = 16 * 1024;
+    // 200 puts fill under 32 KiB: none waits for a swap.
+    opts.memtable_bytes = 32 * 1024;
     opts.store.base_level_bytes = 1 << 20;
     let db = Db::open_stepped(Path::new("/l0-runs"), opts).unwrap();
     let flush = |db: &Db| {
@@ -904,15 +931,14 @@ fn a_failed_manifest_sync_poisons_the_store_and_loses_no_acked_write() {
         opts.store.env = Arc::new(env.clone());
         let db = Db::open_stepped(dir, opts.clone()).unwrap();
         let value = |i: u64| format!("value-{i:05}-").into_bytes().repeat(8);
+        // Durable puts until `Pm` is full (a put after it would wait
+        // for the swap): every acked put is synced.
         let mut acked = 0;
         while !db.due_jobs().contains(&Job::Flush) {
-            db.put(&key(acked), &value(acked)).unwrap();
+            let durable = WriteBatch::single_put(&key(acked), &value(acked));
+            db.write(durable, &WriteOptions::durable()).unwrap();
             acked += 1;
         }
-        // The last put syncs every one before it.
-        let durable = WriteBatch::single_put(&key(acked), &value(acked));
-        db.write(durable, &WriteOptions::durable()).unwrap();
-        acked += 1;
         let manifest = env
             .fault
             .list(dir)

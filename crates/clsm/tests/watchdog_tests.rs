@@ -250,7 +250,9 @@ fn write_pressure_is_flagged_and_reaches_the_doctor() {
         assert!(Instant::now() < deadline, "the writer never stalled");
         std::thread::sleep(Duration::from_millis(1));
     }
-    // The retry merges `P'm` and releases the writer.
+    // The retry merges `P'm`; the next flush swaps the `Pm` the writer
+    // found full and releases it.
+    assert!(db.run_job(Job::Flush).unwrap());
     assert!(db.run_job(Job::Flush).unwrap());
     writer.join().unwrap();
     let stalls = stalls(&db);

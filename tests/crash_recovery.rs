@@ -509,7 +509,9 @@ fn seeded_crash_cycles(seed: u64) -> (Vec<FaultOp>, u32) {
                 v
             });
             let result = match roll {
-                0..=12 => {
+                // A write into a full `Pm` would wait for its swap: the
+                // step runs the due flush instead.
+                0..=12 if !db.due_jobs().contains(&Job::Flush) => {
                     let written = model.entry(key.clone()).or_insert(Written {
                         values: Vec::new(),
                         covered: 0,
