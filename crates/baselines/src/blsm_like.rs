@@ -7,122 +7,72 @@
 //! smoothly so the merge keeps pace ("bounds the time a merge can block
 //! write operations", §6). We model that as a per-write delay that
 //! grows with the memtable fill fraction once flushing falls behind.
+//!
+//! bLSM "does not directly support consistent scans" (§5.1); a scan
+//! here is a best-effort one at the read point, so the trait is total,
+//! but benchmarks exclude it as the paper does.
 
-use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use clsm::{Options, Workers};
-use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
+use clsm_kv::{RmwDecision, RmwResult};
 use clsm_util::error::Result;
 
-use crate::core::BaselineCore;
-use crate::Stepped;
+use crate::core::{Baseline, BaselineCore, Model};
 
 /// A bLSM-style store: single writer, gear-throttled against merges.
-pub struct BlsmLike {
-    core: Arc<BaselineCore>,
+pub type BlsmLike = Baseline<BlsmModel>;
+
+/// bLSM's model: its one writer's mutex, and the gear.
+#[doc(hidden)]
+pub struct BlsmModel {
     global: Mutex<()>,
-    /// Stops the background threads when dropped.
-    workers: Workers<BaselineCore>,
 }
 
-impl BlsmLike {
-    /// Opens (or creates) a store at `path`.
-    pub fn open(path: &Path, opts: Options) -> Result<BlsmLike> {
-        BaselineCore::open(path, &opts, true)
-    }
-
-    /// Spring-and-gear: no delay below 70% fill; once the memtable
-    /// outpaces the merge, delay writes proportionally instead of
-    /// letting them hit the hard stall.
-    fn gear_throttle(&self) {
-        let fill = self.core.components.fill();
-        if fill > 0.7 {
-            let over = (fill - 0.7) / 0.3;
-            let micros = (over.clamp(0.0, 1.0) * 200.0) as u64;
-            if micros > 0 {
-                std::thread::sleep(Duration::from_micros(micros));
-            }
+/// Spring-and-gear: no delay below 70% fill; once the memtable outpaces
+/// the merge, delay writes proportionally instead of letting them hit
+/// the hard stall.
+fn gear_throttle(core: &BaselineCore) {
+    let fill = core.components.fill();
+    if fill > 0.7 {
+        let over = (fill - 0.7) / 0.3;
+        let micros = (over.clamp(0.0, 1.0) * 200.0) as u64;
+        if micros > 0 {
+            std::thread::sleep(Duration::from_micros(micros));
         }
-    }
-
-    fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        self.gear_throttle();
-        self.core
-            .serialized(&self.global, || self.core.write_next(key, value))
     }
 }
 
-impl Stepped for BlsmLike {
-    fn assemble(core: Arc<BaselineCore>, workers: Workers<BaselineCore>) -> Self {
-        BlsmLike {
-            core,
-            global: Mutex::new(()),
-            workers,
-        }
+impl Model for BlsmModel {
+    const NAME: &'static str = "bLSM";
+
+    fn new(_core: &BaselineCore) -> Self {
+        let global = Mutex::new(());
+        BlsmModel { global }
     }
 
-    fn workers(&self) -> &Workers<BaselineCore> {
-        &self.workers
-    }
-}
-
-impl KvStore for BlsmLike {
-    fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        // Single-writer, gear-throttled per operation.
-        for (key, value) in batch.iter() {
-            self.write_one(key, value.as_deref())?;
-        }
-        self.core.sync_if_requested(opts)
+    /// Single-writer design: reads synchronize like LevelDB's.
+    fn read_point(&self, core: &BaselineCore) -> u64 {
+        let _g = self.global.lock();
+        core.visible()
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        // Single-writer design: reads synchronize like LevelDB's.
-        let seq = {
-            let _g = self.global.lock();
-            self.core.visible()
-        };
-        self.core.get_at(key, seq)
+    /// Single-writer, gear-throttled per operation.
+    fn write_one(&self, core: &BaselineCore, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        gear_throttle(core);
+        core.serialized(&self.global, || core.write_next(key, value))
     }
 
-    fn snapshot(&self) -> Result<Box<dyn KvSnapshot>> {
-        Ok(self.core.snapshot_at(self.core.visible()))
-    }
-
-    fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        // bLSM "does not directly support consistent scans" (§5.1); we
-        // provide a best-effort scan at the current visible sequence so
-        // the trait is total, but benchmarks exclude it as the paper
-        // does.
-        let seq = self.core.visible();
-        self.core.scan_at(&range, limit, seq)
-    }
-
+    /// The whole read-decide-write (and `put_if_absent` over it) holds
+    /// the global mutex, same as every other write.
     fn read_modify_write(
         &self,
+        core: &BaselineCore,
         key: &[u8],
         f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
     ) -> Result<RmwResult> {
-        // Single-writer design: the whole read-decide-write (and the
-        // default `put_if_absent` over it) holds the global mutex, same
-        // as every other write.
-        self.gear_throttle();
-        self.core
-            .serialized(&self.global, || self.core.rmw_next(key, f))
-    }
-
-    fn quiesce(&self) -> Result<()> {
-        self.core.quiesce()
-    }
-
-    fn name(&self) -> &'static str {
-        "bLSM"
-    }
-
-    fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
-        Some(self.core.write_amp())
+        gear_throttle(core);
+        core.serialized(&self.global, || core.rmw_next(key, f))
     }
 }

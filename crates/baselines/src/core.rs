@@ -20,10 +20,10 @@
 //!   `swap_lock`'s write side, and the GC watermark is the visible
 //!   sequence, read inside the swap.
 //!
-//! A core opened without threads is a stepped store: its front-end's
-//! `open_stepped`, whose jobs a test runs through [`crate::Stepped`].
+//! A store opened without threads is a stepped store
+//! ([`Baseline::open_stepped`]), whose jobs a test runs.
 //!
-//! Each model (the front-ends) owns only what the paper compares: how
+//! Each model (a [`Model`]) owns only what the paper compares: how
 //! writers get and publish sequence numbers (global mutex, ordered
 //! commit, writer queue…), the read point, and bLSM's gear.
 
@@ -34,38 +34,89 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use clsm::{wait_idle, Components, JobHost, Jobs, Options, SnapshotIter, Workers};
-use clsm_kv::{RmwDecision, RmwResult};
+use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::{Error, Result};
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
-use crate::Stepped;
-
-/// The storage stack under a baseline's concurrency control.
+/// What sets one baseline apart from the others: the concurrency
+/// control the paper compares. [`Baseline`] supplies the rest.
 #[doc(hidden)]
-pub struct BaselineCore {
-    store: Store,
-    pub(crate) components: Components,
-    /// Next sequence number to assign (LevelDB-style).
-    pub(crate) next_seq: AtomicU64,
-    /// Highest sequence number whose write is visible to reads.
-    visible_seq: AtomicU64,
-    sync_writes: bool,
-    /// The background threads' wake state (see `clsm::jobs`).
-    jobs: Jobs,
-    /// Writers hold this shared during inserts; the flush swap takes it
-    /// exclusively (same role as cLSM's shared-exclusive lock, but here
-    /// it is ordinary and not the contended path).
-    swap_lock: RwLock<()>,
+pub trait Model: Send + Sync + 'static {
+    /// The modeled system's name ([`KvStore::name`]).
+    const NAME: &'static str;
+
+    /// The model's state over a freshly opened `core`.
+    fn new(core: &BaselineCore) -> Self;
+
+    /// The sequence number a get, snapshot or scan reads at.
+    fn read_point(&self, core: &BaselineCore) -> u64;
+
+    /// Commits and publishes one write of a batch.
+    fn write_one(&self, core: &BaselineCore, key: &[u8], value: Option<&[u8]>) -> Result<()>;
+
+    /// [`KvStore::read_modify_write`], which a model without an atomic
+    /// one refuses.
+    fn read_modify_write(
+        &self,
+        core: &BaselineCore,
+        key: &[u8],
+        f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
+    ) -> Result<RmwResult> {
+        let _ = (core, key, f);
+        Err(Error::invalid_argument(format!(
+            "{} does not support atomic read_modify_write",
+            Self::NAME
+        )))
+    }
+
+    /// [`KvStore::put_if_absent`]: by default a read-modify-write.
+    fn put_if_absent(&self, core: &BaselineCore, key: &[u8], value: &[u8]) -> Result<bool> {
+        let mut absent = |current: Option<&[u8]>| match current {
+            Some(_) => RmwDecision::Abort,
+            None => RmwDecision::Update(value.to_vec()),
+        };
+        Ok(self.read_modify_write(core, key, &mut absent)?.committed)
+    }
 }
 
-impl BaselineCore {
-    /// Opens the stack, replays the WAL and builds the front-end `S`
-    /// over it; with `threads`, starts the background threads too
-    /// (dropping the front-end's [`Workers`] stops them). A failed spawn
-    /// is returned as the error, once the threads already started are
-    /// stopped and joined. Without `threads` the store is stepped.
-    pub(crate) fn open<S: Stepped>(dir: &Path, opts: &Options, threads: bool) -> Result<S> {
+/// A baseline store: model `M`'s concurrency control over the storage
+/// stack every baseline shares with `clsm::Db`.
+pub struct Baseline<M> {
+    core: Arc<BaselineCore>,
+    model: M,
+    /// Stops the background threads when dropped.
+    workers: Workers<BaselineCore>,
+}
+
+impl<M: Model> Baseline<M> {
+    /// Opens (or creates) a store at `path`.
+    pub fn open(path: &Path, opts: Options) -> Result<Self> {
+        Self::opened(path, &opts, true)
+    }
+
+    /// Test hook, as `clsm::Db::open_stepped`: opens like
+    /// [`open`](Self::open) but starts no thread, not even the WAL
+    /// logger, so nothing flushes, compacts or logs until the caller
+    /// runs the jobs of `workers()`. Never use this on a production
+    /// path.
+    #[doc(hidden)]
+    pub fn open_stepped(path: &Path, opts: Options) -> Result<Self> {
+        Self::opened(path, &opts, false)
+    }
+
+    /// The store's job runtime, whose due jobs a stepped store's test
+    /// runs.
+    #[doc(hidden)]
+    pub fn workers(&self) -> &Workers<BaselineCore> {
+        &self.workers
+    }
+
+    /// Opens the stack and replays the WAL; with `threads`, starts the
+    /// background threads too (dropping the store stops them). A failed
+    /// spawn is returned as the error, once the threads already started
+    /// are stopped and joined.
+    fn opened(dir: &Path, opts: &Options, threads: bool) -> Result<Self> {
         let (store, recovered) = Store::open(dir, opts.store.clone())?;
         let core = Arc::new(BaselineCore {
             store,
@@ -80,9 +131,92 @@ impl BaselineCore {
         if threads {
             workers.start(opts.compaction_threads)?;
         }
-        Ok(S::assemble(core, workers))
+        let model = M::new(&core);
+        Ok(Baseline {
+            core,
+            model,
+            workers,
+        })
+    }
+}
+
+impl<M: Model> KvStore for Baseline<M> {
+    fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
+        // Each operation commits on its own: a batch is not atomic.
+        for (key, value) in batch.iter() {
+            self.model.write_one(&self.core, key, value.as_deref())?;
+        }
+        // `after_write` already synced when every write syncs.
+        if opts.sync && !self.core.sync_writes {
+            self.core.store.sync_wal()?;
+        }
+        Ok(())
     }
 
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.core.get_at(key, self.model.read_point(&self.core))
+    }
+
+    fn snapshot(&self) -> Result<Box<dyn KvSnapshot>> {
+        let seq = self.model.read_point(&self.core);
+        Ok(Box::new(CoreSnapshot {
+            core: Arc::clone(&self.core),
+            seq,
+        }))
+    }
+
+    fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let seq = self.model.read_point(&self.core);
+        self.core.scan_at(&range, limit, seq)
+    }
+
+    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
+        self.model.put_if_absent(&self.core, key, value)
+    }
+
+    fn read_modify_write(
+        &self,
+        key: &[u8],
+        f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
+    ) -> Result<RmwResult> {
+        self.model.read_modify_write(&self.core, key, f)
+    }
+
+    /// Blocks until the memtable found at the call is flushed and no
+    /// flush or compaction is due or running.
+    fn quiesce(&self) -> Result<()> {
+        wait_idle(&*self.core, &self.core.components.pm())
+    }
+
+    fn name(&self) -> &'static str {
+        M::NAME
+    }
+
+    fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
+        Some(self.core.store.write_amp())
+    }
+}
+
+/// The storage stack under a baseline's concurrency control.
+#[doc(hidden)]
+pub struct BaselineCore {
+    store: Store,
+    pub(crate) components: Components,
+    /// Next sequence number to assign (LevelDB-style).
+    pub(crate) next_seq: AtomicU64,
+    /// Highest sequence number whose write is visible to reads.
+    visible_seq: AtomicU64,
+    sync_writes: bool,
+    /// The background threads' wake state (see `clsm::jobs`).
+    jobs: Jobs,
+    /// Writers hold this shared during inserts; `beforeMerge` and
+    /// `afterMerge` take it exclusively (the role of cLSM's
+    /// shared-exclusive lock, but an ordinary lock, as in the modeled
+    /// systems).
+    swap_lock: RwLock<()>,
+}
+
+impl BaselineCore {
     /// What every write passes before it takes a sequence number: a
     /// read-only store fails it with its error, and a full `Pm` holds
     /// it, untimed, until the flush swaps it.
@@ -174,15 +308,6 @@ impl BaselineCore {
         Ok(())
     }
 
-    /// Durability wait for an explicit `WriteOptions::sync` request,
-    /// on top of whatever `after_write` already did.
-    pub(crate) fn sync_if_requested(&self, opts: &clsm_kv::WriteOptions) -> Result<()> {
-        if opts.sync && !self.sync_writes {
-            self.store.sync_wal()?;
-        }
-        Ok(())
-    }
-
     /// Marks everything up to `seq` visible (caller guarantees all
     /// writes `<= seq` are inserted).
     pub(crate) fn publish(&self, seq: u64) {
@@ -191,7 +316,8 @@ impl BaselineCore {
 
     /// Reads `key` at `seq` through `Pm → P'm → Pd`.
     pub(crate) fn get_at(&self, key: &[u8], seq: u64) -> Result<Option<Vec<u8>>> {
-        self.components.get(&self.store, key, seq)
+        let (found, _) = self.components.lookup(&self.store, key, seq)?;
+        Ok(found.and_then(|(_, value)| value))
     }
 
     /// The currently visible sequence number.
@@ -202,7 +328,7 @@ impl BaselineCore {
     /// Consistent scan at `seq`: up to `limit` live pairs in `range`.
     pub(crate) fn scan_at(
         &self,
-        range: &clsm_kv::ScanRange,
+        range: &ScanRange,
         limit: usize,
         seq: u64,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
@@ -216,26 +342,6 @@ impl BaselineCore {
         )?
         .take(limit)
         .collect()
-    }
-
-    /// Blocks until the memtable found at the call is flushed and no
-    /// flush or compaction is due or running (bench hook).
-    pub(crate) fn quiesce(&self) -> Result<()> {
-        wait_idle(self, &self.components.pm())
-    }
-
-    /// Write-amplification counters from the shared store.
-    pub(crate) fn write_amp(&self) -> lsm_storage::store::WriteAmp {
-        self.store.write_amp()
-    }
-
-    /// Boxes a [`CoreSnapshot`] at `seq` (front-ends pick the read
-    /// point according to their concurrency model).
-    pub(crate) fn snapshot_at(self: &Arc<Self>, seq: u64) -> Box<dyn clsm_kv::KvSnapshot> {
-        Box::new(CoreSnapshot {
-            core: Arc::clone(self),
-            seq,
-        })
     }
 }
 
@@ -280,17 +386,17 @@ impl JobHost for BaselineCore {
 /// GC watermark is the *current* visible sequence — so a long-lived
 /// handle may lose old versions to compaction, matching the modeled
 /// systems' short-read-point behavior.
-pub(crate) struct CoreSnapshot {
+struct CoreSnapshot {
     core: Arc<BaselineCore>,
     seq: u64,
 }
 
-impl clsm_kv::KvSnapshot for CoreSnapshot {
+impl KvSnapshot for CoreSnapshot {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.core.get_at(key, self.seq)
     }
 
-    fn scan(&self, range: clsm_kv::ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.core.scan_at(&range, limit, self.seq)
     }
 }

@@ -8,38 +8,43 @@
 //! scales for a few threads and then degrades — the behavior Figure 5
 //! measures (peaks around 4 threads).
 
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use clsm::{Options, Workers};
-use clsm_kv::{KvSnapshot, KvStore, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::Result;
 
-use crate::core::BaselineCore;
-use crate::Stepped;
+use crate::core::{Baseline, BaselineCore, Model};
 
 /// A HyperLevelDB-style store: parallel inserts, ordered commit.
-pub struct HyperLike {
-    core: Arc<BaselineCore>,
+pub type HyperLike = Baseline<HyperModel>;
+
+/// HyperLevelDB's model: the ordered-commit counter.
+#[doc(hidden)]
+pub struct HyperModel {
     /// Highest sequence number whose writer finished committing; a
     /// writer with sequence `s` waits for `s - 1`.
     committed: AtomicU64,
-    /// Stops the background threads when dropped.
-    workers: Workers<BaselineCore>,
 }
 
-impl HyperLike {
-    /// Opens (or creates) a store at `path`.
-    pub fn open(path: &Path, opts: Options) -> Result<HyperLike> {
-        BaselineCore::open(path, &opts, true)
+impl Model for HyperModel {
+    const NAME: &'static str = "HyperLevelDB";
+
+    fn new(core: &BaselineCore) -> Self {
+        let committed = AtomicU64::new(core.visible());
+        HyperModel { committed }
     }
 
-    fn write_one(&self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        self.core.admit()?;
-        let seq = self.core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
+    /// Reads briefly synchronize on the commit counter (analogous to
+    /// LevelDB's brief mutex hold, but cheaper).
+    fn read_point(&self, _core: &BaselineCore) -> u64 {
+        self.committed.load(Ordering::Acquire)
+    }
+
+    /// Each operation rides the ordered-commit pipeline on its own.
+    fn write_one(&self, core: &BaselineCore, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        core.admit()?;
+        let seq = core.next_seq.fetch_add(1, Ordering::SeqCst) + 1;
         // The insert itself runs in parallel with other writers.
-        let applied = self.core.apply_write(key, value, seq);
+        let applied = core.apply_write(key, value, seq);
         // Ordered commit: wait for all earlier writers, then publish.
         // The counter advances even on error, or later writers would
         // spin forever behind a failed sequence number.
@@ -53,77 +58,22 @@ impl HyperLike {
             }
         }
         if applied.is_ok() {
-            self.core.publish(seq);
+            core.publish(seq);
         }
         self.committed.store(seq, Ordering::Release);
         applied?;
-        self.core.after_write()
-    }
-}
-
-impl Stepped for HyperLike {
-    fn assemble(core: Arc<BaselineCore>, workers: Workers<BaselineCore>) -> Self {
-        let committed = AtomicU64::new(core.visible());
-        HyperLike {
-            core,
-            committed,
-            workers,
-        }
+        core.after_write()
     }
 
-    fn workers(&self) -> &Workers<BaselineCore> {
-        &self.workers
-    }
-}
-
-impl KvStore for HyperLike {
-    fn write(&self, batch: WriteBatch, opts: &WriteOptions) -> Result<()> {
-        // Each operation rides the ordered-commit pipeline on its own.
-        for (key, value) in batch.iter() {
-            self.write_one(key, value.as_deref())?;
-        }
-        self.core.sync_if_requested(opts)
-    }
-
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        // Reads briefly synchronize on the commit counter (analogous to
-        // LevelDB's brief mutex hold, but cheaper).
-        let seq = self.committed.load(Ordering::Acquire);
-        self.core.get_at(key, seq)
-    }
-
-    fn snapshot(&self) -> Result<Box<dyn KvSnapshot>> {
-        Ok(self
-            .core
-            .snapshot_at(self.committed.load(Ordering::Acquire)))
-    }
-
-    fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let seq = self.committed.load(Ordering::Acquire);
-        self.core.scan_at(&range, limit, seq)
-    }
-
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        // HyperLevelDB has no native RMW; emulate with a writer-side
-        // critical section over the commit counter (coarse).
-        self.core.admit()?;
-        let seq = self.committed.load(Ordering::Acquire);
-        if self.core.get_at(key, seq)?.is_some() {
+    /// HyperLevelDB has no native RMW (so none here either); emulate
+    /// put-if-absent with a writer-side check over the commit counter
+    /// (coarse, and not atomic).
+    fn put_if_absent(&self, core: &BaselineCore, key: &[u8], value: &[u8]) -> Result<bool> {
+        core.admit()?;
+        if core.get_at(key, self.read_point(core))?.is_some() {
             return Ok(false);
         }
-        self.write_one(key, Some(value))?;
+        self.write_one(core, key, Some(value))?;
         Ok(true)
-    }
-
-    fn quiesce(&self) -> Result<()> {
-        self.core.quiesce()
-    }
-
-    fn name(&self) -> &'static str {
-        "HyperLevelDB"
-    }
-
-    fn write_amp(&self) -> Option<lsm_storage::store::WriteAmp> {
-        Some(self.core.write_amp())
     }
 }

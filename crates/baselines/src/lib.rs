@@ -13,10 +13,11 @@
 //! writer until its swap); and the background job runtime
 //! (`clsm::jobs`) with its one flush, so flushes and compactions run on
 //! the same threads with the same retry, read-only and WAL rotation
-//! rules. Every front-end also opens stepped, with no thread, for
-//! seeded schedules ([`Stepped`]). Each model owns only how writers
-//! get and publish sequence numbers, the read point, its exclusive
-//! guard for the swap, and (bLSM) the gear:
+//! rules. Every front-end is a [`Baseline`] over its `Model`: the
+//! `KvStore` surface, the open and the stepped open (no thread, for
+//! seeded schedules) are `Baseline`'s, and each model owns only how
+//! writers get and publish sequence numbers, the read point, and
+//! (bLSM) the gear:
 //!
 //! - [`LevelDbLike`] — a global mutex serializes writers end-to-end and
 //!   is briefly taken by every read (LevelDB's design: "coarse-grained
@@ -46,51 +47,14 @@ mod partitioned;
 mod rocks_like;
 mod striped_rmw;
 
-pub use blsm_like::BlsmLike;
-pub use hyper_like::HyperLike;
-pub use leveldb_like::LevelDbLike;
+pub use blsm_like::{BlsmLike, BlsmModel};
+pub use core::Baseline;
+#[doc(hidden)]
+pub use core::{BaselineCore, Model};
+pub use hyper_like::{HyperLike, HyperModel};
+pub use leveldb_like::{LevelDbLike, LevelDbModel};
 pub use partitioned::Partitioned;
-pub use rocks_like::RocksLike;
+pub use rocks_like::{RocksLike, RocksModel};
 pub use striped_rmw::StripedRmw;
 
 pub use clsm_kv::{KvStore, ScanRange};
-
-use std::path::Path;
-use std::sync::Arc;
-
-use clsm::{Job, Options, Workers};
-use clsm_util::error::Result;
-
-use core::BaselineCore;
-
-/// The stepped scheduler's hooks on a baseline: the same test seam as
-/// `clsm::Db::open_stepped`. A store opened with [`open_stepped`]
-/// starts no thread; the test runs the due jobs, in an order it
-/// chooses, on its own threads.
-///
-/// [`open_stepped`]: Stepped::open_stepped
-#[doc(hidden)]
-pub trait Stepped: Sized {
-    /// The front-end over a freshly opened core and its job runtime.
-    fn assemble(core: Arc<BaselineCore>, workers: Workers<BaselineCore>) -> Self;
-
-    /// The store's job runtime.
-    fn workers(&self) -> &Workers<BaselineCore>;
-
-    /// Opens like the front-end's `open`, but starts no thread. Never
-    /// use this on a production path.
-    fn open_stepped(path: &Path, opts: Options) -> Result<Self> {
-        BaselineCore::open(path, &opts, false)
-    }
-
-    /// The jobs the background threads would run now, flush first.
-    fn due_jobs(&self) -> Vec<Job> {
-        self.workers().due_jobs()
-    }
-
-    /// Runs `job` on the calling thread, exactly as a background thread
-    /// would, and returns whether it did any work.
-    fn run_job(&self, job: Job) -> Result<bool> {
-        self.workers().run_job(job)
-    }
-}

@@ -1,207 +1,34 @@
-//! Every baseline on the stepped scheduler: a front-end's
-//! `open_stepped` starts no thread, and the test runs its due jobs
-//! (`Stepped`) in an order a seed picks. Seeded schedules match a
-//! `BTreeMap` model, a seed replays the same file operations, and a
-//! writer that finds the memtable full is held until the flush swaps
-//! it.
+//! Every baseline on the stepped scheduler: `Baseline::open_stepped`
+//! starts no thread, and the test runs its due jobs in an order a seed
+//! picks, with the driver `clsm::Db`'s suite uses. Seeded schedules
+//! match a `BTreeMap` model, a seed replays the same file operations,
+//! and writers that find the memtable full are held until the flush
+//! swaps it.
 
 #[path = "../../clsm/tests/common/mod.rs"]
 mod common;
 
-use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 use clsm::{Job, Options};
-use clsm_baselines::{BlsmLike, HyperLike, KvStore, LevelDbLike, RocksLike, ScanRange, Stepped};
-use clsm_util::env::FaultEnv;
+use clsm_baselines::{Baseline, BlsmLike, HyperLike, LevelDbLike, Model, RocksLike};
 use clsm_util::error::Result;
-use common::{hold_count, replayed_ops};
+use common::SteppedStore;
 
-/// xorshift64*: the seeded choices of one schedule.
-struct Rng(u64);
+impl<M: Model> SteppedStore for Baseline<M> {
+    const SNAPSHOTS_PIN: bool = false;
 
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+    fn open_stepped(dir: &Path, opts: Options) -> Result<Self> {
+        Baseline::open_stepped(dir, opts)
     }
-}
 
-fn stepped_options(env: &FaultEnv) -> Options {
-    let mut opts = Options::small_for_tests();
-    opts.memtable_bytes = 4 * 1024;
-    opts.store.table_file_size = 4 * 1024;
-    opts.store.base_level_bytes = 16 * 1024;
-    opts.store.env = Arc::new(env.clone());
-    opts
-}
-
-fn key(k: u64) -> Vec<u8> {
-    format!("key{k:04}").into_bytes()
-}
-
-type Model = BTreeMap<Vec<u8>, Vec<u8>>;
-
-/// Every live pair of `store`, in key order.
-fn contents(store: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
-    store.scan(ScanRange::all(), usize::MAX).unwrap()
-}
-
-fn model_contents(model: &Model) -> Vec<(Vec<u8>, Vec<u8>)> {
-    model.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-}
-
-/// One seeded schedule, as `scheduler_tests`' for `clsm::Db`: puts,
-/// deletes and reads interleaved with the jobs that are due, log steps
-/// included, in an order the seed picks, all on this thread. A write
-/// that finds the memtable full (its flush due) would wait for the
-/// swap, so the flush runs first. Every read, a held snapshot, the
-/// final scan and the reopened store must match a `BTreeMap` model.
-///
-/// A baseline's snapshot pins no version — its GC watermark is the
-/// visible sequence — so a flush or compaction may drop the versions a
-/// held snapshot reads (the modeled systems' short read points). The
-/// held snapshot is checked only while no job that installs a version
-/// has run since it was taken.
-///
-/// Returns how many compactions ran, and the env the schedule ran on.
-fn run_stepped_schedule<S: KvStore + Stepped>(
-    open: fn(&Path, Options) -> Result<S>,
-    seed: u64,
-) -> (u64, FaultEnv) {
-    let env = FaultEnv::new(seed);
-    let dir = Path::new("/stepped");
-    let store = open(dir, stepped_options(&env)).unwrap();
-    let ctx = format!("{} seed {seed}", store.name());
-    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-    let mut model = Model::new();
-    let mut pinned = None;
-    let mut compactions = 0;
-    let mut run = |store: &S, job: Job, pinned: &mut Option<_>| {
-        let ran = store
-            .run_job(job)
-            .unwrap_or_else(|e| panic!("{ctx}: {job:?}: {e}"));
-        if ran && job != Job::Log {
-            *pinned = None;
-        }
-        compactions += u64::from(ran && job == Job::Compact);
-    };
-    for step in 0..600u64 {
-        let k = key(rng.below(160));
-        let roll = rng.below(100);
-        if roll < 65 && store.due_jobs().contains(&Job::Flush) {
-            run(&store, Job::Flush, &mut pinned);
-        }
-        match roll {
-            0..=49 => {
-                let mut v = format!("{seed}/{step}/").into_bytes();
-                v.resize(16 + rng.below(120) as usize, b'v');
-                store.put(&k, &v).unwrap();
-                model.insert(k, v);
-            }
-            50..=64 => {
-                store.delete(&k).unwrap();
-                model.remove(&k);
-            }
-            65..=79 => assert_eq!(
-                store.get(&k).unwrap(),
-                model.get(&k).cloned(),
-                "{ctx} step {step}"
-            ),
-            80..=81 => pinned = Some((store.snapshot().unwrap(), model.clone())),
-            82..=83 => {
-                if let Some((snap, then)) = pinned.take() {
-                    let seen = snap.scan(ScanRange::all(), usize::MAX).unwrap();
-                    assert_eq!(seen, model_contents(&then), "{ctx} step {step}: snapshot");
-                }
-            }
-            _ => {
-                let due = store.due_jobs();
-                if !due.is_empty() {
-                    run(
-                        &store,
-                        due[rng.below(due.len() as u64) as usize],
-                        &mut pinned,
-                    );
-                }
-            }
-        }
+    fn due_jobs(&self) -> Vec<Job> {
+        self.workers().due_jobs()
     }
-    drop(pinned.take());
-    while let Some(&job) = store.due_jobs().first() {
-        run(&store, job, &mut pinned);
+
+    fn run_job(&self, job: Job) -> Result<bool> {
+        self.workers().run_job(job)
     }
-    for k in (0..160).map(key) {
-        assert_eq!(
-            store.get(&k).unwrap(),
-            model.get(&k).cloned(),
-            "{ctx}: final read"
-        );
-    }
-    assert_eq!(
-        contents(&store),
-        model_contents(&model),
-        "{ctx}: final scan"
-    );
-    drop(store);
-
-    let store = open(dir, stepped_options(&env)).unwrap();
-    assert_eq!(
-        contents(&store),
-        model_contents(&model),
-        "{ctx}: after reopen"
-    );
-    drop(store);
-    (compactions, env)
-}
-
-fn seeded_stepped_schedules_match_a_model<S: KvStore + Stepped>(
-    open: fn(&Path, Options) -> Result<S>,
-) {
-    let compactions: u64 = (0..100)
-        .map(|seed| run_stepped_schedule(open, seed).0)
-        .sum();
-    assert!(compactions > 0, "no schedule compacted");
-}
-
-/// A stepped store has no thread between steps, so a seed fixes its
-/// file operations: the WAL is written by the log steps and rotations
-/// the schedule runs, never on a logger's timer.
-fn a_seed_replays_the_same_file_operations<S: KvStore + Stepped>(
-    open: fn(&Path, Options) -> Result<S>,
-) {
-    let differing: Vec<u64> = (0..100)
-        .filter(|&seed| {
-            let first = replayed_ops(&run_stepped_schedule(open, seed).1);
-            first != replayed_ops(&run_stepped_schedule(open, seed).1)
-        })
-        .collect();
-    assert!(differing.is_empty(), "seeds {differing:?} did not replay");
-}
-
-/// Nothing bounds the memtable but its swap: with no job run, a writer
-/// that finds it full is held until the test runs the flush, each time.
-fn a_full_memtable_holds_its_writer_until_the_flush<S: KvStore + Stepped + 'static>(
-    open: fn(&Path, Options) -> Result<S>,
-    writer: &str,
-) {
-    let env = FaultEnv::new(0xf0_11);
-    let store = Arc::new(open(Path::new("/held"), stepped_options(&env)).unwrap());
-    let held = hold_count(
-        Arc::clone(&store) as Arc<dyn KvStore>,
-        writer,
-        200,
-        || store.due_jobs().contains(&Job::Flush),
-        || store.run_job(Job::Flush),
-    );
-    assert!(
-        held >= 3,
-        "{}: the writer was held {held} times over ~7 memtables",
-        store.name()
-    );
 }
 
 macro_rules! front_end {
@@ -211,20 +38,20 @@ macro_rules! front_end {
 
             #[test]
             fn seeded_stepped_schedules_match_a_model() {
-                super::seeded_stepped_schedules_match_a_model(<$store>::open_stepped);
+                common::seeded_stepped_schedules_match_a_model::<$store>();
             }
 
             #[test]
             fn a_seed_replays_the_same_file_operations() {
-                super::a_seed_replays_the_same_file_operations(<$store>::open_stepped);
+                common::a_seed_replays_the_same_file_operations::<$store>();
             }
 
             #[test]
-            fn a_full_memtable_holds_its_writer_until_the_flush() {
-                super::a_full_memtable_holds_its_writer_until_the_flush(
-                    <$store>::open_stepped,
-                    concat!("held-", stringify!($module)),
-                );
+            fn a_full_memtable_holds_its_writers_until_the_flush() {
+                common::a_full_memtable_holds_its_writers_until_the_flush::<$store>(concat!(
+                    "held-",
+                    stringify!($module)
+                ));
             }
         }
     };

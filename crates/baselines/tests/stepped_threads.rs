@@ -10,9 +10,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clsm::{Job, Options, WriteBatch, WriteOptions};
-use clsm_baselines::{BlsmLike, HyperLike, KvStore, LevelDbLike, RocksLike, Stepped};
+use clsm_baselines::{Baseline, BlsmModel, HyperModel, KvStore, LevelDbModel, Model, RocksModel};
 use clsm_util::env::FaultEnv;
-use clsm_util::error::Result;
 
 /// The name of every thread of this process whose name starts with
 /// `clsm-`.
@@ -45,10 +44,11 @@ fn store_threads_after_joins() -> Vec<String> {
 /// puts and whenever a flush is due (the next put into a full memtable
 /// would wait for it), and checks after every put and job that no
 /// store thread exists.
-fn runs_no_thread<S: KvStore + Stepped>(open: fn(&Path, Options) -> Result<S>) {
+fn runs_no_thread<M: Model>() {
     let mut opts = Options::small_for_tests();
     opts.store.env = Arc::new(FaultEnv::new(0x1d1e));
-    let store = open(Path::new("/stepped-threads"), opts).unwrap();
+    let store = Baseline::<M>::open_stepped(Path::new("/stepped-threads"), opts).unwrap();
+    let jobs = store.workers();
     let name = store.name();
     assert_eq!(store_threads(), [] as [String; 0], "{name}: at open");
     let value = vec![0x5a; 512];
@@ -58,9 +58,9 @@ fn runs_no_thread<S: KvStore + Stepped>(open: fn(&Path, Options) -> Result<S>) {
             .put(format!("step.{i:08}").as_bytes(), &value)
             .unwrap();
         assert_eq!(store_threads(), [] as [String; 0], "{name}: after put {i}");
-        if i % 100 == 99 || store.due_jobs().contains(&Job::Flush) {
-            while let Some(&job) = store.due_jobs().first() {
-                store.run_job(job).unwrap();
+        if i % 100 == 99 || jobs.due_jobs().contains(&Job::Flush) {
+            while let Some(&job) = jobs.due_jobs().first() {
+                jobs.run_job(job).unwrap();
                 ran.push(job);
                 let threads = store_threads_after_joins();
                 assert_eq!(threads, [] as [String; 0], "{name}: after {job:?}");
@@ -81,8 +81,8 @@ fn runs_no_thread<S: KvStore + Stepped>(open: fn(&Path, Options) -> Result<S>) {
 
 #[test]
 fn a_stepped_baseline_runs_no_thread() {
-    runs_no_thread(LevelDbLike::open_stepped);
-    runs_no_thread(HyperLike::open_stepped);
-    runs_no_thread(RocksLike::open_stepped);
-    runs_no_thread(BlsmLike::open_stepped);
+    runs_no_thread::<LevelDbModel>();
+    runs_no_thread::<HyperModel>();
+    runs_no_thread::<RocksModel>();
+    runs_no_thread::<BlsmModel>();
 }

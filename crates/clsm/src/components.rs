@@ -89,38 +89,14 @@ impl Components {
         Ok((found, false))
     }
 
-    /// `key`'s live value at `max_ts`, if any.
-    pub fn get(&self, store: &Store, key: &[u8], max_ts: u64) -> Result<Option<Vec<u8>>> {
-        Ok(self
-            .lookup(store, key, max_ts)?
-            .0
-            .and_then(|(_, value)| value))
-    }
-
-    /// Approximate bytes in `Pm`.
-    pub fn memory_usage(&self) -> usize {
-        self.pm.load().memory_usage()
-    }
-
     /// `Pm`'s bytes over its capacity.
     pub fn fill(&self) -> f64 {
-        self.memory_usage() as f64 / self.capacity as f64
+        self.pm.load().memory_usage() as f64 / self.capacity as f64
     }
 
     /// Whether `Pm` is at capacity: a flush is due.
     pub fn full(&self) -> bool {
-        self.memory_usage() >= self.capacity
-    }
-
-    /// Whether a `P'm` awaits or undergoes its merge.
-    pub fn parked(&self) -> bool {
-        self.pm_prev.load().is_some()
-    }
-
-    /// The quiescence predicate: `entry`, the `Pm` a caller found, still
-    /// holds data no flush has swapped out.
-    pub fn unflushed(&self, entry: &Arc<Memtable>) -> bool {
-        !entry.is_empty() && Arc::ptr_eq(&self.pm.load(), entry)
+        self.pm.load().memory_usage() >= self.capacity
     }
 
     /// The one stall condition (§5.3, as LevelDB's `MakeRoomForWrite`):

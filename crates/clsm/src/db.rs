@@ -454,7 +454,7 @@ impl Db {
 
     /// Approximate bytes in the mutable memtable.
     pub fn memtable_bytes(&self) -> usize {
-        self.inner.components.memory_usage()
+        self.inner.components.pm().memory_usage()
     }
 
     /// Manually compacts the key range `[start, end]` down to the
@@ -503,7 +503,8 @@ impl Db {
         let disk = self.inner.store.approximate_range_bytes(start, end);
         // Memory components are not range-indexed; charge them whole.
         let components = &self.inner.components;
-        let mem = components.memory_usage() + components.pm_prev().map_or(0, |m| m.memory_usage());
+        let mem =
+            components.pm().memory_usage() + components.pm_prev().map_or(0, |m| m.memory_usage());
         disk + mem as u64
     }
 }
@@ -544,7 +545,8 @@ impl DbInner {
 
     /// Read at a snapshot time (Algorithm 1's get).
     pub(crate) fn get_at(&self, key: &[u8], max_ts: u64) -> Result<Option<Vec<u8>>> {
-        self.components.get(&self.store, key, max_ts)
+        let (found, _) = self.components.lookup(&self.store, key, max_ts)?;
+        Ok(found.and_then(|(_, value)| value))
     }
 
     /// The admission stage whose rate binds right now (see
@@ -657,7 +659,7 @@ impl DbInner {
         if !self.components.write_waits() {
             return Ok(false);
         }
-        let behind_merge = self.components.parked();
+        let behind_merge = self.components.pm_prev().is_some();
         let began = now_ns();
         if behind_merge {
             self.metrics.write_stalls.inc();
@@ -676,7 +678,7 @@ impl DbInner {
     /// Reports the stall behind the current `P'm`, sized by `Pm`.
     #[cold]
     fn report_write_stall(&self) {
-        let memtable_bytes = self.components.memory_usage();
+        let memtable_bytes = self.components.pm().memory_usage();
         self.watchdog.report(
             StallKind::WriteStall,
             memtable_bytes as u64,
@@ -751,8 +753,10 @@ impl JobHost for DbInner {
         self.note_version();
     }
 
+    /// A flush stays behind while the `Pm` that filled during the merge
+    /// is full: a writer that finds the bit clear skips the stall.
     fn after_merge(&self) {
-        self.flow.set(FLUSH_BEHIND, false);
+        self.flow.set(FLUSH_BEHIND, self.components.full());
     }
 
     /// An L0→L1 merge (one that took L0 tables out of the tree —

@@ -269,7 +269,8 @@ fn run_job<H: JobHost>(host: &H, job: Job) -> Result<bool> {
     state.running[job as usize] -= 1;
     if job == Job::Flush {
         let components = host.components();
-        state.flush_requested = (result.is_err() && components.parked()) || components.full();
+        state.flush_requested =
+            (result.is_err() && components.pm_prev().is_some()) || components.full();
     }
     match &result {
         Ok(true) => state.failures[job as usize] = 0,
@@ -311,12 +312,12 @@ pub fn wait_idle<H: JobHost>(host: &H, entry: &Arc<Memtable>) -> Result<()> {
         if let Some(e) = host.store().poisoned() {
             return Err(e);
         }
-        if components.unflushed(entry) {
+        if !entry.is_empty() && Arc::ptr_eq(&components.pm(), entry) {
             jobs.request_flush_locked(&mut state);
         }
         let busy = state.flush_requested
             || state.running != [0; 3]
-            || components.parked()
+            || components.pm_prev().is_some()
             || host.store().needs_compaction();
         if !busy {
             return Ok(());

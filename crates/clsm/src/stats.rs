@@ -107,10 +107,14 @@ pub(crate) fn register_gauges(inner: &Arc<DbInner>) {
         ("storage.wal_queue_bytes", |i| {
             i.store.wal_queue_bytes() as i64
         }),
-        ("db.memtable_bytes", |i| i.components.memory_usage() as i64),
+        ("db.memtable_bytes", |i| {
+            i.components.pm().memory_usage() as i64
+        }),
         ("db.memtable_capacity", |i| i.opts.memtable_bytes as i64),
         // 1 while a `P'm` awaits or undergoes its merge.
-        ("db.immutable_pending", |i| i64::from(i.components.parked())),
+        ("db.immutable_pending", |i| {
+            i64::from(i.components.pm_prev().is_some())
+        }),
         ("db.read_only", |i| i64::from(i.store.poisoned().is_some())),
         // A hold is a stall event only once it ends.
         ("db.exclusive_hold_in_progress_ns", |i| {
@@ -127,7 +131,7 @@ pub(crate) fn register_gauges(inner: &Arc<DbInner>) {
         // merging `P'm`.
         ("admission.stalled", |i| {
             let components = &i.components;
-            i64::from(components.write_waits() && components.parked())
+            i64::from(components.write_waits() && components.pm_prev().is_some())
         }),
     ];
     for (name, read) in gauges {

@@ -1,6 +1,7 @@
-//! A fault-injecting `Env`, the replayable part of a `FaultEnv`
-//! history and the full-memtable writer check, which the
-//! stepped-scheduler suites share; each uses some.
+//! What the stepped-scheduler suites share, `clsm::Db`'s and the
+//! baselines' alike: a fault-injecting `Env`, the seeded-schedule
+//! driver, the replayable part of a `FaultEnv` history and the
+//! full-memtable writer check. Each suite uses some.
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
@@ -9,9 +10,229 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use clsm::KvStore;
+use clsm::{Db, Job, KvStore, Options, ScanRange};
 use clsm_util::env::{Env, FaultEnv, FaultOp, RandomAccessFile, WritableFile};
 use clsm_util::error::{Error, Result};
+
+/// A store opened stepped, with no thread: its jobs run only when a
+/// test runs them. `clsm::Db`'s here; the baselines' where their suite
+/// includes this module.
+pub trait SteppedStore: KvStore + Sized {
+    /// Whether a snapshot pins the versions it reads. A baseline's does
+    /// not — its GC watermark is the visible sequence — so a flush or a
+    /// compaction may drop what a held one reads (the modeled systems'
+    /// short read points).
+    const SNAPSHOTS_PIN: bool;
+
+    fn open_stepped(dir: &Path, opts: Options) -> Result<Self>;
+
+    /// The jobs a background thread would run now, flush first.
+    fn due_jobs(&self) -> Vec<Job>;
+
+    /// Runs `job` on the calling thread; whether it did any work.
+    fn run_job(&self, job: Job) -> Result<bool>;
+
+    /// What the store checks of itself once a schedule is done.
+    fn verify(&self) {}
+}
+
+impl SteppedStore for Db {
+    const SNAPSHOTS_PIN: bool = true;
+
+    fn open_stepped(dir: &Path, opts: Options) -> Result<Self> {
+        Db::open_stepped(dir, opts)
+    }
+
+    fn due_jobs(&self) -> Vec<Job> {
+        Db::due_jobs(self)
+    }
+
+    fn run_job(&self, job: Job) -> Result<bool> {
+        Db::run_job(self, job)
+    }
+
+    fn verify(&self) {
+        self.verify_integrity().unwrap();
+    }
+}
+
+/// xorshift64*: the seeded choices of one schedule.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+    }
+}
+
+/// A 4 KiB memtable and small tables, on `env`.
+pub fn stepped_options(env: &FaultEnv) -> Options {
+    let mut opts = Options::small_for_tests();
+    opts.memtable_bytes = 4 * 1024;
+    opts.store.table_file_size = 4 * 1024;
+    opts.store.base_level_bytes = 16 * 1024;
+    // Nothing drains while the test runs no job, so pacing would only
+    // sleep.
+    opts.admission.enabled = false;
+    opts.store.env = Arc::new(env.clone());
+    opts
+}
+
+pub fn key(k: u64) -> Vec<u8> {
+    format!("key{k:04}").into_bytes()
+}
+
+/// Every live pair of `store`, in key order.
+pub fn contents(store: &dyn KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+    store.scan(ScanRange::all(), usize::MAX).unwrap()
+}
+
+pub fn model_contents(model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    model.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+}
+
+/// One seeded schedule: puts, deletes and reads interleaved with the
+/// jobs that are due, log steps included, in an order the seed picks,
+/// all on this thread. A write that finds `Pm` full (its flush due)
+/// would wait for the swap, so the flush runs first. Every read, a
+/// snapshot held across jobs, the final scan and the reopened store
+/// must match a `BTreeMap` model; a snapshot that pins nothing is
+/// checked only while no job that installs a version has run since it
+/// was taken. Returns how many compactions ran, and the env the
+/// schedule ran on.
+pub fn run_stepped_schedule<S: SteppedStore>(seed: u64) -> (u64, FaultEnv) {
+    let env = FaultEnv::new(seed);
+    let dir = Path::new("/stepped");
+    let store = S::open_stepped(dir, stepped_options(&env)).unwrap();
+    let ctx = format!("{} seed {seed}", store.name());
+    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let mut model = BTreeMap::new();
+    let mut pinned = None;
+    let (mut jobs_run, mut compactions) = (0, 0);
+    let mut run = |job: Job, pinned: &mut Option<_>| {
+        let ran = store
+            .run_job(job)
+            .unwrap_or_else(|e| panic!("{ctx}: {job:?}: {e}"));
+        if ran && job != Job::Log && !S::SNAPSHOTS_PIN {
+            *pinned = None;
+        }
+        jobs_run += 1;
+        compactions += u64::from(ran && job == Job::Compact);
+        ran
+    };
+    for step in 0..600u64 {
+        let k = key(rng.below(160));
+        let roll = rng.below(100);
+        if roll < 65 && store.due_jobs().contains(&Job::Flush) {
+            assert!(run(Job::Flush, &mut pinned), "{ctx} step {step}");
+        }
+        match roll {
+            0..=49 => {
+                let mut v = format!("{seed}/{step}/").into_bytes();
+                v.resize(16 + rng.below(120) as usize, b'v');
+                store.put(&k, &v).unwrap();
+                model.insert(k, v);
+            }
+            50..=64 => {
+                store.delete(&k).unwrap();
+                model.remove(&k);
+            }
+            65..=79 => assert_eq!(
+                store.get(&k).unwrap(),
+                model.get(&k).cloned(),
+                "{ctx} step {step}"
+            ),
+            80..=81 => pinned = Some((store.snapshot().unwrap(), model.clone())),
+            82..=83 => {
+                if let Some((snap, then)) = pinned.take() {
+                    let seen = snap.scan(ScanRange::all(), usize::MAX).unwrap();
+                    assert_eq!(seen, model_contents(&then), "{ctx} step {step}: snapshot");
+                }
+            }
+            _ => {
+                let due = store.due_jobs();
+                if !due.is_empty() {
+                    run(due[rng.below(due.len() as u64) as usize], &mut pinned);
+                }
+            }
+        }
+    }
+    drop(pinned.take());
+    while let Some(&job) = store.due_jobs().first() {
+        run(job, &mut pinned);
+    }
+    assert!(jobs_run > 0, "{ctx}: no job ran");
+    for k in (0..160).map(key) {
+        assert_eq!(
+            store.get(&k).unwrap(),
+            model.get(&k).cloned(),
+            "{ctx}: final read"
+        );
+    }
+    assert_eq!(
+        contents(&store),
+        model_contents(&model),
+        "{ctx}: final scan"
+    );
+    store.verify();
+    drop(store);
+
+    let store = S::open_stepped(dir, stepped_options(&env)).unwrap();
+    assert_eq!(
+        contents(&store),
+        model_contents(&model),
+        "{ctx}: after reopen"
+    );
+    drop(store);
+    (compactions, env)
+}
+
+/// 100 seeded schedules match their models, and some compacted.
+pub fn seeded_stepped_schedules_match_a_model<S: SteppedStore>() {
+    let compactions: u64 = (0..100).map(|seed| run_stepped_schedule::<S>(seed).0).sum();
+    assert!(compactions > 0, "no schedule compacted");
+}
+
+/// A stepped store has no thread between steps, so a seed fixes its
+/// file operations: the WAL is written by the log steps, syncs and
+/// rotations the schedule runs, never on a logger's timer.
+pub fn a_seed_replays_the_same_file_operations<S: SteppedStore>() {
+    let differing: Vec<u64> = (0..100)
+        .filter(|&seed| {
+            let first = replayed_ops(&run_stepped_schedule::<S>(seed).1);
+            first != replayed_ops(&run_stepped_schedule::<S>(seed).1)
+        })
+        .collect();
+    assert!(differing.is_empty(), "seeds {differing:?} did not replay");
+}
+
+/// Nothing bounds `Pm` but its swap: with no job run, writers that find
+/// it full are held until the test runs the flush, each time, whether
+/// one writer puts or two do, each on a fresh store.
+pub fn a_full_memtable_holds_its_writers_until_the_flush<S: SteppedStore + 'static>(name: &str) {
+    for writers in 1..=2 {
+        let env = FaultEnv::new(0xf0_11 + writers);
+        let dir = format!("/held-{writers}");
+        let store = Arc::new(S::open_stepped(Path::new(&dir), stepped_options(&env)).unwrap());
+        let held = hold_count(
+            Arc::clone(&store) as Arc<dyn KvStore>,
+            name,
+            writers,
+            200,
+            || store.due_jobs().contains(&Job::Flush),
+            || store.run_job(Job::Flush),
+        );
+        assert!(
+            held >= 3,
+            "{}: {writers} writers were held {held} times over ~{} memtables",
+            store.name(),
+            7 * writers
+        );
+    }
+}
 
 /// A [`FaultEnv`] whose next `remaining` appends to table files fail,
 /// without poisoning anything else: each fails the flush or compaction
@@ -148,68 +369,90 @@ pub fn blocked_on_futex(name: &str) -> bool {
 }
 
 /// A stepped store, whose memtable holds far fewer than `keys` puts of
-/// 100 B, takes them from a writer thread named `name` while this
-/// thread runs no job. Each time the writer is blocked on a futex inside
-/// a put — waiting on a state change, not sleeping out a duration; a
-/// writer that never waits never blocks here, as no other thread takes
-/// its locks — that put must not have landed and a flush must be due;
-/// running it (`run_flush`) must release the writer, which then goes
-/// on. Returns how many times the writer was held. A writer nothing
-/// bounds puts all `keys` without ever being held.
+/// 100 B, takes them from each of `writers` threads named `{name}-{w}`
+/// while this thread runs no job. Each time every writer still putting
+/// is blocked on a futex inside a put — waiting on a state change, not
+/// sleeping out a duration; a writer that never waits for room is never
+/// blocked for long here, as this thread takes no lock — none of those
+/// puts may have landed and a flush must be due; running it
+/// (`run_flush`) must release a writer, which then goes on. Returns how
+/// many times the writers were held. Writers nothing bounds put all
+/// their keys without ever being held.
 ///
-/// The deadline only catches a writer a flush failed to release (a
-/// missed wake-up); no duration decides whether the writer is held.
+/// The deadline only catches writers a flush failed to release (a
+/// missed wake-up); no duration decides whether a writer is held.
 pub fn hold_count(
     store: Arc<dyn KvStore>,
     name: &str,
+    writers: u64,
     keys: u64,
     flush_due: impl Fn() -> bool,
     run_flush: impl Fn() -> Result<bool>,
 ) -> u64 {
-    let key = |i: u64| format!("held{i:06}").into_bytes();
+    let key = |w: u64, i: u64| format!("held{w}-{i:06}").into_bytes();
     let value = |i: u64| format!("{i:06}-").into_bytes().repeat(100 / 7);
-    let acked = Arc::new(AtomicU64::new(0));
-    let writer = std::thread::Builder::new()
-        .name(name.to_owned())
-        .spawn({
+    let acked: Arc<Vec<AtomicU64>> = Arc::new((0..writers).map(|_| AtomicU64::new(0)).collect());
+    let names: Vec<String> = (0..writers).map(|w| format!("{name}-{w}")).collect();
+    let threads: Vec<_> = (0..writers)
+        .map(|w| {
             let (store, acked) = (Arc::clone(&store), Arc::clone(&acked));
-            move || {
-                for i in 0..keys {
-                    store.put(&key(i), &value(i)).unwrap();
-                    acked.store(i + 1, SeqCst);
-                }
-            }
+            std::thread::Builder::new()
+                .name(names[w as usize].clone())
+                .spawn(move || {
+                    for i in 0..keys {
+                        store.put(&key(w, i), &value(i)).unwrap();
+                        acked[w as usize].store(i + 1, SeqCst);
+                    }
+                })
+                .unwrap()
         })
-        .unwrap();
+        .collect();
+    let putting = || -> Vec<u64> {
+        (0..writers)
+            .filter(|&w| !threads[w as usize].is_finished())
+            .collect()
+    };
+    let progress = || acked.iter().map(|a| a.load(SeqCst)).sum::<u64>();
     let mut held = 0;
     loop {
-        while !writer.is_finished() && !blocked_on_futex(name) {
+        while !putting().is_empty()
+            && !putting()
+                .iter()
+                .all(|&w| blocked_on_futex(&names[w as usize]))
+        {
             std::thread::yield_now();
         }
-        if writer.is_finished() {
+        let blocked = putting();
+        if blocked.is_empty() {
             break;
         }
-        let put = acked.load(SeqCst);
-        assert!(flush_due(), "{name}: held in put {put} with no flush due");
-        assert_eq!(store.get(&key(put)).unwrap(), None, "{name}: put {put}");
-        assert_eq!(acked.load(SeqCst), put, "{name}: the held put returned");
+        let before = progress();
+        assert!(flush_due(), "{name}: writers held with no flush due");
+        for &w in &blocked {
+            let put = acked[w as usize].load(SeqCst);
+            let landed = store.get(&key(w, put)).unwrap();
+            assert_eq!(landed, None, "{name}: writer {w}'s put {put}");
+        }
+        assert_eq!(progress(), before, "{name}: a held put returned");
         assert!(run_flush().unwrap(), "{name}: the flush had nothing to do");
         held += 1;
         let deadline = Instant::now() + Duration::from_secs(60);
-        while acked.load(SeqCst) == put && !writer.is_finished() {
+        while progress() == before && !putting().is_empty() {
             assert!(
                 Instant::now() < deadline,
-                "{name}: the flush did not release put {put}"
+                "{name}: the flush released no writer"
             );
             std::thread::yield_now();
         }
     }
-    writer.join().unwrap();
-    for i in 0..keys {
+    for thread in threads {
+        thread.join().unwrap();
+    }
+    for (w, i) in (0..writers).flat_map(|w| (0..keys).map(move |i| (w, i))) {
         assert_eq!(
-            store.get(&key(i)).unwrap(),
+            store.get(&key(w, i)).unwrap(),
             Some(value(i)),
-            "{name}: key {i}"
+            "{name}: writer {w}'s key {i}"
         );
     }
     held

@@ -5,6 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use clsm::{Db, Job, Options, RmwDecision, WriteBatch, WriteOptions};
@@ -13,35 +14,7 @@ use clsm_util::error::{Error, Result};
 use lsm_storage::compaction::L0_COMPACTION_TRIGGER;
 
 mod common;
-use common::{hold_count, replayed_ops, FailTableWrites};
-
-/// xorshift64*: the seeded choices of one schedule.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
-    }
-}
-
-fn stepped_options(env: &FaultEnv) -> Options {
-    let mut opts = Options::small_for_tests();
-    opts.memtable_bytes = 4 * 1024;
-    opts.store.table_file_size = 4 * 1024;
-    opts.store.base_level_bytes = 16 * 1024;
-    // Nothing drains while the test runs no job, so pacing would only
-    // sleep.
-    opts.admission.enabled = false;
-    opts.store.env = Arc::new(env.clone());
-    opts
-}
-
-fn key(k: u64) -> Vec<u8> {
-    format!("key{k:04}").into_bytes()
-}
+use common::{contents, key, model_contents, stepped_options, FailTableWrites};
 
 /// Whether a `P'm` is parked awaiting its merge
 /// (`db.immutable_pending`).
@@ -49,133 +22,81 @@ fn pm_parked(db: &Db) -> bool {
     db.metrics().gauges["db.immutable_pending"] != 0
 }
 
-/// Every live pair of `db`, in key order.
-fn contents(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
-    db.iter().unwrap().map(|pair| pair.unwrap()).collect()
-}
-
-fn model_contents(model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Vec<(Vec<u8>, Vec<u8>)> {
-    model.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-}
-
-/// One seeded schedule: puts, deletes and reads interleaved with the
-/// jobs that are due, log steps included, in an order the seed picks,
-/// all on this thread. A write that finds `Pm` full (its flush due)
-/// would wait for the swap, so the flush runs first. Every read, a
-/// snapshot held across jobs, the final scan and the reopened store
-/// must match a `BTreeMap` model. Returns how many compactions ran, and
-/// the env the schedule ran on.
-fn run_stepped_schedule(seed: u64) -> (u64, FaultEnv) {
-    let ctx = format!("seed {seed}");
-    let env = FaultEnv::new(seed);
-    let dir = Path::new("/stepped");
-    let db = Db::open_stepped(dir, stepped_options(&env)).unwrap();
-    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-    let mut model = BTreeMap::new();
-    let mut pinned = None;
-    let mut jobs_run = 0;
-    for step in 0..600u64 {
-        let k = key(rng.below(160));
-        let roll = rng.below(100);
-        if roll < 65 && db.due_jobs().contains(&Job::Flush) {
-            assert!(db.run_job(Job::Flush).unwrap(), "{ctx} step {step}");
-            jobs_run += 1;
-        }
-        match roll {
-            0..=49 => {
-                let mut v = format!("{seed}/{step}/").into_bytes();
-                v.resize(16 + rng.below(120) as usize, b'v');
-                db.put(&k, &v).unwrap();
-                model.insert(k, v);
-            }
-            50..=64 => {
-                db.delete(&k).unwrap();
-                model.remove(&k);
-            }
-            65..=79 => assert_eq!(
-                db.get(&k).unwrap(),
-                model.get(&k).cloned(),
-                "{ctx} step {step}"
-            ),
-            80..=81 => pinned = Some((db.snapshot().unwrap(), model.clone())),
-            82..=83 => {
-                if let Some((snap, then)) = pinned.take() {
-                    let seen: Vec<_> = snap.iter().unwrap().map(|pair| pair.unwrap()).collect();
-                    assert_eq!(seen, model_contents(&then), "{ctx} step {step}: snapshot");
-                }
-            }
-            _ => {
-                let due = db.due_jobs();
-                if !due.is_empty() {
-                    let job = due[rng.below(due.len() as u64) as usize];
-                    db.run_job(job)
-                        .unwrap_or_else(|e| panic!("{ctx} step {step}: {job:?}: {e}"));
-                    jobs_run += 1;
-                }
-            }
-        }
-    }
-    drop(pinned);
-    while let Some(&job) = db.due_jobs().first() {
-        db.run_job(job).unwrap();
-        jobs_run += 1;
-    }
-    assert!(jobs_run > 0, "{ctx}: no job ran");
-    for k in (0..160).map(key) {
-        assert_eq!(
-            db.get(&k).unwrap(),
-            model.get(&k).cloned(),
-            "{ctx}: final read"
-        );
-    }
-    assert_eq!(contents(&db), model_contents(&model), "{ctx}: final scan");
-    db.verify_integrity().unwrap();
-    let compactions = db.metrics().counters["db.compactions"];
-    drop(db);
-
-    let db = Db::open_stepped(dir, stepped_options(&env)).unwrap();
-    assert_eq!(contents(&db), model_contents(&model), "{ctx}: after reopen");
-    drop(db);
-    (compactions, env)
-}
-
 #[test]
 fn seeded_stepped_schedules_match_a_model() {
-    let compactions: u64 = (0..100).map(|seed| run_stepped_schedule(seed).0).sum();
-    assert!(compactions > 0, "no schedule compacted");
+    common::seeded_stepped_schedules_match_a_model::<Db>();
 }
 
-/// A stepped store has no thread between steps, so a seed fixes its
-/// file operations: the WAL is written by the log steps, syncs and
-/// rotations the schedule runs, never on a logger's timer.
 #[test]
 fn a_seed_replays_the_same_file_operations() {
-    let differing: Vec<u64> = (0..100)
-        .filter(|&seed| {
-            let first = replayed_ops(&run_stepped_schedule(seed).1);
-            first != replayed_ops(&run_stepped_schedule(seed).1)
-        })
-        .collect();
-    assert!(differing.is_empty(), "seeds {differing:?} did not replay");
+    common::a_seed_replays_the_same_file_operations::<Db>();
 }
 
-/// Nothing bounds `Pm` but its swap: with no job run, a writer that
-/// finds it full is held until the test runs the flush, each time.
 #[test]
-fn a_full_memtable_holds_its_writer_until_the_flush() {
-    let env = FaultEnv::new(0xf0_11);
-    let db = Arc::new(Db::open_stepped(Path::new("/held"), stepped_options(&env)).unwrap());
-    let held = hold_count(
-        Arc::clone(&db) as Arc<dyn clsm::KvStore>,
-        "held-clsm",
-        200,
-        || db.due_jobs().contains(&Job::Flush),
-        || db.run_job(Job::Flush),
-    );
+fn a_full_memtable_holds_its_writers_until_the_flush() {
+    common::a_full_memtable_holds_its_writers_until_the_flush::<Db>("held-clsm");
+}
+
+/// A merge that ends with `Pm` full — it filled while `P'm` merged —
+/// leaves the flush behind, so a writer that comes after the merge is
+/// held like the one that filled `Pm`, not let into the full `Pm`. The
+/// first flush fails with `P'm` parked, which keeps the merge open
+/// while a writer fills `Pm`.
+#[test]
+fn a_merge_that_leaves_pm_full_holds_later_writers() {
+    let env = FailTableWrites::new(0x1a7e, 1);
+    let mut opts = stepped_options(&env.fault);
+    opts.store.env = Arc::new(env.clone());
+    let db = Arc::new(Db::open_stepped(Path::new("/late-writer"), opts).unwrap());
+    let acked = Arc::new(AtomicU64::new(0));
+    let spawn = |name: &str, keys: std::ops::Range<u64>| {
+        let (db, acked) = (Arc::clone(&db), Arc::clone(&acked));
+        std::thread::Builder::new()
+            .name(name.to_owned())
+            .spawn(move || {
+                for i in keys {
+                    db.put(&key(i), &[7; 100]).unwrap();
+                    acked.fetch_add(1, SeqCst);
+                }
+            })
+            .unwrap()
+    };
+    // No job runs unless this thread runs it, so a writer that blocks
+    // on a futex waits for room.
+    let held = |writer: &JoinHandle<()>| {
+        let name = writer.thread().name().unwrap().to_owned();
+        while !writer.is_finished() && !common::blocked_on_futex(&name) {
+            std::thread::yield_now();
+        }
+        !writer.is_finished()
+    };
+    let first = spawn("late-first", 0..200);
+    assert!(held(&first), "the first writer never found Pm full");
+    let filled = acked.load(SeqCst);
+    assert!(db.run_job(Job::Flush).is_err(), "the injected failure");
+    assert!(pm_parked(&db), "the failed merge parks P'm");
+    // Released by the swap, the writer fills the new `Pm`.
+    while acked.load(SeqCst) == filled || !held(&first) {
+        std::thread::yield_now();
+    }
+    assert!(db.run_job(Job::Flush).unwrap(), "the retried merge");
+    assert!(!pm_parked(&db), "P'm still parked");
+    let second = spawn("late-second", 1_000..1_001);
     assert!(
-        held >= 3,
-        "the writer was held {held} times over ~7 memtables"
+        held(&second),
+        "a writer after a merge that left Pm full was let into it"
     );
+    while !first.is_finished() || !second.is_finished() {
+        if db.due_jobs().contains(&Job::Flush) {
+            db.run_job(Job::Flush).unwrap();
+        }
+        std::thread::yield_now();
+    }
+    first.join().unwrap();
+    second.join().unwrap();
+    for i in (0..200).chain(1_000..1_001) {
+        assert_eq!(db.get(&key(i)).unwrap(), Some(vec![7; 100]), "key {i}");
+    }
 }
 
 #[test]
