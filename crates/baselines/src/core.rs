@@ -6,19 +6,22 @@
 //! - the `lsm-storage` substrate: table format, block cache, WAL and
 //!   its logging queue, compaction picks;
 //! - the memory components, `clsm::Components`: `Pm` and `P'm`, the
-//!   recovery replay into `Pm`, reads in `Pm → P'm → Pd` order, the
-//!   children a scan merges, and the one stall condition: a write that
-//!   finds `Pm` full waits, untimed on the job state, for the flush to
-//!   swap it (LevelDB's `MakeRoomForWrite`), so `Pm` stays bounded;
-//! - the background job runtime, `clsm::jobs`, with its one flush:
-//!   flushes and compactions run as jobs on the same threads, with the
-//!   same untimed wake-ups. A failed flush leaves its immutable
-//!   memtable parked and is retried; eight failures in a row make the
-//!   store read-only, which fails every later write with its error; the
-//!   WAL rotates prepare → cut → flush around the memtable swap, so no
-//!   fsync runs inside it. The swap and the drop of `P'm` run under
-//!   `swap_lock`'s write side, and the GC watermark is the visible
-//!   sequence, read inside the swap.
+//!   recovery replay into `Pm`, the point read in `Pm → P'm → Pd`
+//!   order, the children a scan merges, and the one stall condition: a
+//!   write that finds `Pm` full waits, untimed on the job state, for the
+//!   flush to swap it (`Jobs::wait_for_room`, LevelDB's
+//!   `MakeRoomForWrite`), so `Pm` stays bounded;
+//! - the background job runtime, `clsm::jobs`, with its one flush, one
+//!   compaction and one quiescence: flushes and compactions run as jobs
+//!   on the same threads, with the same untimed wake-ups, and `quiesce`
+//!   merges an L0 that shadows a deeper level as `Db`'s does, so
+//!   `write_amp` after it is charged alike. A failed flush leaves its
+//!   immutable memtable parked and is retried; eight failures in a row
+//!   make the store read-only, which fails every later write with its
+//!   error; the WAL rotates prepare → cut → flush around the memtable
+//!   swap, so no fsync runs inside it. The swap and the drop of `P'm`
+//!   run under `swap_lock`'s write side, and the GC watermark is the
+//!   visible sequence, read inside the swap.
 //!
 //! A store opened without threads is a stepped store
 //! ([`Baseline::open_stepped`]), whose jobs a test runs.
@@ -33,7 +36,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use clsm::{wait_idle, Components, JobHost, Jobs, Options, SnapshotIter, Workers};
+use clsm::{quiesce, Components, JobHost, Jobs, Options, SnapshotIter, Workers};
 use clsm_kv::{KvSnapshot, KvStore, RmwDecision, RmwResult, ScanRange, WriteBatch, WriteOptions};
 use clsm_util::error::{Error, Result};
 use lsm_storage::wal::SyncMode;
@@ -154,7 +157,9 @@ impl<M: Model> KvStore for Baseline<M> {
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.core.get_at(key, self.model.read_point(&self.core))
+        let core = &self.core;
+        core.components
+            .get(&core.store, key, self.model.read_point(core))
     }
 
     fn snapshot(&self) -> Result<Box<dyn KvSnapshot>> {
@@ -182,10 +187,9 @@ impl<M: Model> KvStore for Baseline<M> {
         self.model.read_modify_write(&self.core, key, f)
     }
 
-    /// Blocks until the memtable found at the call is flushed and no
-    /// flush or compaction is due or running.
+    /// `clsm::quiesce`, as for `clsm::Db`.
     fn quiesce(&self) -> Result<()> {
-        wait_idle(&*self.core, &self.core.components.pm())
+        quiesce(&*self.core)
     }
 
     fn name(&self) -> &'static str {
@@ -200,7 +204,7 @@ impl<M: Model> KvStore for Baseline<M> {
 /// The storage stack under a baseline's concurrency control.
 #[doc(hidden)]
 pub struct BaselineCore {
-    store: Store,
+    pub(crate) store: Store,
     pub(crate) components: Components,
     /// Next sequence number to assign (LevelDB-style).
     pub(crate) next_seq: AtomicU64,
@@ -218,15 +222,9 @@ pub struct BaselineCore {
 
 impl BaselineCore {
     /// What every write passes before it takes a sequence number: a
-    /// read-only store fails it with its error, and a full `Pm` holds
-    /// it, untimed, until the flush swaps it.
-    pub(crate) fn admit(&self) -> Result<()> {
-        if let Some(e) = self.store.poisoned() {
-            return Err(e);
-        }
-        if !self.components.write_waits() {
-            return Ok(());
-        }
+    /// full `Pm` holds it, untimed, until the flush swaps it, and a
+    /// read-only store fails it with its error.
+    pub(crate) fn admit(&self) -> Result<bool> {
         self.jobs.wait_for_room(&self.store, &self.components)
     }
 
@@ -278,7 +276,7 @@ impl BaselineCore {
         key: &[u8],
         f: &mut dyn FnMut(Option<&[u8]>) -> RmwDecision,
     ) -> Result<RmwResult> {
-        let previous = self.get_at(key, self.visible())?;
+        let previous = self.components.get(&self.store, key, self.visible())?;
         let value = match f(previous.as_deref()) {
             RmwDecision::Abort => {
                 return Ok(RmwResult {
@@ -312,12 +310,6 @@ impl BaselineCore {
     /// writes `<= seq` are inserted).
     pub(crate) fn publish(&self, seq: u64) {
         self.visible_seq.fetch_max(seq, Ordering::Release);
-    }
-
-    /// Reads `key` at `seq` through `Pm → P'm → Pd`.
-    pub(crate) fn get_at(&self, key: &[u8], seq: u64) -> Result<Option<Vec<u8>>> {
-        let (found, _) = self.components.lookup(&self.store, key, seq)?;
-        Ok(found.and_then(|(_, value)| value))
     }
 
     /// The currently visible sequence number.
@@ -368,14 +360,6 @@ impl JobHost for BaselineCore {
     fn gc_watermark(&self) -> u64 {
         self.visible()
     }
-
-    fn compact_once(&self) -> Result<bool> {
-        let compacted = self.store.maybe_compact(self.visible())?;
-        if compacted {
-            self.jobs.note_install();
-        }
-        Ok(compacted)
-    }
 }
 
 /// A baseline snapshot: a visible sequence number captured at creation
@@ -393,7 +377,7 @@ struct CoreSnapshot {
 
 impl KvSnapshot for CoreSnapshot {
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.core.get_at(key, self.seq)
+        self.core.components.get(&self.core.store, key, self.seq)
     }
 
     fn scan(&self, range: ScanRange, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {

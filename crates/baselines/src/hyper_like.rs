@@ -70,7 +70,8 @@ impl Model for HyperModel {
     /// (coarse, and not atomic).
     fn put_if_absent(&self, core: &BaselineCore, key: &[u8], value: &[u8]) -> Result<bool> {
         core.admit()?;
-        if core.get_at(key, self.read_point(core))?.is_some() {
+        let seq = self.read_point(core);
+        if core.components.get(&core.store, key, seq)?.is_some() {
             return Ok(false);
         }
         self.write_one(core, key, Some(value))?;

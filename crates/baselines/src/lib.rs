@@ -8,12 +8,14 @@
 //! the disk format, caches, WAL, and compaction held equal.
 //!
 //! Shared with `clsm::Db`: the substrate; the memory components
-//! (`clsm::Components`: `Pm`, `P'm`, recovery replay, reads, scan
-//! children and the one stall condition, so a full `Pm` holds every
-//! writer until its swap); and the background job runtime
-//! (`clsm::jobs`) with its one flush, so flushes and compactions run on
-//! the same threads with the same retry, read-only and WAL rotation
-//! rules. Every front-end is a [`Baseline`] over its `Model`: the
+//! (`clsm::Components`: `Pm`, `P'm`, recovery replay, the point read,
+//! scan children and the one stall condition, so a full `Pm` holds
+//! every writer until its swap); and the background job runtime
+//! (`clsm::jobs`) with its one flush, compaction and quiescence, so
+//! flushes and compactions run on the same threads with the same
+//! retry, read-only and WAL rotation rules, and every store quiesces
+//! to the same shape. Every store is also crash-checked
+//! (`clsm-check --mode crash`). Every front-end is a [`Baseline`] over its `Model`: the
 //! `KvStore` surface, the open and the stepped open (no thread, for
 //! seeded schedules) are `Baseline`'s, and each model owns only how
 //! writers get and publish sequence numbers, the read point, and

@@ -440,3 +440,57 @@ fn partitioned_clsm_composition_conforms() {
     assert!(!store.put_if_absent(b"alpha", b"x").unwrap());
     store.quiesce().unwrap();
 }
+
+/// Every store quiesces alike (`clsm::quiesce`): once L0 holds a table
+/// that overlaps a deeper level, `quiesce` merges it down, so what the
+/// quiescent store keeps on disk (and `write_amp` after it) does not
+/// depend on where in L0's cycle the last write landed.
+#[test]
+fn quiescence_leaves_no_l0_table_shadowing_a_deeper_level() {
+    type Open = fn(&std::path::Path, Options) -> clsm::Result<Box<dyn KvStore>>;
+    let systems: [(&str, Open); 5] = [
+        ("leveldb", |p, o| Ok(Box::new(LevelDbLike::open(p, o)?))),
+        ("hyper", |p, o| Ok(Box::new(HyperLike::open(p, o)?))),
+        ("rocks", |p, o| Ok(Box::new(RocksLike::open(p, o)?))),
+        ("blsm", |p, o| Ok(Box::new(BlsmLike::open(p, o)?))),
+        ("striped", |p, o| Ok(Box::new(StripedRmw::open(p, o)?))),
+    ];
+    for (name, open) in systems {
+        let dir = TempDir::new(&format!("quiesce-l0-{name}"));
+        let opts = Options::small_for_tests();
+        let store = open(&dir.0, opts.clone()).unwrap();
+        for i in 0..5000u32 {
+            store
+                .put(format!("key{i:06}").as_bytes(), &[1u8; 100])
+                .unwrap();
+        }
+        store.quiesce().unwrap();
+        // A handful of overwrites: one table, far below the L0 trigger,
+        // that supersedes versions merged below it.
+        for i in (0..5000u32).step_by(500) {
+            store.put(format!("key{i:06}").as_bytes(), b"new").unwrap();
+        }
+        store.quiesce().unwrap();
+        for i in (0..5000u32).step_by(500) {
+            let key = format!("key{i:06}");
+            assert_eq!(
+                store.get(key.as_bytes()).unwrap(),
+                Some(b"new".to_vec()),
+                "{name} {key}"
+            );
+        }
+        drop(store);
+
+        let (disk, _) = lsm_storage::Store::open(&dir.0, opts.store).unwrap();
+        let version = disk.current_version();
+        assert!(
+            version.levels[1..].iter().any(|level| !level.is_empty()),
+            "{name}: nothing below L0"
+        );
+        assert!(
+            !version.l0_shadows_deeper_levels(),
+            "{name}: L0 shadows a deeper level after quiesce: {:?}",
+            disk.level_file_counts()
+        );
+    }
+}

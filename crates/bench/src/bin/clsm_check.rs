@@ -267,7 +267,7 @@ fn run_crash(cli: &Cli, seed: u64) -> Result<Verdict> {
     let dir = fresh_dir(&format!("crash-{}", cli.system));
     let crash = CrashSut::open(&cli.system, &dir, seed)?;
     let mut cfg = schedule(cli, seed);
-    cfg.caps = clsm_check::SutCaps::full();
+    cfg.caps = crash.caps;
     let store = match &cli.mutation {
         Some(name) => clsm_check::mutations::mutate(name, Arc::clone(&crash.store))?,
         None => Arc::clone(&crash.store),
@@ -277,7 +277,7 @@ fn run_crash(cli: &Cli, seed: u64) -> Result<Verdict> {
     let events = run_schedule(store, None, &cfg);
     let at = events.iter().map(|e| e.response).max().unwrap_or(0) + 1;
 
-    let CrashSut { store, env } = crash;
+    let CrashSut { store, env, .. } = crash;
     drop(store); // last live Arc: all recorders joined inside run_schedule
     env.power_loss();
 

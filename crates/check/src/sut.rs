@@ -38,8 +38,17 @@ pub const SYSTEMS: &[&str] = &[
 ];
 
 /// Systems that support crash-reopen checking (the fault-injecting
-/// [`FaultEnv`] plumbs through their `Options`).
-pub const CRASH_SYSTEMS: &[&str] = &["clsm"];
+/// [`FaultEnv`] plumbs through their `Options`): cLSM and every baseline
+/// store, which share its WAL, flush and recovery.
+pub const CRASH_SYSTEMS: &[&str] = &[
+    "clsm",
+    "leveldb",
+    "rocksdb",
+    "hyper",
+    "blsm",
+    "striped",
+    "partitioned-4",
+];
 
 /// Opens `name` at `dir`.
 pub fn open_sut(name: &str, dir: &Path) -> Result<Sut> {
@@ -97,8 +106,8 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
             chaos: None,
         });
     }
-    // Baselines: no fault-env plumbing needed for the clean matrix,
-    // and their capability gaps are part of what the suite documents.
+    // Baselines: their capability gaps are part of what the suite
+    // documents, in clean and crash mode alike.
     let base_caps = SutCaps {
         rmw: true,
         pia: true,
@@ -144,9 +153,7 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
         "partitioned-4" => {
             let boundaries: Vec<Vec<u8>> = [0x40u8, 0x80, 0xc0].iter().map(|b| vec![*b]).collect();
             let parts = (0..4)
-                .map(|i| {
-                    LevelDbLike::open(&dir.join(format!("part-{i}")), Options::small_for_tests())
-                })
+                .map(|i| LevelDbLike::open(&dir.join(format!("part-{i}")), opts.clone()))
                 .collect::<Result<Vec<_>>>()?;
             Ok(Sut {
                 store: Arc::new(Partitioned::new(parts, boundaries)),
@@ -168,6 +175,8 @@ pub fn open_sut_with(name: &str, dir: &Path, env: Option<Arc<dyn Env>>, sync: bo
 pub struct CrashSut {
     /// The live store (drop every `Arc` before calling `power_loss`).
     pub store: Arc<dyn KvStore>,
+    /// What op families the schedule may include.
+    pub caps: SutCaps,
     /// The shared fault environment.
     pub env: Arc<FaultEnv>,
 }
@@ -185,6 +194,7 @@ impl CrashSut {
         let sut = open_sut_with(name, dir, Some(env.clone() as Arc<dyn Env>), true)?;
         Ok(CrashSut {
             store: sut.store,
+            caps: sut.caps,
             env,
         })
     }

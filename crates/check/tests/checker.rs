@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use clsm_check::driver::{run_schedule, schedule_keys, ScheduleCfg};
 use clsm_check::snapcheck::RecoveredState;
-use clsm_check::sut::{open_sut, open_sut_with, CrashSut};
+use clsm_check::sut::{open_sut, open_sut_with, CrashSut, CRASH_SYSTEMS};
 use clsm_check::{check_history, mutations, CheckMode};
 use clsm_kv::record::RecordingSession;
 use clsm_kv::WriteOptions;
@@ -299,7 +299,7 @@ fn check_crash(system: &str, seed: u64) {
     let crash_tick = session.now();
     let events = session.take_events();
     drop(session); // release every Arc to the store before power loss
-    let CrashSut { store, env } = crash;
+    let CrashSut { store, env, .. } = crash;
     drop(store);
     env.power_loss();
 
@@ -338,6 +338,13 @@ fn check_crash(system: &str, seed: u64) {
 #[test]
 fn crash_reopen_clsm_recovers_durable_prefix() {
     check_crash("clsm", 42);
+}
+
+#[test]
+fn crash_reopen_recovers_the_durable_prefix_on_every_baseline() {
+    for system in CRASH_SYSTEMS.iter().filter(|&&s| s != "clsm") {
+        check_crash(system, 42);
+    }
 }
 
 #[test]

@@ -89,6 +89,13 @@ impl Components {
         Ok((found, false))
     }
 
+    /// The point read (Algorithm 1's get): `key`'s value at or below
+    /// `max_ts`, `None` when absent or deleted.
+    pub fn get(&self, store: &Store, key: &[u8], max_ts: u64) -> Result<Option<Vec<u8>>> {
+        let (found, _) = self.lookup(store, key, max_ts)?;
+        Ok(found.and_then(|(_, value)| value))
+    }
+
     /// `Pm`'s bytes over its capacity.
     pub fn fill(&self) -> f64 {
         self.pm.load().memory_usage() as f64 / self.capacity as f64

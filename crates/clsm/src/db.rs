@@ -14,13 +14,14 @@ use clsm_util::shared_lock::SharedExclusiveLock;
 
 use clsm_kv::{WriteBatch, WriteOptions};
 use lsm_storage::compaction;
-use lsm_storage::store::RecoveryReport;
+use lsm_storage::format::MAX_TS;
+use lsm_storage::store::{Compacted, RecoveryReport};
 use lsm_storage::wal::SyncMode;
 use lsm_storage::Store;
 
 use crate::admission::{stage_name, FlowControl, FLUSH_BEHIND, L0_BEHIND};
 use crate::components::Components;
-use crate::jobs::{wait_idle, Job, JobHost, Jobs, Workers};
+use crate::jobs::{self, Job, JobHost, Jobs, Workers};
 use crate::memtable::Memtable;
 use crate::options::Options;
 use crate::snapshot::Snapshot;
@@ -52,8 +53,6 @@ pub(crate) struct DbInner {
     /// reports the episode; cleared when `beforeMerge` makes a new one.
     write_stall_reported: AtomicBool,
 
-    /// Rejects writes once `Drop` has begun.
-    pub(crate) shutdown: AtomicBool,
     /// The background threads' wake state (see [`crate::jobs`]).
     pub(crate) jobs: Jobs,
 }
@@ -118,7 +117,6 @@ impl Db {
             watchdog,
             flow: FlowControl::default(),
             write_stall_reported: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
             jobs: Jobs::default(),
         });
 
@@ -130,7 +128,7 @@ impl Db {
         register_gauges(&inner);
 
         // A recovered tree may already be behind.
-        inner.note_version();
+        jobs::note_installed(&*inner);
         Ok(Db {
             workers: Workers::new(&inner),
             inner,
@@ -186,10 +184,10 @@ impl Db {
         self.write_one(key, None, &WriteOptions::new())
     }
 
-    /// What every write does around its commit: refuse it once the
-    /// store is shutting down or when a key is empty, run `apply`, wait
-    /// for the WAL fsync when `opts` or the store asks for one, ask for
-    /// a flush when `Pm` is full, and record the call's latency.
+    /// What every write does around its commit: refuse it when a key is
+    /// empty, run `apply`, wait for the WAL fsync when `opts` or the
+    /// store asks for one, ask for a flush when `Pm` is full, and record
+    /// the call's latency.
     fn commit<'k>(
         &self,
         mut keys: impl Iterator<Item = &'k [u8]>,
@@ -198,9 +196,6 @@ impl Db {
         apply: impl FnOnce() -> Result<()>,
     ) -> Result<()> {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return Err(Error::ShuttingDown);
-        }
         if keys.any(<[u8]>::is_empty) {
             // WAL replay drops empty-key records (a legacy `shard-NNN/`
             // directory carries batch-commit markers under that key),
@@ -324,12 +319,9 @@ impl Db {
     /// order the merge hooks update them, so a concurrent swing is
     /// harmless.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let began = Instant::now();
-        let result = self.inner.get_at(key, lsm_storage::format::MAX_TS);
-        self.inner
-            .metrics
-            .get_latency
-            .record_duration(began.elapsed());
+        let (inner, began) = (&self.inner, Instant::now());
+        let result = inner.components.get(&inner.store, key, MAX_TS);
+        inner.metrics.get_latency.record_duration(began.elapsed());
         result
     }
 
@@ -367,9 +359,6 @@ impl Db {
     /// Creates a consistent snapshot (Algorithm 2's `getSnap`).
     pub fn snapshot(&self) -> Result<Snapshot> {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return Err(Error::ShuttingDown);
-        }
         let began = Instant::now();
         let ts = {
             // The registry is read by `beforeMerge` under the exclusive
@@ -397,47 +386,13 @@ impl Db {
         self.inner.metrics.registry.snapshot()
     }
 
-    /// Blocks until the memtable found at the call is flushed, no L0
-    /// table overlaps a deeper level and no compaction is due
+    /// [`KvStore::quiesce`](clsm_kv::KvStore::quiesce), the one
+    /// quiescence every store shares (see `jobs::quiesce`): flushes the
+    /// memtable found at the call, runs the due jobs, merges L0 into L1
+    /// when L0 shadows a deeper level and removes obsolete files
     /// (test/benchmark hook; not part of the paper's API).
-    ///
-    /// Once L0 has been merged down, its table count cycles between 0
-    /// and the trigger, so how many superseded versions a quiescent
-    /// store would keep there depends on where in that cycle the last
-    /// write landed — and with it the store's size on disk. L0 is
-    /// therefore merged into L1 below its trigger when one of its tables
-    /// overlaps a deeper level. Before the first merge (nothing below
-    /// L0) and for tables that overlap nothing below (a sequential
-    /// load's), L0 stays as it is: its shape follows from the bytes
-    /// written alone, and merging would only rewrite it.
-    ///
-    /// A writer that keeps putting does not hold it up: what it writes
-    /// after the call need not be flushed. The wait is untimed (see
-    /// `jobs::wait_idle`).
     pub fn compact_to_quiescence(&self) -> Result<()> {
-        let inner = &self.inner;
-        let entry = inner.components.pm();
-        loop {
-            wait_idle(&**inner, &entry)?;
-            match inner
-                .store
-                .compact_l0_if_it_shadows_deeper_levels(inner.gc_watermark())
-            {
-                Ok(false) => {}
-                compacted => {
-                    // Its claims are released either way: wake
-                    // threads that found the level claimed.
-                    inner.note_version();
-                    compacted?;
-                    // L1 may now be over its budget.
-                    continue;
-                }
-            }
-            // Readers of replaced versions may have let go since the
-            // last job's removal pass: remove what they held.
-            inner.store.remove_obsolete_files();
-            return Ok(());
-        }
+        jobs::quiesce(&*self.inner)
     }
 
     /// Per-level file counts (diagnostics).
@@ -466,7 +421,7 @@ impl Db {
             .inner
             .store
             .compact_range(start, end, self.inner.gc_watermark());
-        self.inner.note_version();
+        jobs::note_installed(&*self.inner);
         result
     }
 
@@ -509,14 +464,6 @@ impl Db {
     }
 }
 
-impl Drop for Db {
-    /// Rejects later writes; dropping `workers` then stops and joins the
-    /// background threads and pushes the WAL to the OS.
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
 impl std::fmt::Debug for Db {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Db")
@@ -541,12 +488,6 @@ impl DbInner {
             .durable
             .record(durable_ns.saturating_sub(sync_start));
         Ok(())
-    }
-
-    /// Read at a snapshot time (Algorithm 1's get).
-    pub(crate) fn get_at(&self, key: &[u8], max_ts: u64) -> Result<Option<Vec<u8>>> {
-        let (found, _) = self.components.lookup(&self.store, key, max_ts)?;
-        Ok(found.and_then(|(_, value)| value))
     }
 
     /// The admission stage whose rate binds right now (see
@@ -634,17 +575,6 @@ impl DbInner {
         }
     }
 
-    /// Re-evaluates the L0-behind bit from the current version and
-    /// wakes everyone waiting on the tree to change. Called after every
-    /// version install (flush, compaction, manual range compaction) and
-    /// at open. Two installers racing can leave the bit one install
-    /// stale; the next install corrects it.
-    pub(crate) fn note_version(&self) {
-        let behind = compaction::l0_is_behind(&self.store.current_version());
-        self.flow.set(L0_BEHIND, behind);
-        self.jobs.note_install();
-    }
-
     /// The wait for room ([`Components::write_waits`]), the ladder's last
     /// rung: with pacing on, a write should rarely get here. Returns
     /// whether the write waited, or the store's poison if the flush it
@@ -672,7 +602,7 @@ impl DbInner {
             let stalled_ns = now_ns().saturating_sub(began);
             self.metrics.write_stall_ns.add(stalled_ns);
         }
-        waited.map(|()| true)
+        waited.map(|_| true)
     }
 
     /// Reports the stall behind the current `P'm`, sized by `Pm`.
@@ -702,15 +632,6 @@ impl DbInner {
             self.jobs.request_flush();
         }
     }
-
-    /// The snapshot-GC watermark: the oldest live snapshot, or "now"
-    /// when none exists (future snapshots always exceed the current
-    /// counter).
-    pub(crate) fn gc_watermark(&self) -> u64 {
-        self.snapshots
-            .oldest()
-            .unwrap_or_else(|| self.oracle.current_time())
-    }
 }
 
 impl JobHost for DbInner {
@@ -734,8 +655,12 @@ impl JobHost for DbInner {
         f()
     }
 
+    /// The oldest live snapshot, or "now" when none exists (future
+    /// snapshots always exceed the current counter).
     fn gc_watermark(&self) -> u64 {
-        DbInner::gc_watermark(self)
+        self.snapshots
+            .oldest()
+            .unwrap_or_else(|| self.oracle.current_time())
     }
 
     /// A new `P'm`, a new stall episode and a flush behind. The episode
@@ -750,40 +675,28 @@ impl JobHost for DbInner {
 
     fn merged(&self, imm: &Memtable, took: Duration) {
         self.flow.flush_drained(imm.memory_usage() as u64, took);
-        self.note_version();
+    }
+
+    /// An L0→L1 merge or move stores the L0 drain rate.
+    fn compacted(&self, task: Compacted, took: Duration) {
+        if task.level == 0 {
+            self.flow.l0_drained(task.base_bytes, took);
+        }
+    }
+
+    /// Re-evaluates the L0-behind bit from the current version; also
+    /// run at open and after a manual range compaction. Two installers
+    /// racing can leave the bit one install stale; the next install
+    /// corrects it.
+    fn installed(&self) {
+        let behind = compaction::l0_is_behind(&self.store.current_version());
+        self.flow.set(L0_BEHIND, behind);
     }
 
     /// A flush stays behind while the `Pm` that filled during the merge
     /// is full: a writer that finds the bit clear skips the stall.
     fn after_merge(&self) {
         self.flow.set(FLUSH_BEHIND, self.components.full());
-    }
-
-    /// An L0→L1 merge (one that took L0 tables out of the tree —
-    /// flushes only ever add them) also stores the L0 drain rate.
-    fn compact_once(&self) -> Result<bool> {
-        // Only L0's numbers and sizes: holding the version itself would
-        // pin the compaction's inputs past its removal pass, leaving
-        // them on disk until the next job.
-        let l0_before: Vec<(u64, u64)> = self.store.current_version().levels[0]
-            .iter()
-            .map(|f| (f.number, f.file_size))
-            .collect();
-        let began = Instant::now();
-        if !self.store.maybe_compact(self.gc_watermark())? {
-            return Ok(false);
-        }
-        let after = self.store.current_version();
-        let l0_retired: u64 = l0_before
-            .iter()
-            .filter(|&&(number, _)| !after.levels[0].iter().any(|g| g.number == number))
-            .map(|&(_, size)| size)
-            .sum();
-        if l0_retired > 0 {
-            self.flow.l0_drained(l0_retired, began.elapsed());
-        }
-        self.note_version();
-        Ok(true)
     }
 }
 

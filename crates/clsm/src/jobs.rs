@@ -1,6 +1,6 @@
 //! Background work as jobs: the one place that decides when a flush or
-//! a compaction runs, and the one flush, for cLSM and for the baselines
-//! alike.
+//! a compaction runs, and the one flush, compaction and quiescence, for
+//! cLSM and for the baselines alike.
 //!
 //! Algorithm 1's merge is one process with two short hooks. Here it is
 //! two kinds of [`Job`] over one wake state, a [`JobState`] behind the
@@ -16,9 +16,12 @@
 //! (`clsm_baselines`), which differ only in how writers synchronize.
 //! The runtime is generic over it, never a trait object. The one
 //! [`flush`] runs over the host's [`Components`] under its exclusive
-//! guard; a write that finds `Pm` full waits for its swap
-//! ([`Jobs::wait_for_room`]). A store opened stepped has no thread: a
-//! test runs [`Workers::due_jobs`] itself, in an order it chooses.
+//! guard, the one [`compact`] runs whatever the tree needs, and after
+//! every install the runtime calls [`JobHost::installed`] and wakes the
+//! waiters itself. A write that finds `Pm` full waits for its swap
+//! ([`Jobs::wait_for_room`]); [`quiesce`] is every store's
+//! `KvStore::quiesce`. A store opened stepped has no thread: a test runs
+//! [`Workers::due_jobs`] itself, in an order it chooses.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -27,6 +30,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use clsm_util::error::{Error, Result};
+use lsm_storage::store::Compacted;
 use lsm_storage::Store;
 
 use crate::components::Components;
@@ -84,17 +88,31 @@ pub trait JobHost: Send + Sync + 'static {
     fn before_swing(&self, _old: &Memtable) {}
 
     /// Once the merge of `imm` into L0 is installed, `took` after it
-    /// began; calls [`Jobs::note_install`].
-    fn merged(&self, _imm: &Memtable, _took: Duration) {
-        self.jobs().note_install();
-    }
+    /// began.
+    fn merged(&self, _imm: &Memtable, _took: Duration) {}
+
+    /// Once a compaction that merged `task` is installed, `took` after
+    /// it began.
+    fn compacted(&self, _task: Compacted, _took: Duration) {}
+
+    /// After every version install (a flush's, a compaction's,
+    /// quiescence's merge), before the runtime wakes the threads and
+    /// waiters watching the tree.
+    fn installed(&self) {}
 
     /// Inside `afterMerge`'s hold, once `P'm` is dropped.
     fn after_merge(&self) {}
+}
 
-    /// One compaction, if the tree needs one and its inputs are not
-    /// claimed; calls [`Jobs::note_install`] when it did one.
-    fn compact_once(&self) -> Result<bool>;
+/// What follows every version install: the host's
+/// [`JobHost::installed`], then a wake-up for everyone waiting on the
+/// tree to change.
+pub(crate) fn note_installed<H: JobHost>(host: &H) {
+    host.installed();
+    let jobs = host.jobs();
+    let mut state = jobs.state.lock();
+    state.installs += 1;
+    jobs.cv.notify_all();
 }
 
 /// Algorithm 1's merge (lines 8–17) for every store: of the `P'm` a
@@ -133,6 +151,7 @@ fn flush<H: JobHost>(host: &H) -> Result<bool> {
     let began = Instant::now();
     store.flush_memtable(&mut imm.internal_iter(), watermark, imm.max_ts(), new_wal)?;
     host.merged(&imm, began.elapsed());
+    note_installed(host);
 
     // `Pd` already holds the data: dropping `P'm` last keeps the read
     // order `Pm → P'm → Pd` gap-free.
@@ -143,6 +162,19 @@ fn flush<H: JobHost>(host: &H) -> Result<bool> {
     Ok(true)
 }
 
+/// One compaction, of whatever `lsm_storage::compaction::pick` picks,
+/// if the tree needs one and its inputs are not claimed. `Ok(false)`
+/// when it did none.
+fn compact<H: JobHost>(host: &H) -> Result<bool> {
+    let began = Instant::now();
+    let Some(task) = host.store().maybe_compact(host.gc_watermark())? else {
+        return Ok(false);
+    };
+    host.compacted(task, began.elapsed());
+    note_installed(host);
+    Ok(true)
+}
+
 /// Every fact that decides whether a background thread runs or sleeps.
 /// Whoever changes one notifies the condvar beside it, under its lock.
 #[derive(Debug, Default)]
@@ -150,7 +182,7 @@ pub(crate) struct JobState {
     flush_requested: bool,
     /// Jobs running, by kind (`Job as usize`).
     running: [usize; 3],
-    /// Version installs so far (see [`Jobs::note_install`]).
+    /// Version installs so far (see [`note_installed`]).
     installs: u64,
     /// `installs` when a compaction last found nothing it could claim.
     /// Compaction pressure depends only on the version, so it is not
@@ -188,34 +220,30 @@ impl Jobs {
         }
     }
 
-    /// Counts a version install and wakes everyone waiting on the tree
-    /// to change.
-    pub fn note_install(&self) {
-        let mut state = self.state.lock();
-        state.installs += 1;
-        self.cv.notify_all();
-    }
-
     /// Wakes everyone waiting for room: the flush swapped `Pm`.
     fn note_swap(&self) {
         let _state = self.state.lock();
         self.cv.notify_all();
     }
 
-    /// The one stall: asks for a flush and blocks while a write must wait
-    /// for room ([`Components::write_waits`]), unless the runtime shuts
-    /// down or `store` is poisoned; then fails with the poison, if any.
-    /// The condition is checked under the state lock, and every swap, job
-    /// end and shutdown notifies under it, so the wait needs no timed
-    /// backstop; a flush that ends with `Pm` full stays asked for.
-    pub fn wait_for_room(&self, store: &Store, components: &Components) -> Result<()> {
-        let mut state = self.state.lock();
-        self.request_flush_locked(&mut state);
-        while components.write_waits() && !state.shutdown && store.poisoned().is_none() {
-            self.cv.wait(&mut state);
+    /// The wait for room, every store's one stall: while a write must
+    /// wait ([`Components::write_waits`]) it asks for a flush and blocks
+    /// until the swap, unless the runtime shuts down or `store` is
+    /// poisoned; then it fails with the poison, if any. Returns whether
+    /// it waited. The condition is checked under the state lock, and
+    /// every swap, job end and shutdown notifies under it, so the wait
+    /// needs no timed backstop; a flush that ends with `Pm` full stays
+    /// asked for. A write with room takes no lock.
+    pub fn wait_for_room(&self, store: &Store, components: &Components) -> Result<bool> {
+        let waits = components.write_waits();
+        if waits {
+            let mut state = self.state.lock();
+            self.request_flush_locked(&mut state);
+            while components.write_waits() && !state.shutdown && store.poisoned().is_none() {
+                self.cv.wait(&mut state);
+            }
         }
-        drop(state);
-        store.poisoned().map_or(Ok(()), Err)
+        store.poisoned().map_or(Ok(waits), Err)
     }
 }
 
@@ -262,7 +290,7 @@ fn run_job<H: JobHost>(host: &H, job: Job) -> Result<bool> {
     };
     let result = match job {
         Job::Flush => flush(host),
-        Job::Compact => host.compact_once(),
+        Job::Compact => compact(host),
         Job::Log => host.store().flush_wal().map(|()| true),
     };
     let mut state = jobs.state.lock();
@@ -304,8 +332,7 @@ fn run_job<H: JobHost>(host: &H, job: Job) -> Result<bool> {
 /// some job is asked for or running, and its end notifies. With no
 /// background threads (the stepped scheduler) it waits for jobs some
 /// other thread runs.
-#[doc(hidden)]
-pub fn wait_idle<H: JobHost>(host: &H, entry: &Arc<Memtable>) -> Result<()> {
+fn wait_idle<H: JobHost>(host: &H, entry: &Arc<Memtable>) -> Result<()> {
     let (jobs, components) = (host.jobs(), host.components());
     let mut state = jobs.state.lock();
     loop {
@@ -323,6 +350,40 @@ pub fn wait_idle<H: JobHost>(host: &H, entry: &Arc<Memtable>) -> Result<()> {
             return Ok(());
         }
         jobs.cv.wait(&mut state);
+    }
+}
+
+/// Every store's quiescence (`KvStore::quiesce`): flushes the `Pm`
+/// found at the call, waits until no job is due or running, merges L0
+/// into L1 when one of its tables overlaps a deeper level, and removes
+/// the obsolete files readers have let go of. A writer that keeps
+/// putting does not hold it up. The wait is untimed ([`wait_idle`]).
+///
+/// L0's table count cycles between 0 and the trigger, so the superseded
+/// versions a quiescent L0 would keep, and the store's size on disk,
+/// would depend on where in that cycle the last write landed. L0 that
+/// overlaps nothing below (before the first merge, or a sequential
+/// load's) stays: its shape follows from the bytes written alone.
+#[doc(hidden)]
+pub fn quiesce<H: JobHost>(host: &H) -> Result<()> {
+    let (store, entry) = (host.store(), host.components().pm());
+    loop {
+        wait_idle(host, &entry)?;
+        match store.compact_l0_if_it_shadows_deeper_levels(host.gc_watermark()) {
+            Ok(false) => {}
+            merged => {
+                // Its claims are released either way: wake threads that
+                // found the level claimed.
+                note_installed(host);
+                merged?;
+                // L1 may now be over its budget.
+                continue;
+            }
+        }
+        // Readers of replaced versions may have let go since the last
+        // job's removal pass: remove what they held.
+        store.remove_obsolete_files();
+        return Ok(());
     }
 }
 

@@ -65,7 +65,7 @@ pub use components::{Components, VersionedRead};
 pub use db::Db;
 pub use doctor::{watch_dashboard_header, watch_dashboard_line, DoctorReport};
 #[doc(hidden)]
-pub use jobs::{wait_idle, Job, JobHost, Jobs, Workers};
+pub use jobs::{quiesce, Job, JobHost, Jobs, Workers};
 pub use memtable::Memtable;
 pub use options::Options;
 pub use rmw::{RmwDecision, RmwResult};

@@ -6,7 +6,6 @@
 //! list retries the operation when a concurrent write to the same key
 //! slips in between the read and the insert.
 
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use clsm_util::error::{Error, Result};
@@ -53,9 +52,6 @@ impl Db {
         F: FnMut(Option<&[u8]>) -> RmwDecision,
     {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Relaxed) {
-            return Err(Error::ShuttingDown);
-        }
         if key.is_empty() {
             return Err(Error::invalid_argument("empty keys are not supported"));
         }

@@ -37,7 +37,7 @@ impl Snapshot {
 
     /// Reads `key` as of this snapshot ("snapshot read", §3.2.2).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.get_at(key, self.ts)
+        self.inner.components.get(&self.inner.store, key, self.ts)
     }
 
     /// Iterates every live key-value pair in key order.

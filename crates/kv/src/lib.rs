@@ -306,8 +306,11 @@ pub trait KvStore: Send + Sync {
         )))
     }
 
-    /// Blocks until pending flushes/compactions are done (benchmark
-    /// warm-up/teardown hook).
+    /// Benchmark warm-up/teardown hook, one contract for every store:
+    /// flushes the `Pm` (mutable memtable) found at the call, runs the
+    /// flushes and compactions that are due, merges L0 into L1 when an
+    /// L0 table overlaps a deeper level, and removes obsolete files.
+    /// Writes made after the call need not be flushed.
     fn quiesce(&self) -> Result<()>;
 
     /// Short system name for reports (e.g. `"cLSM"`, `"LevelDB"`).

@@ -188,6 +188,16 @@ pub struct WriteAmp {
     pub compacted: u64,
 }
 
+/// What one background compaction merged ([`Store::maybe_compact`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Compacted {
+    /// The level its base inputs left.
+    pub level: usize,
+    /// The base inputs' bytes: what left `level`, whether merged into
+    /// `level + 1` or moved there whole.
+    pub base_bytes: u64,
+}
+
 impl WriteAmp {
     /// Total device writes divided by logical ingest (≥ 1.0).
     pub fn factor(&self) -> f64 {
@@ -559,18 +569,23 @@ impl Store {
         compaction::needs_compaction(&self.current_version(), &self.opts)
     }
 
-    /// Picks and runs one compaction if any level needs it.
+    /// Picks and runs one compaction if any level needs it, and says
+    /// what it merged.
     ///
     /// Safe to call from several threads: file claims make concurrent
     /// compactions work on disjoint inputs (this is how the RocksDB
     /// baseline's multi-threaded compaction is modeled, §5.3).
-    pub fn maybe_compact(&self, watermark: u64) -> Result<bool> {
+    pub fn maybe_compact(&self, watermark: u64) -> Result<Option<Compacted>> {
         loop {
             let Some(task) = compaction::pick(&self.current_version(), &self.opts) else {
-                return Ok(false);
+                return Ok(None);
+            };
+            let compacted = Compacted {
+                level: task.level,
+                base_bytes: task.base.iter().flatten().map(|f| f.file_size).sum(),
             };
             if self.run_task(task, watermark)? {
-                return Ok(true);
+                return Ok(Some(compacted));
             }
         }
     }

@@ -186,7 +186,7 @@ fn compaction_preserves_all_data() {
         let mut it = VecIterator::new(entries);
         store.flush_memtable(&mut it, ts, ts, wal).unwrap();
         while store.needs_compaction() {
-            if !store.maybe_compact(ts).unwrap() {
+            if store.maybe_compact(ts).unwrap().is_none() {
                 break;
             }
         }
@@ -220,7 +220,7 @@ fn compaction_respects_snapshot_watermark() {
         let wal = store.rotate_wal().unwrap();
         let mut it = VecIterator::new(entries);
         store.flush_memtable(&mut it, 2, ts, wal).unwrap(); // snapshot at ts=2 held
-        while store.maybe_compact(2).unwrap() {}
+        while store.maybe_compact(2).unwrap().is_some() {}
     }
     // The snapshot at ts=2 must still read version 2.
     let got = store.get(b"hot", 2).unwrap().unwrap();
@@ -281,7 +281,7 @@ fn iterators_merge_levels_in_order() {
         let mut it = VecIterator::new(entries);
         store.flush_memtable(&mut it, ts, ts, wal).unwrap();
     }
-    while store.maybe_compact(ts).unwrap() {}
+    while store.maybe_compact(ts).unwrap().is_some() {}
     let mut m = MergingIterator::new(store.iterators().unwrap());
     m.seek_to_first();
     let mut last: Option<(Vec<u8>, u64)> = None;
@@ -327,11 +327,11 @@ fn a_pick_from_a_replaced_version_is_refused() {
     // L0 at the trigger, merged into L1 after the stale pick's version.
     fill_l0(0);
     let saved = store.current_version();
-    assert!(store.maybe_compact(0).unwrap());
+    assert!(store.maybe_compact(0).unwrap().is_some());
     fill_l0(200);
     let stale = compaction::pick(&saved, &store.opts).unwrap();
     assert!(!store.run_task(stale, 0).unwrap(), "a merged-away pick ran");
-    assert!(store.maybe_compact(0).unwrap());
+    assert!(store.maybe_compact(0).unwrap().is_some());
     assert_eq!(store.level_file_counts()[0], 0);
 
     // One L0 table, trivially moved to L1 after the stale pick's version.
@@ -353,6 +353,55 @@ fn a_pick_from_a_replaced_version_is_refused() {
             "{key}"
         );
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `maybe_compact` reports the bytes that left the level it compacted:
+/// for an L0→L1 merge and for a trivial move alike, exactly the L0
+/// bytes the new version no longer holds.
+#[test]
+fn a_compaction_reports_the_l0_bytes_that_left_the_version() {
+    let dir = tmpdir("report");
+    let (store, _) = Store::open(&dir, small_opts()).unwrap();
+    let flush = |keys: std::ops::Range<u64>| {
+        let wal = store.rotate_wal().unwrap();
+        let mut it = VecIterator::new(put_entries(keys.clone()));
+        store.flush_memtable(&mut it, 0, keys.end, wal).unwrap();
+    };
+    let compact_l0 = || {
+        let before = store.current_version();
+        let report = store.maybe_compact(0).unwrap().expect("L0 is due");
+        let after = store.current_version();
+        let left: u64 = before.levels[0]
+            .iter()
+            .filter(|f| !after.levels[0].iter().any(|g| g.number == f.number))
+            .map(|f| f.file_size)
+            .sum();
+        assert_eq!(report.level, 0);
+        assert!(left > 0);
+        assert_eq!(report.base_bytes, left);
+    };
+
+    // Overlapping flushes, one L0 run each, until L0 is due: a merge.
+    for i in 0..compaction::L0_COMPACTION_TRIGGER as u64 {
+        flush(25 * i..25 * i + 50);
+    }
+    compact_l0();
+    assert!(store.write_amp().compacted > 0, "the merge rewrote nothing");
+
+    // One sequential run past L1's budget, above nothing: a move.
+    let compacted = store.write_amp().compacted;
+    let mut next = 1_000u64;
+    while store.current_version().level_bytes(0) < store.opts.base_level_bytes {
+        flush(next..next + 200);
+        next += 200;
+    }
+    compact_l0();
+    assert_eq!(
+        store.write_amp().compacted,
+        compacted,
+        "the move rewrote a table"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -446,7 +495,7 @@ fn a_sequential_load_moves_down_without_being_rewritten() {
             numbers
         };
         let before = tree(&l0);
-        while store.maybe_compact(0).unwrap() {}
+        while store.maybe_compact(0).unwrap().is_some() {}
         let after = store.current_version();
         assert_eq!(after.num_files(0), 0, "round {round}");
         assert_eq!(tree(&after), before, "round {round}: a table was rewritten");

@@ -261,7 +261,7 @@ impl Version {
 
     /// Whether some L0 table's key range overlaps a table in a deeper
     /// level, so that it may hold versions superseding ones merged below.
-    pub(crate) fn l0_shadows_deeper_levels(&self) -> bool {
+    pub fn l0_shadows_deeper_levels(&self) -> bool {
         self.levels[0].iter().any(|f| {
             (1..self.levels.len()).any(|level| {
                 !self

@@ -343,7 +343,7 @@ fn only_open_lists_and_only_garbage_is_removed() {
     for round in 0..12u64 {
         let base = (round % 3) * 100;
         flush(&store, base..base + 150, round * 1000 + 1);
-        while store.maybe_compact(u64::MAX >> 1).unwrap() {
+        while store.maybe_compact(u64::MAX >> 1).unwrap().is_some() {
             compactions += 1;
         }
     }
@@ -426,7 +426,7 @@ fn concurrent_flush_and_compaction_stress() {
         }
     });
 
-    while store.maybe_compact(u64::MAX >> 1).unwrap() {}
+    while store.maybe_compact(u64::MAX >> 1).unwrap().is_some() {}
     // All data from the last writer of each key is present.
     assert!(store.verify_integrity().unwrap() > 0);
     for i in 0..500u64 {
@@ -501,7 +501,7 @@ fn minimum_level_configuration() {
         store
             .flush_memtable(&mut it, u64::MAX >> 1, round * 1000 + 100, wal)
             .unwrap();
-        while store.maybe_compact(u64::MAX >> 1).unwrap() {}
+        while store.maybe_compact(u64::MAX >> 1).unwrap().is_some() {}
     }
     // Everything ends in the bottom level (L1).
     let counts = store.level_file_counts();

@@ -48,8 +48,6 @@ pub enum Error {
     InvalidArgument(String),
     /// An internal invariant was violated; indicates a bug.
     Internal(String),
-    /// The database is shutting down and cannot accept the operation.
-    ShuttingDown,
     /// A network peer violated the wire protocol (bad frame length,
     /// unknown opcode, malformed payload). The connection that
     /// produced it is closed; other connections are unaffected.
@@ -87,8 +85,6 @@ pub enum ErrorKind {
     InvalidArgument,
     /// Internal invariant violation ([`Error::Internal`]).
     Internal,
-    /// Shutdown in progress ([`Error::ShuttingDown`]).
-    ShuttingDown,
     /// Wire-protocol violation ([`Error::Protocol`]).
     Protocol,
 }
@@ -99,7 +95,9 @@ impl ErrorKind {
     /// These codes are part of the network protocol: a server maps an
     /// [`Error`] to `error.kind().code()` before shipping it, and the
     /// client reconstructs the kind with `ErrorKind::from_code`.
-    /// Codes are append-only — never renumber or reuse one.
+    /// Codes are append-only — never renumber or reuse one. Code 6
+    /// named a shutdown kind no store reports any more; it stays
+    /// unused, and a peer that sends it degrades to `Internal`.
     pub fn code(self) -> u16 {
         match self {
             ErrorKind::Io => 1,
@@ -107,7 +105,6 @@ impl ErrorKind {
             ErrorKind::WalTruncated => 3,
             ErrorKind::InvalidArgument => 4,
             ErrorKind::Internal => 5,
-            ErrorKind::ShuttingDown => 6,
             ErrorKind::ManifestCorrupt => 7,
             ErrorKind::Protocol => 8,
         }
@@ -123,7 +120,6 @@ impl ErrorKind {
             3 => Some(ErrorKind::WalTruncated),
             4 => Some(ErrorKind::InvalidArgument),
             5 => Some(ErrorKind::Internal),
-            6 => Some(ErrorKind::ShuttingDown),
             7 => Some(ErrorKind::ManifestCorrupt),
             8 => Some(ErrorKind::Protocol),
             _ => None,
@@ -184,7 +180,6 @@ impl Error {
             Error::ManifestCorrupt { .. } => ErrorKind::ManifestCorrupt,
             Error::InvalidArgument(_) => ErrorKind::InvalidArgument,
             Error::Internal(_) => ErrorKind::Internal,
-            Error::ShuttingDown => ErrorKind::ShuttingDown,
             Error::Protocol(_) => ErrorKind::Protocol,
             Error::Remote { kind, .. } => *kind,
         }
@@ -194,7 +189,7 @@ impl Error {
     ///
     /// Transient OS-level I/O failures (interrupted syscalls, momentary
     /// resource exhaustion) are retryable; corruption, torn logs, caller
-    /// errors, internal bugs, and shutdown are not.
+    /// errors and internal bugs are not.
     pub fn is_retryable(&self) -> bool {
         match self {
             Error::Io(e) => matches!(
@@ -223,7 +218,6 @@ impl fmt::Display for Error {
             }
             Error::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
             Error::Internal(m) => write!(f, "internal error: {m}"),
-            Error::ShuttingDown => write!(f, "database is shutting down"),
             Error::Protocol(m) => write!(f, "protocol error: {m}"),
             Error::Remote { kind, message, .. } => {
                 write!(f, "remote error ({kind:?}): {message}")
@@ -259,7 +253,6 @@ mod tests {
         assert_eq!(e.to_string(), "invalid argument: empty key");
         let e = Error::from(io::Error::other("boom"));
         assert!(e.to_string().contains("boom"));
-        assert_eq!(Error::ShuttingDown.to_string(), "database is shutting down");
         let e = Error::wal_truncated("000007.log", 4096);
         assert_eq!(e.to_string(), "WAL truncated: 000007.log at offset 4096");
     }
@@ -279,7 +272,6 @@ mod tests {
             Error::wal_truncated("a.log", 0).kind(),
             ErrorKind::WalTruncated
         );
-        assert_eq!(Error::ShuttingDown.kind(), ErrorKind::ShuttingDown);
         assert_eq!(Error::Internal("x".into()).kind(), ErrorKind::Internal);
 
         let interrupted = Error::from(io::Error::new(io::ErrorKind::Interrupted, "eintr"));
@@ -306,7 +298,6 @@ mod tests {
             (Error::manifest_corrupt("MANIFEST-000001", "bad tag"), false),
             (Error::invalid_argument("empty key"), false),
             (Error::Internal("bug".into()), false),
-            (Error::ShuttingDown, false),
             (Error::protocol("bad opcode"), false),
             (
                 Error::from_wire(ErrorKind::Io.code(), "remote eintr", true),
@@ -331,7 +322,6 @@ mod tests {
             ErrorKind::ManifestCorrupt,
             ErrorKind::InvalidArgument,
             ErrorKind::Internal,
-            ErrorKind::ShuttingDown,
             ErrorKind::Protocol,
         ];
         for &kind in ALL {
@@ -345,6 +335,7 @@ mod tests {
         assert_eq!(codes.len(), ALL.len());
         // Unknown codes never panic and never alias a real kind.
         assert_eq!(ErrorKind::from_code(0), None);
+        assert_eq!(ErrorKind::from_code(6), None, "retired, never reused");
         assert_eq!(ErrorKind::from_code(u16::MAX), None);
     }
 
